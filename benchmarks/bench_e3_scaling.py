@@ -47,7 +47,7 @@ def test_coarse_phase_only(benchmark, num_sequences):
     from repro.search.coarse import CoarseRanker
 
     records, engine, _, queries = setup.scaled_setup(num_sequences)
-    ranker = CoarseRanker(engine.index)
+    ranker = CoarseRanker(engine.shards[0][0])
     candidates = benchmark.pedantic(
         ranker.rank, args=(queries[0].query.codes, 50),
         rounds=5, iterations=1,

@@ -21,6 +21,11 @@ Quickstart::
     report = engine.search(Sequence.from_text("q", "ACGTT..."))
     for hit in report.hits:
         print(hit.identifier, hit.score)
+
+There is one engine: ``PartitionedSearchEngine.over_shards([(index,
+source), ...], tombstones=..., resilience=...)`` evaluates any number
+of shards with hit-for-hit identical answers, and
+:class:`Database` builds exactly that over its directory.
 """
 
 from repro.align import (
@@ -38,6 +43,7 @@ from repro.index import (
     InvertedIndex,
     MemorySequenceSource,
     SequenceStore,
+    ShardedSequenceSource,
     build_index,
     collect_statistics,
     read_index,
@@ -59,11 +65,7 @@ from repro.search import (
 )
 from repro.serving import SearchServer, ServerConfig
 from repro.sequences import MutationModel, Sequence, read_fasta, write_fasta
-from repro.sharding import (
-    ShardedSearchEngine,
-    ShardedSequenceSource,
-    plan_shards,
-)
+from repro.sharding import plan_shards
 from repro.workloads import (
     WorkloadSpec,
     generate_collection,
@@ -99,7 +101,6 @@ __all__ = [
     "SequenceStore",
     "ServerConfig",
     "ShardResilience",
-    "ShardedSearchEngine",
     "ShardedSequenceSource",
     "WorkloadSpec",
     "best_local_score",

@@ -378,14 +378,14 @@ def run_kernel_bench(
     kernel.
     """
     from repro.compression import fastunpack
-    from repro.search.coarse import make_scorer
+    from repro.search.coarse import CoarseRanker, make_scorer
 
     workload = _load_benchmarks(module="workload_setup")
     _records, engine, _exhaustive, cases = workload.scaled_setup(
         num_sequences
     )
-    ranker = engine._ranker
-    index = engine.index
+    index, _source = engine.shards[0]
+    ranker = CoarseRanker(index)
     stats = [
         ranker._frequency_filter(*ranker.query_intervals(case.query.codes))
         for case in cases

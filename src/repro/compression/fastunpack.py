@@ -3,31 +3,30 @@
 
 Query evaluation decodes millions of small Golomb/Elias codes; doing
 that one ``read_bits`` call at a time dominates the coarse phase.  This
-module block-decodes a whole d-gap stream in one numpy pass:
+module block-decodes the posting lists of many intervals in one numpy
+pass over their concatenated bytes:
 
-1. **bit unpack** — the blob becomes a bit array plus an aligned
-   64-bit window per byte offset, so any code of up to
-   :data:`~repro.compression.fastpack.MAX_VECTOR_BITS` bits can be read
-   at any bit position with one gather;
+1. **bit unpack** — the blobs become an aligned 32-bit window per byte
+   offset, so any field of up to 25 bits can be read at any bit
+   position with one gather;
 2. **terminator location** — every unary run ends at the first zero
-   bit at or after its start, found for *all* positions at once with a
-   reversed ``minimum.accumulate`` (a suffix-min);
+   bit at or after its start, found for *all* positions at once;
 3. **transition tables** — for every bit position the table answers
-   "if a Golomb (or gamma) code started here, what value would it
-   decode to and where would the next code start";
-4. **chain resolution** — the code boundaries of one list are the
-   orbit of position 0 under the table's next-pointer, computed in
-   O(log n) gather rounds by pointer doubling.
+   "if a Golomb (or gamma) code started here, where would the next
+   code start";
+4. **chain resolution** — the code boundaries of every list are the
+   orbits of the list starts under the table's next-pointer, computed
+   in O(log n) gather rounds by pointer doubling.
 
-The rare code the vector window cannot hold (a huge unary run) and any
-truncated stream are *spliced*: the vector prefix is kept and the
-scalar codec finishes from the first bad position, so the result —
-values or exception — is bit-identical to
+A list the tables cannot serve (a field wider than the window, a
+stream that overruns its blob) is *flagged*, not guessed at: the caller
+re-decodes it with the scalar codec, so the result — values or
+exception — is bit-identical to
 :meth:`~repro.compression.integer.IntegerCodec.decode_array`.
 
-The batched entry points decode the posting lists of many intervals in
-one table build (per-position Golomb parameters, one 2-D doubling
-pass), which is what makes tiny-df lists profitable to vectorise: the
+One table build serves the whole batch (per-position Golomb parameters,
+one 2-D doubling pass), which is what makes tiny-df lists profitable to
+vectorise: the
 per-bit table cost is paid once per *query*, not once per list, and it
 scales with the total compressed size rather than with the entry
 count.  :func:`decode_docs_counts_flat` goes one step further and
@@ -35,10 +34,9 @@ returns lane-major *flat* arrays so a scorer can accumulate evidence
 without ever materialising per-list objects.
 
 Tier selection lives here too (see :func:`resolve_tier`): the
-``REPRO_KERNEL`` environment variable picks ``numba`` (compiled kernel,
-silently falling back when numba is not importable), ``numpy`` (this
-module's block decoder), or ``python`` (the scalar floor); ``auto``
-takes the best available.
+``REPRO_KERNEL`` environment variable picks ``numpy`` (this module's
+block decoder) or ``python`` (the scalar floor); ``auto`` takes the
+faster one.
 """
 
 from __future__ import annotations
@@ -48,21 +46,16 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.compression.bitio import BitReader
-from repro.compression.fastpack import MAX_VECTOR_BITS, _bit_lengths
+from repro.compression.fastpack import _bit_lengths
 from repro.errors import ReproError
 
 __all__ = [
     "KERNEL_ENV_VAR",
     "TIERS",
     "active_tier",
-    "decode_docs_counts",
     "decode_docs_counts_batch",
     "decode_docs_counts_flat",
-    "decode_gap_stream",
-    "decode_postings",
     "forced_tier",
-    "numba_available",
     "resolve_tier",
     "set_active_tier",
 ]
@@ -70,45 +63,21 @@ __all__ = [
 #: Environment variable selecting the decode tier.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
-#: Selectable tiers, fastest first ("auto" resolves to the best available).
-TIERS = ("numba", "numpy", "python")
+#: Selectable tiers, fastest first ("auto" resolves to the first).
+TIERS = ("numpy", "python")
 
 # -- tier selection ---------------------------------------------------
 
-_NUMBA_MODULE = None
-_NUMBA_CHECKED = False
 _ACTIVE: str | None = None
-
-
-def _numba_kernels():
-    """The compiled kernel module, or None when numba is unavailable."""
-    global _NUMBA_MODULE, _NUMBA_CHECKED
-    if not _NUMBA_CHECKED:
-        try:
-            from repro.compression import _kernels_numba
-
-            _NUMBA_MODULE = _kernels_numba
-        except Exception:
-            _NUMBA_MODULE = None
-        _NUMBA_CHECKED = True
-    return _NUMBA_MODULE
-
-
-def numba_available() -> bool:
-    """Whether the compiled (numba) tier can actually run here."""
-    return _numba_kernels() is not None
 
 
 def resolve_tier(requested: str | None = None) -> str:
     """Resolve a tier request to a runnable tier name.
 
     Args:
-        requested: ``"auto"``, ``"numba"``, ``"numpy"`` or ``"python"``;
-            ``None`` reads the ``REPRO_KERNEL`` environment variable
+        requested: ``"auto"``, ``"numpy"`` or ``"python"``; ``None``
+            reads the ``REPRO_KERNEL`` environment variable
             (missing/empty means ``"auto"``).
-
-    ``numba`` silently degrades to ``numpy`` when the compiler is not
-    importable — the flag states a *preference*, not a hard dependency.
 
     Raises:
         ReproError: if the name is not a known tier.
@@ -118,14 +87,12 @@ def resolve_tier(requested: str | None = None) -> str:
         name = os.environ.get(KERNEL_ENV_VAR, "auto")
     name = (name or "auto").strip().lower() or "auto"
     if name == "auto":
-        return "numba" if numba_available() else "numpy"
+        return TIERS[0]
     if name not in TIERS:
         raise ReproError(
             f"unknown {KERNEL_ENV_VAR} tier {name!r}; expected one of "
             f"{('auto',) + TIERS}"
         )
-    if name == "numba" and not numba_available():
-        return "numpy"
     return name
 
 
@@ -191,23 +158,16 @@ class _StreamTables:
     Attributes:
         total_bits: stream length in bits (zero padding included — the
             scalar reader serves padding bits too, so they are real).
-        windows: uint64 per byte offset, holding that byte and the next
-            seven big-endian (zero-padded past the end).  Built lazily:
-            only the single-list ``read_bits`` path needs fields wider
-            than the 32-bit window.
-        windows32: uint32 per byte offset (that byte and the next
-            three) — every batched read fits it, at half the memory
-            traffic of the 64-bit gathers.
+        windows32: uint32 per byte offset, holding that byte and the
+            next three big-endian (zero-padded past the end) — every
+            batched read fits it.
         next_zero: per bit position, the index of the first zero bit at
             or after it (``total_bits`` when none remains).
-        positions: cached ``arange(total_bits + 1)`` — every transition
-            table needs it, so it is built once per stream.
+        next_zero_ext: ``next_zero`` with ``_POINTER_SLACK`` extra
+            sentinel slots.
     """
 
-    __slots__ = (
-        "total_bits", "windows32", "next_zero",
-        "next_zero_ext", "positions", "_padded", "_windows",
-    )
+    __slots__ = ("total_bits", "windows32", "next_zero", "next_zero_ext")
 
     def __init__(self, raw: np.ndarray) -> None:
         num_bytes = raw.shape[0]
@@ -218,7 +178,6 @@ class _StreamTables:
         for lane in range(1, 4):
             windows32 <<= np.uint32(8)
             windows32 |= padded[lane : lane + num_bytes + 1]
-        positions = _shared_arange(total_bits + 1)
         # next_zero[i] = index of the first zero bit at or after i.  It
         # is a step function that jumps at each zero bit, so build it by
         # run-length expansion: zero k covers the positions after zero
@@ -244,133 +203,6 @@ class _StreamTables:
         self.windows32 = windows32
         self.next_zero = next_zero_ext[: total_bits + 1]
         self.next_zero_ext = next_zero_ext
-        self.positions = positions
-        self._padded = padded
-        self._windows: np.ndarray | None = None
-
-    @property
-    def windows(self) -> np.ndarray:
-        """The 64-bit windows, built on first (single-list) use."""
-        windows = self._windows
-        if windows is None:
-            padded = self._padded
-            num_windows = padded.shape[0] - 7
-            windows = padded[0:num_windows].astype(np.uint64)
-            for lane in range(1, 8):
-                windows <<= np.uint64(8)
-                windows |= padded[lane : lane + num_windows]
-            self._windows = windows
-        return windows
-
-    def read_bits(
-        self, positions: np.ndarray, widths: np.ndarray
-    ) -> np.ndarray:
-        """Gather ``widths`` bits (<= 57 each) at each bit position."""
-        byte_index = positions >> 3
-        widths64 = widths.astype(np.uint64)
-        shift = (
-            np.uint64(64)
-            - (positions & 7).astype(np.uint64)
-            - widths64
-        )
-        # width 0 at offset 0 would shift by 64 (undefined); the mask
-        # below already forces those reads to 0, so clamp the shift.
-        shift = np.minimum(shift, np.uint64(63))
-        mask = (np.uint64(1) << widths64) - np.uint64(1)
-        return (self.windows[byte_index] >> shift) & mask
-
-
-def _golomb_table(
-    tables: _StreamTables,
-    parameters: np.ndarray | int,
-    remainder_bits: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(value, next position, valid) for a Golomb code at every position.
-
-    ``parameters`` is a scalar or a per-position int64 array (the
-    batched decoder concatenates lists with different parameters);
-    ``remainder_bits`` may carry the matching precomputed
-    ``bit_length(parameter - 1)`` values.  Positions where the code
-    runs off the stream, or whose remainder field exceeds the vector
-    window, are invalid and pin to the ``total_bits`` fixed point.
-    """
-    total_bits = tables.total_bits
-    position = tables.positions
-    terminator = tables.next_zero
-    quotient = terminator - position
-    tail = np.minimum(terminator + 1, total_bits)
-
-    parameters = np.broadcast_to(
-        np.asarray(parameters, dtype=np.int64), position.shape
-    )
-    if remainder_bits is None:
-        remainder_bits = _bit_lengths(np.maximum(parameters - 1, 0))
-    thresholds = (
-        np.int64(1) << np.minimum(remainder_bits, MAX_VECTOR_BITS)
-    ) - parameters
-
-    # One windowed read of the full remainder field: its top bits *are*
-    # the short field (``full >> 1``), so the short/extended split costs
-    # no second gather.  The stray low bit read past a short code's end
-    # never leaks: it is only used when the code is extended.
-    short_width = np.maximum(remainder_bits - 1, 0)
-    full = tables.read_bits(
-        tail, np.minimum(remainder_bits, MAX_VECTOR_BITS)
-    ).astype(np.int64)
-    first = full >> 1
-    extended = (remainder_bits > 0) & (first >= thresholds)
-    remainder = np.where(extended, full - thresholds, first)
-    value = quotient * parameters + remainder
-    following = tail + short_width + extended
-    valid = (
-        (terminator < total_bits)
-        & (following <= total_bits)
-        & (remainder_bits <= MAX_VECTOR_BITS)
-    )
-    following = np.where(valid, following, total_bits)
-    return value, following, valid
-
-
-def _gamma_table(
-    tables: _StreamTables,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(value, next position, valid) for an Elias-gamma code at every
-    position.  A suffix longer than the vector window (value >= 2**57)
-    is invalid here and spliced through the scalar codec by the caller.
-    """
-    total_bits = tables.total_bits
-    position = tables.positions
-    terminator = tables.next_zero
-    low_bits = terminator - position
-    tail = np.minimum(terminator + 1, total_bits)
-    readable = np.minimum(low_bits, MAX_VECTOR_BITS)
-    suffix = tables.read_bits(tail, readable).astype(np.int64)
-    value = ((np.int64(1) << readable) | suffix) - 1
-    following = tail + readable
-    valid = (
-        (terminator < total_bits)
-        & (position + 2 * low_bits + 1 <= total_bits)
-        & (low_bits <= MAX_VECTOR_BITS)
-    )
-    following = np.where(valid, following, total_bits)
-    return value, following, valid
-
-
-def _chain(next_table: np.ndarray, count: int, start: int) -> np.ndarray:
-    """``count + 1`` chained positions from ``start`` by pointer
-    doubling: O(log count) gather rounds instead of a scalar walk."""
-    positions = np.empty(count + 1, dtype=np.int64)
-    positions[0] = start
-    filled = 1
-    total = count + 1
-    jump = next_table
-    while filled < total:
-        take = min(filled, total - filled)
-        positions[filled : filled + take] = jump[positions[:take]]
-        filled += take
-        if filled < total:
-            jump = jump[jump]
-    return positions
 
 
 def _ragged_arange(counts: np.ndarray) -> np.ndarray:
@@ -401,148 +233,6 @@ def _grouped_prefix_values(
         running[group_first] - steps[group_first], group_sizes
     )
     return running - base - 1
-
-
-# -- single-list decode -----------------------------------------------
-
-
-def _scalar_docs_counts_from(
-    data: bytes,
-    df: int,
-    parameter: int,
-    start_slot: int,
-    start_bit: int,
-    previous_doc: int,
-    docs: np.ndarray,
-    counts: np.ndarray,
-) -> int:
-    """Finish section A with the scalar codec from a bit position.
-
-    Used to splice past a code the vector window cannot hold; raises
-    exactly what the scalar decoder would on truncated data.  Returns
-    the bit position after the last decoded entry.
-    """
-    from repro.compression.elias import EliasGammaCodec
-    from repro.compression.golomb import GolombCodec
-
-    doc_codec = GolombCodec(parameter)
-    count_codec = EliasGammaCodec()
-    reader = BitReader(data)
-    reader.skip_bits(start_bit)
-    for slot in range(start_slot, df):
-        previous_doc += doc_codec.decode_value(reader) + 1
-        docs[slot] = previous_doc
-        counts[slot] = count_codec.decode_value(reader) + 1
-    return 8 * len(data) - reader.bits_remaining
-
-
-def _decode_section_a(
-    data: bytes, df: int, parameter: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Decode section A, returning (docs, counts, end bit position)."""
-    docs = np.empty(df, dtype=np.int64)
-    counts = np.empty(df, dtype=np.int64)
-    if not df:
-        return docs, counts, 0
-    raw = np.frombuffer(bytes(data), dtype=np.uint8)
-    tables = _StreamTables(raw)
-    g_value, g_next, g_valid = _golomb_table(tables, parameter)
-    c_value, c_next, c_valid = _gamma_table(tables)
-    entry_next = c_next[g_next]
-    starts = _chain(entry_next, df, start=0)
-    heads = starts[:df]
-    mids = g_next[heads]
-    entry_valid = g_valid[heads] & c_valid[mids]
-    good = int(df if bool(entry_valid.all()) else np.argmin(entry_valid))
-    if good:
-        gaps = g_value[heads[:good]]
-        docs[:good] = np.cumsum(gaps + 1) - 1
-        counts[:good] = c_value[mids[:good]] + 1
-    if good == df:
-        return docs, counts, int(starts[df])
-    # Splice: the scalar codec takes over at the first code the vector
-    # pass could not decode (overflow or truncation — the latter raises
-    # the same BitStreamError the pure path would).
-    previous_doc = int(docs[good - 1]) if good else -1
-    end_bit = _scalar_docs_counts_from(
-        data, df, parameter, good, int(starts[good]), previous_doc,
-        docs, counts,
-    )
-    return docs, counts, end_bit
-
-
-def decode_docs_counts(
-    data: bytes, df: int, parameter: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Block-decode one section-A stream (doc gaps + counts).
-
-    Bit-identical to the scalar interleaved decode, including raising
-    :class:`~repro.errors.BitStreamError` on truncated data.
-
-    Args:
-        data: the compressed blob (section A at bit 0).
-        df: number of (gap, count) entries.
-        parameter: the list's derived Golomb parameter.
-    """
-    if active_tier() == "numba":
-        kernels = _numba_kernels()
-        if kernels is not None:
-            decoded = kernels.decode_docs_counts(
-                np.frombuffer(bytes(data), dtype=np.uint8), df, parameter
-            )
-            if decoded is not None:
-                return decoded[0], decoded[1]
-    docs, counts, _ = _decode_section_a(data, df, parameter)
-    return docs, counts
-
-
-def decode_gap_stream(
-    data: bytes, count: int, parameter: int, start_bit: int = 0
-) -> tuple[np.ndarray, int]:
-    """Decode ``count`` Golomb gaps from ``start_bit``, with splice.
-
-    The decode twin of :func:`repro.compression.fastpack.encode_gap_stream`.
-    Returns the gap array and the bit position after the last code.
-    """
-    gaps = np.empty(count, dtype=np.int64)
-    if not count:
-        return gaps, start_bit
-    raw = np.frombuffer(bytes(data), dtype=np.uint8)
-    tables = _StreamTables(raw)
-    g_value, g_next, g_valid = _golomb_table(tables, parameter)
-    starts = _chain(g_next, count, start=start_bit)
-    heads = starts[:count]
-    valid = g_valid[heads]
-    good = int(count if bool(valid.all()) else np.argmin(valid))
-    gaps[:good] = g_value[heads[:good]]
-    if good == count:
-        return gaps, int(starts[count])
-    from repro.compression.golomb import GolombCodec
-
-    codec = GolombCodec(parameter)
-    reader = BitReader(data)
-    reader.skip_bits(int(starts[good]))
-    for slot in range(good, count):
-        gaps[slot] = codec.decode_value(reader)
-    return gaps, 8 * len(data) - reader.bits_remaining
-
-
-def decode_postings(
-    data: bytes, df: int, doc_parameter: int, position_parameter: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode a full posting list: section A then the offset gaps.
-
-    Returns ``(docs, counts, flat_positions)`` where ``flat_positions``
-    concatenates every entry's absolute offsets (split on
-    ``cumsum(counts)`` to recover per-entry arrays).
-    """
-    docs, counts, end_bit = _decode_section_a(data, df, doc_parameter)
-    total = int(counts.sum()) if df else 0
-    gaps, _ = decode_gap_stream(
-        data, total, position_parameter, start_bit=end_bit
-    )
-    positions = _grouped_prefix_values(gaps, counts)
-    return docs, counts, positions
 
 
 # -- batched decode ---------------------------------------------------
@@ -966,27 +656,6 @@ def decode_docs_counts_flat(
             np.ones(num_lists, dtype=bool),
         )
 
-    if active_tier() == "numba":
-        kernels = _numba_kernels()
-        if kernels is not None:
-            docs = np.empty(total, dtype=np.int64)
-            counts = np.empty(total, dtype=np.int64)
-            ok = np.zeros(num_lists, dtype=bool)
-            start = 0
-            for slot in range(num_lists):
-                stop = start + int(dfs[slot])
-                decoded = kernels.decode_docs_counts(
-                    np.frombuffer(bytes(blobs[slot]), dtype=np.uint8),
-                    int(dfs[slot]),
-                    int(parameters[slot]),
-                )
-                if decoded is not None:
-                    docs[start:stop] = decoded[0]
-                    counts[start:stop] = decoded[1]
-                    ok[slot] = True
-                start = stop
-            return docs, counts, ok
-
     if cfs is not None and universe is not None:
         bounds = _section_a_byte_bounds(
             dfs, parameters, np.asarray(cfs, dtype=np.int64), int(universe)
@@ -1025,7 +694,7 @@ def decode_docs_counts_batch(
     num_lists = len(blobs)
     if not num_lists:
         return []
-    if num_lists < _MIN_BATCH_LISTS and active_tier() != "numba":
+    if num_lists < _MIN_BATCH_LISTS:
         return [None] * num_lists
     dfs = np.asarray(dfs, dtype=np.int64)
     docs, counts, ok = decode_docs_counts_flat(
@@ -1048,8 +717,10 @@ def decode_postings_batch(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """Block-decode many full posting lists (sections A and B) at once.
 
-    Per list the result is ``(docs, counts, flat_positions)`` as in
-    :func:`decode_postings`, or ``None`` under exactly the fallback
+    Per list the result is ``(docs, counts, flat_positions)`` —
+    ``flat_positions`` concatenates every entry's absolute offsets
+    (split on ``cumsum(counts)`` to recover per-entry arrays) — or
+    ``None`` under exactly the fallback
     rules of :func:`decode_docs_counts_flat` (extended to the offset
     stream).  Section B builds a second Golomb table under the
     position parameters and chains it from each lane's section-A end —

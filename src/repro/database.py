@@ -66,6 +66,7 @@ from repro.index.store import (
     LiveSequenceView,
     SequenceSource,
     SequenceStore,
+    live_source,
     write_store,
 )
 from repro.instrumentation.instruments import (
@@ -86,7 +87,6 @@ from repro.search.resilience import ShardResilience
 from repro.search.results import SearchReport
 from repro.sequences.record import Sequence
 from repro.sharding.build import build_sharded_database
-from repro.sharding.engine import ShardedSearchEngine, ShardedSequenceSource
 from repro.sharding.manifest import (
     INDEX_NAME as _INDEX_NAME,
     MANIFEST_NAME as _MANIFEST_NAME,
@@ -243,30 +243,23 @@ class Database:
         self._tombstones = np.asarray(
             live.tombstones if live is not None else (), dtype=np.int64
         )
-        if len(shards) == 1:
-            stored: SequenceSource = shards[0].store
-        else:
-            stored = ShardedSequenceSource(
-                [shard.store for shard in shards]
-            )
-        self._stored_source = stored
-        self._source: SequenceSource = (
-            LiveSequenceView(stored, self._tombstones.tolist())
-            if self._tombstones.size
-            else stored
+        self._source: SequenceSource = live_source(
+            [shard.store for shard in shards], self._tombstones.tolist()
         )
         self._dead_bases = sum(
             self._stored_length(int(ordinal))
             for ordinal in self._tombstones
         )
-        self._engines: "OrderedDict[tuple, object]" = OrderedDict()
+        self._engines: "OrderedDict[tuple, PartitionedSearchEngine]" = (
+            OrderedDict()
+        )
         # Concurrent server requests share one database: the engine
         # cache's get/build/evict must be atomic or two threads race to
         # build (and evict) the same configuration.  Reentrant because
         # significance calibration can re-enter via instrumented spans.
         self._engine_lock = threading.RLock()
         self._exhaustive: dict[ScoringScheme, object] = {}
-        self._significance: GumbelParameters | None = None
+        self._significance: dict[ScoringScheme, GumbelParameters] = {}
         self._instruments = NULL_INSTRUMENTS
 
     # -- lifecycle -----------------------------------------------------
@@ -965,9 +958,7 @@ class Database:
             engines = list(self._engines.values())
             self._engines.clear()
         for engine in engines:
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
+            engine.close()
         for shard in self._shards:
             shard.close()
 
@@ -1129,9 +1120,7 @@ class Database:
         self.__dict__.update(fresh.__dict__)
         self._instruments = instruments
         for engine in engines:
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
+            engine.close()
         for shard in old_shards:
             shard.close()
         self._publish_lsm_gauges()
@@ -1282,32 +1271,28 @@ class Database:
         with_evalues: bool = False,
         on_corruption: str | None = None,
         resilience: ShardResilience | None = None,
-    ):
-        """A (cached) engine over this database.
+    ) -> PartitionedSearchEngine:
+        """A (cached) :class:`~repro.search.engine.PartitionedSearchEngine`
+        over every shard of this database.
 
-        Single-shard databases yield a
-        :class:`~repro.search.engine.PartitionedSearchEngine`; sharded
-        databases a :class:`~repro.sharding.ShardedSearchEngine` with
-        the same ``search`` / ``search_batch`` surface and globally
-        identical results.  A database with tombstones (the live/LSM
-        layer) always uses the sharded engine, which filters dead
-        candidates before the merge-cut and presents logical ordinals —
-        results hit-for-hit identical to a rebuild over the surviving
-        records.  ``with_evalues=True`` calibrates Gumbel parameters
-        once per scheme and attaches E-values to every hit.
-        ``on_corruption`` defaults to the policy the database was
-        opened with.  ``resilience`` configures per-shard fault
-        tolerance on sharded databases (see
-        :class:`~repro.search.resilience.ShardResilience`); a
-        single-shard database has no fan-out to degrade, so there it is
-        accepted but inert.  At most :data:`ENGINE_CACHE_LIMIT`
-        distinct configurations are retained (least recently used
-        dropped).  Thread-safe: concurrent callers get the same cached
-        engine for the same configuration.
+        Tombstones (the live/LSM layer) are handed to the engine, which
+        filters dead candidates before the merge-cut and presents
+        logical ordinals — results hit-for-hit identical to a rebuild
+        over the surviving records.  ``with_evalues=True`` calibrates
+        Gumbel parameters once per scheme and attaches E-values to
+        every hit.  ``on_corruption`` defaults to the policy the
+        database was opened with.  ``resilience`` configures per-shard
+        fault tolerance (see
+        :class:`~repro.search.resilience.ShardResilience`).  At most
+        :data:`ENGINE_CACHE_LIMIT` distinct configurations are retained
+        (least recently used dropped).  Thread-safe: concurrent callers
+        get the same cached engine for the same configuration.
 
         Raises:
             SearchError: in degraded mode (an unreadable shard index;
-                use :meth:`search`, which scans exhaustively).
+                use :meth:`search`, which scans exhaustively), or for a
+                collection-statistics ``coarse_scorer`` on a database
+                with more than one shard or tombstones.
         """
         if self.degraded:
             raise SearchError(
@@ -1318,14 +1303,6 @@ class Database:
         policy = on_corruption or self.on_corruption
         scheme = scheme or ScoringScheme()
         with self._engine_lock:
-            significance = None
-            if with_evalues:
-                if self._significance is None or getattr(
-                    self, "_significance_scheme", None
-                ) != scheme:
-                    self._significance = calibrate_gapped(scheme)
-                    self._significance_scheme = scheme
-                significance = self._significance
             key = (
                 coarse_cutoff, scheme, coarse_scorer, fine_mode,
                 both_strands, with_evalues, policy, resilience,
@@ -1337,33 +1314,24 @@ class Database:
                 instruments.count("database.engine_cache.hits")
                 return engine
             instruments.count("database.engine_cache.misses")
-            if len(self._shards) == 1 and not self._tombstones.size:
-                shard = self._shards[0]
-                engine = PartitionedSearchEngine(
-                    shard.index,
-                    shard.store,
-                    scheme=scheme,
-                    coarse_scorer=coarse_scorer,
-                    coarse_cutoff=coarse_cutoff,
-                    fine_mode=fine_mode,
-                    both_strands=both_strands,
-                    significance=significance,
-                    on_corruption=policy,
-                )
-            else:
-                engine = ShardedSearchEngine(
-                    [(shard.index, shard.store) for shard in self._shards],
-                    scheme=scheme,
-                    coarse_scorer=coarse_scorer,
-                    coarse_cutoff=coarse_cutoff,
-                    fine_mode=fine_mode,
-                    both_strands=both_strands,
-                    significance=significance,
-                    on_corruption=policy,
-                    resilience=resilience,
-                    tombstones=self._tombstones.tolist(),
-                    dead_bases=self._dead_bases,
-                )
+            significance = None
+            if with_evalues:
+                significance = self._significance.get(scheme)
+                if significance is None:
+                    significance = calibrate_gapped(scheme)
+                    self._significance[scheme] = significance
+            engine = PartitionedSearchEngine.over_shards(
+                [(shard.index, shard.store) for shard in self._shards],
+                scheme=scheme,
+                coarse_scorer=coarse_scorer,
+                coarse_cutoff=coarse_cutoff,
+                fine_mode=fine_mode,
+                both_strands=both_strands,
+                significance=significance,
+                on_corruption=policy,
+                resilience=resilience,
+                tombstones=self._tombstones,
+            )
             engine.lsm_info = {
                 "generation": self.generation,
                 "delta_shards": self.delta_shards,

@@ -39,6 +39,7 @@ from repro.index.store import (
     MemorySequenceSource,
     SequenceSource,
     SequenceStore,
+    ShardedSequenceSource,
     read_store,
     write_store,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "PostingsContext",
     "SequenceSource",
     "SequenceStore",
+    "ShardedSequenceSource",
     "StoppingReport",
     "VocabEntry",
     "append_sequences",

@@ -286,25 +286,6 @@ class PostingsCodec:
             lengths = np.concatenate([lengths, pos_lengths])
         return pack_patterns(patterns, lengths)
 
-    def decode_docs_counts(
-        self, data: bytes, df: int, context: PostingsContext
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Decode section A only: (ordinals, counts) as int64 arrays.
-
-        Runs on the active kernel tier (see docs/KERNELS.md) when the
-        codec configuration allows; every tier is bit-identical to the
-        scalar loop below, including the errors raised on bad data.
-
-        A lone list only beats the scalar loop on the compiled tier —
-        the numpy tier pays its dispatch cost per *batch*, so it serves
-        :meth:`decode_docs_counts_batch` instead.
-        """
-        if self._fast_decodable() and fastunpack.active_tier() == "numba":
-            return fastunpack.decode_docs_counts(
-                data, df, self._doc_parameter(df, context)
-            )
-        return self._decode_docs_counts_scalar(data, df, context)
-
     def decode_docs_counts_batch(
         self,
         blobs: list[bytes],
@@ -336,7 +317,7 @@ class PostingsCodec:
         return [
             result
             if result is not None
-            else self._decode_docs_counts_scalar(blob, df, context)
+            else self.decode_docs_counts(blob, df, context)
             for blob, df, result in zip(blobs, dfs, decoded)
         ]
 
@@ -373,7 +354,7 @@ class PostingsCodec:
                 for slot in np.flatnonzero(~ok).tolist():
                     start = int(first[slot])
                     stop = start + int(dfs_array[slot])
-                    d, c = self._decode_docs_counts_scalar(
+                    d, c = self.decode_docs_counts(
                         blobs[slot], int(dfs_array[slot]), context
                     )
                     docs[start:stop] = d
@@ -390,10 +371,16 @@ class PostingsCodec:
             start = stop
         return docs, counts
 
-    def _decode_docs_counts_scalar(
+    def decode_docs_counts(
         self, data: bytes, df: int, context: PostingsContext
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The pure-Python section-A reference decode."""
+        """Decode section A only: (ordinals, counts) as int64 arrays.
+
+        The pure-Python reference decode.  A lone list gains nothing
+        from the numpy kernel tier (see docs/KERNELS.md), which pays
+        its dispatch cost per *batch* and serves
+        :meth:`decode_docs_counts_batch` instead.
+        """
         doc_codec = self._doc_codec(df, context)
         reader = BitReader(data)
         docs = np.empty(df, dtype=np.int64)

@@ -23,13 +23,19 @@ import struct
 import warnings
 import zlib
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from pathlib import Path
 from typing import Sequence as TypingSequence
 
 import numpy as np
 
 from repro.compression.direct import decode_sequence, encode_sequence
-from repro.errors import CorruptionError, IndexFormatError, IndexLookupError
+from repro.errors import (
+    CorruptionError,
+    IndexFormatError,
+    IndexLookupError,
+    SearchError,
+)
 from repro.index.atomic import atomic_write
 from repro.instrumentation.instruments import NULL_INSTRUMENTS, coalesce
 from repro.sequences.record import Sequence
@@ -465,6 +471,64 @@ class LiveSequenceView(SequenceSource):
 
     def record(self, ordinal: int) -> Sequence:
         return self._inner.record(self.stored_ordinal(ordinal))
+
+
+class ShardedSequenceSource(SequenceSource):
+    """Global-ordinal residue access over per-shard sources.
+
+    Presents N shard sources (in shard order) as one collection whose
+    ordinal ``base + local`` is the concatenation order — the view the
+    degraded/exhaustive path and the database facade read through.
+    """
+
+    def __init__(self, sources: TypingSequence[SequenceSource]) -> None:
+        if not sources:
+            raise SearchError("no shard sources")
+        self._sources = list(sources)
+        self._bases: list[int] = []
+        total = 0
+        for source in self._sources:
+            self._bases.append(total)
+            total += len(source)
+        self._total = total
+
+    def set_instruments(self, instruments) -> None:
+        super().set_instruments(instruments)
+        for source in self._sources:
+            if hasattr(source, "set_instruments"):
+                source.set_instruments(instruments)
+
+    def _locate(self, ordinal: int) -> tuple[SequenceSource, int]:
+        self._check(ordinal)
+        slot = bisect_right(self._bases, ordinal) - 1
+        return self._sources[slot], ordinal - self._bases[slot]
+
+    def __len__(self) -> int:
+        return self._total
+
+    def identifier(self, ordinal: int) -> str:
+        source, local = self._locate(ordinal)
+        return source.identifier(local)
+
+    def codes(self, ordinal: int) -> np.ndarray:
+        source, local = self._locate(ordinal)
+        return source.codes(local)
+
+    def record(self, ordinal: int) -> Sequence:
+        source, local = self._locate(ordinal)
+        return source.record(local)
+
+
+def live_source(
+    sources: TypingSequence[SequenceSource], tombstones: TypingSequence[int]
+) -> SequenceSource:
+    """The logical collection over per-shard sources: shard order
+    concatenated, tombstoned stored ordinals elided.  A lone source
+    with no tombstones is returned as it is."""
+    stored = (
+        sources[0] if len(sources) == 1 else ShardedSequenceSource(sources)
+    )
+    return LiveSequenceView(stored, tombstones) if len(tombstones) else stored
 
 
 def read_store(path: str | Path) -> SequenceStore:

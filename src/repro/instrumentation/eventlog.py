@@ -14,8 +14,8 @@ sink.  Two gates compose:
 Every event carries the query identity, an options digest (so mixed
 workloads can be grouped by engine configuration), phase timings,
 candidate/hit counts, corruption-skip counts, and the outcome
-(``"ok"`` / ``"fallback"`` / ``"error"``); the sharded engine adds a
-per-shard timing breakdown.  Writing is locked, so worker threads of a
+(``"ok"`` / ``"partial"`` / ``"fallback"`` / ``"error"``), the shard
+count and, for evaluated queries, a per-shard timing breakdown.  Writing is locked, so worker threads of a
 concurrent ``search_batch`` can share one log.
 
 The log plugs into the :class:`~repro.instrumentation.instruments.

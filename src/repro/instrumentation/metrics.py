@@ -101,8 +101,11 @@ class Histogram:
     def percentile(self, q: float) -> float:
         """Estimated q-th percentile (q in [0, 100]).
 
-        The answer is interpolated geometrically inside the bucket the
-        rank falls in, clamped to the observed min/max.
+        The rank's bucket is narrowed to the observed min/max, then the
+        answer is interpolated log-linearly by the rank's position
+        among that bucket's observations — so percentiles sharing a
+        bucket still differ, rise with ``q``, and stay within one
+        bucket ratio of the exact sample percentile.
         """
         if not self.count:
             return 0.0
@@ -111,14 +114,19 @@ class Histogram:
         for slot, bucket_count in enumerate(self.buckets):
             seen += bucket_count
             if seen >= rank:
-                lower = LOG_BUCKET_BOUNDS[slot - 1] if slot > 0 else 0.0
+                lower = max(
+                    LOG_BUCKET_BOUNDS[slot - 1] if slot > 0 else 0.0,
+                    self.minimum,
+                )
                 upper = (
-                    LOG_BUCKET_BOUNDS[slot]
+                    min(LOG_BUCKET_BOUNDS[slot], self.maximum)
                     if slot < len(LOG_BUCKET_BOUNDS)
                     else self.maximum
                 )
-                estimate = math.sqrt(max(lower, 1e-12) * max(upper, 1e-12))
-                return min(max(estimate, self.minimum), self.maximum)
+                fraction = (rank - (seen - bucket_count)) / bucket_count
+                if lower <= 0.0:
+                    return upper * fraction
+                return lower * (upper / lower) ** fraction
         return self.maximum
 
     def summary(self) -> dict[str, float]:

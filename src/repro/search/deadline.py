@@ -2,12 +2,12 @@
 
 A :class:`Deadline` is a point on a monotonic clock after which a query
 should stop doing new work and return whatever it has accumulated —
-*partial, clearly-flagged results instead of a runaway query*.  Both
-engines accept one per ``search`` call and check it cooperatively:
+*partial, clearly-flagged results instead of a runaway query*.  The
+engine accepts one per ``search`` call and checks it cooperatively:
 
 * between coarse intervals (posting-list fetches stop contributing
   evidence once expired — see :class:`DeadlineIndexView`);
-* between per-shard fan-out steps in the sharded engine;
+* between per-shard fan-out steps;
 * between fine-phase alignment chunks.
 
 A report produced under an expired deadline carries

@@ -21,22 +21,61 @@ Two refinements beyond the basic pipeline:
   hits localise (CAFE's fine search) instead of whole candidates;
 * ``both_strands=True`` also evaluates the query's reverse complement
   and merges the two orientations, as nucleotide search tools must.
+
+**Shards.**  One engine evaluates N >= 1 ``(index, source)`` shards
+(:meth:`PartitionedSearchEngine.over_shards`; the plain constructor is
+the one-shard spelling):
+
+1. **fan out** — every shard ranks its own slice with its local index
+   (the ``count`` and ``diagonal`` scorers accumulate per-sequence
+   evidence only, so a shard's coarse scores are exactly the scores a
+   global index would give its sequences);
+2. **merge** — per-shard candidates are merged on the global ordering
+   (coarse score desc, global ordinal asc) and cut at ``coarse_cutoff``:
+   any sequence in the global top-``C`` is in its shard's top-``C``;
+3. **fine + re-rank** — each shard aligns its share of the selection,
+   hits shift to global ordinals and merge on the fine ordering (score
+   desc, coarse score desc, ordinal asc).
+
+The answer is hit-for-hit identical at every N — the invariant
+``tests/test_sharding.py`` pins down.  One shard pays no ordinal shift
+and no merge sort.  The ``idf`` and ``normalised`` scorers weight
+evidence by collection-wide statistics that a shard-local index gets
+wrong, so they are accepted only when one shard *is* the collection.
+
+**Tombstones** (the live/LSM layer): a sorted list of deleted *stored*
+ordinals.  Deleted sequences still sit in their shard's index, so
+parity with a rebuild over the survivors takes three adjustments:
+
+- each shard's coarse cutoff is widened by its tombstone count and dead
+  candidates are filtered *before* the merge-cut — otherwise a shard
+  whose top-``C`` is crowded with dead sequences could starve live
+  candidates a rebuilt index would rank;
+- hit ordinals are presented *logical* (stored order with tombstones
+  elided — exactly what a rebuild would assign); the remap is
+  monotonic, so it preserves the merged order;
+- the E-value search space counts live residues only, and the degraded
+  exhaustive path scans a tombstone-eliding view of the stores.
 """
 
 from __future__ import annotations
 
 import logging
+import random
 import time
-from dataclasses import replace
-from typing import Iterator
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FuturesTimeout
+from dataclasses import dataclass, field, replace
+from threading import Lock, current_thread
+from typing import Callable, Iterator, Sequence as TypingSequence
 
 import numpy as np
 
 from repro.align.scoring import ScoringScheme
 from repro.align.statistics import GumbelParameters
-from repro.errors import CorruptionError, SearchError
+from repro.errors import CorruptionError, SearchError, StorageError
 from repro.index.builder import IndexReader, PostingEntry, VocabEntry
-from repro.index.store import SequenceSource
+from repro.index.store import SequenceSource, live_source
 from repro.instrumentation.eventlog import options_digest
 from repro.instrumentation.instruments import (
     NULL_INSTRUMENTS,
@@ -44,9 +83,15 @@ from repro.instrumentation.instruments import (
     coalesce,
 )
 from repro.search.coarse import CoarseRanker, CoarseScorer
-from repro.search.deadline import NO_DEADLINE, Deadline, ensure_deadline
+from repro.search.deadline import Deadline, ensure_deadline
 from repro.search.fine import FineSearcher
 from repro.search.frames import FrameFineSearcher, FrameRanker
+from repro.search.resilience import (
+    CircuitBreaker,
+    ShardResilience,
+    ShardTimeout,
+    ShardUnavailable,
+)
 from repro.search.results import SearchHit, SearchReport
 from repro.sequences.alphabet import reverse_complement
 from repro.sequences.record import Sequence
@@ -56,6 +101,17 @@ FINE_MODES = ("full", "frames")
 
 #: Supported corruption policies.
 CORRUPTION_POLICIES = ("raise", "skip", "fallback")
+
+#: Coarse scorers whose per-shard scores equal global scores (they
+#: accumulate per-sequence evidence only, no collection statistics).
+SHARDABLE_COARSE_SCORERS = ("count", "diagonal")
+
+#: Exceptions a resilient engine treats as one shard failing (instead
+#: of the whole query): storage/index damage, OS-level I/O trouble,
+#: and a per-shard attempt timeout.  ``CorruptionError`` is a
+#: ``StorageError`` subclass, so a corrupt shard retries and then trips
+#: its breaker rather than aborting the fan-out.
+SHARD_FAILURE_EXCEPTIONS = (StorageError, OSError, ShardTimeout)
 
 #: Candidates aligned per fine-phase batch when a bounded deadline is
 #: in force.  The fine kernel is vectorised over its whole candidate
@@ -216,8 +272,32 @@ class QuarantiningIndexReader(IndexReader):
         return self._inner.vocabulary_size
 
 
+@dataclass
+class _Shard:
+    """One shard's evaluation state; its ordinals are shard-local."""
+
+    slot: int
+    #: Stored ordinal of this shard's local ordinal 0.
+    base: int
+    #: Tombstones inside this shard's ordinal range.
+    dead: int
+    #: The shard's index (the quarantining view of it under ``"skip"``).
+    index: IndexReader
+    #: Coarse or frame ranker: ``rank(codes, cutoff, deadline=)``.
+    ranker: object
+    #: The fine searcher's ``align(codes, candidates, min_score=)``.
+    align: Callable
+    quarantine: QuarantiningIndexReader | None
+    breaker: CircuitBreaker | None
+    quarantined_sequences: set[int] = field(default_factory=set)
+
+
 class PartitionedSearchEngine:
     """Index-accelerated similarity search over a nucleotide collection.
+
+    ``PartitionedSearchEngine(index, source, **options)`` searches one
+    shard; :meth:`over_shards` takes a list of them with the same
+    options.
 
     Args:
         index: the interval index of the collection.
@@ -227,9 +307,11 @@ class PartitionedSearchEngine:
             gap -2).
         coarse_scorer: accumulator strategy or its registered name
             (ignored by the frame fine mode, which ranks by diagonal
-            evidence).
+            evidence).  With more than one shard, or tombstones, it
+            must be one of :data:`SHARDABLE_COARSE_SCORERS`.
         coarse_cutoff: candidates the coarse phase hands to the fine
-            phase.
+            phase; it bounds the merged candidate list, not each
+            shard's.
         min_fine_score: alignments below this never become answers.
         fine_mode: ``"full"`` aligns whole candidates; ``"frames"``
             aligns only the localised candidate regions (needs an index
@@ -247,22 +329,56 @@ class PartitionedSearchEngine:
             (logged, treated as empty, counted in the report's
             quarantine statistics) and keeps searching; ``"fallback"``
             additionally answers the query with an exhaustive scan of
-            the sequence store if the index proves unusable.
+            the sequence stores if an index proves unusable.
         instruments: observability sink (metrics + spans); when given
-            it is wired through the index reader, the sequence source,
-            and the coarse phase so the whole query path reports (see
+            it is wired through every index reader, sequence source
+            and coarse ranker so the whole query path reports (see
             ``docs/OBSERVABILITY.md``).  Defaults to a shared no-op
             with zero per-query cost.
+        tombstones: sorted, unique *stored* ordinals of deleted
+            sequences (the live/LSM layer); results present logical
+            ordinals with these elided, hit-for-hit identical to a
+            rebuild over the survivors.
+        resilience: per-shard fault tolerance (see
+            :class:`~repro.search.resilience.ShardResilience`).  When
+            given, a shard failure (storage damage, I/O error, attempt
+            timeout) is retried with jittered backoff and counted
+            against that shard's circuit breaker; a shard that stays
+            broken is *dropped* for the query — the report's
+            ``shards_degraded`` names it — instead of failing the
+            query.  ``None`` (the default) lets shard exceptions
+            propagate per ``on_corruption``.
 
     Raises:
-        SearchError: if the index and source disagree about the
-            collection, or a parameter is out of range.
+        SearchError: if a shard's index and source disagree about the
+            collection, shard parameters disagree, the coarse scorer is
+            not safe for the layout, or a parameter is out of range.
     """
 
     def __init__(
+        self, index: IndexReader, source: SequenceSource, **options
+    ) -> None:
+        self._configure([(index, source)], **options)
+
+    @classmethod
+    def over_shards(
+        cls,
+        shards: TypingSequence[tuple[IndexReader, SequenceSource]],
+        **options,
+    ) -> "PartitionedSearchEngine":
+        """An engine over ``(index, source)`` pairs in shard order.
+
+        Shard ``i``'s local ordinal 0 is stored ordinal
+        ``sum(len(source_j) for j < i)``; every index must share
+        parameters.  ``options`` are the constructor's.
+        """
+        engine = cls.__new__(cls)
+        engine._configure(list(shards), **options)
+        return engine
+
+    def _configure(
         self,
-        index: IndexReader,
-        source: SequenceSource,
+        shards: list[tuple[IndexReader, SequenceSource]],
         scheme: ScoringScheme | None = None,
         coarse_scorer: CoarseScorer | str = "count",
         coarse_cutoff: int = 100,
@@ -272,7 +388,11 @@ class PartitionedSearchEngine:
         significance: GumbelParameters | None = None,
         on_corruption: str = "raise",
         instruments: Instruments | None = None,
+        tombstones: TypingSequence[int] | None = None,
+        resilience: ShardResilience | None = None,
     ) -> None:
+        if not shards:
+            raise SearchError("an engine needs at least one shard")
         if coarse_cutoff < 1:
             raise SearchError(
                 f"coarse_cutoff must be >= 1, got {coarse_cutoff}"
@@ -286,58 +406,104 @@ class PartitionedSearchEngine:
                 f"unknown on_corruption {on_corruption!r}; expected one of "
                 f"{CORRUPTION_POLICIES}"
             )
-        if len(source) != index.collection.num_sequences:
-            raise SearchError(
-                f"index covers {index.collection.num_sequences} sequences "
-                f"but the source holds {len(source)}"
-            )
-        self.on_corruption = on_corruption
-        self.coarse_backend = getattr(index, "coarse_backend", "inverted")
-        self._quarantine: QuarantiningIndexReader | None = None
-        if on_corruption == "skip" and self.coarse_backend == "inverted":
-            # "fallback" deliberately leaves the index unwrapped: any
-            # corruption aborts the partitioned pipeline and the query
-            # is re-answered exhaustively, preserving full recall.
-            # Non-inverted backends apply the skip policy inside their
-            # own rankers (e.g. per-block signature quarantine).
-            self._quarantine = QuarantiningIndexReader(index)
-            index = self._quarantine
-        self._quarantined_sequences: set[int] = set()
-        self._exhaustive = None
-        self.index = index
-        self.source = source
+        self.params = shards[0][0].params
+        bases = [0]
+        for index, source in shards:
+            if index.params != self.params:
+                raise SearchError(
+                    "shard indexes disagree about parameters: "
+                    f"{index.params} vs {self.params}"
+                )
+            if len(source) != index.collection.num_sequences:
+                raise SearchError(
+                    f"index covers {index.collection.num_sequences} "
+                    f"sequences but the source holds {len(source)}"
+                )
+            bases.append(bases[-1] + len(source))
+        dead = np.asarray(
+            () if tombstones is None else tombstones, dtype=np.int64
+        )
+        if dead.size:
+            if np.any(np.diff(dead) <= 0):
+                raise SearchError("tombstones must be sorted and unique")
+            if dead[0] < 0 or dead[-1] >= bases[-1]:
+                raise SearchError(
+                    "tombstone outside stored ordinal range "
+                    f"0..{bases[-1] - 1}"
+                )
+        if len(shards) > 1 or dead.size:
+            # Only a lone, whole shard's statistics are the collection's.
+            if not isinstance(coarse_scorer, str):
+                raise SearchError(
+                    "engines over shards or tombstones take a coarse "
+                    "scorer *name*; custom scorer instances cannot be "
+                    "checked for shard-safety"
+                )
+            if coarse_scorer not in SHARDABLE_COARSE_SCORERS:
+                raise SearchError(
+                    f"coarse scorer {coarse_scorer!r} uses collection-wide "
+                    "statistics that shard-local indexes would skew; "
+                    "engines over shards or tombstones support "
+                    f"{SHARDABLE_COARSE_SCORERS}"
+                )
+        self.shards = shards
         self.scheme = scheme or ScoringScheme()
         self.coarse_cutoff = coarse_cutoff
         self.min_fine_score = min_fine_score
         self.fine_mode = fine_mode
         self.both_strands = both_strands
         self.significance = significance
-        if fine_mode == "frames":
-            if self.coarse_backend != "inverted":
-                raise SearchError(
-                    "fine_mode='frames' needs positional evidence from the "
-                    "inverted coarse backend; this index uses "
-                    f"{self.coarse_backend!r}"
+        self.on_corruption = on_corruption
+        self.resilience = resilience
+        self.tombstones = dead
+        dead_list = dead.tolist()
+        self._dead_set = frozenset(dead_list)
+        #: The logical collection (tombstones elided): what the degraded
+        #: exhaustive path scans and hit ordinals index.
+        self.source = live_source(
+            [source for _, source in shards], dead_list
+        )
+        # Tombstones falling in each shard's ordinal range widen that
+        # shard's coarse cutoff, so dead candidates cannot crowd live
+        # ones out of its top-C.
+        cuts = np.searchsorted(dead, bases, side="left")
+        self._shards: list[_Shard] = []
+        live_bases = 0
+        for slot, (index, source) in enumerate(shards):
+            lengths = index.collection.lengths
+            gone = dead[cuts[slot] : cuts[slot + 1]] - bases[slot]
+            live_bases += int(lengths.sum()) - int(lengths[gone].sum())
+            self._shards.append(
+                self._make_shard(
+                    slot, bases[slot], int(gone.size), index, source,
+                    coarse_scorer,
                 )
-            self._frame_ranker = FrameRanker(index)
-            self._frame_fine = FrameFineSearcher(source, self.scheme)
-            self._ranker = None
-            self._fine = None
-        else:
-            if self.coarse_backend == "inverted":
-                self._ranker = CoarseRanker(index, coarse_scorer)
-            else:
-                from repro.coarse_backends import get_backend
-
-                self._ranker = get_backend(self.coarse_backend).make_ranker(
-                    index, coarse_scorer, on_corruption=on_corruption
-                )
-            self._fine = FineSearcher(source, self.scheme)
-            self._frame_ranker = None
-            self._frame_fine = None
+            )
+        #: Live residues across every shard: the E-value search space
+        #: (tombstoned sequences no longer count as searched).
+        self.total_bases = live_bases
+        # Each shard ranks with whatever backend its index declares; the
+        # merge is backend-agnostic.  The engine-level label is the
+        # single shared name, or "mixed" when shards disagree.
+        backends = {
+            getattr(index, "coarse_backend", "inverted")
+            for index, _ in shards
+        }
+        self.coarse_backend = (
+            backends.pop() if len(backends) == 1 else "mixed"
+        )
+        self._exhaustive = None
+        self._rng = (
+            random.Random(resilience.seed) if resilience is not None else None
+        )
+        # Lazily created: only queries under a per-shard attempt timeout
+        # need the executor (the future's result() carries the budget).
+        self._pool: ThreadPoolExecutor | None = None
+        self._pool_lock = Lock()
         self.options_digest = options_digest(
             {
                 "engine": "partitioned",
+                "shards": len(shards),
                 "scheme": self.scheme,
                 "coarse_backend": self.coarse_backend,
                 "coarse_scorer": coarse_scorer,
@@ -346,103 +512,129 @@ class PartitionedSearchEngine:
                 "fine_mode": fine_mode,
                 "both_strands": both_strands,
                 "on_corruption": on_corruption,
+                "tombstones": int(dead.size),
             }
         )
         self.instruments = NULL_INSTRUMENTS
         if instruments is not None:
             self.set_instruments(instruments)
 
+    def _make_shard(
+        self,
+        slot: int,
+        base: int,
+        dead: int,
+        index: IndexReader,
+        source: SequenceSource,
+        coarse_scorer: CoarseScorer | str,
+    ) -> _Shard:
+        backend = getattr(index, "coarse_backend", "inverted")
+        quarantine = None
+        if self.on_corruption == "skip" and backend == "inverted":
+            # "fallback" deliberately leaves the index unwrapped: any
+            # corruption aborts the partitioned pipeline and the query
+            # is re-answered exhaustively, preserving full recall.
+            # Non-inverted backends apply the skip policy inside their
+            # own rankers (e.g. per-block signature quarantine).
+            quarantine = index = QuarantiningIndexReader(index)
+        if self.fine_mode == "frames":
+            if backend != "inverted":
+                raise SearchError(
+                    "fine_mode='frames' needs positional evidence from the "
+                    f"inverted coarse backend; this index uses {backend!r}"
+                )
+            ranker = FrameRanker(index)
+            align = FrameFineSearcher(source, self.scheme).align_frames
+        else:
+            if backend == "inverted":
+                ranker = CoarseRanker(index, coarse_scorer)
+            else:
+                from repro.coarse_backends import get_backend
+
+                ranker = get_backend(backend).make_ranker(
+                    index, coarse_scorer, on_corruption=self.on_corruption
+                )
+            align = FineSearcher(source, self.scheme).align_candidates
+        breaker = (
+            self.resilience.make_breaker()
+            if self.resilience is not None
+            else None
+        )
+        return _Shard(
+            slot, base, dead, index, ranker, align, quarantine, breaker
+        )
+
+    @property
+    def num_shards(self) -> int:
+        return len(self._shards)
+
+    @property
+    def quarantined_intervals(self) -> int:
+        """Posting lists quarantined as corrupt so far, over all shards."""
+        return sum(
+            len(shard.quarantine.quarantined)
+            for shard in self._shards
+            if shard.quarantine is not None
+        )
+
+    @property
+    def quarantined_sequences(self) -> int:
+        """Store records quarantined as corrupt so far, over all shards."""
+        return sum(
+            len(shard.quarantined_sequences) for shard in self._shards
+        )
+
     def set_instruments(self, instruments: Instruments | None) -> None:
         """Wire observability through the engine and its collaborators.
 
-        Attaches the sink to the index reader (decode-cache metrics),
-        the quarantining view if any, the sequence source (store fetch
-        metrics), and the coarse ranker/scorer — so one registry sees
-        the whole query path.  Passing ``None`` detaches everything.
+        Attaches the sink to every shard's index reader (decode-cache
+        metrics; through the quarantining view if any) and ranker, and
+        to the sequence sources (store fetch metrics) — so one registry
+        sees the whole query path.  Passing ``None`` detaches
+        everything.
         """
         self.instruments = coalesce(instruments)
-        if hasattr(self.index, "set_instruments"):
-            self.index.set_instruments(instruments)
+        for shard in self._shards:
+            if hasattr(shard.index, "set_instruments"):
+                shard.index.set_instruments(instruments)
+            shard.ranker.set_instruments(instruments)
         if hasattr(self.source, "set_instruments"):
             self.source.set_instruments(instruments)
-        for ranker in (self._ranker, self._frame_ranker):
-            if ranker is not None:
-                ranker.set_instruments(instruments)
-        if self._exhaustive is not None and hasattr(
-            self._exhaustive, "set_instruments"
-        ):
+        if self._exhaustive is not None:
             self._exhaustive.set_instruments(instruments)
 
-    def _query_codes(self, query: Sequence | np.ndarray) -> tuple[str, np.ndarray]:
-        if isinstance(query, Sequence):
-            return query.identifier, query.codes
-        return "query", np.asarray(query, dtype=np.uint8)
+    def breaker_states(self) -> dict[int, str]:
+        """Current circuit-breaker state per shard slot (empty when the
+        engine has no resilience configured)."""
+        return {
+            shard.slot: shard.breaker.state
+            for shard in self._shards
+            if shard.breaker is not None
+        }
 
-    def _fine_with_policy(self, align, codes, candidates) -> list[SearchHit]:
-        """Run a fine aligner, quarantining corrupt candidate records.
+    def close(self) -> None:
+        """Release the per-shard timeout executor, if one was created.
 
-        Under ``"skip"``/``"fallback"`` a candidate whose store record
-        fails its checksum is dropped (logged and counted) and the
-        alignment retried without it; ``"raise"`` propagates.
+        A timed-out attempt's thread may still be running (the future
+        is abandoned, not interrupted); shutdown does not wait for it.
+        Safe to call more than once, and a closed engine recreates the
+        executor on demand if searched again.
         """
-        candidates = [
-            candidate
-            for candidate in candidates
-            if candidate.ordinal not in self._quarantined_sequences
-        ]
-        while True:
-            try:
-                return align(codes, candidates, min_score=self.min_fine_score)
-            except CorruptionError as exc:
-                ordinal = exc.ordinal
-                if self.on_corruption != "skip" or ordinal is None:
-                    raise
-                if ordinal not in self._quarantined_sequences:
-                    _LOG.warning(
-                        "quarantining corrupt sequence record %d: %s",
-                        ordinal,
-                        exc,
-                    )
-                    self._quarantined_sequences.add(ordinal)
-                    self.instruments.count("store.quarantined_sequences")
-                candidates = [
-                    candidate
-                    for candidate in candidates
-                    if candidate.ordinal != ordinal
-                ]
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
 
-    def coarse_rank(
+    # -- one shard's phases ------------------------------------------------
+
+    def _align_shard(
         self,
-        codes: np.ndarray,
-        cutoff: int | None = None,
-        deadline: Deadline | None = None,
-    ) -> list:
-        """Run only the coarse phase: ranked candidates, best first.
-
-        The candidate type depends on the fine mode —
-        :class:`~repro.search.results.CoarseCandidate` under ``"full"``,
-        :class:`~repro.search.frames.FrameCandidate` under ``"frames"``
-        — and either way ``ordinal``/``coarse_score`` carry the ranking.
-        This is the fan-out point the sharded engine uses: it merges
-        per-shard coarse rankings globally before any residue is read.
-        """
-        if cutoff is None:
-            cutoff = self.coarse_cutoff
-        if self.fine_mode == "frames":
-            return self._frame_ranker.rank(codes, cutoff, deadline=deadline)
-        return self._ranker.rank(codes, cutoff, deadline=deadline)
-
-    def fine_align(
-        self,
+        shard: _Shard,
         codes: np.ndarray,
         candidates: list,
-        deadline: Deadline | None = None,
+        deadline: Deadline | None,
     ) -> list[SearchHit]:
-        """Run only the fine phase over pre-selected candidates.
-
-        ``candidates`` must be the type :meth:`coarse_rank` produces
-        for this engine's fine mode.  The corruption policy applies
-        (corrupt store records are quarantined under ``"skip"``).
+        """Align one shard's candidates, best first (local ordinals).
 
         Under a bounded ``deadline`` candidates are aligned in batches
         of :data:`DEADLINE_FINE_CHUNK`; once the deadline expires the
@@ -450,42 +642,392 @@ class PartitionedSearchEngine:
         returned (re-ranked), so a partial fine phase still yields a
         correctly ordered prefix of the work done.
         """
-        if self.fine_mode == "frames":
-            align = self._frame_fine.align_frames
-        else:
-            align = self._fine.align_candidates
         deadline = ensure_deadline(deadline)
         if not deadline.bounded or len(candidates) <= DEADLINE_FINE_CHUNK:
             if deadline.expired():
                 return []
-            return self._fine_with_policy(align, codes, candidates)
+            return self._align_with_policy(shard, codes, candidates)
         hits: list[SearchHit] = []
         for start in range(0, len(candidates), DEADLINE_FINE_CHUNK):
             if deadline.expired():
                 break
             chunk = candidates[start : start + DEADLINE_FINE_CHUNK]
-            hits.extend(self._fine_with_policy(align, codes, chunk))
-        hits.sort(key=lambda hit: (-hit.score, -hit.coarse_score, hit.ordinal))
+            hits.extend(self._align_with_policy(shard, codes, chunk))
+        hits.sort(key=_fine_order)
         return hits
 
-    def _evaluate_one_strand(
-        self, codes: np.ndarray, deadline: Deadline = NO_DEADLINE
-    ) -> tuple[list[SearchHit], int, float, float]:
-        """(ranked hits, candidates, coarse seconds, fine seconds)."""
+    def _align_with_policy(
+        self, shard: _Shard, codes: np.ndarray, candidates: list
+    ) -> list[SearchHit]:
+        """Run the fine aligner, quarantining corrupt candidate records.
+
+        Under ``"skip"`` a candidate whose store record fails its
+        checksum is dropped (logged and counted) and the alignment
+        retried without it; the other policies propagate.
+        """
+        quarantined = shard.quarantined_sequences
+        candidates = [
+            candidate
+            for candidate in candidates
+            if candidate.ordinal not in quarantined
+        ]
+        while True:
+            try:
+                return shard.align(
+                    codes, candidates, min_score=self.min_fine_score
+                )
+            except CorruptionError as exc:
+                ordinal = exc.ordinal
+                if self.on_corruption != "skip" or ordinal is None:
+                    raise
+                if ordinal not in quarantined:
+                    _LOG.warning(
+                        "quarantining corrupt sequence record %d of shard "
+                        "%d: %s",
+                        ordinal, shard.slot, exc,
+                    )
+                    quarantined.add(ordinal)
+                    self.instruments.count("store.quarantined_sequences")
+                candidates = [
+                    candidate
+                    for candidate in candidates
+                    if candidate.ordinal != ordinal
+                ]
+
+    def _only_shard(self) -> _Shard:
+        if len(self._shards) != 1:
+            raise SearchError(
+                "coarse_rank/fine_align are one shard's phases in its "
+                f"local ordinals; this engine spans {len(self._shards)} "
+                "shards (build one engine per shard to compose them)"
+            )
+        return self._shards[0]
+
+    def coarse_rank(
+        self,
+        codes: np.ndarray,
+        cutoff: int | None = None,
+        deadline: Deadline | None = None,
+    ) -> list:
+        """Run only a one-shard engine's coarse phase: ranked
+        candidates, best first, tombstoned ones included.
+
+        The candidate type depends on the fine mode —
+        :class:`~repro.search.results.CoarseCandidate` under ``"full"``,
+        :class:`~repro.search.frames.FrameCandidate` under ``"frames"``
+        — and either way ``ordinal``/``coarse_score`` carry the ranking.
+        With :meth:`fine_align` this is what :meth:`search` runs per
+        shard, so a caller can compose the fan-out by hand.
+
+        Raises:
+            SearchError: if the engine spans more than one shard.
+        """
+        if cutoff is None:
+            cutoff = self.coarse_cutoff
+        return self._only_shard().ranker.rank(
+            codes, cutoff, deadline=deadline
+        )
+
+    def fine_align(
+        self,
+        codes: np.ndarray,
+        candidates: list,
+        deadline: Deadline | None = None,
+    ) -> list[SearchHit]:
+        """Run only a one-shard engine's fine phase over pre-selected
+        candidates; hits keep the shard's stored ordinals.
+
+        ``candidates`` must be the type :meth:`coarse_rank` produces
+        for this engine's fine mode.  The corruption policy applies
+        (corrupt store records are quarantined under ``"skip"``), and a
+        bounded ``deadline`` yields a correctly ordered partial result.
+
+        Raises:
+            SearchError: if the engine spans more than one shard.
+        """
+        return self._align_shard(
+            self._only_shard(), codes, candidates, deadline
+        )
+
+    # -- per-shard resilience ----------------------------------------------
+
+    def _shard_pool(self) -> ThreadPoolExecutor:
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=max(2, len(self._shards)),
+                    thread_name_prefix="shard-attempt",
+                )
+            return self._pool
+
+    def _attempt_with_timeout(self, slot: int, fn: Callable, timeout):
+        """One shard call, bounded by ``timeout`` seconds (None = no
+        bound).
+
+        Raises:
+            ShardTimeout: when the attempt overran its budget.  The
+                attempt's thread is abandoned, not interrupted — it
+                keeps running on the executor until it finishes on its
+                own, which is why the executor has more threads than
+                shards.
+        """
+        if timeout is None:
+            return fn()
+        future = self._shard_pool().submit(fn)
+        try:
+            return future.result(timeout=timeout)
+        except FuturesTimeout:
+            future.cancel()
+            raise ShardTimeout(
+                f"shard {slot} attempt exceeded its {timeout:.3f}s budget"
+            ) from None
+
+    def _run_shard(self, shard: _Shard, fn: Callable, deadline: Deadline):
+        """Run one shard call under the resilience policy.
+
+        Without resilience this is a plain call (failures propagate).
+        With it, the shard's breaker gates the call, each failed
+        attempt (see :data:`SHARD_FAILURE_EXCEPTIONS`) is retried with
+        jittered backoff, and exhaustion raises
+        :class:`ShardUnavailable` so the caller can degrade.
+
+        Raises:
+            ShardUnavailable: breaker open, retries exhausted, or no
+                deadline budget left to retry in.
+        """
+        resilience = self.resilience
+        if resilience is None:
+            return fn()
         instruments = self.instruments
+        slot, breaker = shard.slot, shard.breaker
+        if not breaker.allow():
+            instruments.count(f"partitioned.shard.{slot}.breaker_skips")
+            raise ShardUnavailable(
+                slot, "breaker_open", f"shard {slot}: circuit breaker open"
+            )
+        retry = resilience.retry
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
+                result = self._attempt_with_timeout(
+                    slot, fn, resilience.shard_timeout
+                )
+            except SHARD_FAILURE_EXCEPTIONS as exc:
+                breaker.record_failure()
+                instruments.count(f"partitioned.shard.{slot}.failures")
+                _LOG.warning(
+                    "shard %d attempt %d/%d failed: %s",
+                    slot, attempt, retry.max_attempts, exc,
+                )
+                if attempt >= retry.max_attempts:
+                    raise ShardUnavailable(
+                        slot,
+                        "retries_exhausted",
+                        f"shard {slot}: {retry.max_attempts} attempts "
+                        f"failed, last: {exc}",
+                    ) from exc
+                if not breaker.allow():
+                    # Our own failures tripped it mid-retry: stop
+                    # burning budget on a shard the breaker now rejects.
+                    raise ShardUnavailable(
+                        slot,
+                        "breaker_open",
+                        f"shard {slot}: breaker opened during retries",
+                    ) from exc
+                delay = retry.delay(attempt, self._rng)
+                remaining = deadline.remaining()
+                if remaining is not None and remaining <= delay:
+                    raise ShardUnavailable(
+                        slot,
+                        "deadline",
+                        f"shard {slot}: no deadline budget left to retry",
+                    ) from exc
+                if delay > 0:
+                    time.sleep(delay)
+                instruments.count(f"partitioned.shard.{slot}.retries")
+            else:
+                breaker.record_success()
+                return result
+
+    def _note_degraded(
+        self, slot: int, exc: ShardUnavailable, degraded: set[int]
+    ) -> None:
+        if slot not in degraded:
+            degraded.add(slot)
+            self.instruments.count(f"partitioned.shard.{slot}.degraded")
+            # A breaker-open skip recurs on every query until the reset
+            # window elapses; warning once per query would flood a soak.
+            level = (
+                logging.DEBUG
+                if exc.reason == "breaker_open"
+                else logging.WARNING
+            )
+            _LOG.log(
+                level,
+                "dropping shard %d for this query (%s): %s",
+                slot, exc.reason, exc,
+            )
+
+    # -- the query path ----------------------------------------------------
+
+    def _evaluate_one_strand(
+        self,
+        codes: np.ndarray,
+        deadline: Deadline,
+        degraded: set[int],
+    ) -> tuple[list[SearchHit], int, float, float, list[dict]]:
+        """(ranked hits in logical ordinals, candidates, coarse s,
+        fine s, per-shard timing/volume breakdown)."""
+        instruments = self.instruments
+        shards = self._shards
+        cutoff = self.coarse_cutoff
         started = time.perf_counter()
+        shard_detail = [
+            {
+                "shard": shard.slot,
+                "coarse_seconds": 0.0,
+                "fine_seconds": 0.0,
+                "coarse_candidates": 0,
+                "fine_candidates": 0,
+            }
+            for shard in shards
+        ]
+
+        # Fan out: every shard's coarse top-C, already in (score desc,
+        # local ordinal asc) order.
+        ranked: list[tuple[_Shard, list]] = []
         with instruments.span("coarse"):
-            candidates = self.coarse_rank(codes, deadline=deadline)
+            for shard in shards:
+                slot = shard.slot
+                if slot in degraded:
+                    continue
+                shard_started = time.perf_counter()
+                with instruments.span(f"shard[{slot}].coarse") as span:
+                    try:
+                        # A shard holding D tombstones must rank C+D
+                        # candidates: after the dead ones are filtered
+                        # out, at least its live top-C survives.
+                        candidates = self._run_shard(
+                            shard,
+                            lambda shard=shard: shard.ranker.rank(
+                                codes, cutoff + shard.dead, deadline=deadline
+                            ),
+                            deadline,
+                        )
+                    except ShardUnavailable as exc:
+                        self._note_degraded(slot, exc, degraded)
+                        continue
+                    if span is not None:
+                        span.annotate("shard", slot)
+                        span.annotate("candidates", len(candidates))
+                detail = shard_detail[slot]
+                detail["coarse_seconds"] = time.perf_counter() - shard_started
+                detail["coarse_candidates"] = len(candidates)
+                instruments.count(
+                    f"partitioned.shard.{slot}.coarse_candidates",
+                    len(candidates),
+                )
+                if shard.dead:
+                    live = [
+                        candidate
+                        for candidate in candidates
+                        if shard.base + candidate.ordinal
+                        not in self._dead_set
+                    ]
+                    if len(live) < len(candidates):
+                        instruments.count(
+                            "lsm.tombstones_filtered",
+                            len(candidates) - len(live),
+                        )
+                    candidates = live[:cutoff]
+                ranked.append((shard, candidates))
+            with instruments.span("merge") as span:
+                merged_rows = sum(len(group) for _, group in ranked)
+                if len(ranked) > 1:
+                    # (-score, global ordinal) is the global coarse
+                    # ordering; ordinals are unique, so the sort never
+                    # looks past them.  Then regroup the cut by shard.
+                    rows = [
+                        (-candidate.coarse_score,
+                         shard.base + candidate.ordinal, shard.slot,
+                         candidate)
+                        for shard, group in ranked
+                        for candidate in group
+                    ]
+                    rows.sort()
+                    by_slot: dict[int, list] = {}
+                    for _, _, slot, candidate in rows[:cutoff]:
+                        by_slot.setdefault(slot, []).append(candidate)
+                    ranked = [
+                        (shards[slot], group)
+                        for slot, group in by_slot.items()
+                    ]
+                ranked = [pair for pair in ranked if pair[1]]
+                selected = sum(len(group) for _, group in ranked)
+                if span is not None:
+                    span.annotate("merged_rows", merged_rows)
+                    span.annotate("selected", selected)
+                    span.annotate("shards_contributing", len(ranked))
         coarse_done = time.perf_counter()
+
+        # Fine: each shard aligns its share; hit ordinals become
+        # logical (base shift, tombstones elided) before the merge.
+        # Both are monotonic in the stored ordinal, so each shard's
+        # hits stay in order and one contributing shard needs no sort.
+        hits: list[SearchHit] = []
         with instruments.span("fine"):
-            hits = self.fine_align(codes, candidates, deadline=deadline)
+            for shard, candidates in ranked:
+                slot = shard.slot
+                shard_started = time.perf_counter()
+                with instruments.span(f"shard[{slot}].fine") as span:
+                    try:
+                        shard_hits = self._run_shard(
+                            shard,
+                            lambda shard=shard, candidates=candidates: (
+                                self._align_shard(
+                                    shard, codes, candidates, deadline
+                                )
+                            ),
+                            deadline,
+                        )
+                    except ShardUnavailable as exc:
+                        self._note_degraded(slot, exc, degraded)
+                        continue
+                    if span is not None:
+                        span.annotate("shard", slot)
+                        span.annotate("candidates", len(candidates))
+                        span.annotate("hits", len(shard_hits))
+                detail = shard_detail[slot]
+                detail["fine_seconds"] = time.perf_counter() - shard_started
+                detail["fine_candidates"] = len(candidates)
+                if shard.base or shard.dead:
+                    shard_hits = [
+                        replace(
+                            hit, ordinal=self._logical(shard.base + hit.ordinal)
+                        )
+                        for hit in shard_hits
+                    ]
+                hits.extend(shard_hits)
+            if len(ranked) > 1:
+                hits.sort(key=_fine_order)
         fine_done = time.perf_counter()
         return (
             hits,
-            len(candidates),
+            selected,
             coarse_done - started,
             fine_done - coarse_done,
+            shard_detail,
         )
+
+    def _logical(self, stored: int) -> int:
+        """Stored -> logical ordinal (what a rebuild over the survivors
+        would assign) of a live record."""
+        if self.tombstones.size:
+            stored -= int(
+                np.searchsorted(self.tombstones, stored, side="left")
+            )
+        return stored
 
     def search(
         self,
@@ -500,10 +1042,15 @@ class PartitionedSearchEngine:
             top_k: answers to return.
             deadline: optional per-query time budget.  Once expired the
                 engine stops starting new work (coarse interval fetches,
-                fine alignment batches, the reverse strand) and returns
-                whatever it ranked in time, with the report's
-                ``deadline_expired`` flag set.  An expired deadline
-                never raises.
+                per-shard fan-out steps, fine alignment batches, the
+                reverse strand) and returns whatever it ranked in time,
+                with the report's ``deadline_expired`` flag set.  An
+                expired deadline never raises.
+
+        A resilient engine (``resilience`` given at construction) drops
+        failing shards instead of raising: the report's
+        ``shards_degraded`` lists every dropped shard slot, and even an
+        all-shards-down query returns an (empty, flagged) report.
 
         Raises:
             SearchError: if the query is shorter than the interval
@@ -512,31 +1059,43 @@ class PartitionedSearchEngine:
         if top_k < 1:
             raise SearchError(f"top_k must be >= 1, got {top_k}")
         deadline = ensure_deadline(deadline)
-        identifier, codes = self._query_codes(query)
-        if codes.shape[0] < self.index.params.interval_length:
+        if isinstance(query, Sequence):
+            identifier, codes = query.identifier, query.codes
+        else:
+            identifier, codes = "query", np.asarray(query, dtype=np.uint8)
+        if codes.shape[0] < self.params.interval_length:
             raise SearchError(
                 f"query {identifier!r} is shorter than the interval "
-                f"length {self.index.params.interval_length}"
+                f"length {self.params.interval_length}"
             )
 
         instruments = self.instruments
+        degraded: set[int] = set()
         try:
             with instruments.span("search"):
-                hits, candidates, coarse_seconds, fine_seconds = (
-                    self._evaluate_one_strand(codes, deadline)
+                hits, candidates, coarse_seconds, fine_seconds, shard_detail = (
+                    self._evaluate_one_strand(codes, deadline, degraded)
                 )
                 if self.both_strands and not deadline.expired():
-                    reverse_hits, reverse_candidates, reverse_coarse, reverse_fine = (
-                        self._evaluate_one_strand(
-                            reverse_complement(codes), deadline
-                        )
+                    (
+                        reverse_hits,
+                        reverse_candidates,
+                        reverse_coarse,
+                        reverse_fine,
+                        reverse_detail,
+                    ) = self._evaluate_one_strand(
+                        reverse_complement(codes), deadline, degraded
                     )
                     hits = _merge_strand_hits(hits, reverse_hits)
                     # Fine-phase work is done for BOTH orientations, so
                     # the examined count is their sum, not the max.
-                    candidates = candidates + reverse_candidates
+                    candidates += reverse_candidates
                     coarse_seconds += reverse_coarse
                     fine_seconds += reverse_fine
+                    for forward, reverse in zip(shard_detail, reverse_detail):
+                        for key, value in reverse.items():
+                            if key != "shard":
+                                forward[key] += value
         except CorruptionError as exc:
             if self.on_corruption != "fallback":
                 if instruments.wants_events:
@@ -569,44 +1128,51 @@ class PartitionedSearchEngine:
         deadline_expired = deadline.expired()
         if deadline_expired:
             instruments.count("partitioned.deadline_expired")
+        if degraded:
+            instruments.count("partitioned.degraded_queries")
         instruments.count("partitioned.candidates", candidates)
         instruments.observe("partitioned.coarse_seconds", coarse_seconds)
         instruments.observe("partitioned.fine_seconds", fine_seconds)
         instruments.observe(
             "partitioned.total_seconds", coarse_seconds + fine_seconds
         )
+        hits = hits[:top_k]
         if self.significance is not None:
-            searched = self.index.collection.total_length
             hits = [
                 replace(
                     hit,
                     evalue=self.significance.evalue(
-                        hit.score, int(codes.shape[0]), searched
+                        hit.score, int(codes.shape[0]), self.total_bases
                     ),
                 )
                 for hit in hits
             ]
+        shards_degraded = tuple(sorted(degraded))
         if instruments.wants_events:
+            partial = deadline_expired or bool(shards_degraded)
             instruments.emit_event(
                 self._query_event(
                     identifier,
-                    "partial" if deadline_expired else "ok",
+                    "partial" if partial else "ok",
                     candidates=candidates,
-                    hits=len(hits[:top_k]),
+                    hits=len(hits),
                     coarse_seconds=coarse_seconds,
                     fine_seconds=fine_seconds,
+                    shards=shard_detail,
                     deadline_expired=deadline_expired,
+                    shards_degraded=list(shards_degraded),
                 )
             )
         return SearchReport(
             query_identifier=identifier,
-            hits=hits[:top_k],
+            hits=hits,
             candidates_examined=candidates,
             coarse_seconds=coarse_seconds,
             fine_seconds=fine_seconds,
             quarantined_intervals=self.quarantined_intervals,
-            quarantined_sequences=len(self._quarantined_sequences),
+            quarantined_sequences=self.quarantined_sequences,
             deadline_expired=deadline_expired,
+            shards_degraded=shards_degraded,
         )
 
     def _query_event(
@@ -623,6 +1189,7 @@ class PartitionedSearchEngine:
         event = {
             "event": "query",
             "engine": "partitioned",
+            "num_shards": self.num_shards,
             "query_id": query_id,
             "options": self.options_digest,
             "outcome": outcome,
@@ -632,25 +1199,15 @@ class PartitionedSearchEngine:
             "fine_seconds": fine_seconds,
             "total_seconds": coarse_seconds + fine_seconds,
             "quarantined_intervals": self.quarantined_intervals,
-            "quarantined_sequences": len(self._quarantined_sequences),
+            "quarantined_sequences": self.quarantined_sequences,
         }
         event.update(extra)
         return event
 
-    @property
-    def quarantined_intervals(self) -> int:
-        """Posting lists quarantined as corrupt so far (0 when none)."""
-        return len(self._quarantine.quarantined) if self._quarantine else 0
-
-    @property
-    def quarantined_sequences(self) -> int:
-        """Store records quarantined as corrupt so far (0 when none)."""
-        return len(self._quarantined_sequences)
-
     def _exhaustive_report(
         self, query: Sequence | np.ndarray, top_k: int
     ) -> SearchReport:
-        """Degraded path: answer from the sequence store alone."""
+        """Degraded path: answer from the sequence stores alone."""
         from repro.search.exhaustive import ExhaustiveSearcher
 
         if self._exhaustive is None:
@@ -667,7 +1224,7 @@ class PartitionedSearchEngine:
             report,
             degraded=True,
             quarantined_intervals=self.quarantined_intervals,
-            quarantined_sequences=len(self._quarantined_sequences),
+            quarantined_sequences=self.quarantined_sequences,
         )
 
     def search_batch(
@@ -692,79 +1249,54 @@ class PartitionedSearchEngine:
                 queries evaluated after expiry return flagged empty
                 partials.
 
+        With instrumentation attached the batch reports
+        ``batch.queries``, the ``batch.workers`` gauge, a
+        ``batch.wall_seconds`` histogram, and per-worker
+        ``batch.worker.<name>.queries`` counters (threaded runs only) —
+        every instrument is mutation-locked, so concurrent workers lose
+        no updates.
+
         Raises:
             SearchError: if ``workers`` < 1.
         """
-        return run_search_batch(
-            self.search, queries, top_k, workers, self.instruments,
-            deadline=deadline,
+        if workers is not None and workers < 1:
+            raise SearchError(f"workers must be >= 1, got {workers}")
+        if not queries:
+            return []
+        instruments = self.instruments
+        started = time.perf_counter()
+        if workers is None or workers == 1 or len(queries) == 1:
+            reports = [
+                self.search(query, top_k=top_k, deadline=deadline)
+                for query in queries
+            ]
+            instruments.set_gauge("batch.workers", 1)
+        else:
+
+            def evaluate(query):
+                report = self.search(query, top_k=top_k, deadline=deadline)
+                instruments.count(
+                    f"batch.worker.{current_thread().name}.queries"
+                )
+                return report
+
+            pool_size = min(workers, len(queries))
+            instruments.set_gauge("batch.workers", pool_size)
+            with ThreadPoolExecutor(
+                max_workers=pool_size, thread_name_prefix="search-batch"
+            ) as pool:
+                reports = list(pool.map(evaluate, queries))
+        instruments.count("batch.queries", len(queries))
+        instruments.observe(
+            "batch.wall_seconds", time.perf_counter() - started
         )
+        return reports
 
 
-def run_search_batch(
-    search,
-    queries: list[Sequence],
-    top_k: int,
-    workers: int | None,
-    instruments: Instruments | None = None,
-    deadline: Deadline | None = None,
-) -> list[SearchReport]:
-    """Drive a batch through a ``search(query, top_k=...)`` callable.
-
-    ``workers`` > 1 fans the queries out over a thread pool; report
-    order always matches query order.  Shared by the partitioned and
-    sharded engines (and any engine with the same ``search`` shape).
-
-    A ``deadline`` (if given) is shared by every query in the batch and
-    forwarded to the underlying ``search`` callable, which must then
-    accept a ``deadline`` keyword.
-
-    With instrumentation attached the batch reports ``batch.queries``,
-    the ``batch.workers`` gauge, a ``batch.wall_seconds`` histogram,
-    and per-worker ``batch.worker.<name>.queries`` counters (threaded
-    runs only) — every instrument is mutation-locked, so concurrent
-    workers lose no updates.
-
-    Raises:
-        SearchError: if ``workers`` < 1.
-    """
-    if workers is not None and workers < 1:
-        raise SearchError(f"workers must be >= 1, got {workers}")
-    if not queries:
-        return []
-    if deadline is not None:
-        import functools
-
-        # Only wrap when a deadline was actually given, so callables
-        # without a deadline keyword keep working unchanged.
-        search = functools.partial(search, deadline=deadline)
-    instruments = coalesce(instruments)
-    started = time.perf_counter()
-    if workers is None or workers == 1 or len(queries) == 1:
-        reports = [search(query, top_k=top_k) for query in queries]
-        instruments.set_gauge("batch.workers", 1)
-    else:
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
-        def evaluate(query):
-            report = search(query, top_k=top_k)
-            instruments.count(
-                f"batch.worker.{threading.current_thread().name}.queries"
-            )
-            return report
-
-        pool_size = min(workers, len(queries))
-        instruments.set_gauge("batch.workers", pool_size)
-        with ThreadPoolExecutor(
-            max_workers=pool_size, thread_name_prefix="search-batch"
-        ) as pool:
-            reports = list(pool.map(evaluate, queries))
-    instruments.count("batch.queries", len(queries))
-    instruments.observe(
-        "batch.wall_seconds", time.perf_counter() - started
-    )
-    return reports
+def _fine_order(hit: SearchHit) -> tuple:
+    """The fine ranking's sort key: best score first, ties by coarse
+    score then ordinal."""
+    return (-hit.score, -hit.coarse_score, hit.ordinal)
 
 
 def _merge_strand_hits(
@@ -780,6 +1312,4 @@ def _merge_strand_hits(
             # replace() keeps every field (present and future) intact;
             # rebuilding field-by-field silently dropped new ones.
             best[hit.ordinal] = replace(hit, strand="-")
-    merged = list(best.values())
-    merged.sort(key=lambda hit: (-hit.score, -hit.coarse_score, hit.ordinal))
-    return merged
+    return sorted(best.values(), key=_fine_order)

@@ -1,6 +1,6 @@
 """Fault-tolerance primitives for fan-out search: retry + breaker.
 
-The sharded engine treats each shard as an independent, unreliable
+The engine treats each shard as an independent, unreliable
 backend.  Three cooperating pieces make a query survive a misbehaving
 shard instead of failing outright:
 

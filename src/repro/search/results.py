@@ -72,8 +72,8 @@ class SearchReport:
     #: inside the budget (an expired deadline never raises).
     deadline_expired: bool = False
     #: Shard slots whose evidence is missing from this report because
-    #: the shard failed and resilience dropped it (sharded engines with
-    #: a :class:`~repro.search.resilience.ShardResilience` only).
+    #: the shard failed and resilience dropped it (engines with a
+    #: :class:`~repro.search.resilience.ShardResilience` only).
     shards_degraded: tuple[int, ...] = ()
 
     @property

@@ -19,7 +19,7 @@ gate can watch serving latency like any other benchmark.
 :func:`run_serving_benchmark` is the self-contained harness: it builds
 a small on-disk sharded collection, optionally zeroes one shard's
 posting blob (the ``faults`` harness), boots an in-process server over
-a resilient sharded engine, hammers it, and tears everything down.
+a resilient engine over the shards, hammers it, and tears everything down.
 """
 
 from __future__ import annotations
@@ -377,7 +377,7 @@ def run_serving_benchmark(
     Builds a synthetic collection split over ``shards`` on-disk
     indexes, optionally zeroes ``fault_shard``'s entire posting blob
     (every posting fetch there then fails its CRC), boots an in-process
-    server over a *resilient* sharded engine, drives it with
+    server over a *resilient* engine spanning them, drives it with
     :func:`run_loadgen`, and returns the measured result plus its bench
     document.  Temporary artefacts live under ``root`` (a fresh temp
     directory when ``None``) and are removed afterwards.
@@ -391,9 +391,9 @@ def run_serving_benchmark(
     from repro.index.storage import DiskIndex, write_index
     from repro.index.store import MemorySequenceSource
     from repro.instrumentation.faults import index_sections, zero_page
+    from repro.search.engine import PartitionedSearchEngine
     from repro.search.resilience import RetryPolicy, ShardResilience
     from repro.serving.server import SearchServer, ServerConfig
-    from repro.sharding.engine import ShardedSearchEngine
     from repro.workloads.queries import make_family_queries
     from repro.workloads.synthetic import WorkloadSpec, generate_collection
 
@@ -446,7 +446,7 @@ def run_serving_benchmark(
             opened.append(DiskIndex(path))
             shard_pairs.append((opened[-1], MemorySequenceSource(part)))
 
-        engine = ShardedSearchEngine(
+        engine = PartitionedSearchEngine.over_shards(
             shard_pairs,
             on_corruption="raise",
             resilience=ShardResilience(

@@ -2,8 +2,8 @@
 
 The server is a thin, resilient shell around any engine whose
 ``search(query, top_k=..., deadline=...)`` returns a
-:class:`~repro.search.results.SearchReport` — the partitioned engine,
-the sharded engine, or the database facade.  Its job is to make the
+:class:`~repro.search.results.SearchReport` — the partitioned engine
+or the database facade.  Its job is to make the
 engine safe to expose:
 
 * every request gets a :class:`~repro.search.deadline.Deadline` (the
@@ -15,7 +15,7 @@ engine safe to expose:
   ``deadline_expired``, ``shards_degraded`` — so a degraded answer is
   never mistaken for a complete one;
 * client mistakes are ``4xx`` and *engine* trouble degrades (the
-  resilient sharded engine absorbs shard failures), so a healthy
+  resilient engine absorbs shard failures), so a healthy
   deployment returns zero ``5xx`` even under injected faults.
 
 Endpoints: ``POST /search``, ``GET /health``, ``GET /metrics``
@@ -127,7 +127,7 @@ class SearchServer:
     Args:
         engine: anything with ``search(query, top_k=..., deadline=...)``
             returning a :class:`SearchReport`.  If it also exposes
-            ``breaker_states()`` (the resilient sharded engine), those
+            ``breaker_states()`` (the partitioned engine does), those
             states appear in ``/health`` and ``/stats``.
         config: server knobs; defaults are sensible for tests.
         instruments: observability sink shared with the engine when

@@ -7,9 +7,13 @@ collection, so build time and coarse-phase cost eventually hit the E3
 wall.  This subsystem slices the collection into ``N`` contiguous
 ordinal ranges ("shards" — COBS calls the same arrangement a
 document-sliced index), builds each shard's index and store
-independently (optionally in parallel processes), and fans queries out
-across the shards, k-way-merging coarse candidates and fine hits into
-one globally ranked answer.
+independently (optionally in parallel processes).  Searching them as
+one is not this package's job: the one engine,
+:class:`repro.search.engine.PartitionedSearchEngine`, fans a query out
+over N >= 1 shards and merges coarse candidates and fine hits into one
+globally ranked answer, and
+:class:`repro.index.store.ShardedSequenceSource` gives global-ordinal
+residue access over the per-shard stores.
 
 Public surface:
 
@@ -17,10 +21,8 @@ Public surface:
   into balanced contiguous ranges;
 * :func:`build_sharded_database` — write the sharded on-disk layout
   with a process pool;
-* :class:`ShardedSearchEngine` — fan-out/merge query evaluation,
-  score-identical to one engine over the unsharded collection;
-* :class:`ShardedSequenceSource` — global-ordinal residue access over
-  per-shard stores.
+* :class:`ShardLayoutEntry` / :func:`layout_from_manifest` — the
+  top-level manifest's shard table.
 
 :class:`repro.database.Database` is the facade that ties these
 together: ``Database.create(..., shards=N, workers=M)`` builds the
@@ -29,7 +31,6 @@ search through it.
 """
 
 from repro.sharding.build import build_shard_directory, build_sharded_database
-from repro.sharding.engine import ShardedSearchEngine, ShardedSequenceSource
 from repro.sharding.manifest import (
     INDEX_NAME,
     MANIFEST_NAME,
@@ -45,8 +46,6 @@ __all__ = [
     "STORE_NAME",
     "ShardLayoutEntry",
     "ShardSpec",
-    "ShardedSearchEngine",
-    "ShardedSequenceSource",
     "build_shard_directory",
     "build_sharded_database",
     "layout_from_manifest",

@@ -126,6 +126,30 @@ class TestSearch:
         assert report.best().evalue is not None
         assert report.best().evalue < 1e-10
 
+    def test_alternating_schemes_calibrate_once_each(
+        self, records, tmp_path, monkeypatch
+    ):
+        import repro.database as database_module
+
+        calibrated = []
+
+        def counting(scheme):
+            calibrated.append(scheme)
+            return calibrate_gapped(scheme)
+
+        calibrate_gapped = database_module.calibrate_gapped
+        monkeypatch.setattr(database_module, "calibrate_gapped", counting)
+        schemes = [ScoringScheme(), ScoringScheme(match=2, mismatch=-2, gap=-5)]
+        with Database.create(records, tmp_path / "ev.db") as db:
+            # Distinct cutoffs defeat the engine cache, so every call
+            # reaches the significance lookup.
+            for cutoff in range(1, 7):
+                db.engine(
+                    coarse_cutoff=cutoff, scheme=schemes[cutoff % 2],
+                    with_evalues=True,
+                )
+        assert sorted(calibrated, key=lambda scheme: scheme.match) == schemes
+
     def test_both_strands_through_facade(self, database, records):
         query = records[9].slice(40, 200).reverse_complement()
         report = database.search(query, top_k=3, both_strands=True)

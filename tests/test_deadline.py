@@ -20,7 +20,6 @@ from repro.search.deadline import (
 )
 from repro.search.engine import PartitionedSearchEngine
 from repro.sequences.record import Sequence
-from repro.sharding import ShardedSearchEngine
 
 
 class FakeClock:
@@ -131,7 +130,7 @@ def engine_pair(small_workload, small_index, small_source, shard_pairs):
     """One partitioned engine and one 3-shard engine over the same data."""
     _, queries = small_workload
     single = PartitionedSearchEngine(small_index, small_source)
-    sharded = ShardedSearchEngine(shard_pairs)
+    sharded = PartitionedSearchEngine.over_shards(shard_pairs)
     return single, sharded, queries
 
 
@@ -207,9 +206,7 @@ def test_mid_query_expiry_yields_prefix_partial(engine_pair):
 
 def test_both_strands_skips_reverse_after_expiry(engine_pair):
     single, _, queries = engine_pair
-    engine = PartitionedSearchEngine(
-        single.index, single.source, both_strands=True
-    )
+    engine = PartitionedSearchEngine(*single.shards[0], both_strands=True)
     clock = FakeClock()
     report = engine.search(
         queries[0].query, top_k=5, deadline=Deadline.after(0.0, clock)
@@ -239,7 +236,7 @@ def test_sharded_deadline_event_annotations(
     log_path = tmp_path / "events.jsonl"
     with QueryEventLog(log_path) as eventlog:
         instruments = Instruments(eventlog=eventlog)
-        engine = ShardedSearchEngine(shard_pairs, instruments=instruments)
+        engine = PartitionedSearchEngine.over_shards(shard_pairs, instruments=instruments)
         engine.search(
             queries[0].query, top_k=5, deadline=Deadline.after(0.0, FakeClock())
         )

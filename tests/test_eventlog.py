@@ -170,21 +170,24 @@ class TestEngineEventWiring:
         assert event["outcome"] == "error"
         assert "error" in event
 
-    def test_sharded_event_carries_per_shard_detail(self, tmp_path):
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_event_carries_per_shard_detail(self, tmp_path, shards):
         records = _records()
         sink = io.StringIO()
         instruments = Instruments(eventlog=QueryEventLog(sink))
         with Database.create(
-            records, tmp_path / "db", params=PARAMS, shards=3
+            records, tmp_path / "db", params=PARAMS, shards=shards
         ) as db:
             db.set_instruments(instruments)
             db.search(_query(records), top_k=5)
         (event,) = [
             json.loads(line) for line in sink.getvalue().splitlines()
         ]
-        assert event["engine"] == "sharded"
-        assert event["num_shards"] == 3
-        assert [shard["shard"] for shard in event["shards"]] == [0, 1, 2]
+        assert event["engine"] == "partitioned"
+        assert event["num_shards"] == shards
+        assert [shard["shard"] for shard in event["shards"]] == list(
+            range(shards)
+        )
         for shard in event["shards"]:
             assert set(shard) >= {
                 "coarse_seconds",

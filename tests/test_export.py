@@ -220,7 +220,10 @@ class TestEngineTraceIntegration:
         assert {event["name"] for event in events} == {
             "search",
             "coarse",
+            "shard[0].coarse",
+            "merge",
             "fine",
+            "shard[0].fine",
         }
         # Child spans nest inside the search span's time window.
         search = next(e for e in events if e["name"] == "search")

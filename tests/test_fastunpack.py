@@ -17,9 +17,8 @@ from repro.index.postings import PostingEntry, PostingsCodec, PostingsContext
 
 CONTEXT = PostingsContext(num_sequences=100, total_length=50_000)
 
-#: Every runnable tier (a "numba" request degrades to numpy when the
-#: compiler is absent, so this is always a valid decode matrix).
-ALL_TIERS = ("python", "numpy", "numba")
+#: The decode matrix: every selectable tier.
+ALL_TIERS = fastunpack.TIERS
 
 
 def make_entries(spec):
@@ -101,21 +100,19 @@ class TestTierResolution:
         with pytest.raises(ReproError):
             fastunpack.resolve_tier("lzw")
 
-    def test_numba_request_degrades_silently(self):
-        resolved = fastunpack.resolve_tier("numba")
-        if fastunpack.numba_available():
-            assert resolved == "numba"
-        else:
-            assert resolved == "numpy"
+    def test_removed_numba_tier_rejected_like_any_unknown_name(self):
+        assert fastunpack.TIERS == ("numpy", "python")
+        with pytest.raises(ReproError):
+            fastunpack.resolve_tier("numba")
 
-    def test_auto_resolves_to_a_vector_tier(self):
-        assert fastunpack.resolve_tier("auto") in ("numba", "numpy")
+    def test_auto_resolves_to_the_vector_tier(self):
+        assert fastunpack.resolve_tier("auto") == "numpy"
 
     def test_environment_variable_is_read(self, monkeypatch):
         monkeypatch.setenv(fastunpack.KERNEL_ENV_VAR, "python")
         assert fastunpack.resolve_tier(None) == "python"
         monkeypatch.setenv(fastunpack.KERNEL_ENV_VAR, "")
-        assert fastunpack.resolve_tier(None) in ("numba", "numpy")
+        assert fastunpack.resolve_tier(None) == "numpy"
         monkeypatch.setenv(fastunpack.KERNEL_ENV_VAR, "qwerty")
         with pytest.raises(ReproError):
             fastunpack.resolve_tier(None)

@@ -1,9 +1,12 @@
 """Unit and integration tests for the observability layer."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.index.builder import IndexParameters, build_index
@@ -77,6 +80,37 @@ class TestMetricsRegistry:
         # (bucket width is ~78%, interpolation clamps to observed range).
         assert histogram.percentile(50) == pytest.approx(0.010, rel=0.8)
         assert histogram.percentile(99) == pytest.approx(0.010, rel=0.8)
+
+    @given(
+        st.lists(
+            st.floats(min_value=1e-6, max_value=1e2), min_size=1, max_size=300
+        )
+    )
+    def test_histogram_percentiles_ordered_and_near_exact(self, values):
+        """min <= p50 <= p90 <= p99 <= max, each within one bucket ratio
+        (10 ** 0.25) of the exact nearest-rank sample percentile."""
+        histogram = Histogram("h")
+        for value in values:
+            histogram.observe(value)
+        ordered = sorted(values)
+        estimates = [histogram.percentile(q) for q in (50, 90, 99)]
+        bounded = [ordered[0], *estimates, ordered[-1]]
+        assert all(
+            low <= high * (1 + 1e-12) for low, high in zip(bounded, bounded[1:])
+        )
+        ratio = 10 ** 0.25 * (1 + 1e-9)
+        for q, estimate in zip((50, 90, 99), estimates):
+            exact = ordered[max(1, math.ceil(len(ordered) * q / 100)) - 1]
+            assert exact / ratio <= estimate <= exact * ratio
+
+    def test_histogram_percentiles_spread_inside_one_bucket(self):
+        """The case `repro profile` printed p50 = p90 = p99 for."""
+        histogram = Histogram("h")
+        for value in np.linspace(0.0101, 0.0170, 200):
+            histogram.observe(float(value))
+        p50, p90, p99 = (histogram.percentile(q) for q in (50, 90, 99))
+        assert p50 < p90 < p99
+        assert p99 > histogram.mean
 
     def test_empty_histogram_is_safe(self):
         histogram = Histogram("h")

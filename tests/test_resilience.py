@@ -15,6 +15,7 @@ from repro.errors import SearchError, StorageError
 from repro.index.builder import IndexParameters, build_index
 from repro.index.store import MemorySequenceSource
 from repro.instrumentation.instruments import Instruments
+from repro.search.engine import PartitionedSearchEngine
 from repro.search.resilience import (
     CircuitBreaker,
     RetryPolicy,
@@ -23,7 +24,6 @@ from repro.search.resilience import (
     ShardUnavailable,
 )
 from repro.sequences.record import Sequence
-from repro.sharding import ShardedSearchEngine
 
 
 class FakeClock:
@@ -221,12 +221,12 @@ def test_transient_fault_retried_to_success():
     records = _records()
     resilience = ShardResilience(retry=FAST_RETRY, seed=3)
     instruments = Instruments()
-    flaky = ShardedSearchEngine(
+    flaky = PartitionedSearchEngine.over_shards(
         _shard_pairs(records, flaky_slot=1, failures=1),
         resilience=resilience,
         instruments=instruments,
     )
-    clean = ShardedSearchEngine(_shard_pairs(records))
+    clean = PartitionedSearchEngine.over_shards(_shard_pairs(records))
     query = _query(records)
     report = flaky.search(query, top_k=8)
     expected = clean.search(query, top_k=8)
@@ -236,8 +236,8 @@ def test_transient_fault_retried_to_success():
         h.ordinal for h in expected.hits
     ]
     snapshot = instruments.metrics.snapshot()
-    assert snapshot["counters"].get("sharded.shard.1.retries", 0) >= 1
-    assert "sharded.shard.1.degraded" not in snapshot["counters"]
+    assert snapshot["counters"].get("partitioned.shard.1.retries", 0) >= 1
+    assert "partitioned.shard.1.degraded" not in snapshot["counters"]
 
 
 def test_persistent_fault_degrades_and_trips_breaker():
@@ -247,7 +247,7 @@ def test_persistent_fault_degrades_and_trips_breaker():
         seed=3,
     )
     instruments = Instruments()
-    engine = ShardedSearchEngine(
+    engine = PartitionedSearchEngine.over_shards(
         _shard_pairs(records, flaky_slot=1, failures=10_000),
         resilience=resilience,
         instruments=instruments,
@@ -263,8 +263,8 @@ def test_persistent_fault_degrades_and_trips_breaker():
     second = engine.search(query, top_k=8)
     assert second.shards_degraded == (1,)
     counters = instruments.metrics.snapshot()["counters"]
-    assert counters.get("sharded.shard.1.breaker_skips", 0) >= 1
-    assert counters.get("sharded.degraded_queries", 0) == 2
+    assert counters.get("partitioned.shard.1.breaker_skips", 0) >= 1
+    assert counters.get("partitioned.degraded_queries", 0) == 2
 
     # Degraded results equal a two-shard engine without the bad shard.
     surviving = [
@@ -272,7 +272,7 @@ def test_persistent_fault_degrades_and_trips_breaker():
         if slot != 1
     ]
     # Ordinals differ between layouts, so compare identifiers + scores.
-    reduced = ShardedSearchEngine(surviving).search(query, top_k=8)
+    reduced = PartitionedSearchEngine.over_shards(surviving).search(query, top_k=8)
     assert [(h.identifier, h.score) for h in second.hits] == [
         (h.identifier, h.score) for h in reduced.hits
     ]
@@ -280,7 +280,7 @@ def test_persistent_fault_degrades_and_trips_breaker():
 
 def test_no_resilience_propagates_shard_errors():
     records = _records()
-    engine = ShardedSearchEngine(
+    engine = PartitionedSearchEngine.over_shards(
         _shard_pairs(records, flaky_slot=0, failures=10_000)
     )
     with pytest.raises(StorageError):
@@ -321,7 +321,7 @@ def test_attempt_timeout_drops_slow_shard():
     pairs = _shard_pairs(records)
     slow = SlowIndex(build_index(records[1::3], PARAMS), 0)
     pairs[1] = (slow, pairs[1][1])
-    engine = ShardedSearchEngine(
+    engine = PartitionedSearchEngine.over_shards(
         pairs,
         resilience=ShardResilience(
             shard_timeout=0.02,

@@ -31,7 +31,6 @@ from repro.serving import (
     run_loadgen,
     run_serving_benchmark,
 )
-from repro.sharding import ShardedSearchEngine
 
 PARAMS = IndexParameters(interval_length=6)
 
@@ -385,12 +384,12 @@ class TestLoadgenResult:
         assert document.metrics["serving.requests"]["value"] == 0.0
 
 
-def _sharded_with_fault(records, tmp_path, fault_shard=1):
-    """Three disk shards, one with its posting blob zeroed."""
+def _sharded_with_fault(records, tmp_path, fault_shard=1, shards=3):
+    """Disk shards (three by default), one with its posting blob zeroed."""
     pairs = []
     indexes = []
-    for slot in range(3):
-        part = records[slot::3]
+    for slot in range(shards):
+        part = records[slot::shards]
         path = tmp_path / f"shard{slot}.rpix"
         write_index(build_index(part, PARAMS), path)
         if slot == fault_shard:
@@ -399,7 +398,7 @@ def _sharded_with_fault(records, tmp_path, fault_shard=1):
         index = DiskIndex(path)
         indexes.append(index)
         pairs.append((index, MemorySequenceSource(part)))
-    engine = ShardedSearchEngine(
+    engine = PartitionedSearchEngine.over_shards(
         pairs,
         resilience=ShardResilience(
             retry=RetryPolicy(
@@ -412,6 +411,26 @@ def _sharded_with_fault(records, tmp_path, fault_shard=1):
         ),
     )
     return engine, indexes
+
+
+def test_lone_broken_shard_yields_flagged_report(records, tmp_path):
+    """Resilience protects a one-shard engine too: the shard exhausts
+    its retries and the query returns empty and flagged, not raising."""
+    engine, indexes = _sharded_with_fault(
+        records, tmp_path, fault_shard=0, shards=1
+    )
+    try:
+        report = engine.search(
+            Sequence("q", records[0].codes[20:120].copy()), top_k=5
+        )
+        assert report.hits == []
+        assert report.shards_degraded == (0,)
+        assert report.partial
+        assert set(engine.breaker_states()) == {0}
+    finally:
+        engine.close()
+        for index in indexes:
+            index.close()
 
 
 class TestFaultInjectedSoak:

@@ -1,16 +1,19 @@
 """Shard layer: planner, layout, parallel build, fan-out/merge parity.
 
-The load-bearing invariant is *score identity*: a sharded engine (any
-shard count) must return hit-for-hit identical results to one
-:class:`PartitionedSearchEngine` over the unsharded collection — same
-ordinals, scores, coarse scores, strands, E-values, and candidate
-counts — for every fine mode.
+The load-bearing invariant is *score identity*: a
+:class:`PartitionedSearchEngine` over any number of shards must return
+hit-for-hit identical results to one over the unsharded collection —
+same ordinals, scores, coarse scores, strands, E-values, and candidate
+counts — for every fine mode, and with tombstones the same as a rebuild
+over the survivors.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.align.scoring import ScoringScheme
 from repro.database import Database
@@ -21,14 +24,12 @@ from repro.errors import (
     SearchError,
 )
 from repro.index.builder import IndexParameters, build_index
-from repro.index.store import MemorySequenceSource
+from repro.index.store import MemorySequenceSource, ShardedSequenceSource
 from repro.instrumentation import faults
 from repro.instrumentation.instruments import Instruments
 from repro.search.engine import PartitionedSearchEngine
 from repro.sequences.record import Sequence
 from repro.sharding import (
-    ShardedSearchEngine,
-    ShardedSequenceSource,
     ShardSpec,
     layout_from_manifest,
     plan_shards,
@@ -81,7 +82,7 @@ def _split_engines(records, shards, **kwargs):
         pairs.append(
             (build_index(chunk, PARAMS), MemorySequenceSource(chunk))
         )
-    return ShardedSearchEngine(pairs, **kwargs)
+    return PartitionedSearchEngine.over_shards(pairs, **kwargs)
 
 
 class TestPlanner:
@@ -186,6 +187,12 @@ class TestScoreIdentity:
         records = _records()
         return records, _queries(records)
 
+    @pytest.fixture(scope="class")
+    def significance(self):
+        from repro.align.statistics import calibrate_gapped
+
+        return calibrate_gapped(ScoringScheme())
+
     @pytest.mark.parametrize("shards", [1, 2, 4])
     @pytest.mark.parametrize("fine_mode", ["full", "frames"])
     def test_parity_across_shard_counts(self, workload, shards, fine_mode):
@@ -255,16 +262,137 @@ class TestScoreIdentity:
                     db1.search(query, top_k=10, both_strands=True)
                 )
 
-    def test_collection_scorers_rejected(self, workload):
-        records, _ = workload
+    @settings(deadline=None, max_examples=30)
+    @given(
+        shards=st.sampled_from([2, 3, 4]),
+        dead=st.sets(st.integers(0, 35), max_size=12),
+        scorer=st.sampled_from(["count", "diagonal"]),
+        fine_mode=st.sampled_from(["full", "frames"]),
+        both_strands=st.booleans(),
+    )
+    def test_layout_parity_property(
+        self, workload, significance, shards, dead, scorer, fine_mode,
+        both_strands,
+    ):
+        """One shard, K shards, and either with tombstones all answer
+        like a rebuild over the survivors."""
+        records, queries = workload
+        tombstones = sorted(dead)
+        survivors = [
+            record for ordinal, record in enumerate(records)
+            if ordinal not in dead
+        ]
+        options = dict(
+            coarse_scorer=scorer, coarse_cutoff=9, fine_mode=fine_mode,
+            both_strands=both_strands, significance=significance,
+        )
+        rebuilt = _split_engines(survivors, 1, **options)
+        layouts = [
+            _split_engines(records, 1, tombstones=tombstones, **options),
+            _split_engines(records, shards, tombstones=tombstones, **options),
+            _split_engines(survivors, shards, **options),
+        ]
+        for query in queries:
+            expected = _report_key(rebuilt.search(query, top_k=7))
+            for layout in layouts:
+                assert _report_key(layout.search(query, top_k=7)) == expected
+
+    @pytest.mark.parametrize("fine_mode", ["full", "frames"])
+    def test_hand_composed_phases_equal_search(self, workload, fine_mode):
+        """coarse_rank -> tombstone filter -> merge-cut -> fine_align
+        over per-shard one-shard engines is what ``search`` runs (the
+        contract e2e_bench/live_mixed.py checks every traced query
+        against)."""
+        records, queries = workload
+        cutoff, top_k = 9, 7
+        dead = {1, 2, 13, 14, 30}
+        plan = plan_shards(len(records), 3)
+        pairs = [
+            (
+                build_index(records[spec.base : spec.stop], PARAMS),
+                MemorySequenceSource(records[spec.base : spec.stop]),
+            )
+            for spec in plan
+        ]
+        whole = PartitionedSearchEngine.over_shards(
+            pairs, coarse_cutoff=cutoff, fine_mode=fine_mode,
+            tombstones=sorted(dead),
+        )
+        engines = [
+            PartitionedSearchEngine(
+                index, source, coarse_cutoff=cutoff, fine_mode=fine_mode
+            )
+            for index, source in pairs
+        ]
+        with pytest.raises(SearchError, match="one shard"):
+            whole.coarse_rank(queries[0].codes)
+        for query in queries:
+            rows = []
+            for spec, engine in zip(plan, engines):
+                widened = cutoff + sum(spec.base <= o < spec.stop for o in dead)
+                ranked = engine.coarse_rank(query.codes, cutoff=widened)
+                alive = [
+                    c for c in ranked if spec.base + c.ordinal not in dead
+                ][:cutoff]
+                rows += [
+                    (-c.coarse_score, spec.base + c.ordinal, spec.shard_id, c)
+                    for c in alive
+                ]
+            rows.sort(key=lambda row: row[:2])
+            hits = []
+            for spec, engine in zip(plan, engines):
+                mine = [r[3] for r in rows[:cutoff] if r[2] == spec.shard_id]
+                hits += [
+                    (-h.score, -h.coarse_score, spec.base + h.ordinal,
+                     h.identifier)
+                    for h in engine.fine_align(query.codes, mine)
+                ]
+            hits.sort()
+            report = whole.search(query, top_k=top_k)
+            assert [(h[3], -h[0]) for h in hits[:top_k]] == [
+                (hit.identifier, hit.score) for hit in report.hits
+            ]
+            assert report.candidates_examined == len(rows[:cutoff])
+
+    def test_collection_scorers_need_one_whole_shard(self, workload):
+        """idf / normalised / custom scorers read collection statistics:
+        fine when the lone shard *is* the collection, refused otherwise."""
+        from repro.search.coarse import make_scorer
+
+        records, queries = workload
+        index, source = build_index(records, PARAMS), MemorySequenceSource(records)
+        for scorer in ("idf", "normalised", make_scorer("idf")):
+            direct = PartitionedSearchEngine(
+                index, source, coarse_scorer=scorer, coarse_cutoff=10
+            )
+            listed = PartitionedSearchEngine.over_shards(
+                [(index, source)], coarse_scorer=scorer, coarse_cutoff=10
+            )
+            for query in queries:
+                assert _report_key(listed.search(query)) == _report_key(
+                    direct.search(query)
+                )
+                assert direct.search(query).hits
         for scorer in ("idf", "normalised"):
             with pytest.raises(SearchError, match="collection-wide"):
                 _split_engines(records, 2, coarse_scorer=scorer)
+            with pytest.raises(SearchError, match="collection-wide"):
+                _split_engines(records, 1, coarse_scorer=scorer, tombstones=[3])
         # Custom scorer instances cannot be vetted for shard-safety.
-        from repro.search.coarse import make_scorer
-
         with pytest.raises(SearchError, match="name"):
             _split_engines(records, 2, coarse_scorer=make_scorer("count"))
+        with pytest.raises(SearchError, match="name"):
+            _split_engines(
+                records, 1, coarse_scorer=make_scorer("count"), tombstones=[3]
+            )
+
+    def test_collection_scorers_on_database(self, workload, tmp_path):
+        records, queries = workload
+        with Database.create(records, tmp_path / "one", params=PARAMS) as db:
+            assert db.search(queries[0], coarse_scorer="idf").hits
+            db.delete([3])
+            with pytest.raises(SearchError, match="collection-wide"):
+                db.search(queries[0], coarse_scorer="idf")
 
 
 class TestShardedSequenceSource:
@@ -455,20 +583,22 @@ class TestShardedVerifyRepair:
 
 
 class TestShardedInstrumentation:
-    def test_per_shard_spans_and_counters(self):
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_per_shard_spans_and_counters(self, shards):
+        """One observability surface at every shard count."""
         records = _records(12)
-        engine = _split_engines(records, 3, coarse_cutoff=10)
+        engine = _split_engines(records, shards, coarse_cutoff=10)
         instruments = Instruments()
         engine.set_instruments(instruments)
         engine.search(Sequence("q", records[4].codes[10:110].copy()))
         counters = instruments.metrics.snapshot()["counters"]
-        assert counters["sharded.queries"] == 1
-        assert any(
-            name.startswith("sharded.shard.") for name in counters
-        )
+        assert counters["partitioned.queries"] == 1
+        assert not any(name.startswith("sharded.") for name in counters)
+        for slot in range(shards):
+            assert f"partitioned.shard.{slot}.coarse_candidates" in counters
         span_names = {row["name"] for row in instruments.tracer.flat()}
-        assert "shard[0].coarse" in span_names
-        assert "merge" in span_names
+        assert {"search", "coarse", "shard[0].coarse", "merge", "fine"} \
+            <= span_names
 
 
 class TestDifferentialParity:
