@@ -9,15 +9,35 @@ row be computed with numpy primitives.  For row ``i`` let
 column ``j`` must start at some ``T[k]`` with ``k < j`` and costs
 ``g * (j - k)``, so
 
-    H[i, j] = max(T[j],  g*j + max_{k<j} (T[k] - g*k))
+    H[i, j] = max(T[j],  max_{k<j} (T[k] + g*(j - k)))
 
-and the inner maximum is a running prefix maximum — one call to
-``np.maximum.accumulate``.  (Chains starting from H rather than T add
-nothing: H is itself the closure of T under chaining, and chains
-telescope.)  Each query row therefore costs a handful of vector
-operations over the target, which is what makes a pure-Python
-exhaustive Smith-Waterman scan of a megabase collection feasible — the
-substitution DESIGN.md records for the paper's C implementation.
+(Chains starting from H rather than T add nothing: H is itself the
+closure of T under chaining, and chains telescope.)  The kernel closes
+a row over horizontal gaps in one of two ways, chosen from the target's
+column count alone:
+
+* **Prefix maximum** (targets below :data:`BOUNDED_CLOSURE_MIN_COLUMNS`):
+  ``T[k] + g*(j-k) = (T[k] - g*k) + g*j``, so the inner maximum is a
+  running prefix maximum of ``T[k] - g*k`` — one call to
+  ``np.maximum.accumulate`` on int32 cells.  Few numpy calls per row,
+  but the accumulate is a scalar loop over the whole row.
+* **Bounded doubling** (longer targets): no cell exceeds
+  ``max_score = max_alignment_score(len(query))``, so a chain longer
+  than ``reach = max_score // |g|`` columns ends below zero and can
+  never beat the zero clamp.  A Hillis-Steele max-plus scan with shifts
+  ``1, 2, 4, ...`` covers every chain of length ``< 2^steps``, so
+  ``steps = reach.bit_length()`` suffice (7 for a 200 bp query at
+  ``g = -2``), each one vectorised add and max.  With no gap ramp the
+  cells stay within ``[-max_score, max_score]``, which fits int16 for
+  the usual query lengths: half the bytes per pass.
+
+Both closures are bit-identical to ``align.reference.smith_waterman_score``
+(property-tested in ``tests/test_kernel.py`` with the crossover forced
+to either side); ``docs/KERNELS.md`` has the crossover sweep.  Each
+query row therefore costs a handful of vector operations over the
+target, which is what makes a pure-Python exhaustive Smith-Waterman
+scan of a megabase collection feasible — the substitution DESIGN.md
+records for the paper's C implementation.
 
 Scanning a whole collection uses a :class:`TargetImage`: the sequences
 concatenated with *sentinel runs* between them.  Sentinel positions
@@ -38,6 +58,17 @@ from repro.align.scoring import SENTINEL_CODE, ScoringScheme
 from repro.errors import AlignmentError
 from repro.sequences.alphabet import NUM_BASES
 
+#: Targets with at least this many columns take the bounded doubling
+#: closure; shorter ones the prefix maximum, whose fewer numpy calls per
+#: row win there.  Break-even is ~1.4k columns for a 200 bp query under
+#: the default scheme but ~3k for a 1 kb query or a 10-step scheme
+#: (more doubling steps per row); from 4 096 columns doubling won in
+#: every configuration swept (docs/KERNELS.md).
+BOUNDED_CLOSURE_MIN_COLUMNS = 4096
+
+# The prefix maximum's gap ramp reaches |gap| * columns in int32 cells.
+_RAMP_LIMIT = 2**31 - 2**20
+
 
 def _query_rows(query: np.ndarray) -> np.ndarray:
     """Map query codes onto profile row indices (wildcards share one)."""
@@ -47,36 +78,57 @@ def _query_rows(query: np.ndarray) -> np.ndarray:
     return np.minimum(query, NUM_BASES).astype(np.int64)
 
 
-def column_best_scores(
-    query: np.ndarray, profile: np.ndarray, scheme: ScoringScheme
-) -> np.ndarray:
-    """Best Smith-Waterman cell in every target column.
+def _bounded_closure(columns: int, scheme: ScoringScheme) -> bool:
+    """Whether a target of ``columns`` is closed by bounded doubling.
 
-    Args:
-        query: coded query (no sentinels).
-        profile: target profile from ``ScoringScheme.target_profile``.
-        scheme: the same scheme the profile was built with.
-
-    Returns:
-        ``col_best`` with ``col_best[j] = max_i H[i, j]`` — int32, or
-        int64 when the target is long enough that the gap ramp would
-        overflow 32 bits.
+    Targets whose prefix-maximum ramp would overflow int32 (gap
+    penalties in the hundreds of thousands) take it at any length.
     """
-    target_length = profile.shape[1]
-    rows = _query_rows(query)
-    # The horizontal-gap ramp reaches |gap| * target_length; switch to
-    # 64-bit cells when that would overflow int32.
-    wide = abs(scheme.gap) * (target_length + 1) >= 2**31 - 2**20
-    cell_dtype = np.int64 if wide else np.int32
-    col_best = np.zeros(target_length, dtype=cell_dtype)
-    if not rows.shape[0] or not target_length:
-        return col_best
+    return (
+        columns >= BOUNDED_CLOSURE_MIN_COLUMNS
+        or abs(scheme.gap) * (columns + 1) >= _RAMP_LIMIT
+    )
 
-    gap = cell_dtype(scheme.gap)
-    gap_ramp = scheme.gap * np.arange(target_length, dtype=cell_dtype)
-    previous = np.zeros(target_length + 1, dtype=cell_dtype)
-    candidate = np.empty(target_length, dtype=cell_dtype)
-    chain = np.empty(target_length, dtype=cell_dtype)
+
+def scan_profile(
+    target: np.ndarray, scheme: ScoringScheme, max_query_length: int
+) -> np.ndarray:
+    """The score profile the kernel scans ``target`` with.
+
+    Below the crossover this is ``scheme.target_profile(target)``.  For
+    bounded doubling the cells are int16 when every value the closure
+    computes fits (``2*max_score + 2 < 2**15``), else int32, and the
+    sentinel score is clamped to ``-(max_score + 1)``: enough to drive
+    any diagonal move through a sentinel below the zero clamp.
+
+    The profile serves queries of at most ``max_query_length`` bases.
+    """
+    target = np.asarray(target)
+    if not _bounded_closure(target.shape[0], scheme):
+        return scheme.target_profile(target)
+    max_score = scheme.max_alignment_score(max_query_length)
+    narrow = (
+        2 * max_score + 2 < 2**15
+        and min(scheme.mismatch, scheme.gap) > -(2**15)
+    )
+    return scheme.target_profile(
+        target,
+        sentinel_score=-(max_score + 1),
+        dtype=np.int16 if narrow else np.int32,
+    )
+
+
+def _prefix_max_scores(
+    rows: np.ndarray, profile: np.ndarray, gap: int
+) -> np.ndarray:
+    """Column-best scores, each row closed by a running prefix maximum."""
+    target_length = profile.shape[1]
+    col_best = np.zeros(target_length, dtype=np.int32)
+    gap = np.int32(gap)
+    gap_ramp = gap * np.arange(target_length, dtype=np.int32)
+    previous = np.zeros(target_length + 1, dtype=np.int32)
+    candidate = np.empty(target_length, dtype=np.int32)
+    chain = np.empty(target_length, dtype=np.int32)
     for row in rows:
         scores = profile[row]
         np.add(previous[:-1], scores, out=candidate)
@@ -93,12 +145,87 @@ def column_best_scores(
     return col_best
 
 
+def _bounded_doubling_scores(
+    rows: np.ndarray, profile: np.ndarray, gap: int, reach: int
+) -> np.ndarray:
+    """Column-best scores, each row closed by ``reach.bit_length()``
+    max-plus doubling steps, in the profile's cell type."""
+    target_length = profile.shape[1]
+    cell = profile.dtype.type
+    shifts = [
+        1 << step
+        for step in range(reach.bit_length())
+        if 1 << step < target_length
+    ]
+    # Two row buffers, swapped per row; column 0 is H[i][-1] = 0.  All
+    # slices are taken once here: per-call view creation would cost as
+    # much as the arithmetic on images near the crossover.
+    scratch = np.empty(target_length, dtype=cell)
+    plans = []
+    for buffer in (
+        np.zeros(target_length + 1, dtype=cell),
+        np.zeros(target_length + 1, dtype=cell),
+    ):
+        cells = buffer[1:]
+        steps = [
+            (cells[:-shift], cell(shift * gap), scratch[:-shift], cells[shift:])
+            for shift in shifts
+        ]
+        plans.append((buffer[:-1], cells, steps))
+    gap = cell(gap)
+    zero = cell(0)
+    col_best = np.zeros(target_length, dtype=cell)
+    previous, current = plans
+    for row in rows:
+        diagonal_in, vertical_in, _ = previous
+        _, cells, steps = current
+        np.add(diagonal_in, profile[row], out=cells)
+        np.add(vertical_in, gap, out=scratch)
+        np.maximum(cells, scratch, out=cells)
+        np.maximum(cells, zero, out=cells)
+        for head, cost, shifted, tail in steps:
+            # Read every head before any tail is raised: ``shifted`` is
+            # a copy, so each step extends chains by exactly ``shift``.
+            np.add(head, cost, out=shifted)
+            np.maximum(tail, shifted, out=tail)
+        np.maximum(col_best, cells, out=col_best)
+        previous, current = current, previous
+    return col_best
+
+
+def column_best_scores(
+    query: np.ndarray, profile: np.ndarray, scheme: ScoringScheme
+) -> np.ndarray:
+    """Best Smith-Waterman cell in every target column.
+
+    Args:
+        query: coded query (no sentinels).
+        profile: target profile from ``ScoringScheme.target_profile``,
+            or from :func:`scan_profile` built for queries at least as
+            long as this one.
+        scheme: the same scheme the profile was built with.
+
+    Returns:
+        ``col_best`` (int32) with ``col_best[j] = max_i H[i, j]``.
+    """
+    target_length = profile.shape[1]
+    rows = _query_rows(query)
+    if not rows.shape[0] or not target_length:
+        return np.zeros(target_length, dtype=np.int32)
+    if not _bounded_closure(target_length, scheme):
+        return _prefix_max_scores(rows, profile, scheme.gap)
+    reach = scheme.max_alignment_score(rows.shape[0]) // abs(scheme.gap)
+    col_best = _bounded_doubling_scores(rows, profile, scheme.gap, reach)
+    return col_best.astype(np.int32, copy=False)
+
+
 def best_local_score(
     query: np.ndarray, target: np.ndarray, scheme: ScoringScheme
 ) -> int:
     """Best local-alignment score between two coded sequences."""
-    profile = scheme.target_profile(np.asarray(target))
-    col_best = column_best_scores(np.asarray(query), profile, scheme)
+    query = np.asarray(query)
+    profile = scan_profile(target, scheme, int(query.shape[0]))
+    col_best = column_best_scores(query, profile, scheme)
     return int(col_best.max(initial=0))
 
 
@@ -155,10 +282,11 @@ class TargetImage:
         return cls(np.concatenate(pieces), starts, lengths, max_query_length)
 
     def profile_for(self, scheme: ScoringScheme) -> np.ndarray:
-        """The (cached) score profile of the concatenated target."""
+        """The (cached) score profile of the concatenated target: the
+        :func:`scan_profile` for queries up to ``max_query_length``."""
         profile = self._profiles.get(scheme)
         if profile is None:
-            profile = scheme.target_profile(self.codes)
+            profile = scan_profile(self.codes, scheme, self.max_query_length)
             self._profiles[scheme] = profile
         return profile
 

@@ -20,10 +20,18 @@ def smith_waterman_score(query, target, scheme: ScoringScheme) -> int:
     Returns:
         The maximum cell of the Smith-Waterman matrix (>= 0).
     """
+    return max(smith_waterman_column_best(query, target, scheme), default=0)
+
+
+def smith_waterman_column_best(query, target, scheme: ScoringScheme) -> list[int]:
+    """The maximum Smith-Waterman cell in each target column (linear gaps).
+
+    The spec of ``repro.align.kernel.column_best_scores``.
+    """
     query = list(int(code) for code in query)
     target = list(int(code) for code in target)
     previous = [0] * (len(target) + 1)
-    best = 0
+    best = [0] * len(target)
     for query_code in query:
         current = [0] * (len(target) + 1)
         for column in range(1, len(target) + 1):
@@ -35,8 +43,8 @@ def smith_waterman_score(query, target, scheme: ScoringScheme) -> int:
                 current[column - 1] + scheme.gap,
             )
             current[column] = value
-            if value > best:
-                best = value
+            if value > best[column - 1]:
+                best[column - 1] = value
         previous = current
     return best
 

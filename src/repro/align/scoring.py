@@ -84,27 +84,35 @@ class ScoringScheme:
             return self.transition
         return self.mismatch
 
-    def target_profile(self, target: np.ndarray) -> np.ndarray:
+    def target_profile(
+        self,
+        target: np.ndarray,
+        sentinel_score: int = SENTINEL_SCORE,
+        dtype: type = np.int32,
+    ) -> np.ndarray:
         """Per-base score rows against a target sequence.
 
-        Returns an int32 array of shape ``(NUM_BASES + 1, len(target))``:
+        Returns an array of shape ``(NUM_BASES + 1, len(target))``:
         row ``c`` (c < 4) is the score of aligning base ``c`` against
         each target position; the last row is the wildcard-query row.
-        Sentinel positions score :data:`SENTINEL_SCORE` in every row.
+        Sentinel positions score ``sentinel_score`` in every row.  The
+        profile is one gather from a ``(NUM_BASES + 1, 256)`` table
+        indexed by target code.
+
+        Args:
+            target: coded target (``uint8`` codes).
+            sentinel_score: score of any pairing with a sentinel; the
+                kernel's narrow cells pass a smaller-magnitude value.
+            dtype: integer type of the profile.
         """
-        target = np.asarray(target)
-        profile = np.full(
-            (NUM_BASES + 1, target.shape[0]), self.mismatch, dtype=np.int32
-        )
-        concrete = target < WILDCARD_MIN_CODE
-        if self.transition is not None:
-            for code in range(NUM_BASES):
-                partner = code ^ 2  # the other base of the same parity
-                profile[code, concrete & (target == partner)] = self.transition
+        table = np.full((NUM_BASES + 1, 256), self.mismatch, dtype=dtype)
         for code in range(NUM_BASES):
-            profile[code, concrete & (target == code)] = self.match
-        profile[:, target == SENTINEL_CODE] = SENTINEL_SCORE
-        return profile
+            if self.transition is not None:
+                # The other base of the same parity.
+                table[code, code ^ 2] = self.transition
+            table[code, code] = self.match
+        table[:, SENTINEL_CODE] = sentinel_score
+        return np.take(table, np.asarray(target), axis=1)
 
     def profile_row(self, profile: np.ndarray, query_code: int) -> np.ndarray:
         """The profile row for one query code (wildcards share a row)."""

@@ -25,7 +25,7 @@ from repro.instrumentation.instruments import (
     Instruments,
     coalesce,
 )
-from repro.search.results import SearchHit, SearchReport
+from repro.search.results import SearchHit, SearchReport, fine_order
 from repro.search.seeds import SeedTable, query_seed_groups
 from repro.sequences.record import Sequence
 
@@ -165,9 +165,7 @@ class BlastLikeSearcher:
                             coarse_score=float(hsp_score),
                         )
                     )
-            hits.sort(
-                key=lambda hit: (-hit.score, -hit.coarse_score, hit.ordinal)
-            )
+            hits.sort(key=fine_order)
         finished = time.perf_counter()
         instruments.count("blast.queries")
         instruments.count("blast.sequences_scanned", len(self.source))

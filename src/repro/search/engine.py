@@ -92,7 +92,7 @@ from repro.search.resilience import (
     ShardTimeout,
     ShardUnavailable,
 )
-from repro.search.results import SearchHit, SearchReport
+from repro.search.results import SearchHit, SearchReport, fine_order
 from repro.sequences.alphabet import reverse_complement
 from repro.sequences.record import Sequence
 
@@ -653,7 +653,7 @@ class PartitionedSearchEngine:
                 break
             chunk = candidates[start : start + DEADLINE_FINE_CHUNK]
             hits.extend(self._align_with_policy(shard, codes, chunk))
-        hits.sort(key=_fine_order)
+        hits.sort(key=fine_order)
         return hits
 
     def _align_with_policy(
@@ -1010,7 +1010,7 @@ class PartitionedSearchEngine:
                     ]
                 hits.extend(shard_hits)
             if len(ranked) > 1:
-                hits.sort(key=_fine_order)
+                hits.sort(key=fine_order)
         fine_done = time.perf_counter()
         return (
             hits,
@@ -1293,12 +1293,6 @@ class PartitionedSearchEngine:
         return reports
 
 
-def _fine_order(hit: SearchHit) -> tuple:
-    """The fine ranking's sort key: best score first, ties by coarse
-    score then ordinal."""
-    return (-hit.score, -hit.coarse_score, hit.ordinal)
-
-
 def _merge_strand_hits(
     forward: list[SearchHit], reverse: list[SearchHit]
 ) -> list[SearchHit]:
@@ -1312,4 +1306,4 @@ def _merge_strand_hits(
             # replace() keeps every field (present and future) intact;
             # rebuilding field-by-field silently dropped new ones.
             best[hit.ordinal] = replace(hit, strand="-")
-    return sorted(best.values(), key=_fine_order)
+    return sorted(best.values(), key=fine_order)

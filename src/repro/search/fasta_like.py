@@ -25,7 +25,7 @@ from repro.instrumentation.instruments import (
     Instruments,
     coalesce,
 )
-from repro.search.results import SearchHit, SearchReport
+from repro.search.results import SearchHit, SearchReport, fine_order
 from repro.search.seeds import SeedTable, query_seed_groups
 from repro.sequences.record import Sequence
 
@@ -149,9 +149,7 @@ class FastaLikeSearcher:
                                 coarse_score=float(init1[ordinal]),
                             )
                         )
-            hits.sort(
-                key=lambda hit: (-hit.score, -hit.coarse_score, hit.ordinal)
-            )
+            hits.sort(key=fine_order)
         finished = time.perf_counter()
         instruments.count("fasta.queries")
         instruments.count("fasta.sequences_scanned", len(self.source))

@@ -14,7 +14,7 @@ import numpy as np
 from repro.align.kernel import TargetImage, segment_best_scores
 from repro.align.scoring import ScoringScheme
 from repro.index.store import SequenceSource
-from repro.search.results import CoarseCandidate, SearchHit
+from repro.search.results import CoarseCandidate, SearchHit, hits_from_scores
 
 
 class FineSearcher:
@@ -49,15 +49,4 @@ class FineSearcher:
             codes, self.scheme, max_query_length=int(query_codes.shape[0])
         )
         scores = segment_best_scores(query_codes, image, self.scheme)
-        hits = [
-            SearchHit(
-                ordinal=candidate.ordinal,
-                identifier=self.source.identifier(candidate.ordinal),
-                score=int(score),
-                coarse_score=candidate.coarse_score,
-            )
-            for candidate, score in zip(candidates, scores)
-            if int(score) >= min_score
-        ]
-        hits.sort(key=lambda hit: (-hit.score, -hit.coarse_score, hit.ordinal))
-        return hits
+        return hits_from_scores(self.source, candidates, scores, min_score)

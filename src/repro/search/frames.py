@@ -40,7 +40,7 @@ from repro.search.deadline import (
     DeadlineIndexView,
     ensure_deadline,
 )
-from repro.search.results import SearchHit
+from repro.search.results import SearchHit, hits_from_scores
 
 
 @dataclass(frozen=True)
@@ -223,15 +223,4 @@ class FrameFineSearcher:
             frames, self.scheme, max_query_length=int(query_codes.shape[0])
         )
         scores = segment_best_scores(query_codes, image, self.scheme)
-        hits = [
-            SearchHit(
-                ordinal=candidate.ordinal,
-                identifier=self.source.identifier(candidate.ordinal),
-                score=int(score),
-                coarse_score=candidate.coarse_score,
-            )
-            for candidate, score in zip(candidates, scores)
-            if int(score) >= min_score
-        ]
-        hits.sort(key=lambda hit: (-hit.score, -hit.coarse_score, hit.ordinal))
-        return hits
+        return hits_from_scores(self.source, candidates, scores, min_score)

@@ -1,8 +1,12 @@
-"""Result types shared by every search engine."""
+"""Result types shared by every search engine, and the fine ranking."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from repro.index.store import SequenceSource
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,38 @@ class SearchHit:
     #: Expected chance alignments at this score over the collection;
     #: ``None`` unless the engine was given Gumbel parameters.
     evalue: float | None = None
+
+
+def fine_order(hit: SearchHit) -> tuple:
+    """The fine ranking's sort key: best score first, ties by coarse
+    score then ordinal, so rankings are deterministic."""
+    return (-hit.score, -hit.coarse_score, hit.ordinal)
+
+
+def hits_from_scores(
+    source: SequenceSource,
+    candidates: Iterable,
+    scores: Iterable,
+    min_score: int,
+) -> list[SearchHit]:
+    """Rank aligned candidates: one hit per candidate scoring at least
+    ``min_score``, sorted by :func:`fine_order`.
+
+    ``candidates`` are anything with ``ordinal`` and ``coarse_score``,
+    ``scores`` their fine scores in the same order.
+    """
+    hits = [
+        SearchHit(
+            ordinal=candidate.ordinal,
+            identifier=source.identifier(candidate.ordinal),
+            score=int(score),
+            coarse_score=candidate.coarse_score,
+        )
+        for candidate, score in zip(candidates, scores)
+        if int(score) >= min_score
+    ]
+    hits.sort(key=fine_order)
+    return hits
 
 
 @dataclass(frozen=True)

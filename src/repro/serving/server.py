@@ -356,6 +356,10 @@ class SearchServer:
             # Keep-alive needs correct Content-Length framing, which
             # _respond always provides.
             protocol_version = "HTTP/1.1"
+            # Headers and payload go out as two writes; with Nagle on,
+            # the second waits for the client's delayed ACK of the
+            # first (40-50 ms per keep-alive request).  TCP_NODELAY.
+            disable_nagle_algorithm = True
 
             def _respond(self) -> None:
                 length = int(self.headers.get("Content-Length") or 0)

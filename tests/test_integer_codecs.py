@@ -34,6 +34,17 @@ LOG_COST_CODECS = [
     FixedWidthCodec(40),
 ]
 ALL_CODECS = UNARY_QUOTIENT_CODECS + LOG_COST_CODECS
+# Fixed case labels, one per entry of ALL_CODECS, so every case keeps the
+# same test name from run to run. The numeric suffixes are arbitrary.
+LOG_COST_IDS = ["gamma-90", "delta-65", "vbyte-32", "fixed-75"]
+ALL_CODEC_IDS = [
+    "golomb-21",
+    "golomb-30",
+    "golomb-42",
+    "golomb-96",
+    "rice-91",
+    "rice-9",
+] + LOG_COST_IDS
 
 large_values = st.lists(st.integers(min_value=0, max_value=2**32), max_size=80)
 
@@ -57,9 +68,7 @@ class TestUnaryQuotientCodecs:
         assert codec.decode_array(encoded, len(values)) == values
 
 
-@pytest.mark.parametrize(
-    "codec", LOG_COST_CODECS, ids=lambda c: f"{c.name}-{id(c) % 97}"
-)
+@pytest.mark.parametrize("codec", LOG_COST_CODECS, ids=LOG_COST_IDS)
 class TestLogCostCodecs:
     @given(values=large_values)
     def test_roundtrip(self, codec, values):
@@ -67,7 +76,7 @@ class TestLogCostCodecs:
         assert codec.decode_array(data, len(values)) == values
 
 
-@pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: f"{c.name}-{id(c) % 97}")
+@pytest.mark.parametrize("codec", ALL_CODECS, ids=ALL_CODEC_IDS)
 class TestAllCodecs:
     def test_rejects_negative(self, codec):
         with pytest.raises(CodecValueError):

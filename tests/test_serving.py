@@ -315,6 +315,24 @@ class TestHTTPShell:
             finally:
                 connection.close()
 
+    def test_keep_alive_requests_do_not_stall(self, engine):
+        # Response headers and payload are two writes; with Nagle on,
+        # each back-to-back keep-alive request waited ~40 ms for the
+        # client's delayed ACK.
+        with SearchServer(engine, ServerConfig(port=0)) as server:
+            connection = HTTPConnection(server.host, server.port, timeout=10)
+            try:
+                started = time.perf_counter()
+                for _ in range(20):
+                    connection.request("GET", "/health")
+                    response = connection.getresponse()
+                    response.read()
+                    assert response.status == 200
+                elapsed = time.perf_counter() - started
+            finally:
+                connection.close()
+        assert elapsed < 0.3, f"20 keep-alive requests took {elapsed:.3f} s"
+
     def test_double_start_raises(self, engine):
         server = SearchServer(engine, ServerConfig(port=0))
         server.start()
