@@ -1,4 +1,4 @@
-"""The search service layer: a resilient HTTP/JSON server + load harness.
+"""The search service layer: a resilient HTTP/JSON server.
 
 Everything below ``repro.serving`` treats the engines as backends:
 
@@ -6,27 +6,18 @@ Everything below ``repro.serving`` treats the engines as backends:
   control (max in-flight, bounded wait queue, load shedding);
 * :mod:`repro.serving.server` — a long-lived threaded HTTP server over
   a :class:`~repro.database.Database` or engine, with per-request
-  deadlines, degraded-shard annotations, and Prometheus metrics;
-* :mod:`repro.serving.loadgen` — closed/open-loop load generation
-  emitting latency percentiles and shed/degraded counts as a
-  ``repro.bench/v1`` document.
+  deadlines, degraded-shard annotations, and Prometheus metrics.
 
-See ``docs/SERVING.md`` for the endpoint and response contracts.
+Load is driven from outside the package: ``e2e_bench/serve_http.py``
+runs the open-loop soak the benchmark gates on.  See
+``docs/SERVING.md`` for the endpoint and response contracts.
 """
 
 from repro.serving.admission import AdmissionController
-from repro.serving.loadgen import (
-    LoadgenResult,
-    run_loadgen,
-    run_serving_benchmark,
-)
 from repro.serving.server import SearchServer, ServerConfig
 
 __all__ = [
     "AdmissionController",
-    "LoadgenResult",
     "SearchServer",
     "ServerConfig",
-    "run_loadgen",
-    "run_serving_benchmark",
 ]

@@ -677,22 +677,3 @@ class TestOracleRecallMetric:
             oracle_recall_at([1], [1], 0)
         with pytest.raises(ReproError, match="oracle supplied"):
             oracle_recall_at([1, 1, 1], [1, 1], 3)
-
-
-class TestBackendsBench:
-    def test_document_shape(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        from repro.bench.runner import run_backends_bench
-
-        document = run_backends_bench(num_queries=2, seed=5)
-        names = set(document.metrics)
-        for corpus in ("e3", "repetitive"):
-            for backend in ("inverted", "signature"):
-                assert f"backends.{corpus}.{backend}.recall" in names
-                assert f"backends.{corpus}.{backend}.coarse_bytes" in names
-            assert f"backends.{corpus}.size_ratio" in names
-            assert f"backends.{corpus}.signature_smaller" in names
-        assert document.value("backends.e3.inverted.recall") == 1.0
-        assert document.value("backends.e3.signature_smaller") == 1.0
-        assert document.value("backends.e3.size_ratio") < 1.0
-        assert document.meta["coarse_backend"] == "inverted+signature"

@@ -189,72 +189,3 @@ class TestServingCommands:
         assert args.max_in_flight == 4
         assert args.shard_attempts == 3
         assert args.handler is not None
-
-    def test_loadgen_parser_defaults(self):
-        args = build_parser().parse_args(["loadgen"])
-        assert args.shards == 3
-        assert args.fault_shard is None
-        assert args.mode == "closed"
-        assert not args.fail_on_5xx
-        assert args.handler is not None
-
-    def test_loadgen_url_mode_requires_queries(self, capsys):
-        status = main(["loadgen", "--url", "http://127.0.0.1:1"])
-        assert status != 0
-        assert "queries" in capsys.readouterr().err.lower()
-
-    def test_loadgen_self_contained_benchmark(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_serving.json"
-        status = main(
-            [
-                "loadgen",
-                "--shards", "3",
-                "--fault-shard", "1",
-                "--clients", "2",
-                "--duration", "0.5",
-                "--deadline-ms", "400",
-                "--fail-on-5xx",
-                "--expect-degraded",
-                "-o", str(output),
-            ]
-        )
-        assert status == 0
-        assert output.exists()
-        import json as _json
-
-        document = _json.loads(output.read_text())
-        assert document["suite"] == "serving"
-        assert document["metrics"]["serving.server_errors"]["value"] == 0
-        out = capsys.readouterr().out
-        assert "requests" in out
-
-
-class TestBenchCompareWarnings:
-    def test_compare_warns_on_one_sided_metrics(self, tmp_path, capsys):
-        import json as _json
-
-        def write_document(path, metrics):
-            _json.dump(
-                {
-                    "schema": "repro.bench/v1",
-                    "suite": "t",
-                    "meta": {},
-                    "metrics": {
-                        name: {"value": value, "unit": "", "direction": "lower"}
-                        for name, value in metrics.items()
-                    },
-                },
-                path.open("w"),
-            )
-
-        baseline = tmp_path / "base.json"
-        current = tmp_path / "cur.json"
-        write_document(baseline, {"kept_ms": 10.0, "gone_ms": 5.0})
-        write_document(current, {"kept_ms": 10.0, "new_ms": 7.0})
-        status = main(
-            ["bench", "--compare", str(baseline), str(current)]
-        )
-        assert status == 0
-        err = capsys.readouterr().err
-        assert "gone_ms" in err and "dropped or renamed" in err
-        assert "new_ms" in err and "not the baseline" in err

@@ -628,23 +628,3 @@ class TestCliLifecycle:
         with Database.open(db) as database:
             assert len(database) == 17
             assert database.generation == 3
-
-
-class TestBenchSuite:
-    def test_lsm_suite_shape_and_parity(self):
-        from repro.bench import run_lsm_bench
-
-        document = run_lsm_bench(num_sequences=48, num_queries=2)
-        data = document.to_dict()
-        assert data["suite"] == "lsm"
-        metrics = data["metrics"]
-        for name in (
-            "lsm.ingest_ms",
-            "lsm.delta_search_ms",
-            "lsm.compact_ms",
-            "lsm.compacted_search_ms",
-            "lsm.parity",
-        ):
-            assert name in metrics
-        assert metrics["lsm.parity"]["value"] == 1.0
-        assert metrics["lsm.parity"]["direction"] == "higher"

@@ -1,5 +1,5 @@
 """Serving layer: admission control, the transport-free request core,
-the HTTP shell, the load generator, and the fault-injected soak.
+the HTTP shell, and the fault-injected soak.
 
 The soak is the PR's acceptance criterion in miniature: with one
 shard's posting blob zeroed, every request must still complete without
@@ -23,14 +23,7 @@ from repro.instrumentation.instruments import Instruments
 from repro.search.engine import PartitionedSearchEngine
 from repro.search.resilience import RetryPolicy, ShardResilience
 from repro.sequences.record import Sequence
-from repro.serving import (
-    AdmissionController,
-    LoadgenResult,
-    SearchServer,
-    ServerConfig,
-    run_loadgen,
-    run_serving_benchmark,
-)
+from repro.serving import AdmissionController, SearchServer, ServerConfig
 
 PARAMS = IndexParameters(interval_length=6)
 
@@ -344,64 +337,6 @@ class TestHTTPShell:
         server.stop()  # idempotent
 
 
-class TestLoadgenResult:
-    def test_percentiles_and_merge(self):
-        a = LoadgenResult(mode="closed", clients=1, duration_seconds=1.0)
-        b = LoadgenResult(mode="closed", clients=1, duration_seconds=1.0)
-        for latency in (10.0, 20.0, 30.0):
-            a.merge_exchange(200, latency, {"partial": False})
-        b.merge_exchange(429, 1.0, None)
-        b.merge_exchange(
-            200, 40.0,
-            {"partial": True, "deadline_expired": True,
-             "shards_degraded": [1]},
-        )
-        a.merge(b)
-        a.clients = 2
-        assert a.requests == 5
-        assert a.ok == 4
-        assert a.shed == 1
-        assert a.partial == 1
-        assert a.deadline_expired == 1
-        assert a.degraded == 1
-        assert a.server_errors == 0
-        # Latencies merged: [10, 20, 30, 1, 40].
-        assert a.percentile_ms(50) == pytest.approx(20.0)
-        assert a.mean_ms() == pytest.approx(20.2)
-
-    def test_document_shape(self):
-        result = LoadgenResult(
-            mode="closed", clients=2, duration_seconds=1.0
-        )
-        result.merge_exchange(200, 12.0, {"partial": False})
-        document = result.to_document({"note": "unit"})
-        metrics = document.metrics
-        assert metrics["serving.p99_ms"]["direction"] == "lower"
-        assert metrics["serving.throughput_qps"]["direction"] == "higher"
-        assert metrics["serving.server_errors"]["direction"] == "lower"
-        assert metrics["serving.requests"]["direction"] == "info"
-        assert document.meta["note"] == "unit"
-
-    def test_dead_server_document_omits_latency_metrics(self):
-        # Zero completed requests: percentile-of-nothing must not be
-        # exported as 0.0ms (a gated lower-is-better metric that can
-        # only ever "improve"), so the latency metrics are absent and
-        # the honest zero lands on throughput instead.
-        result = LoadgenResult(
-            mode="closed", clients=4, duration_seconds=2.0
-        )
-        document = result.to_document()
-        for name in (
-            "serving.p50_ms",
-            "serving.p90_ms",
-            "serving.p99_ms",
-            "serving.mean_ms",
-        ):
-            assert name not in document.metrics
-        assert document.metrics["serving.throughput_qps"]["value"] == 0.0
-        assert document.metrics["serving.requests"]["value"] == 0.0
-
-
 def _sharded_with_fault(records, tmp_path, fault_shard=1, shards=3):
     """Disk shards (three by default), one with its posting blob zeroed."""
     pairs = []
@@ -496,52 +431,58 @@ class TestFaultInjectedSoak:
             for index in indexes:
                 index.close()
 
-    def test_run_loadgen_against_faulty_server(self, records, tmp_path):
+    def test_concurrent_keep_alive_clients_over_sockets(
+        self, records, tmp_path
+    ):
+        """The soak over real sockets: three clients, each on one
+        keep-alive connection, hit the faulty server concurrently."""
         engine, indexes = _sharded_with_fault(records, tmp_path)
-        server = SearchServer(engine, ServerConfig())
+        body = _body(_query_text(records), top_k=3)
+        clients, requests_each = 3, 10
+        start = threading.Barrier(clients, timeout=10)
+        responses = []
+        errors = []
+
+        def client(host, port):
+            connection = HTTPConnection(host, port, timeout=10)
+            try:
+                start.wait()
+                for _ in range(requests_each):
+                    connection.request(
+                        "POST", "/search", body,
+                        {"Content-Type": "application/json"},
+                    )
+                    response = connection.getresponse()
+                    payload = json.loads(response.read())
+                    responses.append((response.status, payload))
+            except Exception as exc:  # transport failures are asserted below
+                errors.append(exc)
+            finally:
+                connection.close()
+
         try:
-            with server:
-                result = run_loadgen(
-                    server.url,
-                    [_query_text(records)],
-                    clients=3,
-                    duration_seconds=0.6,
-                    mode="closed",
-                    top_k=3,
-                )
-            assert result.requests > 0
-            assert result.server_errors == 0
-            assert result.transport_errors == 0
-            assert result.degraded == result.ok
-            assert result.throughput_qps > 0
+            with SearchServer(engine, ServerConfig()) as server:
+                threads = [
+                    threading.Thread(
+                        target=client, args=(server.host, server.port)
+                    )
+                    for _ in range(clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert len(responses) == clients * requests_each
+            assert all(status < 500 for status, _ in responses)
+            ok = [payload for status, payload in responses if status == 200]
+            assert ok
+            for payload in ok:
+                assert payload["shards_degraded"] == [1]
+                assert payload["partial"] is True
+            assert engine.breaker_states()[1] == "open"
         finally:
             engine.close()
             for index in indexes:
                 index.close()
-
-
-def test_run_serving_benchmark_end_to_end(tmp_path):
-    result, document = run_serving_benchmark(
-        shards=3,
-        fault_shard=1,
-        clients=2,
-        duration_seconds=0.5,
-        deadline_ms=400.0,
-        num_background=12,
-        mean_length=240,
-        root=tmp_path,
-    )
-    assert result.server_errors == 0
-    assert result.degraded > 0
-    assert document.meta["fault_shard"] == 1
-    assert document.meta["breakers"]["1"] == "open"
-    assert document.metrics["serving.server_errors"]["value"] == 0
-
-
-def test_run_loadgen_validates_arguments():
-    with pytest.raises(SearchError):
-        run_loadgen("http://localhost:1", [], clients=1)
-    with pytest.raises(SearchError):
-        run_loadgen("http://localhost:1", ["ACGT"], mode="sideways")
-    with pytest.raises(SearchError):
-        run_loadgen("http://localhost:1", ["ACGT"], mode="open", rate=None)
