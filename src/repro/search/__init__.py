@@ -27,11 +27,7 @@ from repro.search.engine import FINE_MODES, PartitionedSearchEngine
 from repro.search.exhaustive import ExhaustiveSearcher
 from repro.search.fasta_like import FastaLikeSearcher
 from repro.search.fine import FineSearcher
-from repro.search.frames import (
-    FrameCandidate,
-    FrameFineSearcher,
-    FrameRanker,
-)
+from repro.search.frames import FrameCandidate, FrameRanker
 from repro.search.results import (
     CoarseCandidate,
     SearchHit,
@@ -55,7 +51,6 @@ __all__ = [
     "FastaLikeSearcher",
     "FineSearcher",
     "FrameCandidate",
-    "FrameFineSearcher",
     "FrameRanker",
     "IdfScorer",
     "NormalisedScorer",

@@ -33,15 +33,19 @@ the one-shard spelling):
 2. **merge** — per-shard candidates are merged on the global ordering
    (coarse score desc, global ordinal asc) and cut at ``coarse_cutoff``:
    any sequence in the global top-``C`` is in its shard's top-``C``;
-3. **fine + re-rank** — each shard aligns its share of the selection,
-   hits shift to global ordinals and merge on the fine ordering (score
-   desc, coarse score desc, ordinal asc).
+3. **fetch, scan once, rank** — each contributing shard fetches its
+   share of the selection under its own breaker (a failed fetch drops
+   only that shard); one image over every fetched target, in merged
+   order, is scanned once; hits carry logical ordinals and sort once
+   on the fine ordering (score desc, coarse score desc, ordinal asc).
+   Sentinel runs make each segment's score independent of its
+   neighbours, so one image scores exactly what per-shard images would.
 
 The answer is hit-for-hit identical at every N — the invariant
-``tests/test_sharding.py`` pins down.  One shard pays no ordinal shift
-and no merge sort.  The ``idf`` and ``normalised`` scorers weight
-evidence by collection-wide statistics that a shard-local index gets
-wrong, so they are accepted only when one shard *is* the collection.
+``tests/test_sharding.py`` pins down.  The ``idf`` and ``normalised``
+scorers weight evidence by collection-wide statistics that a
+shard-local index gets wrong, so they are accepted only when one shard
+*is* the collection.
 
 **Tombstones** (the live/LSM layer): a sorted list of deleted *stored*
 ordinals.  Deleted sequences still sit in their shard's index, so
@@ -66,6 +70,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field, replace
+from functools import partial
 from threading import Lock, current_thread
 from typing import Callable, Iterator, Sequence as TypingSequence
 
@@ -84,15 +89,20 @@ from repro.instrumentation.instruments import (
 )
 from repro.search.coarse import CoarseRanker, CoarseScorer
 from repro.search.deadline import Deadline, ensure_deadline
-from repro.search.fine import FineSearcher
-from repro.search.frames import FrameFineSearcher, FrameRanker
+from repro.search.fine import fetch_targets, scan_targets
+from repro.search.frames import FrameRanker
 from repro.search.resilience import (
     CircuitBreaker,
     ShardResilience,
     ShardTimeout,
     ShardUnavailable,
 )
-from repro.search.results import SearchHit, SearchReport, fine_order
+from repro.search.results import (
+    SearchHit,
+    SearchReport,
+    fine_order,
+    hits_from_scores,
+)
 from repro.sequences.alphabet import reverse_complement
 from repro.sequences.record import Sequence
 
@@ -113,10 +123,10 @@ SHARDABLE_COARSE_SCORERS = ("count", "diagonal")
 #: its breaker rather than aborting the fan-out.
 SHARD_FAILURE_EXCEPTIONS = (StorageError, OSError, ShardTimeout)
 
-#: Candidates aligned per fine-phase batch when a bounded deadline is
-#: in force.  The fine kernel is vectorised over its whole candidate
-#: list, so deadline checks can only happen *between* batches: small
-#: enough to bound overshoot, large enough to keep the kernel efficient.
+#: Merged candidates per fine-phase image when a bounded deadline is in
+#: force.  The kernel scans a whole image at once, so deadline checks
+#: can only happen *between* images: small enough to bound overshoot,
+#: large enough to keep the kernel efficient.
 DEADLINE_FINE_CHUNK = 32
 
 _LOG = logging.getLogger(__name__)
@@ -285,8 +295,8 @@ class _Shard:
     index: IndexReader
     #: Coarse or frame ranker: ``rank(codes, cutoff, deadline=)``.
     ranker: object
-    #: The fine searcher's ``align(codes, candidates, min_score=)``.
-    align: Callable
+    #: The shard's records, fetched by the fine phase.
+    source: SequenceSource
     quarantine: QuarantiningIndexReader | None
     breaker: CircuitBreaker | None
     quarantined_sequences: set[int] = field(default_factory=set)
@@ -499,7 +509,7 @@ class PartitionedSearchEngine:
         # Lazily created: only queries under a per-shard attempt timeout
         # need the executor (the future's result() carries the budget).
         self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = Lock()
+        self._lock = Lock()  # the executor and the quarantine sets
         self.options_digest = options_digest(
             {
                 "engine": "partitioned",
@@ -544,24 +554,21 @@ class PartitionedSearchEngine:
                     f"inverted coarse backend; this index uses {backend!r}"
                 )
             ranker = FrameRanker(index)
-            align = FrameFineSearcher(source, self.scheme).align_frames
+        elif backend == "inverted":
+            ranker = CoarseRanker(index, coarse_scorer)
         else:
-            if backend == "inverted":
-                ranker = CoarseRanker(index, coarse_scorer)
-            else:
-                from repro.coarse_backends import get_backend
+            from repro.coarse_backends import get_backend
 
-                ranker = get_backend(backend).make_ranker(
-                    index, coarse_scorer, on_corruption=self.on_corruption
-                )
-            align = FineSearcher(source, self.scheme).align_candidates
+            ranker = get_backend(backend).make_ranker(
+                index, coarse_scorer, on_corruption=self.on_corruption
+            )
         breaker = (
             self.resilience.make_breaker()
             if self.resilience is not None
             else None
         )
         return _Shard(
-            slot, base, dead, index, ranker, align, quarantine, breaker
+            slot, base, dead, index, ranker, source, quarantine, breaker
         )
 
     @property
@@ -620,79 +627,12 @@ class PartitionedSearchEngine:
         Safe to call more than once, and a closed engine recreates the
         executor on demand if searched again.
         """
-        with self._pool_lock:
+        with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
 
     # -- one shard's phases ------------------------------------------------
-
-    def _align_shard(
-        self,
-        shard: _Shard,
-        codes: np.ndarray,
-        candidates: list,
-        deadline: Deadline | None,
-    ) -> list[SearchHit]:
-        """Align one shard's candidates, best first (local ordinals).
-
-        Under a bounded ``deadline`` candidates are aligned in batches
-        of :data:`DEADLINE_FINE_CHUNK`; once the deadline expires the
-        remaining batches are dropped and the hits already scored are
-        returned (re-ranked), so a partial fine phase still yields a
-        correctly ordered prefix of the work done.
-        """
-        deadline = ensure_deadline(deadline)
-        if not deadline.bounded or len(candidates) <= DEADLINE_FINE_CHUNK:
-            if deadline.expired():
-                return []
-            return self._align_with_policy(shard, codes, candidates)
-        hits: list[SearchHit] = []
-        for start in range(0, len(candidates), DEADLINE_FINE_CHUNK):
-            if deadline.expired():
-                break
-            chunk = candidates[start : start + DEADLINE_FINE_CHUNK]
-            hits.extend(self._align_with_policy(shard, codes, chunk))
-        hits.sort(key=fine_order)
-        return hits
-
-    def _align_with_policy(
-        self, shard: _Shard, codes: np.ndarray, candidates: list
-    ) -> list[SearchHit]:
-        """Run the fine aligner, quarantining corrupt candidate records.
-
-        Under ``"skip"`` a candidate whose store record fails its
-        checksum is dropped (logged and counted) and the alignment
-        retried without it; the other policies propagate.
-        """
-        quarantined = shard.quarantined_sequences
-        candidates = [
-            candidate
-            for candidate in candidates
-            if candidate.ordinal not in quarantined
-        ]
-        while True:
-            try:
-                return shard.align(
-                    codes, candidates, min_score=self.min_fine_score
-                )
-            except CorruptionError as exc:
-                ordinal = exc.ordinal
-                if self.on_corruption != "skip" or ordinal is None:
-                    raise
-                if ordinal not in quarantined:
-                    _LOG.warning(
-                        "quarantining corrupt sequence record %d of shard "
-                        "%d: %s",
-                        ordinal, shard.slot, exc,
-                    )
-                    quarantined.add(ordinal)
-                    self.instruments.count("store.quarantined_sequences")
-                candidates = [
-                    candidate
-                    for candidate in candidates
-                    if candidate.ordinal != ordinal
-                ]
 
     def _only_shard(self) -> _Shard:
         if len(self._shards) != 1:
@@ -738,21 +678,26 @@ class PartitionedSearchEngine:
         candidates; hits keep the shard's stored ordinals.
 
         ``candidates`` must be the type :meth:`coarse_rank` produces
-        for this engine's fine mode.  The corruption policy applies
-        (corrupt store records are quarantined under ``"skip"``), and a
-        bounded ``deadline`` yields a correctly ordered partial result.
+        for this engine's fine mode.  This is :meth:`search`'s fine
+        stage: the corruption policy applies (corrupt store records are
+        quarantined under ``"skip"``), a resilient engine retries a
+        failing fetch under the shard's breaker, and a bounded
+        ``deadline`` yields a correctly ordered partial result.
 
         Raises:
             SearchError: if the engine spans more than one shard.
+            ShardUnavailable: a resilient engine's fetch gave up (the
+                shard would be dropped from a :meth:`search`).
         """
-        return self._align_shard(
-            self._only_shard(), codes, candidates, deadline
-        )
+        self._only_shard()
+        rows = [(-c.coarse_score, c.ordinal, 0, c) for c in candidates]
+        deadline = ensure_deadline(deadline)
+        return self._fine(codes, rows, deadline, None, elide=False)[0]
 
     # -- per-shard resilience ----------------------------------------------
 
     def _shard_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
+        with self._lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
                     max_workers=max(2, len(self._shards)),
@@ -876,27 +821,18 @@ class PartitionedSearchEngine:
         codes: np.ndarray,
         deadline: Deadline,
         degraded: set[int],
-    ) -> tuple[list[SearchHit], int, float, float, list[dict]]:
-        """(ranked hits in logical ordinals, candidates, coarse s,
-        fine s, per-shard timing/volume breakdown)."""
+        shard_detail: list[dict],
+    ) -> tuple[list[SearchHit], int, float, float]:
+        """(ranked hits in logical ordinals, candidates scanned, coarse
+        s, fine s); adds each shard's work to ``shard_detail``."""
         instruments = self.instruments
         shards = self._shards
         cutoff = self.coarse_cutoff
         started = time.perf_counter()
-        shard_detail = [
-            {
-                "shard": shard.slot,
-                "coarse_seconds": 0.0,
-                "fine_seconds": 0.0,
-                "coarse_candidates": 0,
-                "fine_candidates": 0,
-            }
-            for shard in shards
-        ]
 
-        # Fan out: every shard's coarse top-C, already in (score desc,
-        # local ordinal asc) order.
-        ranked: list[tuple[_Shard, list]] = []
+        # Fan out: every shard's coarse top-C as (-score, global
+        # ordinal, slot, candidate) rows.
+        rows: list[tuple] = []
         with instruments.span("coarse"):
             for shard in shards:
                 slot = shard.slot
@@ -922,8 +858,8 @@ class PartitionedSearchEngine:
                         span.annotate("shard", slot)
                         span.annotate("candidates", len(candidates))
                 detail = shard_detail[slot]
-                detail["coarse_seconds"] = time.perf_counter() - shard_started
-                detail["coarse_candidates"] = len(candidates)
+                detail["coarse_seconds"] += time.perf_counter() - shard_started
+                detail["coarse_candidates"] += len(candidates)
                 instruments.count(
                     f"partitioned.shard.{slot}.coarse_candidates",
                     len(candidates),
@@ -941,93 +877,156 @@ class PartitionedSearchEngine:
                             len(candidates) - len(live),
                         )
                     candidates = live[:cutoff]
-                ranked.append((shard, candidates))
+                rows += [
+                    (-candidate.coarse_score, shard.base + candidate.ordinal,
+                     slot, candidate)
+                    for candidate in candidates
+                ]
             with instruments.span("merge") as span:
-                merged_rows = sum(len(group) for _, group in ranked)
-                if len(ranked) > 1:
-                    # (-score, global ordinal) is the global coarse
-                    # ordering; ordinals are unique, so the sort never
-                    # looks past them.  Then regroup the cut by shard.
-                    rows = [
-                        (-candidate.coarse_score,
-                         shard.base + candidate.ordinal, shard.slot,
-                         candidate)
-                        for shard, group in ranked
-                        for candidate in group
-                    ]
-                    rows.sort()
-                    by_slot: dict[int, list] = {}
-                    for _, _, slot, candidate in rows[:cutoff]:
-                        by_slot.setdefault(slot, []).append(candidate)
-                    ranked = [
-                        (shards[slot], group)
-                        for slot, group in by_slot.items()
-                    ]
-                ranked = [pair for pair in ranked if pair[1]]
-                selected = sum(len(group) for _, group in ranked)
+                # (-score, global ordinal) is the global coarse ordering;
+                # ordinals are unique, so the sort never looks past them.
+                rows.sort()
+                selected = rows[:cutoff]
                 if span is not None:
-                    span.annotate("merged_rows", merged_rows)
-                    span.annotate("selected", selected)
-                    span.annotate("shards_contributing", len(ranked))
+                    contributing = {slot for _, _, slot, _ in selected}
+                    span.annotate("merged_rows", len(rows))
+                    span.annotate("selected", len(selected))
+                    span.annotate("shards_contributing", len(contributing))
         coarse_done = time.perf_counter()
-
-        # Fine: each shard aligns its share; hit ordinals become
-        # logical (base shift, tombstones elided) before the merge.
-        # Both are monotonic in the stored ordinal, so each shard's
-        # hits stay in order and one contributing shard needs no sort.
-        hits: list[SearchHit] = []
         with instruments.span("fine"):
-            for shard, candidates in ranked:
-                slot = shard.slot
-                shard_started = time.perf_counter()
-                with instruments.span(f"shard[{slot}].fine") as span:
-                    try:
-                        shard_hits = self._run_shard(
-                            shard,
-                            lambda shard=shard, candidates=candidates: (
-                                self._align_shard(
-                                    shard, codes, candidates, deadline
-                                )
-                            ),
-                            deadline,
-                        )
-                    except ShardUnavailable as exc:
-                        self._note_degraded(slot, exc, degraded)
-                        continue
-                    if span is not None:
-                        span.annotate("shard", slot)
-                        span.annotate("candidates", len(candidates))
-                        span.annotate("hits", len(shard_hits))
-                detail = shard_detail[slot]
-                detail["fine_seconds"] = time.perf_counter() - shard_started
-                detail["fine_candidates"] = len(candidates)
-                if shard.base or shard.dead:
-                    shard_hits = [
-                        replace(
-                            hit, ordinal=self._logical(shard.base + hit.ordinal)
-                        )
-                        for hit in shard_hits
-                    ]
-                hits.extend(shard_hits)
-            if len(ranked) > 1:
-                hits.sort(key=fine_order)
-        fine_done = time.perf_counter()
-        return (
-            hits,
-            selected,
-            coarse_done - started,
-            fine_done - coarse_done,
-            shard_detail,
-        )
-
-    def _logical(self, stored: int) -> int:
-        """Stored -> logical ordinal (what a rebuild over the survivors
-        would assign) of a live record."""
-        if self.tombstones.size:
-            stored -= int(
-                np.searchsorted(self.tombstones, stored, side="left")
+            hits, scanned = self._fine(
+                codes, selected, deadline, degraded, shard_detail
             )
-        return stored
+        fine_done = time.perf_counter()
+        return hits, scanned, coarse_done - started, fine_done - coarse_done
+
+    def _fine(
+        self,
+        codes: np.ndarray,
+        selected: list[tuple],
+        deadline: Deadline,
+        degraded: set[int] | None,
+        shard_detail: list[dict] | None = None,
+        elide: bool = True,
+    ) -> tuple[list[SearchHit], int]:
+        """Fetch and scan ``selected`` (merged rows: -coarse score,
+        stored ordinal, shard slot, candidate): (hits best first,
+        candidates scanned).
+
+        Hit ordinals are logical — tombstones elided unless ``elide`` is
+        false — which is monotonic in the stored ordinal, so the merged
+        order survives.  Under a bounded ``deadline`` the rows are taken
+        :data:`DEADLINE_FINE_CHUNK` at a time, one image per chunk, and
+        chunks left when it expires are dropped: a partial fine phase is
+        a correctly ordered ranking of the work done.  A shard whose
+        fetch gives up joins ``degraded``, or raises
+        :class:`ShardUnavailable` when ``degraded`` is None.
+        """
+        elided = self.tombstones if elide else self.tombstones[:0]
+        step = DEADLINE_FINE_CHUNK if deadline.bounded else len(selected)
+        hits: list[SearchHit] = []
+        scanned = 0
+        for start in range(0, len(selected), max(step, 1)):
+            if deadline.expired():
+                break
+            kept, targets = self._fetch(
+                selected[start : start + step], deadline, degraded,
+                shard_detail,
+            )
+            if not kept:
+                continue
+            with self.instruments.span("scan") as span:
+                scores, columns = scan_targets(codes, targets, self.scheme)
+                stored = np.array([row[1] for row in kept], dtype=np.int64)
+                candidates = [row[3] for row in kept]
+                found = hits_from_scores(
+                    candidates, scores.tolist(), self.min_fine_score,
+                    lambda i: self._shards[kept[i][2]].source.identifier(
+                        candidates[i].ordinal
+                    ),
+                    (stored - np.searchsorted(elided, stored)).tolist(),
+                )
+                if span is not None:
+                    span.annotate("candidates", len(kept))
+                    span.annotate("columns", columns)
+                    contributing = {slot for _, _, slot, _ in kept}
+                    span.annotate("shards_contributing", len(contributing))
+                    span.annotate("hits", len(found))
+            hits += found
+            scanned += len(kept)
+        if step < len(selected):  # each chunk is ranked; merge them
+            hits.sort(key=fine_order)
+        return hits, scanned
+
+    def _fetch(
+        self,
+        chunk: list[tuple],
+        deadline: Deadline,
+        degraded: set[int] | None,
+        shard_detail: list[dict] | None,
+    ) -> tuple[list[tuple], list[np.ndarray]]:
+        """Each contributing shard fetches its share of ``chunk`` under
+        its own breaker: (rows, targets) in chunk order, less quarantined
+        records and dropped shards."""
+        dropped = degraded or ()
+        shares: dict[int, list[int]] = {}
+        for position, (_, _, slot, candidate) in enumerate(chunk):
+            if slot not in dropped and candidate.ordinal not in (
+                self._shards[slot].quarantined_sequences
+            ):
+                shares.setdefault(slot, []).append(position)
+        targets: list[np.ndarray | None] = [None] * len(chunk)
+        for slot, positions in shares.items():
+            shard = self._shards[slot]
+            candidates = [chunk[position][3] for position in positions]
+            on_corrupt = (
+                partial(self._quarantine, shard)
+                if self.on_corruption == "skip"
+                else None
+            )
+            shard_started = time.perf_counter()
+            with self.instruments.span(f"shard[{slot}].fine") as span:
+                try:
+                    fetched = self._run_shard(
+                        shard,
+                        partial(
+                            fetch_targets, shard.source, candidates, on_corrupt
+                        ),
+                        deadline,
+                    )
+                except ShardUnavailable as exc:
+                    if degraded is None:
+                        raise
+                    self._note_degraded(slot, exc, degraded)
+                    continue
+                if span is not None:
+                    span.annotate("shard", slot)
+                    span.annotate("candidates", len(candidates))
+                    span.annotate(
+                        "bases", sum(len(t) for t in fetched if t is not None)
+                    )
+            if shard_detail is not None:
+                detail = shard_detail[slot]
+                detail["fine_seconds"] += time.perf_counter() - shard_started
+                detail["fine_candidates"] += len(candidates)
+            for position, target in zip(positions, fetched):
+                targets[position] = target
+        kept = [row for row, t in zip(chunk, targets) if t is not None]
+        return kept, [t for t in targets if t is not None]
+
+    def _quarantine(self, shard: _Shard, candidate, exc) -> None:
+        """Under ``"skip"``: drop a candidate whose store record fails its
+        checksum — logged and counted once, never fetched again."""
+        quarantined = shard.quarantined_sequences
+        with self._lock:  # concurrent queries may meet the same record
+            if candidate.ordinal in quarantined:
+                return
+            quarantined.add(candidate.ordinal)
+        _LOG.warning(
+            "quarantining corrupt sequence record %d of shard %d: %s",
+            candidate.ordinal, shard.slot, exc,
+        )
+        self.instruments.count("store.quarantined_sequences")
 
     def search(
         self,
@@ -1071,20 +1070,24 @@ class PartitionedSearchEngine:
 
         instruments = self.instruments
         degraded: set[int] = set()
+        # Per-shard timing/volume breakdown, summed over both strands.
+        shard_detail = [
+            dict(shard=shard.slot, coarse_seconds=0.0, fine_seconds=0.0,
+                 coarse_candidates=0, fine_candidates=0)
+            for shard in self._shards
+        ]
         try:
             with instruments.span("search"):
-                hits, candidates, coarse_seconds, fine_seconds, shard_detail = (
-                    self._evaluate_one_strand(codes, deadline, degraded)
+                hits, candidates, coarse_seconds, fine_seconds = (
+                    self._evaluate_one_strand(
+                        codes, deadline, degraded, shard_detail
+                    )
                 )
                 if self.both_strands and not deadline.expired():
-                    (
-                        reverse_hits,
-                        reverse_candidates,
-                        reverse_coarse,
-                        reverse_fine,
-                        reverse_detail,
-                    ) = self._evaluate_one_strand(
-                        reverse_complement(codes), deadline, degraded
+                    (reverse_hits, reverse_candidates, reverse_coarse,
+                     reverse_fine) = self._evaluate_one_strand(
+                        reverse_complement(codes), deadline, degraded,
+                        shard_detail,
                     )
                     hits = _merge_strand_hits(hits, reverse_hits)
                     # Fine-phase work is done for BOTH orientations, so
@@ -1092,10 +1095,6 @@ class PartitionedSearchEngine:
                     candidates += reverse_candidates
                     coarse_seconds += reverse_coarse
                     fine_seconds += reverse_fine
-                    for forward, reverse in zip(shard_detail, reverse_detail):
-                        for key, value in reverse.items():
-                            if key != "shard":
-                                forward[key] += value
         except CorruptionError as exc:
             if self.on_corruption != "fallback":
                 if instruments.wants_events:

@@ -11,6 +11,11 @@ The frame is a heuristic: an alignment that wanders outside it (large
 indels, a second distant match region) can score lower than the
 whole-sequence optimum.  The A4 ablation prices this against the
 speedup; for family-similarity workloads the scores agree.
+
+There is no separate frame aligner: :meth:`FrameCandidate.target`
+slices the frame out of the record, so
+:meth:`~repro.search.fine.FineSearcher.align_candidates` and the
+engine's fine stage align frames as they are given them.
 """
 
 from __future__ import annotations
@@ -19,11 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.align.kernel import TargetImage, segment_best_scores
-from repro.align.scoring import ScoringScheme
 from repro.errors import SearchError
 from repro.index.builder import IndexReader
-from repro.index.store import SequenceSource
 from repro.instrumentation.instruments import (
     NULL_INSTRUMENTS,
     Instruments,
@@ -40,7 +42,6 @@ from repro.search.deadline import (
     DeadlineIndexView,
     ensure_deadline,
 )
-from repro.search.results import SearchHit, hits_from_scores
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,11 @@ class FrameCandidate:
     @property
     def width(self) -> int:
         return self.target_end - self.target_start
+
+    def target(self, codes: np.ndarray) -> np.ndarray:
+        """What the fine phase aligns of the record's ``codes``: the
+        frame."""
+        return codes[self.target_start : self.target_end]
 
 
 class FrameRanker:
@@ -193,34 +199,3 @@ class FrameRanker:
                 )
             )
         return candidates
-
-
-class FrameFineSearcher:
-    """Aligns the query against candidate frames only."""
-
-    def __init__(
-        self, source: SequenceSource, scheme: ScoringScheme | None = None
-    ) -> None:
-        self.source = source
-        self.scheme = scheme or ScoringScheme()
-
-    def align_frames(
-        self,
-        query_codes: np.ndarray,
-        candidates: list[FrameCandidate],
-        min_score: int = 1,
-    ) -> list[SearchHit]:
-        """Score every frame and return ranked hits, best first."""
-        if not candidates or not query_codes.shape[0]:
-            return []
-        frames = [
-            self.source.codes(candidate.ordinal)[
-                candidate.target_start : candidate.target_end
-            ]
-            for candidate in candidates
-        ]
-        image = TargetImage.build(
-            frames, self.scheme, max_query_length=int(query_codes.shape[0])
-        )
-        scores = segment_best_scores(query_codes, image, self.scheme)
-        return hits_from_scores(self.source, candidates, scores, min_score)

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
-
-if TYPE_CHECKING:
-    from repro.index.store import SequenceSource
+from typing import Callable, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -15,6 +12,11 @@ class CoarseCandidate:
 
     ordinal: int
     coarse_score: float
+
+    def target(self, codes):
+        """What the fine phase aligns of the record's ``codes``: all of
+        it."""
+        return codes
 
 
 @dataclass(frozen=True)
@@ -48,25 +50,32 @@ def fine_order(hit: SearchHit) -> tuple:
 
 
 def hits_from_scores(
-    source: SequenceSource,
-    candidates: Iterable,
+    candidates: Sequence,
     scores: Iterable,
     min_score: int,
+    identifier: Callable[[int], str],
+    ordinals: Iterable[int] | None = None,
 ) -> list[SearchHit]:
     """Rank aligned candidates: one hit per candidate scoring at least
     ``min_score``, sorted by :func:`fine_order`.
 
     ``candidates`` are anything with ``ordinal`` and ``coarse_score``,
-    ``scores`` their fine scores in the same order.
+    ``scores`` their fine scores in the same order.  ``identifier(i)``
+    names the ``i``-th candidate's record, and its hit carries
+    ``ordinals[i]`` (default: the candidate's own ordinal).
     """
+    if ordinals is None:
+        ordinals = [candidate.ordinal for candidate in candidates]
     hits = [
         SearchHit(
-            ordinal=candidate.ordinal,
-            identifier=source.identifier(candidate.ordinal),
+            ordinal=ordinal,
+            identifier=identifier(i),
             score=int(score),
             coarse_score=candidate.coarse_score,
         )
-        for candidate, score in zip(candidates, scores)
+        for i, (candidate, ordinal, score) in enumerate(
+            zip(candidates, ordinals, scores)
+        )
         if int(score) >= min_score
     ]
     hits.sort(key=fine_order)
@@ -80,8 +89,10 @@ class SearchReport:
     Attributes:
         query_identifier: the query's name.
         hits: ranked answers, best first.
-        candidates_examined: sequences the fine phase aligned (equals
-            the collection size for exhaustive engines).  Under
+        candidates_examined: sequences the fine phase actually scanned
+            (equals the collection size for exhaustive engines); a
+            dropped shard's share, quarantined records and chunks a
+            deadline cut off are not counted.  Under
             both-strand search this is the total fine-phase work: the
             forward and reverse-complement candidate counts summed.
         coarse_seconds / fine_seconds: wall-clock split of the two

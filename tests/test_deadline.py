@@ -18,7 +18,8 @@ from repro.search.deadline import (
     DeadlineIndexView,
     ensure_deadline,
 )
-from repro.search.engine import PartitionedSearchEngine
+from repro.search.engine import DEADLINE_FINE_CHUNK, PartitionedSearchEngine
+from repro.search.results import fine_order
 from repro.sequences.record import Sequence
 
 
@@ -202,6 +203,55 @@ def test_mid_query_expiry_yields_prefix_partial(engine_pair):
             assert [h.ordinal for h in report.hits] == [
                 h.ordinal for h in full.hits
             ]
+
+
+class TickingSource(MemorySequenceSource):
+    """A store whose every record fetch advances a fake clock 1 s."""
+
+    def __init__(self, records, clock):
+        super().__init__(records)
+        self.clock = clock
+
+    def codes(self, ordinal):
+        self.clock.advance(1.0)
+        return super().codes(ordinal)
+
+
+def test_expiry_between_merged_chunks_yields_ranked_partial(
+    small_workload, shard_pairs
+):
+    """The deadline expires while the first merged chunk is fetched:
+    that chunk, drawn from several shards, is scanned as one image and
+    ranked; later chunks are dropped and never counted as examined."""
+    collection, queries = small_workload
+    parts = [list(collection.sequences)[slot::3] for slot in range(3)]
+    clock = FakeClock()
+    engine = PartitionedSearchEngine.over_shards(
+        [
+            (index, TickingSource(part, clock))
+            for (index, _), part in zip(shard_pairs, parts)
+        ]
+    )
+    query = queries[0].query
+    full = PartitionedSearchEngine.over_shards(shard_pairs).search(
+        query, top_k=200
+    )
+    assert full.candidates_examined > DEADLINE_FINE_CHUNK
+    report = engine.search(
+        query, top_k=200, deadline=Deadline.after(0.5, clock)
+    )
+    assert report.deadline_expired
+    assert report.partial
+    assert report.candidates_examined == DEADLINE_FINE_CHUNK
+    assert report.hits
+    assert report.hits == sorted(report.hits, key=fine_order)
+    assert set(report.hits) <= set(full.hits)
+    slot_of = {
+        record.identifier: slot
+        for slot, part in enumerate(parts)
+        for record in part
+    }
+    assert len({slot_of[hit.identifier] for hit in report.hits}) > 1
 
 
 def test_both_strands_skips_reverse_after_expiry(engine_pair):

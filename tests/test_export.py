@@ -224,6 +224,7 @@ class TestEngineTraceIntegration:
             "merge",
             "fine",
             "shard[0].fine",
+            "scan",
         }
         # Child spans nest inside the search span's time window.
         search = next(e for e in events if e["name"] == "search")

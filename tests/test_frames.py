@@ -7,7 +7,8 @@ from repro.errors import SearchError
 from repro.index.builder import IndexParameters, build_index
 from repro.index.store import MemorySequenceSource
 from repro.search.engine import PartitionedSearchEngine
-from repro.search.frames import FrameFineSearcher, FrameRanker
+from repro.search.fine import FineSearcher
+from repro.search.frames import FrameCandidate, FrameRanker
 from repro.sequences.record import Sequence
 
 
@@ -74,18 +75,30 @@ class TestFrameRanker:
 
 
 class TestFrameFineSearcher:
+    """``FineSearcher`` aligns a ``FrameCandidate``'s frame only."""
+
     def test_frame_alignment_matches_whole_sequence(self, setup):
         _, source, index, query = setup
         candidates = FrameRanker(index).rank(query, cutoff=5)
-        hits = FrameFineSearcher(source).align_frames(query, candidates)
+        hits = FineSearcher(source).align_candidates(query, candidates)
         assert hits[0].ordinal == 13
         assert hits[0].score == 180  # the planted window aligns perfectly
 
+    def test_frame_is_the_target(self, setup):
+        _, source, _, query = setup
+        inside = FrameCandidate(13, 1.0, 500, 680)
+        beside = FrameCandidate(13, 1.0, 0, 180)
+        (hit,) = FineSearcher(source).align_candidates(query, [inside])
+        assert hit.score == 180
+        (miss,) = FineSearcher(source).align_candidates(query, [beside])
+        assert miss.score < 180
+
     def test_empty_inputs(self, setup):
         _, source, _, query = setup
-        searcher = FrameFineSearcher(source)
-        assert searcher.align_frames(query, []) == []
-        assert searcher.align_frames(np.empty(0, dtype=np.uint8), []) == []
+        searcher = FineSearcher(source)
+        assert searcher.align_candidates(query, []) == []
+        empty = np.empty(0, dtype=np.uint8)
+        assert searcher.align_candidates(empty, []) == []
 
 
 class TestFrameEngine:

@@ -34,6 +34,9 @@ codes_arrays = st.text(alphabet="ACGTN", min_size=0, max_size=60).map(
 nonempty_codes = st.text(alphabet="ACGTN", min_size=1, max_size=60).map(
     alphabet.encode
 )
+sequence_sets = st.lists(
+    st.text(alphabet="ACGTN", min_size=0, max_size=40), min_size=1, max_size=5
+)
 
 
 @st.composite
@@ -209,6 +212,67 @@ class TestTargetImage:
         ]
         assert scanned.tolist() == expected
 
+    @given(
+        first=sequence_sets,
+        second=sequence_sets,
+        query=st.text(alphabet="ACGT", min_size=1, max_size=25),
+        scheme=schemes,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scores_compose_over_concatenated_sets(
+        self, first, second, query, scheme
+    ):
+        """One image over A + B scores exactly what separate images over
+        A and B do: sentinel runs make every segment's best score
+        independent of its neighbours.  The partitioned engine's one
+        fine-phase image per query rests on this."""
+        query_codes = alphabet.encode(query)
+
+        def scan(texts):
+            image = TargetImage.build(
+                [alphabet.encode(text) for text in texts], scheme, len(query)
+            )
+            return segment_best_scores(query_codes, image, scheme).tolist()
+
+        assert scan(first + second) == scan(first) + scan(second)
+
+    @given(seed=st.integers(0, 2**32 - 1), scheme=schemes)
+    @settings(max_examples=15, deadline=None)
+    def test_scores_compose_across_the_crossover(self, seed, scheme):
+        """Each part is below ``BOUNDED_CLOSURE_MIN_COLUMNS`` (prefix
+        maximum) and the whole above it (bounded doubling); the scores
+        still compose."""
+        rng = np.random.default_rng(seed)
+        query = rng.integers(0, 4, int(rng.integers(20, 120)), dtype=np.uint8)
+        run = scheme.sentinel_run_length(len(query))
+
+        def part():
+            targets, columns = [], 0
+            while True:
+                target = rng.integers(
+                    0, 4, int(rng.integers(100, 600)), dtype=np.uint8
+                )
+                if columns + len(target) + run >= BOUNDED_CLOSURE_MIN_COLUMNS:
+                    return targets
+                if len(targets) % 2:
+                    half = query[: len(query) // 2]
+                    target[10 : 10 + len(half)] = half
+                targets.append(target)
+                columns += len(target) + run
+
+        first, second = part(), part()
+        images = [
+            TargetImage.build(targets, scheme, len(query))
+            for targets in (first, second, first + second)
+        ]
+        columns = [image.codes.shape[0] for image in images]
+        assert max(columns[:2]) < BOUNDED_CLOSURE_MIN_COLUMNS <= columns[2]
+        first_scores, second_scores, whole = (
+            segment_best_scores(query, image, scheme).tolist()
+            for image in images
+        )
+        assert whole == first_scores + second_scores
+
     def test_profile_is_cached_per_scheme(self):
         scheme = ScoringScheme()
         image = TargetImage.build([alphabet.encode("ACGT")], scheme, 4)
@@ -256,6 +320,9 @@ class TestBothClosures(TestAgainstReference):
 
     test_segment_scores_equal_pairwise_scores = (
         TestTargetImage.test_segment_scores_equal_pairwise_scores
+    )
+    test_scores_compose_over_concatenated_sets = (
+        TestTargetImage.test_scores_compose_over_concatenated_sets
     )
 
     def test_int32_cells_match_reference(self, forced_closure):

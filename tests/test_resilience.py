@@ -278,6 +278,70 @@ def test_persistent_fault_degrades_and_trips_breaker():
     ]
 
 
+class FailingFetchSource(MemorySequenceSource):
+    """A shard store whose record fetches always fail."""
+
+    def codes(self, ordinal):
+        raise StorageError("injected store fault")
+
+
+def test_store_fault_at_fetch_degrades_only_that_shard():
+    """Shard 1 ranks fine but its store fails at fetch: only shard 1 is
+    dropped, the one image holds the other shards' targets, and
+    ``candidates_examined`` counts only what was scanned."""
+    records = _records()
+    healthy_pairs = _shard_pairs(records)
+    pairs = list(healthy_pairs)
+    pairs[1] = (pairs[1][0], FailingFetchSource(records[1::3]))
+    engine = PartitionedSearchEngine.over_shards(
+        pairs,
+        coarse_cutoff=12,
+        resilience=ShardResilience(retry=FAST_RETRY, seed=3),
+    )
+    instruments = Instruments()
+    healthy = PartitionedSearchEngine.over_shards(
+        healthy_pairs, coarse_cutoff=12, instruments=instruments
+    )
+    query = _query(records)
+    report = engine.search(query, top_k=50)
+    expected = healthy.search(query, top_k=50)
+    lost = {record.identifier for record in records[1::3]}
+    assert report.shards_degraded == (1,)
+    assert lost & {hit.identifier for hit in expected.hits}
+    assert report.hits == [
+        hit for hit in expected.hits if hit.identifier not in lost
+    ]
+    (share,) = [
+        row["annotations"]["candidates"]
+        for row in instruments.tracer.flat()
+        if row["name"] == "shard[1].fine"
+    ]
+    assert report.candidates_examined == expected.candidates_examined - share
+
+
+def test_one_shard_fine_align_raises_when_its_fetch_gives_up():
+    """Composing the fan-out by hand, a shard that gives up at fetch must
+    not look like a shard with no hits."""
+    records = _records()
+    index = build_index(records, PARAMS)
+    engine = PartitionedSearchEngine(
+        index,
+        FailingFetchSource(records),
+        resilience=ShardResilience(retry=FAST_RETRY, seed=3),
+    )
+    codes = _query(records).codes
+    candidates = engine.coarse_rank(codes)
+    assert candidates
+    with pytest.raises(ShardUnavailable) as caught:
+        engine.fine_align(codes, candidates)
+    assert caught.value.shard == 0
+    assert caught.value.reason == "retries_exhausted"
+    with pytest.raises(StorageError):  # no resilience: the fault itself
+        PartitionedSearchEngine(
+            index, FailingFetchSource(records)
+        ).fine_align(codes, candidates)
+
+
 def test_no_resilience_propagates_shard_errors():
     records = _records()
     engine = PartitionedSearchEngine.over_shards(

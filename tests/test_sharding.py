@@ -24,7 +24,12 @@ from repro.errors import (
     SearchError,
 )
 from repro.index.builder import IndexParameters, build_index
-from repro.index.store import MemorySequenceSource, ShardedSequenceSource
+from repro.index.store import (
+    MemorySequenceSource,
+    SequenceStore,
+    ShardedSequenceSource,
+    write_store,
+)
 from repro.instrumentation import faults
 from repro.instrumentation.instruments import Instruments
 from repro.search.engine import PartitionedSearchEngine
@@ -353,6 +358,55 @@ class TestScoreIdentity:
                 (hit.identifier, hit.score) for hit in report.hits
             ]
             assert report.candidates_examined == len(rows[:cutoff])
+
+    def test_skip_drops_corrupt_records_at_fetch(self, workload, tmp_path):
+        """One corrupt record in each of two shards under ``"skip"``:
+        each is dropped at fetch (logged and counted once), every other
+        hit stands, and no record is fetched twice — the one image is
+        never rebuilt around a bad record."""
+        records, _ = workload
+        query = Sequence("q", records[0].codes[10:110].copy())
+        corrupt = (3, 27)  # both carry record 0's fragment; shards 0 and 2
+        pairs, healthy = [], []
+        for spec in plan_shards(len(records), 3):
+            chunk = records[spec.base : spec.stop]
+            path = tmp_path / f"{spec.name}.rpsq"
+            write_store(chunk, path)
+            for ordinal in corrupt:
+                if spec.base <= ordinal < spec.stop:
+                    with SequenceStore(path) as pristine:
+                        start = pristine._payload_start + int(
+                            pristine._offsets[ordinal - spec.base]
+                        )
+                    faults.flip_byte(path, start + 2, mask=0x10)
+            index = build_index(chunk, PARAMS)
+            pairs.append((index, SequenceStore(path)))
+            healthy.append((index, MemorySequenceSource(chunk)))
+        instruments = Instruments()
+        engine = PartitionedSearchEngine.over_shards(
+            pairs, coarse_cutoff=15, on_corruption="skip",
+            instruments=instruments,
+        )
+        try:
+            report = engine.search(query, top_k=30)
+        finally:
+            for _, store in pairs:
+                store.close()
+        expected = PartitionedSearchEngine.over_shards(
+            healthy, coarse_cutoff=15
+        ).search(query, top_k=30)
+        lost = {records[ordinal].identifier for ordinal in corrupt}
+        assert lost <= {hit.identifier for hit in expected.hits}
+        assert report.quarantined_sequences == 2
+        assert report.hits == [
+            hit for hit in expected.hits if hit.identifier not in lost
+        ]
+        assert report.candidates_examined == expected.candidates_examined - 2
+        counters = instruments.metrics.snapshot()["counters"]
+        assert counters["store.quarantined_sequences"] == 2
+        assert counters["store.records_fetched"] == (
+            expected.candidates_examined
+        )
 
     def test_collection_scorers_need_one_whole_shard(self, workload):
         """idf / normalised / custom scorers read collection statistics:
