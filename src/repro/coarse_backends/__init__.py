@@ -26,7 +26,6 @@ from repro.coarse_backends.base import (
     DEFAULT_BACKEND,
     CoarseBackend,
     artifact_name,
-    coarse_from_manifest,
     coarse_section,
 )
 from repro.errors import IndexFormatError
@@ -65,7 +64,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "CoarseBackend",
     "artifact_name",
-    "coarse_from_manifest",
     "coarse_section",
     "get_backend",
 ]

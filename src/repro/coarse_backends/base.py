@@ -25,9 +25,10 @@ replicate the :class:`~repro.search.coarse.CoarseRanker` contract:
 (score desc, ordinal asc), cooperating with bounded deadlines and the
 engine's corruption policy.
 
-This module is import-light on purpose: the manifest layer pulls the
-artefact-name mapping from here without loading any backend
-implementation (those are resolved lazily by
+This module is import-light on purpose: the manifest layer
+(:mod:`repro.sharding.manifest`, which also reads the ``"coarse"``
+section) pulls the artefact-name mapping from here without loading any
+backend implementation (those are resolved lazily by
 :func:`repro.coarse_backends.get_backend`).
 """
 
@@ -64,28 +65,6 @@ def artifact_name(backend: str) -> str:
             f"unknown coarse backend {backend!r}; known: "
             f"{sorted(ARTIFACT_NAMES)}"
         ) from None
-
-
-def coarse_from_manifest(manifest: dict) -> dict:
-    """The normalised ``coarse`` section a manifest records.
-
-    A manifest that predates pluggable backends has no section and
-    means the inverted default.
-
-    Raises:
-        IndexFormatError: if the section is malformed or names an
-            unknown backend.
-    """
-    section = manifest.get("coarse")
-    if section is None:
-        return {"backend": DEFAULT_BACKEND, "params": {}}
-    try:
-        backend = str(section["backend"])
-        params = dict(section.get("params") or {})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IndexFormatError(f"malformed coarse section: {exc}") from exc
-    artifact_name(backend)  # validates the name
-    return {"backend": backend, "params": params}
 
 
 def coarse_section(

@@ -47,10 +47,8 @@ from repro.align.scoring import ScoringScheme
 from repro.align.statistics import GumbelParameters, calibrate_gapped
 from repro.coarse_backends import get_backend
 from repro.coarse_backends.base import (
-    ARTIFACT_NAMES,
     DEFAULT_BACKEND,
     artifact_name,
-    coarse_from_manifest,
     coarse_section,
 )
 from repro.errors import (
@@ -67,18 +65,11 @@ from repro.index.store import (
     SequenceSource,
     SequenceStore,
     live_source,
-    write_store,
 )
 from repro.instrumentation.instruments import (
     NULL_INSTRUMENTS,
     Instruments,
     coalesce,
-)
-from repro.lsm.manifest import (
-    LSM_DIRECTORY_PREFIXES,
-    LiveState,
-    live_state_from_manifest,
-    make_live_manifest,
 )
 from repro.lsm.mutate import append_delta, compact_database, tombstone
 from repro.search.deadline import Deadline
@@ -86,16 +77,18 @@ from repro.search.engine import CORRUPTION_POLICIES, PartitionedSearchEngine
 from repro.search.resilience import ShardResilience
 from repro.search.results import SearchReport
 from repro.sequences.record import Sequence
-from repro.sharding.build import build_sharded_database
+from repro.sharding.build import build_shard_directory, build_sharded_database
 from repro.sharding.manifest import (
-    INDEX_NAME as _INDEX_NAME,
-    MANIFEST_NAME as _MANIFEST_NAME,
-    STORE_NAME as _STORE_NAME,
+    MANIFEST_NAME,
+    STORE_NAME,
+    LiveState,
     ShardLayoutEntry,
-    layout_from_manifest,
-    make_manifest as _make_manifest,
-    make_sharded_manifest,
-    write_manifest,
+    directory_entry,
+    entry_directory,
+    load_manifest,
+    orphan_directories,
+    read_layout,
+    write_layout,
 )
 from repro.sharding.planner import plan_shards, shard_of
 
@@ -103,10 +96,6 @@ from repro.sharding.planner import plan_shards, shard_of
 VERIFY_MODES = ("lazy", "full")
 
 _LOG = logging.getLogger(__name__)
-
-
-def _write_manifest(directory: Path, manifest: dict) -> None:
-    write_manifest(directory, manifest)
 
 
 @dataclass
@@ -228,21 +217,17 @@ class Database:
         path: Path,
         shards: list[ShardHandle],
         manifest: dict,
+        live: LiveState,
         on_corruption: str = "raise",
-        live: LiveState | None = None,
     ) -> None:
-        if not shards:
-            raise IndexFormatError(f"{path}: database has no shards")
         self.path = path
         self.manifest = manifest
         self.on_corruption = on_corruption
         self.live = live
-        self.coarse = coarse_from_manifest(manifest)
+        self.coarse = live.coarse
         self._shards = shards
         self._bases = [shard.base for shard in shards]
-        self._tombstones = np.asarray(
-            live.tombstones if live is not None else (), dtype=np.int64
-        )
+        self._tombstones = np.asarray(live.tombstones, dtype=np.int64)
         self._source: SequenceSource = live_source(
             [shard.store for shard in shards], self._tombstones.tolist()
         )
@@ -318,8 +303,7 @@ class Database:
         coarse = coarse_section(coarse_backend, coarse_params)
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
-        manifest_path = directory / _MANIFEST_NAME
-        if manifest_path.exists():
+        if (directory / MANIFEST_NAME).exists():
             raise IndexFormatError(f"{directory} already holds a database")
         records = list(sequences)
         params = params or IndexParameters()
@@ -331,28 +315,12 @@ class Database:
                 len(records),
             )
         if shards > 1 and min(shards, len(records)) > 1:
-            plan = plan_shards(len(records), shards)
             build_sharded_database(
-                directory, records, plan, params, coding, workers,
-                coarse=coarse,
+                directory, records, plan_shards(len(records), shards),
+                params, coding, workers, coarse=coarse,
             )
-            return cls.open(directory)
-        backend = get_backend(coarse["backend"])
-        index_bytes = backend.build_artifact(
-            directory, records, params, coarse["params"]
-        )
-        store_bytes = write_store(records, directory / _STORE_NAME, coding)
-        manifest = _make_manifest(
-            directory,
-            len(records),
-            int(sum(len(record) for record in records)),
-            coding,
-            params,
-            index_bytes,
-            store_bytes,
-            coarse=coarse,
-        )
-        _write_manifest(directory, manifest)
+        else:
+            build_shard_directory(directory, records, params, coding, coarse)
         return cls.open(directory)
 
     @classmethod
@@ -362,14 +330,14 @@ class Database:
         verify: str = "lazy",
         on_corruption: str = "raise",
     ) -> "Database":
-        """Open an existing (possibly sharded) database directory.
+        """Open an existing (possibly sharded or live) database directory.
 
         Args:
             path: the database directory.
             verify: ``"lazy"`` checks headers and tables eagerly and
                 each posting list / record lazily on first access (the
                 default); ``"full"`` additionally recomputes every
-                manifest's whole-file digests and every checksum before
+                entry's whole-file digests and every checksum before
                 returning.
             on_corruption: default policy for engines created by this
                 database (see :class:`PartitionedSearchEngine`).  With
@@ -393,62 +361,27 @@ class Database:
                 f"{CORRUPTION_POLICIES}"
             )
         directory = Path(path)
-        manifest = cls._load_manifest(directory)
-        live = live_state_from_manifest(manifest)
-        # The top-level manifest is authoritative for the coarse
-        # backend: every shard (base or delta) of one database carries
-        # the same artifact kind.
-        coarse = coarse_from_manifest(manifest)
-        layout = (
-            list(live.entries)
-            if live is not None
-            else layout_from_manifest(manifest)
-        )
+        manifest = load_manifest(directory)
+        live = read_layout(manifest)
         shards: list[ShardHandle] = []
         try:
-            if layout is None:
+            for entry in live.entries:
                 shards.append(
-                    cls._open_shard(
-                        "", directory, 0, on_corruption, coarse
-                    )
+                    cls._open_shard(directory, entry, on_corruption, live)
                 )
-            else:
-                for entry in layout:
-                    shard_dir = (
-                        directory / entry.name if entry.name else directory
-                    )
-                    shards.append(
-                        cls._open_shard(
-                            entry.name,
-                            shard_dir,
-                            entry.base,
-                            on_corruption,
-                            coarse,
-                        )
-                    )
-                    if len(shards[-1].store) != entry.sequences:
-                        raise IndexFormatError(
-                            f"{shard_dir}: manifest promises "
-                            f"{entry.sequences} sequences but the store "
-                            f"holds {len(shards[-1].store)}"
-                        )
             if verify == "full":
                 report = VerificationReport(directory)
-                for shard in shards:
-                    inner = cls._verify_open_files(
-                        shard.path,
-                        cls._shard_checksums(manifest, shard),
-                        shard.index,
-                        shard.store,
+                for shard, entry in zip(shards, live.entries):
+                    cls._audit_files(
+                        shard.path, entry, live, shard.index, shard.store,
+                        report,
                     )
-                    report.issues.extend(inner.issues)
-                    report.notes.extend(inner.notes)
                 if not report.ok:
                     raise CorruptionError(
                         f"{directory}: full verification failed: "
                         + "; ".join(report.issues)
                     )
-            return cls(directory, shards, manifest, on_corruption, live=live)
+            return cls(directory, shards, manifest, live, on_corruption)
         except Exception:
             # Never leak mmaps/handles when a later step fails.
             for shard in shards:
@@ -458,40 +391,34 @@ class Database:
     @classmethod
     def _open_shard(
         cls,
-        name: str,
         directory: Path,
-        base: int,
+        entry: ShardLayoutEntry,
         on_corruption: str,
-        coarse: dict | None = None,
+        live: LiveState,
     ) -> ShardHandle:
-        """Open one shard's readers, honouring the fallback policy."""
-        backend = get_backend(
-            (coarse or {}).get("backend", DEFAULT_BACKEND)
-        )
+        """Open one entry's readers, honouring the fallback policy."""
+        path = entry_directory(directory, entry)
         index: DiskIndex | SignatureIndex | None = None
         store: SequenceStore | None = None
         try:
             try:
-                index = backend.open_artifact(directory)
+                index = get_backend(live.coarse["backend"]).open_artifact(
+                    path
+                )
             except IndexFormatError as exc:
                 if on_corruption != "fallback":
                     raise
                 _LOG.warning(
                     "%s: index unreadable (%s); opening degraded "
                     "(exhaustive search over the store)",
-                    directory,
+                    path,
                     exc,
                 )
-            store = SequenceStore(directory / _STORE_NAME)
-            if (
-                index is not None
-                and index.collection.num_sequences != len(store)
-            ):
-                raise IndexFormatError(
-                    f"{directory}: index and store disagree about the "
-                    "collection size"
-                )
-            return ShardHandle(name, directory, base, index, store)
+            store = SequenceStore(path / STORE_NAME)
+            problems = cls._size_problems(path, entry, index, store)
+            if problems:
+                raise IndexFormatError("; ".join(problems))
+            return ShardHandle(entry.name, path, entry.base, index, store)
         except Exception:
             if index is not None:
                 index.close()
@@ -500,63 +427,45 @@ class Database:
             raise
 
     @staticmethod
-    def _shard_checksums(manifest: dict, shard: ShardHandle) -> dict:
-        """The manifest fragment recording a shard's file digests."""
-        lsm = manifest.get("lsm")
-        if lsm is not None:
-            for part in ("base", "deltas"):
-                for description in lsm.get(part, {}).get("layout", []):
-                    if description.get("name") == shard.name:
-                        return {"checksums": description.get("checksums")}
-            return {}
-        if not shard.name:
-            return manifest
-        for description in manifest.get("shards", {}).get("layout", []):
-            if description.get("name") == shard.name:
-                return {"checksums": description.get("checksums")}
-        return {}
-
-    @staticmethod
-    def _load_manifest(directory: Path) -> dict:
-        from repro.sharding.manifest import load_manifest
-
-        return load_manifest(directory)
-
-    @staticmethod
-    def _verify_open_files(
-        directory: Path,
-        manifest: dict,
+    def _size_problems(
+        path: Path,
+        entry: ShardLayoutEntry,
         index: DiskIndex | SignatureIndex | None,
-        store: SequenceStore | None,
-    ) -> VerificationReport:
-        """Digest + checksum audit of already-opened files."""
-        report = VerificationReport(directory)
-        checksums = manifest.get("checksums")
-        if checksums is None:
+        store: SequenceStore,
+    ) -> list[str]:
+        """Disagreements between an entry's record count, its store and
+        its index."""
+        problems = []
+        if len(store) != entry.sequences:
+            problems.append(
+                f"{path}: manifest promises {entry.sequences} sequences "
+                f"but the store holds {len(store)}"
+            )
+        if index is not None and index.collection.num_sequences != len(store):
+            problems.append(
+                f"{path}: index and store disagree about the collection "
+                "size"
+            )
+        return problems
+
+    @staticmethod
+    def _audit_files(
+        directory: Path,
+        entry: ShardLayoutEntry,
+        live: LiveState,
+        index: DiskIndex | SignatureIndex | None,
+        store: SequenceStore,
+        report: VerificationReport,
+    ) -> None:
+        """Digest + checksum audit of one entry's opened files."""
+        if entry.checksums is None:
             report.notes.append(
                 f"{directory}: manifest records no file digests "
                 "(database version 1)"
             )
         else:
-            # The coarse artifact's name depends on the backend: trust
-            # the opened reader's self-declaration, falling back (for a
-            # degraded shard) to whichever artifact the manifest
-            # actually digested.
-            if index is not None:
-                coarse_file = artifact_name(
-                    getattr(index, "coarse_backend", DEFAULT_BACKEND)
-                )
-            else:
-                coarse_file = next(
-                    (
-                        name
-                        for name in ARTIFACT_NAMES.values()
-                        if name in checksums
-                    ),
-                    _INDEX_NAME,
-                )
-            for name in (coarse_file, _STORE_NAME):
-                recorded = checksums.get(name)
+            for name in (artifact_name(live.coarse["backend"]), STORE_NAME):
+                recorded = entry.checksums.get(name)
                 if recorded is None:
                     report.issues.append(
                         f"{directory}: manifest has no digest for {name}"
@@ -577,163 +486,77 @@ class Database:
         for reader in (index, store):
             if reader is None:
                 continue
-            problems = reader.verify()
-            for problem in problems:
+            for problem in reader.verify():
                 if "no integrity data" in problem:
                     report.notes.append(problem)
                 else:
                     report.issues.append(problem)
-        return report
 
     @classmethod
     def verify(cls, path: str | Path) -> VerificationReport:
         """Audit a database directory without requiring it to open.
 
-        Checks every manifest, the whole-file digests, and every
-        checksum in every shard's files; problems are collected rather
-        than raised, so a damaged database yields a complete report.
-        For a sharded database the per-shard digests recorded in the
-        top-level manifest are cross-checked against each shard's own
-        manifest, so a swapped-out shard is caught even when the shard
-        itself is internally consistent.
+        Checks the manifest, then every entry's record count, whole-file
+        digests and internal checksums; problems are collected rather
+        than raised, so a damaged database yields a complete report.  A
+        shard directory's own manifest is also cross-checked against the
+        copy the top-level manifest recorded, so a swapped-out shard is
+        caught even when the shard itself is internally consistent.
+        Directories no manifest references are reported as notes.
         """
         directory = Path(path)
         report = VerificationReport(directory)
         try:
-            manifest = cls._load_manifest(directory)
+            live = read_layout(load_manifest(directory))
         except IndexFormatError as exc:
             report.issues.append(str(exc))
             return report
-        try:
-            live = live_state_from_manifest(manifest)
-            layout = (
-                list(live.entries)
-                if live is not None
-                else layout_from_manifest(manifest)
+        for entry in live.entries:
+            shard_dir = entry_directory(directory, entry)
+            if entry.name:
+                try:
+                    own = read_layout(load_manifest(shard_dir)).base[0]
+                except IndexFormatError as exc:
+                    report.issues.append(f"{shard_dir}: {exc}")
+                else:
+                    if replace(own, name=entry.name, base=entry.base) != entry:
+                        report.issues.append(
+                            f"{shard_dir}: shard manifest does not match "
+                            "the top-level manifest (shard replaced or "
+                            "rebuilt outside the database?)"
+                        )
+            index: DiskIndex | SignatureIndex | None = None
+            store: SequenceStore | None = None
+            try:
+                try:
+                    index = get_backend(
+                        live.coarse["backend"]
+                    ).open_artifact(shard_dir)
+                except (IndexFormatError, OSError) as exc:
+                    report.issues.append(f"index: {exc}")
+                try:
+                    store = SequenceStore(shard_dir / STORE_NAME)
+                except (IndexFormatError, OSError) as exc:
+                    report.issues.append(f"store: {exc}")
+                if store is not None:
+                    report.issues.extend(
+                        cls._size_problems(shard_dir, entry, index, store)
+                    )
+                    cls._audit_files(
+                        shard_dir, entry, live, index, store, report
+                    )
+            finally:
+                if index is not None:
+                    index.close()
+                if store is not None:
+                    store.close()
+        for orphan in orphan_directories(directory, live):
+            report.notes.append(
+                f"{orphan}: not referenced by the live manifest "
+                "(interrupted ingest/compaction leftover; the next "
+                "compaction reclaims it)"
             )
-            coarse = coarse_from_manifest(manifest)
-        except IndexFormatError as exc:
-            report.issues.append(str(exc))
-            return report
-        if layout is None:
-            cls._verify_single(directory, manifest, report, coarse=coarse)
-            cls._note_orphans(directory, set(), report)
-            return report
-        for entry in layout:
-            if not entry.name:
-                # A live database whose base is the classic top-level
-                # file pair: audit it in place against the digests the
-                # live manifest carries for it (the fragment has no
-                # coarse section, so the top-level backend is passed
-                # down explicitly).
-                cls._verify_single(
-                    directory,
-                    {"checksums": entry.checksums},
-                    report,
-                    coarse=coarse,
-                )
-                continue
-            shard_dir = directory / entry.name
-            inner = cls.verify(shard_dir)
-            report.issues.extend(inner.issues)
-            report.notes.extend(inner.notes)
-            # Cross-check the shard's own manifest digests against the
-            # copies the top-level manifest recorded at build time.
-            try:
-                shard_manifest = cls._load_manifest(shard_dir)
-            except IndexFormatError:
-                continue  # already reported by the recursive verify
-            if shard_manifest.get("checksums") != entry.checksums:
-                report.issues.append(
-                    f"{shard_dir}: shard digests do not match the "
-                    "top-level manifest (shard replaced or rebuilt "
-                    "outside the database?)"
-                )
-            if shard_manifest.get("sequences") != entry.sequences:
-                report.issues.append(
-                    f"{shard_dir}: shard holds "
-                    f"{shard_manifest.get('sequences')} sequences but the "
-                    f"top-level manifest records {entry.sequences}"
-                )
-        cls._note_orphans(
-            directory, {entry.name for entry in layout if entry.name}, report
-        )
         return report
-
-    @staticmethod
-    def _note_orphans(
-        directory: Path, referenced: set, report: VerificationReport
-    ) -> None:
-        """Flag shard/delta directories no manifest references.
-
-        These are interrupted-mutation leftovers (or a completed
-        compaction whose cleanup was interrupted): invisible to
-        readers, safe to delete, reclaimed by the next compaction —
-        notes, not problems.
-        """
-        try:
-            children = sorted(directory.iterdir())
-        except OSError:
-            return
-        for child in children:
-            if (
-                child.is_dir()
-                and child.name.startswith(LSM_DIRECTORY_PREFIXES)
-                and child.name not in referenced
-            ):
-                report.notes.append(
-                    f"{child}: not referenced by the live manifest "
-                    "(interrupted ingest/compaction leftover; the next "
-                    "compaction reclaims it)"
-                )
-
-    @classmethod
-    def _verify_single(
-        cls,
-        directory: Path,
-        manifest: dict,
-        report: VerificationReport,
-        coarse: dict | None = None,
-    ) -> None:
-        """Audit one classic (single-shard) database directory."""
-        if coarse is None:
-            try:
-                coarse = coarse_from_manifest(manifest)
-            except IndexFormatError as exc:
-                report.issues.append(str(exc))
-                return
-        backend = get_backend(coarse["backend"])
-        index: DiskIndex | SignatureIndex | None = None
-        store: SequenceStore | None = None
-        try:
-            try:
-                index = backend.open_artifact(directory)
-            except (IndexFormatError, OSError) as exc:
-                report.issues.append(f"index: {exc}")
-            try:
-                store = SequenceStore(directory / _STORE_NAME)
-            except (IndexFormatError, OSError) as exc:
-                report.issues.append(f"store: {exc}")
-            if (
-                index is not None
-                and store is not None
-                and index.collection.num_sequences != len(store)
-            ):
-                report.issues.append(
-                    f"{directory}: index and store disagree about the "
-                    "collection size"
-                )
-            if store is not None:
-                inner = cls._verify_open_files(
-                    directory, manifest, index, store
-                )
-                report.issues.extend(inner.issues)
-                report.notes.extend(inner.notes)
-        finally:
-            if index is not None:
-                index.close()
-            if store is not None:
-                store.close()
 
     @classmethod
     def repair(
@@ -741,185 +564,85 @@ class Database:
         path: str | Path,
         params: IndexParameters | None = None,
     ) -> "Database":
-        """Rebuild the index (and manifest) of every damaged shard.
+        """Rebuild every entry's coarse artefact from its store.
 
-        Each shard's sequence store is fully verified first — it is the
-        source of truth, so it must be intact.  The shard's index is
-        then rebuilt from the stored records, written atomically, and
-        fresh manifests (shard first, then top-level for sharded
-        databases) with up-to-date digests replace the old ones.
+        Each entry's sequence store is fully verified first — it is the
+        source of truth, so it must be intact.  The coarse artefact is
+        then rebuilt from the stored records and written atomically,
+        followed by fresh manifests with up-to-date digests: each shard
+        directory's own, then the top-level one.  The layout keeps its
+        spelling and tombstones; a live database's generation is
+        bumped, a classic or sharded one stays at generation 0.  A
+        directory whose manifest is missing or unreadable is rebuilt as
+        a classic database with library defaults.
 
         Args:
             path: the database directory.
             params: index shape; defaults to the manifest's recorded
-                parameters, then to library defaults.
+                parameters.
 
         Raises:
             CorruptionError: if a store itself is damaged (nothing to
                 rebuild from).
-            IndexFormatError: if the directory holds no store at all.
+            IndexFormatError: if an entry holds no store at all, or the
+                manifest is readable but malformed.
 
         Returns:
             The repaired database, opened.
         """
         directory = Path(path)
-        manifest: dict | None
         try:
-            manifest = cls._load_manifest(directory)
+            manifest = load_manifest(directory)
         except IndexFormatError:
             manifest = None
-        live = (
-            live_state_from_manifest(manifest)
-            if manifest is not None
-            else None
+        live = read_layout(manifest) if manifest is not None else LiveState(
+            "direct",
+            IndexParameters(),
+            coarse_section(),
+            (ShardLayoutEntry("", 0, 0, 0, 0, 0, None),),
         )
-        coarse: dict | None = None
-        if manifest is not None:
-            try:
-                coarse = coarse_from_manifest(manifest)
-            except IndexFormatError:
-                # An unreadable coarse section: rebuild as the default
-                # backend (the store is the source of truth, the coarse
-                # artifact is derived either way).
-                coarse = None
-        if live is not None:
-            return cls._repair_live(directory, live, params, coarse)
-        layout = (
-            layout_from_manifest(manifest) if manifest is not None else None
-        )
-        if layout is None:
-            cls._repair_single(directory, params, coarse=coarse)
-            return cls.open(directory)
-        shard_manifests: list[dict] = []
-        for entry in layout:
-            shard_manifests.append(
-                cls._repair_single(
-                    directory / entry.name, params, coarse=coarse
+        params = params or live.params
+        entries: list[ShardLayoutEntry] = []
+        for entry in live.entries:
+            shard_dir = entry_directory(directory, entry)
+            rebuilt, coding = cls._rebuild(shard_dir, params, live.coarse)
+            if entry.name:
+                write_layout(
+                    shard_dir,
+                    LiveState(coding, params, live.coarse, (rebuilt,)),
                 )
-            )
-        coding = str(shard_manifests[0]["coding"])
-        repaired_params = IndexParameters.from_description(
-            shard_manifests[0]["params"]
-        )
-        entries = []
-        base = 0
-        for entry, shard_manifest in zip(layout, shard_manifests):
             entries.append(
-                ShardLayoutEntry(
+                replace(
+                    rebuilt,
                     name=entry.name,
-                    base=base,
-                    sequences=shard_manifest["sequences"],
-                    bases=shard_manifest["bases"],
-                    index_bytes=shard_manifest["index_bytes"],
-                    store_bytes=shard_manifest["store_bytes"],
-                    checksums=dict(shard_manifest["checksums"]),
+                    base=sum(done.sequences for done in entries),
                 )
             )
-            base += int(shard_manifest["sequences"])
-        _write_manifest(
+        split = len(live.base)
+        write_layout(
             directory,
-            make_sharded_manifest(
-                coding, repaired_params, entries, coarse=coarse
+            replace(
+                live,
+                coding=coding,
+                params=params,
+                base=tuple(entries[:split]),
+                deltas=tuple(entries[split:]),
+                generation=live.generation + 1 if live.generation else 0,
             ),
         )
         return cls.open(directory)
 
-    @classmethod
-    def _repair_live(
-        cls,
-        directory: Path,
-        live: LiveState,
-        params: IndexParameters | None,
-        coarse: dict | None = None,
-    ) -> "Database":
-        """Rebuild every entry of a live (LSM) database.
-
-        Each base and delta entry is repaired like an ordinary shard;
-        for a classic top-level base (name ``""``) the rebuilt files
-        share the database directory, so its per-shard manifest write
-        is suppressed — the live manifest, rewritten once at the end
-        with the tombstones preserved and the generation bumped, is the
-        only top-level commit.
-        """
-        shard_manifests: list[dict] = []
-        for entry in live.entries:
-            if entry.name:
-                shard_manifests.append(
-                    cls._repair_single(
-                        directory / entry.name, params, coarse=coarse
-                    )
-                )
-            else:
-                shard_manifests.append(
-                    cls._repair_single(
-                        directory, params, write=False, coarse=coarse
-                    )
-                )
-        coding = str(shard_manifests[0]["coding"])
-        repaired_params = IndexParameters.from_description(
-            shard_manifests[0]["params"]
-        )
-        entries = []
-        base = 0
-        for entry, shard_manifest in zip(live.entries, shard_manifests):
-            entries.append(
-                ShardLayoutEntry(
-                    name=entry.name,
-                    base=base,
-                    sequences=shard_manifest["sequences"],
-                    bases=shard_manifest["bases"],
-                    index_bytes=shard_manifest["index_bytes"],
-                    store_bytes=shard_manifest["store_bytes"],
-                    checksums=dict(shard_manifest["checksums"]),
-                )
-            )
-            base += int(shard_manifest["sequences"])
-        split = len(live.base)
-        state = LiveState(
-            live.generation + 1,
-            tuple(entries[:split]),
-            tuple(entries[split:]),
-            live.tombstones,
-        )
-        _write_manifest(
-            directory,
-            make_live_manifest(coding, repaired_params, state, coarse=coarse),
-        )
-        return cls.open(directory)
-
-    @classmethod
-    def _repair_single(
-        cls,
-        directory: Path,
-        params: IndexParameters | None,
-        write: bool = True,
-        coarse: dict | None = None,
-    ) -> dict:
-        """Rebuild one shard directory's coarse artifact; returns its
-        manifest."""
-        store_path = directory / _STORE_NAME
+    @staticmethod
+    def _rebuild(
+        directory: Path, params: IndexParameters, coarse: dict
+    ) -> tuple[ShardLayoutEntry, str]:
+        """Rebuild one entry directory's coarse artefact from its store;
+        returns the directory's fresh ``""`` entry and store coding."""
+        store_path = directory / STORE_NAME
         if not store_path.exists():
             raise IndexFormatError(
                 f"{directory}: no sequence store to rebuild from"
             )
-        manifest: dict | None = None
-        if params is None or coarse is None:
-            try:
-                manifest = cls._load_manifest(directory)
-            except IndexFormatError:
-                manifest = None
-        if params is None:
-            try:
-                params = IndexParameters.from_description(manifest["params"])
-            except (KeyError, TypeError, ValueError):
-                params = IndexParameters()
-        if coarse is None and manifest is not None:
-            try:
-                coarse = coarse_from_manifest(manifest)
-            except IndexFormatError:
-                coarse = None
-        if coarse is None:
-            coarse = {"backend": DEFAULT_BACKEND, "params": {}}
         with SequenceStore(store_path) as store:
             problems = [
                 problem
@@ -933,24 +656,13 @@ class Database:
                 )
             records = [store.record(ordinal) for ordinal in range(len(store))]
             coding = store.coding
-        backend = get_backend(coarse["backend"])
-        index_bytes = backend.build_artifact(
+        index_bytes = get_backend(coarse["backend"]).build_artifact(
             directory, records, params, coarse["params"]
         )
-        store_bytes = store_path.stat().st_size
-        manifest = _make_manifest(
-            directory,
-            len(records),
-            int(sum(len(record) for record in records)),
-            coding,
-            params,
-            index_bytes,
-            store_bytes,
-            coarse=coarse,
+        entry = directory_entry(
+            directory, records, index_bytes, store_path.stat().st_size, coarse
         )
-        if write:
-            _write_manifest(directory, manifest)
-        return manifest
+        return entry, coding
 
     def close(self) -> None:
         """Release cached engines' executors and every shard's maps."""
@@ -1022,12 +734,12 @@ class Database:
     def generation(self) -> int:
         """The live manifest's generation (0 for a never-mutated
         database)."""
-        return self.live.generation if self.live is not None else 0
+        return self.live.generation
 
     @property
     def delta_shards(self) -> int:
         """Delta shards appended since the last compaction."""
-        return len(self.live.deltas) if self.live is not None else 0
+        return len(self.live.deltas)
 
     @property
     def tombstone_count(self) -> int:
@@ -1051,15 +763,7 @@ class Database:
     @property
     def total_bases(self) -> int:
         """Live residues (tombstoned records' bases excluded)."""
-        if not self.degraded:
-            return (
-                sum(
-                    shard.index.collection.total_length
-                    for shard in self._shards
-                )
-                - self._dead_bases
-            )
-        return int(self.manifest.get("bases", 0)) - self._dead_bases
+        return self.live.total("bases") - self._dead_bases
 
     def shard_of(self, ordinal: int) -> ShardHandle:
         """The shard holding a (logical) global ordinal.
@@ -1488,7 +1192,7 @@ class Database:
     def describe(self) -> str:
         """One-paragraph human-readable summary."""
         live = ""
-        if self.live is not None:
+        if self.generation:
             live = (
                 f" Live: generation {self.generation}, "
                 f"{self.delta_shards} delta shard(s), "
@@ -1500,29 +1204,17 @@ class Database:
                 f"(DEGRADED: index unreadable, exhaustive search only; "
                 f"run repair to rebuild the index)." + live
             )
-        if len(self._shards) > 1:
-            vocabulary = sum(
-                shard.index.vocabulary_size for shard in self._shards
-            )
-            return (
-                f"Database at {self.path}: {len(self)} sequences, "
-                f"{self.total_bases:,} bases across "
-                f"{len(self._shards)} shards; "
-                f"{self.coarse_backend} coarse backend, interval length "
-                f"{self._shards[0].index.params.interval_length}, "
-                f"{vocabulary:,} indexed intervals (summed), "
-                f"{self.manifest['index_bytes']:,} index bytes, "
-                f"{self.manifest['store_bytes']:,} store bytes "
-                f"({self.manifest['coding']} coding)." + live
-            )
-        index = self._shards[0].index
+        sharded = len(self._shards) > 1
+        vocabulary = sum(shard.index.vocabulary_size for shard in self._shards)
         return (
             f"Database at {self.path}: {len(self)} sequences, "
-            f"{self.total_bases:,} bases; "
-            f"{self.coarse_backend} coarse backend, interval length "
-            f"{index.params.interval_length}, "
-            f"{index.vocabulary_size:,} indexed intervals, "
-            f"{self.manifest['index_bytes']:,} index bytes, "
-            f"{self.manifest['store_bytes']:,} store bytes "
-            f"({self.manifest['coding']} coding)." + live
+            f"{self.total_bases:,} bases"
+            + (f" across {len(self._shards)} shards" if sharded else "")
+            + f"; {self.coarse_backend} coarse backend, interval length "
+            f"{self._shards[0].index.params.interval_length}, "
+            f"{vocabulary:,} indexed intervals"
+            + (" (summed)" if sharded else "")
+            + f", {self.live.total('index_bytes'):,} index bytes, "
+            f"{self.live.total('store_bytes'):,} store bytes "
+            f"({self.live.coding} coding)." + live
         )

@@ -2,40 +2,10 @@
 
 Turns the batch-built database into a live one.  New records append as
 small, complete delta shard databases; deletes tombstone stored
-ordinals in the generation-stamped top-level manifest; background
-compaction folds both back into fresh base shards.  Every mutation
-commits through one atomic manifest replace, so an interrupted
-mutation or compaction is invisible on reopen.
+ordinals; compaction folds both back into fresh base shards.  Each
+mutation (:mod:`repro.lsm.mutate`) reads the layout, writes its new
+files, then commits one atomic manifest replace one generation higher,
+so an interrupted mutation or compaction is invisible on reopen.  The
+layout itself — a classic or sharded database is just generation 0 —
+lives in :mod:`repro.sharding.manifest`.
 """
-
-from repro.lsm.manifest import (
-    LiveState,
-    compacted_shard_name,
-    delta_name,
-    entry_directory,
-    live_state_from_manifest,
-    make_live_manifest,
-    orphan_directories,
-    promote_manifest,
-)
-from repro.lsm.mutate import (
-    append_delta,
-    cleanup_unreferenced,
-    compact_database,
-    tombstone,
-)
-
-__all__ = [
-    "LiveState",
-    "append_delta",
-    "cleanup_unreferenced",
-    "compact_database",
-    "compacted_shard_name",
-    "delta_name",
-    "entry_directory",
-    "live_state_from_manifest",
-    "make_live_manifest",
-    "orphan_directories",
-    "promote_manifest",
-    "tombstone",
-]

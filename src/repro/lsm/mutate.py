@@ -14,62 +14,32 @@ from __future__ import annotations
 
 import logging
 import shutil
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence as TypingSequence
 
+from repro.coarse_backends.base import ARTIFACT_NAMES
 from repro.errors import IndexParameterError
-from repro.index.builder import IndexParameters
 from repro.index.merge import merge_index_files
 from repro.index.store import SequenceStore, write_store
-from repro.lsm.manifest import (
-    LiveState,
-    compacted_shard_name,
-    delta_name,
-    entry_directory,
-    entry_from_shard_manifest,
-    make_live_manifest,
-    orphan_directories,
-    promote_manifest,
-)
-from repro.coarse_backends.base import (
-    ARTIFACT_NAMES,
-    coarse_from_manifest,
-)
 from repro.sequences.record import Sequence
-from repro.sharding.build import _build_shard_task, build_shard_directory
+from repro.sharding.build import build_shard_directory, build_shards
 from repro.sharding.manifest import (
     INDEX_NAME,
     STORE_NAME,
+    LiveState,
+    compacted_shard_name,
+    delta_name,
+    directory_entry,
+    entry_directory,
     load_manifest,
-    make_manifest,
-    write_manifest,
+    orphan_directories,
+    read_layout,
+    write_layout,
 )
 from repro.sharding.planner import plan_shards
 
 _LOG = logging.getLogger(__name__)
-
-
-def _open_manifest(
-    directory: Path,
-) -> tuple[dict, LiveState, IndexParameters, dict]:
-    manifest = load_manifest(directory)
-    state = promote_manifest(manifest)
-    params = IndexParameters.from_description(manifest["params"])
-    return manifest, state, params, coarse_from_manifest(manifest)
-
-
-def _commit(
-    directory: Path,
-    coding: str,
-    params: IndexParameters,
-    state: LiveState,
-    coarse: dict | None = None,
-) -> None:
-    """The single commit point: one atomic manifest replace."""
-    write_manifest(
-        directory, make_live_manifest(coding, params, state, coarse=coarse)
-    )
 
 
 def append_delta(
@@ -90,19 +60,20 @@ def append_delta(
     if not records:
         raise IndexParameterError("no records to ingest")
     directory = Path(directory)
-    manifest, state, params, coarse = _open_manifest(directory)
+    state = read_layout(load_manifest(directory))
     generation = state.generation + 1
     name = delta_name(generation)
-    shard_manifest = build_shard_directory(
-        directory / name, list(records), params, manifest["coding"], coarse
+    entry = build_shard_directory(
+        directory / name, list(records), state.params, state.coding,
+        state.coarse,
     )
-    entry = entry_from_shard_manifest(
-        name, state.stored_sequences, shard_manifest
+    committed = replace(
+        state,
+        deltas=state.deltas
+        + (replace(entry, name=name, base=state.stored_sequences),),
+        generation=generation,
     )
-    committed = LiveState(
-        generation, state.base, state.deltas + (entry,), state.tombstones
-    )
-    _commit(directory, manifest["coding"], params, committed, coarse)
+    write_layout(directory, committed)
     return committed
 
 
@@ -118,7 +89,7 @@ def tombstone(
             out of range, or an ordinal is already tombstoned.
     """
     directory = Path(directory)
-    manifest, state, params, coarse = _open_manifest(directory)
+    state = read_layout(load_manifest(directory))
     doomed = sorted(set(int(ordinal) for ordinal in stored_ordinals))
     if not doomed:
         raise IndexParameterError("no records to delete")
@@ -133,11 +104,12 @@ def tombstone(
             raise IndexParameterError(
                 f"stored ordinal {ordinal} is already deleted"
             )
-    merged = tuple(sorted(existing | set(doomed)))
-    committed = LiveState(
-        state.generation + 1, state.base, state.deltas, merged
+    committed = replace(
+        state,
+        tombstones=tuple(sorted(existing | set(doomed))),
+        generation=state.generation + 1,
     )
-    _commit(directory, manifest["coding"], params, committed, coarse)
+    write_layout(directory, committed)
     return committed
 
 
@@ -195,7 +167,7 @@ def compact_database(
     if workers < 1:
         raise IndexParameterError(f"workers must be >= 1, got {workers}")
     directory = Path(directory)
-    manifest, state, params, coarse = _open_manifest(directory)
+    state = read_layout(load_manifest(directory))
     target = len(state.base) if shards is None else int(shards)
     if target < 1:
         raise IndexParameterError(f"shards must be >= 1, got {target}")
@@ -209,8 +181,8 @@ def compact_database(
         raise IndexParameterError(
             "cannot compact to an empty collection (all records deleted)"
         )
-    coding = manifest["coding"]
     generation = state.generation + 1
+    records = _live_records(directory, state)
 
     # The streaming index merge only understands the inverted RPIX
     # format; signature shards (whose block sizing depends on the
@@ -218,7 +190,7 @@ def compact_database(
     if (
         not state.tombstones
         and target == 1
-        and coarse["backend"] == "inverted"
+        and state.coarse["backend"] == "inverted"
     ):
         out = directory / compacted_shard_name(generation, 0)
         out.mkdir(parents=True, exist_ok=True)
@@ -229,55 +201,31 @@ def compact_database(
             ],
             str(out / INDEX_NAME),
         )
-        records = _live_records(directory, state)
-        store_bytes = write_store(records, out / STORE_NAME, coding)
-        shard_manifest = make_manifest(
-            out,
-            len(records),
-            int(sum(len(record) for record in records)),
-            coding,
-            params,
-            index_bytes,
-            store_bytes,
-            coarse=coarse,
+        store_bytes = write_store(records, out / STORE_NAME, state.coding)
+        entry = directory_entry(
+            out, records, index_bytes, store_bytes, state.coarse
         )
-        write_manifest(out, shard_manifest)
-        entries = (entry_from_shard_manifest(out.name, 0, shard_manifest),)
+        write_layout(
+            out, LiveState(state.coding, state.params, state.coarse, (entry,))
+        )
+        entries = (replace(entry, name=out.name),)
     else:
-        records = _live_records(directory, state)
         plan = plan_shards(len(records), target)
-        jobs = [
-            (
-                str(directory / compacted_shard_name(generation, spec.shard_id)),
-                records[spec.base : spec.stop],
-                params,
-                coding,
-                coarse,
-            )
-            for spec in plan
-        ]
-        pool_size = min(workers, len(jobs))
-        if pool_size == 1:
-            shard_manifests = [_build_shard_task(job) for job in jobs]
-        else:
-            _LOG.info(
-                "compacting into %d shards with %d worker processes",
-                len(jobs),
-                pool_size,
-            )
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                shard_manifests = list(pool.map(_build_shard_task, jobs))
-        entries = tuple(
-            entry_from_shard_manifest(
-                compacted_shard_name(generation, spec.shard_id),
-                spec.base,
-                shard_manifest,
-            )
-            for spec, shard_manifest in zip(plan, shard_manifests)
+        entries = build_shards(
+            directory,
+            [compacted_shard_name(generation, spec.shard_id) for spec in plan],
+            plan,
+            records,
+            state.params,
+            state.coding,
+            state.coarse,
+            workers,
         )
 
-    committed = LiveState(generation, entries, (), ())
-    _commit(directory, coding, params, committed, coarse)
+    committed = replace(
+        state, base=entries, deltas=(), tombstones=(), generation=generation
+    )
+    write_layout(directory, committed)
     cleanup_unreferenced(directory, committed)
     return committed
 

@@ -1,6 +1,6 @@
 """Parallel shard construction.
 
-Each shard is an independent build — its own inverted index over its
+Each shard is an independent build — its own coarse artefact over its
 own slice of the collection, its own sequence store, its own manifest —
 so shards build in parallel worker *processes* with no shared state.
 The top-level manifest is written last, after every shard has landed,
@@ -17,21 +17,22 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence as TypingSequence
 
 from repro.coarse_backends import get_backend
-from repro.coarse_backends.base import DEFAULT_BACKEND
+from repro.coarse_backends.base import coarse_section
 from repro.errors import IndexParameterError
 from repro.index.builder import IndexParameters
 from repro.index.store import write_store
 from repro.sequences.record import Sequence
 from repro.sharding.manifest import (
     STORE_NAME,
+    LiveState,
     ShardLayoutEntry,
-    make_manifest,
-    make_sharded_manifest,
-    write_manifest,
+    directory_entry,
+    write_layout,
 )
 from repro.sharding.planner import ShardSpec
 
@@ -44,44 +45,73 @@ def build_shard_directory(
     params: IndexParameters | None = None,
     coding: str = "direct",
     coarse: dict | None = None,
-) -> dict:
-    """Build one shard: coarse artefact + store + manifest in ``directory``.
+) -> ShardLayoutEntry:
+    """Build one classic database: coarse artefact + store + manifest.
 
     The directory is created if needed and existing artefacts are
     overwritten (a re-run after an interrupted build converges).
     ``coarse`` selects and parameterises the coarse backend (``None``
-    builds the inverted default).  Returns the shard's manifest.
+    builds the inverted default).  Returns the directory's ``""``
+    layout entry.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     params = params or IndexParameters()
-    backend = get_backend(
-        coarse["backend"] if coarse else DEFAULT_BACKEND
-    )
-    index_bytes = backend.build_artifact(
-        directory, records, params, coarse.get("params") if coarse else None
+    coarse = coarse or coarse_section()
+    index_bytes = get_backend(coarse["backend"]).build_artifact(
+        directory, records, params, coarse["params"]
     )
     store_bytes = write_store(records, directory / STORE_NAME, coding)
-    manifest = make_manifest(
-        directory,
-        len(records),
-        int(sum(len(record) for record in records)),
-        coding,
-        params,
-        index_bytes,
-        store_bytes,
-        coarse=coarse,
+    entry = directory_entry(
+        directory, records, index_bytes, store_bytes, coarse
     )
-    write_manifest(directory, manifest)
-    return manifest
+    write_layout(directory, LiveState(coding, params, coarse, (entry,)))
+    return entry
 
 
 def _build_shard_task(
     job: tuple[str, list[Sequence], IndexParameters, str, dict | None]
-) -> dict:
+) -> ShardLayoutEntry:
     """Process-pool entry point (module level, so it pickles)."""
     directory, records, params, coding, coarse = job
     return build_shard_directory(directory, records, params, coding, coarse)
+
+
+def build_shards(
+    directory: Path,
+    names: TypingSequence[str],
+    plan: TypingSequence[ShardSpec],
+    records: TypingSequence[Sequence],
+    params: IndexParameters,
+    coding: str,
+    coarse: dict | None,
+    workers: int,
+) -> tuple[ShardLayoutEntry, ...]:
+    """Build each planned shard under ``directory / name`` (on up to
+    ``workers`` processes); returns their layout entries."""
+    jobs = [
+        (
+            str(directory / name),
+            list(records[spec.base : spec.stop]),
+            params,
+            coding,
+            coarse,
+        )
+        for name, spec in zip(names, plan)
+    ]
+    workers = min(workers, len(jobs))
+    if workers == 1:
+        built = [_build_shard_task(job) for job in jobs]
+    else:
+        _LOG.info(
+            "building %d shards with %d worker processes", len(jobs), workers
+        )
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            built = list(pool.map(_build_shard_task, jobs))
+    return tuple(
+        replace(entry, name=name, base=spec.base)
+        for name, spec, entry in zip(names, plan, built)
+    )
 
 
 def build_sharded_database(
@@ -92,7 +122,7 @@ def build_sharded_database(
     coding: str = "direct",
     workers: int = 1,
     coarse: dict | None = None,
-) -> dict:
+) -> LiveState:
     """Build every planned shard (in parallel) and the top manifest.
 
     Args:
@@ -105,7 +135,8 @@ def build_sharded_database(
         workers: build processes; 1 builds the shards in-process.
 
     Returns:
-        The top-level (sharded) manifest, already written to disk.
+        The layout the top-level (sharded) manifest records, already
+        written to disk.
 
     Raises:
         IndexParameterError: if ``workers`` < 1 or the plan is empty.
@@ -116,37 +147,17 @@ def build_sharded_database(
         raise IndexParameterError("empty shard plan")
     directory = Path(directory)
     params = params or IndexParameters()
-    jobs = [
-        (
-            str(directory / spec.name),
-            list(records[spec.base : spec.stop]),
-            params,
-            coding,
-            coarse,
-        )
-        for spec in plan
-    ]
-    workers = min(workers, len(jobs))
-    if workers == 1:
-        shard_manifests = [_build_shard_task(job) for job in jobs]
-    else:
-        _LOG.info(
-            "building %d shards with %d worker processes", len(jobs), workers
-        )
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shard_manifests = list(pool.map(_build_shard_task, jobs))
-    entries = [
-        ShardLayoutEntry(
-            name=spec.name,
-            base=spec.base,
-            sequences=manifest["sequences"],
-            bases=manifest["bases"],
-            index_bytes=manifest["index_bytes"],
-            store_bytes=manifest["store_bytes"],
-            checksums=dict(manifest["checksums"]),
-        )
-        for spec, manifest in zip(plan, shard_manifests)
-    ]
-    manifest = make_sharded_manifest(coding, params, entries, coarse=coarse)
-    write_manifest(directory, manifest)
-    return manifest
+    coarse = coarse or coarse_section()
+    entries = build_shards(
+        directory,
+        [spec.name for spec in plan],
+        plan,
+        records,
+        params,
+        coding,
+        coarse,
+        workers,
+    )
+    state = LiveState(coding, params, coarse, entries)
+    write_layout(directory, state)
+    return state

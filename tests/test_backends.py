@@ -21,7 +21,6 @@ from repro.coarse_backends.base import (
     ARTIFACT_NAMES,
     DEFAULT_BACKEND,
     artifact_name,
-    coarse_from_manifest,
     coarse_section,
 )
 from repro.coarse_backends.signature import (
@@ -107,8 +106,15 @@ class TestRegistry:
         assert section["params"]["hashes"] == 3
         assert section["params"]["docs_per_block"] == 64
 
-    def test_manifest_without_section_defaults_to_inverted(self):
-        assert coarse_from_manifest({}) == {
+    def test_manifest_without_section_defaults_to_inverted(
+        self, records, tmp_path
+    ):
+        from repro.sharding.manifest import read_layout
+
+        Database.create(records, tmp_path / "db", params=PARAMS).close()
+        manifest = json.loads((tmp_path / "db" / "manifest.json").read_text())
+        del manifest["coarse"]
+        assert read_layout(manifest).coarse == {
             "backend": DEFAULT_BACKEND,
             "params": {},
         }

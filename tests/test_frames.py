@@ -128,9 +128,10 @@ class TestFrameEngine:
 
     def test_frames_mode_is_faster_on_long_sequences(self, setup):
         """The fine phase aligns ~query-sized frames instead of 800-base
-        candidates, so measured fine time must drop."""
-        import time
-
+        candidates, so measured fine time must drop.  The comparison is
+        on the reports' ``fine_seconds``: frame ranking's positional
+        coarse phase is dearer, so whole-search wall clock is not what
+        this mode promises to shrink."""
         _, source, index, query = setup
         full = PartitionedSearchEngine(index, source, coarse_cutoff=20)
         framed = PartitionedSearchEngine(
@@ -138,13 +139,11 @@ class TestFrameEngine:
         )
         full.search(query)  # warm both paths
         framed.search(query)
-        started = time.perf_counter()
-        for _ in range(3):
-            full_report = full.search(query)
-        full_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        for _ in range(3):
-            framed.search(query)
-        framed_seconds = time.perf_counter() - started
+        full_reports = [full.search(query) for _ in range(3)]
+        framed_reports = [framed.search(query) for _ in range(3)]
+        full_seconds = sum(report.fine_seconds for report in full_reports)
+        framed_seconds = sum(
+            report.fine_seconds for report in framed_reports
+        )
         assert framed_seconds < full_seconds
-        assert full_report.best() is not None
+        assert full_reports[-1].best() is not None

@@ -33,9 +33,9 @@ from repro.index.builder import IndexParameters, build_index
 from repro.index.store import LiveSequenceView, MemorySequenceSource
 from repro.instrumentation import faults
 from repro.instrumentation.instruments import Instruments
-from repro.lsm import live_state_from_manifest, orphan_directories
 from repro.search.engine import PartitionedSearchEngine
 from repro.sequences.record import Sequence
+from repro.sharding.manifest import orphan_directories, read_layout
 
 PARAMS = IndexParameters(interval_length=6)
 
@@ -132,7 +132,7 @@ class TestLiveManifest:
         records = _records()
         doomed = _grown_db(tmp_path / "db", records)
         manifest = json.loads((tmp_path / "db" / "manifest.json").read_text())
-        state = live_state_from_manifest(manifest)
+        state = read_layout(manifest)
         assert state.generation == 3
         assert state.stored_sequences == len(records)
         assert state.live_sequences == len(records) - len(doomed)
@@ -142,7 +142,10 @@ class TestLiveManifest:
         Database.create(_records(6), tmp_path / "db", params=PARAMS).close()
         manifest = json.loads((tmp_path / "db" / "manifest.json").read_text())
         assert "lsm" not in manifest
-        assert live_state_from_manifest(manifest) is None
+        state = read_layout(manifest)
+        assert state.generation == 0
+        assert [entry.name for entry in state.entries] == [""]
+        assert state.tombstones == ()
         with Database.open(tmp_path / "db") as database:
             assert database.generation == 0
             assert database.delta_shards == 0
@@ -426,7 +429,7 @@ class TestCrashMatrix:
             with faults.crash_during_replace():
                 _Mutations.compact(path, survivors, [], True)
         manifest = json.loads((path / "manifest.json").read_text())
-        state = live_state_from_manifest(manifest)
+        state = read_layout(manifest)
         orphans = orphan_directories(path, state)
         assert orphans, "torn compaction should leave an orphan directory"
         for artefact in sorted(orphans[0].glob("*")):

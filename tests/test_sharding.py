@@ -34,13 +34,9 @@ from repro.instrumentation import faults
 from repro.instrumentation.instruments import Instruments
 from repro.search.engine import PartitionedSearchEngine
 from repro.sequences.record import Sequence
-from repro.sharding import (
-    ShardSpec,
-    layout_from_manifest,
-    plan_shards,
-    shard_of,
-)
+from repro.sharding import ShardSpec, plan_shards, shard_of
 from repro.sharding.build import build_sharded_database
+from repro.sharding.manifest import read_layout
 
 PARAMS = IndexParameters(interval_length=6)
 
@@ -132,7 +128,7 @@ class TestLayoutManifest:
         records = _records(12)
         Database.create(records, tmp_path / "db", params=PARAMS, shards=3).close()
         manifest = json.loads((tmp_path / "db" / "manifest.json").read_text())
-        layout = layout_from_manifest(manifest)
+        layout = read_layout(manifest).entries
         assert [entry.name for entry in layout] == [
             "shard-0000", "shard-0001", "shard-0002",
         ]
@@ -143,7 +139,7 @@ class TestLayoutManifest:
         Database.create(_records(6), tmp_path / "db", params=PARAMS).close()
         manifest = json.loads((tmp_path / "db" / "manifest.json").read_text())
         assert "shards" not in manifest
-        assert layout_from_manifest(manifest) is None
+        assert [entry.name for entry in read_layout(manifest).entries] == [""]
 
     def test_non_contiguous_layout_rejected(self, tmp_path):
         records = _records(12)

@@ -199,6 +199,109 @@ class TestFormatV1Compatibility:
         assert report.ok
         assert any("version 1" in note for note in report.notes)
 
+    def test_v1_database_stays_verifiable_after_ingest(self, db_path):
+        """An ingest carries "no digests recorded" into the live
+        manifest rather than an empty digest set."""
+        path, records = db_path
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 1
+        manifest.pop("checksums", None)
+        manifest_path.write_text(json.dumps(manifest))
+        with Database.open(path) as db:
+            db.add_records(
+                [Sequence(f"new{r.identifier}", r.codes) for r in _records(3)]
+            )
+            assert len(db) == len(records) + 3
+        report = Database.verify(path)
+        assert report.ok, report.issues
+        assert any("version 1" in note for note in report.notes)
+
+
+def _build_layout(path, layout, records):
+    """One database per layout of the verify/repair matrix."""
+    shards = {"classic": 1, "sharded": 3, "live": 1, "live-sharded": 2}
+    live = layout.startswith("live")
+    database = Database.create(
+        records[:12] if live else records,
+        path,
+        params=PARAMS,
+        shards=shards[layout],
+    )
+    if live:
+        database.add_records(records[12:])
+        database.delete([1, 13])
+    database.close()
+
+
+class TestLayoutMatrix:
+    """Verify and repair behave alike on every layout: the damaged
+    directory is named, and repair restores identical answers without
+    changing the layout's generation rule or on-disk spelling."""
+
+    @pytest.mark.parametrize(
+        "layout, damaged",
+        [
+            ("classic", ""),
+            ("sharded", "shard-0001"),
+            ("live", ""),
+            ("live-sharded", "shard-0000"),
+        ],
+    )
+    def test_damage_verify_repair(self, tmp_path, layout, damaged):
+        from tests.conftest import parity_report_key
+
+        records = _records(16)
+        path = tmp_path / "db"
+        _build_layout(path, layout, records)
+        query = Sequence("q", records[4].codes[20:140].copy())
+        with Database.open(path) as db:
+            baseline = parity_report_key(db.search(query, coarse_cutoff=10))
+            generation = db.generation
+            tombstones = db.tombstone_count
+        target = path / damaged / "intervals.rpix"
+        span = faults.index_sections(target)["table"]
+        faults.zero_page(target, span[0], span[1] - span[0])
+        report = Database.verify(path)
+        assert not report.ok
+        assert any(str(target) in issue for issue in report.issues)
+
+        with Database.repair(path) as repaired:
+            assert parity_report_key(
+                repaired.search(query, coarse_cutoff=10)
+            ) == baseline
+            assert repaired.tombstone_count == tombstones
+            assert repaired.generation == (
+                generation + 1 if layout.startswith("live") else 0
+            )
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert ("lsm" in manifest) == layout.startswith("live")
+        assert ("shards" in manifest) == (layout == "sharded")
+        assert ("checksums" in manifest) == (layout == "classic")
+        assert Database.verify(path).ok
+
+
+@pytest.mark.parametrize("layout", ["classic", "sharded", "live"])
+def test_sequence_count_checked_on_every_layout(tmp_path, layout):
+    """A manifest promising more records than the store holds is
+    refused at open and reported by verify, whatever the layout."""
+    path = tmp_path / "db"
+    _build_layout(path, layout, _records(16))
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    if layout == "live":
+        manifest["lsm"]["deltas"]["layout"][-1]["sequences"] = 99
+    elif layout == "sharded":
+        manifest["shards"]["layout"][-1]["sequences"] = 99
+    else:
+        manifest["sequences"] = 99
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(IndexFormatError, match="promises 99 sequences"):
+        Database.open(path)
+    report = Database.verify(path)
+    assert not report.ok
+    assert any("99" in issue for issue in report.issues)
+
 
 class TestDegradedOpen:
     def test_engine_unavailable_when_degraded(self, db_path):
