@@ -186,9 +186,8 @@ def experiment_e2() -> Table:
     index = setup.base_index()
     per_list_bits = 0
     for interval in index.interval_ids():
-        entry = index.lookup_entry(interval)
-        docs, _ = index.docs_counts(interval)
-        codec = GolombCodec(optimal_golomb_parameter(entry.df, universe))
+        (df,), docs, _ = index.read_lists([interval])
+        codec = GolombCodec(optimal_golomb_parameter(int(df), universe))
         previous = -1
         for doc in docs.tolist():
             per_list_bits += codec.code_length(doc - previous - 1)
@@ -479,9 +478,8 @@ def experiment_profile() -> Table:
     """Instrumented profile of the base workload -> BENCH_profile.json.
 
     Runs the base partitioned engine with the observability layer
-    attached (decode cache on, two passes so the cache sees repeats)
-    and writes the resulting :class:`ProfileSnapshot` next to the other
-    BENCH artifacts, so the perf trajectory and CI both pick it up.
+    attached (two passes over the queries) and writes the resulting
+    :class:`ProfileSnapshot` next to the other BENCH artifacts, so the perf trajectory and CI both pick it up.
     """
     from repro.instrumentation.profiling import (
         DEFAULT_PROFILE_NAME,
@@ -489,28 +487,20 @@ def experiment_profile() -> Table:
     )
 
     cases = setup.base_queries()
-    index = setup.base_index()
-    index.enable_decode_cache(4096)
     engine = PartitionedSearchEngine(
-        index, setup.base_source(), coarse_cutoff=50
+        setup.base_index(), setup.base_source(), coarse_cutoff=50
     )
     snapshot = profile_search(
         engine,
         [case.query for case in cases],
         top_k=10,
         repeat=2,
-        meta={"workload": "base", "cutoff": 50, "decode_cache": 4096},
+        meta={"workload": "base", "cutoff": 50},
     )
     snapshot.write(DEFAULT_PROFILE_NAME)
     rows = [
         ("queries", snapshot.queries),
         ("throughput q/s", snapshot.throughput_qps),
-        (
-            "decode-cache hit rate",
-            snapshot.decode_cache["hit_rate"]
-            if snapshot.decode_cache["hit_rate"] is not None
-            else "n/a",
-        ),
     ]
     for name, phase in sorted(snapshot.phases.items()):
         rows.append((f"{name} p50 ms", phase["p50_ms"]))

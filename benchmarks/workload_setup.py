@@ -166,7 +166,7 @@ def document_gap_stream(index: InvertedIndex) -> list[int]:
     """Every document gap the index's doc codec encodes, in order (E2)."""
     gaps: list[int] = []
     for interval in index.interval_ids():
-        docs, _ = index.docs_counts(interval)
+        _, docs, _ = index.read_lists([interval])
         previous = -1
         for doc in docs.tolist():
             gaps.append(doc - previous - 1)

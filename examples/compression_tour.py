@@ -31,7 +31,7 @@ def gather_document_gaps(index) -> list[int]:
     """The d-gap stream the index's doc codec actually sees."""
     gaps: list[int] = []
     for interval in index.interval_ids():
-        docs, _ = index.docs_counts(interval)
+        _, docs, _ = index.read_lists([interval])
         previous = -1
         for doc in docs.tolist():
             gaps.append(doc - previous - 1)

@@ -101,7 +101,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _print_instrumentation(
     instruments, queries: int, wall: float, coarse_backend: str | None = None
 ) -> None:
-    """The ``--stats`` tail: phases, cache, quarantine, counters, spans."""
+    """The ``--stats`` tail: phases, quarantine, counters, spans."""
     from repro.instrumentation.export import format_span_tree
     from repro.instrumentation.profiling import snapshot_from_instruments
 
@@ -289,8 +289,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     if args.index:
         with read_index(args.index) as index, read_store(args.store) as store:
-            if args.cache:
-                index.enable_decode_cache(args.cache)
             engine = PartitionedSearchEngine(
                 index,
                 store,
@@ -321,8 +319,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         collection, args.num_queries, args.query_length, seed=args.seed + 1
     )
     index = build_index(collection.sequences, IndexParameters())
-    if args.cache:
-        index.enable_decode_cache(args.cache)
     engine = PartitionedSearchEngine(
         index,
         MemorySequenceSource(collection.sequences),
@@ -641,16 +637,12 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--top", type=int, default=10)
     profile.add_argument(
         "--repeat", type=int, default=1,
-        help="whole-workload repetitions (>=2 exercises the decode cache)",
+        help="whole-workload repetitions",
     )
     profile.add_argument(
         "--scorer",
         choices=("count", "idf", "normalised", "diagonal"),
         default="count",
-    )
-    profile.add_argument(
-        "--cache", type=int, default=0, metavar="ENTRIES",
-        help="enable the section-A decode cache with this many entries",
     )
     profile.add_argument("--families", type=int, default=8)
     profile.add_argument("--family-size", type=int, default=4)

@@ -16,14 +16,15 @@ pre-backend database opens unchanged.
 The reader a backend opens must duck-type the slice of the
 :class:`~repro.index.builder.IndexReader` surface the engines touch:
 ``params`` / ``collection`` / ``vocabulary_size`` / ``verify()`` /
-``close()`` / ``set_instruments()`` / ``enable_decode_cache()``, plus
-a ``coarse_backend`` class attribute naming the backend so the engines
-can dispatch without consulting the manifest again.  The ranker must
-replicate the :class:`~repro.search.coarse.CoarseRanker` contract:
+``close()`` / ``set_instruments()``, plus a ``coarse_backend`` class
+attribute naming the backend so the engines can dispatch without
+consulting the manifest again.  The ranker must replicate the
+:class:`~repro.search.coarse.CoarseRanker` contract:
 ``rank(query_codes, cutoff, deadline)`` returning
 :class:`~repro.search.results.CoarseCandidate` rows ordered by
-(score desc, ordinal asc), cooperating with bounded deadlines and the
-engine's corruption policy.
+(score desc, ordinal asc), cooperating with bounded deadlines, and a
+``quarantined`` set of the units it skipped as corrupt under the
+engine's ``on_corruption="skip"`` policy.
 
 This module is import-light on purpose: the manifest layer
 (:mod:`repro.sharding.manifest`, which also reads the ``"coarse"``

@@ -51,7 +51,4 @@ class InvertedBackend(CoarseBackend):
     def make_ranker(
         self, index, scorer="count", on_corruption: str = "raise"
     ) -> CoarseRanker:
-        # The corruption policy is applied by the engine (it wraps the
-        # reader in a QuarantiningIndexReader under "skip"), exactly as
-        # before the backend seam existed.
-        return CoarseRanker(index, scorer)
+        return CoarseRanker(index, scorer, on_corruption=on_corruption)

@@ -331,9 +331,6 @@ class SignatureIndex:
     def set_instruments(self, instruments) -> None:
         self._instruments = coalesce(instruments)
 
-    def enable_decode_cache(self, max_entries: int = 4096) -> None:
-        """No-op: signature blocks are read straight off the mapping."""
-
     def block(self, slot: int) -> _Block:
         return self._blocks[slot]
 
@@ -443,7 +440,8 @@ class SignatureRanker:
         self.index = index
         self.on_corruption = on_corruption
         self.instruments = NULL_INSTRUMENTS
-        self._quarantined: set[int] = set()
+        #: Block slots quarantined as corrupt (under ``"skip"``).
+        self.quarantined: set[int] = set()
         # Query k-mers are always extracted at stride 1, mirroring the
         # inverted ranker: a sparsely signed collection is still hit as
         # long as some query window aligns with a signed window.
@@ -479,7 +477,7 @@ class SignatureRanker:
         for slot in range(self.index.num_blocks):
             if deadline.bounded and deadline.expired():
                 break
-            if slot in self._quarantined:
+            if slot in self.quarantined:
                 continue
             block = self.index.block(slot)
             try:
@@ -490,7 +488,7 @@ class SignatureRanker:
                 _LOG.warning(
                     "quarantining corrupt signature block %d: %s", slot, exc
                 )
-                self._quarantined.add(slot)
+                self.quarantined.add(slot)
                 self.instruments.count("signature.quarantined_blocks")
                 continue
             scanned += 1

@@ -53,7 +53,6 @@ __all__ = [
     "KERNEL_ENV_VAR",
     "TIERS",
     "active_tier",
-    "decode_docs_counts_batch",
     "decode_docs_counts_flat",
     "forced_tier",
     "resolve_tier",
@@ -676,37 +675,6 @@ def decode_docs_counts_flat(
     ok &= ends <= (byte_offsets + lengths) * 8
     docs = _grouped_prefix_values(gaps, dfs)
     return docs, counts, ok
-
-
-def decode_docs_counts_batch(
-    blobs: list[bytes],
-    dfs: np.ndarray,
-    parameters: np.ndarray,
-    cfs: np.ndarray | None = None,
-    universe: int | None = None,
-) -> list[tuple[np.ndarray, np.ndarray] | None]:
-    """Per-list view of :func:`decode_docs_counts_flat`.
-
-    Returns one ``(docs, counts)`` per blob, or ``None`` for a list the
-    vector pass did not decode (or a batch too small to beat the scalar
-    loop): the caller must decode those with the scalar codec.
-    """
-    num_lists = len(blobs)
-    if not num_lists:
-        return []
-    if num_lists < _MIN_BATCH_LISTS:
-        return [None] * num_lists
-    dfs = np.asarray(dfs, dtype=np.int64)
-    docs, counts, ok = decode_docs_counts_flat(
-        blobs, dfs, parameters, cfs, universe
-    )
-    first = np.cumsum(dfs) - dfs
-    results: list[tuple[np.ndarray, np.ndarray] | None] = [None] * num_lists
-    for slot in np.flatnonzero(ok).tolist():
-        start = int(first[slot])
-        stop = start + int(dfs[slot])
-        results[slot] = (docs[start:stop], counts[start:stop])
-    return results
 
 
 def decode_postings_batch(

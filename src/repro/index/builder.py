@@ -9,8 +9,8 @@ paper's on-disk indexes, scaled to in-memory collections.
 
 from __future__ import annotations
 
+import logging
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence as TypingSequence
 
@@ -18,13 +18,20 @@ import numpy as np
 
 from repro.errors import (
     CodecValueError,
-    IndexLookupError,
+    CorruptionError,
     IndexParameterError,
 )
 from repro.index.intervals import IntervalExtractor
 from repro.index.postings import PostingEntry, PostingsCodec, PostingsContext
 from repro.instrumentation.instruments import NULL_INSTRUMENTS, coalesce
 from repro.sequences.record import Sequence
+
+_LOG = logging.getLogger(__name__)
+
+#: Lists :meth:`IndexReader.read_lists` reads per deadline check: small
+#: enough to bound overshoot past a deadline, large enough to keep the
+#: vectorised batch decode effective.
+READ_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -171,10 +178,9 @@ class IndexReader(ABC):
     def set_instruments(self, instruments) -> None:
         """Attach an :class:`~repro.instrumentation.Instruments` sink.
 
-        The reader reports decode-cache traffic
-        (``index.decode_cache.hits`` / ``misses`` / ``evictions``) and
-        section-A decode volume (``index.postings_decoded``).  Passing
-        ``None`` detaches (reverts to the shared no-op).
+        The reader reports decode volume (``index.postings_decoded``)
+        and quarantined lists (``index.quarantined_intervals``).
+        Passing ``None`` detaches (reverts to the shared no-op).
         """
         self._instruments = coalesce(instruments)
 
@@ -196,271 +202,124 @@ class IndexReader(ABC):
             self._context_cache = context
         return context
 
-    def enable_decode_cache(self, max_entries: int = 4096) -> None:
-        """Cache decoded section-A lists (hot intervals repeat across
-        queries).  Off by default so timing experiments measure real
-        decode work; long-running services should turn it on.
-
-        Raises:
-            IndexParameterError: if ``max_entries`` < 1.
-        """
-        if max_entries < 1:
-            raise IndexParameterError(
-                f"max_entries must be >= 1, got {max_entries}"
-            )
-        self._decode_cache: "OrderedDict[int, tuple]" = OrderedDict()
-        self._decode_cache_limit = max_entries
-
-    def disable_decode_cache(self) -> None:
-        """Drop the decode cache (and stop caching)."""
-        self._decode_cache = None
-        self._decode_cache_limit = 0
-
-    def docs_counts(
-        self, interval_id: int, entry: VocabEntry | None = None
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Section-A decode: (sequence ordinals, counts), or None.
-
-        Callers that already hold the interval's :class:`VocabEntry`
-        pass it as ``entry`` to skip the second vocabulary lookup.
-        """
-        instruments = self.instruments
-        cache = getattr(self, "_decode_cache", None)
-        if cache is not None and interval_id in cache:
-            cache.move_to_end(interval_id)
-            instruments.count("index.decode_cache.hits")
-            return cache[interval_id]
-        if entry is None:
-            entry = self.lookup_entry(interval_id)
-        if entry is None:
-            return None
-        decoded = self.codec.decode_docs_counts(
-            entry.data, entry.df, self.context
-        )
-        instruments.count("index.postings_decoded")
-        if cache is not None:
-            instruments.count("index.decode_cache.misses")
-            cache[interval_id] = decoded
-            if len(cache) > self._decode_cache_limit:
-                cache.popitem(last=False)
-                instruments.count("index.decode_cache.evictions")
-        return decoded
-
-    def docs_counts_batch(
-        self, interval_ids: TypingSequence[int]
-    ) -> list[tuple[VocabEntry, np.ndarray, np.ndarray] | None]:
-        """Section-A decode of many intervals in one vectorised pass.
-
-        One result per requested interval, in order: ``(entry, docs,
-        counts)``, or ``None`` for intervals not in the vocabulary.
-        Returning the resolved :class:`VocabEntry` alongside the decode
-        means a scorer that needs per-list statistics (df for idf
-        weighting) performs exactly one vocabulary lookup per interval.
-        """
-        entries = [self.lookup_entry(int(i)) for i in interval_ids]
-        return self.docs_counts_from_entries(interval_ids, entries)
-
-    def docs_counts_from_entries(
+    def read_lists(
         self,
         interval_ids: TypingSequence[int],
-        entries: TypingSequence[VocabEntry | None],
-    ) -> list[tuple[VocabEntry, np.ndarray, np.ndarray] | None]:
-        """:meth:`docs_counts_batch` given pre-resolved entries.
+        *,
+        positions: bool = False,
+        skip: set[int] | None = None,
+        deadline=None,
+    ) -> tuple[np.ndarray, ...]:
+        """Resolve and decode many posting lists as flat arrays.
 
-        The split exists for delegating views (quarantine, deadline)
-        that must intercept the lookups but still want the wrapped
-        reader's decode cache and batch decode.
-        """
-        if type(self).docs_counts is not IndexReader.docs_counts:
-            # The batch is only a sound shortcut past docs_counts when
-            # docs_counts is the stock implementation.  A subclass that
-            # re-defines it (integrity guards, fault injection, extra
-            # accounting) must see every read, so degrade to its
-            # per-interval method.
-            results = []
-            for interval_id, entry in zip(interval_ids, entries):
-                if entry is None:
-                    results.append(None)
-                    continue
-                decoded = self.docs_counts(int(interval_id), entry)
-                results.append(
-                    None if decoded is None else (entry, *decoded)
-                )
-            return results
-        instruments = self.instruments
-        cache = getattr(self, "_decode_cache", None)
-        results: list[tuple[VocabEntry, np.ndarray, np.ndarray] | None]
-        results = [None] * len(entries)
-        miss_slots: list[int] = []
-        for slot, (interval_id, entry) in enumerate(
-            zip(interval_ids, entries)
-        ):
-            if entry is None:
-                continue
-            if cache is not None and interval_id in cache:
-                cache.move_to_end(interval_id)
-                instruments.count("index.decode_cache.hits")
-                docs, counts = cache[interval_id]
-                results[slot] = (entry, docs, counts)
-            else:
-                miss_slots.append(slot)
-        if not miss_slots:
-            return results
-        miss_entries = [entries[slot] for slot in miss_slots]
-        decoded = self.codec.decode_docs_counts_batch(
-            [entry.data for entry in miss_entries],
-            [entry.df for entry in miss_entries],
-            self.context,
-            cfs=[entry.cf for entry in miss_entries],
-        )
-        instruments.count("index.postings_decoded", len(miss_slots))
-        for slot, entry, (docs, counts) in zip(
-            miss_slots, miss_entries, decoded
-        ):
-            results[slot] = (entry, docs, counts)
-            if cache is not None:
-                interval_id = interval_ids[slot]
-                instruments.count("index.decode_cache.misses")
-                cache[int(interval_id)] = (docs, counts)
-                if len(cache) > self._decode_cache_limit:
-                    cache.popitem(last=False)
-                    instruments.count("index.decode_cache.evictions")
-        return results
-
-    def docs_counts_flat(
-        self, interval_ids: TypingSequence[int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Section-A decode of many intervals as flat lane-major arrays.
-
-        Returns ``(lens, docs, counts)``: ``lens[i]`` is interval
-        ``i``'s entry count (0 when the interval is absent — or yields
-        no evidence, for delegating views), and ``docs``/``counts``
+        Returns ``(lens, docs, counts)``, or ``(lens, docs, counts,
+        offsets)`` with ``positions=True``.  ``lens[i]`` is interval
+        ``i``'s entry count: 0 when it is absent, in ``skip``, or not
+        reached before ``deadline`` expired.  ``docs``/``counts``
         concatenate the entries in request order, so interval ``i``
-        occupies ``cumsum(lens)[i-1] : cumsum(lens)[i]``.  This is the
-        zero-materialisation fast path for coarse scoring: one decode,
-        one weighting, one accumulation for the whole batch.
+        occupies ``cumsum(lens)[i-1] : cumsum(lens)[i]``; ``offsets``
+        concatenates each entry's occurrence offsets, ``counts`` long
+        each.  This is the one read path of the coarse phase.
+
+        Args:
+            skip: the caller's quarantine set.  Its intervals are not
+                read; a :class:`~repro.errors.CorruptionError` while
+                resolving or decoding an interval adds it (logged once,
+                counted as ``index.quarantined_intervals``) instead of
+                raising, and a batch that fails is re-read list by list
+                so healthy neighbours survive.  ``None`` raises.
+            deadline: a bounded
+                :class:`~repro.search.deadline.Deadline` is checked
+                before every :data:`READ_CHUNK` lists.
         """
         if hasattr(interval_ids, "tolist"):
             interval_ids = interval_ids.tolist()
-        entries = [self.lookup_entry(i) for i in interval_ids]
-        return self.docs_counts_flat_from_entries(interval_ids, entries)
+        total = len(interval_ids)
+        if deadline is None or not deadline.bounded:
+            return self._read_chunk(interval_ids, positions, skip)
+        parts = []
+        for start in range(0, total, READ_CHUNK):
+            if deadline.expired():
+                break
+            parts.append(
+                self._read_chunk(
+                    interval_ids[start : start + READ_CHUNK], positions, skip
+                )
+            )
+        return _concatenate_lists(parts, positions, total)
+
+    def _read_chunk(self, interval_ids, positions, skip):
+        if skip is None:
+            entries = [self.lookup_entry(i) for i in interval_ids]
+            return self.docs_counts_flat_from_entries(
+                interval_ids, entries, positions=positions
+            )
+        entries = []
+        for interval_id in interval_ids:
+            entry = None
+            if interval_id not in skip:
+                try:
+                    entry = self.lookup_entry(interval_id)
+                except CorruptionError as exc:
+                    self._quarantine(skip, interval_id, exc)
+            entries.append(entry)
+        try:
+            return self.docs_counts_flat_from_entries(
+                interval_ids, entries, positions=positions
+            )
+        except CorruptionError:
+            pass  # re-read list by list: only the damaged ones go
+        parts = []
+        for interval_id, entry in zip(interval_ids, entries):
+            try:
+                parts.append(
+                    self.docs_counts_flat_from_entries(
+                        [interval_id], [entry], positions=positions
+                    )
+                )
+            except CorruptionError as exc:
+                self._quarantine(skip, interval_id, exc)
+                parts.append(_concatenate_lists([], positions, 1))
+        return _concatenate_lists(parts, positions, len(interval_ids))
+
+    def _quarantine(
+        self, skip: set[int], interval_id: int, exc: CorruptionError
+    ) -> None:
+        _LOG.warning(
+            "quarantining corrupt posting list for interval %d: %s",
+            interval_id,
+            exc,
+        )
+        skip.add(interval_id)
+        self.instruments.count("index.quarantined_intervals")
 
     def docs_counts_flat_from_entries(
         self,
         interval_ids: TypingSequence[int],
         entries: TypingSequence[VocabEntry | None],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`docs_counts_flat` given pre-resolved entries.
-
-        Soundness mirrors :meth:`docs_counts_from_entries`: a subclass
-        that re-defines :meth:`docs_counts`, or an enabled decode
-        cache, routes through the per-interval method so every read is
-        observed (and cached lists stay cached).
-        """
-        lens = np.zeros(len(entries), dtype=np.int64)
-        cache = getattr(self, "_decode_cache", None)
-        if (
-            type(self).docs_counts is not IndexReader.docs_counts
-            or cache is not None
-        ):
-            pieces: list[tuple[np.ndarray, np.ndarray]] = []
-            for slot, (interval_id, entry) in enumerate(
-                zip(interval_ids, entries)
-            ):
-                if entry is None:
-                    continue
-                decoded = self.docs_counts(int(interval_id), entry)
-                if decoded is None:
-                    continue
-                lens[slot] = decoded[0].shape[0]
-                pieces.append(decoded)
-            if not pieces:
-                empty = np.empty(0, dtype=np.int64)
-                return lens, empty, empty
-            return (
-                lens,
-                np.concatenate([docs for docs, _ in pieces]),
-                np.concatenate([counts for _, counts in pieces]),
+        positions: bool = False,
+    ) -> tuple[np.ndarray, ...]:
+        """The decode step of :meth:`read_lists`, given the resolved
+        entries (``None`` = nothing to read): ``(lens, docs, counts)``,
+        plus ``offsets`` with ``positions=True``."""
+        lens = np.array(
+            [0 if entry is None else entry.df for entry in entries],
+            dtype=np.int64,
+        )
+        present = [entry for entry in entries if entry is not None]
+        blobs = [entry.data for entry in present]
+        dfs = [entry.df for entry in present]
+        cfs = [entry.cf for entry in present]
+        if positions:
+            decoded = self.codec.decode_postings_flat(
+                blobs, dfs, cfs, self.context
             )
-        if None in entries:
-            slots = [
-                slot for slot, entry in enumerate(entries)
-                if entry is not None
-            ]
-            present: TypingSequence[VocabEntry] = [
-                entries[slot] for slot in slots
-            ]
-            present_dfs = [entry.df for entry in present]
-            lens[slots] = present_dfs
         else:
-            present = entries
-            present_dfs = [entry.df for entry in present]
-            lens[:] = present_dfs
-        docs, counts = self.codec.decode_docs_counts_flat(
-            [entry.data for entry in present],
-            present_dfs,
-            self.context,
-            cfs=[entry.cf for entry in present],
-        )
+            decoded = self.codec.decode_docs_counts_flat(
+                blobs, dfs, self.context, cfs=cfs
+            )
         self.instruments.count("index.postings_decoded", len(present))
-        return lens, docs, counts
-
-    def postings(
-        self, interval_id: int, entry: VocabEntry | None = None
-    ) -> list[PostingEntry]:
-        """Full decode including occurrence offsets.
-
-        Raises:
-            IndexLookupError: if the interval is not in the vocabulary.
-        """
-        if entry is None:
-            entry = self.lookup_entry(interval_id)
-        if entry is None:
-            raise IndexLookupError(f"interval {interval_id} not indexed")
-        return self.codec.decode(entry.data, entry.df, entry.cf, self.context)
-
-    def postings_batch(
-        self, interval_ids: TypingSequence[int]
-    ) -> list[list[PostingEntry] | None]:
-        """Full decode (offsets included) of many intervals at once.
-
-        One result per requested interval, in order; unlike
-        :meth:`postings` an absent interval yields ``None`` rather than
-        raising, so callers can fan a whole query out in one call.
-        """
-        entries = [self.lookup_entry(int(i)) for i in interval_ids]
-        return self.postings_from_entries(interval_ids, entries)
-
-    def postings_from_entries(
-        self,
-        interval_ids: TypingSequence[int],
-        entries: TypingSequence[VocabEntry | None],
-    ) -> list[list[PostingEntry] | None]:
-        """:meth:`postings_batch` given pre-resolved entries."""
-        if type(self).postings is not IndexReader.postings:
-            # Same soundness rule as docs_counts_from_entries: a
-            # subclass that re-defines the per-interval read must see
-            # every read.
-            return [
-                None if entry is None
-                else self.postings(int(interval_id), entry)
-                for interval_id, entry in zip(interval_ids, entries)
-            ]
-        present = [
-            slot for slot, entry in enumerate(entries) if entry is not None
-        ]
-        results: list[list[PostingEntry] | None] = [None] * len(entries)
-        if not present:
-            return results
-        batch = self.codec.decode_batch(
-            [entries[slot].data for slot in present],
-            [entries[slot].df for slot in present],
-            [entries[slot].cf for slot in present],
-            self.context,
-        )
-        for slot, postings in zip(present, batch):
-            results[slot] = postings
-        return results
+        return (lens, *decoded)
 
     @property
     def pointer_count(self) -> int:
@@ -478,6 +337,23 @@ class IndexReader(ABC):
             for entry in map(self.lookup_entry, self.interval_ids())
             if entry is not None
         )
+
+
+def _concatenate_lists(
+    parts: list[tuple[np.ndarray, ...]], positions: bool, total: int
+) -> tuple[np.ndarray, ...]:
+    """Join :meth:`IndexReader.read_lists` pieces read in request
+    order; ``lens`` is zero-padded to ``total`` lists."""
+    lens = np.zeros(total, dtype=np.int64)
+    if parts:
+        read = np.concatenate([part[0] for part in parts])
+        lens[: read.shape[0]] = read
+    width = 4 if positions else 3
+    empty = np.empty(0, dtype=np.int64)
+    return (lens,) + tuple(
+        np.concatenate([part[field] for part in parts]) if parts else empty
+        for field in range(1, width)
+    )
 
 
 class InvertedIndex(IndexReader):

@@ -18,6 +18,7 @@ from repro.errors import IndexParameterError
 from repro.index.builder import (
     CollectionInfo,
     IndexParameters,
+    IndexReader,
     InvertedIndex,
     VocabEntry,
     build_index,
@@ -69,27 +70,11 @@ def merge_indexes(parts: TypingSequence[InvertedIndex]) -> InvertedIndex:
     )
     vocabulary: dict[int, VocabEntry] = {}
     for interval in all_ids:
-        entries: list[PostingEntry] = []
-        for part, offset in zip(parts, offsets):
-            if interval not in part:
-                continue
-            if params.include_positions:
-                for posting in part.postings(interval):
-                    entries.append(
-                        PostingEntry(
-                            posting.sequence + offset, posting.positions
-                        )
-                    )
-            else:
-                # Positions were never stored; the codec only reads the
-                # count from the placeholder array.
-                docs, counts = part.docs_counts(interval)
-                for doc, count in zip(docs.tolist(), counts.tolist()):
-                    entries.append(
-                        PostingEntry(
-                            doc + offset, np.zeros(count, dtype=np.int64)
-                        )
-                    )
+        entries = [
+            posting
+            for part, offset in zip(parts, offsets)
+            for posting in _shifted_postings(part, interval, offset)
+        ]
         data = codec.encode(entries, context)
         vocabulary[interval] = VocabEntry(
             interval,
@@ -98,6 +83,25 @@ def merge_indexes(parts: TypingSequence[InvertedIndex]) -> InvertedIndex:
             data,
         )
     return InvertedIndex(params, collection, vocabulary)
+
+
+def _shifted_postings(
+    part: IndexReader, interval: int, offset: int
+) -> list[PostingEntry]:
+    """``part``'s posting list for ``interval`` (empty when absent)
+    with sequence ordinals shifted by ``offset``."""
+    if part.params.include_positions:
+        _, docs, counts, positions = part.read_lists([interval], positions=True)
+        chunks = np.split(positions, np.cumsum(counts)[:-1])
+    else:
+        # Positions were never stored; the codec only reads the count
+        # from the placeholder array.
+        _, docs, counts = part.read_lists([interval])
+        chunks = [np.zeros(count, dtype=np.int64) for count in counts.tolist()]
+    return [
+        PostingEntry(doc + offset, chunk)
+        for doc, chunk in zip(docs.tolist(), chunks)
+    ]
 
 
 def _batches(
@@ -189,29 +193,11 @@ def merge_index_files(
                 if interval == previous_interval:
                     continue  # duplicates across parts handled once
                 previous_interval = interval
-                entries: list[PostingEntry] = []
-                for part, offset in zip(parts, offsets):
-                    if interval not in part:
-                        continue
-                    if params.include_positions:
-                        for posting in part.postings(interval):
-                            entries.append(
-                                PostingEntry(
-                                    posting.sequence + offset,
-                                    posting.positions,
-                                )
-                            )
-                    else:
-                        docs, counts = part.docs_counts(interval)
-                        for doc, count in zip(
-                            docs.tolist(), counts.tolist()
-                        ):
-                            entries.append(
-                                PostingEntry(
-                                    doc + offset,
-                                    np.zeros(count, dtype=np.int64),
-                                )
-                            )
+                entries = [
+                    posting
+                    for part, offset in zip(parts, offsets)
+                    for posting in _shifted_postings(part, interval, offset)
+                ]
                 data = codec.encode(entries, context)
                 table_rows.append(
                     (

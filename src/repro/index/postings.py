@@ -286,41 +286,6 @@ class PostingsCodec:
             lengths = np.concatenate([lengths, pos_lengths])
         return pack_patterns(patterns, lengths)
 
-    def decode_docs_counts_batch(
-        self,
-        blobs: list[bytes],
-        dfs: list[int],
-        context: PostingsContext,
-        cfs: list[int] | None = None,
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Section-A decode of many lists in one vectorised pass.
-
-        One result per blob, in order.  Lists the block decoder cannot
-        finish cleanly (overflow codes, truncation) are re-decoded with
-        the scalar loop, so values and exceptions match the
-        per-list path exactly.  Passing ``cfs`` (per-list occurrence
-        totals) lets the block decoder clip each blob to its provable
-        section-A bound and skip the offset section entirely.
-        """
-        decoded: list[tuple[np.ndarray, np.ndarray] | None]
-        if self._fast_decodable() and blobs:
-            dfs_array = np.asarray(dfs, dtype=np.int64)
-            decoded = fastunpack.decode_docs_counts_batch(
-                blobs,
-                dfs_array,
-                self._doc_parameters(dfs_array, context),
-                None if cfs is None else np.asarray(cfs, dtype=np.int64),
-                context.num_sequences,
-            )
-        else:
-            decoded = [None] * len(blobs)
-        return [
-            result
-            if result is not None
-            else self.decode_docs_counts(blob, df, context)
-            for blob, df, result in zip(blobs, dfs, decoded)
-        ]
-
     def decode_docs_counts_flat(
         self,
         blobs: list[bytes],
@@ -379,7 +344,7 @@ class PostingsCodec:
         The pure-Python reference decode.  A lone list gains nothing
         from the numpy kernel tier (see docs/KERNELS.md), which pays
         its dispatch cost per *batch* and serves
-        :meth:`decode_docs_counts_batch` instead.
+        :meth:`decode_docs_counts_flat` instead.
         """
         doc_codec = self._doc_codec(df, context)
         reader = BitReader(data)
@@ -422,18 +387,21 @@ class PostingsCodec:
             entries.append(PostingEntry(int(docs[slot]), positions))
         return entries
 
-    def decode_batch(
+    def decode_postings_flat(
         self,
         blobs: list[bytes],
         dfs: list[int],
         cfs: list[int],
         context: PostingsContext,
-    ) -> list[list[PostingEntry]]:
-        """Full decode (offsets included) of many lists at once.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full decode (offsets included) of many lists as flat arrays.
 
-        One result per blob, in order.  Lists the block decoder cannot
-        finish cleanly are re-decoded with the scalar loop, so values
-        and exceptions match :meth:`decode` exactly.
+        Returns ``(docs, counts, offsets)``: every list's entries
+        concatenated in request order, and each entry's occurrence
+        offsets (``counts`` long each) concatenated likewise.  Lists
+        the block decoder cannot finish cleanly are re-decoded with the
+        scalar loop, so values and exceptions match :meth:`decode`
+        exactly.
         """
         decoded: list[
             tuple[np.ndarray, np.ndarray, np.ndarray] | None
@@ -458,22 +426,26 @@ class PostingsCodec:
             )
         else:
             decoded = [None] * len(blobs)
-        results: list[list[PostingEntry]] = []
+        parts = []
         for blob, df, cf, fast in zip(blobs, dfs, cfs, decoded):
             if fast is None:
-                results.append(self.decode(blob, df, cf, context))
-                continue
-            docs, counts, positions = fast
-            results.append(
-                [
-                    PostingEntry(int(doc), chunk)
-                    for doc, chunk in zip(
-                        docs.tolist(),
-                        np.split(positions, np.cumsum(counts)[:-1]),
-                    )
-                ]
-            )
-        return results
+                entries = self.decode(blob, df, cf, context)
+                fast = (
+                    np.array([e.sequence for e in entries], dtype=np.int64),
+                    np.array([e.count for e in entries], dtype=np.int64),
+                    np.concatenate(
+                        [e.positions for e in entries]
+                        + [np.empty(0, dtype=np.int64)]
+                    ),
+                )
+            parts.append(fast)
+        if not parts:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty
+        return tuple(
+            np.concatenate([part[field] for part in parts])
+            for field in range(3)
+        )
 
     def describe(self) -> dict[str, object]:
         """Codec configuration as a plain dict (for index headers)."""

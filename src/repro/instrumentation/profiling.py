@@ -3,8 +3,8 @@
 :func:`profile_search` drives any engine exposing
 ``search(query, top_k)`` over a query list with instrumentation
 enabled, then condenses the registry into a :class:`ProfileSnapshot` —
-per-phase latency percentiles, decode-cache hit rate, quarantine
-counts, throughput — that serialises to the ``BENCH_profile.json``
+per-phase latency percentiles, quarantine counts, throughput — that
+serialises to the ``BENCH_profile.json``
 format consumed by the perf-trajectory tooling and CI artifacts.
 """
 
@@ -36,8 +36,6 @@ class ProfileSnapshot:
         throughput_qps: queries per wall-clock second.
         phases: per-histogram latency summaries in milliseconds, keyed
             by metric name (e.g. ``partitioned.coarse_seconds``).
-        decode_cache: hits / misses / evictions / hit_rate (hit_rate is
-            ``None`` until the cache sees traffic).
         quarantine: quarantined ``intervals`` and ``sequences`` counts.
         counters / gauges: the full registry contents.
     """
@@ -47,7 +45,6 @@ class ProfileSnapshot:
     wall_seconds: float = 0.0
     throughput_qps: float = 0.0
     phases: dict = field(default_factory=dict)
-    decode_cache: dict = field(default_factory=dict)
     quarantine: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
     gauges: dict = field(default_factory=dict)
@@ -91,13 +88,6 @@ class ProfileSnapshot:
                 f"p90={phase['p90_ms']:.2f}ms p99={phase['p99_ms']:.2f}ms "
                 f"(n={phase['count']})"
             )
-        rate = self.decode_cache.get("hit_rate")
-        rate_text = "n/a" if rate is None else f"{rate:.1%}"
-        lines.append(
-            f"decode cache      : {rate_text} hit rate "
-            f"({self.decode_cache.get('hits', 0)} hits / "
-            f"{self.decode_cache.get('misses', 0)} misses)"
-        )
         lines.append(
             f"quarantine        : {self.quarantine.get('intervals', 0)} "
             f"interval(s), {self.quarantine.get('sequences', 0)} sequence(s)"
@@ -131,21 +121,12 @@ def snapshot_from_instruments(
     """Condense a registry into a :class:`ProfileSnapshot`."""
     registry = instruments.metrics.snapshot()
     counters = registry.get("counters", {})
-    hits = counters.get("index.decode_cache.hits", 0)
-    misses = counters.get("index.decode_cache.misses", 0)
-    seen = hits + misses
     return ProfileSnapshot(
         meta=dict(meta or {}),
         queries=queries,
         wall_seconds=wall_seconds,
         throughput_qps=queries / wall_seconds if wall_seconds > 0 else 0.0,
         phases=_phase_summaries(registry),
-        decode_cache={
-            "hits": hits,
-            "misses": misses,
-            "evictions": counters.get("index.decode_cache.evictions", 0),
-            "hit_rate": hits / seen if seen else None,
-        },
         quarantine={
             "intervals": counters.get("index.quarantined_intervals", 0),
             "sequences": counters.get("store.quarantined_sequences", 0),
@@ -173,7 +154,7 @@ def profile_search(
         engine: the search engine to drive.
         queries: the query records (anything ``engine.search`` takes).
         top_k: answers requested per query.
-        repeat: whole-workload repetitions (>=2 exercises caches).
+        repeat: whole-workload repetitions.
         meta: extra workload description recorded in the snapshot.
     """
     instruments = getattr(engine, "instruments", None)

@@ -4,7 +4,6 @@ from repro.search.blast_like import BlastLikeSearcher
 from repro.search.deadline import (
     NO_DEADLINE,
     Deadline,
-    DeadlineIndexView,
     ensure_deadline,
 )
 from repro.search.resilience import (
@@ -45,7 +44,6 @@ __all__ = [
     "CoarseScorer",
     "CountScorer",
     "Deadline",
-    "DeadlineIndexView",
     "DiagonalScorer",
     "ExhaustiveSearcher",
     "FastaLikeSearcher",

@@ -23,15 +23,10 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.compression import fastunpack
 from repro.errors import SearchError
 from repro.index.builder import IndexReader
 from repro.index.intervals import IntervalExtractor
-from repro.search.deadline import (
-    Deadline,
-    DeadlineIndexView,
-    ensure_deadline,
-)
+from repro.search.deadline import Deadline
 from repro.instrumentation.instruments import (
     NULL_INSTRUMENTS,
     Instruments,
@@ -56,6 +51,9 @@ class CoarseScorer(ABC):
         query_ids: np.ndarray,
         query_counts: np.ndarray,
         query_positions: list[np.ndarray],
+        *,
+        skip: set[int] | None = None,
+        deadline: Deadline | None = None,
     ) -> np.ndarray:
         """Float score per collection sequence (higher = more similar).
 
@@ -64,126 +62,27 @@ class CoarseScorer(ABC):
             query_ids: distinct interval ids in the query.
             query_counts: occurrences of each id in the query.
             query_positions: query offsets of each id's occurrences.
+            skip / deadline: the quarantine set and time budget of
+                :meth:`~repro.index.builder.IndexReader.read_lists`.
         """
 
 
-def count_decoded_postings(instruments: Instruments, num_postings: int) -> None:
-    """Record one posting-list fetch for the coarse phase.
+def count_decoded_postings(instruments: Instruments, lens: np.ndarray) -> None:
+    """Record the posting lists the coarse phase decoded.
 
     This is the single definition of the two counters' units, shared by
     every scorer and ranker (``coarse.py`` and ``frames.py`` alike):
 
-    * ``coarse.postings_fetched`` — +1 per posting *list* decoded;
+    * ``coarse.postings_fetched`` — +1 per posting *list* decoded
+      (``lens > 0``);
     * ``coarse.dgaps_decoded`` — +df per list: one per posting (one
       document gap per document entry), regardless of whether the
       consumer also decoded the occurrence offsets.
-    """
-    instruments.count("coarse.postings_fetched")
-    instruments.count("coarse.dgaps_decoded", int(num_postings))
-
-
-def fetch_docs_counts_batch(index, interval_ids: list[int]) -> list:
-    """``index.docs_counts_batch`` with a duck-typing fallback.
-
-    Readers that predate the batch protocol (including lightweight test
-    doubles and third-party wrappers) are served per interval through
-    ``lookup_entry`` + ``docs_counts``, yielding the same
-    ``(entry, docs, counts) | None`` triples as the batched path.
-    """
-    batch = getattr(index, "docs_counts_batch", None)
-    if batch is not None:
-        return batch(interval_ids)
-    results: list = []
-    for interval_id in interval_ids:
-        entry = index.lookup_entry(interval_id)
-        if entry is None:
-            results.append(None)
-            continue
-        decoded = index.docs_counts(interval_id)
-        results.append(None if decoded is None else (entry, *decoded))
-    return results
-
-
-def fetch_postings_batch(index, interval_ids: list[int]) -> list:
-    """``index.postings_batch`` with a duck-typing fallback.
-
-    Per interval the result is the posting list, or ``None`` when the
-    interval is absent (or expired under a deadline view).
-    """
-    batch = getattr(index, "postings_batch", None)
-    if batch is not None:
-        return batch(interval_ids)
-    results: list = []
-    for interval_id in interval_ids:
-        entry = index.lookup_entry(interval_id)
-        results.append(
-            None if entry is None else index.postings(interval_id)
-        )
-    return results
-
-
-def fetch_docs_counts_flat(index, interval_ids: list[int]):
-    """``index.docs_counts_flat`` with a duck-typing fallback.
-
-    Returns ``(lens, docs, counts)``: per-interval posting counts (0
-    for absent / expired / quarantined intervals) and the documents and
-    occurrence counts of every present list concatenated in interval
-    order — the layout the vectorised scorers consume whole.
-    """
-    flat = getattr(index, "docs_counts_flat", None)
-    if flat is not None:
-        return flat(interval_ids)
-    lens = np.zeros(len(interval_ids), dtype=np.int64)
-    docs_parts: list[np.ndarray] = []
-    counts_parts: list[np.ndarray] = []
-    for slot, decoded in enumerate(
-        fetch_docs_counts_batch(index, interval_ids)
-    ):
-        if decoded is None:
-            continue
-        _, docs, counts = decoded
-        lens[slot] = docs.shape[0]
-        docs_parts.append(docs)
-        counts_parts.append(counts)
-    empty = np.empty(0, dtype=np.int64)
-    return (
-        lens,
-        np.concatenate(docs_parts) if docs_parts else empty,
-        np.concatenate(counts_parts) if counts_parts else empty,
-    )
-
-
-def _count_flat_postings(instruments: Instruments, lens: np.ndarray) -> None:
-    """Batched :func:`count_decoded_postings`: same units, one call.
-
-    ``lens > 0`` marks the lists actually decoded (+1 fetch each) and
-    ``lens.sum()`` is their total document gaps (+df each), so the two
-    counters read identically whichever decode path served the query.
     """
     fetched = int(np.count_nonzero(lens))
     if fetched:
         instruments.count("coarse.postings_fetched", fetched)
         instruments.count("coarse.dgaps_decoded", int(lens.sum()))
-
-
-def _accumulate_evidence(
-    num_sequences: int,
-    doc_chunks: list[np.ndarray],
-    weight_chunks: list[np.ndarray],
-) -> np.ndarray:
-    """Sum per-interval contributions into a dense score vector.
-
-    One ``bincount`` over the concatenated evidence replaces the old
-    per-interval ``np.add.at`` scatters — a single weighted histogram
-    pass instead of many small indexed adds.
-    """
-    if not doc_chunks:
-        return np.zeros(num_sequences, dtype=np.float64)
-    return np.bincount(
-        np.concatenate(doc_chunks),
-        weights=np.concatenate(weight_chunks),
-        minlength=num_sequences,
-    )
 
 
 class CountScorer(CoarseScorer):
@@ -197,41 +96,22 @@ class CountScorer(CoarseScorer):
         query_ids: np.ndarray,
         query_counts: np.ndarray,
         query_positions: list[np.ndarray],
+        *,
+        skip: set[int] | None = None,
+        deadline: Deadline | None = None,
     ) -> np.ndarray:
-        instruments = self.instruments
         num_sequences = index.collection.num_sequences
-        interval_ids = query_ids.tolist()
-        if fastunpack.active_tier() != "python":
-            # Vector tier: one flat decode, one weighted histogram.
-            # Element order matches the per-list path (interval order,
-            # documents ascending within each list), so the float sums
-            # are bit-identical to the python-tier floor.
-            lens, docs, counts = fetch_docs_counts_flat(
-                index, interval_ids
-            )
-            _count_flat_postings(instruments, lens)
-            if not docs.shape[0]:
-                return np.zeros(num_sequences, dtype=np.float64)
-            caps = np.repeat(query_counts, lens)
-            return np.bincount(
-                docs,
-                weights=np.minimum(counts, caps),
-                minlength=num_sequences,
-            )
-        fetched = fetch_docs_counts_batch(index, interval_ids)
-        doc_chunks: list[np.ndarray] = []
-        weight_chunks: list[np.ndarray] = []
-        for query_count, decoded in zip(query_counts, fetched):
-            if decoded is None:
-                continue
-            _, docs, counts = decoded
-            count_decoded_postings(instruments, docs.shape[0])
-            doc_chunks.append(docs)
-            weight_chunks.append(
-                np.minimum(counts, int(query_count)).astype(np.float64)
-            )
-        return _accumulate_evidence(
-            num_sequences, doc_chunks, weight_chunks
+        lens, docs, counts = index.read_lists(
+            query_ids, skip=skip, deadline=deadline
+        )
+        count_decoded_postings(self.instruments, lens)
+        if not docs.shape[0]:
+            return np.zeros(num_sequences, dtype=np.float64)
+        # One weighted histogram in interval order, documents ascending
+        # within each list: the float sums never depend on the decoder.
+        caps = np.repeat(query_counts, lens)
+        return np.bincount(
+            docs, weights=np.minimum(counts, caps), minlength=num_sequences
         )
 
 
@@ -251,50 +131,26 @@ class IdfScorer(CoarseScorer):
         query_ids: np.ndarray,
         query_counts: np.ndarray,
         query_positions: list[np.ndarray],
+        *,
+        skip: set[int] | None = None,
+        deadline: Deadline | None = None,
     ) -> np.ndarray:
         num_sequences = index.collection.num_sequences
-        instruments = self.instruments
-        interval_ids = query_ids.tolist()
-        if fastunpack.active_tier() != "python":
-            # Vector tier: df == decoded list length, so the idf weight
-            # needs no vocabulary access at all — repeat each list's
-            # weight across its postings and histogram once.
-            lens, docs, counts = fetch_docs_counts_flat(
-                index, interval_ids
-            )
-            _count_flat_postings(instruments, lens)
-            if not docs.shape[0]:
-                return np.zeros(num_sequences, dtype=np.float64)
-            weights = np.log1p(num_sequences / np.maximum(lens, 1))
-            caps = np.repeat(query_counts, lens)
-            return np.bincount(
-                docs,
-                weights=np.repeat(weights, lens)
-                * np.minimum(counts, caps),
-                minlength=num_sequences,
-            )
-        # The batch returns each interval's VocabEntry with its decode,
-        # so the idf weight's df costs no second vocabulary lookup
-        # (the old flow paid lookup_entry *and* docs_counts per
-        # interval — two full lookups on a disk-backed reader).
-        fetched = fetch_docs_counts_batch(index, interval_ids)
-        doc_chunks: list[np.ndarray] = []
-        weight_chunks: list[np.ndarray] = []
-        for query_count, decoded in zip(query_counts, fetched):
-            if decoded is None:
-                # Not in the vocabulary, or a quarantining reader
-                # failed the blob's integrity check: the interval
-                # contributes no evidence, exactly like CountScorer.
-                continue
-            entry, docs, counts = decoded
-            count_decoded_postings(instruments, docs.shape[0])
-            weight = np.log1p(num_sequences / max(entry.df, 1))
-            doc_chunks.append(docs)
-            weight_chunks.append(
-                weight * np.minimum(counts, int(query_count))
-            )
-        return _accumulate_evidence(
-            num_sequences, doc_chunks, weight_chunks
+        lens, docs, counts = index.read_lists(
+            query_ids, skip=skip, deadline=deadline
+        )
+        count_decoded_postings(self.instruments, lens)
+        if not docs.shape[0]:
+            return np.zeros(num_sequences, dtype=np.float64)
+        # df == decoded list length, so the weight needs no second
+        # vocabulary access: repeat each list's weight across its
+        # postings and histogram once.
+        weights = np.log1p(num_sequences / np.maximum(lens, 1))
+        caps = np.repeat(query_counts, lens)
+        return np.bincount(
+            docs,
+            weights=np.repeat(weights, lens) * np.minimum(counts, caps),
+            minlength=num_sequences,
         )
 
 
@@ -313,13 +169,17 @@ class NormalisedScorer(CoarseScorer):
         query_ids: np.ndarray,
         query_counts: np.ndarray,
         query_positions: list[np.ndarray],
+        *,
+        skip: set[int] | None = None,
+        deadline: Deadline | None = None,
     ) -> np.ndarray:
         inner = CountScorer()
         # Forward our sink: a bare CountScorer() starts on the class
         # default, which silently dropped this scorer's fetch counters.
         inner.instruments = self.instruments
         raw = inner.score(
-            index, query_ids, query_counts, query_positions
+            index, query_ids, query_counts, query_positions,
+            skip=skip, deadline=deadline,
         )
         lengths = np.maximum(index.collection.lengths, 1).astype(np.float64)
         return raw * (index.collection.context().mean_length / lengths)
@@ -349,44 +209,63 @@ class DiagonalScorer(CoarseScorer):
         query_ids: np.ndarray,
         query_counts: np.ndarray,
         query_positions: list[np.ndarray],
+        *,
+        skip: set[int] | None = None,
+        deadline: Deadline | None = None,
     ) -> np.ndarray:
         if not index.params.include_positions:
             raise SearchError(
                 "diagonal coarse scoring needs an index built with positions"
             )
-        doc_chunks: list[np.ndarray] = []
-        diagonal_chunks: list[np.ndarray] = []
-        instruments = self.instruments
-        fetched = fetch_postings_batch(
-            index, [int(i) for i in query_ids]
+        lists = index.read_lists(
+            query_ids, positions=True, skip=skip, deadline=deadline
         )
-        for slot, postings in enumerate(fetched):
-            if postings is None:
-                continue
-            count_decoded_postings(instruments, len(postings))
-            offsets = query_positions[slot]
-            for posting in postings:
-                # Every (query offset, sequence offset) pair is a hit.
-                diagonals = (
-                    posting.positions[None, :] - offsets[:, None]
-                ).reshape(-1)
-                doc_chunks.append(
-                    np.full(diagonals.shape[0], posting.sequence, np.int64)
-                )
-                diagonal_chunks.append(diagonals)
-
+        count_decoded_postings(self.instruments, lists[0])
         scores = np.zeros(index.collection.num_sequences, dtype=np.float64)
-        if not doc_chunks:
+        docs, diagonals = diagonal_hits(lists, query_positions)
+        if not docs.shape[0]:
             return scores
-        docs = np.concatenate(doc_chunks)
-        bands = np.concatenate(diagonal_chunks) // self.band_width
         # Count hits per (sequence, band), then keep each sequence's
         # best.  Dedup over a 2-column (doc, band) array: packing both
         # into one integer key silently collided or mis-extracted docs
         # once a banded diagonal fell outside +-2**30.
-        key_docs, _, hit_counts = band_hit_counts(docs, bands)
+        key_docs, _, hit_counts = band_hit_counts(
+            docs, diagonals // self.band_width
+        )
         np.maximum.at(scores, key_docs, hit_counts.astype(np.float64))
         return scores
+
+
+def diagonal_hits(
+    lists: tuple[np.ndarray, ...], query_positions: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (query offset, sequence offset) pair of a matching interval
+    as (sequence ordinal, diagonal = sequence offset - query offset).
+
+    ``lists`` is :meth:`~repro.index.builder.IndexReader.read_lists`
+    output with positions over the query's intervals, and
+    ``query_positions[i]`` holds interval ``i``'s query offsets.
+    """
+    lens, docs, counts, offsets = lists
+    sizes = np.array(
+        [group.shape[0] for group in query_positions], dtype=np.int64
+    )
+    # Each occurrence pairs with every query offset of its interval.
+    interval_of = np.repeat(np.repeat(np.arange(lens.shape[0]), lens), counts)
+    pairs = sizes[interval_of]
+    total = int(pairs.sum())
+    if not total:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    within = np.arange(total) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    first_query = np.cumsum(sizes) - sizes
+    query_offsets = np.concatenate(query_positions)[
+        np.repeat(first_query[interval_of], pairs) + within
+    ]
+    return (
+        np.repeat(np.repeat(docs, counts), pairs),
+        np.repeat(offsets, pairs) - query_offsets,
+    )
 
 
 def band_hit_counts(
@@ -432,10 +311,10 @@ class CoarseRanker:
     Args:
         index: the interval index to search.
         scorer: a :class:`CoarseScorer` or a registered scorer name.
-        max_df_fraction: skip query intervals indexed in more than this
+        max_df_fraction: drop query intervals indexed in more than this
             fraction of the collection — the query-time analogue of
-            index stopping (frequent intervals cost the most decode
-            time and discriminate the least).  ``None`` skips nothing.
+            index stopping (frequent intervals discriminate the
+            least).  ``None`` drops nothing.
         expand_query_wildcards: expand query windows containing up to
             this many wildcards into their concrete intervals (0 keeps
             the default drop-the-window behaviour).
@@ -448,6 +327,10 @@ class CoarseRanker:
         accumulator_policy: ``"continue"`` keeps updating existing
             accumulators but creates no new ones; ``"quit"`` stops
             processing further intervals entirely.
+        on_corruption: ``"skip"`` quarantines a posting list that fails
+            an integrity check (recorded in :attr:`quarantined`, never
+            read again) and ranks without it; any other policy raises
+            the :class:`~repro.errors.CorruptionError`.
 
     Raises:
         SearchError: if ``max_df_fraction`` is out of (0, 1],
@@ -465,6 +348,7 @@ class CoarseRanker:
         expand_query_wildcards: int = 0,
         max_accumulators: int | None = None,
         accumulator_policy: str = "continue",
+        on_corruption: str = "raise",
     ) -> None:
         if max_df_fraction is not None and not 0.0 < max_df_fraction <= 1.0:
             raise SearchError(
@@ -491,6 +375,9 @@ class CoarseRanker:
         self.max_accumulators = max_accumulators
         self.accumulator_policy = accumulator_policy
         self.instruments = NULL_INSTRUMENTS
+        #: Interval ids quarantined as corrupt (under ``"skip"``).
+        self.quarantined: set[int] = set()
+        self._skip = self.quarantined if on_corruption == "skip" else None
         if max_accumulators is not None and not isinstance(
             self.scorer, CountScorer
         ):
@@ -519,22 +406,18 @@ class CoarseRanker:
         if self.max_df_fraction is None or not unique_ids.shape[0]:
             return unique_ids, counts, groups
         limit = self.max_df_fraction * self.index.collection.num_sequences
-        keep = []
-        for slot, interval in enumerate(unique_ids):
-            entry = self.index.lookup_entry(int(interval))
-            if entry is None or entry.df <= limit:
-                keep.append(slot)
-        if len(keep) == unique_ids.shape[0]:
+        lens = self.index.read_lists(unique_ids, skip=self._skip)[0]
+        keep = np.flatnonzero(lens <= limit)
+        if keep.shape[0] == unique_ids.shape[0]:
             return unique_ids, counts, groups
         self.instruments.count(
             "coarse.intervals_skipped_frequency",
-            int(unique_ids.shape[0]) - len(keep),
+            int(unique_ids.shape[0]) - int(keep.shape[0]),
         )
-        keep_array = np.array(keep, dtype=np.int64)
         return (
-            unique_ids[keep_array],
-            counts[keep_array],
-            [groups[slot] for slot in keep],
+            unique_ids[keep],
+            counts[keep],
+            [groups[slot] for slot in keep.tolist()],
         )
 
     def query_intervals(
@@ -563,7 +446,10 @@ class CoarseRanker:
         return unique_ids, counts.astype(np.int64), groups
 
     def _limited_scores(
-        self, index: IndexReader, unique_ids: np.ndarray, counts: np.ndarray
+        self,
+        unique_ids: np.ndarray,
+        counts: np.ndarray,
+        deadline: Deadline | None,
     ) -> np.ndarray:
         """Count accumulation under a bounded accumulator table.
 
@@ -574,36 +460,31 @@ class CoarseRanker:
         """
         limit = self.max_accumulators
         assert limit is not None
-        instruments = self.instruments
-        with_df = []
-        for interval, query_count in zip(unique_ids, counts):
-            entry = index.lookup_entry(int(interval))
-            if entry is not None:
-                with_df.append(
-                    (entry.df, int(interval), int(query_count), entry)
-                )
-        with_df.sort(key=lambda row: row[:3])
+        lens, docs, doc_counts = self.index.read_lists(
+            unique_ids, skip=self._skip, deadline=deadline
+        )
+        starts = np.cumsum(lens) - lens
+        present = np.flatnonzero(lens)
+        # Rarest first; ties keep ascending interval order.
+        order = present[np.argsort(lens[present], kind="stable")].tolist()
 
         accumulators: dict[int, float] = {}
         full = False
-        for slot, (_, interval, query_count, entry) in enumerate(with_df):
+        processed = len(order)
+        for rank, slot in enumerate(order):
             if full and self.accumulator_policy == "quit":
-                instruments.count(
+                self.instruments.count(
                     "coarse.intervals_skipped_accumulators",
-                    len(with_df) - slot,
+                    len(order) - rank,
                 )
+                processed = rank
                 break
-            decoded = index.docs_counts(interval, entry)
-            if decoded is None:
-                # The vocabulary row existed a moment ago, but the
-                # posting blob failed integrity under a quarantining
-                # reader — skip the interval's evidence.
-                continue
-            docs, doc_counts = decoded
-            count_decoded_postings(instruments, docs.shape[0])
-            contributions = np.minimum(doc_counts, query_count)
+            start, stop = int(starts[slot]), int(starts[slot] + lens[slot])
+            contributions = np.minimum(
+                doc_counts[start:stop], int(counts[slot])
+            )
             for doc, contribution in zip(
-                docs.tolist(), contributions.tolist()
+                docs[start:stop].tolist(), contributions.tolist()
             ):
                 if doc in accumulators:
                     accumulators[doc] += contribution
@@ -611,6 +492,7 @@ class CoarseRanker:
                     accumulators[doc] = float(contribution)
                     if len(accumulators) >= limit:
                         full = True
+        count_decoded_postings(self.instruments, lens[order[:processed]])
 
         scores = np.zeros(self.index.collection.num_sequences, dtype=np.float64)
         if accumulators:
@@ -633,16 +515,16 @@ class CoarseRanker:
         Sequences with a zero score are never returned, so the result
         may be shorter than ``cutoff``.
 
-        A bounded ``deadline`` is checked between interval fetches: once
-        expired the remaining intervals contribute no evidence and the
-        scores accumulated so far become the (partial) ranking.
+        A bounded ``deadline`` is checked between chunks of posting
+        lists: once expired the remaining intervals contribute no
+        evidence and the scores accumulated so far become the (partial)
+        ranking.
 
         Raises:
             SearchError: if ``cutoff`` is not positive.
         """
         if cutoff < 1:
             raise SearchError(f"cutoff must be >= 1, got {cutoff}")
-        deadline = ensure_deadline(deadline)
         unique_ids, counts, groups = self._frequency_filter(
             *self.query_intervals(query_codes)
         )
@@ -651,13 +533,13 @@ class CoarseRanker:
         self.instruments.count(
             "coarse.query_intervals", int(unique_ids.shape[0])
         )
-        index: IndexReader = self.index
-        if deadline.bounded:
-            index = DeadlineIndexView(self.index, deadline)
         if self.max_accumulators is not None:
-            scores = self._limited_scores(index, unique_ids, counts)
+            scores = self._limited_scores(unique_ids, counts, deadline)
         else:
-            scores = self.scorer.score(index, unique_ids, counts, groups)
+            scores = self.scorer.score(
+                self.index, unique_ids, counts, groups,
+                skip=self._skip, deadline=deadline,
+            )
         positive = np.flatnonzero(scores > 0)
         if not positive.shape[0]:
             return []

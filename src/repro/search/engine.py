@@ -72,14 +72,14 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field, replace
 from functools import partial
 from threading import Lock, current_thread
-from typing import Callable, Iterator, Sequence as TypingSequence
+from typing import Callable, Sequence as TypingSequence
 
 import numpy as np
 
 from repro.align.scoring import ScoringScheme
 from repro.align.statistics import GumbelParameters
 from repro.errors import CorruptionError, SearchError, StorageError
-from repro.index.builder import IndexReader, PostingEntry, VocabEntry
+from repro.index.builder import IndexReader
 from repro.index.store import SequenceSource, live_source
 from repro.instrumentation.eventlog import options_digest
 from repro.instrumentation.instruments import (
@@ -87,7 +87,7 @@ from repro.instrumentation.instruments import (
     Instruments,
     coalesce,
 )
-from repro.search.coarse import CoarseRanker, CoarseScorer
+from repro.search.coarse import CoarseScorer
 from repro.search.deadline import Deadline, ensure_deadline
 from repro.search.fine import fetch_targets, scan_targets
 from repro.search.frames import FrameRanker
@@ -132,156 +132,6 @@ DEADLINE_FINE_CHUNK = 32
 _LOG = logging.getLogger(__name__)
 
 
-class QuarantiningIndexReader(IndexReader):
-    """Delegating index view that quarantines corrupt posting lists.
-
-    Any :class:`CorruptionError` raised while fetching a posting list
-    is logged once, the interval is recorded in :attr:`quarantined`,
-    and the list is treated as empty — so a single damaged blob costs
-    one interval's evidence instead of the whole query.
-    """
-
-    def __init__(
-        self,
-        inner: IndexReader,
-        instruments: Instruments | None = None,
-    ) -> None:
-        self._inner = inner
-        self.params = inner.params
-        self.collection = inner.collection
-        self.quarantined: set[int] = set()
-        self._instruments = coalesce(instruments)
-
-    def set_instruments(self, instruments: Instruments | None) -> None:
-        """Attach observability to this view and the wrapped reader."""
-        self._instruments = coalesce(instruments)
-        self._inner.set_instruments(instruments)
-
-    def _note(self, interval_id: int, exc: CorruptionError) -> None:
-        if interval_id not in self.quarantined:
-            _LOG.warning(
-                "quarantining corrupt posting list for interval %d: %s",
-                interval_id,
-                exc,
-            )
-            self.quarantined.add(interval_id)
-            self.instruments.count("index.quarantined_intervals")
-
-    def lookup_entry(self, interval_id: int) -> VocabEntry | None:
-        try:
-            return self._inner.lookup_entry(interval_id)
-        except CorruptionError as exc:
-            self._note(interval_id, exc)
-            return None
-
-    def docs_counts(self, interval_id: int, entry=None):
-        try:
-            return self._inner.docs_counts(interval_id, entry)
-        except CorruptionError as exc:
-            self._note(interval_id, exc)
-            return None
-
-    def docs_counts_batch(self, interval_ids) -> list:
-        """Batched section-A decode with per-interval quarantine: each
-        lookup is guarded individually, then the surviving entries go
-        through the wrapped reader's batch decode (and its cache)."""
-        entries = [self.lookup_entry(int(i)) for i in interval_ids]
-        from_entries = getattr(self._inner, "docs_counts_from_entries", None)
-        if from_entries is not None:
-            try:
-                return from_entries(interval_ids, entries)
-            except CorruptionError:
-                # A damaged blob surfaced inside the batch: retry the
-                # whole chunk per interval so only the damaged lists
-                # are quarantined, not their healthy neighbours.
-                pass
-        # Per-interval decode: for duck-typed inner readers without the
-        # batch protocol, and as the quarantining retry path above.
-        results: list = []
-        for interval_id, entry in zip(interval_ids, entries):
-            if entry is None:
-                results.append(None)
-                continue
-            decoded = self.docs_counts(int(interval_id), entry)
-            results.append(None if decoded is None else (entry, *decoded))
-        return results
-
-    def docs_counts_flat(self, interval_ids):
-        """Flat section-A decode with per-interval quarantine.
-
-        Quarantined intervals report length 0 in ``lens`` — the flat
-        analogue of "treated as empty".  A corruption surfacing inside
-        the batched decode retries per interval, so only the damaged
-        lists are quarantined, not their healthy neighbours.
-        """
-        entries = [self.lookup_entry(int(i)) for i in interval_ids]
-        from_entries = getattr(
-            self._inner, "docs_counts_flat_from_entries", None
-        )
-        if from_entries is not None:
-            try:
-                return from_entries(interval_ids, entries)
-            except CorruptionError:
-                pass
-        lens = np.zeros(len(entries), dtype=np.int64)
-        docs_parts: list[np.ndarray] = []
-        counts_parts: list[np.ndarray] = []
-        for slot, (interval_id, entry) in enumerate(
-            zip(interval_ids, entries)
-        ):
-            if entry is None:
-                continue
-            decoded = self.docs_counts(int(interval_id), entry)
-            if decoded is None:
-                continue
-            lens[slot] = decoded[0].shape[0]
-            docs_parts.append(decoded[0])
-            counts_parts.append(decoded[1])
-        empty = np.empty(0, dtype=np.int64)
-        return (
-            lens,
-            np.concatenate(docs_parts) if docs_parts else empty,
-            np.concatenate(counts_parts) if counts_parts else empty,
-        )
-
-    def postings(self, interval_id: int, entry=None) -> list[PostingEntry]:
-        try:
-            return self._inner.postings(interval_id, entry)
-        except CorruptionError as exc:
-            self._note(interval_id, exc)
-            return []
-
-    def postings_batch(self, interval_ids) -> list:
-        """Batched full decode with per-interval quarantine, mirroring
-        :meth:`docs_counts_batch`.  Quarantined intervals yield ``[]``
-        (the same "nothing here" shape as :meth:`postings`)."""
-        entries = [self.lookup_entry(int(i)) for i in interval_ids]
-        from_entries = getattr(self._inner, "postings_from_entries", None)
-        if from_entries is not None:
-            try:
-                return from_entries(interval_ids, entries)
-            except CorruptionError:
-                pass
-        results: list = []
-        for interval_id, entry in zip(interval_ids, entries):
-            if entry is None:
-                results.append(None)
-                continue
-            try:
-                results.append(self._inner.postings(int(interval_id), entry))
-            except CorruptionError as exc:
-                self._note(int(interval_id), exc)
-                results.append([])
-        return results
-
-    def interval_ids(self) -> Iterator[int]:
-        return self._inner.interval_ids()
-
-    @property
-    def vocabulary_size(self) -> int:
-        return self._inner.vocabulary_size
-
-
 @dataclass
 class _Shard:
     """One shard's evaluation state; its ordinals are shard-local."""
@@ -291,13 +141,13 @@ class _Shard:
     base: int
     #: Tombstones inside this shard's ordinal range.
     dead: int
-    #: The shard's index (the quarantining view of it under ``"skip"``).
+    #: The shard's coarse index.
     index: IndexReader
-    #: Coarse or frame ranker: ``rank(codes, cutoff, deadline=)``.
+    #: Coarse or frame ranker: ``rank(codes, cutoff, deadline=)``; its
+    #: ``quarantined`` set holds what ``"skip"`` quarantined.
     ranker: object
     #: The shard's records, fetched by the fine phase.
     source: SequenceSource
-    quarantine: QuarantiningIndexReader | None
     breaker: CircuitBreaker | None
     quarantined_sequences: set[int] = field(default_factory=set)
 
@@ -335,8 +185,8 @@ class PartitionedSearchEngine:
         on_corruption: what to do when an on-disk artefact fails an
             integrity check mid-query.  ``"raise"`` propagates the
             :class:`~repro.errors.CorruptionError`; ``"skip"``
-            quarantines the damaged posting list or candidate sequence
-            (logged, treated as empty, counted in the report's
+            quarantines the damaged posting list, signature block or
+            candidate sequence (logged, treated as empty, counted in the report's
             quarantine statistics) and keeps searching; ``"fallback"``
             additionally answers the query with an exhaustive scan of
             the sequence stores if an index proves unusable.
@@ -538,24 +388,17 @@ class PartitionedSearchEngine:
         source: SequenceSource,
         coarse_scorer: CoarseScorer | str,
     ) -> _Shard:
+        # Rankers quarantine under "skip" only: under "fallback" any
+        # corruption aborts the partitioned pipeline and the query is
+        # re-answered exhaustively, preserving full recall.
         backend = getattr(index, "coarse_backend", "inverted")
-        quarantine = None
-        if self.on_corruption == "skip" and backend == "inverted":
-            # "fallback" deliberately leaves the index unwrapped: any
-            # corruption aborts the partitioned pipeline and the query
-            # is re-answered exhaustively, preserving full recall.
-            # Non-inverted backends apply the skip policy inside their
-            # own rankers (e.g. per-block signature quarantine).
-            quarantine = index = QuarantiningIndexReader(index)
         if self.fine_mode == "frames":
             if backend != "inverted":
                 raise SearchError(
                     "fine_mode='frames' needs positional evidence from the "
                     f"inverted coarse backend; this index uses {backend!r}"
                 )
-            ranker = FrameRanker(index)
-        elif backend == "inverted":
-            ranker = CoarseRanker(index, coarse_scorer)
+            ranker = FrameRanker(index, on_corruption=self.on_corruption)
         else:
             from repro.coarse_backends import get_backend
 
@@ -567,9 +410,7 @@ class PartitionedSearchEngine:
             if self.resilience is not None
             else None
         )
-        return _Shard(
-            slot, base, dead, index, ranker, source, quarantine, breaker
-        )
+        return _Shard(slot, base, dead, index, ranker, source, breaker)
 
     @property
     def num_shards(self) -> int:
@@ -577,12 +418,9 @@ class PartitionedSearchEngine:
 
     @property
     def quarantined_intervals(self) -> int:
-        """Posting lists quarantined as corrupt so far, over all shards."""
-        return sum(
-            len(shard.quarantine.quarantined)
-            for shard in self._shards
-            if shard.quarantine is not None
-        )
+        """Coarse units quarantined as corrupt so far, over all shards:
+        posting lists (inverted backend) and signature blocks."""
+        return sum(len(shard.ranker.quarantined) for shard in self._shards)
 
     @property
     def quarantined_sequences(self) -> int:
@@ -594,8 +432,8 @@ class PartitionedSearchEngine:
     def set_instruments(self, instruments: Instruments | None) -> None:
         """Wire observability through the engine and its collaborators.
 
-        Attaches the sink to every shard's index reader (decode-cache
-        metrics; through the quarantining view if any) and ranker, and
+        Attaches the sink to every shard's index reader (decode and
+        quarantine metrics) and ranker, and
         to the sequence sources (store fetch metrics) — so one registry
         sees the whole query path.  Passing ``None`` detaches
         everything.

@@ -35,13 +35,9 @@ from repro.search.coarse import (
     CoarseRanker,
     band_hit_counts,
     count_decoded_postings,
-    fetch_postings_batch,
+    diagonal_hits,
 )
-from repro.search.deadline import (
-    Deadline,
-    DeadlineIndexView,
-    ensure_deadline,
-)
+from repro.search.deadline import Deadline
 
 
 @dataclass(frozen=True)
@@ -76,6 +72,9 @@ class FrameRanker:
         index: an interval index **built with positions**.
         band_width: diagonal band granularity (indel tolerance).
         margin: extra bases either side of the implied region.
+        on_corruption: ``"skip"`` quarantines corrupt posting lists
+            into :attr:`quarantined`, as
+            :class:`~repro.search.coarse.CoarseRanker` does.
 
     Raises:
         SearchError: if the index stores no occurrence offsets.
@@ -86,6 +85,7 @@ class FrameRanker:
         index: IndexReader,
         band_width: int = 16,
         margin: int = 48,
+        on_corruption: str = "raise",
     ) -> None:
         if not index.params.include_positions:
             raise SearchError(
@@ -99,6 +99,8 @@ class FrameRanker:
         self.band_width = band_width
         self.margin = margin
         self.instruments = NULL_INSTRUMENTS
+        self.quarantined: set[int] = set()
+        self._skip = self.quarantined if on_corruption == "skip" else None
         self._ranker = CoarseRanker(index, "count")  # for interval extraction
 
     def set_instruments(self, instruments: Instruments | None) -> None:
@@ -116,48 +118,33 @@ class FrameRanker:
 
         Scoring is the diagonal-band hit count (collinear evidence), so
         the frame and the score come from the same band.  A bounded
-        ``deadline`` is checked between interval fetches (expired
-        intervals stop contributing hits).
+        ``deadline`` is checked between chunks of posting lists
+        (intervals not read before expiry contribute no hits).
 
         Raises:
             SearchError: if ``cutoff`` < 1.
         """
         if cutoff < 1:
             raise SearchError(f"cutoff must be >= 1, got {cutoff}")
-        deadline = ensure_deadline(deadline)
         query_ids, _, groups = self._ranker.query_intervals(query_codes)
         if not query_ids.shape[0]:
             return []
 
-        index: IndexReader = self.index
-        if deadline.bounded:
-            index = DeadlineIndexView(self.index, deadline)
-        doc_chunks: list[np.ndarray] = []
-        diagonal_chunks: list[np.ndarray] = []
         instruments = self.instruments
         instruments.count("coarse.query_intervals", int(query_ids.shape[0]))
-        fetched = fetch_postings_batch(index, [int(i) for i in query_ids])
-        for slot, postings in enumerate(fetched):
-            if postings is None:
-                continue
-            count_decoded_postings(instruments, len(postings))
-            offsets = groups[slot]
-            for posting in postings:
-                diagonals = (
-                    posting.positions[None, :] - offsets[:, None]
-                ).reshape(-1)
-                doc_chunks.append(
-                    np.full(diagonals.shape[0], posting.sequence, np.int64)
-                )
-                diagonal_chunks.append(diagonals)
-        if not doc_chunks:
+        lists = self.index.read_lists(
+            query_ids, positions=True, skip=self._skip, deadline=deadline
+        )
+        count_decoded_postings(instruments, lists[0])
+        docs, diagonals = diagonal_hits(lists, groups)
+        if not docs.shape[0]:
             return []
 
-        docs = np.concatenate(doc_chunks)
-        bands = np.concatenate(diagonal_chunks) // self.band_width
         # 2-column dedup: safe for the full int64 diagonal range (see
         # repro.search.coarse.band_hit_counts).
-        key_docs, key_bands, counts = band_hit_counts(docs, bands)
+        key_docs, key_bands, counts = band_hit_counts(
+            docs, diagonals // self.band_width
+        )
 
         # Best band per document: sort by (doc, count) and keep the last
         # row of each doc group.

@@ -104,9 +104,10 @@ class SearchReport:
     candidates_examined: int = 0
     coarse_seconds: float = 0.0
     fine_seconds: float = 0.0
-    #: Posting lists the engine has quarantined as corrupt so far
-    #: (cumulative over the engine's lifetime; only non-zero under
-    #: ``on_corruption="skip"``/``"fallback"``).
+    #: Coarse units the engine has quarantined as corrupt so far:
+    #: posting lists of the inverted backend and blocks of the
+    #: signature backend (cumulative over the engine's lifetime; only
+    #: non-zero under ``on_corruption="skip"``).
     quarantined_intervals: int = 0
     #: Candidate sequences skipped because their store records failed
     #: integrity checks (cumulative, as above).

@@ -77,6 +77,16 @@ def small_source(small_workload) -> MemorySequenceSource:
 # -- recall against an exhaustive oracle ---------------------------------
 
 
+def read_postings(index, interval):
+    """One posting list through ``read_lists``: ``(sequence, offsets)``
+    per entry, empty when the interval is absent."""
+    _, docs, counts, offsets = index.read_lists([interval], positions=True)
+    chunks = np.split(offsets, np.cumsum(counts)[:-1])
+    return [
+        (doc, chunk.tolist()) for doc, chunk in zip(docs.tolist(), chunks)
+    ]
+
+
 def mean_oracle_recall(searcher, oracle, queries, top_k=4, **search_kwargs):
     """Mean tie-aware recall of ``searcher`` against an exhaustive oracle.
 

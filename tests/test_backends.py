@@ -306,6 +306,27 @@ class TestSignatureRanker:
             with pytest.raises(CorruptionError):
                 SignatureRanker(index).rank(records[9].codes, cutoff=5)
 
+    def test_engine_reports_quarantined_blocks(
+        self, signature_file, tmp_path, records
+    ):
+        """A quarantined signature block counts in the engine's and the
+        report's ``quarantined_intervals``, as a posting list does."""
+        from repro.search.engine import PartitionedSearchEngine
+
+        target = tmp_path / "signatures.rpsg"
+        target.write_bytes(_with_flipped_block(signature_file, 1))
+        with SignatureIndex(target) as index:
+            engine = PartitionedSearchEngine(
+                index, MemorySequenceSource(records), on_corruption="skip"
+            )
+            report = engine.search(records[9].slice(30, 170), top_k=30)
+            assert all(hit.ordinal not in range(7, 14) for hit in report.hits)
+            assert report.quarantined_intervals == 1
+            assert engine.quarantined_intervals == 1
+            # Sticky: a second search skips the block without recounting.
+            engine.search(records[9].slice(30, 170), top_k=30)
+            assert engine.quarantined_intervals == 1
+
 
 # -- Database integration, every layout ----------------------------------
 

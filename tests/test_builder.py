@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import IndexLookupError, IndexParameterError
+from repro.errors import IndexParameterError
 from repro.index.builder import (
     CollectionInfo,
     IndexParameters,
@@ -13,6 +13,7 @@ from repro.index.builder import (
 )
 from repro.index.intervals import IntervalExtractor, interval_id
 from repro.sequences.record import Sequence
+from tests.conftest import read_postings
 
 
 def seq(identifier: str, text: str) -> Sequence:
@@ -58,17 +59,16 @@ class TestBuild:
     def test_every_occurrence_is_indexed(self):
         records = [seq("a", "ACGTACGT"), seq("b", "TTACGTTT")]
         index = build_index(records, IndexParameters(interval_length=4))
-        postings = index.postings(interval_id("ACGT"))
-        assert [(p.sequence, p.positions.tolist()) for p in postings] == [
+        assert read_postings(index, interval_id("ACGT")) == [
             (0, [0, 4]),
             (1, [2]),
         ]
 
     def test_absent_interval(self):
         index = build_index([seq("a", "AAAA")], IndexParameters(interval_length=4))
-        assert index.docs_counts(interval_id("TTTT")) is None
-        with pytest.raises(IndexLookupError):
-            index.postings(interval_id("TTTT"))
+        lens, docs, _ = index.read_lists([interval_id("TTTT")])
+        assert lens.tolist() == [0] and docs.size == 0
+        assert read_postings(index, interval_id("TTTT")) == []
         assert interval_id("AAAA") in index
         assert interval_id("TTTT") not in index
 
@@ -89,7 +89,7 @@ class TestBuild:
             IndexParameters(interval_length=4),
         )
         assert index.collection.num_sequences == 2
-        docs, _ = index.docs_counts(interval_id("ACGT"))
+        _, docs, _ = index.read_lists([interval_id("ACGT")])
         assert docs.tolist() == [1]
 
     def test_wildcards_never_reach_vocabulary(self):
@@ -143,5 +143,4 @@ def test_index_reconstructs_extraction_exactly(texts, length):
             expected.setdefault(packed, {}).setdefault(ordinal, []).append(position)
     assert set(index.interval_ids()) == set(expected)
     for packed, by_doc in expected.items():
-        postings = index.postings(packed)
-        assert {p.sequence: p.positions.tolist() for p in postings} == by_doc
+        assert dict(read_postings(index, packed)) == by_doc

@@ -177,16 +177,24 @@ class _HugeOffsetIndex(IndexReader):
             return VocabEntry(interval_id, 2, 2, b"")
         return None
 
-    def postings(self, interval_id, entry=None):
-        return self._postings[interval_id]
-
-    def docs_counts(self, interval_id, entry=None):
-        entries = self._postings.get(interval_id)
-        if entries is None:
-            return None
-        docs = np.array([e.sequence for e in entries], dtype=np.int64)
-        counts = np.array([e.count for e in entries], dtype=np.int64)
-        return docs, counts
+    def docs_counts_flat_from_entries(
+        self, interval_ids, entries, positions=False
+    ):
+        postings = [
+            posting
+            for interval_id, entry in zip(interval_ids, entries)
+            if entry is not None
+            for posting in self._postings[interval_id]
+        ]
+        lens = np.array(
+            [0 if entry is None else entry.df for entry in entries],
+            dtype=np.int64,
+        )
+        docs = np.array([e.sequence for e in postings], dtype=np.int64)
+        counts = np.array([e.count for e in postings], dtype=np.int64)
+        offsets = np.concatenate([e.positions for e in postings])
+        flat = (lens, docs, counts, offsets)
+        return flat if positions else flat[:3]
 
     def interval_ids(self):
         return iter(sorted(self._postings))

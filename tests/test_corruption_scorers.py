@@ -1,8 +1,8 @@
 """Regression tests: ``on_corruption="skip"`` must not crash scorers.
 
-The quarantining index view answers ``docs_counts`` with ``None`` when
-a posting blob fails integrity *after* its vocabulary row was read
-successfully.  The IDF scorer and the limited-accumulator path both
+Under ``on_corruption="skip"`` a posting list that fails integrity
+*after* its vocabulary row was read successfully reads as empty and is
+quarantined.  The IDF scorer and the limited-accumulator path both
 used to ``assert`` that could never happen and crashed mid-query; they
 must skip the interval's evidence like the count scorer does.
 """
@@ -11,14 +11,17 @@ import numpy as np
 import pytest
 
 from repro.errors import CorruptionError
-from repro.index.builder import IndexParameters, IndexReader, build_index
+from repro.index.builder import (
+    READ_CHUNK,
+    IndexParameters,
+    IndexReader,
+    build_index,
+)
 from repro.index.store import MemorySequenceSource
 from repro.instrumentation import Instruments
 from repro.search.coarse import CoarseRanker
-from repro.search.engine import (
-    PartitionedSearchEngine,
-    QuarantiningIndexReader,
-)
+from repro.search.deadline import Deadline
+from repro.search.engine import PartitionedSearchEngine
 from repro.sequences.record import Sequence
 
 
@@ -50,13 +53,15 @@ class FaultyIndex(IndexReader):
     def lookup_entry(self, interval_id):
         return self._inner.lookup_entry(interval_id)
 
-    def docs_counts(self, interval_id, entry=None):
-        self._check(interval_id)
-        return self._inner.docs_counts(interval_id, entry)
-
-    def postings(self, interval_id, entry=None):
-        self._check(interval_id)
-        return self._inner.postings(interval_id, entry)
+    def docs_counts_flat_from_entries(
+        self, interval_ids, entries, positions=False
+    ):
+        for interval_id, entry in zip(interval_ids, entries):
+            if entry is not None:
+                self._check(interval_id)
+        return self._inner.docs_counts_flat_from_entries(
+            interval_ids, entries, positions=positions
+        )
 
     def interval_ids(self):
         return self._inner.interval_ids()
@@ -64,6 +69,13 @@ class FaultyIndex(IndexReader):
     @property
     def vocabulary_size(self):
         return self._inner.vocabulary_size
+
+
+def _skip_ranker(reader, scorer="count", **options):
+    """A count ranker over ``reader`` that quarantines damaged lists,
+    and a callable returning the quarantined interval ids."""
+    ranker = CoarseRanker(reader, scorer, on_corruption="skip", **options)
+    return ranker, lambda: set(ranker.quarantined)
 
 
 @pytest.fixture(scope="module")
@@ -107,23 +119,27 @@ class TestSkipPolicyScorers:
 
     def test_limited_accumulators_survive_quarantined_blobs(self, setup):
         records, index, _ = setup
-        quarantining = QuarantiningIndexReader(FaultyIndex(index))
-        ranker = CoarseRanker(quarantining, "count", max_accumulators=8)
+        ranker = CoarseRanker(
+            FaultyIndex(index),
+            "count",
+            max_accumulators=8,
+            on_corruption="skip",
+        )
         candidates = ranker.rank(records[4].codes[:160], cutoff=10)
-        assert quarantining.quarantined
+        assert ranker.quarantined
         assert all(candidate.coarse_score > 0 for candidate in candidates)
 
     def test_limited_accumulators_quit_policy_survives(self, setup):
         records, index, _ = setup
-        quarantining = QuarantiningIndexReader(FaultyIndex(index))
         ranker = CoarseRanker(
-            quarantining,
+            FaultyIndex(index),
             "count",
             max_accumulators=4,
             accumulator_policy="quit",
+            on_corruption="skip",
         )
         ranker.rank(records[4].codes[:160], cutoff=10)
-        assert quarantining.quarantined
+        assert ranker.quarantined
 
     def test_count_scorer_matches_idf_quarantine_set(self, setup):
         """Both scorers must quarantine the same damaged intervals."""
@@ -156,3 +172,152 @@ class TestSkipPolicyScorers:
             instruments.metrics.counter_value("index.quarantined_intervals")
             == engine.quarantined_intervals
         )
+
+
+class FaultyLookupIndex(FaultyIndex):
+    """:class:`FaultyIndex` whose damage surfaces at the vocabulary
+    lookup itself, as a failed blob checksum does in ``DiskIndex``."""
+
+    def lookup_entry(self, interval_id):
+        self._check(interval_id)
+        return self._inner.lookup_entry(interval_id)
+
+
+class TickingFaultyIndex(FaultyIndex):
+    """:class:`FaultyIndex` whose every vocabulary lookup advances a
+    fake clock by one tick, so a deadline of ``FIRST_CHUNK_BUDGET``
+    ticks expires once the first chunk of lists has been resolved."""
+
+    def __init__(self, inner, clock):
+        super().__init__(inner)
+        self.clock = clock
+
+    def lookup_entry(self, interval_id):
+        self.clock.advance(1.0)
+        return super().lookup_entry(interval_id)
+
+
+class FakeClock:
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+    def advance(self, seconds):
+        self.now += seconds
+
+
+#: Expires after READ_CHUNK lookup ticks: the first chunk is read, no
+#: more.
+FIRST_CHUNK_BUDGET = READ_CHUNK - 0.5
+
+SCORER_MODES = [
+    ("count", "full"),
+    ("idf", "full"),
+    ("normalised", "full"),
+    ("diagonal", "full"),
+    ("count", "frames"),
+]
+
+
+def _healthy_index(index, interval_ids, bad_every=2):
+    """The index restricted to ``interval_ids`` minus damaged lists:
+    exactly the evidence a skipping search may use."""
+    kept = {}
+    for interval in interval_ids:
+        entry = index.lookup_entry(interval)
+        if entry is not None and interval % bad_every:
+            kept[interval] = entry
+    return index.replace_vocabulary(kept)
+
+
+def _damaged(index, interval_ids, bad_every=2):
+    return {
+        interval
+        for interval in interval_ids
+        if interval % bad_every == 0
+        and index.lookup_entry(interval) is not None
+    }
+
+
+def _ranking(candidates):
+    return [(c.ordinal, c.coarse_score) for c in candidates]
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "first_chunk"])
+@pytest.mark.parametrize(
+    "scorer, fine_mode", SCORER_MODES, ids=[f"{s}-{m}" for s, m in SCORER_MODES]
+)
+def test_skip_policy_under_deadline(setup, scorer, fine_mode, bounded):
+    """Quarantine and a bounded deadline together: the ranking uses
+    exactly the healthy lists read before expiry, every damaged list
+    read is quarantined once, and the report says the deadline hit."""
+    records, index, source = setup
+    query = records[4].slice(100, 260)
+    ids = CoarseRanker(index).query_intervals(query.codes)[0].tolist()
+    assert len(ids) > 2 * READ_CHUNK
+    reached = ids[:READ_CHUNK] if bounded else ids
+    options = dict(
+        coarse_scorer=scorer, fine_mode=fine_mode, coarse_cutoff=10
+    )
+    expected = PartitionedSearchEngine(
+        _healthy_index(index, reached), source, **options
+    ).coarse_rank(query.codes)
+    assert expected
+
+    def engine_and_deadline():
+        clock = FakeClock()
+        engine = PartitionedSearchEngine(
+            TickingFaultyIndex(index, clock),
+            source,
+            on_corruption="skip",
+            **options,
+        )
+        deadline = (
+            Deadline.after(FIRST_CHUNK_BUDGET, clock) if bounded else None
+        )
+        return engine, deadline
+
+    engine, deadline = engine_and_deadline()
+    ranked = engine.coarse_rank(query.codes, deadline=deadline)
+    assert _ranking(ranked) == _ranking(expected)
+    assert engine.quarantined_intervals == len(_damaged(index, reached))
+
+    engine, deadline = engine_and_deadline()
+    report = engine.search(query, top_k=5, deadline=deadline)
+    assert report.deadline_expired == bounded
+    assert report.quarantined_intervals == len(_damaged(index, reached))
+
+
+RANKER_OPTIONS = [
+    {"max_df_fraction": 0.04},
+    {"max_accumulators": 8},
+    {"max_accumulators": 4, "accumulator_policy": "quit"},
+]
+
+
+@pytest.mark.parametrize("faulty", [FaultyIndex, FaultyLookupIndex])
+@pytest.mark.parametrize(
+    "options", RANKER_OPTIONS, ids=["df_fraction", "limited", "limited_quit"]
+)
+def test_ranker_options_quarantine_under_skip(setup, faulty, options):
+    """``max_df_fraction`` and ``max_accumulators`` read their lists
+    through the same quarantine as the scorers, whether the damage
+    shows at lookup or at decode."""
+    records, index, _ = setup
+    codes = records[4].codes[100:260]
+    ids = CoarseRanker(index).query_intervals(codes)[0].tolist()
+    expected = CoarseRanker(
+        _healthy_index(index, ids), "count", **options
+    ).rank(codes, cutoff=10)
+    assert expected
+    ranker, quarantined = _skip_ranker(faulty(index), **options)
+    assert _ranking(ranker.rank(codes, cutoff=10)) == _ranking(expected)
+    damaged = _damaged(index, ids)
+    if faulty is FaultyLookupIndex:
+        # Every id is resolved, so every damaged one is quarantined.
+        assert quarantined() == damaged
+    else:
+        # Lists the option drops unread may stay unquarantined.
+        assert quarantined() and quarantined() <= damaged

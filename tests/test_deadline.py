@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from repro.errors import SearchError
-from repro.index.builder import IndexParameters, build_index
+from repro.index.builder import READ_CHUNK, IndexParameters, build_index
 from repro.index.store import MemorySequenceSource
 from repro.search.deadline import (
     NO_DEADLINE,
     Deadline,
-    DeadlineIndexView,
     ensure_deadline,
 )
 from repro.search.engine import DEADLINE_FINE_CHUNK, PartitionedSearchEngine
@@ -85,6 +84,9 @@ class TestDeadline:
 
 
 class TestDeadlineIndexView:
+    """The index as a deadline sees it: ``read_lists`` under a bounded
+    deadline reads nothing once it expires."""
+
     @pytest.fixture()
     def index(self, tiny_collection):
         return build_index(
@@ -93,22 +95,49 @@ class TestDeadlineIndexView:
 
     def test_passthrough_before_expiry(self, index):
         clock = FakeClock()
-        view = DeadlineIndexView(index, Deadline.after(5.0, clock))
-        assert view.params is index.params
-        assert view.collection is index.collection
-        assert view.vocabulary_size == index.vocabulary_size
-        interval = next(iter(index.interval_ids()))
-        assert view.lookup_entry(interval) == index.lookup_entry(interval)
-        assert view.postings(interval) == index.postings(interval)
+        deadline = Deadline.after(5.0, clock)
+        ids = list(index.interval_ids())[:40]
+        for positions in (False, True):
+            budgeted = index.read_lists(
+                ids, positions=positions, deadline=deadline
+            )
+            free = index.read_lists(ids, positions=positions)
+            assert len(budgeted) == len(free) == 3 + positions
+            for got, want in zip(budgeted, free):
+                assert np.array_equal(got, want)
+        assert budgeted[0].all()
 
     def test_empty_evidence_after_expiry(self, index):
         clock = FakeClock()
-        view = DeadlineIndexView(index, Deadline.after(1.0, clock))
-        interval = next(iter(index.interval_ids()))
+        deadline = Deadline.after(1.0, clock)
+        ids = list(index.interval_ids())[:40]
         clock.advance(2.0)
-        assert view.lookup_entry(interval) is None
-        assert view.docs_counts(interval) is None
-        assert view.postings(interval) == []
+        lens, docs, counts = index.read_lists(ids, deadline=deadline)
+        assert lens.tolist() == [0] * len(ids)
+        assert docs.size == counts.size == 0
+        lens, _, _, offsets = index.read_lists(
+            ids, positions=True, deadline=deadline
+        )
+        assert not lens.any() and offsets.size == 0
+
+    def test_expiry_between_chunks(self, index):
+        """Lists are read in chunks of READ_CHUNK with one expiry check
+        before each: a deadline passing mid-chunk still finishes that
+        chunk, and nothing after it is read."""
+        clock = FakeClock()
+        deadline = Deadline.after(READ_CHUNK - 0.5, clock)
+        original = index.lookup_entry
+
+        def ticking_lookup(interval_id):
+            clock.advance(1.0)
+            return original(interval_id)
+
+        index.lookup_entry = ticking_lookup
+        ids = list(index.interval_ids())[: 3 * READ_CHUNK]
+        assert len(ids) > READ_CHUNK
+        lens, _, _ = index.read_lists(ids, deadline=deadline)
+        assert lens[:READ_CHUNK].all()
+        assert not lens[READ_CHUNK:].any()
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 """Round-trip and tier tests for the vectorised block decoder.
 
-Every decode surface — per-list, grouped batch, flat batch, full
-postings with offsets — must be bit-identical across the kernel tiers,
+Every decode surface — per-list, flat batch, full postings with
+offsets — must be bit-identical across the kernel tiers,
 including which errors surface: the vector tiers are allowed to be
 faster, never different.
 """
@@ -228,15 +228,17 @@ class TestPostingsBatch:
                 codec.decode(blob, df, cf, CONTEXT)
                 for blob, df, cf in zip(blobs, dfs, cfs)
             ]
+        entries = [entry for expected in reference for entry in expected]
         for tier in ALL_TIERS:
             with fastunpack.forced_tier(tier):
-                decoded = codec.decode_batch(blobs, dfs, cfs, CONTEXT)
-            assert len(decoded) == len(reference)
-            for got, expected in zip(decoded, reference):
-                assert len(got) == len(expected)
-                for a, b in zip(got, expected):
-                    assert a.sequence == b.sequence
-                    assert np.array_equal(a.positions, b.positions)
+                docs, counts, offsets = codec.decode_postings_flat(
+                    blobs, dfs, cfs, CONTEXT
+                )
+            assert docs.tolist() == [entry.sequence for entry in entries]
+            assert counts.tolist() == [entry.count for entry in entries]
+            got = np.split(offsets, np.cumsum(counts)[:-1]) if entries else []
+            for chunk, entry in zip(got, entries):
+                assert np.array_equal(chunk, entry.positions)
 
     def test_grouped_batch_matches_per_list(self):
         codec = PostingsCodec()
@@ -253,9 +255,11 @@ class TestPostingsBatch:
             ]
         for tier in ALL_TIERS:
             with fastunpack.forced_tier(tier):
-                results = codec.decode_docs_counts_batch(
+                docs, counts = codec.decode_docs_counts_flat(
                     blobs, dfs, CONTEXT, cfs=cfs
                 )
+            bounds = np.cumsum(dfs)[:-1]
+            results = zip(np.split(docs, bounds), np.split(counts, bounds))
             for got, want in zip(results, expected):
                 assert np.array_equal(got[0], want[0])
                 assert np.array_equal(got[1], want[1])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SearchError, StorageError
-from repro.index.builder import IndexParameters, build_index
+from repro.index.builder import IndexParameters, IndexReader, build_index
 from repro.index.store import MemorySequenceSource
 from repro.instrumentation.instruments import Instruments
 from repro.search.engine import PartitionedSearchEngine
@@ -150,8 +150,8 @@ class TestShardResilience:
         assert breaker.reset_seconds == 7.0
 
 
-class FlakyIndex:
-    """Index proxy whose lookups raise StorageError for a while."""
+class FlakyIndex(IndexReader):
+    """Index proxy whose reads raise StorageError for a while."""
 
     def __init__(self, inner, failures):
         self._inner = inner
@@ -168,13 +168,13 @@ class FlakyIndex:
         self._maybe_fail()
         return self._inner.lookup_entry(interval_id)
 
-    def docs_counts(self, interval_id, entry=None):
+    def docs_counts_flat_from_entries(
+        self, interval_ids, entries, positions=False
+    ):
         self._maybe_fail()
-        return self._inner.docs_counts(interval_id, entry)
-
-    def postings(self, interval_id, entry=None):
-        self._maybe_fail()
-        return self._inner.postings(interval_id, entry)
+        return self._inner.docs_counts_flat_from_entries(
+            interval_ids, entries, positions=positions
+        )
 
     def interval_ids(self):
         return self._inner.interval_ids()
@@ -374,13 +374,9 @@ def test_attempt_timeout_drops_slow_shard():
             _time.sleep(0.05)
             return self._inner.lookup_entry(interval_id)
 
-        def docs_counts(self, interval_id, entry=None):
+        def docs_counts_flat_from_entries(self, *args, **kwargs):
             _time.sleep(0.05)
-            return self._inner.docs_counts(interval_id, entry)
-
-        def postings(self, interval_id, entry=None):
-            _time.sleep(0.05)
-            return self._inner.postings(interval_id, entry)
+            return self._inner.docs_counts_flat_from_entries(*args, **kwargs)
 
     pairs = _shard_pairs(records)
     slow = SlowIndex(build_index(records[1::3], PARAMS), 0)
