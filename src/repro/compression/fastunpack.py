@@ -248,22 +248,22 @@ _BATCH_GRID_LIMIT = 2_000_000
 _MIN_BATCH_LISTS = 4
 
 
-def _concatenate_blobs(
-    blobs: list[bytes],
-) -> tuple[_StreamTables, np.ndarray, np.ndarray]:
-    """One stream-table build over every blob back to back.
+def _gather_lists(
+    buffer: np.ndarray, byte_offsets: np.ndarray, lengths: np.ndarray
+) -> tuple[_StreamTables, np.ndarray]:
+    """One stream-table build over every list gathered back to back.
 
-    Returns ``(tables, byte_offsets, lengths)``; blob ``i`` occupies
-    bits ``byte_offsets[i] * 8`` up to ``(byte_offsets[i] +
-    lengths[i]) * 8`` of the shared stream.
+    List ``i`` is the ``lengths[i]`` bytes at ``byte_offsets[i]`` of
+    ``buffer``; one ragged gather packs them in order.  Returns
+    ``(tables, starts)``: list ``i`` occupies bits ``starts[i] * 8`` up
+    to ``(starts[i] + lengths[i]) * 8`` of the shared stream.
     """
-    lengths = np.fromiter(
-        (len(blob) for blob in blobs), dtype=np.int64, count=len(blobs)
-    )
-    buffer = np.frombuffer(b"".join(blobs), dtype=np.uint8)
-    byte_offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=byte_offsets[1:])
-    return _StreamTables(buffer), byte_offsets[:-1], lengths
+    starts = np.cumsum(lengths) - lengths
+    total = int(lengths.sum())
+    packed = buffer[
+        np.repeat(byte_offsets - starts, lengths) + _shared_arange(total)
+    ]
+    return _StreamTables(packed), starts
 
 
 def _grid_chunks(counts: np.ndarray) -> list[np.ndarray]:
@@ -619,7 +619,9 @@ def _batch_entries(
 
 
 def decode_docs_counts_flat(
-    blobs: list[bytes],
+    buffer: np.ndarray,
+    byte_offsets: np.ndarray,
+    lengths: np.ndarray,
     dfs: np.ndarray,
     parameters: np.ndarray,
     cfs: np.ndarray | None = None,
@@ -627,26 +629,27 @@ def decode_docs_counts_flat(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Block-decode many section-A streams into flat lane-major arrays.
 
-    Returns ``(docs, counts, ok)`` where ``docs``/``counts`` concatenate
-    every list's entries in order (list ``i`` occupies
+    List ``i`` is the ``lengths[i]`` bytes at ``byte_offsets[i]`` of
+    ``buffer`` (a uint8 array — an index file's memory map serves
+    as-is).  Returns ``(docs, counts, ok)`` where ``docs``/``counts``
+    concatenate every list's entries in order (list ``i`` occupies
     ``cumsum(dfs)[i-1] : cumsum(dfs)[i]``) and ``ok`` flags the lists
     the vector pass decoded.  A list with ``ok`` False — overflow code,
-    truncation, a stream that ran past its own blob — holds garbage in
+    truncation, a stream that ran past its own bytes — holds garbage in
     its segment: the caller must re-decode it with the scalar codec,
     which reproduces the pure path's values or exception exactly.
 
     When ``cfs`` (per-list total occurrence counts) and ``universe``
-    (the document count) are given, each blob is clipped to its
-    provable section-A bound first (:func:`_section_a_byte_bounds`),
-    so the per-bit tables skip the offset section entirely.
+    (the document count) are given, each list is clipped to its
+    provable section-A bound as it is gathered
+    (:func:`_section_a_byte_bounds`), so the per-bit tables skip the
+    offset section entirely.
 
     The flat layout is the point: a scorer can weight and accumulate
     the whole batch with a handful of array ops and never materialise a
     per-list object.
     """
-    num_lists = len(blobs)
-    dfs = np.asarray(dfs, dtype=np.int64)
-    parameters = np.asarray(parameters, dtype=np.int64)
+    num_lists = dfs.shape[0]
     total = int(dfs.sum()) if num_lists else 0
     if not total:
         return (
@@ -656,36 +659,35 @@ def decode_docs_counts_flat(
         )
 
     if cfs is not None and universe is not None:
-        bounds = _section_a_byte_bounds(
-            dfs, parameters, np.asarray(cfs, dtype=np.int64), int(universe)
-        ).tolist()
-        blobs = [
-            blob if len(blob) <= bound else blob[:bound]
-            for blob, bound in zip(blobs, bounds)
-        ]
-    tables, byte_offsets, lengths = _concatenate_blobs(blobs)
+        lengths = np.minimum(
+            lengths, _section_a_byte_bounds(dfs, parameters, cfs, universe)
+        )
+    tables, starts = _gather_lists(buffer, byte_offsets, lengths)
     gaps, counts, ends, ok = _batch_entries(
-        tables, byte_offsets * 8, dfs, parameters, lengths
+        tables, starts * 8, dfs, parameters, lengths
     )
     # Positions only ever advance, so "the last entry ended inside this
-    # list's own blob" bounds every intermediate position too: a stream
+    # list's own bytes" bounds every intermediate position too: a stream
     # that leaks into its neighbour is caught here and sent to the
-    # scalar fallback.  (With clipped blobs the check is stricter than
-    # the full-blob one — never looser — so identity is preserved.)
-    ok &= ends <= (byte_offsets + lengths) * 8
+    # scalar fallback.  (With clipped lists the check is stricter than
+    # the full-list one — never looser — so identity is preserved.)
+    ok &= ends <= (starts + lengths) * 8
     docs = _grouped_prefix_values(gaps, dfs)
     return docs, counts, ok
 
 
 def decode_postings_batch(
-    blobs: list[bytes],
+    buffer: np.ndarray,
+    byte_offsets: np.ndarray,
+    lengths: np.ndarray,
     dfs: np.ndarray,
     doc_parameters: np.ndarray,
     position_parameters: np.ndarray,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """Block-decode many full posting lists (sections A and B) at once.
 
-    Per list the result is ``(docs, counts, flat_positions)`` —
+    The lists are laid out as for :func:`decode_docs_counts_flat`.  Per
+    list the result is ``(docs, counts, flat_positions)`` —
     ``flat_positions`` concatenates every entry's absolute offsets
     (split on ``cumsum(counts)`` to recover per-entry arrays) — or
     ``None`` under exactly the fallback
@@ -696,23 +698,18 @@ def decode_postings_batch(
     against the lane's remaining bit budget and sent to the scalar
     fallback instead.
     """
-    num_lists = len(blobs)
+    num_lists = dfs.shape[0]
     if not num_lists:
         return []
     results: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None]
     results = [None] * num_lists
-    if num_lists < _MIN_BATCH_LISTS:
-        return results
-    dfs = np.asarray(dfs, dtype=np.int64)
-    doc_parameters = np.asarray(doc_parameters, dtype=np.int64)
-    position_parameters = np.asarray(position_parameters, dtype=np.int64)
-    if not int(dfs.sum()):
+    if num_lists < _MIN_BATCH_LISTS or not int(dfs.sum()):
         return results
 
-    tables, byte_offsets, lengths = _concatenate_blobs(blobs)
-    own_end = (byte_offsets + lengths) * 8
+    tables, starts = _gather_lists(buffer, byte_offsets, lengths)
+    own_end = (starts + lengths) * 8
     gaps, counts, a_ends, a_ok = _batch_entries(
-        tables, byte_offsets * 8, dfs, doc_parameters, lengths
+        tables, starts * 8, dfs, doc_parameters, lengths
     )
     lane_of_entry = np.repeat(
         np.arange(num_lists, dtype=np.int64), dfs

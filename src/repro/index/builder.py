@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence as TypingSequence
+from typing import Collection, Iterable, Iterator, Sequence as TypingSequence
 
 import numpy as np
 
@@ -144,6 +144,79 @@ class VocabEntry:
     data: bytes = field(repr=False)
 
 
+@dataclass(frozen=True)
+class ResolvedLists:
+    """Where a batch of requested posting lists lives, in request order.
+
+    ``dfs[i]`` is interval ``interval_ids[i]``'s entry count (0 when it
+    is absent or not read) and ``cfs[i]`` its occurrence count; its
+    compressed list is the ``lengths[i]`` bytes at ``offsets[i]`` of
+    the uint8 array ``buffer`` — for an on-disk index, the file's
+    memory map itself.
+    """
+
+    interval_ids: np.ndarray
+    dfs: np.ndarray
+    cfs: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+    buffer: np.ndarray = field(repr=False)
+
+    @classmethod
+    def from_entries(
+        cls,
+        interval_ids: TypingSequence[int],
+        entries: TypingSequence[VocabEntry | None],
+    ) -> "ResolvedLists":
+        """Resolved lists over vocabulary rows (``None`` = absent),
+        their blobs joined into one buffer."""
+        present = [entry for entry in entries if entry is not None]
+        lengths = np.array(
+            [0 if entry is None else len(entry.data) for entry in entries],
+            dtype=np.int64,
+        )
+        return cls(
+            np.asarray(interval_ids, dtype=np.int64),
+            np.array(
+                [0 if entry is None else entry.df for entry in entries],
+                dtype=np.int64,
+            ),
+            np.array(
+                [0 if entry is None else entry.cf for entry in entries],
+                dtype=np.int64,
+            ),
+            np.cumsum(lengths) - lengths,
+            lengths,
+            np.frombuffer(
+                b"".join(entry.data for entry in present), dtype=np.uint8
+            ),
+        )
+
+    def entry(self, slot: int) -> VocabEntry | None:
+        """The vocabulary row at ``slot`` (``None`` when absent)."""
+        if not self.dfs[slot]:
+            return None
+        start = int(self.offsets[slot])
+        return VocabEntry(
+            int(self.interval_ids[slot]),
+            int(self.dfs[slot]),
+            int(self.cfs[slot]),
+            bytes(self.buffer[start : start + int(self.lengths[slot])]),
+        )
+
+    def single(self, slot: int) -> "ResolvedLists":
+        """The one list at ``slot``, over the same buffer."""
+        part = slice(slot, slot + 1)
+        return ResolvedLists(
+            self.interval_ids[part],
+            self.dfs[part],
+            self.cfs[part],
+            self.offsets[part],
+            self.lengths[part],
+            self.buffer,
+        )
+
+
 class IndexReader(ABC):
     """Common read API of the in-memory and on-disk indexes."""
 
@@ -232,9 +305,8 @@ class IndexReader(ABC):
                 :class:`~repro.search.deadline.Deadline` is checked
                 before every :data:`READ_CHUNK` lists.
         """
-        if hasattr(interval_ids, "tolist"):
-            interval_ids = interval_ids.tolist()
-        total = len(interval_ids)
+        interval_ids = np.asarray(interval_ids, dtype=np.int64)
+        total = interval_ids.shape[0]
         if deadline is None or not deadline.bounded:
             return self._read_chunk(interval_ids, positions, skip)
         parts = []
@@ -249,38 +321,71 @@ class IndexReader(ABC):
         return _concatenate_lists(parts, positions, total)
 
     def _read_chunk(self, interval_ids, positions, skip):
-        if skip is None:
-            entries = [self.lookup_entry(i) for i in interval_ids]
-            return self.docs_counts_flat_from_entries(
-                interval_ids, entries, positions=positions
-            )
-        entries = []
-        for interval_id in interval_ids:
-            entry = None
-            if interval_id not in skip:
-                try:
-                    entry = self.lookup_entry(interval_id)
-                except CorruptionError as exc:
-                    self._quarantine(skip, interval_id, exc)
-            entries.append(entry)
+        resolved = self.resolve(interval_ids, skip=skip)
         try:
-            return self.docs_counts_flat_from_entries(
-                interval_ids, entries, positions=positions
-            )
+            return self.decode_lists(resolved, positions=positions)
         except CorruptionError:
-            pass  # re-read list by list: only the damaged ones go
+            if skip is None:
+                raise
+        # Re-read list by list: only the damaged ones go.
         parts = []
-        for interval_id, entry in zip(interval_ids, entries):
+        for slot, interval_id in enumerate(interval_ids.tolist()):
             try:
                 parts.append(
-                    self.docs_counts_flat_from_entries(
-                        [interval_id], [entry], positions=positions
+                    self.decode_lists(
+                        resolved.single(slot), positions=positions
                     )
                 )
             except CorruptionError as exc:
                 self._quarantine(skip, interval_id, exc)
                 parts.append(_concatenate_lists([], positions, 1))
         return _concatenate_lists(parts, positions, len(interval_ids))
+
+    def resolve(
+        self,
+        interval_ids: TypingSequence[int],
+        *,
+        skip: set[int] | None = None,
+    ) -> ResolvedLists:
+        """The resolve step of :meth:`read_lists`: where each interval's
+        posting list lives, found with one storage resolve call.
+
+        ``skip`` follows :meth:`read_lists`: its ids read as absent, and
+        when the one call raises :class:`~repro.errors.CorruptionError`
+        the ids are resolved one by one so only the damaged ones are
+        quarantined; ``None`` raises.
+        """
+        interval_ids = np.asarray(interval_ids, dtype=np.int64)
+        if skip is None:
+            return self._resolve(interval_ids, ())
+        try:
+            return self._resolve(interval_ids, skip)
+        except CorruptionError:
+            pass  # resolve id by id: only the damaged ones go
+        for interval_id in interval_ids.tolist():
+            if interval_id not in skip:
+                try:
+                    self._resolve(np.array([interval_id]), skip)
+                except CorruptionError as exc:
+                    self._quarantine(skip, interval_id, exc)
+        return self._resolve(interval_ids, skip)
+
+    def _resolve(
+        self, interval_ids: np.ndarray, skip: Collection[int]
+    ) -> ResolvedLists:
+        """One storage resolve call: ids in ``skip`` read as absent.
+
+        The default looks each id up with :meth:`lookup_entry`; an
+        on-disk index resolves the whole array at once.
+        """
+        return ResolvedLists.from_entries(
+            interval_ids,
+            [
+                None if interval_id in skip
+                else self.lookup_entry(interval_id)
+                for interval_id in interval_ids.tolist()
+            ],
+        )
 
     def _quarantine(
         self, skip: set[int], interval_id: int, exc: CorruptionError
@@ -293,50 +398,52 @@ class IndexReader(ABC):
         skip.add(interval_id)
         self.instruments.count("index.quarantined_intervals")
 
+    def decode_lists(
+        self, resolved: ResolvedLists, *, positions: bool = False
+    ) -> tuple[np.ndarray, ...]:
+        """The decode step of :meth:`read_lists`: every resolved list
+        through one decoder call over ``resolved.buffer``.  Returns
+        ``(lens, docs, counts)``, plus ``offsets`` with
+        ``positions=True``."""
+        lens = resolved.dfs
+        present = np.flatnonzero(lens)
+        fields = (lens, resolved.cfs, resolved.offsets, resolved.lengths)
+        if present.shape[0] < lens.shape[0]:
+            fields = tuple(values[present] for values in fields)
+        dfs, cfs, offsets, lengths = fields
+        if positions:
+            decoded = self.codec.decode_postings_flat(
+                resolved.buffer, offsets, lengths, dfs, cfs, self.context
+            )
+        else:
+            decoded = self.codec.decode_docs_counts_flat(
+                resolved.buffer, offsets, lengths, dfs, self.context, cfs=cfs
+            )
+        self.instruments.count("index.postings_decoded", present.shape[0])
+        return (lens, *decoded)
+
     def docs_counts_flat_from_entries(
         self,
         interval_ids: TypingSequence[int],
         entries: TypingSequence[VocabEntry | None],
         positions: bool = False,
     ) -> tuple[np.ndarray, ...]:
-        """The decode step of :meth:`read_lists`, given the resolved
-        entries (``None`` = nothing to read): ``(lens, docs, counts)``,
-        plus ``offsets`` with ``positions=True``."""
-        lens = np.array(
-            [0 if entry is None else entry.df for entry in entries],
-            dtype=np.int64,
+        """:meth:`decode_lists` over already looked-up entries
+        (``None`` = nothing to read)."""
+        return self.decode_lists(
+            ResolvedLists.from_entries(interval_ids, entries),
+            positions=positions,
         )
-        present = [entry for entry in entries if entry is not None]
-        blobs = [entry.data for entry in present]
-        dfs = [entry.df for entry in present]
-        cfs = [entry.cf for entry in present]
-        if positions:
-            decoded = self.codec.decode_postings_flat(
-                blobs, dfs, cfs, self.context
-            )
-        else:
-            decoded = self.codec.decode_docs_counts_flat(
-                blobs, dfs, self.context, cfs=cfs
-            )
-        self.instruments.count("index.postings_decoded", len(present))
-        return (lens, *decoded)
 
     @property
     def pointer_count(self) -> int:
         """Total postings (sequence pointers) across the vocabulary."""
-        return sum(
-            entry.df for entry in map(self.lookup_entry, self.interval_ids())
-            if entry is not None
-        )
+        return int(self.resolve(list(self.interval_ids())).dfs.sum())
 
     @property
     def compressed_bytes(self) -> int:
         """Total bytes of compressed posting data."""
-        return sum(
-            len(entry.data)
-            for entry in map(self.lookup_entry, self.interval_ids())
-            if entry is not None
-        )
+        return int(self.resolve(list(self.interval_ids())).lengths.sum())
 
 
 def _concatenate_lists(

@@ -10,7 +10,8 @@ combined statistics.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence as TypingSequence
+from itertools import groupby
+from typing import Iterable, Iterator, Sequence as TypingSequence, TypeVar
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from repro.index.builder import (
 )
 from repro.index.postings import PostingEntry
 from repro.sequences.record import Sequence
+
+T = TypeVar("T")
 
 
 def merge_indexes(parts: TypingSequence[InvertedIndex]) -> InvertedIndex:
@@ -69,12 +72,7 @@ def merge_indexes(parts: TypingSequence[InvertedIndex]) -> InvertedIndex:
         {interval for part in parts for interval in part.interval_ids()}
     )
     vocabulary: dict[int, VocabEntry] = {}
-    for interval in all_ids:
-        entries = [
-            posting
-            for part, offset in zip(parts, offsets)
-            for posting in _shifted_postings(part, interval, offset)
-        ]
+    for interval, entries in _merged_postings(parts, offsets, all_ids):
         data = codec.encode(entries, context)
         vocabulary[interval] = VocabEntry(
             interval,
@@ -85,31 +83,62 @@ def merge_indexes(parts: TypingSequence[InvertedIndex]) -> InvertedIndex:
     return InvertedIndex(params, collection, vocabulary)
 
 
+#: Intervals read per ``read_lists`` call while merging: one vocabulary
+#: resolve and one decode per part per chunk, and a streaming merge
+#: holds one chunk's postings at a time.
+MERGE_CHUNK = 256
+
+
+def _merged_postings(
+    parts: TypingSequence[IndexReader],
+    offsets: TypingSequence[int],
+    interval_ids: Iterable[int],
+) -> Iterator[tuple[int, list[PostingEntry]]]:
+    """Each of the ascending, distinct ``interval_ids`` with its
+    postings from every part in part order, sequence ordinals shifted
+    by the part's offset; read :data:`MERGE_CHUNK` intervals at a
+    time."""
+    for chunk in _batches(interval_ids, MERGE_CHUNK):
+        per_part = [
+            _shifted_postings(part, chunk, offset)
+            for part, offset in zip(parts, offsets)
+        ]
+        for slot, interval in enumerate(chunk):
+            yield interval, [
+                entry for lists in per_part for entry in lists[slot]
+            ]
+
+
 def _shifted_postings(
-    part: IndexReader, interval: int, offset: int
-) -> list[PostingEntry]:
-    """``part``'s posting list for ``interval`` (empty when absent)
-    with sequence ordinals shifted by ``offset``."""
+    part: IndexReader, interval_ids: list[int], offset: int
+) -> list[list[PostingEntry]]:
+    """``part``'s posting list for each of ``interval_ids`` (empty when
+    absent) with sequence ordinals shifted by ``offset``."""
     if part.params.include_positions:
-        _, docs, counts, positions = part.read_lists([interval], positions=True)
+        lens, docs, counts, positions = part.read_lists(
+            interval_ids, positions=True
+        )
         chunks = np.split(positions, np.cumsum(counts)[:-1])
     else:
         # Positions were never stored; the codec only reads the count
         # from the placeholder array.
-        _, docs, counts = part.read_lists([interval])
+        lens, docs, counts = part.read_lists(interval_ids)
         chunks = [np.zeros(count, dtype=np.int64) for count in counts.tolist()]
-    return [
+    entries = [
         PostingEntry(doc + offset, chunk)
         for doc, chunk in zip(docs.tolist(), chunks)
     ]
+    ends = np.cumsum(lens).tolist()
+    return [
+        entries[end - length : end]
+        for end, length in zip(ends, lens.tolist())
+    ]
 
 
-def _batches(
-    records: Iterable[Sequence], batch_size: int
-) -> Iterator[list[Sequence]]:
-    batch: list[Sequence] = []
-    for record in records:
-        batch.append(record)
+def _batches(items: Iterable[T], batch_size: int) -> Iterator[list[T]]:
+    batch: list[T] = []
+    for item in items:
+        batch.append(item)
         if len(batch) == batch_size:
             yield batch
             batch = []
@@ -123,8 +152,9 @@ def merge_index_files(
     """Merge on-disk indexes into a new on-disk index, streaming.
 
     This is the external-memory build path: posting lists are decoded
-    from the parts and re-encoded one interval at a time, so peak
-    memory is one interval's postings plus a small write buffer — the
+    from the parts :data:`MERGE_CHUNK` intervals at a time and
+    re-encoded one interval at a time, so peak memory is one chunk's
+    postings plus a small write buffer — the
     classic inverted-file merge the paper's system used for GenBank.
 
     Args:
@@ -175,12 +205,15 @@ def merge_index_files(
         context = collection.context()
         codec = params.make_codec()
 
-        all_ids = heapq.merge(
-            *(part.interval_ids() for part in parts)
+        # Duplicates across parts are merged once.
+        all_ids = (
+            interval
+            for interval, _ in groupby(
+                heapq.merge(*(part.interval_ids() for part in parts))
+            )
         )
         table_rows: list[tuple[int, int, int, int, int, int]] = []
         blob_offset = 0
-        previous_interval = -1
         # The blob is spooled to a same-directory temp file; it is
         # unlinked in the finally block below, so a failure anywhere in
         # the merge never leaves an orphan on disk.
@@ -189,15 +222,9 @@ def merge_index_files(
         ) as blob:
             blob_path = blob.name
             buffer = bytearray()
-            for interval in all_ids:
-                if interval == previous_interval:
-                    continue  # duplicates across parts handled once
-                previous_interval = interval
-                entries = [
-                    posting
-                    for part, offset in zip(parts, offsets)
-                    for posting in _shifted_postings(part, interval, offset)
-                ]
+            for interval, entries in _merged_postings(
+                parts, offsets, all_ids
+            ):
                 data = codec.encode(entries, context)
                 table_rows.append(
                     (

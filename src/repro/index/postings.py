@@ -288,13 +288,17 @@ class PostingsCodec:
 
     def decode_docs_counts_flat(
         self,
-        blobs: list[bytes],
-        dfs: list[int],
+        buffer: np.ndarray,
+        byte_offsets: np.ndarray,
+        lengths: np.ndarray,
+        dfs: np.ndarray,
         context: PostingsContext,
-        cfs: list[int] | None = None,
+        cfs: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Section-A decode of many lists into flat lane-major arrays.
 
+        List ``i`` is the ``lengths[i]`` bytes at ``byte_offsets[i]``
+        of the uint8 array ``buffer``, holding ``dfs[i]`` entries.
         Returns ``(docs, counts)`` int64 arrays concatenating every
         list's entries in request order (list ``i`` occupies
         ``cumsum(dfs)[i-1] : cumsum(dfs)[i]``).  On the vector tiers
@@ -304,36 +308,33 @@ class PostingsCodec:
         On the scalar floor this is just the per-list decode
         concatenated — same arrays, same order.
         """
-        dfs_array = np.asarray(dfs, dtype=np.int64)
-        total = int(dfs_array.sum()) if len(blobs) else 0
-        if self._fast_decodable() and blobs and total:
+        total = int(dfs.sum())
+        if self._fast_decodable() and total:
             docs, counts, ok = fastunpack.decode_docs_counts_flat(
-                blobs,
-                dfs_array,
-                self._doc_parameters(dfs_array, context),
-                None if cfs is None else np.asarray(cfs, dtype=np.int64),
+                buffer,
+                byte_offsets,
+                lengths,
+                dfs,
+                self._doc_parameters(dfs, context),
+                cfs,
                 context.num_sequences,
             )
-            if not ok.all():
-                first = np.cumsum(dfs_array) - dfs_array
-                for slot in np.flatnonzero(~ok).tolist():
-                    start = int(first[slot])
-                    stop = start + int(dfs_array[slot])
-                    d, c = self.decode_docs_counts(
-                        blobs[slot], int(dfs_array[slot]), context
-                    )
-                    docs[start:stop] = d
-                    counts[start:stop] = c
-            return docs, counts
-        docs = np.empty(total, dtype=np.int64)
-        counts = np.empty(total, dtype=np.int64)
-        start = 0
-        for blob, df in zip(blobs, dfs):
-            stop = start + int(df)
-            d, c = self.decode_docs_counts(blob, int(df), context)
-            docs[start:stop] = d
-            counts[start:stop] = c
-            start = stop
+            if ok.all():
+                return docs, counts
+            redo = np.flatnonzero(~ok)
+        else:
+            docs = np.empty(total, dtype=np.int64)
+            counts = np.empty(total, dtype=np.int64)
+            redo = np.arange(dfs.shape[0])
+        first = np.cumsum(dfs) - dfs
+        for slot in redo.tolist():
+            start = int(first[slot])
+            stop = start + int(dfs[slot])
+            docs[start:stop], counts[start:stop] = self.decode_docs_counts(
+                _list_bytes(buffer, byte_offsets, lengths, slot),
+                int(dfs[slot]),
+                context,
+            )
         return docs, counts
 
     def decode_docs_counts(
@@ -389,13 +390,16 @@ class PostingsCodec:
 
     def decode_postings_flat(
         self,
-        blobs: list[bytes],
-        dfs: list[int],
-        cfs: list[int],
+        buffer: np.ndarray,
+        byte_offsets: np.ndarray,
+        lengths: np.ndarray,
+        dfs: np.ndarray,
+        cfs: np.ndarray,
         context: PostingsContext,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full decode (offsets included) of many lists as flat arrays.
 
+        The lists are laid out as for :meth:`decode_docs_counts_flat`.
         Returns ``(docs, counts, offsets)``: every list's entries
         concatenated in request order, and each entry's occurrence
         offsets (``counts`` long each) concatenated likewise.  Lists
@@ -406,30 +410,34 @@ class PostingsCodec:
         decoded: list[
             tuple[np.ndarray, np.ndarray, np.ndarray] | None
         ]
-        if self._fast_decodable() and self.include_positions and blobs:
-            doc_parameters = self._doc_parameters(
-                np.asarray(dfs, dtype=np.int64), context
-            )
+        if self._fast_decodable() and self.include_positions:
             position_parameters = np.fromiter(
                 (
                     self._position_parameter(df, cf, context)
-                    for df, cf in zip(dfs, cfs)
+                    for df, cf in zip(dfs.tolist(), cfs.tolist())
                 ),
                 dtype=np.int64,
-                count=len(dfs),
+                count=dfs.shape[0],
             )
             decoded = fastunpack.decode_postings_batch(
-                blobs,
-                np.asarray(dfs, dtype=np.int64),
-                doc_parameters,
+                buffer,
+                byte_offsets,
+                lengths,
+                dfs,
+                self._doc_parameters(dfs, context),
                 position_parameters,
             )
         else:
-            decoded = [None] * len(blobs)
+            decoded = [None] * dfs.shape[0]
         parts = []
-        for blob, df, cf, fast in zip(blobs, dfs, cfs, decoded):
+        for slot, fast in enumerate(decoded):
             if fast is None:
-                entries = self.decode(blob, df, cf, context)
+                entries = self.decode(
+                    _list_bytes(buffer, byte_offsets, lengths, slot),
+                    int(dfs[slot]),
+                    int(cfs[slot]),
+                    context,
+                )
                 fast = (
                     np.array([e.sequence for e in entries], dtype=np.int64),
                     np.array([e.count for e in entries], dtype=np.int64),
@@ -465,3 +473,14 @@ class PostingsCodec:
             position_codec=str(description["position_codec"]),
             include_positions=bool(description["include_positions"]),
         )
+
+
+def _list_bytes(
+    buffer: np.ndarray,
+    byte_offsets: np.ndarray,
+    lengths: np.ndarray,
+    slot: int,
+) -> bytes:
+    """List ``slot``'s bytes, for the scalar decode."""
+    start = int(byte_offsets[slot])
+    return bytes(buffer[start : start + int(lengths[slot])])

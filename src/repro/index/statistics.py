@@ -66,26 +66,20 @@ class IndexStatistics:
 
 def collect_statistics(index: IndexReader) -> IndexStatistics:
     """Measure an index (either in-memory or on-disk)."""
-    dfs = []
-    occurrences = 0
-    compressed = 0
-    for interval_id in index.interval_ids():
-        entry = index.lookup_entry(interval_id)
-        assert entry is not None
-        dfs.append(entry.df)
-        occurrences += entry.cf
-        compressed += len(entry.data)
-    df_array = np.array(dfs, dtype=np.int64) if dfs else np.zeros(1, np.int64)
+    resolved = index.resolve(list(index.interval_ids()))
+    dfs = resolved.dfs
+    assert dfs.all()
+    df_array = dfs if dfs.shape[0] else np.zeros(1, np.int64)
     quantiles = tuple(
         int(np.percentile(df_array, q)) for q in (50, 90, 99)
     )
     return IndexStatistics(
         interval_length=index.params.interval_length,
         stride=index.params.stride,
-        vocabulary_size=len(dfs),
-        pointer_count=int(sum(dfs)),
-        occurrence_count=int(occurrences),
-        compressed_bytes=int(compressed),
+        vocabulary_size=int(dfs.shape[0]),
+        pointer_count=int(dfs.sum()),
+        occurrence_count=int(resolved.cfs.sum()),
+        compressed_bytes=int(resolved.lengths.sum()),
         collection_sequences=index.collection.num_sequences,
         collection_bases=index.collection.total_length,
         df_quantiles=quantiles,  # type: ignore[arg-type]

@@ -12,12 +12,14 @@ The header JSON carries the index parameters and the collection's
 identifiers/lengths.  The vocabulary table is a packed little-endian
 record array — interval id, df, cf, blob offset, blob length, blob
 CRC32 — sorted by interval id so lookups are a binary search over a
-numpy column.  :class:`DiskIndex` memory-maps the file and fetches each
-posting list as a byte slice, never materialising the whole index.
+numpy column.  :class:`DiskIndex` memory-maps the file and resolves a
+whole batch of interval ids in one array pass; the decoder then
+gathers the lists straight from the map, never materialising the
+whole index.
 
 Integrity: the header and vocabulary-table checksums are verified
 eagerly when the file is opened; each posting blob's checksum is
-verified lazily the first time the list is fetched.  Any mismatch
+verified lazily the first time a resolve touches the list.  Any mismatch
 raises :class:`repro.errors.CorruptionError`.  Format v1 files (no
 checksums) still open read-only with a warning.  All writes go through
 :func:`repro.index.atomic.atomic_write`, so a crash mid-write never
@@ -32,7 +34,7 @@ import struct
 import warnings
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from repro.index.builder import (
     IndexParameters,
     IndexReader,
     InvertedIndex,
+    ResolvedLists,
     VocabEntry,
 )
 
@@ -280,11 +283,22 @@ class DiskIndex(IndexReader):
         else:
             self._crcs = None
             self._blob_verified = None
+        # The whole file as one uint8 array: resolved lists point into
+        # it, and the decoder gathers from it directly.
+        self._bytes = np.frombuffer(view, dtype=np.uint8)
 
     def close(self) -> None:
-        """Release the mapping and file handle."""
+        """Release the mapping and file handle.
+
+        A resolved list still alive (say, in a traceback) holds a view
+        of the map; the mapping then goes when that view does.
+        """
+        self._bytes = None
         if getattr(self, "_map", None) is not None:
-            self._map.close()
+            try:
+                self._map.close()
+            except BufferError:
+                pass  # unmapped when the last view is released
             self._map = None  # type: ignore[assignment]
         if getattr(self, "_handle", None) is not None:
             self._handle.close()
@@ -296,29 +310,58 @@ class DiskIndex(IndexReader):
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _fetch_blob(self, slot: int) -> bytes:
-        row = self._table[slot]
-        start = self._blob_start + int(row["offset"])
-        data = bytes(self._map[start : start + int(row["length"])])
-        if self._crcs is not None and not self._blob_verified[slot]:
-            if zlib.crc32(data) != int(self._crcs[slot]):
-                interval = int(self._ids[slot])
-                raise CorruptionError(
-                    f"{self._path}: posting list for interval {interval} "
-                    "fails checksum",
-                    interval_id=interval,
-                    section="blob",
-                )
-            self._blob_verified[slot] = True
-        return data
+    def _verify_blob(self, slot: int) -> None:
+        """Check a posting blob's CRC32 on its first touch."""
+        if self._blob_verified[slot]:
+            return
+        start = self._blob_start + int(self._table["offset"][slot])
+        data = self._bytes[start : start + int(self._table["length"][slot])]
+        if zlib.crc32(data) != int(self._crcs[slot]):
+            interval = int(self._ids[slot])
+            raise CorruptionError(
+                f"{self._path}: posting list for interval {interval} "
+                "fails checksum",
+                interval_id=interval,
+                section="blob",
+            )
+        self._blob_verified[slot] = True
+
+    def _resolve(
+        self, interval_ids: np.ndarray, skip: Collection[int]
+    ) -> ResolvedLists:
+        """Resolve a whole id array in one pass: one binary search over
+        the sorted ids, the table's columns gathered for the found
+        slots, and each found blob's CRC checked on its first touch, in
+        request order (the first damaged one raises)."""
+        self.instruments.count("index.storage.resolves")
+        count = self._ids.shape[0]
+        if not count:
+            return ResolvedLists.from_entries(
+                interval_ids, [None] * interval_ids.shape[0]
+            )
+        slots = np.minimum(np.searchsorted(self._ids, interval_ids), count - 1)
+        found = self._ids[slots] == interval_ids
+        if skip:
+            found &= ~np.isin(interval_ids, list(skip))
+        if self._blob_verified is not None:
+            for slot in slots[found & ~self._blob_verified[slots]].tolist():
+                self._verify_blob(slot)
+        rows = self._table[slots]
+        # Absent slots keep a neighbour's offset but read zero entries
+        # from zero bytes.
+        return ResolvedLists(
+            interval_ids,
+            np.multiply(rows["df"], found, dtype=np.int64),
+            np.multiply(rows["cf"], found, dtype=np.int64),
+            np.add(rows["offset"], self._blob_start, dtype=np.int64),
+            np.multiply(rows["length"], found, dtype=np.int64),
+            self._bytes,
+        )
 
     def lookup_entry(self, interval_id: int) -> VocabEntry | None:
-        slot = int(np.searchsorted(self._ids, interval_id))
-        if slot >= self._ids.shape[0] or self._ids[slot] != interval_id:
-            return None
-        row = self._table[slot]
-        data = self._fetch_blob(slot)
-        return VocabEntry(interval_id, int(row["df"]), int(row["cf"]), data)
+        return self._resolve(
+            np.array([interval_id], dtype=np.int64), ()
+        ).entry(0)
 
     def interval_ids(self) -> Iterator[int]:
         return iter(int(value) for value in self._ids)
@@ -349,18 +392,18 @@ class DiskIndex(IndexReader):
         issues: list[str] = []
         for slot in range(self._ids.shape[0]):
             try:
-                self._fetch_blob(slot)
+                self._verify_blob(slot)
             except CorruptionError as exc:
                 issues.append(str(exc))
         return issues
 
     def to_memory(self) -> InvertedIndex:
         """Materialise the whole index in memory."""
-        vocabulary = {}
-        for slot in range(self._ids.shape[0]):
-            entry = self.lookup_entry(int(self._ids[slot]))
-            assert entry is not None
-            vocabulary[entry.interval_id] = entry
+        resolved = self.resolve(self._ids)
+        vocabulary = {
+            int(interval_id): resolved.entry(slot)
+            for slot, interval_id in enumerate(self._ids.tolist())
+        }
         return InvertedIndex(self.params, self.collection, vocabulary)
 
 

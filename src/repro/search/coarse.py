@@ -406,8 +406,10 @@ class CoarseRanker:
         if self.max_df_fraction is None or not unique_ids.shape[0]:
             return unique_ids, counts, groups
         limit = self.max_df_fraction * self.index.collection.num_sequences
-        lens = self.index.read_lists(unique_ids, skip=self._skip)[0]
-        keep = np.flatnonzero(lens <= limit)
+        # df comes from the resolve alone: a list dropped here is never
+        # decoded.
+        dfs = self.index.resolve(unique_ids, skip=self._skip).dfs
+        keep = np.flatnonzero(dfs <= limit)
         if keep.shape[0] == unique_ids.shape[0]:
             return unique_ids, counts, groups
         self.instruments.count(

@@ -12,6 +12,7 @@ from repro.index.builder import (
     build_index,
 )
 from repro.index.postings import PostingEntry
+from repro.index.storage import DiskIndex, write_index
 from repro.compression import fastunpack
 from repro.instrumentation.instruments import Instruments
 from repro.search.coarse import (
@@ -177,19 +178,16 @@ class _HugeOffsetIndex(IndexReader):
             return VocabEntry(interval_id, 2, 2, b"")
         return None
 
-    def docs_counts_flat_from_entries(
-        self, interval_ids, entries, positions=False
-    ):
+    def decode_lists(self, resolved, *, positions=False):
         postings = [
             posting
-            for interval_id, entry in zip(interval_ids, entries)
-            if entry is not None
+            for interval_id, df in zip(
+                resolved.interval_ids.tolist(), resolved.dfs.tolist()
+            )
+            if df
             for posting in self._postings[interval_id]
         ]
-        lens = np.array(
-            [0 if entry is None else entry.df for entry in entries],
-            dtype=np.int64,
-        )
+        lens = resolved.dfs
         docs = np.array([e.sequence for e in postings], dtype=np.int64)
         counts = np.array([e.count for e in postings], dtype=np.int64)
         offsets = np.concatenate([e.positions for e in postings])
@@ -331,3 +329,56 @@ class TestIdfSingleLookup:
             assert len(calls) == len(ids), tier
             counters = instruments.metrics.snapshot()["counters"]
             assert counters["coarse.postings_fetched"] == len(ids)
+
+
+class TestFrequencyFilterReadsDfOnly:
+    """``max_df_fraction`` takes df from the vocabulary resolve: the
+    ranking equals ranking an index without the dropped lists, and only
+    the scorer's lists are decoded."""
+
+    FRACTION = 0.04
+
+    @pytest.fixture(params=["memory", "disk"])
+    def reader(self, request, index, tmp_path):
+        if request.param == "memory":
+            yield index
+            return
+        path = tmp_path / "coarse.rpix"
+        write_index(index, path)
+        with DiskIndex(path) as disk:
+            yield disk
+
+    def test_dropped_lists_are_never_decoded(self, reader, index, collection):
+        _, query = collection
+        ranker = CoarseRanker(reader, "count", max_df_fraction=self.FRACTION)
+        ids = ranker.query_intervals(query)[0].tolist()
+        limit = self.FRACTION * index.collection.num_sequences
+        entries = {interval: index.lookup_entry(interval) for interval in ids}
+        kept = {
+            interval: entry
+            for interval, entry in entries.items()
+            if entry is not None and entry.df <= limit
+        }
+        dropped = [
+            interval
+            for interval, entry in entries.items()
+            if entry is not None and entry.df > limit
+        ]
+        assert kept and dropped
+        expected = CoarseRanker(
+            index.replace_vocabulary(kept), "count"
+        ).rank(query, cutoff=10)
+
+        instruments = Instruments()
+        reader.set_instruments(instruments)
+        ranker.set_instruments(instruments)
+        try:
+            got = ranker.rank(query, cutoff=10)
+        finally:
+            reader.set_instruments(None)
+        assert [(c.ordinal, c.coarse_score) for c in got] == [
+            (c.ordinal, c.coarse_score) for c in expected
+        ]
+        counters = instruments.metrics.snapshot()["counters"]
+        assert counters["coarse.intervals_skipped_frequency"] == len(dropped)
+        assert counters["index.postings_decoded"] == len(kept)

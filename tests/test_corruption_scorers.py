@@ -53,15 +53,13 @@ class FaultyIndex(IndexReader):
     def lookup_entry(self, interval_id):
         return self._inner.lookup_entry(interval_id)
 
-    def docs_counts_flat_from_entries(
-        self, interval_ids, entries, positions=False
-    ):
-        for interval_id, entry in zip(interval_ids, entries):
-            if entry is not None:
+    def decode_lists(self, resolved, *, positions=False):
+        for interval_id, df in zip(
+            resolved.interval_ids.tolist(), resolved.dfs.tolist()
+        ):
+            if df:
                 self._check(interval_id)
-        return self._inner.docs_counts_flat_from_entries(
-            interval_ids, entries, positions=positions
-        )
+        return self._inner.decode_lists(resolved, positions=positions)
 
     def interval_ids(self):
         return self._inner.interval_ids()

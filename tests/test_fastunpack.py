@@ -39,6 +39,18 @@ def encode_batch(codec, batch, context=CONTEXT):
     return blobs, dfs, cfs
 
 
+def packed(blobs, dfs):
+    """The flat decoders' list layout over ``blobs``: ``(buffer,
+    byte_offsets, lengths, dfs)`` with the blobs back to back."""
+    lengths = np.array([len(blob) for blob in blobs], dtype=np.int64)
+    return (
+        np.frombuffer(b"".join(blobs), dtype=np.uint8),
+        np.cumsum(lengths) - lengths,
+        lengths,
+        np.asarray(dfs, dtype=np.int64),
+    )
+
+
 def flat_reference(codec, batch, context=CONTEXT):
     """The flat layout derived from the scalar per-list decode."""
     docs_parts, counts_parts = [], []
@@ -134,7 +146,8 @@ class TestFlatRoundTrip:
         for tier in ALL_TIERS:
             with fastunpack.forced_tier(tier):
                 docs, counts = codec.decode_docs_counts_flat(
-                    blobs, dfs, CONTEXT, cfs=cfs
+                    *packed(blobs, dfs), CONTEXT,
+                    cfs=np.asarray(cfs)
                 )
             assert np.array_equal(docs, docs_ref), tier
             assert np.array_equal(counts, counts_ref), tier
@@ -147,7 +160,8 @@ class TestFlatRoundTrip:
         for tier in ALL_TIERS:
             with fastunpack.forced_tier(tier):
                 docs, counts = codec.decode_docs_counts_flat(
-                    blobs, dfs, CONTEXT, cfs=cfs
+                    *packed(blobs, dfs), CONTEXT,
+                    cfs=np.asarray(cfs)
                 )
             assert np.array_equal(docs, docs_ref)
             assert np.array_equal(counts, counts_ref)
@@ -157,7 +171,8 @@ class TestFlatRoundTrip:
         for tier in ALL_TIERS:
             with fastunpack.forced_tier(tier):
                 docs, counts = codec.decode_docs_counts_flat(
-                    [], [], CONTEXT, cfs=[]
+                    *packed([], []), CONTEXT,
+                    cfs=np.zeros(0, dtype=np.int64),
                 )
             assert docs.shape == (0,)
             assert counts.shape == (0,)
@@ -176,7 +191,8 @@ class TestFlatRoundTrip:
         for tier in ALL_TIERS:
             with fastunpack.forced_tier(tier):
                 docs, counts = codec.decode_docs_counts_flat(
-                    blobs, dfs, context, cfs=cfs
+                    *packed(blobs, dfs), context,
+                    cfs=np.asarray(cfs)
                 )
             assert np.array_equal(docs, docs_ref)
             assert np.array_equal(counts, counts_ref)
@@ -199,7 +215,8 @@ class TestFlatRoundTrip:
         for tier in ALL_TIERS:
             with fastunpack.forced_tier(tier):
                 docs, counts = codec.decode_docs_counts_flat(
-                    blobs, dfs, context, cfs=cfs
+                    *packed(blobs, dfs), context,
+                    cfs=np.asarray(cfs)
                 )
             assert np.array_equal(docs, docs_ref), tier
             assert np.array_equal(counts, counts_ref), tier
@@ -213,8 +230,50 @@ class TestFlatRoundTrip:
             with fastunpack.forced_tier(tier):
                 with pytest.raises(CodecError):
                     codec.decode_docs_counts_flat(
-                        clipped, dfs, CONTEXT, cfs=None
+                        *packed(clipped, dfs), CONTEXT,
+                        cfs=None
                     )
+
+
+class TestListsReadInPlace:
+    @settings(deadline=None, max_examples=25)
+    @given(posting_batches(), st.integers(min_value=0, max_value=7))
+    def test_scattered_layout_decodes_like_packed(self, batch, gap):
+        """Each list is read at its own offset of one buffer — in
+        reverse order, with foreign bytes between — as an index file's
+        memory map presents them, and decodes exactly as packed."""
+        codec = PostingsCodec()
+        blobs, dfs, cfs = encode_batch(codec, batch)
+        layout = bytearray(b"\xff" * gap)
+        offsets = [0] * len(blobs)
+        for slot in reversed(range(len(blobs))):
+            offsets[slot] = len(layout)
+            layout += blobs[slot] + b"\xff" * gap
+        scattered = (
+            np.frombuffer(bytes(layout), dtype=np.uint8),
+            np.array(offsets, dtype=np.int64),
+            np.array([len(blob) for blob in blobs], dtype=np.int64),
+            np.asarray(dfs, dtype=np.int64),
+        )
+        cfs = np.asarray(cfs, dtype=np.int64)
+        for tier in ALL_TIERS:
+            with fastunpack.forced_tier(tier):
+                for got, want in zip(
+                    codec.decode_docs_counts_flat(
+                        *scattered, CONTEXT, cfs=cfs
+                    ),
+                    codec.decode_docs_counts_flat(
+                        *packed(blobs, dfs), CONTEXT, cfs=cfs
+                    ),
+                ):
+                    assert np.array_equal(got, want), tier
+                for got, want in zip(
+                    codec.decode_postings_flat(*scattered, cfs, CONTEXT),
+                    codec.decode_postings_flat(
+                        *packed(blobs, dfs), cfs, CONTEXT
+                    ),
+                ):
+                    assert np.array_equal(got, want), tier
 
 
 class TestPostingsBatch:
@@ -232,7 +291,7 @@ class TestPostingsBatch:
         for tier in ALL_TIERS:
             with fastunpack.forced_tier(tier):
                 docs, counts, offsets = codec.decode_postings_flat(
-                    blobs, dfs, cfs, CONTEXT
+                    *packed(blobs, dfs), np.asarray(cfs), CONTEXT
                 )
             assert docs.tolist() == [entry.sequence for entry in entries]
             assert counts.tolist() == [entry.count for entry in entries]
@@ -256,7 +315,8 @@ class TestPostingsBatch:
         for tier in ALL_TIERS:
             with fastunpack.forced_tier(tier):
                 docs, counts = codec.decode_docs_counts_flat(
-                    blobs, dfs, CONTEXT, cfs=cfs
+                    *packed(blobs, dfs), CONTEXT,
+                    cfs=np.asarray(cfs)
                 )
             bounds = np.cumsum(dfs)[:-1]
             results = zip(np.split(docs, bounds), np.split(counts, bounds))

@@ -168,13 +168,9 @@ class FlakyIndex(IndexReader):
         self._maybe_fail()
         return self._inner.lookup_entry(interval_id)
 
-    def docs_counts_flat_from_entries(
-        self, interval_ids, entries, positions=False
-    ):
+    def decode_lists(self, resolved, *, positions=False):
         self._maybe_fail()
-        return self._inner.docs_counts_flat_from_entries(
-            interval_ids, entries, positions=positions
-        )
+        return self._inner.decode_lists(resolved, positions=positions)
 
     def interval_ids(self):
         return self._inner.interval_ids()
@@ -374,9 +370,9 @@ def test_attempt_timeout_drops_slow_shard():
             _time.sleep(0.05)
             return self._inner.lookup_entry(interval_id)
 
-        def docs_counts_flat_from_entries(self, *args, **kwargs):
+        def decode_lists(self, *args, **kwargs):
             _time.sleep(0.05)
-            return self._inner.docs_counts_flat_from_entries(*args, **kwargs)
+            return self._inner.decode_lists(*args, **kwargs)
 
     pairs = _shard_pairs(records)
     slow = SlowIndex(build_index(records[1::3], PARAMS), 0)

@@ -1,12 +1,22 @@
 """Unit tests for the on-disk index format."""
 
+import warnings
+import zlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import IndexFormatError
+from repro.compression import fastunpack
+from repro.errors import CorruptionError, IndexFormatError
+from repro.index import storage
 from repro.index.builder import IndexParameters, build_index
 from repro.index.statistics import collect_statistics
 from repro.index.storage import DiskIndex, read_index, write_index
+from repro.instrumentation import faults
+from repro.instrumentation.instruments import Instruments
 from repro.sequences.record import Sequence
 from tests.conftest import read_postings
 
@@ -134,3 +144,155 @@ class TestLifecycle:
         # After close the map is gone; lookups would fail loudly rather
         # than silently read stale memory.
         assert disk._map is None
+
+
+@pytest.fixture(scope="module")
+def disk_layouts(sample_index, tmp_path_factory):
+    """The sample index on disk as format v2 and v1, plus an index with
+    an empty vocabulary, each opened once."""
+    root = tmp_path_factory.mktemp("resolve")
+    write_index(sample_index, root / "v2.rpix")
+    write_index(sample_index, root / "v1.rpix", version=1)
+    empty = build_index(
+        [Sequence("short", np.zeros(3, dtype=np.uint8))],
+        IndexParameters(interval_length=5),
+    )
+    write_index(empty, root / "empty.rpix")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # v1 has no checksums to verify
+        indexes = {
+            name: DiskIndex(root / f"{name}.rpix")
+            for name in ("v2", "v1", "empty")
+        }
+    yield indexes
+    for index in indexes.values():
+        index.close()
+
+
+def _per_id_reads(index, ids, positions):
+    """The scalar reference: each id looked up and decoded on its own,
+    the pieces concatenated in request order."""
+    parts = [
+        index.docs_counts_flat_from_entries(
+            [interval], [index.lookup_entry(interval)], positions=positions
+        )
+        for interval in ids
+    ]
+    if not parts:
+        return tuple(
+            np.empty(0, dtype=np.int64) for _ in range(3 + positions)
+        )
+    return tuple(
+        np.concatenate([part[field] for part in parts])
+        for field in range(3 + positions)
+    )
+
+
+class TestResolveMatchesScalarLookup:
+    """``read_lists`` resolves a whole id batch at once; whatever the
+    batch holds, it must equal looking each id up on its own."""
+
+    @pytest.mark.parametrize("layout", ["v2", "v1", "empty"])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_read_lists_equals_per_id_lookup(
+        self, disk_layouts, sample_index, layout, data
+    ):
+        index = disk_layouts[layout]
+        present = sorted(sample_index.interval_ids())
+        low, high = present[0], present[-1]
+        one_id = st.one_of(
+            st.sampled_from(present),
+            st.integers(low - 3, high + 3),
+            st.sampled_from([low - 1, high + 1]),
+        )
+        # Every batch repeats half its ids in reverse: duplicated and
+        # unsorted requests are the rule, not a rare draw.
+        ids = data.draw(
+            st.lists(one_id, max_size=30).map(lambda ids: ids + ids[::-2])
+        )
+        for tier in fastunpack.TIERS:
+            with fastunpack.forced_tier(tier):
+                for positions in (False, True):
+                    got = index.read_lists(ids, positions=positions)
+                    want = _per_id_reads(index, ids, positions)
+                    assert len(got) == len(want)
+                    for got_field, want_field in zip(got, want):
+                        assert np.array_equal(got_field, want_field)
+
+
+@pytest.fixture
+def damaged_index(sample_index, tmp_path):
+    """A v2 index with one posting blob damaged: ``(path, bad id,
+    request)`` where the request holds the bad id between healthy
+    neighbours."""
+    path = tmp_path / "damaged.rpix"
+    write_index(sample_index, path)
+    ids = sorted(sample_index.interval_ids())
+    slot = len(ids) // 2
+    blob_start, _ = faults.index_sections(path)["blob"]
+    offset = sum(
+        len(sample_index.lookup_entry(interval).data)
+        for interval in ids[:slot]
+    )
+    faults.flip_byte(path, blob_start + offset)
+    return path, ids[slot], ids[slot - 2 : slot + 3]
+
+
+class TestBlobDamageSemantics:
+    def test_raises_with_the_damaged_id(self, damaged_index):
+        path, bad, request = damaged_index
+        with DiskIndex(path) as index:
+            with pytest.raises(CorruptionError) as excinfo:
+                index.read_lists(request)
+            assert excinfo.value.interval_id == bad
+            assert excinfo.value.section == "blob"
+
+    def test_skip_quarantines_exactly_the_damaged_list(
+        self, damaged_index, sample_index
+    ):
+        path, bad, request = damaged_index
+        healthy = [interval for interval in request if interval != bad]
+        with DiskIndex(path) as index:
+            instruments = Instruments()
+            index.set_instruments(instruments)
+            skip: set[int] = set()
+            for positions in (False, True):
+                got = index.read_lists(request, positions=positions, skip=skip)
+                want = sample_index.read_lists(healthy, positions=positions)
+                assert skip == {bad}
+                assert got[0][request.index(bad)] == 0
+                assert np.array_equal(
+                    np.delete(got[0], request.index(bad)), want[0]
+                )
+                for got_field, want_field in zip(got[1:], want[1:]):
+                    assert np.array_equal(got_field, want_field)
+            assert instruments.metrics.counter_value(
+                "index.quarantined_intervals"
+            ) == 1
+
+    def test_skipped_id_is_never_checked_again(
+        self, damaged_index, monkeypatch
+    ):
+        path, bad, request = damaged_index
+        with DiskIndex(path) as index:
+            skip: set[int] = set()
+            index.read_lists(request, skip=skip)
+            assert skip == {bad}
+            checked = []
+            monkeypatch.setattr(
+                storage,
+                "zlib",
+                SimpleNamespace(
+                    crc32=lambda data: checked.append(len(data))
+                    or zlib.crc32(data)
+                ),
+            )
+            lens = index.read_lists(request, skip=skip)[0]
+            assert lens[request.index(bad)] == 0
+            assert index.read_lists([bad], skip=skip)[0].tolist() == [0]
+            # Healthy lists were verified on first touch; the damaged
+            # one is skipped: no checksum is computed again.
+            assert checked == []
+            assert skip == {bad}
+

@@ -1,0 +1,59 @@
+"""Work counters asserted as formulas of the database layout.
+
+Wall time is a noisy instrument; how many times a step runs per query
+is exact and machine-independent.  Each test runs the fixed parity
+corpus through the classic, 3-shard and live (2-shard base, two delta
+shards, tombstones) layouts and asserts a per-search count as a
+function of the layout, so a regression back to per-interval or
+per-shard loops fails deterministically.
+"""
+
+from repro.instrumentation.instruments import Instruments
+
+
+def _per_search(database, queries, counter):
+    """``counter``'s increment over each search of ``queries`` on the
+    database's default engine (one strand, no deadline)."""
+    engine = database.engine()
+    previous = engine.instruments
+    instruments = Instruments()
+    engine.set_instruments(instruments)
+    increments = []
+    try:
+        for query in queries:
+            before = instruments.metrics.counter_value(counter)
+            engine.search(query, top_k=10)
+            increments.append(
+                instruments.metrics.counter_value(counter) - before
+            )
+    finally:
+        engine.set_instruments(previous)
+    return increments
+
+
+def test_one_vocabulary_resolve_per_shard(parity_worlds):
+    """``index.storage.resolves`` per search == inverted shards.
+
+    Each shard resolves the query's interval ids in one storage call.
+    Mutation check: restoring the per-id loop in
+    ``IndexReader._read_chunk`` — ``ResolvedLists.from_entries(ids,
+    [self.lookup_entry(i) for i in ids.tolist()])`` in place of
+    ``self.resolve(...)`` — makes every search count one resolve per
+    query interval per shard, and this test fails.
+    """
+    for database in (
+        parity_worlds.single, parity_worlds.sharded, parity_worlds.live
+    ):
+        shards = database.num_shards
+        assert all(
+            shard.index.coarse_backend == "inverted"
+            for shard in database.shards
+        )
+        assert _per_search(
+            database, parity_worlds.queries, "index.storage.resolves"
+        ) == [shards] * len(parity_worlds.queries)
+    assert (
+        parity_worlds.single.num_shards,
+        parity_worlds.sharded.num_shards,
+        parity_worlds.live.num_shards,
+    ) == (1, 3, 4)
