@@ -32,95 +32,27 @@ scales with the total compressed size rather than with the entry
 count.  :func:`decode_docs_counts_flat` goes one step further and
 returns lane-major *flat* arrays so a scorer can accumulate evidence
 without ever materialising per-list objects.
-
-Tier selection lives here too (see :func:`resolve_tier`): the
-``REPRO_KERNEL`` environment variable picks ``numpy`` (this module's
-block decoder) or ``python`` (the scalar floor); ``auto`` takes the
-faster one.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
 
 from repro.compression.fastpack import _bit_lengths
-from repro.errors import ReproError
 
 __all__ = [
-    "KERNEL_ENV_VAR",
-    "TIERS",
     "active_tier",
     "decode_docs_counts_flat",
-    "forced_tier",
-    "resolve_tier",
-    "set_active_tier",
 ]
-
-#: Environment variable selecting the decode tier.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Selectable tiers, fastest first ("auto" resolves to the first).
-TIERS = ("numpy", "python")
-
-# -- tier selection ---------------------------------------------------
-
-_ACTIVE: str | None = None
-
-
-def resolve_tier(requested: str | None = None) -> str:
-    """Resolve a tier request to a runnable tier name.
-
-    Args:
-        requested: ``"auto"``, ``"numpy"`` or ``"python"``; ``None``
-            reads the ``REPRO_KERNEL`` environment variable
-            (missing/empty means ``"auto"``).
-
-    Raises:
-        ReproError: if the name is not a known tier.
-    """
-    name = requested
-    if name is None:
-        name = os.environ.get(KERNEL_ENV_VAR, "auto")
-    name = (name or "auto").strip().lower() or "auto"
-    if name == "auto":
-        return TIERS[0]
-    if name not in TIERS:
-        raise ReproError(
-            f"unknown {KERNEL_ENV_VAR} tier {name!r}; expected one of "
-            f"{('auto',) + TIERS}"
-        )
-    return name
 
 
 def active_tier() -> str:
-    """The tier decodes run on (resolved once, then cached)."""
-    global _ACTIVE
-    if _ACTIVE is None:
-        _ACTIVE = resolve_tier()
-    return _ACTIVE
+    """Name of the decode kernel, always ``"numpy"``.
 
-
-def set_active_tier(name: str | None) -> str | None:
-    """Force the active tier (``None`` re-resolves lazily from the
-    environment).  Returns the previous cached value."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = resolve_tier(name) if name is not None else None
-    return previous
-
-
-@contextmanager
-def forced_tier(name: str | None):
-    """Context manager pinning the active tier (tests, benchmarks)."""
-    previous = set_active_tier(name)
-    try:
-        yield active_tier() if name is not None else None
-    finally:
-        global _ACTIVE
-        _ACTIVE = previous
+    Benchmark result headers record this name; nothing in the package
+    reads it.
+    """
+    return "numpy"
 
 
 # -- bit-stream tables ------------------------------------------------

@@ -106,8 +106,8 @@ class VerificationReport:
         path: the audited directory.
         issues: detected damage — anything here means the database is
             not fully intact.
-        notes: non-fatal observations (e.g. format v1 files that carry
-            no integrity data).
+        notes: non-fatal observations (e.g. orphan directories no
+            manifest references).
     """
 
     path: Path
@@ -458,39 +458,28 @@ class Database:
         report: VerificationReport,
     ) -> None:
         """Digest + checksum audit of one entry's opened files."""
-        if entry.checksums is None:
-            report.notes.append(
-                f"{directory}: manifest records no file digests "
-                "(database version 1)"
-            )
-        else:
-            for name in (artifact_name(live.coarse["backend"]), STORE_NAME):
-                recorded = entry.checksums.get(name)
-                if recorded is None:
-                    report.issues.append(
-                        f"{directory}: manifest has no digest for {name}"
-                    )
-                    continue
-                try:
-                    actual = f"{file_crc32(directory / name):08x}"
-                except OSError as exc:
-                    report.issues.append(
-                        f"{directory / name}: unreadable ({exc})"
-                    )
-                    continue
-                if actual != recorded:
-                    report.issues.append(
-                        f"{directory / name}: file digest {actual} does not "
-                        f"match manifest {recorded}"
-                    )
-        for reader in (index, store):
-            if reader is None:
+        for name in (artifact_name(live.coarse["backend"]), STORE_NAME):
+            recorded = entry.checksums.get(name)
+            if recorded is None:
+                report.issues.append(
+                    f"{directory}: manifest has no digest for {name}"
+                )
                 continue
-            for problem in reader.verify():
-                if "no integrity data" in problem:
-                    report.notes.append(problem)
-                else:
-                    report.issues.append(problem)
+            try:
+                actual = f"{file_crc32(directory / name):08x}"
+            except OSError as exc:
+                report.issues.append(
+                    f"{directory / name}: unreadable ({exc})"
+                )
+                continue
+            if actual != recorded:
+                report.issues.append(
+                    f"{directory / name}: file digest {actual} does not "
+                    f"match manifest {recorded}"
+                )
+        for reader in (index, store):
+            if reader is not None:
+                report.issues.extend(reader.verify())
 
     @classmethod
     def verify(cls, path: str | Path) -> VerificationReport:
@@ -599,7 +588,7 @@ class Database:
             "direct",
             IndexParameters(),
             coarse_section(),
-            (ShardLayoutEntry("", 0, 0, 0, 0, 0, None),),
+            (ShardLayoutEntry("", 0, 0, 0, 0, 0, {}),),
         )
         params = params or live.params
         entries: list[ShardLayoutEntry] = []
@@ -644,11 +633,7 @@ class Database:
                 f"{directory}: no sequence store to rebuild from"
             )
         with SequenceStore(store_path) as store:
-            problems = [
-                problem
-                for problem in store.verify()
-                if "no integrity data" not in problem
-            ]
+            problems = store.verify()
             if problems:
                 raise CorruptionError(
                     f"{directory}: store is damaged, cannot repair: "

@@ -126,80 +126,3 @@ class IntervalExtractor:
         """Sorted distinct interval ids appearing in a sequence."""
         ids, _ = self.extract(codes)
         return np.unique(ids)
-
-    def extract_expanded(
-        self,
-        codes: np.ndarray,
-        max_wildcards: int = 1,
-        max_expansion: int = 64,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Extraction that expands lightly-wildcarded windows.
-
-        Windows containing up to ``max_wildcards`` wildcard characters
-        are enumerated into every concrete interval their IUPAC
-        expansions allow (an ``N`` contributes all four bases, an ``R``
-        two, ...), capped at ``max_expansion`` ids per window.  Clean
-        windows behave exactly as :meth:`extract`.  This is how a query
-        containing uncalled bases still reaches the index.
-
-        Raises:
-            IndexParameterError: if the limits are not positive.
-        """
-        if max_wildcards < 1:
-            raise IndexParameterError(
-                f"max_wildcards must be >= 1, got {max_wildcards}"
-            )
-        if max_expansion < 1:
-            raise IndexParameterError(
-                f"max_expansion must be >= 1, got {max_expansion}"
-            )
-        ids, positions = self.extract(codes)
-        codes = np.ascontiguousarray(codes, dtype=np.uint8)
-        if codes.shape[0] < self.length:
-            return ids, positions
-
-        from itertools import product
-
-        from repro.sequences.alphabet import IUPAC_ALPHABET, IUPAC_EXPANSIONS
-
-        expansion_codes = [
-            tuple(BASES.index(base) for base in sorted(IUPAC_EXPANSIONS[char]))
-            for char in IUPAC_ALPHABET
-        ]
-        weights = NUM_BASES ** np.arange(
-            self.length - 1, -1, -1, dtype=np.int64
-        )
-        windows = np.lib.stride_tricks.sliding_window_view(codes, self.length)
-        windows = windows[:: self.stride]
-        window_positions = np.arange(
-            0, codes.shape[0] - self.length + 1, self.stride, dtype=np.int64
-        )
-        wildcard_counts = (windows >= WILDCARD_MIN_CODE).sum(axis=1)
-        expandable = np.flatnonzero(
-            (wildcard_counts >= 1) & (wildcard_counts <= max_wildcards)
-        )
-        extra_ids: list[int] = []
-        extra_positions: list[int] = []
-        for window_slot in expandable:
-            window = windows[window_slot]
-            choices = [expansion_codes[int(code)] for code in window]
-            emitted = 0
-            for concrete in product(*choices):
-                if emitted >= max_expansion:
-                    break
-                packed = int(
-                    np.dot(np.array(concrete, dtype=np.int64), weights)
-                )
-                extra_ids.append(packed)
-                extra_positions.append(int(window_positions[window_slot]))
-                emitted += 1
-        if not extra_ids:
-            return ids, positions
-        combined_ids = np.concatenate(
-            [ids, np.array(extra_ids, dtype=np.int64)]
-        )
-        combined_positions = np.concatenate(
-            [positions, np.array(extra_positions, dtype=np.int64)]
-        )
-        order = np.argsort(combined_positions, kind="stable")
-        return combined_ids[order], combined_positions[order]

@@ -139,15 +139,13 @@ class PostingsCodec:
         return table[dfs]
 
     def _fast_decodable(self) -> bool:
-        """Whether the block-decode tier applies: the default codec
-        configuration (Golomb gaps, gamma counts, Golomb offsets) with
-        a tier above the pure-Python floor."""
+        """Whether the block decoder applies: the default codec
+        configuration (Golomb gaps, gamma counts, Golomb offsets)."""
         return (
             self.doc_codec_name == "golomb"
             and self.count_codec_name == "gamma"
             and (not self.include_positions
                  or self.position_codec_name == "golomb")
-            and fastunpack.active_tier() != "python"
         )
 
     def _position_codec(
@@ -301,11 +299,11 @@ class PostingsCodec:
         of the uint8 array ``buffer``, holding ``dfs[i]`` entries.
         Returns ``(docs, counts)`` int64 arrays concatenating every
         list's entries in request order (list ``i`` occupies
-        ``cumsum(dfs)[i-1] : cumsum(dfs)[i]``).  On the vector tiers
+        ``cumsum(dfs)[i-1] : cumsum(dfs)[i]``).  Under the default codecs
         the whole batch decodes in one table build; lists the block
         decoder cannot finish are spliced through the scalar loop, so
         the values (and any exception) match the per-list path exactly.
-        On the scalar floor this is just the per-list decode
+        Under any other codec this is just the per-list decode
         concatenated — same arrays, same order.
         """
         total = int(dfs.sum())
@@ -343,7 +341,7 @@ class PostingsCodec:
         """Decode section A only: (ordinals, counts) as int64 arrays.
 
         The pure-Python reference decode.  A lone list gains nothing
-        from the numpy kernel tier (see docs/KERNELS.md), which pays
+        from the numpy block decoder (see docs/KERNELS.md), which pays
         its dispatch cost per *batch* and serves
         :meth:`decode_docs_counts_flat` instead.
         """

@@ -1,7 +1,8 @@
 """On-disk index format.
 
 The paper's system keeps its index on disk and reads posting lists on
-demand; this module reproduces that arrangement.  Format v2 layout::
+demand; this module reproduces that arrangement.  Format v2 layout
+(the only version read or written)::
 
     magic "RPIX" | version u16 | header-length u32 | header CRC32
     header JSON
@@ -20,8 +21,8 @@ whole index.
 Integrity: the header and vocabulary-table checksums are verified
 eagerly when the file is opened; each posting blob's checksum is
 verified lazily the first time a resolve touches the list.  Any mismatch
-raises :class:`repro.errors.CorruptionError`.  Format v1 files (no
-checksums) still open read-only with a warning.  All writes go through
+raises :class:`repro.errors.CorruptionError`.  Any other version is
+refused with :class:`repro.errors.IndexFormatError`.  All writes go through
 :func:`repro.index.atomic.atomic_write`, so a crash mid-write never
 leaves a half-written index visible.
 """
@@ -31,7 +32,6 @@ from __future__ import annotations
 import json
 import mmap
 import struct
-import warnings
 import zlib
 from pathlib import Path
 from typing import BinaryIO, Collection, Iterable, Iterator
@@ -51,23 +51,13 @@ from repro.index.builder import (
 
 _MAGIC = b"RPIX"
 _VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
+_SUPPORTED_VERSIONS = (2,)
 _PREFIX = struct.Struct("<4sHI")
 _CRC = struct.Struct("<I")
 _COUNT = struct.Struct("<Q")
 
-#: v1 row: interval id, df, cf, offset into blob, byte length of the list.
-_VOCAB_DTYPE_V1 = np.dtype(
-    [
-        ("interval_id", "<u8"),
-        ("df", "<u4"),
-        ("cf", "<u8"),
-        ("offset", "<u8"),
-        ("length", "<u4"),
-    ]
-)
-
-#: v2 row: v1 fields plus the posting blob's CRC32.
+#: Row: interval id, df, cf, offset into blob, byte length of the list,
+#: and the posting blob's CRC32.
 _VOCAB_DTYPE = np.dtype(
     [
         ("interval_id", "<u8"),
@@ -95,46 +85,29 @@ def write_index_stream(
     header: bytes,
     table: np.ndarray,
     blobs: Iterable[bytes],
-    version: int = _VERSION,
 ) -> int:
     """Write a complete index file to an open binary handle.
 
-    ``table`` must use :data:`_VOCAB_DTYPE` (the ``crc`` column is
-    dropped when writing v1).  ``blobs`` supplies the postings blob as
-    byte chunks, concatenated verbatim.  Returns the bytes written.
-    Shared by :func:`write_index` and the streaming merge.
+    ``table`` must use :data:`_VOCAB_DTYPE`.  ``blobs`` supplies the
+    postings blob as byte chunks, concatenated verbatim.  Returns the
+    bytes written.  Shared by :func:`write_index` and the streaming
+    merge.
     """
-    if version not in _SUPPORTED_VERSIONS:
-        raise IndexFormatError(f"cannot write index version {version}")
     written = 0
-    written += handle.write(_PREFIX.pack(_MAGIC, version, len(header)))
-    if version >= 2:
-        written += handle.write(_CRC.pack(zlib.crc32(header)))
+    written += handle.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
+    written += handle.write(_CRC.pack(zlib.crc32(header)))
     written += handle.write(header)
     written += handle.write(_COUNT.pack(len(table)))
-    if version >= 2:
-        table_bytes = np.ascontiguousarray(table, dtype=_VOCAB_DTYPE).tobytes()
-    else:
-        legacy = np.empty(len(table), dtype=_VOCAB_DTYPE_V1)
-        for name in _VOCAB_DTYPE_V1.names:
-            legacy[name] = table[name]
-        table_bytes = legacy.tobytes()
-    if version >= 2:
-        written += handle.write(_CRC.pack(zlib.crc32(table_bytes)))
+    table_bytes = np.ascontiguousarray(table, dtype=_VOCAB_DTYPE).tobytes()
+    written += handle.write(_CRC.pack(zlib.crc32(table_bytes)))
     written += handle.write(table_bytes)
     for chunk in blobs:
         written += handle.write(chunk)
     return written
 
 
-def write_index(
-    index: InvertedIndex, path: str | Path, version: int = _VERSION
-) -> int:
-    """Serialise an in-memory index atomically; returns the bytes written.
-
-    ``version`` is exposed for compatibility testing only — new files
-    should always be written at the current version.
-    """
+def write_index(index: InvertedIndex, path: str | Path) -> int:
+    """Serialise an in-memory index atomically; returns the bytes written."""
     header = _index_header(index.params, index.collection)
     entries = list(index.entries())
     table = np.empty(len(entries), dtype=_VOCAB_DTYPE)
@@ -152,15 +125,15 @@ def write_index(
 
     with atomic_write(path) as handle:
         return write_index_stream(
-            handle, header, table, (entry.data for entry in entries), version
+            handle, header, table, (entry.data for entry in entries)
         )
 
 
 class DiskIndex(IndexReader):
     """A read-only index backed by a memory-mapped file.
 
-    Opening verifies the header and vocabulary-table checksums (format
-    v2); each posting blob is verified lazily on first access.
+    Opening verifies the header and vocabulary-table checksums; each
+    posting blob is verified lazily on first access.
 
     Raises:
         IndexFormatError: if the file is not a valid index.
@@ -196,29 +169,20 @@ class DiskIndex(IndexReader):
             raise IndexFormatError(
                 f"{self._path}: unsupported version {version}"
             )
-        self.version = int(version)
-        if self.version < 2:
-            warnings.warn(
-                f"{self._path}: format v1 index has no integrity data; "
-                "checksums cannot be verified (rebuild to upgrade)",
-                stacklevel=3,
-            )
         cursor = _PREFIX.size
-        header_crc = None
-        if self.version >= 2:
-            if cursor + _CRC.size > len(view):
-                raise CorruptionError(
-                    f"{self._path}: truncated header checksum",
-                    section="header_crc",
-                )
-            (header_crc,) = _CRC.unpack_from(view, cursor)
-            cursor += _CRC.size
+        if cursor + _CRC.size > len(view):
+            raise CorruptionError(
+                f"{self._path}: truncated header checksum",
+                section="header_crc",
+            )
+        (header_crc,) = _CRC.unpack_from(view, cursor)
+        cursor += _CRC.size
         if cursor + header_length > len(view):
             raise CorruptionError(
                 f"{self._path}: truncated header", section="header"
             )
         header_bytes = bytes(view[cursor : cursor + header_length])
-        if header_crc is not None and zlib.crc32(header_bytes) != header_crc:
+        if zlib.crc32(header_bytes) != header_crc:
             raise CorruptionError(
                 f"{self._path}: header fails checksum", section="header"
             )
@@ -238,31 +202,26 @@ class DiskIndex(IndexReader):
             )
         (count,) = _COUNT.unpack_from(view, cursor)
         cursor += _COUNT.size
-        table_crc = None
-        if self.version >= 2:
-            if cursor + _CRC.size > len(view):
-                raise CorruptionError(
-                    f"{self._path}: truncated vocabulary checksum",
-                    section="table_crc",
-                )
-            (table_crc,) = _CRC.unpack_from(view, cursor)
-            cursor += _CRC.size
-        dtype = _VOCAB_DTYPE if self.version >= 2 else _VOCAB_DTYPE_V1
-        table_bytes = count * dtype.itemsize
+        if cursor + _CRC.size > len(view):
+            raise CorruptionError(
+                f"{self._path}: truncated vocabulary checksum",
+                section="table_crc",
+            )
+        (table_crc,) = _CRC.unpack_from(view, cursor)
+        cursor += _CRC.size
+        table_bytes = count * _VOCAB_DTYPE.itemsize
         if cursor + table_bytes > len(view):
             raise CorruptionError(
                 f"{self._path}: truncated vocabulary", section="table"
             )
-        if table_crc is not None and (
-            zlib.crc32(view[cursor : cursor + table_bytes]) != table_crc
-        ):
+        if zlib.crc32(view[cursor : cursor + table_bytes]) != table_crc:
             raise CorruptionError(
                 f"{self._path}: vocabulary table fails checksum",
                 section="table",
             )
         # Copy the (small) table out of the map so closing it is safe.
         self._table = np.frombuffer(
-            view, dtype=dtype, count=count, offset=cursor
+            view, dtype=_VOCAB_DTYPE, count=count, offset=cursor
         ).copy()
         self._blob_start = cursor + table_bytes
         blob_length = len(view) - self._blob_start
@@ -277,12 +236,8 @@ class DiskIndex(IndexReader):
                 f"{self._path}: vocabulary not strictly sorted",
                 section="table",
             )
-        if self.version >= 2:
-            self._crcs = self._table["crc"]
-            self._blob_verified = np.zeros(count, dtype=bool)
-        else:
-            self._crcs = None
-            self._blob_verified = None
+        self._crcs = self._table["crc"]
+        self._blob_verified = np.zeros(count, dtype=bool)
         # The whole file as one uint8 array: resolved lists point into
         # it, and the decoder gathers from it directly.
         self._bytes = np.frombuffer(view, dtype=np.uint8)
@@ -343,9 +298,8 @@ class DiskIndex(IndexReader):
         found = self._ids[slots] == interval_ids
         if skip:
             found &= ~np.isin(interval_ids, list(skip))
-        if self._blob_verified is not None:
-            for slot in slots[found & ~self._blob_verified[slots]].tolist():
-                self._verify_blob(slot)
+        for slot in slots[found & ~self._blob_verified[slots]].tolist():
+            self._verify_blob(slot)
         rows = self._table[slots]
         # Absent slots keep a neighbour's offset but read zero entries
         # from zero bytes.
@@ -381,14 +335,8 @@ class DiskIndex(IndexReader):
     def verify(self) -> list[str]:
         """Check every posting blob's checksum; returns the problems.
 
-        An empty list means the file is fully intact.  Format v1 files
-        report a single note that no integrity data exists.
+        An empty list means the file is fully intact.
         """
-        if self._crcs is None:
-            return [
-                f"{self._path}: format v1 has no integrity data; "
-                "cannot verify posting lists"
-            ]
         issues: list[str] = []
         for slot in range(self._ids.shape[0]):
             try:

@@ -8,11 +8,12 @@ payloads coded either *raw* (one code byte per base) or *direct*
 E8).  An in-memory source with the same interface backs small runs and
 tests.
 
-Format v2 adds integrity data: a header checksum and an offset/record
-checksum block verified eagerly at open, plus a CRC32 per record
-payload verified lazily on first access.  Mismatches raise
-:class:`repro.errors.CorruptionError`; v1 files still open read-only
-with a warning.  Writes are atomic (see :mod:`repro.index.atomic`).
+The format (v2, the only version read or written) carries integrity
+data: a header checksum and an offset/record checksum block verified
+eagerly at open, plus a CRC32 per record payload verified lazily on
+first access.  Mismatches raise :class:`repro.errors.CorruptionError`;
+any other version raises :class:`repro.errors.IndexFormatError`.
+Writes are atomic (see :mod:`repro.index.atomic`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import json
 import mmap
 import struct
-import warnings
 import zlib
 from abc import ABC, abstractmethod
 from bisect import bisect_right
@@ -42,7 +42,7 @@ from repro.sequences.record import Sequence
 
 _MAGIC = b"RPSQ"
 _VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
+_SUPPORTED_VERSIONS = (2,)
 _PREFIX = struct.Struct("<4sHI")
 _CRC = struct.Struct("<I")
 
@@ -117,11 +117,8 @@ def write_store(
     sequences: TypingSequence[Sequence],
     path: str | Path,
     coding: str = "direct",
-    version: int = _VERSION,
 ) -> int:
     """Serialise a collection atomically; returns the bytes written.
-
-    ``version`` is exposed for compatibility testing only.
 
     Raises:
         IndexFormatError: if ``coding`` is unknown.
@@ -130,8 +127,6 @@ def write_store(
         raise IndexFormatError(
             f"unknown coding {coding!r}; expected one of {CODINGS}"
         )
-    if version not in _SUPPORTED_VERSIONS:
-        raise IndexFormatError(f"cannot write store version {version}")
     payloads: list[bytes] = []
     for record in sequences:
         if coding == "direct":
@@ -156,17 +151,13 @@ def write_store(
     )
 
     with atomic_write(path) as handle:
-        written = handle.write(_PREFIX.pack(_MAGIC, version, len(header)))
-        if version >= 2:
-            written += handle.write(_CRC.pack(zlib.crc32(header)))
+        written = handle.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
+        written += handle.write(_CRC.pack(zlib.crc32(header)))
         written += handle.write(header)
         written += handle.write(struct.pack("<Q", len(payloads)))
-        if version >= 2:
-            tables = offsets.tobytes() + crcs.tobytes()
-            written += handle.write(_CRC.pack(zlib.crc32(tables)))
-            written += handle.write(tables)
-        else:
-            written += handle.write(offsets.tobytes())
+        tables = offsets.tobytes() + crcs.tobytes()
+        written += handle.write(_CRC.pack(zlib.crc32(tables)))
+        written += handle.write(tables)
         for payload in payloads:
             written += handle.write(payload)
         return written
@@ -206,29 +197,20 @@ class SequenceStore(SequenceSource):
             raise IndexFormatError(f"{self._path}: bad magic {magic!r}")
         if version not in _SUPPORTED_VERSIONS:
             raise IndexFormatError(f"{self._path}: unsupported version {version}")
-        self.version = int(version)
-        if self.version < 2:
-            warnings.warn(
-                f"{self._path}: format v1 store has no integrity data; "
-                "checksums cannot be verified (rebuild to upgrade)",
-                stacklevel=3,
-            )
         cursor = _PREFIX.size
-        header_crc = None
-        if self.version >= 2:
-            if cursor + _CRC.size > len(view):
-                raise CorruptionError(
-                    f"{self._path}: truncated header checksum",
-                    section="header_crc",
-                )
-            (header_crc,) = _CRC.unpack_from(view, cursor)
-            cursor += _CRC.size
+        if cursor + _CRC.size > len(view):
+            raise CorruptionError(
+                f"{self._path}: truncated header checksum",
+                section="header_crc",
+            )
+        (header_crc,) = _CRC.unpack_from(view, cursor)
+        cursor += _CRC.size
         if cursor + header_length > len(view):
             raise CorruptionError(
                 f"{self._path}: truncated header", section="header"
             )
         header_bytes = bytes(view[cursor : cursor + header_length])
-        if header_crc is not None and zlib.crc32(header_bytes) != header_crc:
+        if zlib.crc32(header_bytes) != header_crc:
             raise CorruptionError(
                 f"{self._path}: header fails checksum", section="header"
             )
@@ -254,22 +236,20 @@ class SequenceStore(SequenceSource):
                 f"identifiers but store holds {count} records",
                 section="count",
             )
-        tables_crc = None
-        if self.version >= 2:
-            if cursor + _CRC.size > len(view):
-                raise CorruptionError(
-                    f"{self._path}: truncated table checksum",
-                    section="tables_crc",
-                )
-            (tables_crc,) = _CRC.unpack_from(view, cursor)
-            cursor += _CRC.size
+        if cursor + _CRC.size > len(view):
+            raise CorruptionError(
+                f"{self._path}: truncated table checksum",
+                section="tables_crc",
+            )
+        (tables_crc,) = _CRC.unpack_from(view, cursor)
+        cursor += _CRC.size
         offsets_bytes = 8 * (count + 1)
-        crcs_bytes = 4 * count if self.version >= 2 else 0
+        crcs_bytes = 4 * count
         if cursor + offsets_bytes + crcs_bytes > len(view):
             raise CorruptionError(
                 f"{self._path}: truncated offset table", section="offsets"
             )
-        if tables_crc is not None and (
+        if (
             zlib.crc32(view[cursor : cursor + offsets_bytes + crcs_bytes])
             != tables_crc
         ):
@@ -281,14 +261,10 @@ class SequenceStore(SequenceSource):
         self._offsets = np.frombuffer(
             view, dtype="<u8", count=count + 1, offset=cursor
         ).copy()
-        if self.version >= 2:
-            self._record_crcs = np.frombuffer(
-                view, dtype="<u4", count=count, offset=cursor + offsets_bytes
-            ).copy()
-            self._record_verified = np.zeros(count, dtype=bool)
-        else:
-            self._record_crcs = None
-            self._record_verified = None
+        self._record_crcs = np.frombuffer(
+            view, dtype="<u4", count=count, offset=cursor + offsets_bytes
+        ).copy()
+        self._record_verified = np.zeros(count, dtype=bool)
         self._payload_start = cursor + offsets_bytes + crcs_bytes
         if count and np.any(np.diff(self._offsets.astype(np.int64)) < 0):
             raise CorruptionError(
@@ -328,10 +304,7 @@ class SequenceStore(SequenceSource):
         instruments = self.instruments
         instruments.count("store.records_fetched")
         instruments.count("store.bytes_read", len(data))
-        if (
-            self._record_crcs is not None
-            and not self._record_verified[ordinal]
-        ):
+        if not self._record_verified[ordinal]:
             instruments.count("store.checksums_verified")
             if zlib.crc32(data) != int(self._record_crcs[ordinal]):
                 raise CorruptionError(
@@ -346,14 +319,8 @@ class SequenceStore(SequenceSource):
     def verify(self) -> list[str]:
         """Check every record payload's checksum; returns the problems.
 
-        An empty list means the store is fully intact.  Format v1
-        stores report a single note that no integrity data exists.
+        An empty list means the store is fully intact.
         """
-        if self._record_crcs is None:
-            return [
-                f"{self._path}: format v1 has no integrity data; "
-                "cannot verify records"
-            ]
         issues: list[str] = []
         for ordinal in range(len(self)):
             try:

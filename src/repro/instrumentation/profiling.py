@@ -167,14 +167,11 @@ def profile_search(
         for query in queries:
             engine.search(query, top_k=top_k)
     wall_seconds = time.perf_counter() - started
-    from repro.compression import fastunpack
-
     merged_meta = {
         "engine": type(engine).__name__,
         "top_k": top_k,
         "repeat": max(1, repeat),
         "distinct_queries": len(queries),
-        "kernel_tier": fastunpack.active_tier(),
         "coarse_backend": getattr(engine, "coarse_backend", "inverted"),
     }
     merged_meta.update(meta or {})

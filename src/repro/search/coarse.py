@@ -311,80 +311,24 @@ class CoarseRanker:
     Args:
         index: the interval index to search.
         scorer: a :class:`CoarseScorer` or a registered scorer name.
-        max_df_fraction: drop query intervals indexed in more than this
-            fraction of the collection — the query-time analogue of
-            index stopping (frequent intervals discriminate the
-            least).  ``None`` drops nothing.
-        expand_query_wildcards: expand query windows containing up to
-            this many wildcards into their concrete intervals (0 keeps
-            the default drop-the-window behaviour).
-        max_accumulators: bound the number of sequences tracked during
-            accumulation (Moffat & Zobel's limited-accumulator ranking,
-            used by the paper's engine family to cap coarse-phase
-            memory).  Query intervals are processed rarest first; once
-            the bound is hit the ``accumulator_policy`` applies.
-            ``None`` tracks everything.
-        accumulator_policy: ``"continue"`` keeps updating existing
-            accumulators but creates no new ones; ``"quit"`` stops
-            processing further intervals entirely.
         on_corruption: ``"skip"`` quarantines a posting list that fails
             an integrity check (recorded in :attr:`quarantined`, never
             read again) and ranks without it; any other policy raises
             the :class:`~repro.errors.CorruptionError`.
-
-    Raises:
-        SearchError: if ``max_df_fraction`` is out of (0, 1],
-            ``expand_query_wildcards`` is negative,
-            ``max_accumulators`` < 1, or the policy is unknown.
     """
-
-    ACCUMULATOR_POLICIES = ("continue", "quit")
 
     def __init__(
         self,
         index: IndexReader,
         scorer: CoarseScorer | str = "count",
-        max_df_fraction: float | None = None,
-        expand_query_wildcards: int = 0,
-        max_accumulators: int | None = None,
-        accumulator_policy: str = "continue",
         on_corruption: str = "raise",
     ) -> None:
-        if max_df_fraction is not None and not 0.0 < max_df_fraction <= 1.0:
-            raise SearchError(
-                f"max_df_fraction must lie in (0, 1], got {max_df_fraction}"
-            )
-        if expand_query_wildcards < 0:
-            raise SearchError(
-                "expand_query_wildcards must be >= 0, got "
-                f"{expand_query_wildcards}"
-            )
-        if max_accumulators is not None and max_accumulators < 1:
-            raise SearchError(
-                f"max_accumulators must be >= 1, got {max_accumulators}"
-            )
-        if accumulator_policy not in self.ACCUMULATOR_POLICIES:
-            raise SearchError(
-                f"unknown accumulator_policy {accumulator_policy!r}; "
-                f"expected one of {self.ACCUMULATOR_POLICIES}"
-            )
         self.index = index
         self.scorer = make_scorer(scorer) if isinstance(scorer, str) else scorer
-        self.max_df_fraction = max_df_fraction
-        self.expand_query_wildcards = expand_query_wildcards
-        self.max_accumulators = max_accumulators
-        self.accumulator_policy = accumulator_policy
         self.instruments = NULL_INSTRUMENTS
         #: Interval ids quarantined as corrupt (under ``"skip"``).
         self.quarantined: set[int] = set()
         self._skip = self.quarantined if on_corruption == "skip" else None
-        if max_accumulators is not None and not isinstance(
-            self.scorer, CountScorer
-        ):
-            raise SearchError(
-                "limited accumulators are defined for the count scorer "
-                f"only, not {type(self.scorer).__name__}"
-            )
         # Query intervals are always extracted at stride 1: a sparsely
         # indexed collection (stride > 1) is still hit as long as *some*
         # query window aligns with an indexed window.
@@ -397,41 +341,11 @@ class CoarseRanker:
         self.instruments = coalesce(instruments)
         self.scorer.instruments = self.instruments
 
-    def _frequency_filter(
-        self,
-        unique_ids: np.ndarray,
-        counts: np.ndarray,
-        groups: list[np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        if self.max_df_fraction is None or not unique_ids.shape[0]:
-            return unique_ids, counts, groups
-        limit = self.max_df_fraction * self.index.collection.num_sequences
-        # df comes from the resolve alone: a list dropped here is never
-        # decoded.
-        dfs = self.index.resolve(unique_ids, skip=self._skip).dfs
-        keep = np.flatnonzero(dfs <= limit)
-        if keep.shape[0] == unique_ids.shape[0]:
-            return unique_ids, counts, groups
-        self.instruments.count(
-            "coarse.intervals_skipped_frequency",
-            int(unique_ids.shape[0]) - int(keep.shape[0]),
-        )
-        return (
-            unique_ids[keep],
-            counts[keep],
-            [groups[slot] for slot in keep.tolist()],
-        )
-
     def query_intervals(
         self, query_codes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """Distinct query interval ids, their counts, and offset groups."""
-        if self.expand_query_wildcards:
-            ids, positions = self._extractor.extract_expanded(
-                query_codes, max_wildcards=self.expand_query_wildcards
-            )
-        else:
-            ids, positions = self._extractor.extract(query_codes)
+        ids, positions = self._extractor.extract(query_codes)
         if not ids.shape[0]:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.copy(), []
@@ -446,65 +360,6 @@ class CoarseRanker:
             for start, count in zip(starts, counts)
         ]
         return unique_ids, counts.astype(np.int64), groups
-
-    def _limited_scores(
-        self,
-        unique_ids: np.ndarray,
-        counts: np.ndarray,
-        deadline: Deadline | None,
-    ) -> np.ndarray:
-        """Count accumulation under a bounded accumulator table.
-
-        Intervals are processed rarest first so the discriminating
-        evidence claims the accumulators before the bound bites; after
-        that, ``continue`` updates existing accumulators only and
-        ``quit`` stops outright.
-        """
-        limit = self.max_accumulators
-        assert limit is not None
-        lens, docs, doc_counts = self.index.read_lists(
-            unique_ids, skip=self._skip, deadline=deadline
-        )
-        starts = np.cumsum(lens) - lens
-        present = np.flatnonzero(lens)
-        # Rarest first; ties keep ascending interval order.
-        order = present[np.argsort(lens[present], kind="stable")].tolist()
-
-        accumulators: dict[int, float] = {}
-        full = False
-        processed = len(order)
-        for rank, slot in enumerate(order):
-            if full and self.accumulator_policy == "quit":
-                self.instruments.count(
-                    "coarse.intervals_skipped_accumulators",
-                    len(order) - rank,
-                )
-                processed = rank
-                break
-            start, stop = int(starts[slot]), int(starts[slot] + lens[slot])
-            contributions = np.minimum(
-                doc_counts[start:stop], int(counts[slot])
-            )
-            for doc, contribution in zip(
-                docs[start:stop].tolist(), contributions.tolist()
-            ):
-                if doc in accumulators:
-                    accumulators[doc] += contribution
-                elif not full:
-                    accumulators[doc] = float(contribution)
-                    if len(accumulators) >= limit:
-                        full = True
-        count_decoded_postings(self.instruments, lens[order[:processed]])
-
-        scores = np.zeros(self.index.collection.num_sequences, dtype=np.float64)
-        if accumulators:
-            ordinals = np.fromiter(accumulators, dtype=np.int64,
-                                   count=len(accumulators))
-            scores[ordinals] = np.fromiter(
-                accumulators.values(), dtype=np.float64,
-                count=len(accumulators),
-            )
-        return scores
 
     def rank(
         self,
@@ -527,21 +382,16 @@ class CoarseRanker:
         """
         if cutoff < 1:
             raise SearchError(f"cutoff must be >= 1, got {cutoff}")
-        unique_ids, counts, groups = self._frequency_filter(
-            *self.query_intervals(query_codes)
-        )
+        unique_ids, counts, groups = self.query_intervals(query_codes)
         if not unique_ids.shape[0]:
             return []
         self.instruments.count(
             "coarse.query_intervals", int(unique_ids.shape[0])
         )
-        if self.max_accumulators is not None:
-            scores = self._limited_scores(unique_ids, counts, deadline)
-        else:
-            scores = self.scorer.score(
-                self.index, unique_ids, counts, groups,
-                skip=self._skip, deadline=deadline,
-            )
+        scores = self.scorer.score(
+            self.index, unique_ids, counts, groups,
+            skip=self._skip, deadline=deadline,
+        )
         positive = np.flatnonzero(scores > 0)
         if not positive.shape[0]:
             return []

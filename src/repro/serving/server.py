@@ -327,12 +327,9 @@ class SearchServer:
         }
 
     def _stats(self) -> dict:
-        from repro.compression import fastunpack
-
         return {
             "admission": self.admission.snapshot(),
             "breakers": self._breaker_states(),
-            "kernel_tier": fastunpack.active_tier(),
             "coarse_backend": getattr(
                 self.engine, "coarse_backend", "inverted"
             ),

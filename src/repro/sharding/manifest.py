@@ -64,7 +64,7 @@ MANIFEST_NAME = "manifest.json"
 INDEX_NAME = "intervals.rpix"
 STORE_NAME = "sequences.rpsq"
 MANIFEST_VERSION = 2
-SUPPORTED_MANIFEST_VERSIONS = (1, 2)
+SUPPORTED_MANIFEST_VERSIONS = (2,)
 
 #: Directory-name prefixes the layout owns; anything matching one of
 #: these that the manifest does not reference is an orphan.
@@ -93,8 +93,7 @@ class ShardLayoutEntry:
         sequences / bases: the shard's collection size.
         index_bytes / store_bytes: on-disk footprint.
         checksums: the shard's file digests (for a named shard, a copy
-            of its own manifest's), or ``None`` when the database
-            predates digests (version 1).
+            of its own manifest's).
     """
 
     name: str
@@ -103,7 +102,7 @@ class ShardLayoutEntry:
     bases: int
     index_bytes: int
     store_bytes: int
-    checksums: dict | None
+    checksums: dict
 
     @property
     def stop(self) -> int:
@@ -181,6 +180,12 @@ def load_manifest(directory: Path) -> dict:
 
 def _entry(description: dict) -> ShardLayoutEntry:
     checksums = description.get("checksums")
+    if checksums is None:
+        # Without digests the file audit has nothing to compare against.
+        raise IndexFormatError(
+            f"shard {description['name'] or '<top level>'} records no "
+            "file digests"
+        )
     return ShardLayoutEntry(
         name=str(description["name"]),
         base=int(description["base"]),
@@ -188,7 +193,7 @@ def _entry(description: dict) -> ShardLayoutEntry:
         bases=int(description["bases"]),
         index_bytes=int(description["index_bytes"]),
         store_bytes=int(description["store_bytes"]),
-        checksums=None if checksums is None else dict(checksums),
+        checksums=dict(checksums),
     )
 
 
@@ -210,9 +215,10 @@ def read_layout(manifest: dict) -> LiveState:
     manifest without a ``coarse`` section as the inverted backend.
 
     Raises:
-        IndexFormatError: if a section is malformed, the entries are not
-            contiguous from stored ordinal 0, or the tombstones are
-            unsorted, duplicated, or out of range.
+        IndexFormatError: if a section is malformed, an entry records
+            no file digests, the entries are not contiguous from stored
+            ordinal 0, or the tombstones are unsorted, duplicated, or
+            out of range.
     """
     try:
         section = manifest.get("coarse", {"backend": DEFAULT_BACKEND})

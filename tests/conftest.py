@@ -77,6 +77,43 @@ def small_source(small_workload) -> MemorySequenceSource:
 # -- recall against an exhaustive oracle ---------------------------------
 
 
+def scalar_read_lists(index, interval_ids, positions=False):
+    """The ``read_lists`` layout built by the scalar per-list decoders:
+    each id looked up on its own and decoded with
+    ``PostingsCodec.decode_docs_counts`` (or ``decode`` with positions).
+    This is the oracle the flat block decoder must match exactly."""
+    codec, context = index.codec, index.context
+    lens, docs, counts, offsets = [], [], [], []
+    for interval in interval_ids:
+        entry = index.lookup_entry(int(interval))
+        if entry is None:
+            lens.append(0)
+            continue
+        lens.append(entry.df)
+        if positions:
+            entries = codec.decode(entry.data, entry.df, entry.cf, context)
+            docs.extend(posting.sequence for posting in entries)
+            counts.extend(posting.count for posting in entries)
+            offsets.extend(posting.positions for posting in entries)
+        else:
+            got_docs, got_counts = codec.decode_docs_counts(
+                entry.data, entry.df, context
+            )
+            docs.extend(got_docs.tolist())
+            counts.extend(got_counts.tolist())
+    lists = (
+        np.array(lens, dtype=np.int64),
+        np.array(docs, dtype=np.int64),
+        np.array(counts, dtype=np.int64),
+    )
+    if not positions:
+        return lists
+    return lists + (
+        np.concatenate(offsets).astype(np.int64)
+        if offsets else np.empty(0, dtype=np.int64),
+    )
+
+
 def read_postings(index, interval):
     """One posting list through ``read_lists``: ``(sequence, offsets)``
     per entry, empty when the interval is absent."""

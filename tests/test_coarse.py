@@ -12,8 +12,6 @@ from repro.index.builder import (
     build_index,
 )
 from repro.index.postings import PostingEntry
-from repro.index.storage import DiskIndex, write_index
-from repro.compression import fastunpack
 from repro.instrumentation.instruments import Instruments
 from repro.search.coarse import (
     CoarseRanker,
@@ -24,6 +22,7 @@ from repro.search.coarse import (
     make_scorer,
 )
 from repro.sequences.record import Sequence
+from tests.conftest import scalar_read_lists
 
 
 def seq(identifier: str, text: str) -> Sequence:
@@ -254,39 +253,51 @@ class TestNormalisedScorer:
         assert by_ordinal[0] > by_ordinal[1]
 
 
-class TestKernelTierParity:
-    """The decode-kernel tiers must be invisible to ranking."""
+class _ScalarReads:
+    """An index whose ``read_lists`` decodes every list with the scalar
+    per-list codec: the oracle rankings are compared against."""
+
+    def __init__(self, index):
+        self._index = index
+        self.params = index.params
+        self.collection = index.collection
+
+    def read_lists(self, interval_ids, *, positions=False, skip=None,
+                   deadline=None):
+        return scalar_read_lists(self._index, interval_ids, positions)
+
+
+class TestFlatDecodeParity:
+    """The flat block decoder must be invisible to ranking: every scorer
+    ranks exactly as it does over the scalar per-list decode."""
 
     SCORERS = ("count", "idf", "normalised", "diagonal")
 
-    def test_rankings_identical_across_tiers(self, index, collection):
+    def test_rankings_identical_to_scalar_decode(self, index, collection):
         _, query = collection
         for name in self.SCORERS:
-            results = {}
-            for tier in ("python", "numpy"):
-                with fastunpack.forced_tier(tier):
-                    candidates = CoarseRanker(index, name).rank(
-                        query, cutoff=30
-                    )
-                results[tier] = [
-                    (c.ordinal, c.coarse_score) for c in candidates
+            results = [
+                [
+                    (c.ordinal, c.coarse_score)
+                    for c in CoarseRanker(reader, name).rank(query, cutoff=30)
                 ]
-            assert results["python"] == results["numpy"], name
+                for reader in (index, _ScalarReads(index))
+            ]
+            assert results[0] == results[1], name
 
-    def test_decode_counters_agree_across_scorers_and_tiers(
+    def test_decode_counters_agree_across_scorers_and_decoders(
         self, index, collection
     ):
         # One unit definition (see docs/OBSERVABILITY.md): +1 fetch per
-        # list, +df gaps per list — whichever scorer, whichever tier.
+        # list, +df gaps per list — whichever scorer, whichever decoder.
         _, query = collection
         seen = set()
         for name in ("count", "idf", "normalised"):
-            for tier in ("python", "numpy"):
+            for reader in (index, _ScalarReads(index)):
                 instruments = Instruments()
-                ranker = CoarseRanker(index, name)
+                ranker = CoarseRanker(reader, name)
                 ranker.set_instruments(instruments)
-                with fastunpack.forced_tier(tier):
-                    ranker.rank(query, cutoff=10)
+                ranker.rank(query, cutoff=10)
                 counters = instruments.metrics.snapshot()["counters"]
                 seen.add(
                     (
@@ -309,76 +320,21 @@ class TestIdfSingleLookup:
         query_ids = np.array(ids, dtype=np.int64)
         query_counts = np.ones(len(ids), dtype=np.int64)
         groups = [np.array([0], dtype=np.int64) for _ in ids]
-        for tier in ("python", "numpy"):
-            calls = []
-            original = index.lookup_entry
-            index.lookup_entry = lambda interval_id: (
-                calls.append(interval_id) or original(interval_id)
-            )
-            try:
-                scorer = make_scorer("idf")
-                instruments = Instruments()
-                scorer.instruments = instruments
-                with fastunpack.forced_tier(tier):
-                    scorer.score(index, query_ids, query_counts, groups)
-            finally:
-                del index.lookup_entry
-            # The idf weight reuses the entry the decode already
-            # resolved: exactly one vocabulary access per interval,
-            # not lookup + decode as two separate walks.
-            assert len(calls) == len(ids), tier
-            counters = instruments.metrics.snapshot()["counters"]
-            assert counters["coarse.postings_fetched"] == len(ids)
-
-
-class TestFrequencyFilterReadsDfOnly:
-    """``max_df_fraction`` takes df from the vocabulary resolve: the
-    ranking equals ranking an index without the dropped lists, and only
-    the scorer's lists are decoded."""
-
-    FRACTION = 0.04
-
-    @pytest.fixture(params=["memory", "disk"])
-    def reader(self, request, index, tmp_path):
-        if request.param == "memory":
-            yield index
-            return
-        path = tmp_path / "coarse.rpix"
-        write_index(index, path)
-        with DiskIndex(path) as disk:
-            yield disk
-
-    def test_dropped_lists_are_never_decoded(self, reader, index, collection):
-        _, query = collection
-        ranker = CoarseRanker(reader, "count", max_df_fraction=self.FRACTION)
-        ids = ranker.query_intervals(query)[0].tolist()
-        limit = self.FRACTION * index.collection.num_sequences
-        entries = {interval: index.lookup_entry(interval) for interval in ids}
-        kept = {
-            interval: entry
-            for interval, entry in entries.items()
-            if entry is not None and entry.df <= limit
-        }
-        dropped = [
-            interval
-            for interval, entry in entries.items()
-            if entry is not None and entry.df > limit
-        ]
-        assert kept and dropped
-        expected = CoarseRanker(
-            index.replace_vocabulary(kept), "count"
-        ).rank(query, cutoff=10)
-
-        instruments = Instruments()
-        reader.set_instruments(instruments)
-        ranker.set_instruments(instruments)
+        calls = []
+        original = index.lookup_entry
+        index.lookup_entry = lambda interval_id: (
+            calls.append(interval_id) or original(interval_id)
+        )
         try:
-            got = ranker.rank(query, cutoff=10)
+            scorer = make_scorer("idf")
+            instruments = Instruments()
+            scorer.instruments = instruments
+            scorer.score(index, query_ids, query_counts, groups)
         finally:
-            reader.set_instruments(None)
-        assert [(c.ordinal, c.coarse_score) for c in got] == [
-            (c.ordinal, c.coarse_score) for c in expected
-        ]
+            del index.lookup_entry
+        # The idf weight reuses the entry the decode already
+        # resolved: exactly one vocabulary access per interval,
+        # not lookup + decode as two separate walks.
+        assert len(calls) == len(ids)
         counters = instruments.metrics.snapshot()["counters"]
-        assert counters["coarse.intervals_skipped_frequency"] == len(dropped)
-        assert counters["index.postings_decoded"] == len(kept)
+        assert counters["coarse.postings_fetched"] == len(ids)

@@ -2,9 +2,9 @@
 
 Under ``on_corruption="skip"`` a posting list that fails integrity
 *after* its vocabulary row was read successfully reads as empty and is
-quarantined.  The IDF scorer and the limited-accumulator path both
-used to ``assert`` that could never happen and crashed mid-query; they
-must skip the interval's evidence like the count scorer does.
+quarantined.  The IDF scorer used to ``assert`` that could never
+happen and crashed mid-query; it must skip the interval's evidence
+like the count scorer does.
 """
 
 import numpy as np
@@ -69,13 +69,6 @@ class FaultyIndex(IndexReader):
         return self._inner.vocabulary_size
 
 
-def _skip_ranker(reader, scorer="count", **options):
-    """A count ranker over ``reader`` that quarantines damaged lists,
-    and a callable returning the quarantined interval ids."""
-    ranker = CoarseRanker(reader, scorer, on_corruption="skip", **options)
-    return ranker, lambda: set(ranker.quarantined)
-
-
 @pytest.fixture(scope="module")
 def setup():
     rng = np.random.default_rng(907)
@@ -115,30 +108,6 @@ class TestSkipPolicyScorers:
         assert report.hits == []
         assert report.quarantined_intervals > 0
 
-    def test_limited_accumulators_survive_quarantined_blobs(self, setup):
-        records, index, _ = setup
-        ranker = CoarseRanker(
-            FaultyIndex(index),
-            "count",
-            max_accumulators=8,
-            on_corruption="skip",
-        )
-        candidates = ranker.rank(records[4].codes[:160], cutoff=10)
-        assert ranker.quarantined
-        assert all(candidate.coarse_score > 0 for candidate in candidates)
-
-    def test_limited_accumulators_quit_policy_survives(self, setup):
-        records, index, _ = setup
-        ranker = CoarseRanker(
-            FaultyIndex(index),
-            "count",
-            max_accumulators=4,
-            accumulator_policy="quit",
-            on_corruption="skip",
-        )
-        ranker.rank(records[4].codes[:160], cutoff=10)
-        assert ranker.quarantined
-
     def test_count_scorer_matches_idf_quarantine_set(self, setup):
         """Both scorers must quarantine the same damaged intervals."""
         records, index, source = setup
@@ -170,15 +139,6 @@ class TestSkipPolicyScorers:
             instruments.metrics.counter_value("index.quarantined_intervals")
             == engine.quarantined_intervals
         )
-
-
-class FaultyLookupIndex(FaultyIndex):
-    """:class:`FaultyIndex` whose damage surfaces at the vocabulary
-    lookup itself, as a failed blob checksum does in ``DiskIndex``."""
-
-    def lookup_entry(self, interval_id):
-        self._check(interval_id)
-        return self._inner.lookup_entry(interval_id)
 
 
 class TickingFaultyIndex(FaultyIndex):
@@ -286,36 +246,3 @@ def test_skip_policy_under_deadline(setup, scorer, fine_mode, bounded):
     report = engine.search(query, top_k=5, deadline=deadline)
     assert report.deadline_expired == bounded
     assert report.quarantined_intervals == len(_damaged(index, reached))
-
-
-RANKER_OPTIONS = [
-    {"max_df_fraction": 0.04},
-    {"max_accumulators": 8},
-    {"max_accumulators": 4, "accumulator_policy": "quit"},
-]
-
-
-@pytest.mark.parametrize("faulty", [FaultyIndex, FaultyLookupIndex])
-@pytest.mark.parametrize(
-    "options", RANKER_OPTIONS, ids=["df_fraction", "limited", "limited_quit"]
-)
-def test_ranker_options_quarantine_under_skip(setup, faulty, options):
-    """``max_df_fraction`` and ``max_accumulators`` read their lists
-    through the same quarantine as the scorers, whether the damage
-    shows at lookup or at decode."""
-    records, index, _ = setup
-    codes = records[4].codes[100:260]
-    ids = CoarseRanker(index).query_intervals(codes)[0].tolist()
-    expected = CoarseRanker(
-        _healthy_index(index, ids), "count", **options
-    ).rank(codes, cutoff=10)
-    assert expected
-    ranker, quarantined = _skip_ranker(faulty(index), **options)
-    assert _ranking(ranker.rank(codes, cutoff=10)) == _ranking(expected)
-    damaged = _damaged(index, ids)
-    if faulty is FaultyLookupIndex:
-        # Every id is resolved, so every damaged one is quarantined.
-        assert quarantined() == damaged
-    else:
-        # Lists the option drops unread may stay unquarantined.
-        assert quarantined() and quarantined() <= damaged

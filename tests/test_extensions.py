@@ -1,18 +1,16 @@
 """Unit tests for the extension features: E-value annotation, idf
-scoring, query wildcard expansion, and dynamic index append."""
+scoring, and dynamic index append."""
 
 import numpy as np
 import pytest
 
 from repro.align.statistics import calibrate_gapped
-from repro.errors import IndexParameterError, SearchError
+from repro.errors import IndexParameterError
 from repro.index.builder import IndexParameters, build_index
-from repro.index.intervals import IntervalExtractor, interval_id
 from repro.index.merge import append_sequences
 from repro.index.store import MemorySequenceSource
 from repro.search.coarse import CoarseRanker
 from repro.search.engine import PartitionedSearchEngine
-from repro.sequences import alphabet
 from repro.sequences.record import Sequence
 
 
@@ -94,75 +92,6 @@ class TestIdfScorer:
         )
         query = collection[11].slice(50, 220)
         assert engine.search(query).best().ordinal == 11
-
-
-class TestWildcardExpansion:
-    def test_validation(self):
-        extractor = IntervalExtractor(4)
-        with pytest.raises(IndexParameterError):
-            extractor.extract_expanded(alphabet.encode("ACGT"), max_wildcards=0)
-        with pytest.raises(IndexParameterError):
-            extractor.extract_expanded(
-                alphabet.encode("ACGT"), max_expansion=0
-            )
-
-    def test_clean_sequences_unchanged(self):
-        extractor = IntervalExtractor(4)
-        codes = alphabet.encode("ACGTACGT")
-        plain_ids, plain_positions = extractor.extract(codes)
-        expanded_ids, expanded_positions = extractor.extract_expanded(codes)
-        assert plain_ids.tolist() == expanded_ids.tolist()
-        assert plain_positions.tolist() == expanded_positions.tolist()
-
-    def test_single_n_expands_to_four(self):
-        extractor = IntervalExtractor(4)
-        ids, positions = extractor.extract_expanded(alphabet.encode("ACNT"))
-        assert positions.tolist() == [0, 0, 0, 0]
-        expected = {interval_id(f"AC{base}T") for base in "ACGT"}
-        assert set(ids.tolist()) == expected
-
-    def test_two_letter_code_expands_to_two(self):
-        extractor = IntervalExtractor(4)
-        ids, _ = extractor.extract_expanded(alphabet.encode("ACRT"))
-        assert set(ids.tolist()) == {
-            interval_id("ACAT"), interval_id("ACGT")
-        }
-
-    def test_heavily_wildcarded_window_still_skipped(self):
-        extractor = IntervalExtractor(4)
-        ids, _ = extractor.extract_expanded(
-            alphabet.encode("NNNT"), max_wildcards=1
-        )
-        assert ids.shape[0] == 0
-
-    def test_expansion_cap(self):
-        extractor = IntervalExtractor(4)
-        ids, _ = extractor.extract_expanded(
-            alphabet.encode("NNTT"), max_wildcards=2, max_expansion=5
-        )
-        assert ids.shape[0] == 5
-
-    def test_short_sequence(self):
-        extractor = IntervalExtractor(8)
-        ids, _ = extractor.extract_expanded(alphabet.encode("ACN"))
-        assert ids.shape[0] == 0
-
-    def test_wildcarded_query_reaches_the_index(self, collection, index, source):
-        codes = collection[20].codes[100:220].copy()
-        codes[::15] = alphabet.IUPAC_ALPHABET.index("N")  # sprinkle Ns
-        strict = CoarseRanker(index)
-        expanding = CoarseRanker(index, expand_query_wildcards=1)
-        strict_rank = strict.rank(codes, cutoff=1)
-        expanded_rank = expanding.rank(codes, cutoff=1)
-        assert expanded_rank[0].ordinal == 20
-        assert (
-            expanded_rank[0].coarse_score
-            > (strict_rank[0].coarse_score if strict_rank else 0.0)
-        )
-
-    def test_negative_expansion_rejected(self, index):
-        with pytest.raises(SearchError):
-            CoarseRanker(index, expand_query_wildcards=-1)
 
 
 class TestAppendSequences:

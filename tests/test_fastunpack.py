@@ -1,9 +1,10 @@
-"""Round-trip and tier tests for the vectorised block decoder.
+"""Round-trip tests for the vectorised block decoder.
 
-Every decode surface — per-list, flat batch, full postings with
-offsets — must be bit-identical across the kernel tiers,
-including which errors surface: the vector tiers are allowed to be
-faster, never different.
+Every flat decode surface — flat batch, full postings with offsets —
+must be bit-identical to the scalar per-list decode
+(``PostingsCodec.decode_docs_counts`` / ``decode``), including which
+errors surface: the block decoder is allowed to be faster, never
+different.
 """
 
 import numpy as np
@@ -11,14 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import fastunpack
-from repro.errors import CodecError, ReproError
+from repro.errors import CodecError
 from repro.index.postings import PostingEntry, PostingsCodec, PostingsContext
 
 CONTEXT = PostingsContext(num_sequences=100, total_length=50_000)
-
-#: The decode matrix: every selectable tier.
-ALL_TIERS = fastunpack.TIERS
 
 
 def make_entries(spec):
@@ -55,13 +52,10 @@ def flat_reference(codec, batch, context=CONTEXT):
     """The flat layout derived from the scalar per-list decode."""
     docs_parts, counts_parts = [], []
     blobs, dfs, cfs = encode_batch(codec, batch, context)
-    with fastunpack.forced_tier("python"):
-        for blob, df, cf in zip(blobs, dfs, cfs):
-            entries = codec.decode(blob, df, cf, context)
-            docs_parts.append([entry.sequence for entry in entries])
-            counts_parts.append(
-                [entry.positions.shape[0] for entry in entries]
-            )
+    for blob, df, cf in zip(blobs, dfs, cfs):
+        entries = codec.decode(blob, df, cf, context)
+        docs_parts.append([entry.sequence for entry in entries])
+        counts_parts.append([entry.positions.shape[0] for entry in entries])
     docs = np.array(
         [doc for part in docs_parts for doc in part], dtype=np.int64
     )
@@ -107,75 +101,38 @@ def posting_batches(draw):
     return batch
 
 
-class TestTierResolution:
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ReproError):
-            fastunpack.resolve_tier("lzw")
-
-    def test_removed_numba_tier_rejected_like_any_unknown_name(self):
-        assert fastunpack.TIERS == ("numpy", "python")
-        with pytest.raises(ReproError):
-            fastunpack.resolve_tier("numba")
-
-    def test_auto_resolves_to_the_vector_tier(self):
-        assert fastunpack.resolve_tier("auto") == "numpy"
-
-    def test_environment_variable_is_read(self, monkeypatch):
-        monkeypatch.setenv(fastunpack.KERNEL_ENV_VAR, "python")
-        assert fastunpack.resolve_tier(None) == "python"
-        monkeypatch.setenv(fastunpack.KERNEL_ENV_VAR, "")
-        assert fastunpack.resolve_tier(None) == "numpy"
-        monkeypatch.setenv(fastunpack.KERNEL_ENV_VAR, "qwerty")
-        with pytest.raises(ReproError):
-            fastunpack.resolve_tier(None)
-
-    def test_forced_tier_restores_previous(self):
-        before = fastunpack.active_tier()
-        with fastunpack.forced_tier("python"):
-            assert fastunpack.active_tier() == "python"
-        assert fastunpack.active_tier() == before
-
-
 class TestFlatRoundTrip:
     @settings(deadline=None, max_examples=40)
     @given(posting_batches())
-    def test_every_tier_matches_the_scalar_decode(self, batch):
+    def test_flat_decode_matches_the_scalar_decode(self, batch):
         codec = PostingsCodec()
         blobs, dfs, cfs = encode_batch(codec, batch)
         docs_ref, counts_ref = flat_reference(codec, batch)
-        for tier in ALL_TIERS:
-            with fastunpack.forced_tier(tier):
-                docs, counts = codec.decode_docs_counts_flat(
-                    *packed(blobs, dfs), CONTEXT,
-                    cfs=np.asarray(cfs)
-                )
-            assert np.array_equal(docs, docs_ref), tier
-            assert np.array_equal(counts, counts_ref), tier
+        docs, counts = codec.decode_docs_counts_flat(
+            *packed(blobs, dfs), CONTEXT, cfs=np.asarray(cfs)
+        )
+        assert np.array_equal(docs, docs_ref)
+        assert np.array_equal(counts, counts_ref)
 
     def test_single_entry_lists(self):
         codec = PostingsCodec()
         batch = [[(0, [5])], [(99, [0, 499])], [(42, [250])]]
         blobs, dfs, cfs = encode_batch(codec, batch)
         docs_ref, counts_ref = flat_reference(codec, batch)
-        for tier in ALL_TIERS:
-            with fastunpack.forced_tier(tier):
-                docs, counts = codec.decode_docs_counts_flat(
-                    *packed(blobs, dfs), CONTEXT,
-                    cfs=np.asarray(cfs)
-                )
-            assert np.array_equal(docs, docs_ref)
-            assert np.array_equal(counts, counts_ref)
+        docs, counts = codec.decode_docs_counts_flat(
+            *packed(blobs, dfs), CONTEXT, cfs=np.asarray(cfs)
+        )
+        assert np.array_equal(docs, docs_ref)
+        assert np.array_equal(counts, counts_ref)
 
     def test_empty_batch(self):
         codec = PostingsCodec()
-        for tier in ALL_TIERS:
-            with fastunpack.forced_tier(tier):
-                docs, counts = codec.decode_docs_counts_flat(
-                    *packed([], []), CONTEXT,
-                    cfs=np.zeros(0, dtype=np.int64),
-                )
-            assert docs.shape == (0,)
-            assert counts.shape == (0,)
+        docs, counts = codec.decode_docs_counts_flat(
+            *packed([], []), CONTEXT,
+            cfs=np.zeros(0, dtype=np.int64),
+        )
+        assert docs.shape == (0,)
+        assert counts.shape == (0,)
 
     def test_parameter_one_lists(self):
         # Every document present: the doc-gap Golomb parameter collapses
@@ -188,14 +145,11 @@ class TestFlatRoundTrip:
         ]
         blobs, dfs, cfs = encode_batch(codec, batch, context)
         docs_ref, counts_ref = flat_reference(codec, batch, context)
-        for tier in ALL_TIERS:
-            with fastunpack.forced_tier(tier):
-                docs, counts = codec.decode_docs_counts_flat(
-                    *packed(blobs, dfs), context,
-                    cfs=np.asarray(cfs)
-                )
-            assert np.array_equal(docs, docs_ref)
-            assert np.array_equal(counts, counts_ref)
+        docs, counts = codec.decode_docs_counts_flat(
+            *packed(blobs, dfs), context, cfs=np.asarray(cfs)
+        )
+        assert np.array_equal(docs, docs_ref)
+        assert np.array_equal(counts, counts_ref)
 
     def test_wide_parameter_lists_fall_back_identically(self):
         # A huge universe pushes the Golomb remainder field past the
@@ -212,27 +166,21 @@ class TestFlatRoundTrip:
         ] * 2
         blobs, dfs, cfs = encode_batch(codec, batch, context)
         docs_ref, counts_ref = flat_reference(codec, batch, context)
-        for tier in ALL_TIERS:
-            with fastunpack.forced_tier(tier):
-                docs, counts = codec.decode_docs_counts_flat(
-                    *packed(blobs, dfs), context,
-                    cfs=np.asarray(cfs)
-                )
-            assert np.array_equal(docs, docs_ref), tier
-            assert np.array_equal(counts, counts_ref), tier
+        docs, counts = codec.decode_docs_counts_flat(
+            *packed(blobs, dfs), context, cfs=np.asarray(cfs)
+        )
+        assert np.array_equal(docs, docs_ref)
+        assert np.array_equal(counts, counts_ref)
 
-    def test_truncated_blob_raises_on_every_tier(self):
+    def test_truncated_blob_raises(self):
         codec = PostingsCodec()
         batch = [[(doc, [doc + 1, doc + 50]) for doc in range(0, 60, 3)]]
         blobs, dfs, cfs = encode_batch(codec, batch)
         clipped = [blobs[0][: max(1, len(blobs[0]) // 4)]]
-        for tier in ALL_TIERS:
-            with fastunpack.forced_tier(tier):
-                with pytest.raises(CodecError):
-                    codec.decode_docs_counts_flat(
-                        *packed(clipped, dfs), CONTEXT,
-                        cfs=None
-                    )
+        with pytest.raises(CodecError):
+            codec.decode_docs_counts(clipped[0], dfs[0], CONTEXT)
+        with pytest.raises(CodecError):
+            codec.decode_docs_counts_flat(*packed(clipped, dfs), CONTEXT)
 
 
 class TestListsReadInPlace:
@@ -256,48 +204,41 @@ class TestListsReadInPlace:
             np.asarray(dfs, dtype=np.int64),
         )
         cfs = np.asarray(cfs, dtype=np.int64)
-        for tier in ALL_TIERS:
-            with fastunpack.forced_tier(tier):
-                for got, want in zip(
-                    codec.decode_docs_counts_flat(
-                        *scattered, CONTEXT, cfs=cfs
-                    ),
-                    codec.decode_docs_counts_flat(
-                        *packed(blobs, dfs), CONTEXT, cfs=cfs
-                    ),
-                ):
-                    assert np.array_equal(got, want), tier
-                for got, want in zip(
-                    codec.decode_postings_flat(*scattered, cfs, CONTEXT),
-                    codec.decode_postings_flat(
-                        *packed(blobs, dfs), cfs, CONTEXT
-                    ),
-                ):
-                    assert np.array_equal(got, want), tier
+        for got, want in zip(
+            codec.decode_docs_counts_flat(*scattered, CONTEXT, cfs=cfs),
+            codec.decode_docs_counts_flat(
+                *packed(blobs, dfs), CONTEXT, cfs=cfs
+            ),
+        ):
+            assert np.array_equal(got, want)
+        for got, want in zip(
+            codec.decode_postings_flat(*scattered, cfs, CONTEXT),
+            codec.decode_postings_flat(
+                *packed(blobs, dfs), cfs, CONTEXT
+            ),
+        ):
+            assert np.array_equal(got, want)
 
 
 class TestPostingsBatch:
     @settings(deadline=None, max_examples=25)
     @given(posting_batches())
-    def test_positions_identical_across_tiers(self, batch):
+    def test_positions_match_the_scalar_decode(self, batch):
         codec = PostingsCodec()
         blobs, dfs, cfs = encode_batch(codec, batch)
-        with fastunpack.forced_tier("python"):
-            reference = [
-                codec.decode(blob, df, cf, CONTEXT)
-                for blob, df, cf in zip(blobs, dfs, cfs)
-            ]
+        reference = [
+            codec.decode(blob, df, cf, CONTEXT)
+            for blob, df, cf in zip(blobs, dfs, cfs)
+        ]
         entries = [entry for expected in reference for entry in expected]
-        for tier in ALL_TIERS:
-            with fastunpack.forced_tier(tier):
-                docs, counts, offsets = codec.decode_postings_flat(
-                    *packed(blobs, dfs), np.asarray(cfs), CONTEXT
-                )
-            assert docs.tolist() == [entry.sequence for entry in entries]
-            assert counts.tolist() == [entry.count for entry in entries]
-            got = np.split(offsets, np.cumsum(counts)[:-1]) if entries else []
-            for chunk, entry in zip(got, entries):
-                assert np.array_equal(chunk, entry.positions)
+        docs, counts, offsets = codec.decode_postings_flat(
+            *packed(blobs, dfs), np.asarray(cfs), CONTEXT
+        )
+        assert docs.tolist() == [entry.sequence for entry in entries]
+        assert counts.tolist() == [entry.count for entry in entries]
+        got = np.split(offsets, np.cumsum(counts)[:-1]) if entries else []
+        for chunk, entry in zip(got, entries):
+            assert np.array_equal(chunk, entry.positions)
 
     def test_grouped_batch_matches_per_list(self):
         codec = PostingsCodec()
@@ -307,19 +248,15 @@ class TestPostingsBatch:
             [(doc, [99]) for doc in (1, 2, 50, 99)],
         ]
         blobs, dfs, cfs = encode_batch(codec, batch)
-        with fastunpack.forced_tier("python"):
-            expected = [
-                codec.decode_docs_counts(blob, df, CONTEXT)
-                for blob, df in zip(blobs, dfs)
-            ]
-        for tier in ALL_TIERS:
-            with fastunpack.forced_tier(tier):
-                docs, counts = codec.decode_docs_counts_flat(
-                    *packed(blobs, dfs), CONTEXT,
-                    cfs=np.asarray(cfs)
-                )
-            bounds = np.cumsum(dfs)[:-1]
-            results = zip(np.split(docs, bounds), np.split(counts, bounds))
-            for got, want in zip(results, expected):
-                assert np.array_equal(got[0], want[0])
-                assert np.array_equal(got[1], want[1])
+        expected = [
+            codec.decode_docs_counts(blob, df, CONTEXT)
+            for blob, df in zip(blobs, dfs)
+        ]
+        docs, counts = codec.decode_docs_counts_flat(
+            *packed(blobs, dfs), CONTEXT, cfs=np.asarray(cfs)
+        )
+        bounds = np.cumsum(dfs)[:-1]
+        results = zip(np.split(docs, bounds), np.split(counts, bounds))
+        for got, want in zip(results, expected):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])

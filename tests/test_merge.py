@@ -1,4 +1,5 @@
-"""Unit and property tests for chunked index construction and merging."""
+"""Unit and property tests for chunked index construction and merging,
+in memory and on disk."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import strategies as st
 
 from repro.errors import IndexParameterError
 from repro.index.builder import IndexParameters, build_index
-from repro.index.merge import build_index_chunked, merge_indexes
+from repro.index.merge import (
+    build_index_chunked,
+    merge_index_files,
+    merge_indexes,
+)
+from repro.index.storage import read_index, write_index
 from repro.sequences.record import Sequence
 
 
@@ -149,3 +155,91 @@ class TestChunkedBuild:
         )
         query = records[17].codes[40:160]
         assert engine.search(query).best().ordinal == 17
+
+
+@pytest.fixture(scope="module")
+def records():
+    rng = np.random.default_rng(131)
+    return [
+        Sequence(f"la{slot}", rng.integers(0, 4, 250, dtype=np.uint8))
+        for slot in range(25)
+    ]
+
+
+class TestDiskMerge:
+    def test_merged_file_equals_direct_build(self, records, tmp_path):
+        params = IndexParameters(interval_length=7)
+        first = tmp_path / "a.rpix"
+        second = tmp_path / "b.rpix"
+        output = tmp_path / "m.rpix"
+        write_index(build_index(records[:10], params), first)
+        write_index(build_index(records[10:], params), second)
+        written = merge_index_files([str(first), str(second)], str(output))
+        assert output.stat().st_size == written
+        direct = build_index(records, params)
+        with read_index(output) as merged:
+            assert merged.vocabulary_size == direct.vocabulary_size
+            assert merged.collection.identifiers == (
+                direct.collection.identifiers
+            )
+            for interval in direct.interval_ids():
+                ours = merged.lookup_entry(interval)
+                theirs = direct.lookup_entry(interval)
+                assert (ours.df, ours.cf, ours.data) == (
+                    theirs.df, theirs.cf, theirs.data,
+                )
+
+    def test_three_way_disk_merge_searchable(self, records, tmp_path):
+        from repro.index.store import MemorySequenceSource
+        from repro.search.engine import PartitionedSearchEngine
+
+        params = IndexParameters(interval_length=7)
+        paths = []
+        for slot, chunk in enumerate(
+            (records[:8], records[8:16], records[16:])
+        ):
+            path = tmp_path / f"part{slot}.rpix"
+            write_index(build_index(chunk, params), path)
+            paths.append(str(path))
+        output = tmp_path / "all.rpix"
+        merge_index_files(paths, str(output))
+        with read_index(output) as merged:
+            engine = PartitionedSearchEngine(
+                merged, MemorySequenceSource(records), coarse_cutoff=10
+            )
+            query = records[19].codes[50:200]
+            assert engine.search(query).best().ordinal == 19
+
+    def test_empty_path_list_rejected(self, tmp_path):
+        with pytest.raises(IndexParameterError):
+            merge_index_files([], str(tmp_path / "out.rpix"))
+
+    def test_parameter_mismatch_rejected(self, records, tmp_path):
+        first = tmp_path / "a.rpix"
+        second = tmp_path / "b.rpix"
+        write_index(
+            build_index(records[:5], IndexParameters(interval_length=6)), first
+        )
+        write_index(
+            build_index(records[5:], IndexParameters(interval_length=8)), second
+        )
+        with pytest.raises(IndexParameterError):
+            merge_index_files(
+                [str(first), str(second)], str(tmp_path / "out.rpix")
+            )
+
+    def test_positions_free_disk_merge(self, records, tmp_path):
+        params = IndexParameters(interval_length=7, include_positions=False)
+        first = tmp_path / "a.rpix"
+        second = tmp_path / "b.rpix"
+        write_index(build_index(records[:10], params), first)
+        write_index(build_index(records[10:], params), second)
+        output = tmp_path / "m.rpix"
+        merge_index_files([str(first), str(second)], str(output))
+        direct = build_index(records, params)
+        with read_index(output) as merged:
+            for interval in list(direct.interval_ids())[:200]:
+                assert (
+                    merged.lookup_entry(interval).data
+                    == direct.lookup_entry(interval).data
+                )

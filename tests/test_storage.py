@@ -1,6 +1,5 @@
 """Unit tests for the on-disk index format."""
 
-import warnings
 import zlib
 from types import SimpleNamespace
 
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import fastunpack
 from repro.errors import CorruptionError, IndexFormatError
 from repro.index import storage
 from repro.index.builder import IndexParameters, build_index
@@ -18,7 +16,7 @@ from repro.index.storage import DiskIndex, read_index, write_index
 from repro.instrumentation import faults
 from repro.instrumentation.instruments import Instruments
 from repro.sequences.record import Sequence
-from tests.conftest import read_postings
+from tests.conftest import read_postings, scalar_read_lists
 
 
 @pytest.fixture(scope="module")
@@ -148,51 +146,29 @@ class TestLifecycle:
 
 @pytest.fixture(scope="module")
 def disk_layouts(sample_index, tmp_path_factory):
-    """The sample index on disk as format v2 and v1, plus an index with
-    an empty vocabulary, each opened once."""
+    """The sample index on disk, plus an index with an empty vocabulary,
+    each opened once."""
     root = tmp_path_factory.mktemp("resolve")
     write_index(sample_index, root / "v2.rpix")
-    write_index(sample_index, root / "v1.rpix", version=1)
     empty = build_index(
         [Sequence("short", np.zeros(3, dtype=np.uint8))],
         IndexParameters(interval_length=5),
     )
     write_index(empty, root / "empty.rpix")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # v1 has no checksums to verify
-        indexes = {
-            name: DiskIndex(root / f"{name}.rpix")
-            for name in ("v2", "v1", "empty")
-        }
+    indexes = {
+        name: DiskIndex(root / f"{name}.rpix") for name in ("v2", "empty")
+    }
     yield indexes
     for index in indexes.values():
         index.close()
 
 
-def _per_id_reads(index, ids, positions):
-    """The scalar reference: each id looked up and decoded on its own,
-    the pieces concatenated in request order."""
-    parts = [
-        index.docs_counts_flat_from_entries(
-            [interval], [index.lookup_entry(interval)], positions=positions
-        )
-        for interval in ids
-    ]
-    if not parts:
-        return tuple(
-            np.empty(0, dtype=np.int64) for _ in range(3 + positions)
-        )
-    return tuple(
-        np.concatenate([part[field] for part in parts])
-        for field in range(3 + positions)
-    )
-
-
 class TestResolveMatchesScalarLookup:
-    """``read_lists`` resolves a whole id batch at once; whatever the
-    batch holds, it must equal looking each id up on its own."""
+    """``read_lists`` resolves a whole id batch at once and block-decodes
+    it; whatever the batch holds, it must equal looking each id up on
+    its own and decoding it with the scalar per-list codec."""
 
-    @pytest.mark.parametrize("layout", ["v2", "v1", "empty"])
+    @pytest.mark.parametrize("layout", ["v2", "empty"])
     @settings(max_examples=30)
     @given(data=st.data())
     def test_read_lists_equals_per_id_lookup(
@@ -211,14 +187,12 @@ class TestResolveMatchesScalarLookup:
         ids = data.draw(
             st.lists(one_id, max_size=30).map(lambda ids: ids + ids[::-2])
         )
-        for tier in fastunpack.TIERS:
-            with fastunpack.forced_tier(tier):
-                for positions in (False, True):
-                    got = index.read_lists(ids, positions=positions)
-                    want = _per_id_reads(index, ids, positions)
-                    assert len(got) == len(want)
-                    for got_field, want_field in zip(got, want):
-                        assert np.array_equal(got_field, want_field)
+        for positions in (False, True):
+            got = index.read_lists(ids, positions=positions)
+            want = scalar_read_lists(index, ids, positions)
+            assert len(got) == len(want)
+            for got_field, want_field in zip(got, want):
+                assert np.array_equal(got_field, want_field)
 
 
 @pytest.fixture

@@ -1,14 +1,12 @@
-"""Unit tests for both-strand search and query-time frequency skipping."""
+"""Unit tests for both-strand search."""
 
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from repro.errors import SearchError
 from repro.index.builder import IndexParameters, build_index
 from repro.index.store import MemorySequenceSource
-from repro.search.coarse import CoarseRanker
 from repro.search.engine import PartitionedSearchEngine, _merge_strand_hits
 from repro.search.results import SearchHit
 from repro.sequences.record import Sequence
@@ -146,40 +144,3 @@ class TestStrandMerge:
         assert merged.strand == "-"
         assert merged.score == 90
         assert merged.coarse_score == 3.0
-
-
-class TestQueryTimeFrequencySkipping:
-    def test_fraction_validation(self, setup):
-        _, index, _ = setup
-        with pytest.raises(SearchError):
-            CoarseRanker(index, max_df_fraction=0.0)
-        with pytest.raises(SearchError):
-            CoarseRanker(index, max_df_fraction=1.5)
-
-    def test_skipping_everything_returns_nothing(self, setup):
-        records, index, _ = setup
-        # Build a pathological index where one interval is everywhere.
-        poly = [
-            Sequence(f"p{slot}", np.zeros(60, dtype=np.uint8))
-            for slot in range(10)
-        ]
-        poly_index = build_index(poly, IndexParameters(interval_length=4))
-        ranker = CoarseRanker(poly_index, max_df_fraction=0.5)
-        assert ranker.rank(np.zeros(30, dtype=np.uint8), cutoff=5) == []
-
-    def test_rare_intervals_unaffected(self, setup):
-        records, index, _ = setup
-        permissive = CoarseRanker(index)
-        strict = CoarseRanker(index, max_df_fraction=0.9)
-        query = records[3].codes[:120]
-        assert [c.ordinal for c in strict.rank(query, 5)] == [
-            c.ordinal for c in permissive.rank(query, 5)
-        ]
-
-    def test_skipping_reduces_candidate_scores(self, setup):
-        records, index, _ = setup
-        query = records[5].codes[:120]
-        permissive = CoarseRanker(index).rank(query, 1)
-        strict = CoarseRanker(index, max_df_fraction=0.05).rank(query, 1)
-        if strict:
-            assert strict[0].coarse_score <= permissive[0].coarse_score

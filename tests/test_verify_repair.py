@@ -1,7 +1,8 @@
-"""Verification, repair, crash safety, and format-v1 compatibility."""
+"""Verification, repair, crash safety, and format-version checks."""
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from repro.errors import (
 )
 from repro.index.builder import IndexParameters, build_index
 from repro.index.storage import DiskIndex, write_index
-from repro.index.store import SequenceStore, write_store
+from repro.index.store import SequenceStore
 from repro.instrumentation import faults
 from repro.sequences.record import Sequence
 
@@ -166,56 +167,44 @@ class TestCrashSafety:
             assert leftovers == []
 
 
-class TestFormatV1Compatibility:
-    def test_v1_index_opens_with_warning(self, tmp_path):
-        records = _records(5, 100)
-        path = tmp_path / "old.rpix"
-        write_index(build_index(records, PARAMS), path, version=1)
-        with pytest.warns(UserWarning, match="no integrity data"):
-            with DiskIndex(path) as index:
-                assert len(list(index.interval_ids())) > 0
-                notes = index.verify()
-        assert any("no integrity data" in note for note in notes)
+def test_format_v1_files_are_refused(tmp_path, db_path):
+    """Only format v2 is read: a v1 index, store and manifest are each
+    refused outright (rebuild from FASTA), never opened unchecked."""
+    # v1 files are hand-written: prefix, header JSON, and an empty
+    # table, with none of v2's checksums.
+    index_header = json.dumps(
+        {"params": PARAMS.describe(), "identifiers": [], "lengths": []}
+    ).encode()
+    index_path = tmp_path / "old.rpix"
+    index_path.write_bytes(
+        struct.pack("<4sHI", b"RPIX", 1, len(index_header))
+        + index_header
+        + struct.pack("<Q", 0)
+    )
+    with pytest.raises(IndexFormatError, match="unsupported version 1"):
+        DiskIndex(index_path)
 
-    def test_v1_store_opens_with_warning(self, tmp_path):
-        records = _records(5, 100)
-        path = tmp_path / "old.rpsq"
-        write_store(records, path, version=1)
-        with pytest.warns(UserWarning, match="no integrity data"):
-            with SequenceStore(path) as store:
-                assert len(store) == 5
-                np.testing.assert_array_equal(store.codes(2), records[2].codes)
+    store_header = json.dumps(
+        {"coding": "raw", "identifiers": [], "descriptions": []}
+    ).encode()
+    store_path = tmp_path / "old.rpsq"
+    store_path.write_bytes(
+        struct.pack("<4sHI", b"RPSQ", 1, len(store_header))
+        + store_header
+        + struct.pack("<QQ", 0, 0)
+    )
+    with pytest.raises(IndexFormatError, match="unsupported version 1"):
+        SequenceStore(store_path)
 
-    def test_v1_manifest_accepted(self, db_path):
-        path, records = db_path
-        manifest_path = path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = 1
-        manifest.pop("checksums", None)
-        manifest_path.write_text(json.dumps(manifest))
-        with Database.open(path) as db:
-            assert len(db) == len(records)
-        report = Database.verify(path)
-        assert report.ok
-        assert any("version 1" in note for note in report.notes)
-
-    def test_v1_database_stays_verifiable_after_ingest(self, db_path):
-        """An ingest carries "no digests recorded" into the live
-        manifest rather than an empty digest set."""
-        path, records = db_path
-        manifest_path = path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = 1
-        manifest.pop("checksums", None)
-        manifest_path.write_text(json.dumps(manifest))
-        with Database.open(path) as db:
-            db.add_records(
-                [Sequence(f"new{r.identifier}", r.codes) for r in _records(3)]
-            )
-            assert len(db) == len(records) + 3
-        report = Database.verify(path)
-        assert report.ok, report.issues
-        assert any("version 1" in note for note in report.notes)
+    path, _ = db_path
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["version"] = 1
+    del manifest["checksums"]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(IndexFormatError, match="unsupported database version 1"):
+        Database.open(path)
+    assert not Database.verify(path).ok
 
 
 def _build_layout(path, layout, records):
@@ -279,6 +268,35 @@ class TestLayoutMatrix:
         assert ("shards" in manifest) == (layout == "sharded")
         assert ("checksums" in manifest) == (layout == "classic")
         assert Database.verify(path).ok
+
+
+@pytest.mark.parametrize(
+    "layout, entry",
+    [
+        ("classic", ()),
+        ("sharded", ("shards", "layout", 1)),
+        ("live", ("lsm", "base", "layout", 0)),
+        ("live", ("lsm", "deltas", "layout", 0)),
+    ],
+    ids=["classic", "shard", "lsm-base", "lsm-delta"],
+)
+def test_entry_without_digests_is_refused(tmp_path, layout, entry):
+    """Stripping an entry's ``checksums`` must not switch the digest
+    audit off: open refuses the database and verify reports it."""
+    path = tmp_path / "db"
+    _build_layout(path, layout, _records(16))
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    description = manifest
+    for key in entry:
+        description = description[key]
+    del description["checksums"]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(IndexFormatError, match="records no file digests"):
+        Database.open(path)
+    report = Database.verify(path)
+    assert not report.ok
+    assert any("records no file digests" in issue for issue in report.issues)
 
 
 @pytest.mark.parametrize("layout", ["classic", "sharded", "live"])

@@ -12,23 +12,28 @@ from repro.instrumentation.instruments import Instruments
 
 
 def _per_search(database, queries, counter):
-    """``counter``'s increment over each search of ``queries`` on the
-    database's default engine (one strand, no deadline)."""
+    """``(increment, report)`` of ``counter`` for each search of
+    ``queries`` on the database's default engine (one strand, no
+    deadline)."""
     engine = database.engine()
     previous = engine.instruments
     instruments = Instruments()
     engine.set_instruments(instruments)
-    increments = []
+    searches = []
     try:
         for query in queries:
             before = instruments.metrics.counter_value(counter)
-            engine.search(query, top_k=10)
-            increments.append(
-                instruments.metrics.counter_value(counter) - before
+            report = engine.search(query, top_k=10)
+            searches.append(
+                (instruments.metrics.counter_value(counter) - before, report)
             )
     finally:
         engine.set_instruments(previous)
-    return increments
+    return searches
+
+
+def _worlds(parity_worlds):
+    return (parity_worlds.single, parity_worlds.sharded, parity_worlds.live)
 
 
 def test_one_vocabulary_resolve_per_shard(parity_worlds):
@@ -41,19 +46,35 @@ def test_one_vocabulary_resolve_per_shard(parity_worlds):
     ``self.resolve(...)`` — makes every search count one resolve per
     query interval per shard, and this test fails.
     """
-    for database in (
-        parity_worlds.single, parity_worlds.sharded, parity_worlds.live
-    ):
+    for database in _worlds(parity_worlds):
         shards = database.num_shards
         assert all(
             shard.index.coarse_backend == "inverted"
             for shard in database.shards
         )
-        assert _per_search(
+        searches = _per_search(
             database, parity_worlds.queries, "index.storage.resolves"
-        ) == [shards] * len(parity_worlds.queries)
+        )
+        assert [resolves for resolves, _ in searches] == [shards] * len(
+            parity_worlds.queries
+        )
     assert (
         parity_worlds.single.num_shards,
         parity_worlds.sharded.num_shards,
         parity_worlds.live.num_shards,
     ) == (1, 3, 4)
+
+
+def test_one_record_fetch_per_scanned_candidate(parity_worlds):
+    """``store.records_fetched`` per search == candidates the fine phase
+    scanned (``report.candidates_examined``), on every layout: each
+    candidate's record is fetched exactly once, never re-fetched per
+    shard or per phase."""
+    for database in _worlds(parity_worlds):
+        searches = _per_search(
+            database, parity_worlds.queries, "store.records_fetched"
+        )
+        assert all(report.candidates_examined for _, report in searches)
+        assert [fetched for fetched, _ in searches] == [
+            report.candidates_examined for _, report in searches
+        ]
