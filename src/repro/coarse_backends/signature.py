@@ -416,7 +416,7 @@ class SignatureRanker:
     block that fails its checksum is quarantined (logged, counted,
     scored zero) and scanning continues; any other policy propagates
     the :class:`~repro.errors.CorruptionError` (the engine's
-    ``"fallback"`` then answers the query exhaustively).
+    ``"fallback"`` then answers the query in degraded mode).
 
     Raises:
         SearchError: the signature backend ranks by containment counts

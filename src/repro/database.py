@@ -177,7 +177,8 @@ class ShardHandle:
     ``inverted`` backend, a
     :class:`~repro.coarse_backends.signature.SignatureIndex` for
     ``signature`` — and ``None`` when it was unreadable and the
-    ``"fallback"`` policy degraded the shard to exhaustive scanning.
+    ``"fallback"`` policy opened the shard without it (every query then
+    runs degraded: see :mod:`repro.search.engine`).
     """
 
     name: str
@@ -204,8 +205,9 @@ class Database:
 
     A database opened with ``on_corruption="fallback"`` any of whose
     shard indexes is unreadable runs *degraded*: :attr:`degraded` is
-    true and every query is answered by an exhaustive scan of the
-    sequence stores.
+    true and every query scans every live sequence, with the same
+    deadline, strand, E-value, tombstone and breaker handling as a
+    healthy query (only ``fine_mode="frames"`` is refused).
     """
 
     #: Engines retained per database; the least recently used engine is
@@ -243,7 +245,6 @@ class Database:
         # build (and evict) the same configuration.  Reentrant because
         # significance calibration can re-enter via instrumented spans.
         self._engine_lock = threading.RLock()
-        self._exhaustive: dict[ScoringScheme, object] = {}
         self._significance: dict[ScoringScheme, GumbelParameters] = {}
         self._instruments = NULL_INSTRUMENTS
 
@@ -341,8 +342,8 @@ class Database:
                 returning.
             on_corruption: default policy for engines created by this
                 database (see :class:`PartitionedSearchEngine`).  With
-                ``"fallback"``, an unreadable shard *index* degrades
-                the database to exhaustive scanning instead of failing.
+                ``"fallback"``, an unreadable shard *index* opens the
+                database degraded instead of failing.
 
         Raises:
             IndexFormatError: if the directory is not a database or its
@@ -410,7 +411,7 @@ class Database:
                     raise
                 _LOG.warning(
                     "%s: index unreadable (%s); opening degraded "
-                    "(exhaustive search over the store)",
+                    "(queries scan every live sequence)",
                     path,
                     exc,
                 )
@@ -702,8 +703,8 @@ class Database:
 
     @property
     def degraded(self) -> bool:
-        """True when any shard's index was unreadable and search falls
-        back to exhaustive scanning."""
+        """True when any shard's index was unreadable and every query
+        scans every live sequence."""
         return any(shard.degraded for shard in self._shards)
 
     def __len__(self) -> int:
@@ -977,18 +978,15 @@ class Database:
         (least recently used dropped).  Thread-safe: concurrent callers
         get the same cached engine for the same configuration.
 
+        In degraded mode a shard whose index was unreadable is handed
+        over with no index, and the engine answers every query from
+        every live sequence (see :mod:`repro.search.engine`).
+
         Raises:
-            SearchError: in degraded mode (an unreadable shard index;
-                use :meth:`search`, which scans exhaustively), or for a
-                collection-statistics ``coarse_scorer`` on a database
-                with more than one shard or tombstones.
+            SearchError: for ``fine_mode="frames"`` in degraded mode, or
+                for a collection-statistics ``coarse_scorer`` on a
+                database with more than one shard or tombstones.
         """
-        if self.degraded:
-            raise SearchError(
-                f"{self.path}: database is degraded (index unreadable); "
-                "use Database.search for exhaustive evaluation or repair "
-                "the database"
-            )
         policy = on_corruption or self.on_corruption
         scheme = scheme or ScoringScheme()
         with self._engine_lock:
@@ -1043,62 +1041,6 @@ class Database:
         with self._engine_lock:
             return len(self._engines)
 
-    #: Engine options the degraded (exhaustive) path honours; anything
-    #: else raises rather than silently running with defaults.
-    _DEGRADED_HONOURED = (
-        "scheme", "coarse_cutoff", "coarse_scorer", "on_corruption"
-    )
-
-    def _search_degraded(
-        self,
-        query: Sequence | np.ndarray,
-        top_k: int,
-        engine_kwargs: dict,
-    ) -> SearchReport:
-        """Answer one query by exhaustively scanning the stores.
-
-        ``scheme`` is honoured (the scan aligns with it);
-        ``coarse_cutoff`` is moot (the scan examines every sequence a
-        cutoff could ever admit) and ``on_corruption`` already applied
-        at open time, so both are accepted.  Any other engine option —
-        ``both_strands``, ``fine_mode``, ``with_evalues``, or an
-        unknown name — cannot be honoured by the fallback and raises.
-
-        Raises:
-            SearchError: for options the exhaustive fallback cannot
-                honour.
-        """
-        from repro.search.exhaustive import ExhaustiveSearcher
-
-        kwargs = dict(engine_kwargs)
-        scheme = kwargs.pop("scheme", None) or ScoringScheme()
-        kwargs.pop("coarse_cutoff", None)
-        # The exhaustive scan has no coarse phase, so any scorer choice
-        # is moot — accepted like the cutoff, not an error.
-        kwargs.pop("coarse_scorer", None)
-        kwargs.pop("on_corruption", None)
-        unsupported = []
-        if kwargs.pop("fine_mode", "full") != "full":
-            unsupported.append("fine_mode")
-        if kwargs.pop("both_strands", False):
-            unsupported.append("both_strands")
-        if kwargs.pop("with_evalues", False):
-            unsupported.append("with_evalues")
-        unsupported.extend(kwargs)
-        if unsupported:
-            raise SearchError(
-                f"{self.path}: database is degraded and the exhaustive "
-                "fallback cannot honour "
-                + ", ".join(sorted(unsupported))
-                + "; repair the database or drop the option(s)"
-            )
-        searcher = self._exhaustive.get(scheme)
-        if searcher is None:
-            searcher = ExhaustiveSearcher(self._source, scheme=scheme)
-            self._exhaustive[scheme] = searcher
-        report = searcher.search(query, top_k=top_k)
-        return replace(report, degraded=True)
-
     def search(
         self,
         query: Sequence | np.ndarray,
@@ -1106,24 +1048,14 @@ class Database:
         deadline: Deadline | None = None,
         **engine_kwargs,
     ) -> SearchReport:
-        """Evaluate one query with the default (or overridden) engine.
+        """Evaluate one query with the default (or overridden) engine:
+        ``engine(**engine_kwargs).search(query, top_k, deadline)``.
 
         ``deadline`` bounds the query's wall clock (see
         :class:`~repro.search.deadline.Deadline`); an expired deadline
-        yields a flagged partial report, never an exception.  The
-        degraded (exhaustive-scan) path cannot check deadlines — its
-        kernel has no interruption points — so there the deadline is
-        accepted but ignored.
-
-        In degraded mode (an unreadable shard index under the
-        ``"fallback"`` policy) the query is answered by an exhaustive
-        scan of the sequence stores with the caller's scoring scheme
-        and the report is marked ``degraded``; engine options the scan
-        cannot honour raise :class:`~repro.errors.SearchError` instead
-        of being silently dropped.
+        yields a flagged partial report, never an exception.  In
+        degraded mode the report is marked ``degraded``.
         """
-        if self.degraded:
-            return self._search_degraded(query, top_k, engine_kwargs)
         return self.engine(**engine_kwargs).search(
             query, top_k=top_k, deadline=deadline
         )
@@ -1140,16 +1072,8 @@ class Database:
 
         ``workers`` > 1 evaluates queries concurrently on the engine's
         thread pool (results identical to the sequential loop).  A
-        ``deadline`` is shared by the whole batch (ignored by the
-        degraded path, as on :meth:`search`).  In degraded mode the
-        batch runs sequentially through the exhaustive fallback with
-        the same option rules as :meth:`search`.
+        ``deadline`` is shared by the whole batch.
         """
-        if self.degraded:
-            return [
-                self._search_degraded(query, top_k, engine_kwargs)
-                for query in queries
-            ]
         return self.engine(**engine_kwargs).search_batch(
             queries, top_k=top_k, workers=workers, deadline=deadline
         )
@@ -1186,8 +1110,8 @@ class Database:
         if self.degraded:
             return (
                 f"Database at {self.path}: {len(self)} sequences "
-                f"(DEGRADED: index unreadable, exhaustive search only; "
-                f"run repair to rebuild the index)." + live
+                "(DEGRADED: index unreadable, every query scans every "
+                "live sequence; run repair to rebuild the index)." + live
             )
         sharded = len(self._shards) > 1
         vocabulary = sum(shard.index.vocabulary_size for shard in self._shards)

@@ -445,7 +445,7 @@ class ShardedSequenceSource(SequenceSource):
 
     Presents N shard sources (in shard order) as one collection whose
     ordinal ``base + local`` is the concatenation order — the view the
-    degraded/exhaustive path and the database facade read through.
+    database facade reads through.
     """
 
     def __init__(self, sources: TypingSequence[SequenceSource]) -> None:

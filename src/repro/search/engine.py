@@ -58,8 +58,18 @@ parity with a rebuild over the survivors takes three adjustments:
 - hit ordinals are presented *logical* (stored order with tombstones
   elided — exactly what a rebuild would assign); the remap is
   monotonic, so it preserves the merged order;
-- the E-value search space counts live residues only, and the degraded
-  exhaustive path scans a tombstone-eliding view of the stores.
+- the E-value search space counts live residues only.
+
+**Degraded mode.**  When a shard has no usable index (``index=None``),
+or a :class:`~repro.errors.CorruptionError` escapes under
+``on_corruption="fallback"`` (the query is then run again, one strand
+or both), no ranker runs: every live ordinal becomes a candidate with
+coarse score 0 and skips the merge-cut.  The fetch under each shard's
+breaker, the chunked deadline scan, tombstone elision, the strand merge
+and the E-values run unchanged, so :func:`fine_order` reduces to the
+exhaustive scan's (score desc, ordinal asc) and the report is flagged
+``degraded``.  Only ``fine_mode="frames"`` is refused on a shard with no
+index: there is no positional evidence to localise with.
 """
 
 from __future__ import annotations
@@ -80,7 +90,7 @@ from repro.align.scoring import ScoringScheme
 from repro.align.statistics import GumbelParameters
 from repro.errors import CorruptionError, SearchError, StorageError
 from repro.index.builder import IndexReader
-from repro.index.store import SequenceSource, live_source
+from repro.index.store import SequenceSource
 from repro.instrumentation.eventlog import options_digest
 from repro.instrumentation.instruments import (
     NULL_INSTRUMENTS,
@@ -98,6 +108,7 @@ from repro.search.resilience import (
     ShardUnavailable,
 )
 from repro.search.results import (
+    CoarseCandidate,
     SearchHit,
     SearchReport,
     fine_order,
@@ -141,11 +152,12 @@ class _Shard:
     base: int
     #: Tombstones inside this shard's ordinal range.
     dead: int
-    #: The shard's coarse index.
-    index: IndexReader
+    #: The shard's coarse index; ``None`` when it is unusable.
+    index: IndexReader | None
     #: Coarse or frame ranker: ``rank(codes, cutoff, deadline=)``; its
-    #: ``quarantined`` set holds what ``"skip"`` quarantined.
-    ranker: object
+    #: ``quarantined`` set holds what ``"skip"`` quarantined.  ``None``
+    #: when the shard has no index.
+    ranker: object | None
     #: The shard's records, fetched by the fine phase.
     source: SequenceSource
     breaker: CircuitBreaker | None
@@ -160,7 +172,9 @@ class PartitionedSearchEngine:
     options.
 
     Args:
-        index: the interval index of the collection.
+        index: the interval index of the collection, or ``None`` when
+            it is unusable: every query then runs degraded (see the
+            module docstring).
         source: residue access for the same collection, in the same
             ordinal order.
         scheme: fine-phase scoring (defaults to match 1 / mismatch -1 /
@@ -188,8 +202,8 @@ class PartitionedSearchEngine:
             quarantines the damaged posting list, signature block or
             candidate sequence (logged, treated as empty, counted in the report's
             quarantine statistics) and keeps searching; ``"fallback"``
-            additionally answers the query with an exhaustive scan of
-            the sequence stores if an index proves unusable.
+            runs a query whose index proves unusable again in degraded
+            mode, scanning every live sequence.
         instruments: observability sink (metrics + spans); when given
             it is wired through every index reader, sequence source
             and coarse ranker so the whole query path reports (see
@@ -266,19 +280,23 @@ class PartitionedSearchEngine:
                 f"unknown on_corruption {on_corruption!r}; expected one of "
                 f"{CORRUPTION_POLICIES}"
             )
-        self.params = shards[0][0].params
+        indexes = [index for index, _ in shards if index is not None]
+        #: True when some shard has no index: every query runs degraded.
+        self.degraded = len(indexes) < len(shards)
+        self.params = indexes[0].params if indexes else None
         bases = [0]
         for index, source in shards:
-            if index.params != self.params:
-                raise SearchError(
-                    "shard indexes disagree about parameters: "
-                    f"{index.params} vs {self.params}"
-                )
-            if len(source) != index.collection.num_sequences:
-                raise SearchError(
-                    f"index covers {index.collection.num_sequences} "
-                    f"sequences but the source holds {len(source)}"
-                )
+            if index is not None:
+                if index.params != self.params:
+                    raise SearchError(
+                        "shard indexes disagree about parameters: "
+                        f"{index.params} vs {self.params}"
+                    )
+                if len(source) != index.collection.num_sequences:
+                    raise SearchError(
+                        f"index covers {index.collection.num_sequences} "
+                        f"sequences but the source holds {len(source)}"
+                    )
             bases.append(bases[-1] + len(source))
         dead = np.asarray(
             () if tombstones is None else tombstones, dtype=np.int64
@@ -316,13 +334,7 @@ class PartitionedSearchEngine:
         self.on_corruption = on_corruption
         self.resilience = resilience
         self.tombstones = dead
-        dead_list = dead.tolist()
-        self._dead_set = frozenset(dead_list)
-        #: The logical collection (tombstones elided): what the degraded
-        #: exhaustive path scans and hit ordinals index.
-        self.source = live_source(
-            [source for _, source in shards], dead_list
-        )
+        self._dead_set = frozenset(dead.tolist())
         # Tombstones falling in each shard's ordinal range widen that
         # shard's coarse cutoff, so dead candidates cannot crowd live
         # ones out of its top-C.
@@ -330,7 +342,14 @@ class PartitionedSearchEngine:
         self._shards: list[_Shard] = []
         live_bases = 0
         for slot, (index, source) in enumerate(shards):
-            lengths = index.collection.lengths
+            lengths = (
+                index.collection.lengths
+                if index is not None
+                else np.array(
+                    [len(source.codes(i)) for i in range(len(source))],
+                    dtype=np.int64,
+                )
+            )
             gone = dead[cuts[slot] : cuts[slot + 1]] - bases[slot]
             live_bases += int(lengths.sum()) - int(lengths[gone].sum())
             self._shards.append(
@@ -344,15 +363,14 @@ class PartitionedSearchEngine:
         self.total_bases = live_bases
         # Each shard ranks with whatever backend its index declares; the
         # merge is backend-agnostic.  The engine-level label is the
-        # single shared name, or "mixed" when shards disagree.
+        # single shared name, "mixed" when shards disagree, or None when
+        # no shard has an index.
         backends = {
-            getattr(index, "coarse_backend", "inverted")
-            for index, _ in shards
-        }
+            getattr(index, "coarse_backend", "inverted") for index in indexes
+        } or {None}
         self.coarse_backend = (
             backends.pop() if len(backends) == 1 else "mixed"
         )
-        self._exhaustive = None
         self._rng = (
             random.Random(resilience.seed) if resilience is not None else None
         )
@@ -384,20 +402,27 @@ class PartitionedSearchEngine:
         slot: int,
         base: int,
         dead: int,
-        index: IndexReader,
+        index: IndexReader | None,
         source: SequenceSource,
         coarse_scorer: CoarseScorer | str,
     ) -> _Shard:
         # Rankers quarantine under "skip" only: under "fallback" any
         # corruption aborts the partitioned pipeline and the query is
-        # re-answered exhaustively, preserving full recall.
-        backend = getattr(index, "coarse_backend", "inverted")
-        if self.fine_mode == "frames":
-            if backend != "inverted":
-                raise SearchError(
-                    "fine_mode='frames' needs positional evidence from the "
-                    f"inverted coarse backend; this index uses {backend!r}"
-                )
+        # re-answered in degraded mode, preserving full recall.
+        backend = (
+            None if index is None
+            else getattr(index, "coarse_backend", "inverted")
+        )
+        if self.fine_mode == "frames" and backend != "inverted":
+            raise SearchError(
+                "fine_mode='frames' needs positional evidence from the "
+                f"inverted coarse backend; shard {slot} "
+                + ("has no usable index" if index is None
+                   else f"uses {backend!r}")
+            )
+        if index is None:
+            ranker = None
+        elif self.fine_mode == "frames":
             ranker = FrameRanker(index, on_corruption=self.on_corruption)
         else:
             from repro.coarse_backends import get_backend
@@ -420,7 +445,11 @@ class PartitionedSearchEngine:
     def quarantined_intervals(self) -> int:
         """Coarse units quarantined as corrupt so far, over all shards:
         posting lists (inverted backend) and signature blocks."""
-        return sum(len(shard.ranker.quarantined) for shard in self._shards)
+        return sum(
+            len(shard.ranker.quarantined)
+            for shard in self._shards
+            if shard.ranker is not None
+        )
 
     @property
     def quarantined_sequences(self) -> int:
@@ -433,20 +462,17 @@ class PartitionedSearchEngine:
         """Wire observability through the engine and its collaborators.
 
         Attaches the sink to every shard's index reader (decode and
-        quarantine metrics) and ranker, and
-        to the sequence sources (store fetch metrics) — so one registry
-        sees the whole query path.  Passing ``None`` detaches
-        everything.
+        quarantine metrics), ranker and sequence source (store fetch
+        metrics) — so one registry sees the whole query path.  Passing
+        ``None`` detaches everything.
         """
         self.instruments = coalesce(instruments)
         for shard in self._shards:
             if hasattr(shard.index, "set_instruments"):
                 shard.index.set_instruments(instruments)
-            shard.ranker.set_instruments(instruments)
-        if hasattr(self.source, "set_instruments"):
-            self.source.set_instruments(instruments)
-        if self._exhaustive is not None:
-            self._exhaustive.set_instruments(instruments)
+            if shard.ranker is not None:
+                shard.ranker.set_instruments(instruments)
+            shard.source.set_instruments(instruments)
 
     def breaker_states(self) -> dict[int, str]:
         """Current circuit-breaker state per shard slot (empty when the
@@ -498,13 +524,15 @@ class PartitionedSearchEngine:
         shard, so a caller can compose the fan-out by hand.
 
         Raises:
-            SearchError: if the engine spans more than one shard.
+            SearchError: if the engine spans more than one shard, or
+                its shard has no index to rank with.
         """
         if cutoff is None:
             cutoff = self.coarse_cutoff
-        return self._only_shard().ranker.rank(
-            codes, cutoff, deadline=deadline
-        )
+        ranker = self._only_shard().ranker
+        if ranker is None:
+            raise SearchError("this engine's shard has no usable index")
+        return ranker.rank(codes, cutoff, deadline=deadline)
 
     def fine_align(
         self,
@@ -660,76 +688,20 @@ class PartitionedSearchEngine:
         deadline: Deadline,
         degraded: set[int],
         shard_detail: list[dict],
+        exhaustive: bool,
     ) -> tuple[list[SearchHit], int, float, float]:
         """(ranked hits in logical ordinals, candidates scanned, coarse
-        s, fine s); adds each shard's work to ``shard_detail``."""
+        s, fine s); adds each shard's work to ``shard_detail``.
+        ``exhaustive`` replaces the rankers and the merge-cut with
+        every live ordinal (degraded mode)."""
         instruments = self.instruments
-        shards = self._shards
-        cutoff = self.coarse_cutoff
         started = time.perf_counter()
-
-        # Fan out: every shard's coarse top-C as (-score, global
-        # ordinal, slot, candidate) rows.
-        rows: list[tuple] = []
         with instruments.span("coarse"):
-            for shard in shards:
-                slot = shard.slot
-                if slot in degraded:
-                    continue
-                shard_started = time.perf_counter()
-                with instruments.span(f"shard[{slot}].coarse") as span:
-                    try:
-                        # A shard holding D tombstones must rank C+D
-                        # candidates: after the dead ones are filtered
-                        # out, at least its live top-C survives.
-                        candidates = self._run_shard(
-                            shard,
-                            lambda shard=shard: shard.ranker.rank(
-                                codes, cutoff + shard.dead, deadline=deadline
-                            ),
-                            deadline,
-                        )
-                    except ShardUnavailable as exc:
-                        self._note_degraded(slot, exc, degraded)
-                        continue
-                    if span is not None:
-                        span.annotate("shard", slot)
-                        span.annotate("candidates", len(candidates))
-                detail = shard_detail[slot]
-                detail["coarse_seconds"] += time.perf_counter() - shard_started
-                detail["coarse_candidates"] += len(candidates)
-                instruments.count(
-                    f"partitioned.shard.{slot}.coarse_candidates",
-                    len(candidates),
-                )
-                if shard.dead:
-                    live = [
-                        candidate
-                        for candidate in candidates
-                        if shard.base + candidate.ordinal
-                        not in self._dead_set
-                    ]
-                    if len(live) < len(candidates):
-                        instruments.count(
-                            "lsm.tombstones_filtered",
-                            len(candidates) - len(live),
-                        )
-                    candidates = live[:cutoff]
-                rows += [
-                    (-candidate.coarse_score, shard.base + candidate.ordinal,
-                     slot, candidate)
-                    for candidate in candidates
-                ]
-            with instruments.span("merge") as span:
-                # (-score, global ordinal) is the global coarse ordering;
-                # ordinals are unique, so the sort never looks past them.
-                rows.sort()
-                selected = rows[:cutoff]
-                if span is not None:
-                    contributing = {slot for _, _, slot, _ in selected}
-                    span.annotate("merged_rows", len(rows))
-                    span.annotate("selected", len(selected))
-                    span.annotate("shards_contributing", len(contributing))
+            selected = (
+                self._live_rows()
+                if exhaustive
+                else self._coarse_rows(codes, deadline, degraded, shard_detail)
+            )
         coarse_done = time.perf_counter()
         with instruments.span("fine"):
             hits, scanned = self._fine(
@@ -737,6 +709,87 @@ class PartitionedSearchEngine:
             )
         fine_done = time.perf_counter()
         return hits, scanned, coarse_done - started, fine_done - coarse_done
+
+    def _coarse_rows(
+        self,
+        codes: np.ndarray,
+        deadline: Deadline,
+        degraded: set[int],
+        shard_detail: list[dict],
+    ) -> list[tuple]:
+        """Fan out and merge: the global coarse top-C as rows of
+        (-score, global ordinal, slot, candidate)."""
+        instruments = self.instruments
+        cutoff = self.coarse_cutoff
+        rows: list[tuple] = []
+        for shard in self._shards:
+            slot = shard.slot
+            if slot in degraded:
+                continue
+            shard_started = time.perf_counter()
+            with instruments.span(f"shard[{slot}].coarse") as span:
+                try:
+                    # A shard holding D tombstones must rank C+D
+                    # candidates: after the dead ones are filtered
+                    # out, at least its live top-C survives.
+                    candidates = self._run_shard(
+                        shard,
+                        lambda shard=shard: shard.ranker.rank(
+                            codes, cutoff + shard.dead, deadline=deadline
+                        ),
+                        deadline,
+                    )
+                except ShardUnavailable as exc:
+                    self._note_degraded(slot, exc, degraded)
+                    continue
+                if span is not None:
+                    span.annotate("shard", slot)
+                    span.annotate("candidates", len(candidates))
+            detail = shard_detail[slot]
+            detail["coarse_seconds"] += time.perf_counter() - shard_started
+            detail["coarse_candidates"] += len(candidates)
+            instruments.count(
+                f"partitioned.shard.{slot}.coarse_candidates",
+                len(candidates),
+            )
+            if shard.dead:
+                live = [
+                    candidate
+                    for candidate in candidates
+                    if shard.base + candidate.ordinal not in self._dead_set
+                ]
+                if len(live) < len(candidates):
+                    instruments.count(
+                        "lsm.tombstones_filtered",
+                        len(candidates) - len(live),
+                    )
+                candidates = live[:cutoff]
+            rows += [
+                (-candidate.coarse_score, shard.base + candidate.ordinal,
+                 slot, candidate)
+                for candidate in candidates
+            ]
+        with instruments.span("merge") as span:
+            # (-score, global ordinal) is the global coarse ordering;
+            # ordinals are unique, so the sort never looks past them.
+            rows.sort()
+            selected = rows[:cutoff]
+            if span is not None:
+                contributing = {slot for _, _, slot, _ in selected}
+                span.annotate("merged_rows", len(rows))
+                span.annotate("selected", len(selected))
+                span.annotate("shards_contributing", len(contributing))
+        return selected
+
+    def _live_rows(self) -> list[tuple]:
+        """Every live ordinal as a row with coarse score 0, in ordinal
+        order: the candidate list of a degraded query."""
+        return [
+            (0, stored, shard.slot, CoarseCandidate(stored - shard.base, 0.0))
+            for shard in self._shards
+            for stored in range(shard.base, shard.base + len(shard.source))
+            if stored not in self._dead_set
+        ]
 
     def _fine(
         self,
@@ -889,9 +942,15 @@ class PartitionedSearchEngine:
         ``shards_degraded`` lists every dropped shard slot, and even an
         all-shards-down query returns an (empty, flagged) report.
 
+        A query in degraded mode (a shard without an index, or an index
+        failing mid-query under ``"fallback"``) scans every live
+        sequence through the same fetch, deadline, strand and E-value
+        steps; its report has ``degraded`` set.
+
         Raises:
-            SearchError: if the query is shorter than the interval
-                length (it has no index terms) or ``top_k`` < 1.
+            SearchError: if ``top_k`` < 1, or the query is shorter than
+                the interval length (it has no index terms) and the
+                engine has an index for every shard.
         """
         if top_k < 1:
             raise SearchError(f"top_k must be >= 1, got {top_k}")
@@ -900,41 +959,20 @@ class PartitionedSearchEngine:
             identifier, codes = query.identifier, query.codes
         else:
             identifier, codes = "query", np.asarray(query, dtype=np.uint8)
-        if codes.shape[0] < self.params.interval_length:
+        if not self.degraded and (
+            codes.shape[0] < self.params.interval_length
+        ):
             raise SearchError(
                 f"query {identifier!r} is shorter than the interval "
                 f"length {self.params.interval_length}"
             )
 
         instruments = self.instruments
-        degraded: set[int] = set()
-        # Per-shard timing/volume breakdown, summed over both strands.
-        shard_detail = [
-            dict(shard=shard.slot, coarse_seconds=0.0, fine_seconds=0.0,
-                 coarse_candidates=0, fine_candidates=0)
-            for shard in self._shards
-        ]
+        exhaustive = self.degraded
         try:
-            with instruments.span("search"):
-                hits, candidates, coarse_seconds, fine_seconds = (
-                    self._evaluate_one_strand(
-                        codes, deadline, degraded, shard_detail
-                    )
-                )
-                if self.both_strands and not deadline.expired():
-                    (reverse_hits, reverse_candidates, reverse_coarse,
-                     reverse_fine) = self._evaluate_one_strand(
-                        reverse_complement(codes), deadline, degraded,
-                        shard_detail,
-                    )
-                    hits = _merge_strand_hits(hits, reverse_hits)
-                    # Fine-phase work is done for BOTH orientations, so
-                    # the examined count is their sum, not the max.
-                    candidates += reverse_candidates
-                    coarse_seconds += reverse_coarse
-                    fine_seconds += reverse_fine
+            result = self._evaluate(codes, deadline, exhaustive)
         except CorruptionError as exc:
-            if self.on_corruption != "fallback":
+            if exhaustive or self.on_corruption != "fallback":
                 if instruments.wants_events:
                     instruments.emit_event(
                         self._query_event(
@@ -943,24 +981,16 @@ class PartitionedSearchEngine:
                     )
                 raise
             _LOG.warning(
-                "index unusable (%s); answering %r with an exhaustive scan",
+                "index unusable (%s); answering %r in degraded mode",
                 exc,
                 identifier,
             )
+            exhaustive = True
+            result = self._evaluate(codes, deadline, exhaustive)
+        (hits, candidates, coarse_seconds, fine_seconds, degraded,
+         shard_detail) = result
+        if exhaustive:
             instruments.count("partitioned.fallback_queries")
-            report = self._exhaustive_report(query, top_k)
-            if instruments.wants_events:
-                instruments.emit_event(
-                    self._query_event(
-                        identifier,
-                        "fallback",
-                        candidates=report.candidates_examined,
-                        hits=len(report.hits),
-                        coarse_seconds=report.coarse_seconds,
-                        fine_seconds=report.fine_seconds,
-                    )
-                )
-            return report
         instruments.count("partitioned.queries")
         deadline_expired = deadline.expired()
         if deadline_expired:
@@ -986,11 +1016,16 @@ class PartitionedSearchEngine:
             ]
         shards_degraded = tuple(sorted(degraded))
         if instruments.wants_events:
-            partial = deadline_expired or bool(shards_degraded)
+            if exhaustive:
+                outcome = "fallback"
+            elif deadline_expired or shards_degraded:
+                outcome = "partial"
+            else:
+                outcome = "ok"
             instruments.emit_event(
                 self._query_event(
                     identifier,
-                    "partial" if partial else "ok",
+                    outcome,
                     candidates=candidates,
                     hits=len(hits),
                     coarse_seconds=coarse_seconds,
@@ -1008,8 +1043,44 @@ class PartitionedSearchEngine:
             fine_seconds=fine_seconds,
             quarantined_intervals=self.quarantined_intervals,
             quarantined_sequences=self.quarantined_sequences,
+            degraded=exhaustive,
             deadline_expired=deadline_expired,
             shards_degraded=shards_degraded,
+        )
+
+    def _evaluate(
+        self, codes: np.ndarray, deadline: Deadline, exhaustive: bool
+    ) -> tuple:
+        """One query, one strand or both: (hits, candidates scanned,
+        coarse s, fine s, dropped shard slots, per-shard detail)."""
+        degraded: set[int] = set()
+        # Per-shard timing/volume breakdown, summed over both strands.
+        shard_detail = [
+            dict(shard=shard.slot, coarse_seconds=0.0, fine_seconds=0.0,
+                 coarse_candidates=0, fine_candidates=0)
+            for shard in self._shards
+        ]
+        with self.instruments.span("search"):
+            hits, candidates, coarse_seconds, fine_seconds = (
+                self._evaluate_one_strand(
+                    codes, deadline, degraded, shard_detail, exhaustive
+                )
+            )
+            if self.both_strands and not deadline.expired():
+                (reverse_hits, reverse_candidates, reverse_coarse,
+                 reverse_fine) = self._evaluate_one_strand(
+                    reverse_complement(codes), deadline, degraded,
+                    shard_detail, exhaustive,
+                )
+                hits = _merge_strand_hits(hits, reverse_hits)
+                # Fine-phase work is done for BOTH orientations, so
+                # the examined count is their sum, not the max.
+                candidates += reverse_candidates
+                coarse_seconds += reverse_coarse
+                fine_seconds += reverse_fine
+        return (
+            hits, candidates, coarse_seconds, fine_seconds, degraded,
+            shard_detail,
         )
 
     def _query_event(
@@ -1040,29 +1111,6 @@ class PartitionedSearchEngine:
         }
         event.update(extra)
         return event
-
-    def _exhaustive_report(
-        self, query: Sequence | np.ndarray, top_k: int
-    ) -> SearchReport:
-        """Degraded path: answer from the sequence stores alone."""
-        from repro.search.exhaustive import ExhaustiveSearcher
-
-        if self._exhaustive is None:
-            self._exhaustive = ExhaustiveSearcher(
-                self.source,
-                scheme=self.scheme,
-                min_score=self.min_fine_score,
-                instruments=self.instruments
-                if self.instruments.enabled
-                else None,
-            )
-        report = self._exhaustive.search(query, top_k=top_k)
-        return replace(
-            report,
-            degraded=True,
-            quarantined_intervals=self.quarantined_intervals,
-            quarantined_sequences=self.quarantined_sequences,
-        )
 
     def search_batch(
         self,

@@ -112,8 +112,8 @@ class SearchReport:
     #: Candidate sequences skipped because their store records failed
     #: integrity checks (cumulative, as above).
     quarantined_sequences: int = 0
-    #: True when the engine answered this query by falling back to an
-    #: exhaustive scan because the index was unusable.
+    #: True when the engine answered this query in degraded mode,
+    #: scanning every live sequence, because an index was unusable.
     degraded: bool = False
     #: True when the query's deadline expired before evaluation
     #: finished: the hits are a partial ranking over the work completed

@@ -255,3 +255,45 @@ def parity_worlds(tmp_path_factory):
     yield worlds
     for database in (single, sharded, live):
         database.close()
+
+
+@pytest.fixture(scope="session")
+def degraded_worlds(parity_worlds, tmp_path_factory):
+    """The parity layouts copied and damaged in one shard's index, each
+    opened with ``on_corruption="fallback"``:
+    ``{(layout, how): Database}`` for layout ``single`` / ``sharded`` /
+    ``live`` and ``how``:
+
+    - ``"open"``: the index header fails its checksum, so the shard
+      opens without an index and the database is degraded;
+    - ``"query"``: the posting blob is zeroed, so the database opens
+      healthy and a query's first posting read raises the
+      ``CorruptionError`` that makes ``"fallback"`` re-run it.
+    """
+    import shutil
+
+    from repro.database import Database
+    from repro.instrumentation import faults
+
+    root = tmp_path_factory.mktemp("degraded")
+    worlds = {}
+    for layout in ("single", "sharded", "live"):
+        healthy = getattr(parity_worlds, layout)
+        damaged = healthy.shards[healthy.num_shards // 2].path
+        for how in ("open", "query"):
+            path = root / f"{layout}-{how}"
+            shutil.copytree(healthy.path, path)
+            shard = path / damaged.relative_to(healthy.path)
+            target = shard / "intervals.rpix"
+            sections = faults.index_sections(target)
+            if how == "open":
+                faults.flip_byte(target, sections["header_crc"][0], mask=0x80)
+            else:
+                start, end = sections["blob"]
+                faults.zero_page(target, start, end - start)
+            database = Database.open(path, on_corruption="fallback")
+            assert database.degraded == (how == "open")
+            worlds[layout, how] = database
+    yield worlds
+    for database in worlds.values():
+        database.close()

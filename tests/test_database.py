@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.align.scoring import ScoringScheme
 from repro.database import Database
 from repro.errors import IndexFormatError, SearchError
 from repro.index.builder import IndexParameters
+from repro.search.exhaustive import ExhaustiveSearcher
 from repro.sequences.record import Sequence
 
 
@@ -217,8 +220,9 @@ class TestEngineCacheLRU:
 
 
 class TestDegradedSearchOptions:
-    """The exhaustive fallback must honour or reject engine options,
-    never silently drop them."""
+    """A degraded database takes the healthy engine's options: its scan
+    runs through the engine's own stages, so only ``fine_mode="frames"``
+    (which needs positional evidence) is refused."""
 
     @pytest.fixture()
     def degraded_db(self, records, tmp_path):
@@ -242,41 +246,99 @@ class TestDegradedSearchOptions:
         assert plain.degraded and doubled.degraded
         assert doubled.best().score == 2 * plain.best().score
 
-    def test_exhaustive_searcher_cached_per_scheme(self, degraded_db, records):
-        query = records[6].slice(0, 120)
-        scheme = ScoringScheme(match=2, mismatch=-2, gap=-5)
-        degraded_db.search(query, scheme=scheme)
-        degraded_db.search(query, scheme=scheme)
-        degraded_db.search(query)
-        assert len(degraded_db._exhaustive) == 2
-
     def test_moot_options_accepted(self, degraded_db, records):
-        # A cutoff cannot change what an exhaustive scan examines and
-        # the corruption policy already applied at open; both pass.
+        # A cutoff cannot change what a degraded scan examines and the
+        # corruption policy already applied at open; both pass.
         report = degraded_db.search(
             records[6].slice(0, 120), coarse_cutoff=50, on_corruption="raise"
         )
         assert report.degraded
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"both_strands": True},
-            {"with_evalues": True},
-            {"fine_mode": "frames"},
-            {"no_such_option": 1},
-        ],
-    )
-    def test_unhonourable_options_raise(self, degraded_db, records, kwargs):
-        with pytest.raises(SearchError, match="cannot honour"):
-            degraded_db.search(records[6].slice(0, 120), **kwargs)
+    def test_both_strands_answered(self, degraded_db, records):
+        query = records[9].slice(40, 200).reverse_complement()
+        report = degraded_db.search(
+            query, top_k=len(records), both_strands=True
+        )
+        scanner = ExhaustiveSearcher(records)
+        best = np.maximum(
+            scanner.scores(query), scanner.scores(query.reverse_complement())
+        )
+        assert report.degraded
+        assert {hit.ordinal: hit.score for hit in report.hits} == {
+            ordinal: int(score)
+            for ordinal, score in enumerate(best)
+            if score >= 1
+        }
+        assert report.best().ordinal == 9
+        assert report.best().strand == "-"
+
+    def test_evalues_answered(self, degraded_db, database, records):
+        query = records[6].slice(0, 120)
+        report = degraded_db.search(query, top_k=5, with_evalues=True)
+        healthy = database.engine(with_evalues=True)
+        assert report.degraded
+        assert report.hits
+        for hit in report.hits:
+            assert hit.evalue == healthy.significance.evalue(
+                hit.score, len(query), healthy.total_bases
+            )
+        assert report.best().evalue == database.search(
+            query, top_k=1, with_evalues=True
+        ).best().evalue
+
+    def test_frames_refused(self, degraded_db, records):
+        with pytest.raises(SearchError, match="no usable index"):
+            degraded_db.search(records[6].slice(0, 120), fine_mode="frames")
+
+    def test_unknown_option_raises_type_error(
+        self, degraded_db, database, records
+    ):
+        for db in (degraded_db, database):
+            with pytest.raises(TypeError, match="no_such_option"):
+                db.search(records[6].slice(0, 120), no_such_option=1)
 
     def test_batch_follows_the_same_rules(self, degraded_db, records):
         queries = [records[6].slice(0, 120), records[7].slice(0, 120)]
         reports = degraded_db.search_batch(queries, top_k=2)
         assert all(report.degraded for report in reports)
-        with pytest.raises(SearchError, match="cannot honour"):
-            degraded_db.search_batch(queries, both_strands=True)
+        both = degraded_db.search_batch(queries, top_k=2, both_strands=True)
+        assert [report.hits for report in both] == [
+            degraded_db.search(query, top_k=2, both_strands=True).hits
+            for query in queries
+        ]
+        with pytest.raises(SearchError, match="no usable index"):
+            degraded_db.search_batch(queries, fine_mode="frames")
+
+
+class TestDegradedOracle:
+    """Degraded answers equal the exhaustive scan over the survivors,
+    hit for hit, on every layout and for both degradation triggers."""
+
+    @given(
+        source=st.integers(min_value=0, max_value=44),
+        start=st.integers(min_value=0, max_value=150),
+        length=st.integers(min_value=30, max_value=70),
+    )
+    def test_degraded_layouts_answer_like_the_scan(
+        self, parity_worlds, degraded_worlds, source, start, length
+    ):
+        every = parity_worlds.survivors + parity_worlds.doomed
+        record = sorted(every, key=lambda r: r.identifier)[source]
+        query = Sequence("window", record.codes[start : start + length])
+        top_k = len(parity_worlds.survivors)
+        expected = [
+            (hit.ordinal, hit.identifier, hit.score)
+            for hit in ExhaustiveSearcher(parity_worlds.survivors)
+            .search(query, top_k=top_k)
+            .hits
+        ]
+        for (layout, how), database in degraded_worlds.items():
+            report = database.search(query, top_k=top_k)
+            assert report.degraded, (layout, how)
+            assert [
+                (hit.ordinal, hit.identifier, hit.score)
+                for hit in report.hits
+            ] == expected, (layout, how)
 
 
 class TestConcurrentEngineCache:

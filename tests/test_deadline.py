@@ -325,3 +325,49 @@ def test_sharded_deadline_event_annotations(
     assert event["outcome"] == "partial"
     assert event["deadline_expired"] is True
     assert event["shards_degraded"] == []
+
+
+def test_degraded_database_honours_the_deadline(tmp_path, monkeypatch):
+    """A database whose index is unreadable at open scans every live
+    record through the engine's chunked fine phase: a deadline expiring
+    while the first chunk is fetched yields a flagged partial, the
+    unbounded ranking restricted to that chunk's records."""
+    from repro.database import Database
+    from repro.instrumentation import faults
+
+    generator = np.random.default_rng(5)
+    records = [
+        Sequence(f"d{slot}", generator.integers(0, 4, 150, dtype=np.uint8))
+        for slot in range(3 * DEADLINE_FINE_CHUNK)
+    ]
+    path = tmp_path / "degraded.db"
+    Database.create(records, path).close()
+    target = path / "intervals.rpix"
+    span = faults.index_sections(target)["header_crc"]
+    faults.flip_byte(target, span[0], mask=0x80)
+    query = Sequence("q", records[DEADLINE_FINE_CHUNK + 7].codes[20:130])
+    with Database.open(path, on_corruption="fallback") as database:
+        assert database.degraded
+        full = database.search(query, top_k=len(records))
+        clock = FakeClock()
+        store = database.shards[0].store
+        fetch = store.codes
+
+        def ticking(ordinal):
+            clock.advance(1.0)
+            return fetch(ordinal)
+
+        monkeypatch.setattr(store, "codes", ticking)
+        report = database.search(
+            query, top_k=len(records), deadline=Deadline.after(0.5, clock)
+        )
+    assert not full.deadline_expired
+    assert full.candidates_examined == len(records)
+    assert report.degraded
+    assert report.deadline_expired
+    assert report.partial
+    assert report.candidates_examined == DEADLINE_FINE_CHUNK
+    assert report.hits
+    assert report.hits == [
+        hit for hit in full.hits if hit.ordinal < DEADLINE_FINE_CHUNK
+    ]

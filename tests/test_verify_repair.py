@@ -322,14 +322,22 @@ def test_sequence_count_checked_on_every_layout(tmp_path, layout):
 
 
 class TestDegradedOpen:
-    def test_engine_unavailable_when_degraded(self, db_path):
-        path, _ = db_path
+    def test_engine_scans_when_degraded(self, db_path):
+        """A degraded database hands out engines: their shard has no
+        index, so every query scans every live sequence."""
+        path, records = db_path
         span = faults.index_sections(path / "intervals.rpix")["header_crc"]
         faults.flip_byte(path / "intervals.rpix", span[0], mask=0x80)
         with Database.open(path, on_corruption="fallback") as db:
             assert db.degraded
+            engine = db.engine()
+            assert engine.degraded
+            report = engine.search(records[3].slice(10, 90), top_k=3)
+            assert report.degraded
+            assert report.candidates_examined == len(records)
+            assert report.best().ordinal == 3
             with pytest.raises(SearchError):
-                db.engine()
+                engine.coarse_rank(records[3].codes)
 
 
 class TestMergeTempHygiene:

@@ -78,3 +78,26 @@ def test_one_record_fetch_per_scanned_candidate(parity_worlds):
         assert [fetched for fetched, _ in searches] == [
             report.candidates_examined for _, report in searches
         ]
+
+
+def test_degraded_search_scans_every_live_record(
+    parity_worlds, degraded_worlds
+):
+    """On a database opened without one shard's index, a search runs no
+    ranker — ``index.storage.resolves`` == 0, even on the shards whose
+    index is intact — and fetches each live record once:
+    ``store.records_fetched`` == ``candidates_examined`` == live N."""
+    live = len(parity_worlds.survivors)
+    for layout in ("single", "sharded", "live"):
+        database = degraded_worlds[layout, "open"]
+        resolves = _per_search(
+            database, parity_worlds.queries, "index.storage.resolves"
+        )
+        assert [count for count, _ in resolves] == [0] * len(resolves)
+        fetches = _per_search(
+            database, parity_worlds.queries, "store.records_fetched"
+        )
+        assert [
+            (fetched, report.candidates_examined) for fetched, report in fetches
+        ] == [(live, live)] * len(fetches)
+        assert all(report.degraded for _, report in fetches)
