@@ -81,25 +81,11 @@ def diverged_queries(percent: int) -> tuple[QueryCase, ...]:
 
 
 @lru_cache(maxsize=None)
-def base_index(
-    interval_length: int = 8,
-    stride: int = 1,
-    include_positions: bool = True,
-    doc_codec: str = "golomb",
-    count_codec: str = "gamma",
-    position_codec: str = "golomb",
-) -> InvertedIndex:
+def base_index(interval_length: int = 8, stride: int = 1) -> InvertedIndex:
     """A (cached) index over the base collection."""
     return build_index(
         list(base_records()),
-        IndexParameters(
-            interval_length=interval_length,
-            stride=stride,
-            include_positions=include_positions,
-            doc_codec=doc_codec,
-            count_codec=count_codec,
-            position_codec=position_codec,
-        ),
+        IndexParameters(interval_length=interval_length, stride=stride),
     )
 
 
@@ -123,9 +109,7 @@ def frames_engine(coarse_cutoff: int = 100) -> PartitionedSearchEngine:
 
 @lru_cache(maxsize=None)
 def base_exhaustive() -> ExhaustiveSearcher:
-    return ExhaustiveSearcher(
-        base_source(), max_query_length=QUERY_LENGTH + 64
-    )
+    return ExhaustiveSearcher(base_source())
 
 
 @lru_cache(maxsize=None)
@@ -155,7 +139,7 @@ def scaled_setup(num_sequences: int):
     source = MemorySequenceSource(records)
     index = build_index(records, IndexParameters(interval_length=8))
     engine = PartitionedSearchEngine(index, source, coarse_cutoff=50)
-    exhaustive = ExhaustiveSearcher(source, max_query_length=QUERY_LENGTH + 64)
+    exhaustive = ExhaustiveSearcher(source)
     queries = make_family_queries(
         collection, 5, query_length=QUERY_LENGTH, seed=3
     )

@@ -64,7 +64,7 @@ def main() -> None:
             index, source, coarse_cutoff=100
         ),
         "exhaustive smith-waterman": ExhaustiveSearcher(
-            records, max_query_length=256
+            records
         ),
         "fasta-like diagonal scan": FastaLikeSearcher(records),
         "blast-like seed+extend": BlastLikeSearcher(records),

@@ -30,7 +30,8 @@ from repro.index.builder import IndexParameters, build_index
 from repro.index.statistics import collect_statistics
 from repro.index.storage import read_index, write_index
 from repro.index.store import read_store, write_store
-from repro.search.engine import PartitionedSearchEngine
+from repro.search.coarse import SCORERS
+from repro.search.engine import FINE_MODES, PartitionedSearchEngine
 from repro.sequences.fasta import read_fasta, write_fasta
 from repro.sequences.mutate import MutationModel
 from repro.workloads.queries import make_family_queries
@@ -64,9 +65,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_index(args: argparse.Namespace) -> int:
     sequences = list(read_fasta(args.collection))
     params = IndexParameters(
-        interval_length=args.interval_length,
-        stride=args.stride,
-        include_positions=not args.no_positions,
+        interval_length=args.interval_length, stride=args.stride
     )
     started = time.perf_counter()
     index = build_index(sequences, params)
@@ -492,12 +491,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if not queries:
         print("error: no queries", file=sys.stderr)
         return 1
-    longest = max(len(query) for query in queries)
     with read_index(args.index) as index, read_store(args.store) as store:
         engine = PartitionedSearchEngine(
             index, store, coarse_cutoff=args.cutoff
         )
-        exhaustive = ExhaustiveSearcher(store, max_query_length=longest)
+        exhaustive = ExhaustiveSearcher(store)
         overlaps = []
         speedups = []
         print(f"{'query':<24} {'part ms':>8} {'exh ms':>8} "
@@ -564,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("-o", "--output", type=Path, required=True)
     index.add_argument("-k", "--interval-length", type=int, default=8)
     index.add_argument("--stride", type=int, default=1)
-    index.add_argument("--no-positions", action="store_true")
     index.add_argument("--store", type=Path, default=None)
     index.add_argument("--coding", choices=("direct", "raw"), default="direct")
     index.set_defaults(handler=_cmd_index)
@@ -581,12 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--top", type=int, default=10)
     search.add_argument(
         "--scorer",
-        choices=("count", "idf", "normalised", "diagonal"),
+        choices=tuple(SCORERS),
         default="count",
     )
-    search.add_argument(
-        "--fine-mode", choices=("full", "frames"), default="full"
-    )
+    search.add_argument("--fine-mode", choices=FINE_MODES, default="full")
     search.add_argument("--both-strands", action="store_true")
     search.add_argument(
         "--evalues",
@@ -641,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--scorer",
-        choices=("count", "idf", "normalised", "diagonal"),
+        choices=tuple(SCORERS),
         default="count",
     )
     profile.add_argument("--families", type=int, default=8)

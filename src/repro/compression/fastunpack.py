@@ -149,8 +149,8 @@ def _grouped_prefix_values(
     gaps: np.ndarray, group_sizes: np.ndarray
 ) -> np.ndarray:
     """Per group, ``cumsum(gaps + 1) - 1`` restarted at each group —
-    the gap-to-absolute rule both sections share (previous starts at
-    -1, each code advances by gap + 1)."""
+    the gap-to-ordinal rule (previous starts at -1, each code advances
+    by gap + 1)."""
     if not gaps.shape[0]:
         return np.zeros(0, dtype=np.int64)
     steps = gaps + 1
@@ -172,13 +172,6 @@ def _grouped_prefix_values(
 #: whose (lists x max codes) area exceeds it are split so a single
 #: stop-word-dense interval cannot balloon memory.
 _BATCH_GRID_LIMIT = 2_000_000
-
-#: Below this many lists the per-bit table build costs more than the
-#: scalar loop it replaces; the batch wrapper reports ``None`` and the
-#: caller falls back (which is also the correct answer — the scalar
-#: codec *is* the reference).
-_MIN_BATCH_LISTS = 4
-
 
 def _gather_lists(
     buffer: np.ndarray, byte_offsets: np.ndarray, lengths: np.ndarray
@@ -269,8 +262,9 @@ def _section_a_byte_bounds(
     which caps the total unary length at ``df + universe / parameter``;
     remainders cost ``rb`` bits each and the gamma counts at most
     ``df + 2 * df * log2(cf / df)`` bits (concavity of ``log``).  The
-    coarse batch decoder clips each blob to this bound so the per-bit
-    tables never pay for section B, which coarse ranking never reads.
+    batch decoder clips each blob to this bound so the per-bit tables
+    never pay for the offset section that index files written before
+    offsets were dropped still carry after the entries.
     A corrupt list that overruns the bound simply decodes past the
     clipped end, fails validation, and falls back to the scalar codec.
     """
@@ -573,9 +567,9 @@ def decode_docs_counts_flat(
 
     When ``cfs`` (per-list total occurrence counts) and ``universe``
     (the document count) are given, each list is clipped to its
-    provable section-A bound as it is gathered
-    (:func:`_section_a_byte_bounds`), so the per-bit tables skip the
-    offset section entirely.
+    provable entry-section bound as it is gathered
+    (:func:`_section_a_byte_bounds`), so the per-bit tables skip an old
+    file's offset section entirely.
 
     The flat layout is the point: a scorer can weight and accumulate
     the whole batch with a handful of array ops and never materialise a
@@ -606,113 +600,3 @@ def decode_docs_counts_flat(
     ok &= ends <= (starts + lengths) * 8
     docs = _grouped_prefix_values(gaps, dfs)
     return docs, counts, ok
-
-
-def decode_postings_batch(
-    buffer: np.ndarray,
-    byte_offsets: np.ndarray,
-    lengths: np.ndarray,
-    dfs: np.ndarray,
-    doc_parameters: np.ndarray,
-    position_parameters: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
-    """Block-decode many full posting lists (sections A and B) at once.
-
-    The lists are laid out as for :func:`decode_docs_counts_flat`.  Per
-    list the result is ``(docs, counts, flat_positions)`` —
-    ``flat_positions`` concatenates every entry's absolute offsets
-    (split on ``cumsum(counts)`` to recover per-entry arrays) — or
-    ``None`` under exactly the fallback
-    rules of :func:`decode_docs_counts_flat` (extended to the offset
-    stream).  Section B builds a second Golomb table under the
-    position parameters and chains it from each lane's section-A end —
-    a corrupt count that would balloon the offset grid is detected
-    against the lane's remaining bit budget and sent to the scalar
-    fallback instead.
-    """
-    num_lists = dfs.shape[0]
-    if not num_lists:
-        return []
-    results: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None]
-    results = [None] * num_lists
-    if num_lists < _MIN_BATCH_LISTS or not int(dfs.sum()):
-        return results
-
-    tables, starts = _gather_lists(buffer, byte_offsets, lengths)
-    own_end = (starts + lengths) * 8
-    gaps, counts, a_ends, a_ok = _batch_entries(
-        tables, starts * 8, dfs, doc_parameters, lengths
-    )
-    lane_of_entry = np.repeat(
-        np.arange(num_lists, dtype=np.int64), dfs
-    )
-    totals = np.bincount(
-        lane_of_entry, weights=counts, minlength=num_lists
-    ).astype(np.int64)
-    # A Golomb code is at least one bit, so more offset codes than
-    # remaining bits is corrupt: zero the lane (skip its grid rows) and
-    # let the scalar fallback raise or decode as appropriate.
-    feasible = a_ok & (totals <= own_end - a_ends)
-    totals = np.where(feasible, totals, 0)
-
-    bits_per = lengths * 8
-    total_bits = tables.total_bits
-    rb_b, narrow_b, short_b, thr_b = _lane_read_constants(
-        position_parameters
-    )
-    b_next = _golomb_next_table(
-        tables,
-        _repeat_with_sentinel(short_b, bits_per, total_bits, 0),
-        _repeat_with_sentinel(
-            thr_b + thr_b, bits_per, total_bits, _TABLE_SENTINEL
-        ),
-    )
-    # Section B chains this table directly, so the unclamped pointers
-    # must be pinned back inside the stream here.
-    np.minimum(b_next, total_bits, out=b_next)
-
-    pos_total = int(totals.sum())
-    pos_gaps = np.empty(pos_total, dtype=np.int64)
-    b_ends = a_ends.copy()
-    b_ok = feasible & narrow_b
-    pos_first = np.cumsum(totals) - totals
-    for subset in _grid_chunks(totals):
-        sub_totals = totals[subset]
-        grid = _chain_grid(b_next, a_ends[subset], sub_totals)
-        width = grid.shape[1]
-        rows = np.repeat(
-            np.arange(subset.shape[0], dtype=np.int64), sub_totals
-        )
-        cols = _ragged_arange(sub_totals)
-        heads = grid.ravel()[rows * width + cols]
-        lids = subset[rows]
-        gap_values, code_ok = _golomb_at(
-            tables, heads, position_parameters[lids],
-            short_b[lids], thr_b[lids],
-        )
-        dest = np.repeat(pos_first[subset], sub_totals) + cols
-        pos_gaps[dest] = gap_values
-        if not code_ok.all():
-            b_ok[subset] &= (
-                np.bincount(rows[~code_ok],
-                            minlength=subset.shape[0]) == 0
-            )
-        b_ends[subset] = grid.ravel()[
-            np.arange(subset.shape[0], dtype=np.int64) * width
-            + sub_totals
-        ]
-    list_ok = b_ok & (b_ends <= own_end)
-
-    # Positions restart per entry; entries of infeasible lanes occupy
-    # no space in the flat gap array, so zero their group sizes.
-    group_counts = np.where(feasible[lane_of_entry], counts, 0)
-    positions = _grouped_prefix_values(pos_gaps, group_counts)
-    docs = _grouped_prefix_values(gaps, dfs)
-    doc_first = np.cumsum(dfs) - dfs
-    for slot in np.flatnonzero(list_ok).tolist():
-        a0 = int(doc_first[slot])
-        a1 = a0 + int(dfs[slot])
-        b0 = int(pos_first[slot])
-        b1 = b0 + int(totals[slot])
-        results[slot] = (docs[a0:a1], counts[a0:a1], positions[b0:b1])
-    return results

@@ -207,7 +207,7 @@ class Database:
     shard indexes is unreadable runs *degraded*: :attr:`degraded` is
     true and every query scans every live sequence, with the same
     deadline, strand, E-value, tombstone and breaker handling as a
-    healthy query (only ``fine_mode="frames"`` is refused).
+    healthy query.
     """
 
     #: Engines retained per database; the least recently used engine is
@@ -983,9 +983,8 @@ class Database:
         every live sequence (see :mod:`repro.search.engine`).
 
         Raises:
-            SearchError: for ``fine_mode="frames"`` in degraded mode, or
-                for a collection-statistics ``coarse_scorer`` on a
-                database with more than one shard or tombstones.
+            SearchError: for a collection-statistics ``coarse_scorer``
+                on a database with more than one shard or tombstones.
         """
         policy = on_corruption or self.on_corruption
         scheme = scheme or ScoringScheme()

@@ -18,10 +18,8 @@ Layout (bit-aligned)::
                then (golomb(ordinal gap), gamma(count - 1)) pairs
 
 The first ordinal of each block lives only in the directory, so block
-decoding is self-contained.  Counts ride along as in the main codec's
-section A; offsets (section B) are deliberately out of scope — skip
-decoding serves the candidate-checking access path, which never needs
-them.
+decoding is self-contained.  Counts ride along as in the main postings
+codec.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ class BlockedPostings:
             raise CodecError(f"block_size must be >= 1, got {block_size}")
         self.block_size = block_size
 
-    def _doc_codec(self, df: int, context: PostingsContext) -> GolombCodec:
+    def _gap_codec(self, df: int, context: PostingsContext) -> GolombCodec:
         return GolombCodec(
             optimal_golomb_parameter(max(df, 1), max(context.num_sequences, 1))
         )
@@ -86,7 +84,7 @@ class BlockedPostings:
         if counts.shape[0] and int(counts.min(initial=1)) < 1:
             raise CodecError("counts must be >= 1")
 
-        doc_codec = self._doc_codec(docs.shape[0], context)
+        gaps = self._gap_codec(docs.shape[0], context)
         blocks: list[tuple[int, bytes, int]] = []  # (first doc, bits, nbits)
         for start in range(0, docs.shape[0], self.block_size):
             block_docs = docs[start : start + self.block_size]
@@ -97,7 +95,7 @@ class BlockedPostings:
             for doc, count in zip(
                 block_docs[1:].tolist(), block_counts[1:].tolist()
             ):
-                doc_codec.encode_value(writer, doc - previous - 1)
+                gaps.encode_value(writer, doc - previous - 1)
                 _GAMMA.encode_value(writer, count - 1)
                 previous = doc
             blocks.append(
@@ -133,13 +131,13 @@ class BlockedPostings:
         reader: BitReader,
         first_doc: int,
         entries: int,
-        doc_codec: GolombCodec,
+        gaps: GolombCodec,
     ) -> tuple[list[int], list[int]]:
         docs = [first_doc]
         counts = [_GAMMA.decode_value(reader) + 1]
         previous = first_doc
         for _ in range(entries - 1):
-            previous += doc_codec.decode_value(reader) + 1
+            previous += gaps.decode_value(reader) + 1
             docs.append(previous)
             counts.append(_GAMMA.decode_value(reader) + 1)
         return docs, counts
@@ -153,14 +151,14 @@ class BlockedPostings:
             return empty, empty.copy()
         reader = BitReader(data)
         first_docs, _ = self._read_directory(reader)
-        doc_codec = self._doc_codec(df, context)
+        gaps = self._gap_codec(df, context)
         docs: list[int] = []
         counts: list[int] = []
         remaining = df
         for block, first_doc in enumerate(first_docs):
             entries = min(self.block_size, remaining)
             block_docs, block_counts = self._decode_block(
-                reader, first_doc, entries, doc_codec
+                reader, first_doc, entries, gaps
             )
             docs.extend(block_docs)
             counts.extend(block_counts)
@@ -191,7 +189,7 @@ class BlockedPostings:
             return {}
         reader = BitReader(data)
         first_docs, bit_lengths = self._read_directory(reader)
-        doc_codec = self._doc_codec(df, context)
+        gaps = self._gap_codec(df, context)
 
         found: dict[int, int] = {}
         remaining = df
@@ -213,7 +211,7 @@ class BlockedPostings:
                 reader.skip_bits(bit_lengths[block])
                 continue
             block_docs, block_counts = self._decode_block(
-                reader, first_doc, entries, doc_codec
+                reader, first_doc, entries, gaps
             )
             for doc, count in zip(block_docs, block_counts):
                 if doc in wanted_set:

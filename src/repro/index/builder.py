@@ -1,10 +1,10 @@
 """Inverted-index construction and the in-memory index.
 
 Building is a single vectorised pass: every (interval id, sequence
-ordinal, offset) triple in the collection goes into three flat numpy
-arrays, one lexicographic sort groups them, and each group is handed to
-the postings codec.  This mirrors the sort-based inversion used for the
-paper's on-disk indexes, scaled to in-memory collections.
+ordinal) pair in the collection goes into two flat numpy arrays, one
+sort groups them, and each group is handed to the postings codec.
+This mirrors the sort-based inversion used for the paper's on-disk
+indexes, scaled to in-memory collections.
 """
 
 from __future__ import annotations
@@ -22,7 +22,13 @@ from repro.errors import (
     IndexParameterError,
 )
 from repro.index.intervals import IntervalExtractor
-from repro.index.postings import PostingEntry, PostingsCodec, PostingsContext
+from repro.index.postings import (
+    HEADER_CODEC_KEYS,
+    PostingEntry,
+    PostingsCodec,
+    PostingsContext,
+    check_header_codecs,
+)
 from repro.instrumentation.instruments import NULL_INSTRUMENTS, coalesce
 from repro.sequences.record import Sequence
 
@@ -42,53 +48,36 @@ class IndexParameters:
         interval_length: the fixed substring (k-mer) length.
         stride: window stride; 1 = overlapping, interval_length =
             non-overlapping.
-        doc_codec / count_codec / position_codec: integer-codec names
-            for the three posting fields.
-        include_positions: store occurrence offsets (needed for
-            diagonal coarse scoring; drop for a smaller index).
     """
 
     interval_length: int = 8
     stride: int = 1
-    doc_codec: str = "golomb"
-    count_codec: str = "gamma"
-    position_codec: str = "golomb"
-    include_positions: bool = True
 
     def make_extractor(self) -> IntervalExtractor:
         """The extractor these parameters describe."""
         return IntervalExtractor(self.interval_length, self.stride)
 
-    def make_codec(self) -> PostingsCodec:
-        """The postings codec these parameters describe."""
-        return PostingsCodec(
-            doc_codec=self.doc_codec,
-            count_codec=self.count_codec,
-            position_codec=self.position_codec,
-            include_positions=self.include_positions,
-        )
-
     def describe(self) -> dict[str, object]:
-        """Parameters as a plain dict (for index headers)."""
+        """Parameters as a plain dict (for index headers), with the
+        posting codec's fixed keys."""
         return {
             "interval_length": self.interval_length,
             "stride": self.stride,
-            "doc_codec": self.doc_codec,
-            "count_codec": self.count_codec,
-            "position_codec": self.position_codec,
-            "include_positions": self.include_positions,
+            **HEADER_CODEC_KEYS,
         }
 
     @classmethod
     def from_description(cls, description: dict[str, object]) -> "IndexParameters":
-        """Rebuild parameters from :meth:`describe` output."""
+        """Rebuild parameters from :meth:`describe` output.
+
+        Raises:
+            IndexFormatError: if the description names another posting
+                codec.
+        """
+        check_header_codecs(description)
         return cls(
             interval_length=int(description["interval_length"]),  # type: ignore[arg-type]
             stride=int(description["stride"]),  # type: ignore[arg-type]
-            doc_codec=str(description["doc_codec"]),
-            count_codec=str(description["count_codec"]),
-            position_codec=str(description["position_codec"]),
-            include_positions=bool(description["include_positions"]),
         )
 
 
@@ -262,7 +251,7 @@ class IndexReader(ABC):
         """The postings codec, built once and cached."""
         codec = getattr(self, "_codec_cache", None)
         if codec is None:
-            codec = self.params.make_codec()
+            codec = PostingsCodec()
             self._codec_cache = codec
         return codec
 
@@ -279,20 +268,17 @@ class IndexReader(ABC):
         self,
         interval_ids: TypingSequence[int],
         *,
-        positions: bool = False,
         skip: set[int] | None = None,
         deadline=None,
-    ) -> tuple[np.ndarray, ...]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Resolve and decode many posting lists as flat arrays.
 
-        Returns ``(lens, docs, counts)``, or ``(lens, docs, counts,
-        offsets)`` with ``positions=True``.  ``lens[i]`` is interval
+        Returns ``(lens, docs, counts)``.  ``lens[i]`` is interval
         ``i``'s entry count: 0 when it is absent, in ``skip``, or not
         reached before ``deadline`` expired.  ``docs``/``counts``
         concatenate the entries in request order, so interval ``i``
-        occupies ``cumsum(lens)[i-1] : cumsum(lens)[i]``; ``offsets``
-        concatenates each entry's occurrence offsets, ``counts`` long
-        each.  This is the one read path of the coarse phase.
+        occupies ``cumsum(lens)[i-1] : cumsum(lens)[i]``.  This is the
+        one read path of the coarse phase.
 
         Args:
             skip: the caller's quarantine set.  Its intervals are not
@@ -308,22 +294,20 @@ class IndexReader(ABC):
         interval_ids = np.asarray(interval_ids, dtype=np.int64)
         total = interval_ids.shape[0]
         if deadline is None or not deadline.bounded:
-            return self._read_chunk(interval_ids, positions, skip)
+            return self._read_chunk(interval_ids, skip)
         parts = []
         for start in range(0, total, READ_CHUNK):
             if deadline.expired():
                 break
             parts.append(
-                self._read_chunk(
-                    interval_ids[start : start + READ_CHUNK], positions, skip
-                )
+                self._read_chunk(interval_ids[start : start + READ_CHUNK], skip)
             )
-        return _concatenate_lists(parts, positions, total)
+        return _concatenate_lists(parts, total)
 
-    def _read_chunk(self, interval_ids, positions, skip):
+    def _read_chunk(self, interval_ids, skip):
         resolved = self.resolve(interval_ids, skip=skip)
         try:
-            return self.decode_lists(resolved, positions=positions)
+            return self.decode_lists(resolved)
         except CorruptionError:
             if skip is None:
                 raise
@@ -331,15 +315,11 @@ class IndexReader(ABC):
         parts = []
         for slot, interval_id in enumerate(interval_ids.tolist()):
             try:
-                parts.append(
-                    self.decode_lists(
-                        resolved.single(slot), positions=positions
-                    )
-                )
+                parts.append(self.decode_lists(resolved.single(slot)))
             except CorruptionError as exc:
                 self._quarantine(skip, interval_id, exc)
-                parts.append(_concatenate_lists([], positions, 1))
-        return _concatenate_lists(parts, positions, len(interval_ids))
+                parts.append(_concatenate_lists([], 1))
+        return _concatenate_lists(parts, len(interval_ids))
 
     def resolve(
         self,
@@ -399,40 +379,32 @@ class IndexReader(ABC):
         self.instruments.count("index.quarantined_intervals")
 
     def decode_lists(
-        self, resolved: ResolvedLists, *, positions: bool = False
-    ) -> tuple[np.ndarray, ...]:
+        self, resolved: ResolvedLists
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The decode step of :meth:`read_lists`: every resolved list
         through one decoder call over ``resolved.buffer``.  Returns
-        ``(lens, docs, counts)``, plus ``offsets`` with
-        ``positions=True``."""
+        ``(lens, docs, counts)``."""
         lens = resolved.dfs
         present = np.flatnonzero(lens)
         fields = (lens, resolved.cfs, resolved.offsets, resolved.lengths)
         if present.shape[0] < lens.shape[0]:
             fields = tuple(values[present] for values in fields)
         dfs, cfs, offsets, lengths = fields
-        if positions:
-            decoded = self.codec.decode_postings_flat(
-                resolved.buffer, offsets, lengths, dfs, cfs, self.context
-            )
-        else:
-            decoded = self.codec.decode_docs_counts_flat(
-                resolved.buffer, offsets, lengths, dfs, self.context, cfs=cfs
-            )
+        docs, counts = self.codec.decode_docs_counts_flat(
+            resolved.buffer, offsets, lengths, dfs, self.context, cfs=cfs
+        )
         self.instruments.count("index.postings_decoded", present.shape[0])
-        return (lens, *decoded)
+        return lens, docs, counts
 
     def docs_counts_flat_from_entries(
         self,
         interval_ids: TypingSequence[int],
         entries: TypingSequence[VocabEntry | None],
-        positions: bool = False,
-    ) -> tuple[np.ndarray, ...]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`decode_lists` over already looked-up entries
         (``None`` = nothing to read)."""
         return self.decode_lists(
-            ResolvedLists.from_entries(interval_ids, entries),
-            positions=positions,
+            ResolvedLists.from_entries(interval_ids, entries)
         )
 
     @property
@@ -447,19 +419,20 @@ class IndexReader(ABC):
 
 
 def _concatenate_lists(
-    parts: list[tuple[np.ndarray, ...]], positions: bool, total: int
-) -> tuple[np.ndarray, ...]:
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], total: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Join :meth:`IndexReader.read_lists` pieces read in request
     order; ``lens`` is zero-padded to ``total`` lists."""
     lens = np.zeros(total, dtype=np.int64)
-    if parts:
-        read = np.concatenate([part[0] for part in parts])
-        lens[: read.shape[0]] = read
-    width = 4 if positions else 3
-    empty = np.empty(0, dtype=np.int64)
-    return (lens,) + tuple(
-        np.concatenate([part[field] for part in parts]) if parts else empty
-        for field in range(1, width)
+    if not parts:
+        empty = np.empty(0, dtype=np.int64)
+        return lens, empty, empty.copy()
+    read = np.concatenate([part[0] for part in parts])
+    lens[: read.shape[0]] = read
+    return (
+        lens,
+        np.concatenate([part[1] for part in parts]),
+        np.concatenate([part[2] for part in parts]),
     )
 
 
@@ -507,8 +480,7 @@ def build_index(
     Args:
         sequences: the collection, in the ordinal order queries will
             report.
-        params: index shape; defaults to overlapping length-8 intervals
-            with Golomb/gamma/Golomb coding.
+        params: index shape; defaults to overlapping length-8 intervals.
 
     Raises:
         IndexParameterError: if the collection is empty.
@@ -520,36 +492,32 @@ def build_index(
 
     collection = CollectionInfo.from_sequences(sequences)
     extractor = params.make_extractor()
-    codec = params.make_codec()
+    codec = PostingsCodec()
     context = collection.context()
 
     id_chunks: list[np.ndarray] = []
     doc_chunks: list[np.ndarray] = []
-    position_chunks: list[np.ndarray] = []
     for ordinal, record in enumerate(sequences):
-        ids, positions = extractor.extract(record.codes)
+        ids, _ = extractor.extract(record.codes)
         if not ids.shape[0]:
             continue
         id_chunks.append(ids)
         doc_chunks.append(np.full(ids.shape[0], ordinal, dtype=np.int64))
-        position_chunks.append(positions)
 
     vocabulary: dict[int, VocabEntry] = {}
     if id_chunks:
         all_ids = np.concatenate(id_chunks)
-        all_docs = np.concatenate(doc_chunks)
-        all_positions = np.concatenate(position_chunks)
-        order = np.lexsort((all_positions, all_docs, all_ids))
+        # Ordinals already ascend, so a stable sort on the id alone
+        # groups occurrences by (interval, ordinal).
+        order = np.argsort(all_ids, kind="stable")
         all_ids = all_ids[order]
-        all_docs = all_docs[order]
-        all_positions = all_positions[order]
-
+        all_docs = np.concatenate(doc_chunks)[order]
         vocabulary = _bulk_encode_vocabulary(
-            all_ids, all_docs, all_positions, params, context
+            all_ids, all_docs, codec, context
         )
         if vocabulary is None:
             vocabulary = _loop_encode_vocabulary(
-                all_ids, all_docs, all_positions, codec, context
+                all_ids, all_docs, codec, context
             )
     return InvertedIndex(params, collection, vocabulary)
 
@@ -557,31 +525,23 @@ def build_index(
 def _loop_encode_vocabulary(
     all_ids: np.ndarray,
     all_docs: np.ndarray,
-    all_positions: np.ndarray,
-    codec,
-    context,
+    codec: PostingsCodec,
+    context: PostingsContext,
 ) -> dict[int, VocabEntry]:
     """Per-interval encoding loop — the reference path and the
-    fallback for non-default codec configurations."""
+    fallback when a code overflows the vector window."""
     vocabulary: dict[int, VocabEntry] = {}
     unique_ids, id_starts = np.unique(all_ids, return_index=True)
     id_bounds = np.append(id_starts, all_ids.shape[0])
     for slot, interval in enumerate(unique_ids):
         lo, hi = int(id_bounds[slot]), int(id_bounds[slot + 1])
-        docs = all_docs[lo:hi]
-        positions = all_positions[lo:hi]
-        unique_docs, doc_starts = np.unique(docs, return_index=True)
-        doc_bounds = np.append(doc_starts, docs.shape[0])
+        docs, counts = np.unique(all_docs[lo:hi], return_counts=True)
         entries = [
-            PostingEntry(
-                int(unique_docs[i]),
-                positions[int(doc_bounds[i]) : int(doc_bounds[i + 1])],
-            )
-            for i in range(unique_docs.shape[0])
+            PostingEntry(doc, count)
+            for doc, count in zip(docs.tolist(), counts.tolist())
         ]
-        data = codec.encode(entries, context)
         vocabulary[int(interval)] = VocabEntry(
-            int(interval), len(entries), hi - lo, data
+            int(interval), len(entries), hi - lo, codec.encode(entries, context)
         )
     return vocabulary
 
@@ -589,27 +549,21 @@ def _loop_encode_vocabulary(
 def _bulk_encode_vocabulary(
     all_ids: np.ndarray,
     all_docs: np.ndarray,
-    all_positions: np.ndarray,
-    params: IndexParameters,
-    context,
+    codec: PostingsCodec,
+    context: PostingsContext,
 ) -> dict[int, VocabEntry] | None:
     """Whole-index vectorised encoding.
 
-    Computes every posting list's gap codes in flat array passes and
-    packs them into one buffer with per-interval byte alignment, so
-    each interval's slice is bit-identical to encoding it alone.
-    Returns None when the codec configuration has no vector path or a
-    code overflows the vector window (both fall back to the loop).
+    Computes every posting list's codes in flat array passes and packs
+    them into one buffer with per-interval byte alignment, so each
+    interval's slice is bit-identical to encoding it alone.  Returns
+    None when a code overflows the vector window (the loop then
+    encodes).
     """
-    if (
-        params.doc_codec != "golomb"
-        or params.count_codec != "gamma"
-        or (params.include_positions and params.position_codec != "golomb")
-    ):
-        return None
     from repro.compression.fastpack import (
         gamma_code_array,
         golomb_code_array_multi,
+        interleave_codes,
         pack_grouped,
     )
 
@@ -634,20 +588,13 @@ def _bulk_encode_vocabulary(
         interval_of_entry, weights=entry_counts, minlength=num_intervals
     ).astype(np.int64)
 
-    # --- per-interval codec parameters (must match the scalar rule) ----
-    num_sequences = max(context.num_sequences, 1)
-    density = np.minimum(df / num_sequences, 1.0 - 1e-12)
-    doc_parameters = np.maximum(
-        1, np.ceil(np.log(2.0 - density) / -np.log1p(-density))
-    ).astype(np.int64)
-
-    # --- document gaps ---------------------------------------------------
+    # --- codes: per entry, the ordinal gap then the count ---------------
     doc_gaps = np.empty_like(entry_docs)
     doc_gaps[0] = entry_docs[0]
     doc_gaps[1:] = entry_docs[1:] - entry_docs[:-1] - 1
     doc_gaps[is_interval_start] = entry_docs[is_interval_start]
     doc_patterns, doc_lengths, doc_overflow = golomb_code_array_multi(
-        doc_gaps, doc_parameters[interval_of_entry]
+        doc_gaps, codec._doc_parameters(df, context)[interval_of_entry]
     )
     if bool(doc_overflow.any()):
         return None
@@ -655,82 +602,12 @@ def _bulk_encode_vocabulary(
         count_patterns, count_lengths = gamma_code_array(entry_counts - 1)
     except CodecValueError:
         return None  # absurd count; the scalar loop handles it
-
-    # --- occurrence gaps -------------------------------------------------
-    if params.include_positions:
-        occurrence_is_start = is_entry_start
-        previous_positions = np.empty_like(all_positions)
-        previous_positions[1:] = all_positions[:-1]
-        previous_positions[occurrence_is_start] = -1
-        position_gaps = all_positions - previous_positions - 1
-        per_sequence = np.maximum(
-            1, np.rint(cf / np.maximum(df, 1))
-        ).astype(np.int64)
-        mean_length = max(1, round(context.mean_length))
-        pos_density = np.minimum(
-            per_sequence / mean_length, 1.0 - 1e-12
-        )
-        position_parameters = np.maximum(
-            1, np.ceil(np.log(2.0 - pos_density) / -np.log1p(-pos_density))
-        ).astype(np.int64)
-        interval_of_occurrence = (np.cumsum(is_entry_start) - 1)
-        interval_of_occurrence = interval_of_entry[interval_of_occurrence]
-        pos_patterns, pos_lengths, pos_overflow = golomb_code_array_multi(
-            position_gaps, position_parameters[interval_of_occurrence]
-        )
-        if bool(pos_overflow.any()):
-            return None
-    else:
-        pos_patterns = np.empty(0, dtype=np.uint64)
-        pos_lengths = np.empty(0, dtype=np.int64)
-        interval_of_occurrence = np.empty(0, dtype=np.int64)
-
-    # --- assemble the global code order: per interval, section A
-    #     (doc gap, count interleaved) then section B (offsets) --------
-    codes_a = 2 * df
-    codes_b = cf if params.include_positions else np.zeros_like(cf)
-    interval_code_starts = np.zeros(num_intervals, dtype=np.int64)
-    np.cumsum((codes_a + codes_b)[:-1], out=interval_code_starts[1:])
-
-    entry_rank = np.arange(entry_ids.shape[0]) - np.repeat(
-        np.flatnonzero(is_interval_start), df
+    patterns, lengths = interleave_codes(
+        (doc_patterns, doc_lengths), (count_patterns, count_lengths)
     )
-    doc_slots = interval_code_starts[interval_of_entry] + 2 * entry_rank
-    count_slots = doc_slots + 1
-
-    total_codes = int((codes_a + codes_b).sum())
-    patterns = np.empty(total_codes, dtype=np.uint64)
-    lengths = np.empty(total_codes, dtype=np.int64)
-    group_ids = np.empty(total_codes, dtype=np.int64)
-    patterns[doc_slots] = doc_patterns
-    lengths[doc_slots] = doc_lengths
-    group_ids[doc_slots] = interval_of_entry
-    patterns[count_slots] = count_patterns
-    lengths[count_slots] = count_lengths
-    group_ids[count_slots] = interval_of_entry
-
-    if params.include_positions and all_positions.shape[0]:
-        # Rank of each occurrence within its interval: global index
-        # minus the interval's first occurrence index.
-        interval_first_occurrence = np.zeros(num_intervals, dtype=np.int64)
-        occ_counts = np.bincount(
-            interval_of_occurrence, minlength=num_intervals
-        )
-        np.cumsum(occ_counts[:-1], out=interval_first_occurrence[1:])
-        occurrence_rank = (
-            np.arange(all_positions.shape[0])
-            - interval_first_occurrence[interval_of_occurrence]
-        )
-        pos_slots = (
-            interval_code_starts[interval_of_occurrence]
-            + codes_a[interval_of_occurrence]
-            + occurrence_rank
-        )
-        patterns[pos_slots] = pos_patterns
-        lengths[pos_slots] = pos_lengths
-        group_ids[pos_slots] = interval_of_occurrence
-
-    buffer, bounds = pack_grouped(patterns, lengths, group_ids)
+    buffer, bounds = pack_grouped(
+        patterns, lengths, np.repeat(interval_of_entry, 2)
+    )
     vocabulary: dict[int, VocabEntry] = {}
     for slot in range(num_intervals):
         interval = int(unique_ids[slot])

@@ -107,20 +107,23 @@ class IntervalExtractor:
             the interval length yields empty arrays.
         """
         codes = np.ascontiguousarray(codes, dtype=np.uint8)
-        if codes.shape[0] < self.length:
+        count = codes.shape[0] - self.length + 1
+        if count < 1:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.copy()
-        windows = np.lib.stride_tricks.sliding_window_view(codes, self.length)
-        windows = windows[:: self.stride]
-        positions = np.arange(
-            0, codes.shape[0] - self.length + 1, self.stride, dtype=np.int64
-        )
-        valid = (windows < WILDCARD_MIN_CODE).all(axis=1)
-        weights = NUM_BASES ** np.arange(
-            self.length - 1, -1, -1, dtype=np.int64
-        )
-        ids = windows[valid].astype(np.int64) @ weights
-        return ids, positions[valid]
+        # Horner over the window's bases: one shifted slice per base.
+        # A window holding a wildcard gets a meaningless id and is
+        # dropped by the wildcard-count test.
+        ids = np.zeros(count, dtype=np.int64)
+        for offset in range(self.length):
+            ids *= NUM_BASES
+            ids += codes[offset : offset + count]
+        wildcards = np.zeros(codes.shape[0] + 1, dtype=np.int64)
+        np.cumsum(codes >= WILDCARD_MIN_CODE, out=wildcards[1:])
+        valid = wildcards[self.length :] == wildcards[:count]
+        positions = np.arange(0, count, self.stride, dtype=np.int64)
+        valid = valid[:: self.stride]
+        return ids[:: self.stride][valid], positions[valid]
 
     def extract_distinct(self, codes: np.ndarray) -> np.ndarray:
         """Sorted distinct interval ids appearing in a sequence."""

@@ -24,7 +24,7 @@ from repro.index.builder import (
     VocabEntry,
     build_index,
 )
-from repro.index.postings import PostingEntry
+from repro.index.postings import PostingEntry, PostingsCodec
 from repro.sequences.record import Sequence
 
 T = TypeVar("T")
@@ -66,7 +66,7 @@ def merge_indexes(parts: TypingSequence[InvertedIndex]) -> InvertedIndex:
         tuple(identifiers), np.array(lengths, dtype=np.int64)
     )
     context = collection.context()
-    codec = params.make_codec()
+    codec = PostingsCodec()
 
     all_ids = sorted(
         {interval for part in parts for interval in part.interval_ids()}
@@ -114,19 +114,10 @@ def _shifted_postings(
 ) -> list[list[PostingEntry]]:
     """``part``'s posting list for each of ``interval_ids`` (empty when
     absent) with sequence ordinals shifted by ``offset``."""
-    if part.params.include_positions:
-        lens, docs, counts, positions = part.read_lists(
-            interval_ids, positions=True
-        )
-        chunks = np.split(positions, np.cumsum(counts)[:-1])
-    else:
-        # Positions were never stored; the codec only reads the count
-        # from the placeholder array.
-        lens, docs, counts = part.read_lists(interval_ids)
-        chunks = [np.zeros(count, dtype=np.int64) for count in counts.tolist()]
+    lens, docs, counts = part.read_lists(interval_ids)
     entries = [
-        PostingEntry(doc + offset, chunk)
-        for doc, chunk in zip(docs.tolist(), chunks)
+        PostingEntry(doc + offset, count)
+        for doc, count in zip(docs.tolist(), counts.tolist())
     ]
     ends = np.cumsum(lens).tolist()
     return [
@@ -203,7 +194,7 @@ def merge_index_files(
             tuple(identifiers), np.array(lengths, dtype=np.int64)
         )
         context = collection.context()
-        codec = params.make_codec()
+        codec = PostingsCodec()
 
         # Duplicates across parts are merged once.
         all_ids = (

@@ -1,21 +1,20 @@
 """Compressed posting lists.
 
 A posting list for one interval records, per sequence containing it,
-the sequence ordinal, the within-sequence occurrence count, and the
-occurrence offsets.  The on-the-wire layout is two sections:
+the sequence ordinal and the within-sequence occurrence count — the
+evidence the coarse phase accumulates.  The list is one section of
+interleaved codes, per sequence: the sequence-ordinal gap (Golomb) and
+``count - 1`` (Elias gamma).  This is the paper's codec, and the only
+one an index uses.
 
-* **section A** — per sequence, interleaved: the sequence-ordinal gap
-  and ``count - 1``;
-* **section B** — the offset gaps, sequence by sequence.
+Golomb parameters are *derived, not stored*: both encoder and decoder
+compute them from df and the collection size with the same rule, which
+is how the paper avoids spending space on per-list parameters.
 
-Coarse ranking only needs section A, so splitting the sections lets it
-stop decoding before the (larger) offset data — the positions are only
-read by the diagonal-scoring accumulator and the fine search.
-
-Codecs are pluggable by name.  Golomb parameters are *derived, not
-stored*: both encoder and decoder compute them from (df, cf) and the
-collection statistics with the same rule, which is how the paper avoids
-spending space on per-list parameters.
+Index files written before occurrence offsets were dropped carry a
+second section after each list's entries: the offset gaps.  Every
+decoder reads exactly ``df`` entries and never looks past them, so
+those files read unchanged.
 """
 
 from __future__ import annotations
@@ -26,9 +25,35 @@ import numpy as np
 
 from repro.compression import fastunpack
 from repro.compression.bitio import BitReader, BitWriter
+from repro.compression.elias import EliasGammaCodec
 from repro.compression.golomb import GolombCodec, optimal_golomb_parameter
-from repro.compression.integer import IntegerCodec, make_codec
-from repro.errors import CodecError, CodecValueError
+from repro.errors import CodecError, CodecValueError, IndexFormatError
+
+#: The codec keys of an index header's ``params``.  Files written with
+#: occurrence offsets say ``include_positions: true``; the offsets are
+#: never read, so either value opens.
+HEADER_CODEC_KEYS: dict[str, object] = {
+    "doc_codec": "golomb",
+    "count_codec": "gamma",
+    "position_codec": "golomb",
+    "include_positions": False,
+}
+
+
+def check_header_codecs(description: dict[str, object]) -> None:
+    """Refuse a header whose posting codecs are not this module's.
+
+    Raises:
+        IndexFormatError: if a codec key is missing or names another
+            codec.
+    """
+    for key in ("doc_codec", "count_codec", "position_codec"):
+        if description.get(key) != HEADER_CODEC_KEYS[key]:
+            raise IndexFormatError(
+                f"unsupported posting codec {key}="
+                f"{description.get(key)!r}; expected "
+                f"{HEADER_CODEC_KEYS[key]!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -56,60 +81,24 @@ class PostingEntry:
     """One sequence's occurrences of one interval."""
 
     sequence: int
-    positions: np.ndarray
+    count: int
 
-    @property
-    def count(self) -> int:
-        return int(self.positions.shape[0])
+
+_GAMMA = EliasGammaCodec()
 
 
 class PostingsCodec:
-    """Encodes/decodes posting lists with pluggable integer codes.
+    """Encodes/decodes posting lists: Golomb ordinal gaps, gamma counts."""
 
-    Args:
-        doc_codec: codec name for sequence-ordinal gaps ("golomb" uses
-            the Bernoulli-derived per-list parameter).
-        count_codec: codec name for the count field.
-        position_codec: codec name for offset gaps (same Golomb rule).
-        include_positions: when False section B is omitted entirely and
-            the index stores only ordinals and counts.
-
-    Raises:
-        CodecError: if a codec name is unknown.
-    """
-
-    def __init__(
-        self,
-        doc_codec: str = "golomb",
-        count_codec: str = "gamma",
-        position_codec: str = "golomb",
-        include_positions: bool = True,
-    ) -> None:
-        self.doc_codec_name = doc_codec
-        self.count_codec_name = count_codec
-        self.position_codec_name = position_codec
-        self.include_positions = include_positions
-        # Non-parameterised codecs are stateless; build them once.
-        self._count_codec = make_codec(count_codec)
-        self._doc_codec_static = (
-            None if doc_codec == "golomb" else make_codec(doc_codec)
-        )
-        self._position_codec_static = (
-            None if position_codec == "golomb" else make_codec(position_codec)
-        )
+    def __init__(self) -> None:
         # Derived-parameter memo, one table per universe size (the
         # parameter depends only on df and the collection size).
         self._doc_param_tables: dict[int, np.ndarray] = {}
 
-    def _doc_codec(self, df: int, context: PostingsContext) -> IntegerCodec:
-        if self._doc_codec_static is not None:
-            return self._doc_codec_static
-        return GolombCodec(self._doc_parameter(df, context))
-
-    def _doc_parameter(self, df: int, context: PostingsContext) -> int:
-        """The derived document-gap Golomb parameter for one list."""
-        return optimal_golomb_parameter(
-            max(df, 1), max(context.num_sequences, 1)
+    def _gap_codec(self, df: int, context: PostingsContext) -> GolombCodec:
+        """The ordinal-gap code of one list, under the derived parameter."""
+        return GolombCodec(
+            optimal_golomb_parameter(max(df, 1), max(context.num_sequences, 1))
         )
 
     def _doc_parameters(
@@ -138,60 +127,21 @@ class PostingsCodec:
             self._doc_param_tables[universe] = table
         return table[dfs]
 
-    def _fast_decodable(self) -> bool:
-        """Whether the block decoder applies: the default codec
-        configuration (Golomb gaps, gamma counts, Golomb offsets)."""
-        return (
-            self.doc_codec_name == "golomb"
-            and self.count_codec_name == "gamma"
-            and (not self.include_positions
-                 or self.position_codec_name == "golomb")
-        )
-
-    def _position_codec(
-        self, df: int, cf: int, context: PostingsContext
-    ) -> IntegerCodec:
-        if self._position_codec_static is not None:
-            return self._position_codec_static
-        return GolombCodec(self._position_parameter(df, cf, context))
-
-    def _position_parameter(
-        self, df: int, cf: int, context: PostingsContext
-    ) -> int:
-        """The derived offset-gap Golomb parameter for one list."""
-        per_sequence = max(1, round(cf / max(df, 1)))
-        return optimal_golomb_parameter(
-            per_sequence, round(context.mean_length)
-        )
-
     def encode(
         self, entries: list[PostingEntry], context: PostingsContext
     ) -> bytes:
         """Compress a posting list (entries must be ordinal-sorted).
 
-        Uses the vectorised packer when the codec configuration allows
-        (Golomb gaps + gamma counts, the default); the scalar writer is
-        the fallback and the behavioural reference — both produce
-        bit-identical output.
+        Uses the vectorised packer; the scalar writer is the fallback
+        when a code overflows the vector window, and the behavioural
+        reference — both produce bit-identical output.
 
         Raises:
             CodecError: if entries are unsorted or a count is zero.
         """
-        df = len(entries)
-        cf = sum(entry.count for entry in entries)
-        doc_codec = self._doc_codec(df, context)
-        position_codec = self._position_codec(df, cf, context)
-
-        if (
-            df
-            and self.doc_codec_name == "golomb"
-            and self.count_codec_name == "gamma"
-            and (not self.include_positions
-                 or self.position_codec_name == "golomb")
-        ):
-            fast = self._encode_vectorised(
-                entries, doc_codec, position_codec
-            )
+        gaps = self._gap_codec(len(entries), context)
+        if entries:
+            fast = self._encode_vectorised(entries, gaps)
             if fast is not None:
                 return fast
 
@@ -202,26 +152,15 @@ class PostingsCodec:
                 raise CodecError(
                     "posting entries must be strictly ordinal-sorted"
                 )
-            if entry.count == 0:
+            if entry.count < 1:
                 raise CodecError("posting entry with zero occurrences")
-            doc_codec.encode_value(writer, entry.sequence - previous_doc - 1)
-            self._count_codec.encode_value(writer, entry.count - 1)
+            gaps.encode_value(writer, entry.sequence - previous_doc - 1)
+            _GAMMA.encode_value(writer, entry.count - 1)
             previous_doc = entry.sequence
-        if self.include_positions:
-            for entry in entries:
-                previous_position = -1
-                for position in entry.positions:
-                    position_codec.encode_value(
-                        writer, int(position) - previous_position - 1
-                    )
-                    previous_position = int(position)
         return writer.getvalue()
 
     def _encode_vectorised(
-        self,
-        entries: list[PostingEntry],
-        doc_codec: IntegerCodec,
-        position_codec: IntegerCodec,
+        self, entries: list[PostingEntry], gaps: GolombCodec
     ) -> bytes | None:
         """Array-at-a-time encoding; None when a code overflows the
         vector window (the caller then uses the scalar writer)."""
@@ -249,9 +188,8 @@ class PostingsCodec:
         doc_gaps = np.empty_like(docs)
         doc_gaps[0] = docs[0]
         doc_gaps[1:] = np.diff(docs) - 1
-        assert isinstance(doc_codec, GolombCodec)
         doc_patterns, doc_lengths, doc_overflow = golomb_code_array(
-            doc_gaps, doc_codec.parameter
+            doc_gaps, gaps.parameter
         )
         if bool(doc_overflow.any()):
             return None
@@ -259,30 +197,11 @@ class PostingsCodec:
             count_patterns, count_lengths = gamma_code_array(counts - 1)
         except CodecValueError:
             return None  # absurd count; the scalar writer handles it
-        patterns, lengths = interleave_codes(
-            (doc_patterns, doc_lengths), (count_patterns, count_lengths)
-        )
-
-        if self.include_positions:
-            all_positions = np.concatenate(
-                [entry.positions for entry in entries]
-            ).astype(np.int64)
-            previous = np.empty_like(all_positions)
-            previous[1:] = all_positions[:-1]
-            starts = np.zeros(all_positions.shape[0], dtype=bool)
-            starts[np.cumsum(counts[:-1])] = True
-            starts[0] = True
-            previous[starts] = -1
-            position_gaps = all_positions - previous - 1
-            assert isinstance(position_codec, GolombCodec)
-            pos_patterns, pos_lengths, pos_overflow = golomb_code_array(
-                position_gaps, position_codec.parameter
+        return pack_patterns(
+            *interleave_codes(
+                (doc_patterns, doc_lengths), (count_patterns, count_lengths)
             )
-            if bool(pos_overflow.any()):
-                return None
-            patterns = np.concatenate([patterns, pos_patterns])
-            lengths = np.concatenate([lengths, pos_lengths])
-        return pack_patterns(patterns, lengths)
+        )
 
     def decode_docs_counts_flat(
         self,
@@ -293,43 +212,36 @@ class PostingsCodec:
         context: PostingsContext,
         cfs: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Section-A decode of many lists into flat lane-major arrays.
+        """Decode many lists into flat lane-major arrays.
 
         List ``i`` is the ``lengths[i]`` bytes at ``byte_offsets[i]``
         of the uint8 array ``buffer``, holding ``dfs[i]`` entries.
         Returns ``(docs, counts)`` int64 arrays concatenating every
         list's entries in request order (list ``i`` occupies
-        ``cumsum(dfs)[i-1] : cumsum(dfs)[i]``).  Under the default codecs
-        the whole batch decodes in one table build; lists the block
-        decoder cannot finish are spliced through the scalar loop, so
-        the values (and any exception) match the per-list path exactly.
-        Under any other codec this is just the per-list decode
-        concatenated — same arrays, same order.
+        ``cumsum(dfs)[i-1] : cumsum(dfs)[i]``).  The whole batch decodes
+        in one table build; lists the block decoder cannot finish are
+        spliced through the scalar loop, so the values (and any
+        exception) match the per-list path exactly.
         """
-        total = int(dfs.sum())
-        if self._fast_decodable() and total:
-            docs, counts, ok = fastunpack.decode_docs_counts_flat(
-                buffer,
-                byte_offsets,
-                lengths,
-                dfs,
-                self._doc_parameters(dfs, context),
-                cfs,
-                context.num_sequences,
-            )
-            if ok.all():
-                return docs, counts
-            redo = np.flatnonzero(~ok)
-        else:
-            docs = np.empty(total, dtype=np.int64)
-            counts = np.empty(total, dtype=np.int64)
-            redo = np.arange(dfs.shape[0])
+        if not int(dfs.sum()):
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty.copy()
+        docs, counts, ok = fastunpack.decode_docs_counts_flat(
+            buffer,
+            byte_offsets,
+            lengths,
+            dfs,
+            self._doc_parameters(dfs, context),
+            cfs,
+            context.num_sequences,
+        )
         first = np.cumsum(dfs) - dfs
-        for slot in redo.tolist():
+        for slot in np.flatnonzero(~ok).tolist():
             start = int(first[slot])
             stop = start + int(dfs[slot])
+            offset = int(byte_offsets[slot])
             docs[start:stop], counts[start:stop] = self.decode_docs_counts(
-                _list_bytes(buffer, byte_offsets, lengths, slot),
+                bytes(buffer[offset : offset + int(lengths[slot])]),
                 int(dfs[slot]),
                 context,
             )
@@ -338,147 +250,20 @@ class PostingsCodec:
     def decode_docs_counts(
         self, data: bytes, df: int, context: PostingsContext
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Decode section A only: (ordinals, counts) as int64 arrays.
+        """Decode one list: (ordinals, counts) as int64 arrays.
 
         The pure-Python reference decode.  A lone list gains nothing
         from the numpy block decoder (see docs/KERNELS.md), which pays
         its dispatch cost per *batch* and serves
         :meth:`decode_docs_counts_flat` instead.
         """
-        doc_codec = self._doc_codec(df, context)
+        gaps = self._gap_codec(df, context)
         reader = BitReader(data)
         docs = np.empty(df, dtype=np.int64)
         counts = np.empty(df, dtype=np.int64)
         previous_doc = -1
         for slot in range(df):
-            previous_doc += doc_codec.decode_value(reader) + 1
+            previous_doc += gaps.decode_value(reader) + 1
             docs[slot] = previous_doc
-            counts[slot] = self._count_codec.decode_value(reader) + 1
+            counts[slot] = _GAMMA.decode_value(reader) + 1
         return docs, counts
-
-    def decode(
-        self, data: bytes, df: int, cf: int, context: PostingsContext
-    ) -> list[PostingEntry]:
-        """Decode the full list including occurrence offsets.
-
-        Raises:
-            CodecError: if the codec was built without positions.
-        """
-        if not self.include_positions:
-            raise CodecError("this index stores no occurrence offsets")
-        doc_codec = self._doc_codec(df, context)
-        position_codec = self._position_codec(df, cf, context)
-        reader = BitReader(data)
-        docs = np.empty(df, dtype=np.int64)
-        counts = np.empty(df, dtype=np.int64)
-        previous_doc = -1
-        for slot in range(df):
-            previous_doc += doc_codec.decode_value(reader) + 1
-            docs[slot] = previous_doc
-            counts[slot] = self._count_codec.decode_value(reader) + 1
-        entries = []
-        for slot in range(df):
-            previous_position = -1
-            positions = np.empty(counts[slot], dtype=np.int64)
-            for occurrence in range(int(counts[slot])):
-                previous_position += position_codec.decode_value(reader) + 1
-                positions[occurrence] = previous_position
-            entries.append(PostingEntry(int(docs[slot]), positions))
-        return entries
-
-    def decode_postings_flat(
-        self,
-        buffer: np.ndarray,
-        byte_offsets: np.ndarray,
-        lengths: np.ndarray,
-        dfs: np.ndarray,
-        cfs: np.ndarray,
-        context: PostingsContext,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full decode (offsets included) of many lists as flat arrays.
-
-        The lists are laid out as for :meth:`decode_docs_counts_flat`.
-        Returns ``(docs, counts, offsets)``: every list's entries
-        concatenated in request order, and each entry's occurrence
-        offsets (``counts`` long each) concatenated likewise.  Lists
-        the block decoder cannot finish cleanly are re-decoded with the
-        scalar loop, so values and exceptions match :meth:`decode`
-        exactly.
-        """
-        decoded: list[
-            tuple[np.ndarray, np.ndarray, np.ndarray] | None
-        ]
-        if self._fast_decodable() and self.include_positions:
-            position_parameters = np.fromiter(
-                (
-                    self._position_parameter(df, cf, context)
-                    for df, cf in zip(dfs.tolist(), cfs.tolist())
-                ),
-                dtype=np.int64,
-                count=dfs.shape[0],
-            )
-            decoded = fastunpack.decode_postings_batch(
-                buffer,
-                byte_offsets,
-                lengths,
-                dfs,
-                self._doc_parameters(dfs, context),
-                position_parameters,
-            )
-        else:
-            decoded = [None] * dfs.shape[0]
-        parts = []
-        for slot, fast in enumerate(decoded):
-            if fast is None:
-                entries = self.decode(
-                    _list_bytes(buffer, byte_offsets, lengths, slot),
-                    int(dfs[slot]),
-                    int(cfs[slot]),
-                    context,
-                )
-                fast = (
-                    np.array([e.sequence for e in entries], dtype=np.int64),
-                    np.array([e.count for e in entries], dtype=np.int64),
-                    np.concatenate(
-                        [e.positions for e in entries]
-                        + [np.empty(0, dtype=np.int64)]
-                    ),
-                )
-            parts.append(fast)
-        if not parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        return tuple(
-            np.concatenate([part[field] for part in parts])
-            for field in range(3)
-        )
-
-    def describe(self) -> dict[str, object]:
-        """Codec configuration as a plain dict (for index headers)."""
-        return {
-            "doc_codec": self.doc_codec_name,
-            "count_codec": self.count_codec_name,
-            "position_codec": self.position_codec_name,
-            "include_positions": self.include_positions,
-        }
-
-    @classmethod
-    def from_description(cls, description: dict[str, object]) -> "PostingsCodec":
-        """Rebuild a codec from :meth:`describe` output."""
-        return cls(
-            doc_codec=str(description["doc_codec"]),
-            count_codec=str(description["count_codec"]),
-            position_codec=str(description["position_codec"]),
-            include_positions=bool(description["include_positions"]),
-        )
-
-
-def _list_bytes(
-    buffer: np.ndarray,
-    byte_offsets: np.ndarray,
-    lengths: np.ndarray,
-    slot: int,
-) -> bytes:
-    """List ``slot``'s bytes, for the scalar decode."""
-    start = int(byte_offsets[slot])
-    return bytes(buffer[start : start + int(lengths[slot])])

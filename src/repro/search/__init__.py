@@ -17,7 +17,6 @@ from repro.search.coarse import (
     CoarseRanker,
     CoarseScorer,
     CountScorer,
-    DiagonalScorer,
     IdfScorer,
     NormalisedScorer,
     make_scorer,
@@ -26,7 +25,7 @@ from repro.search.engine import FINE_MODES, PartitionedSearchEngine
 from repro.search.exhaustive import ExhaustiveSearcher
 from repro.search.fasta_like import FastaLikeSearcher
 from repro.search.fine import FineSearcher
-from repro.search.frames import FrameCandidate, FrameRanker
+from repro.search.frames import FrameLocaliser
 from repro.search.results import (
     CoarseCandidate,
     SearchHit,
@@ -44,12 +43,10 @@ __all__ = [
     "CoarseScorer",
     "CountScorer",
     "Deadline",
-    "DiagonalScorer",
     "ExhaustiveSearcher",
     "FastaLikeSearcher",
     "FineSearcher",
-    "FrameCandidate",
-    "FrameRanker",
+    "FrameLocaliser",
     "IdfScorer",
     "NormalisedScorer",
     "PartitionedSearchEngine",

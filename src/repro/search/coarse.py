@@ -9,12 +9,10 @@ Three accumulator strategies are provided (the A3 ablation):
 
 * ``count`` — per interval, each sequence gains ``min(query count,
   sequence count)`` — the number of *matching* interval occurrences;
+* ``idf`` — the count score with each interval weighted by its
+  rarity, ``log(1 + N / df)``;
 * ``normalised`` — the count score scaled by sequence length, removing
-  the long-sequence advantage of chance hits;
-* ``diagonal`` — FASTA-style: hits are binned by alignment diagonal and
-  a sequence scores its best single band, which rewards *collinear*
-  runs of matching intervals rather than scattered ones.  This needs
-  the occurrence offsets, i.e. an index built with positions.
+  the long-sequence advantage of chance hits.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ class CoarseScorer(ABC):
         index: IndexReader,
         query_ids: np.ndarray,
         query_counts: np.ndarray,
-        query_positions: list[np.ndarray],
         *,
         skip: set[int] | None = None,
         deadline: Deadline | None = None,
@@ -61,7 +58,6 @@ class CoarseScorer(ABC):
             index: the interval index.
             query_ids: distinct interval ids in the query.
             query_counts: occurrences of each id in the query.
-            query_positions: query offsets of each id's occurrences.
             skip / deadline: the quarantine set and time budget of
                 :meth:`~repro.index.builder.IndexReader.read_lists`.
         """
@@ -71,13 +67,12 @@ def count_decoded_postings(instruments: Instruments, lens: np.ndarray) -> None:
     """Record the posting lists the coarse phase decoded.
 
     This is the single definition of the two counters' units, shared by
-    every scorer and ranker (``coarse.py`` and ``frames.py`` alike):
+    every scorer:
 
     * ``coarse.postings_fetched`` — +1 per posting *list* decoded
       (``lens > 0``);
     * ``coarse.dgaps_decoded`` — +df per list: one per posting (one
-      document gap per document entry), regardless of whether the
-      consumer also decoded the occurrence offsets.
+      document gap per document entry).
     """
     fetched = int(np.count_nonzero(lens))
     if fetched:
@@ -95,7 +90,6 @@ class CountScorer(CoarseScorer):
         index: IndexReader,
         query_ids: np.ndarray,
         query_counts: np.ndarray,
-        query_positions: list[np.ndarray],
         *,
         skip: set[int] | None = None,
         deadline: Deadline | None = None,
@@ -130,7 +124,6 @@ class IdfScorer(CoarseScorer):
         index: IndexReader,
         query_ids: np.ndarray,
         query_counts: np.ndarray,
-        query_positions: list[np.ndarray],
         *,
         skip: set[int] | None = None,
         deadline: Deadline | None = None,
@@ -168,7 +161,6 @@ class NormalisedScorer(CoarseScorer):
         index: IndexReader,
         query_ids: np.ndarray,
         query_counts: np.ndarray,
-        query_positions: list[np.ndarray],
         *,
         skip: set[int] | None = None,
         deadline: Deadline | None = None,
@@ -178,116 +170,17 @@ class NormalisedScorer(CoarseScorer):
         # default, which silently dropped this scorer's fetch counters.
         inner.instruments = self.instruments
         raw = inner.score(
-            index, query_ids, query_counts, query_positions,
-            skip=skip, deadline=deadline,
+            index, query_ids, query_counts, skip=skip, deadline=deadline
         )
         lengths = np.maximum(index.collection.lengths, 1).astype(np.float64)
         return raw * (index.collection.context().mean_length / lengths)
 
 
-class DiagonalScorer(CoarseScorer):
-    """Best single diagonal band of matching intervals (FASTA-style).
-
-    Args:
-        band_width: diagonals are binned into bands this wide, so small
-            indels stay within one band.
-
-    Raises:
-        SearchError: at scoring time if the index has no offsets.
-    """
-
-    name = "diagonal"
-
-    def __init__(self, band_width: int = 16) -> None:
-        if band_width < 1:
-            raise SearchError(f"band_width must be >= 1, got {band_width}")
-        self.band_width = band_width
-
-    def score(
-        self,
-        index: IndexReader,
-        query_ids: np.ndarray,
-        query_counts: np.ndarray,
-        query_positions: list[np.ndarray],
-        *,
-        skip: set[int] | None = None,
-        deadline: Deadline | None = None,
-    ) -> np.ndarray:
-        if not index.params.include_positions:
-            raise SearchError(
-                "diagonal coarse scoring needs an index built with positions"
-            )
-        lists = index.read_lists(
-            query_ids, positions=True, skip=skip, deadline=deadline
-        )
-        count_decoded_postings(self.instruments, lists[0])
-        scores = np.zeros(index.collection.num_sequences, dtype=np.float64)
-        docs, diagonals = diagonal_hits(lists, query_positions)
-        if not docs.shape[0]:
-            return scores
-        # Count hits per (sequence, band), then keep each sequence's
-        # best.  Dedup over a 2-column (doc, band) array: packing both
-        # into one integer key silently collided or mis-extracted docs
-        # once a banded diagonal fell outside +-2**30.
-        key_docs, _, hit_counts = band_hit_counts(
-            docs, diagonals // self.band_width
-        )
-        np.maximum.at(scores, key_docs, hit_counts.astype(np.float64))
-        return scores
-
-
-def diagonal_hits(
-    lists: tuple[np.ndarray, ...], query_positions: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every (query offset, sequence offset) pair of a matching interval
-    as (sequence ordinal, diagonal = sequence offset - query offset).
-
-    ``lists`` is :meth:`~repro.index.builder.IndexReader.read_lists`
-    output with positions over the query's intervals, and
-    ``query_positions[i]`` holds interval ``i``'s query offsets.
-    """
-    lens, docs, counts, offsets = lists
-    sizes = np.array(
-        [group.shape[0] for group in query_positions], dtype=np.int64
-    )
-    # Each occurrence pairs with every query offset of its interval.
-    interval_of = np.repeat(np.repeat(np.arange(lens.shape[0]), lens), counts)
-    pairs = sizes[interval_of]
-    total = int(pairs.sum())
-    if not total:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    within = np.arange(total) - np.repeat(np.cumsum(pairs) - pairs, pairs)
-    first_query = np.cumsum(sizes) - sizes
-    query_offsets = np.concatenate(query_positions)[
-        np.repeat(first_query[interval_of], pairs) + within
-    ]
-    return (
-        np.repeat(np.repeat(docs, counts), pairs),
-        np.repeat(offsets, pairs) - query_offsets,
-    )
-
-
-def band_hit_counts(
-    docs: np.ndarray, bands: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hits per distinct (sequence, diagonal band) pair.
-
-    Returns each pair's sequence ordinal, band, and hit count, sorted
-    by (sequence, band).  Dedup runs over a 2-column array, so the full
-    int64 diagonal range is safe — no packed-key arithmetic, which
-    collided or mis-extracted ordinals for bands outside +-2**30.
-    """
-    pairs = np.stack((docs, bands), axis=1)
-    unique_pairs, hit_counts = np.unique(pairs, axis=0, return_counts=True)
-    return unique_pairs[:, 0], unique_pairs[:, 1], hit_counts
-
-
-_SCORERS: dict[str, type[CoarseScorer]] = {
+#: The scorer registry: every registered name, in presentation order.
+SCORERS: dict[str, type[CoarseScorer]] = {
     CountScorer.name: CountScorer,
     IdfScorer.name: IdfScorer,
     NormalisedScorer.name: NormalisedScorer,
-    DiagonalScorer.name: DiagonalScorer,
 }
 
 
@@ -298,10 +191,10 @@ def make_scorer(name: str, **kwargs) -> CoarseScorer:
         SearchError: if the name is unknown.
     """
     try:
-        return _SCORERS[name](**kwargs)
+        return SCORERS[name](**kwargs)
     except KeyError:
         raise SearchError(
-            f"unknown coarse scorer {name!r}; known: {sorted(_SCORERS)}"
+            f"unknown coarse scorer {name!r}; known: {sorted(SCORERS)}"
         ) from None
 
 
@@ -382,15 +275,14 @@ class CoarseRanker:
         """
         if cutoff < 1:
             raise SearchError(f"cutoff must be >= 1, got {cutoff}")
-        unique_ids, counts, groups = self.query_intervals(query_codes)
+        unique_ids, counts, _ = self.query_intervals(query_codes)
         if not unique_ids.shape[0]:
             return []
         self.instruments.count(
             "coarse.query_intervals", int(unique_ids.shape[0])
         )
         scores = self.scorer.score(
-            self.index, unique_ids, counts, groups,
-            skip=self._skip, deadline=deadline,
+            self.index, unique_ids, counts, skip=self._skip, deadline=deadline
         )
         positive = np.flatnonzero(scores > 0)
         if not positive.shape[0]:

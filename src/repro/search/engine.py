@@ -17,8 +17,9 @@ cutoffs trade a little recall for a large constant-factor speedup
 
 Two refinements beyond the basic pipeline:
 
-* ``fine_mode="frames"`` aligns only the target *region* the coarse
-  hits localise (CAFE's fine search) instead of whole candidates;
+* ``fine_mode="frames"`` aligns only the *region* of each fetched
+  candidate that its shared intervals with the query localise (CAFE's
+  fine search; :mod:`repro.search.frames`) instead of whole candidates;
 * ``both_strands=True`` also evaluates the query's reverse complement
   and merges the two orientations, as nucleotide search tools must.
 
@@ -27,9 +28,9 @@ Two refinements beyond the basic pipeline:
 the one-shard spelling):
 
 1. **fan out** — every shard ranks its own slice with its local index
-   (the ``count`` and ``diagonal`` scorers accumulate per-sequence
-   evidence only, so a shard's coarse scores are exactly the scores a
-   global index would give its sequences);
+   (the ``count`` scorer accumulates per-sequence evidence only, so a
+   shard's coarse scores are exactly the scores a global index would
+   give its sequences);
 2. **merge** — per-shard candidates are merged on the global ordering
    (coarse score desc, global ordinal asc) and cut at ``coarse_cutoff``:
    any sequence in the global top-``C`` is in its shard's top-``C``;
@@ -68,8 +69,8 @@ coarse score 0 and skips the merge-cut.  The fetch under each shard's
 breaker, the chunked deadline scan, tombstone elision, the strand merge
 and the E-values run unchanged, so :func:`fine_order` reduces to the
 exhaustive scan's (score desc, ordinal asc) and the report is flagged
-``degraded``.  Only ``fine_mode="frames"`` is refused on a shard with no
-index: there is no positional evidence to localise with.
+``degraded``.  Frames localise from the fetched records, so
+``fine_mode="frames"`` runs degraded too.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ import numpy as np
 from repro.align.scoring import ScoringScheme
 from repro.align.statistics import GumbelParameters
 from repro.errors import CorruptionError, SearchError, StorageError
-from repro.index.builder import IndexReader
+from repro.index.builder import IndexParameters, IndexReader
 from repro.index.store import SequenceSource
 from repro.instrumentation.eventlog import options_digest
 from repro.instrumentation.instruments import (
@@ -100,7 +101,7 @@ from repro.instrumentation.instruments import (
 from repro.search.coarse import CoarseScorer
 from repro.search.deadline import Deadline, ensure_deadline
 from repro.search.fine import fetch_targets, scan_targets
-from repro.search.frames import FrameRanker
+from repro.search.frames import FrameLocaliser
 from repro.search.resilience import (
     CircuitBreaker,
     ShardResilience,
@@ -125,7 +126,7 @@ CORRUPTION_POLICIES = ("raise", "skip", "fallback")
 
 #: Coarse scorers whose per-shard scores equal global scores (they
 #: accumulate per-sequence evidence only, no collection statistics).
-SHARDABLE_COARSE_SCORERS = ("count", "diagonal")
+SHARDABLE_COARSE_SCORERS = ("count",)
 
 #: Exceptions a resilient engine treats as one shard failing (instead
 #: of the whole query): storage/index damage, OS-level I/O trouble,
@@ -154,7 +155,7 @@ class _Shard:
     dead: int
     #: The shard's coarse index; ``None`` when it is unusable.
     index: IndexReader | None
-    #: Coarse or frame ranker: ``rank(codes, cutoff, deadline=)``; its
+    #: The backend's ranker: ``rank(codes, cutoff, deadline=)``; its
     #: ``quarantined`` set holds what ``"skip"`` quarantined.  ``None``
     #: when the shard has no index.
     ranker: object | None
@@ -179,17 +180,16 @@ class PartitionedSearchEngine:
             ordinal order.
         scheme: fine-phase scoring (defaults to match 1 / mismatch -1 /
             gap -2).
-        coarse_scorer: accumulator strategy or its registered name
-            (ignored by the frame fine mode, which ranks by diagonal
-            evidence).  With more than one shard, or tombstones, it
-            must be one of :data:`SHARDABLE_COARSE_SCORERS`.
+        coarse_scorer: accumulator strategy or its registered name.
+            With more than one shard, or tombstones, it must be one of
+            :data:`SHARDABLE_COARSE_SCORERS`.
         coarse_cutoff: candidates the coarse phase hands to the fine
             phase; it bounds the merged candidate list, not each
             shard's.
         min_fine_score: alignments below this never become answers.
         fine_mode: ``"full"`` aligns whole candidates; ``"frames"``
-            aligns only the localised candidate regions (needs an index
-            with positions).
+            aligns only each candidate's frame (see
+            :mod:`repro.search.frames`).
         both_strands: also search the reverse complement of every
             query and merge results (a hit's ``strand`` is ``"-"`` when
             the reverse complement matched better).
@@ -409,25 +409,14 @@ class PartitionedSearchEngine:
         # Rankers quarantine under "skip" only: under "fallback" any
         # corruption aborts the partitioned pipeline and the query is
         # re-answered in degraded mode, preserving full recall.
-        backend = (
-            None if index is None
-            else getattr(index, "coarse_backend", "inverted")
-        )
-        if self.fine_mode == "frames" and backend != "inverted":
-            raise SearchError(
-                "fine_mode='frames' needs positional evidence from the "
-                f"inverted coarse backend; shard {slot} "
-                + ("has no usable index" if index is None
-                   else f"uses {backend!r}")
-            )
         if index is None:
             ranker = None
-        elif self.fine_mode == "frames":
-            ranker = FrameRanker(index, on_corruption=self.on_corruption)
         else:
             from repro.coarse_backends import get_backend
 
-            ranker = get_backend(backend).make_ranker(
+            ranker = get_backend(
+                getattr(index, "coarse_backend", "inverted")
+            ).make_ranker(
                 index, coarse_scorer, on_corruption=self.on_corruption
             )
         breaker = (
@@ -514,12 +503,9 @@ class PartitionedSearchEngine:
         deadline: Deadline | None = None,
     ) -> list:
         """Run only a one-shard engine's coarse phase: ranked
-        candidates, best first, tombstoned ones included.
+        :class:`~repro.search.results.CoarseCandidate` s, best first,
+        tombstoned ones included.
 
-        The candidate type depends on the fine mode —
-        :class:`~repro.search.results.CoarseCandidate` under ``"full"``,
-        :class:`~repro.search.frames.FrameCandidate` under ``"frames"``
-        — and either way ``ordinal``/``coarse_score`` carry the ranking.
         With :meth:`fine_align` this is what :meth:`search` runs per
         shard, so a caller can compose the fan-out by hand.
 
@@ -543,9 +529,9 @@ class PartitionedSearchEngine:
         """Run only a one-shard engine's fine phase over pre-selected
         candidates; hits keep the shard's stored ordinals.
 
-        ``candidates`` must be the type :meth:`coarse_rank` produces
-        for this engine's fine mode.  This is :meth:`search`'s fine
-        stage: the corruption policy applies (corrupt store records are
+        ``candidates`` are what :meth:`coarse_rank` produces; under
+        ``"frames"`` each is aligned over its frame.  This is
+        :meth:`search`'s fine stage: the corruption policy applies (corrupt store records are
         quarantined under ``"skip"``), a resilient engine retries a
         failing fetch under the shard's breaker, and a bounded
         ``deadline`` yields a correctly ordered partial result.
@@ -814,6 +800,11 @@ class PartitionedSearchEngine:
         :class:`ShardUnavailable` when ``degraded`` is None.
         """
         elided = self.tombstones if elide else self.tombstones[:0]
+        localise = None
+        if self.fine_mode == "frames":
+            localise = FrameLocaliser(
+                codes, (self.params or IndexParameters()).interval_length
+            )
         step = DEADLINE_FINE_CHUNK if deadline.bounded else len(selected)
         hits: list[SearchHit] = []
         scanned = 0
@@ -826,6 +817,8 @@ class PartitionedSearchEngine:
             )
             if not kept:
                 continue
+            if localise is not None:
+                targets = localise(targets)
             with self.instruments.span("scan") as span:
                 scores, columns = scan_targets(codes, targets, self.scheme)
                 stored = np.array([row[1] for row in kept], dtype=np.int64)

@@ -1,9 +1,10 @@
 """Exhaustive Smith-Waterman scanning — the paper's gold-standard rival.
 
 Every query is locally aligned against *every* collection sequence.
-The scanner concatenates the collection once (sentinel-separated) and
-reuses that image across queries, so the per-query cost is one pass of
-the vectorised kernel over the whole collection: exactly the linear-
+The scanner concatenates the collection (sentinel-separated) for its
+first query and reuses that image across queries, rebuilding it only
+when a longer query arrives, so the per-query cost is one pass of the
+vectorised kernel over the whole collection: exactly the linear-
 in-collection-size behaviour the paper argues will become prohibitive.
 Doubles as the effectiveness oracle for E5/E7.
 """
@@ -27,18 +28,12 @@ from repro.instrumentation.instruments import (
 from repro.search.results import SearchHit, SearchReport
 from repro.sequences.record import Sequence
 
-#: Image bound used when the caller gives no explicit query ceiling.
-DEFAULT_MAX_QUERY_LENGTH = 2048
-
-
 class ExhaustiveSearcher:
     """Full-collection Smith-Waterman scan.
 
     Args:
         source: the collection (a source or a plain list of records).
         scheme: local-alignment scoring.
-        max_query_length: longest query the prebuilt image must admit;
-            longer queries trigger a transparent image rebuild.
         min_score: alignments below this never become answers.
         instruments: optional observability sink (``exhaustive.*``
             metrics plus a ``search`` span per query).
@@ -48,7 +43,6 @@ class ExhaustiveSearcher:
         self,
         source: SequenceSource | TypingSequence[Sequence],
         scheme: ScoringScheme | None = None,
-        max_query_length: int = DEFAULT_MAX_QUERY_LENGTH,
         min_score: int = 1,
         instruments: Instruments | None = None,
     ) -> None:
@@ -62,7 +56,9 @@ class ExhaustiveSearcher:
         self.instruments = NULL_INSTRUMENTS
         if instruments is not None:
             self.set_instruments(instruments)
-        self._image = self._build_image(max_query_length)
+        # Built for the first query, rebuilt for a longer one: the
+        # sentinel runs are sized for the longest query seen so far.
+        self._image: TargetImage | None = None
 
     def set_instruments(self, instruments: Instruments | None) -> None:
         """Attach observability to the scanner (``None`` detaches)."""
@@ -82,8 +78,11 @@ class ExhaustiveSearcher:
     def scores(self, query: Sequence | np.ndarray) -> np.ndarray:
         """Best local score against every sequence (by ordinal)."""
         _, codes = self._query_codes(query)
-        if codes.shape[0] > self._image.max_query_length:
-            self._image = self._build_image(int(codes.shape[0]))
+        if (
+            self._image is None
+            or codes.shape[0] > self._image.max_query_length
+        ):
+            self._image = self._build_image(max(1, int(codes.shape[0])))
         return segment_best_scores(codes, self._image, self.scheme)
 
     def search(

@@ -30,14 +30,11 @@ def fetch_targets(
     candidates: Sequence,
     on_corrupt: Callable[[object, CorruptionError], None] | None = None,
 ) -> list[np.ndarray | None]:
-    """Each candidate's target codes, in candidate order.
+    """Each candidate's record codes, in candidate order.
 
-    A target is what ``candidate.target`` keeps of the record: the
-    whole record for a coarse candidate, its frame for a
-    :class:`~repro.search.frames.FrameCandidate`.  A record failing its
-    checksum raises :class:`CorruptionError`, unless ``on_corrupt`` is
-    given: then it is called with the candidate and the error, and the
-    candidate's target is ``None``.
+    A record failing its checksum raises :class:`CorruptionError`,
+    unless ``on_corrupt`` is given: then it is called with the
+    candidate and the error, and the candidate's target is ``None``.
     """
     targets: list[np.ndarray | None] = []
     for candidate in candidates:
@@ -49,7 +46,7 @@ def fetch_targets(
             on_corrupt(candidate, exc)
             targets.append(None)
         else:
-            targets.append(candidate.target(codes))
+            targets.append(codes)
     return targets
 
 

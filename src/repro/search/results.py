@@ -13,11 +13,6 @@ class CoarseCandidate:
     ordinal: int
     coarse_score: float
 
-    def target(self, codes):
-        """What the fine phase aligns of the record's ``codes``: all of
-        it."""
-        return codes
-
 
 @dataclass(frozen=True)
 class SearchHit:

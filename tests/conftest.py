@@ -77,51 +77,68 @@ def small_source(small_workload) -> MemorySequenceSource:
 # -- recall against an exhaustive oracle ---------------------------------
 
 
-def scalar_read_lists(index, interval_ids, positions=False):
-    """The ``read_lists`` layout built by the scalar per-list decoders:
+def scalar_read_lists(index, interval_ids):
+    """The ``read_lists`` layout built by the scalar per-list decoder:
     each id looked up on its own and decoded with
-    ``PostingsCodec.decode_docs_counts`` (or ``decode`` with positions).
-    This is the oracle the flat block decoder must match exactly."""
+    ``PostingsCodec.decode_docs_counts``.  This is the oracle the flat
+    block decoder must match exactly."""
     codec, context = index.codec, index.context
-    lens, docs, counts, offsets = [], [], [], []
+    lens, docs, counts = [], [], []
     for interval in interval_ids:
         entry = index.lookup_entry(int(interval))
         if entry is None:
             lens.append(0)
             continue
         lens.append(entry.df)
-        if positions:
-            entries = codec.decode(entry.data, entry.df, entry.cf, context)
-            docs.extend(posting.sequence for posting in entries)
-            counts.extend(posting.count for posting in entries)
-            offsets.extend(posting.positions for posting in entries)
-        else:
-            got_docs, got_counts = codec.decode_docs_counts(
-                entry.data, entry.df, context
-            )
-            docs.extend(got_docs.tolist())
-            counts.extend(got_counts.tolist())
-    lists = (
+        got_docs, got_counts = codec.decode_docs_counts(
+            entry.data, entry.df, context
+        )
+        docs.extend(got_docs.tolist())
+        counts.extend(got_counts.tolist())
+    return (
         np.array(lens, dtype=np.int64),
         np.array(docs, dtype=np.int64),
         np.array(counts, dtype=np.int64),
     )
-    if not positions:
-        return lists
-    return lists + (
-        np.concatenate(offsets).astype(np.int64)
-        if offsets else np.empty(0, dtype=np.int64),
-    )
 
 
 def read_postings(index, interval):
-    """One posting list through ``read_lists``: ``(sequence, offsets)``
+    """One posting list through ``read_lists``: ``(sequence, count)``
     per entry, empty when the interval is absent."""
-    _, docs, counts, offsets = index.read_lists([interval], positions=True)
-    chunks = np.split(offsets, np.cumsum(counts)[:-1])
-    return [
-        (doc, chunk.tolist()) for doc, chunk in zip(docs.tolist(), chunks)
-    ]
+    _, docs, counts = index.read_lists([interval])
+    return list(zip(docs.tolist(), counts.tolist()))
+
+
+def encode_with_offsets(spec, context) -> bytes:
+    """One ``(sequence, offsets)`` list as index files written with
+    occurrence offsets hold it: the entries, then every entry's offset
+    gaps under the Golomb parameter derived from the mean occurrences
+    per entry and the mean sequence length."""
+    from repro.compression.bitio import BitWriter
+    from repro.compression.elias import EliasGammaCodec
+    from repro.compression.golomb import GolombCodec, optimal_golomb_parameter
+
+    df = len(spec)
+    cf = sum(len(positions) for _, positions in spec)
+    gaps = GolombCodec(optimal_golomb_parameter(df, context.num_sequences))
+    offsets = GolombCodec(
+        optimal_golomb_parameter(
+            max(1, round(cf / df)), round(context.mean_length)
+        )
+    )
+    gamma = EliasGammaCodec()
+    writer = BitWriter()
+    previous = -1
+    for doc, positions in spec:
+        gaps.encode_value(writer, doc - previous - 1)
+        gamma.encode_value(writer, len(positions) - 1)
+        previous = doc
+    for _, positions in spec:
+        previous = -1
+        for position in positions:
+            offsets.encode_value(writer, position - previous - 1)
+            previous = position
+    return writer.getvalue()
 
 
 def mean_oracle_recall(searcher, oracle, queries, top_k=4, **search_kwargs):

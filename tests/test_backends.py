@@ -365,9 +365,17 @@ class TestDatabaseSignature:
             best = reopened.search(records[3].slice(40, 180), top_k=1)
             assert best.best().ordinal in (3, 17)
 
-    def test_frames_mode_rejected(self, single):
-        with pytest.raises(SearchError, match="frames"):
-            single.engine(fine_mode="frames")
+    def test_frames_mode_answered(self, single, records):
+        """Frames localise from the fetched records, so the signature
+        backend's candidates are cut to frames like the inverted ones."""
+        query = records[3].slice(40, 180)
+        full = single.search(query, top_k=4)
+        framed = single.search(query, top_k=4, fine_mode="frames")
+        assert {hit.ordinal for hit in framed.hits[:2]} == {3, 17}
+        assert framed.best().score == full.best().score
+        whole = {hit.ordinal: hit.score for hit in full.hits}
+        for hit in framed.hits:
+            assert hit.score <= whole.get(hit.ordinal, hit.score)
 
     def test_non_count_scorer_rejected(self, single):
         with pytest.raises(SearchError, match="'count'"):
@@ -608,10 +616,7 @@ def _recall_world(tmp_path_factory, name, spec, seed):
             collection, 6, query_length=120, seed=seed
         )
     ]
-    longest = max(len(query) for query in queries)
-    oracle = ExhaustiveSearcher(
-        MemorySequenceSource(records), max_query_length=longest
-    )
+    oracle = ExhaustiveSearcher(MemorySequenceSource(records))
     root = tmp_path_factory.mktemp(name)
     databases = {
         backend: Database.create(

@@ -22,14 +22,24 @@ def seq(identifier: str, text: str) -> Sequence:
 
 class TestParameters:
     def test_describe_roundtrip(self):
-        params = IndexParameters(6, 2, "vbyte", "delta", "rice", False)
-        assert IndexParameters.from_description(params.describe()) == params
+        params = IndexParameters(6, 2)
+        description = params.describe()
+        assert IndexParameters.from_description(description) == params
+        # The header keeps every key a file with offsets carried, at
+        # the one codec's fixed values.
+        assert description == {
+            "interval_length": 6,
+            "stride": 2,
+            "doc_codec": "golomb",
+            "count_codec": "gamma",
+            "position_codec": "golomb",
+            "include_positions": False,
+        }
 
     def test_factories(self):
         params = IndexParameters(interval_length=5, stride=3)
         assert params.make_extractor().length == 5
         assert params.make_extractor().stride == 3
-        assert params.make_codec().include_positions
 
 
 class TestCollectionInfo:
@@ -59,10 +69,7 @@ class TestBuild:
     def test_every_occurrence_is_indexed(self):
         records = [seq("a", "ACGTACGT"), seq("b", "TTACGTTT")]
         index = build_index(records, IndexParameters(interval_length=4))
-        assert read_postings(index, interval_id("ACGT")) == [
-            (0, [0, 4]),
-            (1, [2]),
-        ]
+        assert read_postings(index, interval_id("ACGT")) == [(0, 2), (1, 1)]
 
     def test_absent_interval(self):
         index = build_index([seq("a", "AAAA")], IndexParameters(interval_length=4))
@@ -132,15 +139,17 @@ class TestBuild:
     length=st.integers(min_value=1, max_value=6),
 )
 def test_index_reconstructs_extraction_exactly(texts, length):
-    """Decoded postings are exactly the extractor's output, regrouped."""
+    """Decoded postings are exactly the extractor's output, counted per
+    sequence."""
     records = [seq(f"s{slot}", text) for slot, text in enumerate(texts)]
     index = build_index(records, IndexParameters(interval_length=length))
     extractor = IntervalExtractor(length)
-    expected: dict[int, dict[int, list[int]]] = {}
+    expected: dict[int, dict[int, int]] = {}
     for ordinal, record in enumerate(records):
-        ids, positions = extractor.extract(record.codes)
-        for packed, position in zip(ids.tolist(), positions.tolist()):
-            expected.setdefault(packed, {}).setdefault(ordinal, []).append(position)
+        ids, _ = extractor.extract(record.codes)
+        for packed in ids.tolist():
+            by_doc = expected.setdefault(packed, {})
+            by_doc[ordinal] = by_doc.get(ordinal, 0) + 1
     assert set(index.interval_ids()) == set(expected)
     for packed, by_doc in expected.items():
         assert dict(read_postings(index, packed)) == by_doc

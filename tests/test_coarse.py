@@ -4,21 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import SearchError
-from repro.index.builder import (
-    CollectionInfo,
-    IndexParameters,
-    IndexReader,
-    VocabEntry,
-    build_index,
-)
-from repro.index.postings import PostingEntry
+from repro.index.builder import IndexParameters, build_index
 from repro.instrumentation.instruments import Instruments
 from repro.search.coarse import (
     CoarseRanker,
     CountScorer,
-    DiagonalScorer,
+    IdfScorer,
     NormalisedScorer,
-    band_hit_counts,
     make_scorer,
 )
 from repro.sequences.record import Sequence
@@ -36,17 +28,11 @@ def collection():
         Sequence(f"r{slot}", rng.integers(0, 4, 300, dtype=np.uint8))
         for slot in range(30)
     ]
-    # Plant: sequence 7 contains the query verbatim; sequence 12 contains
-    # a shuffled (non-collinear) version of the query's intervals.
+    # Plant: sequence 7 contains the query verbatim.
     query = rng.integers(0, 4, 60, dtype=np.uint8)
     planted = records[7].codes.copy()
     planted[100:160] = query
     records[7] = Sequence("r7", planted)
-    scrambled = records[12].codes.copy()
-    pieces = [query[start : start + 10] for start in range(0, 60, 10)]
-    for slot, piece in enumerate(reversed(pieces)):
-        scrambled[30 * slot : 30 * slot + 10] = piece
-    records[12] = Sequence("r12", scrambled)
     return records, query
 
 
@@ -59,16 +45,12 @@ def index(collection):
 class TestMakeScorer:
     def test_known_names(self):
         assert isinstance(make_scorer("count"), CountScorer)
+        assert isinstance(make_scorer("idf"), IdfScorer)
         assert isinstance(make_scorer("normalised"), NormalisedScorer)
-        assert isinstance(make_scorer("diagonal"), DiagonalScorer)
 
     def test_unknown_name(self):
         with pytest.raises(SearchError):
             make_scorer("pagerank")
-
-    def test_diagonal_band_width_validation(self):
-        with pytest.raises(SearchError):
-            DiagonalScorer(band_width=0)
 
 
 class TestRanking:
@@ -117,126 +99,6 @@ class TestRanking:
         assert by_ordinal[1] == 1.0
 
 
-class TestDiagonalVsCount:
-    def test_diagonal_scorer_prefers_collinear_hits(self, index, collection):
-        """The scrambled sequence shares intervals but not a diagonal,
-        so the diagonal scorer separates it from the true match much
-        more sharply than raw counts do."""
-        _, query = collection
-        count_scores = {
-            c.ordinal: c.coarse_score
-            for c in CoarseRanker(index, "count").rank(query, cutoff=30)
-        }
-        diagonal_scores = {
-            c.ordinal: c.coarse_score
-            for c in CoarseRanker(index, DiagonalScorer(band_width=8)).rank(
-                query, cutoff=30
-            )
-        }
-        count_margin = count_scores[7] / max(count_scores.get(12, 1.0), 1.0)
-        diagonal_margin = diagonal_scores[7] / max(
-            diagonal_scores.get(12, 1.0), 1.0
-        )
-        assert diagonal_margin > count_margin
-
-    def test_diagonal_scorer_requires_positions(self, collection):
-        records, query = collection
-        bare = build_index(
-            records,
-            IndexParameters(interval_length=8, include_positions=False),
-        )
-        ranker = CoarseRanker(bare, "diagonal")
-        with pytest.raises(SearchError, match="positions"):
-            ranker.rank(query, cutoff=5)
-
-
-class _HugeOffsetIndex(IndexReader):
-    """A hand-built two-interval index with extreme occurrence offsets.
-
-    Sequence 0 carries interval 0 at an offset far outside ``+-2**30``
-    — legal for the int64 position arrays, but fatal for the old packed
-    ``doc * 2**32 + band`` dedup key, which credited the hit to the
-    wrong sequence.
-    """
-
-    def __init__(self) -> None:
-        self.params = IndexParameters(interval_length=8)
-        self.collection = CollectionInfo(
-            identifiers=("big0", "big1", "big2"),
-            lengths=np.array([100, 100, 100], dtype=np.int64),
-        )
-        self._postings = {
-            0: [
-                PostingEntry(0, np.array([16 * 2**32], dtype=np.int64)),
-                PostingEntry(2, np.array([4], dtype=np.int64)),
-            ],
-        }
-
-    def lookup_entry(self, interval_id):
-        if interval_id in self._postings:
-            return VocabEntry(interval_id, 2, 2, b"")
-        return None
-
-    def decode_lists(self, resolved, *, positions=False):
-        postings = [
-            posting
-            for interval_id, df in zip(
-                resolved.interval_ids.tolist(), resolved.dfs.tolist()
-            )
-            if df
-            for posting in self._postings[interval_id]
-        ]
-        lens = resolved.dfs
-        docs = np.array([e.sequence for e in postings], dtype=np.int64)
-        counts = np.array([e.count for e in postings], dtype=np.int64)
-        offsets = np.concatenate([e.positions for e in postings])
-        flat = (lens, docs, counts, offsets)
-        return flat if positions else flat[:3]
-
-    def interval_ids(self):
-        return iter(sorted(self._postings))
-
-    @property
-    def vocabulary_size(self):
-        return len(self._postings)
-
-
-class TestBandHitCounts:
-    def test_counts_per_doc_band_pair(self):
-        docs = np.array([3, 3, 3, 1, 1], dtype=np.int64)
-        bands = np.array([5, 5, -2, 5, 5], dtype=np.int64)
-        key_docs, key_bands, counts = band_hit_counts(docs, bands)
-        assert key_docs.tolist() == [1, 3, 3]
-        assert key_bands.tolist() == [5, -2, 5]
-        assert counts.tolist() == [2, 1, 2]
-
-    def test_extreme_bands_stay_with_their_doc(self):
-        """Bands far outside +-2**30 must not collide or leak into a
-        different ordinal (regression: the old packed int64 key did
-        both)."""
-        docs = np.array([0, 0, 2], dtype=np.int64)
-        bands = np.array([2**32, 2**32, -(2**40)], dtype=np.int64)
-        key_docs, key_bands, counts = band_hit_counts(docs, bands)
-        assert key_docs.tolist() == [0, 2]
-        assert key_bands.tolist() == [2**32, -(2**40)]
-        assert counts.tolist() == [2, 1]
-
-
-class TestDiagonalExtremeOffsets:
-    def test_huge_offset_credits_the_right_sequence(self):
-        """A hit at offset 16*2**32 in sequence 0 used to be credited
-        to sequence 1 by the packed dedup key."""
-        index = _HugeOffsetIndex()
-        scorer = DiagonalScorer(band_width=16)
-        scores = scorer.score(
-            index,
-            np.array([0], dtype=np.int64),
-            np.array([1], dtype=np.int64),
-            [np.array([0], dtype=np.int64)],
-        )
-        assert scores.tolist() == [1.0, 0.0, 1.0]
-
-
 class TestNormalisedScorer:
     def test_long_sequences_are_penalised(self):
         # Same planted motif; the long sequence accumulates the same raw
@@ -262,16 +124,15 @@ class _ScalarReads:
         self.params = index.params
         self.collection = index.collection
 
-    def read_lists(self, interval_ids, *, positions=False, skip=None,
-                   deadline=None):
-        return scalar_read_lists(self._index, interval_ids, positions)
+    def read_lists(self, interval_ids, *, skip=None, deadline=None):
+        return scalar_read_lists(self._index, interval_ids)
 
 
 class TestFlatDecodeParity:
     """The flat block decoder must be invisible to ranking: every scorer
     ranks exactly as it does over the scalar per-list decode."""
 
-    SCORERS = ("count", "idf", "normalised", "diagonal")
+    SCORERS = ("count", "idf", "normalised")
 
     def test_rankings_identical_to_scalar_decode(self, index, collection):
         _, query = collection
@@ -319,7 +180,6 @@ class TestIdfSingleLookup:
         ids = list(index.interval_ids())[:6]
         query_ids = np.array(ids, dtype=np.int64)
         query_counts = np.ones(len(ids), dtype=np.int64)
-        groups = [np.array([0], dtype=np.int64) for _ in ids]
         calls = []
         original = index.lookup_entry
         index.lookup_entry = lambda interval_id: (
@@ -329,7 +189,7 @@ class TestIdfSingleLookup:
             scorer = make_scorer("idf")
             instruments = Instruments()
             scorer.instruments = instruments
-            scorer.score(index, query_ids, query_counts, groups)
+            scorer.score(index, query_ids, query_counts)
         finally:
             del index.lookup_entry
         # The idf weight reuses the entry the decode already

@@ -53,13 +53,13 @@ class FaultyIndex(IndexReader):
     def lookup_entry(self, interval_id):
         return self._inner.lookup_entry(interval_id)
 
-    def decode_lists(self, resolved, *, positions=False):
+    def decode_lists(self, resolved):
         for interval_id, df in zip(
             resolved.interval_ids.tolist(), resolved.dfs.tolist()
         ):
             if df:
                 self._check(interval_id)
-        return self._inner.decode_lists(resolved, positions=positions)
+        return self._inner.decode_lists(resolved)
 
     def interval_ids(self):
         return self._inner.interval_ids()
@@ -174,7 +174,6 @@ SCORER_MODES = [
     ("count", "full"),
     ("idf", "full"),
     ("normalised", "full"),
-    ("diagonal", "full"),
     ("count", "frames"),
 ]
 

@@ -221,8 +221,7 @@ class TestEngineCacheLRU:
 
 class TestDegradedSearchOptions:
     """A degraded database takes the healthy engine's options: its scan
-    runs through the engine's own stages, so only ``fine_mode="frames"``
-    (which needs positional evidence) is refused."""
+    runs through the engine's own stages, frames included."""
 
     @pytest.fixture()
     def degraded_db(self, records, tmp_path):
@@ -286,9 +285,20 @@ class TestDegradedSearchOptions:
             query, top_k=1, with_evalues=True
         ).best().evalue
 
-    def test_frames_refused(self, degraded_db, records):
-        with pytest.raises(SearchError, match="no usable index"):
-            degraded_db.search(records[6].slice(0, 120), fine_mode="frames")
+    def test_frames_answered(self, degraded_db, records):
+        """Frames localise from the fetched records, so a scan of every
+        live record is cut to frames too."""
+        query = records[6].slice(0, 120)
+        full = degraded_db.search(query, top_k=len(records))
+        framed = degraded_db.search(
+            query, top_k=len(records), fine_mode="frames"
+        )
+        assert framed.degraded
+        assert framed.best().ordinal == 6
+        assert framed.best().score == full.best().score
+        whole = {hit.ordinal: hit.score for hit in full.hits}
+        for hit in framed.hits:
+            assert hit.score <= whole[hit.ordinal]
 
     def test_unknown_option_raises_type_error(
         self, degraded_db, database, records
@@ -306,8 +316,11 @@ class TestDegradedSearchOptions:
             degraded_db.search(query, top_k=2, both_strands=True).hits
             for query in queries
         ]
-        with pytest.raises(SearchError, match="no usable index"):
-            degraded_db.search_batch(queries, fine_mode="frames")
+        framed = degraded_db.search_batch(queries, top_k=2, fine_mode="frames")
+        assert [report.hits for report in framed] == [
+            degraded_db.search(query, top_k=2, fine_mode="frames").hits
+            for query in queries
+        ]
 
 
 class TestDegradedOracle:

@@ -97,14 +97,11 @@ class TestDeadlineIndexView:
         clock = FakeClock()
         deadline = Deadline.after(5.0, clock)
         ids = list(index.interval_ids())[:40]
-        for positions in (False, True):
-            budgeted = index.read_lists(
-                ids, positions=positions, deadline=deadline
-            )
-            free = index.read_lists(ids, positions=positions)
-            assert len(budgeted) == len(free) == 3 + positions
-            for got, want in zip(budgeted, free):
-                assert np.array_equal(got, want)
+        budgeted = index.read_lists(ids, deadline=deadline)
+        free = index.read_lists(ids)
+        assert len(budgeted) == len(free) == 3
+        for got, want in zip(budgeted, free):
+            assert np.array_equal(got, want)
         assert budgeted[0].all()
 
     def test_empty_evidence_after_expiry(self, index):
@@ -115,10 +112,6 @@ class TestDeadlineIndexView:
         lens, docs, counts = index.read_lists(ids, deadline=deadline)
         assert lens.tolist() == [0] * len(ids)
         assert docs.size == counts.size == 0
-        lens, _, _, offsets = index.read_lists(
-            ids, positions=True, deadline=deadline
-        )
-        assert not lens.any() and offsets.size == 0
 
     def test_expiry_between_chunks(self, index):
         """Lists are read in chunks of READ_CHUNK with one expiry check

@@ -108,17 +108,6 @@ class TestSearch:
         report = narrow.search(queries[0].query)
         assert report.candidates_examined <= 1
 
-    def test_diagonal_scorer_end_to_end(self, small_index, small_source, setup):
-        _, queries, _ = setup
-        engine = PartitionedSearchEngine(
-            small_index,
-            small_source,
-            coarse_scorer="diagonal",
-            coarse_cutoff=20,
-        )
-        report = engine.search(queries[0].query, top_k=5)
-        assert report.best().ordinal == queries[0].source_ordinal
-
 
 class TestDifferentialParity:
     """One logical collection, three layouts, identical engine answers.

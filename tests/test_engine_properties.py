@@ -36,7 +36,7 @@ class TestTopKPrefixProperty:
 
     def test_exhaustive(self, setup):
         records, _, _, queries = setup
-        engine = ExhaustiveSearcher(records, max_query_length=256)
+        engine = ExhaustiveSearcher(records)
         for query in queries:
             small = engine.search(query, top_k=3).ordinals()
             large = engine.search(query, top_k=10).ordinals()
@@ -94,7 +94,7 @@ class TestScoreSemantics:
     def test_exhaustive_is_an_upper_bound_per_sequence(self, setup):
         records, index, source, queries = setup
         engine = PartitionedSearchEngine(index, source, coarse_cutoff=25)
-        oracle = ExhaustiveSearcher(records, max_query_length=256)
+        oracle = ExhaustiveSearcher(records)
         for query in queries:
             true_scores = oracle.scores(query)
             for hit in engine.search(query, top_k=25).hits:
@@ -105,7 +105,7 @@ class TestScoreSemantics:
         framed = PartitionedSearchEngine(
             index, source, coarse_cutoff=25, fine_mode="frames"
         )
-        oracle = ExhaustiveSearcher(records, max_query_length=256)
+        oracle = ExhaustiveSearcher(records)
         for query in queries:
             true_scores = oracle.scores(query)
             for hit in framed.search(query, top_k=25).hits:

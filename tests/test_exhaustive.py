@@ -22,15 +22,13 @@ def records():
 
 @pytest.fixture(scope="module")
 def searcher(records):
-    return ExhaustiveSearcher(records, max_query_length=128)
+    return ExhaustiveSearcher(records)
 
 
 class TestConstruction:
     def test_accepts_plain_lists_and_sources(self, records):
-        by_list = ExhaustiveSearcher(records, max_query_length=64)
-        by_source = ExhaustiveSearcher(
-            MemorySequenceSource(records), max_query_length=64
-        )
+        by_list = ExhaustiveSearcher(records)
+        by_source = ExhaustiveSearcher(MemorySequenceSource(records))
         query = records[0].codes[:50]
         assert by_list.scores(query).tolist() == by_source.scores(query).tolist()
 
@@ -55,11 +53,30 @@ class TestScores:
         assert int(np.argmax(scores)) == 9
 
     def test_long_query_triggers_image_rebuild(self, records):
-        searcher = ExhaustiveSearcher(records, max_query_length=16)
+        searcher = ExhaustiveSearcher(records)
+        searcher.scores(records[2].codes[:16])
+        assert searcher._image.max_query_length == 16
         long_query = records[2].codes  # 200 bases > 16
         scores = searcher.scores(long_query)
         assert int(np.argmax(scores)) == 2
-        assert searcher._image.max_query_length >= 200
+        assert searcher._image.max_query_length == 200
+        # A shorter query reuses the image built for the longer one.
+        image = searcher._image
+        searcher.scores(records[2].codes[:100])
+        assert searcher._image is image
+
+    def test_sentinel_runs_sized_for_the_query(self, records):
+        """The image is built lazily for the first query: a 150-base
+        query pays sentinel runs for 150 bases, not for a fixed bound."""
+        searcher = ExhaustiveSearcher(records)
+        searcher.scores(records[5].codes[:150])
+        image = searcher._image
+        run = ScoringScheme().sentinel_run_length(150)
+        assert image.max_query_length == 150
+        assert image.codes.shape[0] == sum(
+            len(record) for record in records
+        ) + len(records) * run
+        assert run < ScoringScheme().sentinel_run_length(2048)
 
 
 class TestSearch:
@@ -80,9 +97,7 @@ class TestSearch:
             searcher.search(records[0].codes[:40], top_k=0)
 
     def test_min_score_excludes_weak_answers(self, records):
-        strict = ExhaustiveSearcher(
-            records, max_query_length=128, min_score=100
-        )
+        strict = ExhaustiveSearcher(records, min_score=100)
         report = strict.search(records[3].codes[:60], top_k=15)
         assert all(hit.score >= 100 for hit in report.hits)
 
@@ -104,7 +119,7 @@ class TestSearch:
             Sequence("t0", records[0].codes),
             Sequence("t1", records[0].codes),
         ]
-        searcher = ExhaustiveSearcher(twins, max_query_length=64)
+        searcher = ExhaustiveSearcher(twins)
         report = searcher.search(records[0].codes[:50], top_k=2)
         assert [hit.ordinal for hit in report.hits] == [0, 1]
         assert report.hits[0].score == report.hits[1].score

@@ -166,11 +166,8 @@ class TestBulkBuildEquivalence:
         texts=st.lists(st.text(alphabet="ACGTN", min_size=1, max_size=60),
                        min_size=1, max_size=10),
         interval_length=st.integers(min_value=1, max_value=6),
-        positions=st.booleans(),
     )
-    def test_bulk_equals_loop_for_any_collection(
-        self, texts, interval_length, positions
-    ):
+    def test_bulk_equals_loop_for_any_collection(self, texts, interval_length):
         import repro.index.builder as builder_module
         from repro.index.builder import IndexParameters, build_index
         from repro.sequences.record import Sequence
@@ -179,9 +176,7 @@ class TestBulkBuildEquivalence:
             Sequence.from_text(f"h{slot}", text)
             for slot, text in enumerate(texts)
         ]
-        params = IndexParameters(
-            interval_length=interval_length, include_positions=positions
-        )
+        params = IndexParameters(interval_length=interval_length)
         fast = build_index(records, params)
         original = builder_module._bulk_encode_vocabulary
         builder_module._bulk_encode_vocabulary = lambda *args, **kw: None

@@ -1,10 +1,10 @@
 """Round-trip tests for the vectorised block decoder.
 
-Every flat decode surface — flat batch, full postings with offsets —
-must be bit-identical to the scalar per-list decode
-(``PostingsCodec.decode_docs_counts`` / ``decode``), including which
-errors surface: the block decoder is allowed to be faster, never
-different.
+The flat batch decode must be bit-identical to the scalar per-list
+decode (``PostingsCodec.decode_docs_counts``), including which errors
+surface, over lists as written today and over lists written with
+occurrence offsets after their entries: the block decoder is allowed
+to be faster, never different.
 """
 
 import numpy as np
@@ -14,23 +14,24 @@ from hypothesis import strategies as st
 
 from repro.errors import CodecError
 from repro.index.postings import PostingEntry, PostingsCodec, PostingsContext
+from tests.conftest import encode_with_offsets
 
 CONTEXT = PostingsContext(num_sequences=100, total_length=50_000)
 
 
 def make_entries(spec):
-    return [
-        PostingEntry(doc, np.array(positions, dtype=np.int64))
-        for doc, positions in spec
-    ]
+    return [PostingEntry(doc, len(positions)) for doc, positions in spec]
 
 
-def encode_batch(codec, batch, context=CONTEXT):
-    """Encode a list of posting-list specs into (blobs, dfs, cfs)."""
+def encode_batch(codec, batch, context=CONTEXT, offsets=False):
+    """Encode a list of posting-list specs into (blobs, dfs, cfs); with
+    ``offsets`` each list also carries its offset section."""
     blobs, dfs, cfs = [], [], []
     for spec in batch:
-        entries = make_entries(spec)
-        blobs.append(codec.encode(entries, context))
+        blobs.append(
+            encode_with_offsets(spec, context) if offsets
+            else codec.encode(make_entries(spec), context)
+        )
         dfs.append(len(spec))
         cfs.append(sum(len(positions) for _, positions in spec))
     return blobs, dfs, cfs
@@ -48,21 +49,20 @@ def packed(blobs, dfs):
     )
 
 
-def flat_reference(codec, batch, context=CONTEXT):
+def flat_reference(codec, batch, context=CONTEXT, offsets=False):
     """The flat layout derived from the scalar per-list decode."""
-    docs_parts, counts_parts = [], []
-    blobs, dfs, cfs = encode_batch(codec, batch, context)
-    for blob, df, cf in zip(blobs, dfs, cfs):
-        entries = codec.decode(blob, df, cf, context)
-        docs_parts.append([entry.sequence for entry in entries])
-        counts_parts.append([entry.positions.shape[0] for entry in entries])
-    docs = np.array(
-        [doc for part in docs_parts for doc in part], dtype=np.int64
+    blobs, dfs, _ = encode_batch(codec, batch, context, offsets)
+    parts = [
+        codec.decode_docs_counts(blob, df, context)
+        for blob, df in zip(blobs, dfs)
+    ]
+    if not parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    return (
+        np.concatenate([docs for docs, _ in parts]),
+        np.concatenate([counts for _, counts in parts]),
     )
-    counts = np.array(
-        [count for part in counts_parts for count in part], dtype=np.int64
-    )
-    return docs, counts
 
 
 @st.composite
@@ -211,34 +211,26 @@ class TestListsReadInPlace:
             ),
         ):
             assert np.array_equal(got, want)
-        for got, want in zip(
-            codec.decode_postings_flat(*scattered, cfs, CONTEXT),
-            codec.decode_postings_flat(
-                *packed(blobs, dfs), cfs, CONTEXT
-            ),
-        ):
-            assert np.array_equal(got, want)
 
 
 class TestPostingsBatch:
     @settings(deadline=None, max_examples=25)
     @given(posting_batches())
     def test_positions_match_the_scalar_decode(self, batch):
+        """Lists written with their offsets batch-decode (clipped to
+        the provable entry bound) exactly as the scalar decode, and as
+        the same lists written without offsets."""
         codec = PostingsCodec()
-        blobs, dfs, cfs = encode_batch(codec, batch)
-        reference = [
-            codec.decode(blob, df, cf, CONTEXT)
-            for blob, df, cf in zip(blobs, dfs, cfs)
-        ]
-        entries = [entry for expected in reference for entry in expected]
-        docs, counts, offsets = codec.decode_postings_flat(
-            *packed(blobs, dfs), np.asarray(cfs), CONTEXT
+        blobs, dfs, cfs = encode_batch(codec, batch, offsets=True)
+        docs_ref, counts_ref = flat_reference(codec, batch, offsets=True)
+        docs, counts = codec.decode_docs_counts_flat(
+            *packed(blobs, dfs), CONTEXT, cfs=np.asarray(cfs)
         )
-        assert docs.tolist() == [entry.sequence for entry in entries]
-        assert counts.tolist() == [entry.count for entry in entries]
-        got = np.split(offsets, np.cumsum(counts)[:-1]) if entries else []
-        for chunk, entry in zip(got, entries):
-            assert np.array_equal(chunk, entry.positions)
+        assert np.array_equal(docs, docs_ref)
+        assert np.array_equal(counts, counts_ref)
+        new_docs, new_counts = flat_reference(codec, batch)
+        assert np.array_equal(docs, new_docs)
+        assert np.array_equal(counts, new_counts)
 
     def test_grouped_batch_matches_per_list(self):
         codec = PostingsCodec()

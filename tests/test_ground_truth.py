@@ -15,7 +15,7 @@ def oracle_setup():
         Sequence(f"g{slot}", rng.integers(0, 4, 180, dtype=np.uint8))
         for slot in range(12)
     ]
-    searcher = ExhaustiveSearcher(records, max_query_length=128)
+    searcher = ExhaustiveSearcher(records)
     queries = [records[2].slice(10, 90), records[7].slice(40, 120)]
     truth = compute_ground_truth(searcher, queries)
     return records, searcher, queries, truth

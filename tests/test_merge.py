@@ -1,6 +1,8 @@
 """Unit and property tests for chunked index construction and merging,
 in memory and on disk."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,7 +74,7 @@ class TestMerge:
         assert_identical(merged, direct)
 
     def test_merge_without_positions(self):
-        params = IndexParameters(interval_length=6, include_positions=False)
+        params = IndexParameters(interval_length=6)
         first = random_records(8, 4)
         second = random_records(9, 4)
         merged = merge_indexes(
@@ -229,16 +231,24 @@ class TestDiskMerge:
             )
 
     def test_positions_free_disk_merge(self, records, tmp_path):
-        params = IndexParameters(interval_length=7, include_positions=False)
-        first = tmp_path / "a.rpix"
+        """A part written with occurrence offsets merges into lists
+        without them: exactly a fresh build's."""
+        from repro.database import Database
+
+        old = Path(__file__).parent / "data" / "v2_with_offsets.db"
+        with Database.open(old) as db:
+            old_records = list(db.records())
+        params = IndexParameters(interval_length=8)
         second = tmp_path / "b.rpix"
-        write_index(build_index(records[:10], params), first)
-        write_index(build_index(records[10:], params), second)
+        write_index(build_index(records[:10], params), second)
         output = tmp_path / "m.rpix"
-        merge_index_files([str(first), str(second)], str(output))
-        direct = build_index(records, params)
+        merge_index_files(
+            [str(old / "intervals.rpix"), str(second)], str(output)
+        )
+        direct = build_index(old_records + records[:10], params)
         with read_index(output) as merged:
-            for interval in list(direct.interval_ids())[:200]:
+            assert list(merged.interval_ids()) == list(direct.interval_ids())
+            for interval in direct.interval_ids():
                 assert (
                     merged.lookup_entry(interval).data
                     == direct.lookup_entry(interval).data

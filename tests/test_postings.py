@@ -1,21 +1,25 @@
 """Unit and property tests for compressed posting lists."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import CodecError
-from repro.index.postings import PostingEntry, PostingsCodec, PostingsContext
+from repro.errors import CodecError, IndexFormatError
+from repro.index.builder import IndexParameters
+from repro.index.postings import (
+    HEADER_CODEC_KEYS,
+    PostingEntry,
+    PostingsCodec,
+    PostingsContext,
+    check_header_codecs,
+)
+from tests.conftest import encode_with_offsets
 
 CONTEXT = PostingsContext(num_sequences=100, total_length=50_000)
 
 
 def make_entries(spec: list[tuple[int, list[int]]]) -> list[PostingEntry]:
-    return [
-        PostingEntry(doc, np.array(positions, dtype=np.int64))
-        for doc, positions in spec
-    ]
+    return [PostingEntry(doc, len(positions)) for doc, positions in spec]
 
 
 @st.composite
@@ -51,19 +55,27 @@ class TestRoundTrip:
     def test_full_roundtrip_default_codecs(self, spec):
         codec = PostingsCodec()
         entries = make_entries(spec)
-        df = len(entries)
-        cf = sum(entry.count for entry in entries)
-        decoded = codec.decode(codec.encode(entries, CONTEXT), df, cf, CONTEXT)
-        assert [(e.sequence, e.positions.tolist()) for e in decoded] == spec
-
-    @given(posting_lists())
-    def test_section_a_matches_full_decode(self, spec):
-        codec = PostingsCodec()
-        entries = make_entries(spec)
         data = codec.encode(entries, CONTEXT)
         docs, counts = codec.decode_docs_counts(data, len(entries), CONTEXT)
         assert docs.tolist() == [doc for doc, _ in spec]
         assert counts.tolist() == [len(positions) for _, positions in spec]
+
+    @given(posting_lists())
+    def test_section_a_matches_full_decode(self, spec):
+        """A list written with its offsets decodes to the same entries
+        as the list alone, and the list alone is its entry prefix."""
+        codec = PostingsCodec()
+        entries = make_entries(spec)
+        data = codec.encode(entries, CONTEXT)
+        old = encode_with_offsets(spec, CONTEXT)
+        assert old.startswith(data[:-1])
+        assert [
+            array.tolist()
+            for array in codec.decode_docs_counts(old, len(spec), CONTEXT)
+        ] == [
+            array.tolist()
+            for array in codec.decode_docs_counts(data, len(spec), CONTEXT)
+        ]
 
     @pytest.mark.parametrize(
         "doc_codec,count_codec,position_codec",
@@ -78,27 +90,35 @@ class TestRoundTrip:
     def test_roundtrip_across_codec_choices(
         self, doc_codec, count_codec, position_codec
     ):
-        codec = PostingsCodec(doc_codec, count_codec, position_codec)
-        spec = [(0, [0, 7, 8]), (3, [499]), (99, [1, 2, 3, 4])]
-        entries = make_entries(spec)
-        decoded = codec.decode(codec.encode(entries, CONTEXT), 3, 8, CONTEXT)
-        assert [(e.sequence, e.positions.tolist()) for e in decoded] == spec
+        """A header round-trips only when it names the one codec."""
+        description = dict(
+            IndexParameters(interval_length=6).describe(),
+            doc_codec=doc_codec,
+            count_codec=count_codec,
+            position_codec=position_codec,
+        )
+        if (doc_codec, count_codec, position_codec) == (
+            "golomb", "gamma", "golomb"
+        ):
+            assert IndexParameters.from_description(
+                description
+            ) == IndexParameters(interval_length=6)
+        else:
+            with pytest.raises(IndexFormatError, match="unsupported"):
+                IndexParameters.from_description(description)
 
     def test_docs_only_mode(self):
-        codec = PostingsCodec(include_positions=False)
+        codec = PostingsCodec()
         entries = make_entries([(1, [5, 9]), (4, [0])])
         data = codec.encode(entries, CONTEXT)
         docs, counts = codec.decode_docs_counts(data, 2, CONTEXT)
         assert docs.tolist() == [1, 4]
         assert counts.tolist() == [2, 1]
-        with pytest.raises(CodecError, match="no occurrence offsets"):
-            codec.decode(data, 2, 3, CONTEXT)
 
     def test_docs_only_is_smaller(self):
-        entries = make_entries([(d, list(range(0, 40, 5))) for d in range(0, 50, 5)])
-        with_positions = PostingsCodec().encode(entries, CONTEXT)
-        without = PostingsCodec(include_positions=False).encode(entries, CONTEXT)
-        assert len(without) < len(with_positions)
+        spec = [(d, list(range(0, 40, 5))) for d in range(0, 50, 5)]
+        without = PostingsCodec().encode(make_entries(spec), CONTEXT)
+        assert len(without) < len(encode_with_offsets(spec, CONTEXT))
 
 
 class TestValidation:
@@ -116,13 +136,15 @@ class TestValidation:
 
     def test_empty_positions_rejected(self):
         codec = PostingsCodec()
-        entries = [PostingEntry(0, np.empty(0, dtype=np.int64))]
+        entries = [PostingEntry(0, 0)]
         with pytest.raises(CodecError, match="zero occurrences"):
             codec.encode(entries, CONTEXT)
 
     def test_unknown_codec_name(self):
-        with pytest.raises(CodecError):
-            PostingsCodec(doc_codec="lzw")
+        with pytest.raises(IndexFormatError, match="doc_codec='lzw'"):
+            check_header_codecs(dict(HEADER_CODEC_KEYS, doc_codec="lzw"))
+        with pytest.raises(IndexFormatError, match="count_codec"):
+            check_header_codecs({"doc_codec": "golomb"})
 
     def test_empty_list_roundtrip(self):
         codec = PostingsCodec()
@@ -134,20 +156,23 @@ class TestValidation:
 
 class TestDescription:
     def test_describe_roundtrip(self):
-        original = PostingsCodec("vbyte", "delta", "rice", include_positions=False)
-        rebuilt = PostingsCodec.from_description(original.describe())
-        assert rebuilt.describe() == original.describe()
+        """A header written with offsets describes the same index shape
+        as one written without."""
+        params = IndexParameters(interval_length=5, stride=2)
+        old = dict(params.describe(), include_positions=True)
+        assert IndexParameters.from_description(old) == params
+        assert IndexParameters.from_description(params.describe()) == params
 
     def test_decoder_derives_same_golomb_parameters(self):
         """Encode and decode are separate codec instances (as when the
         index is reloaded from disk): parameters must be derivable."""
         spec = [(d, [d * 3, d * 3 + 1]) for d in range(0, 60, 3)]
-        entries = make_entries(spec)
-        encoder = PostingsCodec()
-        data = encoder.encode(entries, CONTEXT)
-        decoder = PostingsCodec.from_description(encoder.describe())
-        decoded = decoder.decode(data, len(spec), sum(len(p) for _, p in spec), CONTEXT)
-        assert [(e.sequence, e.positions.tolist()) for e in decoded] == spec
+        data = PostingsCodec().encode(make_entries(spec), CONTEXT)
+        docs, counts = PostingsCodec().decode_docs_counts(
+            data, len(spec), CONTEXT
+        )
+        assert docs.tolist() == [doc for doc, _ in spec]
+        assert counts.tolist() == [2] * len(spec)
 
 
 class TestContext:

@@ -168,9 +168,9 @@ class FlakyIndex(IndexReader):
         self._maybe_fail()
         return self._inner.lookup_entry(interval_id)
 
-    def decode_lists(self, resolved, *, positions=False):
+    def decode_lists(self, resolved):
         self._maybe_fail()
-        return self._inner.decode_lists(resolved, positions=positions)
+        return self._inner.decode_lists(resolved)
 
     def interval_ids(self):
         return self._inner.interval_ids()

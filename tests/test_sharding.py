@@ -32,7 +32,10 @@ from repro.index.store import (
 )
 from repro.instrumentation import faults
 from repro.instrumentation.instruments import Instruments
-from repro.search.engine import PartitionedSearchEngine
+from repro.search.engine import (
+    SHARDABLE_COARSE_SCORERS,
+    PartitionedSearchEngine,
+)
 from repro.sequences.record import Sequence
 from repro.sharding import ShardSpec, plan_shards, shard_of
 from repro.sharding.build import build_sharded_database
@@ -231,21 +234,6 @@ class TestScoreIdentity:
             assert _report_key(sharded.search(query, top_k=8)) == \
                 _report_key(single.search(query, top_k=8))
 
-    def test_parity_with_diagonal_scorer(self, workload):
-        records, queries = workload
-        single = PartitionedSearchEngine(
-            build_index(records, PARAMS),
-            MemorySequenceSource(records),
-            coarse_scorer="diagonal",
-            coarse_cutoff=10,
-        )
-        sharded = _split_engines(
-            records, 4, coarse_scorer="diagonal", coarse_cutoff=10
-        )
-        for query in queries:
-            assert _report_key(sharded.search(query, top_k=10)) == \
-                _report_key(single.search(query, top_k=10))
-
     def test_database_facade_parity(self, workload, tmp_path):
         records, queries = workload
         Database.create(records, tmp_path / "one", params=PARAMS).close()
@@ -267,7 +255,7 @@ class TestScoreIdentity:
     @given(
         shards=st.sampled_from([2, 3, 4]),
         dead=st.sets(st.integers(0, 35), max_size=12),
-        scorer=st.sampled_from(["count", "diagonal"]),
+        scorer=st.sampled_from(SHARDABLE_COARSE_SCORERS),
         fine_mode=st.sampled_from(["full", "frames"]),
         both_strands=st.booleans(),
     )
@@ -654,7 +642,7 @@ class TestShardedInstrumentation:
 class TestDifferentialParity:
     """Sharded and incrementally-grown layouts vs the single index."""
 
-    @pytest.mark.parametrize("scorer", ["count", "diagonal"])
+    @pytest.mark.parametrize("scorer", SHARDABLE_COARSE_SCORERS)
     def test_shard_safe_scorers_agree_across_layouts(
         self, parity_worlds, scorer
     ):

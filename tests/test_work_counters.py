@@ -8,6 +8,9 @@ function of the layout, so a regression back to per-interval or
 per-shard loops fails deterministically.
 """
 
+from repro.compression.bitio import BitReader
+from repro.compression.elias import EliasGammaCodec
+from repro.compression.golomb import GolombCodec, optimal_golomb_parameter
 from repro.instrumentation.instruments import Instruments
 
 
@@ -101,3 +104,28 @@ def test_degraded_search_scans_every_live_record(
             (fetched, report.candidates_examined) for fetched, report in fetches
         ] == [(live, live)] * len(fetches)
         assert all(report.degraded for _, report in fetches)
+
+
+def test_every_list_ends_where_its_entries_end(parity_worlds):
+    """Bytes per list == its ``df`` (ordinal gap, count) codes, padded
+    to a byte.
+
+    The scalar decode of ``df`` entries consumes each list's blob to
+    its last byte on every layout: the index stores nothing past the
+    entries.  Writing occurrence offsets again (a section B after the
+    entries, as ``tests/data/v2_with_offsets.db`` still has) leaves
+    whole bytes unread and fails this test.
+    """
+    gamma = EliasGammaCodec()
+    for database in _worlds(parity_worlds):
+        for shard in database.shards:
+            index = shard.index
+            universe = index.collection.num_sequences
+            for interval in index.interval_ids():
+                entry = index.lookup_entry(interval)
+                gaps = GolombCodec(optimal_golomb_parameter(entry.df, universe))
+                reader = BitReader(entry.data)
+                for _ in range(entry.df):
+                    gaps.decode_value(reader)
+                    gamma.decode_value(reader)
+                assert 0 <= reader.bits_remaining < 8, interval

@@ -118,8 +118,7 @@ class TestAlternativeSchemesEndToEnd:
             index, MemorySequenceSource(records), scheme=scheme,
             coarse_cutoff=15,
         )
-        exhaustive = ExhaustiveSearcher(records, scheme=scheme,
-                                        max_query_length=256)
+        exhaustive = ExhaustiveSearcher(records, scheme=scheme)
         queries = make_family_queries(collection, 3, query_length=150, seed=5)
         for case in queries:
             ours = engine.search(case.query, top_k=5)
