@@ -20,11 +20,14 @@ The reader a backend opens must duck-type the slice of the
 attribute naming the backend so the engines can dispatch without
 consulting the manifest again.  The ranker must replicate the
 :class:`~repro.search.coarse.CoarseRanker` contract:
-``rank(query_codes, cutoff, deadline)`` returning
-:class:`~repro.search.results.CoarseCandidate` rows ordered by
-(score desc, ordinal asc), cooperating with bounded deadlines, and a
+``scores(query_codes, deadline)`` returning a dense float array, one
+score per sequence of the reader (0 = no evidence), cooperating with
+bounded deadlines; ``rank(query_codes, cutoff, deadline)`` =
+:func:`~repro.search.results.top_candidates` of those scores; and a
 ``quarantined`` set of the units it skipped as corrupt under the
-engine's ``on_corruption="skip"`` policy.
+engine's ``on_corruption="skip"`` policy.  The engine reads
+``scores`` only: it masks tombstones and cuts once across shards, so
+a backend never sees them.
 
 This module is import-light on purpose: the manifest layer
 (:mod:`repro.sharding.manifest`, which also reads the ``"coarse"``
@@ -138,7 +141,7 @@ class CoarseBackend(ABC):
 
     @abstractmethod
     def make_ranker(
-        self, index, scorer="count", on_corruption: str = "raise"
+        self, index, scorer: str = "count", on_corruption: str = "raise"
     ):
         """The query-time ranker over an opened reader.
 

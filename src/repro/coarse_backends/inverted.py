@@ -49,6 +49,6 @@ class InvertedBackend(CoarseBackend):
         return DiskIndex(Path(directory) / self.artifact)
 
     def make_ranker(
-        self, index, scorer="count", on_corruption: str = "raise"
+        self, index, scorer: str = "count", on_corruption: str = "raise"
     ) -> CoarseRanker:
         return CoarseRanker(index, scorer, on_corruption=on_corruption)

@@ -60,7 +60,7 @@ from repro.index.builder import CollectionInfo, IndexParameters
 from repro.index.intervals import IntervalExtractor
 from repro.instrumentation.instruments import NULL_INSTRUMENTS, coalesce
 from repro.search.deadline import Deadline, ensure_deadline
-from repro.search.results import CoarseCandidate
+from repro.search.results import CoarseCandidate, top_candidates
 from repro.sequences.record import Sequence
 
 _LOG = logging.getLogger(__name__)
@@ -404,15 +404,14 @@ class SignatureIndex:
 class SignatureRanker:
     """Coarse phase over a :class:`SignatureIndex`.
 
-    Scores are distinct-query-k-mer containment counts; the ranking
-    contract (score desc, ordinal asc, ``cutoff`` best, zero-score
-    documents never returned) matches
-    :class:`~repro.search.coarse.CoarseRanker` exactly, so the fine
-    phase and the sharded merge are backend-agnostic.
+    Scores are distinct-query-k-mer containment counts; :meth:`scores`
+    and :meth:`rank` keep :class:`~repro.search.coarse.CoarseRanker`'s
+    contract exactly, so the cut, the fine phase and the sharded merge
+    are backend-agnostic.
 
     A bounded deadline is checked between blocks: once expired the
     remaining blocks contribute no evidence and the scores so far
-    become the (partial) ranking.  Under ``on_corruption="skip"`` a
+    are the (partial) answer.  Under ``on_corruption="skip"`` a
     block that fails its checksum is quarantined (logged, counted,
     scored zero) and scanning continues; any other policy propagates
     the :class:`~repro.errors.CorruptionError` (the engine's
@@ -426,16 +425,13 @@ class SignatureRanker:
     def __init__(
         self,
         index: SignatureIndex,
-        scorer="count",
+        scorer: str = "count",
         on_corruption: str = "raise",
     ) -> None:
-        name = scorer if isinstance(scorer, str) else getattr(
-            scorer, "name", type(scorer).__name__
-        )
-        if name != "count":
+        if scorer != "count":
             raise SearchError(
                 "the signature backend supports the 'count' coarse scorer "
-                f"only, got {name!r}"
+                f"only, got {scorer!r}"
             )
         self.index = index
         self.on_corruption = on_corruption
@@ -452,27 +448,21 @@ class SignatureRanker:
     def set_instruments(self, instruments) -> None:
         self.instruments = coalesce(instruments)
 
-    def rank(
-        self,
-        query_codes: np.ndarray,
-        cutoff: int,
-        deadline: Deadline | None = None,
-    ) -> list[CoarseCandidate]:
-        """The ``cutoff`` best-scoring documents, best first.
+    def scores(
+        self, query_codes: np.ndarray, deadline: Deadline | None = None
+    ) -> np.ndarray:
+        """Containment count per document (0 = no evidence).
 
         Raises:
-            SearchError: if ``cutoff`` is not positive.
             CorruptionError: on a damaged block, unless the policy is
                 ``"skip"``.
         """
-        if cutoff < 1:
-            raise SearchError(f"cutoff must be >= 1, got {cutoff}")
         deadline = ensure_deadline(deadline)
+        scores = np.zeros(self.index.collection.num_sequences)
         ids = self._extractor.extract_distinct(query_codes)
         if not ids.shape[0]:
-            return []
+            return scores
         self.instruments.count("coarse.query_intervals", int(ids.shape[0]))
-        scores = np.zeros(self.index.collection.num_sequences, dtype=np.float64)
         scanned = 0
         for slot in range(self.index.num_blocks):
             if deadline.bounded and deadline.expired():
@@ -494,18 +484,23 @@ class SignatureRanker:
             scanned += 1
             scores[block.base : block.base + block.docs] = counts
         self.instruments.count("signature.blocks_scanned", scanned)
-        positive = np.flatnonzero(scores > 0)
-        if not positive.shape[0]:
-            return []
-        take = min(cutoff, positive.shape[0])
-        # Same deterministic order as the inverted ranker (score desc,
-        # ordinal asc) so tied candidates at the cutoff never depend on
-        # the backend.
-        order = np.lexsort((positive, -scores[positive]))
-        return [
-            CoarseCandidate(int(ordinal), float(scores[ordinal]))
-            for ordinal in positive[order][:take]
-        ]
+        return scores
+
+    def rank(
+        self,
+        query_codes: np.ndarray,
+        cutoff: int,
+        deadline: Deadline | None = None,
+    ) -> list[CoarseCandidate]:
+        """The ``cutoff`` best-scoring documents, best first:
+        :func:`~repro.search.results.top_candidates` of :meth:`scores`.
+
+        Raises:
+            SearchError: if ``cutoff`` is not positive.
+            CorruptionError: on a damaged block, unless the policy is
+                ``"skip"``.
+        """
+        return top_candidates(self.scores(query_codes, deadline), cutoff)
 
 
 class SignatureBackend(CoarseBackend):
@@ -565,6 +560,6 @@ class SignatureBackend(CoarseBackend):
         return SignatureIndex(Path(directory) / self.artifact)
 
     def make_ranker(
-        self, index, scorer="count", on_corruption: str = "raise"
+        self, index, scorer: str = "count", on_corruption: str = "raise"
     ) -> SignatureRanker:
         return SignatureRanker(index, scorer, on_corruption=on_corruption)

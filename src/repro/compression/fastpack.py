@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.golomb import GolombCodec
 from repro.errors import CodecValueError
 
 #: Longest code the scatter windows can hold: 7 offset bits + the code
@@ -283,27 +282,3 @@ def pack_grouped(
         np.bitwise_or.at(out, byte_slots + byte_index, chunk)
     return out[: int(bounds[-1])].tobytes(), bounds
 
-
-def encode_gap_stream(
-    gaps: np.ndarray, golomb_parameter: int
-) -> bytes | None:
-    """Fast path: Golomb-encode a gap array, or None on overflow.
-
-    Bit-identical to encoding each gap with ``GolombCodec``; returns
-    ``None`` when a code exceeds the vector window so the caller can
-    fall back to the scalar writer.
-    """
-    patterns, lengths, overflow = golomb_code_array(gaps, golomb_parameter)
-    if bool(overflow.any()):
-        return None
-    return pack_patterns(patterns, lengths)
-
-
-def scalar_reference_bits(values: np.ndarray, codec: GolombCodec) -> bytes:
-    """Scalar encoding used by equivalence tests."""
-    from repro.compression.bitio import BitWriter
-
-    writer = BitWriter()
-    for value in np.asarray(values).tolist():
-        codec.encode_value(writer, int(value))
-    return writer.getvalue()

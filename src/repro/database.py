@@ -966,9 +966,9 @@ class Database:
         over every shard of this database.
 
         Tombstones (the live/LSM layer) are handed to the engine, which
-        filters dead candidates before the merge-cut and presents
-        logical ordinals — results hit-for-hit identical to a rebuild
-        over the surviving records.  ``with_evalues=True`` calibrates
+        zeroes dead sequences' coarse scores before its one cut and
+        presents logical ordinals — results hit-for-hit identical to a
+        rebuild over the surviving records.  ``with_evalues=True`` calibrates
         Gumbel parameters once per scheme and attaches E-values to
         every hit.  ``on_corruption`` defaults to the policy the
         database was opened with.  ``resilience`` configures per-shard
@@ -1063,18 +1063,15 @@ class Database:
         self,
         queries: list[Sequence],
         top_k: int = 10,
-        workers: int | None = None,
         deadline: Deadline | None = None,
         **engine_kwargs,
     ) -> list[SearchReport]:
-        """Evaluate a batch of queries, reports in query order.
+        """Evaluate a batch of queries in order, reports in query order.
 
-        ``workers`` > 1 evaluates queries concurrently on the engine's
-        thread pool (results identical to the sequential loop).  A
-        ``deadline`` is shared by the whole batch.
+        A ``deadline`` is shared by the whole batch.
         """
         return self.engine(**engine_kwargs).search_batch(
-            queries, top_k=top_k, workers=workers, deadline=deadline
+            queries, top_k=top_k, deadline=deadline
         )
 
     def alignment(

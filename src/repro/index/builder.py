@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Sequence as TypingSequence
+from typing import Collection, Iterator, Sequence as TypingSequence
 
 import numpy as np
 
@@ -619,9 +619,3 @@ def _bulk_encode_vocabulary(
         )
     return vocabulary
 
-
-def index_sequences_from(
-    records: Iterable[Sequence], params: IndexParameters | None = None
-) -> InvertedIndex:
-    """Convenience wrapper accepting any iterable of records."""
-    return build_index(list(records), params)

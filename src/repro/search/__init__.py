@@ -13,14 +13,7 @@ from repro.search.resilience import (
     ShardTimeout,
     ShardUnavailable,
 )
-from repro.search.coarse import (
-    CoarseRanker,
-    CoarseScorer,
-    CountScorer,
-    IdfScorer,
-    NormalisedScorer,
-    make_scorer,
-)
+from repro.search.coarse import SCORERS, CoarseRanker
 from repro.search.engine import FINE_MODES, PartitionedSearchEngine
 from repro.search.exhaustive import ExhaustiveSearcher
 from repro.search.fasta_like import FastaLikeSearcher
@@ -30,25 +23,23 @@ from repro.search.results import (
     CoarseCandidate,
     SearchHit,
     SearchReport,
+    top_candidates,
 )
 from repro.search.seeds import SeedTable, query_seed_groups
 
 __all__ = [
     "FINE_MODES",
     "NO_DEADLINE",
+    "SCORERS",
     "BlastLikeSearcher",
     "CircuitBreaker",
     "CoarseCandidate",
     "CoarseRanker",
-    "CoarseScorer",
-    "CountScorer",
     "Deadline",
     "ExhaustiveSearcher",
     "FastaLikeSearcher",
     "FineSearcher",
     "FrameLocaliser",
-    "IdfScorer",
-    "NormalisedScorer",
     "PartitionedSearchEngine",
     "RetryPolicy",
     "SearchHit",
@@ -58,6 +49,6 @@ __all__ = [
     "ShardTimeout",
     "ShardUnavailable",
     "ensure_deadline",
-    "make_scorer",
     "query_seed_groups",
+    "top_candidates",
 ]

@@ -27,13 +27,14 @@ Two refinements beyond the basic pipeline:
 (:meth:`PartitionedSearchEngine.over_shards`; the plain constructor is
 the one-shard spelling):
 
-1. **fan out** — every shard ranks its own slice with its local index
+1. **fan out** — every shard scores its own slice with its local index
    (the ``count`` scorer accumulates per-sequence evidence only, so a
    shard's coarse scores are exactly the scores a global index would
    give its sequences);
-2. **merge** — per-shard candidates are merged on the global ordering
-   (coarse score desc, global ordinal asc) and cut at ``coarse_cutoff``:
-   any sequence in the global top-``C`` is in its shard's top-``C``;
+2. **cut once** — the shards' scores fill one array indexed by stored
+   ordinal, and :func:`~repro.search.results.top_candidates` cuts it at
+   ``coarse_cutoff`` on the global ordering (coarse score desc, stored
+   ordinal asc);
 3. **fetch, scan once, rank** — each contributing shard fetches its
    share of the selection under its own breaker (a failed fetch drops
    only that shard); one image over every fetched target, in merged
@@ -52,10 +53,8 @@ shard-local index gets wrong, so they are accepted only when one shard
 ordinals.  Deleted sequences still sit in their shard's index, so
 parity with a rebuild over the survivors takes three adjustments:
 
-- each shard's coarse cutoff is widened by its tombstone count and dead
-  candidates are filtered *before* the merge-cut — otherwise a shard
-  whose top-``C`` is crowded with dead sequences could starve live
-  candidates a rebuilt index would rank;
+- their coarse scores are zeroed in the stored-ordinal array before the
+  one cut, so a dead sequence can never take a live one's place;
 - hit ordinals are presented *logical* (stored order with tombstones
   elided — exactly what a rebuild would assign); the remap is
   monotonic, so it preserves the merged order;
@@ -65,7 +64,7 @@ parity with a rebuild over the survivors takes three adjustments:
 or a :class:`~repro.errors.CorruptionError` escapes under
 ``on_corruption="fallback"`` (the query is then run again, one strand
 or both), no ranker runs: every live ordinal becomes a candidate with
-coarse score 0 and skips the merge-cut.  The fetch under each shard's
+coarse score 0 and skips the cut.  The fetch under each shard's
 breaker, the chunked deadline scan, tombstone elision, the strand merge
 and the E-values run unchanged, so :func:`fine_order` reduces to the
 exhaustive scan's (score desc, ordinal asc) and the report is flagged
@@ -82,7 +81,7 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field, replace
 from functools import partial
-from threading import Lock, current_thread
+from threading import Lock
 from typing import Callable, Sequence as TypingSequence
 
 import numpy as np
@@ -98,7 +97,7 @@ from repro.instrumentation.instruments import (
     Instruments,
     coalesce,
 )
-from repro.search.coarse import CoarseScorer
+from repro.search.coarse import SCORERS
 from repro.search.deadline import Deadline, ensure_deadline
 from repro.search.fine import fetch_targets, scan_targets
 from repro.search.frames import FrameLocaliser
@@ -114,6 +113,7 @@ from repro.search.results import (
     SearchReport,
     fine_order,
     hits_from_scores,
+    top_candidates,
 )
 from repro.sequences.alphabet import reverse_complement
 from repro.sequences.record import Sequence
@@ -151,11 +151,9 @@ class _Shard:
     slot: int
     #: Stored ordinal of this shard's local ordinal 0.
     base: int
-    #: Tombstones inside this shard's ordinal range.
-    dead: int
     #: The shard's coarse index; ``None`` when it is unusable.
     index: IndexReader | None
-    #: The backend's ranker: ``rank(codes, cutoff, deadline=)``; its
+    #: The backend's ranker: ``scores(codes, deadline=)``; its
     #: ``quarantined`` set holds what ``"skip"`` quarantined.  ``None``
     #: when the shard has no index.
     ranker: object | None
@@ -180,7 +178,7 @@ class PartitionedSearchEngine:
             ordinal order.
         scheme: fine-phase scoring (defaults to match 1 / mismatch -1 /
             gap -2).
-        coarse_scorer: accumulator strategy or its registered name.
+        coarse_scorer: a name in :data:`~repro.search.coarse.SCORERS`.
             With more than one shard, or tombstones, it must be one of
             :data:`SHARDABLE_COARSE_SCORERS`.
         coarse_cutoff: candidates the coarse phase hands to the fine
@@ -226,7 +224,8 @@ class PartitionedSearchEngine:
     Raises:
         SearchError: if a shard's index and source disagree about the
             collection, shard parameters disagree, the coarse scorer is
-            not safe for the layout, or a parameter is out of range.
+            unknown or not safe for the layout, or a parameter is out
+            of range.
     """
 
     def __init__(
@@ -254,7 +253,7 @@ class PartitionedSearchEngine:
         self,
         shards: list[tuple[IndexReader, SequenceSource]],
         scheme: ScoringScheme | None = None,
-        coarse_scorer: CoarseScorer | str = "count",
+        coarse_scorer: str = "count",
         coarse_cutoff: int = 100,
         min_fine_score: int = 1,
         fine_mode: str = "full",
@@ -309,21 +308,21 @@ class PartitionedSearchEngine:
                     "tombstone outside stored ordinal range "
                     f"0..{bases[-1] - 1}"
                 )
-        if len(shards) > 1 or dead.size:
-            # Only a lone, whole shard's statistics are the collection's.
-            if not isinstance(coarse_scorer, str):
-                raise SearchError(
-                    "engines over shards or tombstones take a coarse "
-                    "scorer *name*; custom scorer instances cannot be "
-                    "checked for shard-safety"
-                )
-            if coarse_scorer not in SHARDABLE_COARSE_SCORERS:
-                raise SearchError(
-                    f"coarse scorer {coarse_scorer!r} uses collection-wide "
-                    "statistics that shard-local indexes would skew; "
-                    "engines over shards or tombstones support "
-                    f"{SHARDABLE_COARSE_SCORERS}"
-                )
+        if coarse_scorer not in SCORERS:
+            raise SearchError(
+                f"unknown coarse scorer {coarse_scorer!r}; known: "
+                f"{list(SCORERS)}"
+            )
+        # Only a lone, whole shard's statistics are the collection's.
+        if (len(shards) > 1 or dead.size) and (
+            coarse_scorer not in SHARDABLE_COARSE_SCORERS
+        ):
+            raise SearchError(
+                f"coarse scorer {coarse_scorer!r} uses collection-wide "
+                "statistics that shard-local indexes would skew; "
+                "engines over shards or tombstones support "
+                f"{SHARDABLE_COARSE_SCORERS}"
+            )
         self.shards = shards
         self.scheme = scheme or ScoringScheme()
         self.coarse_cutoff = coarse_cutoff
@@ -334,10 +333,8 @@ class PartitionedSearchEngine:
         self.on_corruption = on_corruption
         self.resilience = resilience
         self.tombstones = dead
-        self._dead_set = frozenset(dead.tolist())
-        # Tombstones falling in each shard's ordinal range widen that
-        # shard's coarse cutoff, so dead candidates cannot crowd live
-        # ones out of its top-C.
+        #: Stored ordinal of each shard's local ordinal 0, and the end.
+        self._bases = np.asarray(bases, dtype=np.int64)
         cuts = np.searchsorted(dead, bases, side="left")
         self._shards: list[_Shard] = []
         live_bases = 0
@@ -354,8 +351,7 @@ class PartitionedSearchEngine:
             live_bases += int(lengths.sum()) - int(lengths[gone].sum())
             self._shards.append(
                 self._make_shard(
-                    slot, bases[slot], int(gone.size), index, source,
-                    coarse_scorer,
+                    slot, bases[slot], index, source, coarse_scorer
                 )
             )
         #: Live residues across every shard: the E-value search space
@@ -401,10 +397,9 @@ class PartitionedSearchEngine:
         self,
         slot: int,
         base: int,
-        dead: int,
         index: IndexReader | None,
         source: SequenceSource,
-        coarse_scorer: CoarseScorer | str,
+        coarse_scorer: str,
     ) -> _Shard:
         # Rankers quarantine under "skip" only: under "fallback" any
         # corruption aborts the partitioned pipeline and the query is
@@ -424,7 +419,7 @@ class PartitionedSearchEngine:
             if self.resilience is not None
             else None
         )
-        return _Shard(slot, base, dead, index, ranker, source, breaker)
+        return _Shard(slot, base, index, ranker, source, breaker)
 
     @property
     def num_shards(self) -> int:
@@ -502,12 +497,15 @@ class PartitionedSearchEngine:
         cutoff: int | None = None,
         deadline: Deadline | None = None,
     ) -> list:
-        """Run only a one-shard engine's coarse phase: ranked
-        :class:`~repro.search.results.CoarseCandidate` s, best first,
-        tombstoned ones included.
+        """Run only a one-shard engine's coarse phase: its ranker's
+        ``rank`` — :func:`~repro.search.results.top_candidates` of its
+        scores, best first, tombstoned ones included.
 
-        With :meth:`fine_align` this is what :meth:`search` runs per
-        shard, so a caller can compose the fan-out by hand.
+        :meth:`search` instead writes every shard's scores into one
+        stored-ordinal array, zeroes tombstones and cuts once; a caller
+        composing the fan-out by hand over one-shard engines gets the
+        same selection by ranking each shard ``cutoff`` plus its
+        tombstones deep, dropping the dead and cutting the merge.
 
         Raises:
             SearchError: if the engine spans more than one shard, or
@@ -542,7 +540,7 @@ class PartitionedSearchEngine:
                 shard would be dropped from a :meth:`search`).
         """
         self._only_shard()
-        rows = [(-c.coarse_score, c.ordinal, 0, c) for c in candidates]
+        rows = [(c.ordinal, 0, c) for c in candidates]
         deadline = ensure_deadline(deadline)
         return self._fine(codes, rows, deadline, None, elide=False)[0]
 
@@ -678,8 +676,8 @@ class PartitionedSearchEngine:
     ) -> tuple[list[SearchHit], int, float, float]:
         """(ranked hits in logical ordinals, candidates scanned, coarse
         s, fine s); adds each shard's work to ``shard_detail``.
-        ``exhaustive`` replaces the rankers and the merge-cut with
-        every live ordinal (degraded mode)."""
+        ``exhaustive`` replaces the rankers and the cut with every live
+        ordinal (degraded mode)."""
         instruments = self.instruments
         started = time.perf_counter()
         with instruments.span("coarse"):
@@ -703,11 +701,11 @@ class PartitionedSearchEngine:
         degraded: set[int],
         shard_detail: list[dict],
     ) -> list[tuple]:
-        """Fan out and merge: the global coarse top-C as rows of
-        (-score, global ordinal, slot, candidate)."""
+        """Fan out and cut once: every surviving shard's scores in one
+        stored-ordinal array, tombstones zeroed, the global coarse top-C
+        as rows (see :meth:`_rows`)."""
         instruments = self.instruments
-        cutoff = self.coarse_cutoff
-        rows: list[tuple] = []
+        scores = np.zeros(int(self._bases[-1]), dtype=np.float64)
         for shard in self._shards:
             slot = shard.slot
             if slot in degraded:
@@ -715,54 +713,38 @@ class PartitionedSearchEngine:
             shard_started = time.perf_counter()
             with instruments.span(f"shard[{slot}].coarse") as span:
                 try:
-                    # A shard holding D tombstones must rank C+D
-                    # candidates: after the dead ones are filtered
-                    # out, at least its live top-C survives.
-                    candidates = self._run_shard(
+                    shard_scores = self._run_shard(
                         shard,
-                        lambda shard=shard: shard.ranker.rank(
-                            codes, cutoff + shard.dead, deadline=deadline
+                        lambda shard=shard: shard.ranker.scores(
+                            codes, deadline=deadline
                         ),
                         deadline,
                     )
                 except ShardUnavailable as exc:
                     self._note_degraded(slot, exc, degraded)
                     continue
+                scores[shard.base : shard.base + len(shard_scores)] = (
+                    shard_scores
+                )
+                positive = int(np.count_nonzero(shard_scores > 0))
                 if span is not None:
                     span.annotate("shard", slot)
-                    span.annotate("candidates", len(candidates))
+                    span.annotate("candidates", positive)
             detail = shard_detail[slot]
             detail["coarse_seconds"] += time.perf_counter() - shard_started
-            detail["coarse_candidates"] += len(candidates)
+            detail["coarse_candidates"] += positive
             instruments.count(
-                f"partitioned.shard.{slot}.coarse_candidates",
-                len(candidates),
+                f"partitioned.shard.{slot}.coarse_candidates", positive
             )
-            if shard.dead:
-                live = [
-                    candidate
-                    for candidate in candidates
-                    if shard.base + candidate.ordinal not in self._dead_set
-                ]
-                if len(live) < len(candidates):
-                    instruments.count(
-                        "lsm.tombstones_filtered",
-                        len(candidates) - len(live),
-                    )
-                candidates = live[:cutoff]
-            rows += [
-                (-candidate.coarse_score, shard.base + candidate.ordinal,
-                 slot, candidate)
-                for candidate in candidates
-            ]
         with instruments.span("merge") as span:
-            # (-score, global ordinal) is the global coarse ordering;
-            # ordinals are unique, so the sort never looks past them.
-            rows.sort()
-            selected = rows[:cutoff]
+            if self.tombstones.size:
+                masked = int(np.count_nonzero(scores[self.tombstones] > 0))
+                if masked:
+                    instruments.count("lsm.tombstones_filtered", masked)
+                scores[self.tombstones] = 0.0
+            selected = self._rows(top_candidates(scores, self.coarse_cutoff))
             if span is not None:
-                contributing = {slot for _, _, slot, _ in selected}
-                span.annotate("merged_rows", len(rows))
+                contributing = {slot for _, slot, _ in selected}
                 span.annotate("selected", len(selected))
                 span.annotate("shards_contributing", len(contributing))
         return selected
@@ -770,11 +752,24 @@ class PartitionedSearchEngine:
     def _live_rows(self) -> list[tuple]:
         """Every live ordinal as a row with coarse score 0, in ordinal
         order: the candidate list of a degraded query."""
+        live = np.setdiff1d(np.arange(self._bases[-1]), self.tombstones)
+        return self._rows([CoarseCandidate(o, 0.0) for o in live.tolist()])
+
+    def _rows(self, candidates: list[CoarseCandidate]) -> list[tuple]:
+        """Candidates numbered by stored ordinal as the fine phase's rows:
+        (stored ordinal, shard slot, shard-local candidate)."""
+        stored = [candidate.ordinal for candidate in candidates]
+        slots = np.searchsorted(self._bases, stored, side="right") - 1
         return [
-            (0, stored, shard.slot, CoarseCandidate(stored - shard.base, 0.0))
-            for shard in self._shards
-            for stored in range(shard.base, shard.base + len(shard.source))
-            if stored not in self._dead_set
+            (
+                candidate.ordinal,
+                slot,
+                CoarseCandidate(
+                    candidate.ordinal - self._shards[slot].base,
+                    candidate.coarse_score,
+                ),
+            )
+            for candidate, slot in zip(candidates, slots.tolist())
         ]
 
     def _fine(
@@ -786,9 +781,9 @@ class PartitionedSearchEngine:
         shard_detail: list[dict] | None = None,
         elide: bool = True,
     ) -> tuple[list[SearchHit], int]:
-        """Fetch and scan ``selected`` (merged rows: -coarse score,
-        stored ordinal, shard slot, candidate): (hits best first,
-        candidates scanned).
+        """Fetch and scan ``selected`` (rows of stored ordinal, shard
+        slot, shard-local candidate): (hits best first, candidates
+        scanned).
 
         Hit ordinals are logical — tombstones elided unless ``elide`` is
         false — which is monotonic in the stored ordinal, so the merged
@@ -821,11 +816,11 @@ class PartitionedSearchEngine:
                 targets = localise(targets)
             with self.instruments.span("scan") as span:
                 scores, columns = scan_targets(codes, targets, self.scheme)
-                stored = np.array([row[1] for row in kept], dtype=np.int64)
-                candidates = [row[3] for row in kept]
+                stored = np.array([row[0] for row in kept], dtype=np.int64)
+                candidates = [row[2] for row in kept]
                 found = hits_from_scores(
                     candidates, scores.tolist(), self.min_fine_score,
-                    lambda i: self._shards[kept[i][2]].source.identifier(
+                    lambda i: self._shards[kept[i][1]].source.identifier(
                         candidates[i].ordinal
                     ),
                     (stored - np.searchsorted(elided, stored)).tolist(),
@@ -833,7 +828,7 @@ class PartitionedSearchEngine:
                 if span is not None:
                     span.annotate("candidates", len(kept))
                     span.annotate("columns", columns)
-                    contributing = {slot for _, _, slot, _ in kept}
+                    contributing = {slot for _, slot, _ in kept}
                     span.annotate("shards_contributing", len(contributing))
                     span.annotate("hits", len(found))
             hits += found
@@ -854,7 +849,7 @@ class PartitionedSearchEngine:
         records and dropped shards."""
         dropped = degraded or ()
         shares: dict[int, list[int]] = {}
-        for position, (_, _, slot, candidate) in enumerate(chunk):
+        for position, (_, slot, candidate) in enumerate(chunk):
             if slot not in dropped and candidate.ordinal not in (
                 self._shards[slot].quarantined_sequences
             ):
@@ -862,7 +857,7 @@ class PartitionedSearchEngine:
         targets: list[np.ndarray | None] = [None] * len(chunk)
         for slot, positions in shares.items():
             shard = self._shards[slot]
-            candidates = [chunk[position][3] for position in positions]
+            candidates = [chunk[position][2] for position in positions]
             on_corrupt = (
                 partial(self._quarantine, shard)
                 if self.on_corruption == "skip"
@@ -1109,63 +1104,24 @@ class PartitionedSearchEngine:
         self,
         queries: list[Sequence],
         top_k: int = 10,
-        workers: int | None = None,
         deadline: Deadline | None = None,
     ) -> list[SearchReport]:
-        """Evaluate a list of queries, reports in query order.
+        """Evaluate a list of queries in order, reports in query order.
 
-        Args:
-            queries: the batch (any mix of records and coded arrays).
-            top_k: answers per query.
-            workers: query-evaluation threads.  ``None`` or 1 keeps the
-                sequential loop; larger values evaluate queries
-                concurrently — the alignment kernel and posting decode
-                run in numpy, which releases the GIL, so batches see
-                real wall-clock overlap.  Results are identical to the
-                sequential loop (per-query timings aside).
-            deadline: optional time budget shared by the *whole* batch;
-                queries evaluated after expiry return flagged empty
-                partials.
-
+        ``deadline`` is one time budget shared by the *whole* batch:
+        queries evaluated after expiry return flagged empty partials.
         With instrumentation attached the batch reports
-        ``batch.queries``, the ``batch.workers`` gauge, a
-        ``batch.wall_seconds`` histogram, and per-worker
-        ``batch.worker.<name>.queries`` counters (threaded runs only) —
-        every instrument is mutation-locked, so concurrent workers lose
-        no updates.
-
-        Raises:
-            SearchError: if ``workers`` < 1.
+        ``batch.queries`` and a ``batch.wall_seconds`` histogram.
         """
-        if workers is not None and workers < 1:
-            raise SearchError(f"workers must be >= 1, got {workers}")
         if not queries:
             return []
-        instruments = self.instruments
         started = time.perf_counter()
-        if workers is None or workers == 1 or len(queries) == 1:
-            reports = [
-                self.search(query, top_k=top_k, deadline=deadline)
-                for query in queries
-            ]
-            instruments.set_gauge("batch.workers", 1)
-        else:
-
-            def evaluate(query):
-                report = self.search(query, top_k=top_k, deadline=deadline)
-                instruments.count(
-                    f"batch.worker.{current_thread().name}.queries"
-                )
-                return report
-
-            pool_size = min(workers, len(queries))
-            instruments.set_gauge("batch.workers", pool_size)
-            with ThreadPoolExecutor(
-                max_workers=pool_size, thread_name_prefix="search-batch"
-            ) as pool:
-                reports = list(pool.map(evaluate, queries))
-        instruments.count("batch.queries", len(queries))
-        instruments.observe(
+        reports = [
+            self.search(query, top_k=top_k, deadline=deadline)
+            for query in queries
+        ]
+        self.instruments.count("batch.queries", len(queries))
+        self.instruments.observe(
             "batch.wall_seconds", time.perf_counter() - started
         )
         return reports

@@ -5,6 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
+from repro.errors import SearchError
+
 
 @dataclass(frozen=True)
 class CoarseCandidate:
@@ -12,6 +16,28 @@ class CoarseCandidate:
 
     ordinal: int
     coarse_score: float
+
+
+def top_candidates(scores: np.ndarray, cutoff: int) -> list[CoarseCandidate]:
+    """The coarse cut: the ``cutoff`` best positive ``scores``, best
+    first, as candidates whose ordinal is the score's index.
+
+    The order is total (score desc, ordinal asc), so tied candidates at
+    the cutoff never depend on the backend or the partitioning.  Zero
+    scores are never returned, so the list may be shorter than
+    ``cutoff``.
+
+    Raises:
+        SearchError: if ``cutoff`` is not positive.
+    """
+    if cutoff < 1:
+        raise SearchError(f"cutoff must be >= 1, got {cutoff}")
+    positive = np.flatnonzero(scores > 0)
+    order = np.lexsort((positive, -scores[positive]))[:cutoff]
+    return [
+        CoarseCandidate(int(ordinal), float(scores[ordinal]))
+        for ordinal in positive[order]
+    ]
 
 
 @dataclass(frozen=True)

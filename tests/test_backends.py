@@ -45,6 +45,7 @@ from repro.index.storage import write_index
 from repro.index.store import MemorySequenceSource
 from repro.instrumentation.instruments import Instruments
 from repro.search.exhaustive import ExhaustiveSearcher
+from repro.search.results import top_candidates
 from repro.sequences.record import Sequence
 from repro.workloads.queries import make_family_queries
 from repro.workloads.synthetic import (
@@ -329,6 +330,47 @@ class TestSignatureRanker:
 
 
 # -- Database integration, every layout ----------------------------------
+
+
+class TestScoresAndCut:
+    """Every ranker returns dense scores, and its ranking is the one
+    shared cut applied to them."""
+
+    @pytest.mark.parametrize(
+        "backend, scorer",
+        [
+            ("inverted", "count"),
+            ("inverted", "idf"),
+            ("inverted", "normalised"),
+            ("signature", "count"),
+        ],
+    )
+    def test_rank_is_the_cut_of_dense_scores(
+        self, backend, scorer, signature_file, records
+    ):
+        if backend == "inverted":
+            index = build_index(records, PARAMS)
+        else:
+            index = SignatureIndex(signature_file)
+        ranker = get_backend(backend).make_ranker(index, scorer)
+        queries = [
+            records[3].codes[40:180],
+            records[9].codes,
+            np.full(40, 14, dtype=np.uint8),  # wildcards: no intervals
+        ]
+        for query in queries:
+            scores = ranker.scores(query)
+            assert scores.dtype == np.float64
+            assert scores.shape == (len(records),)
+            for cutoff in (1, 5, len(records) + 10):
+                assert ranker.rank(query, cutoff) == top_candidates(
+                    scores, cutoff
+                )
+        assert top_candidates(ranker.scores(queries[0]), 5)[0].ordinal in (
+            3, 17
+        )
+        with pytest.raises(SearchError, match="cutoff"):
+            top_candidates(ranker.scores(queries[0]), 0)
 
 
 class TestDatabaseSignature:

@@ -6,13 +6,7 @@ import pytest
 from repro.errors import SearchError
 from repro.index.builder import IndexParameters, build_index
 from repro.instrumentation.instruments import Instruments
-from repro.search.coarse import (
-    CoarseRanker,
-    CountScorer,
-    IdfScorer,
-    NormalisedScorer,
-    make_scorer,
-)
+from repro.search.coarse import SCORERS, CoarseRanker
 from repro.sequences.record import Sequence
 from tests.conftest import scalar_read_lists
 
@@ -43,14 +37,14 @@ def index(collection):
 
 
 class TestMakeScorer:
-    def test_known_names(self):
-        assert isinstance(make_scorer("count"), CountScorer)
-        assert isinstance(make_scorer("idf"), IdfScorer)
-        assert isinstance(make_scorer("normalised"), NormalisedScorer)
+    def test_known_names(self, index):
+        assert SCORERS == ("count", "idf", "normalised")
+        for name in SCORERS:
+            assert CoarseRanker(index, name).scorer == name
 
-    def test_unknown_name(self):
-        with pytest.raises(SearchError):
-            make_scorer("pagerank")
+    def test_unknown_name(self, index):
+        with pytest.raises(SearchError, match="unknown coarse scorer"):
+            CoarseRanker(index, "pagerank")
 
 
 class TestRanking:
@@ -177,19 +171,19 @@ class TestIdfSingleLookup:
             seq("c", "CCCCAAAAACGTACGT"),
         ]
         index = build_index(records, IndexParameters(interval_length=4))
-        ids = list(index.interval_ids())[:6]
-        query_ids = np.array(ids, dtype=np.int64)
-        query_counts = np.ones(len(ids), dtype=np.int64)
+        query = records[0].codes
+        ranker = CoarseRanker(index, "idf")
+        ids = ranker.query_intervals(query)[0].tolist()
+        assert set(ids) <= set(index.interval_ids())
         calls = []
         original = index.lookup_entry
         index.lookup_entry = lambda interval_id: (
             calls.append(interval_id) or original(interval_id)
         )
         try:
-            scorer = make_scorer("idf")
             instruments = Instruments()
-            scorer.instruments = instruments
-            scorer.score(index, query_ids, query_counts)
+            ranker.set_instruments(instruments)
+            ranker.scores(query)
         finally:
             del index.lookup_entry
         # The idf weight reuses the entry the decode already

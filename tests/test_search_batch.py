@@ -1,15 +1,17 @@
-"""Batch query evaluation: parity with per-query search, parallelism.
+"""Batch query evaluation and concurrent searches.
 
 ``search_batch`` must be a pure convenience: same reports as calling
-``search`` per query, in query order, whether it runs sequentially or
-on a thread pool.
+``search`` per query, in query order.  One engine searched from many
+threads at once must answer, and count, exactly as it does
+sequentially.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.database import Database
-from repro.errors import SearchError
 from repro.index.builder import IndexParameters, build_index
 from repro.index.store import MemorySequenceSource
 from repro.search.engine import PartitionedSearchEngine
@@ -68,29 +70,23 @@ class TestSearchBatch:
     def test_empty_batch(self, engine_and_queries):
         engine, _ = engine_and_queries
         assert engine.search_batch([]) == []
-        assert engine.search_batch([], workers=4) == []
 
     def test_parallel_equals_sequential(self, engine_and_queries):
         engine, queries = engine_and_queries
-        sequential = engine.search_batch(queries, top_k=5, workers=1)
-        parallel = engine.search_batch(queries, top_k=5, workers=4)
+        sequential = engine.search_batch(queries, top_k=5)
+        parallel = _concurrent_searches(engine, queries, top_k=5)
         assert [_key(report) for report in sequential] == \
             [_key(report) for report in parallel]
 
     def test_reports_come_back_in_query_order(self, engine_and_queries):
         engine, queries = engine_and_queries
-        batch = engine.search_batch(queries, top_k=3, workers=3)
+        batch = engine.search_batch(queries, top_k=3)
         assert [report.query_identifier for report in batch] == \
             [query.identifier for query in queries]
 
-    def test_invalid_workers_rejected(self, engine_and_queries):
-        engine, queries = engine_and_queries
-        with pytest.raises(SearchError):
-            engine.search_batch(queries, workers=0)
-
     def test_single_query_batch(self, engine_and_queries):
         engine, queries = engine_and_queries
-        batch = engine.search_batch(queries[:1], top_k=5, workers=8)
+        batch = engine.search_batch(queries[:1], top_k=5)
         assert len(batch) == 1
         assert _key(batch[0]) == _key(engine.search(queries[0], top_k=5))
 
@@ -102,23 +98,32 @@ class TestDatabaseSearchBatch:
         with Database.create(
             records, tmp_path / "db", params=PARAMS, shards=3
         ) as db:
-            batch = db.search_batch(queries, top_k=5, workers=3)
+            batch = db.search_batch(queries, top_k=5)
             singles = [db.search(query, top_k=5) for query in queries]
             assert [_key(report) for report in batch] == \
                 [_key(report) for report in singles]
 
 
+def _concurrent_searches(engine, queries, top_k):
+    """``engine.search`` over ``queries`` from four threads at once,
+    reports in query order."""
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        return list(
+            pool.map(lambda query: engine.search(query, top_k=top_k), queries)
+        )
+
+
 class TestBatchMetrics:
-    """Threaded batches must account for work exactly like sequential."""
+    """Concurrent searches must account for work exactly like a
+    sequential batch: every instrument is mutation-locked."""
 
     COUNTERS = (
         "partitioned.queries",
         "partitioned.candidates",
         "store.records_fetched",
-        "batch.queries",
     )
 
-    def _run(self, workers):
+    def _run(self, concurrent):
         from repro.instrumentation import Instruments
 
         records = _records()
@@ -129,29 +134,22 @@ class TestBatchMetrics:
             coarse_cutoff=10,
             instruments=instruments,
         )
-        engine.search_batch(_queries(records), top_k=5, workers=workers)
+        if concurrent:
+            _concurrent_searches(engine, _queries(records), top_k=5)
+        else:
+            engine.search_batch(_queries(records), top_k=5)
         return instruments
 
     def test_parallel_counter_totals_match_sequential(self):
-        sequential = self._run(workers=1)
-        parallel = self._run(workers=4)
+        sequential = self._run(concurrent=False)
+        parallel = self._run(concurrent=True)
         for name in self.COUNTERS:
             assert parallel.metrics.counter_value(name) == \
                 sequential.metrics.counter_value(name), name
-
-    def test_per_worker_counts_sum_to_batch_size(self):
-        instruments = self._run(workers=4)
-        counters = instruments.metrics.snapshot()["counters"]
-        per_worker = [
-            value
-            for name, value in counters.items()
-            if name.startswith("batch.worker.")
-        ]
-        assert per_worker
-        assert sum(per_worker) == counters["batch.queries"]
+        assert sequential.metrics.counter_value("batch.queries") == 8
 
     def test_batch_wall_seconds_observed_once(self):
-        instruments = self._run(workers=4)
+        instruments = self._run(concurrent=False)
         summary = instruments.metrics.snapshot()["histograms"][
             "batch.wall_seconds"
         ]

@@ -289,9 +289,9 @@ class TestScoreIdentity:
     @pytest.mark.parametrize("fine_mode", ["full", "frames"])
     def test_hand_composed_phases_equal_search(self, workload, fine_mode):
         """coarse_rank -> tombstone filter -> merge-cut -> fine_align
-        over per-shard one-shard engines is what ``search`` runs (the
-        contract e2e_bench/live_mixed.py checks every traced query
-        against)."""
+        over per-shard one-shard engines answers exactly as ``search``'s
+        one masked cut over every shard's scores (the contract
+        e2e_bench/live_mixed.py checks every traced query against)."""
         records, queries = workload
         cutoff, top_k = 9, 7
         dead = {1, 2, 13, 14, 30}
@@ -393,13 +393,12 @@ class TestScoreIdentity:
         )
 
     def test_collection_scorers_need_one_whole_shard(self, workload):
-        """idf / normalised / custom scorers read collection statistics:
-        fine when the lone shard *is* the collection, refused otherwise."""
-        from repro.search.coarse import make_scorer
-
+        """idf / normalised read collection statistics: fine when the
+        lone shard *is* the collection, refused otherwise.  A scorer is
+        a name; anything else is refused as unknown on every layout."""
         records, queries = workload
         index, source = build_index(records, PARAMS), MemorySequenceSource(records)
-        for scorer in ("idf", "normalised", make_scorer("idf")):
+        for scorer in ("idf", "normalised"):
             direct = PartitionedSearchEngine(
                 index, source, coarse_scorer=scorer, coarse_cutoff=10
             )
@@ -411,18 +410,23 @@ class TestScoreIdentity:
                     direct.search(query)
                 )
                 assert direct.search(query).hits
-        for scorer in ("idf", "normalised"):
             with pytest.raises(SearchError, match="collection-wide"):
                 _split_engines(records, 2, coarse_scorer=scorer)
             with pytest.raises(SearchError, match="collection-wide"):
                 _split_engines(records, 1, coarse_scorer=scorer, tombstones=[3])
-        # Custom scorer instances cannot be vetted for shard-safety.
-        with pytest.raises(SearchError, match="name"):
-            _split_engines(records, 2, coarse_scorer=make_scorer("count"))
-        with pytest.raises(SearchError, match="name"):
-            _split_engines(
-                records, 1, coarse_scorer=make_scorer("count"), tombstones=[3]
-            )
+
+        class CountLike:
+            name = "count"
+
+        for layout in (
+            dict(shards=1),
+            dict(shards=2),
+            dict(shards=1, tombstones=[3]),
+        ):
+            with pytest.raises(SearchError, match="unknown coarse scorer"):
+                _split_engines(records, coarse_scorer=CountLike(), **layout)
+        with pytest.raises(SearchError, match="unknown coarse scorer"):
+            PartitionedSearchEngine(None, source, coarse_scorer=CountLike())
 
     def test_collection_scorers_on_database(self, workload, tmp_path):
         records, queries = workload
