@@ -13,11 +13,17 @@ is a single numpy shift-and-mask pass — the property behind the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence as TypingSequence
 
 import numpy as np
 
 from repro.compression.bitio import BitReader, BitWriter
 from repro.compression.elias import EliasGammaCodec
+from repro.compression.fastpack import (
+    MAX_GAMMA_VALUE,
+    gamma_code_array,
+    pack_grouped,
+)
 from repro.compression.golomb import GolombCodec
 from repro.errors import CodecError
 from repro.sequences.alphabet import (
@@ -27,12 +33,19 @@ from repro.sequences.alphabet import (
 )
 
 _GAMMA = EliasGammaCodec()
+
+#: Bases :func:`encode_sequences` codes per array pass (whole
+#: sequences, so a longer one is a pass of its own); bounds the
+#: batch coder's temporaries.
+CODE_CHUNK = 1 << 18
+
 _PACK_WEIGHTS = np.array([64, 16, 4, 1], dtype=np.uint8)
 _WILDCARD_ID_BITS = 4
 
 
 def _pack_bases(codes: np.ndarray) -> bytes:
-    """Pack base codes (wildcards already zeroed) four to a byte."""
+    """Pack base codes (wildcards already zeroed) four to a byte; a
+    length that is a multiple of four packs records back to back."""
     length = codes.shape[0]
     padded_length = -(-length // 4) * 4
     padded = np.zeros(padded_length, dtype=np.uint8)
@@ -87,6 +100,102 @@ def encode_sequence(codes: np.ndarray) -> bytes:
         base_codes[wildcard_positions] = 0
         writer.write_bytes(_pack_bases(base_codes))
     return writer.getvalue()
+
+
+def encode_sequences(
+    sequences: TypingSequence[np.ndarray],
+) -> tuple[bytes, np.ndarray]:
+    """Direct-code many sequences into one buffer.
+
+    Returns ``(buffer, bounds)``: sequence ``i``'s payload is
+    ``buffer[bounds[i]:bounds[i + 1]]``, byte for byte what
+    :func:`encode_sequence` makes of it.  Runs of whole sequences of
+    about :data:`CODE_CHUNK` bases are coded one array pass each.
+
+    Raises:
+        CodecError: if a code is outside the IUPAC range.
+    """
+    sequences = [
+        np.ascontiguousarray(codes, dtype=np.uint8) for codes in sequences
+    ]
+    ends = np.cumsum([codes.shape[0] for codes in sequences], dtype=np.int64)
+    passes: list[bytes] = []
+    sizes: list[int] = []
+    start = 0
+    while start < len(sequences):
+        before = int(ends[start]) - sequences[start].shape[0]
+        stop = max(
+            int(np.searchsorted(ends, before + CODE_CHUNK, side="right")),
+            start + 1,
+        )
+        coded, coded_sizes = _encode_pass(sequences[start:stop])
+        passes.append(coded)
+        sizes += coded_sizes
+        start = stop
+    bounds = np.zeros(len(sequences) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    return b"".join(passes), bounds
+
+
+def _encode_pass(sequences: list[np.ndarray]) -> tuple[bytes, list[int]]:
+    """The sequences' payloads back to back, and each one's size.
+
+    A sequence without wildcards has the header ``gamma(length)
+    gamma(0)`` padded to a byte, so the headers pack as byte-aligned
+    groups and the bases as one zero-padded run; the rare sequence
+    holding a wildcard goes through :func:`encode_sequence`.
+    """
+    lengths = np.array([codes.shape[0] for codes in sequences], np.int64)
+    joined = np.concatenate(sequences)
+    if joined.size and int(joined.max(initial=0)) >= len(IUPAC_ALPHABET):
+        raise CodecError("sequence holds codes outside the IUPAC alphabet")
+    alone = lengths > MAX_GAMMA_VALUE
+    alone[
+        np.searchsorted(
+            np.cumsum(lengths), np.flatnonzero(joined >= WILDCARD_MIN_CODE),
+            side="right",
+        )
+    ] = True
+    del joined
+    batch = np.flatnonzero(~alone)
+
+    header_patterns, header_lengths = gamma_code_array(
+        np.column_stack([lengths[batch], np.zeros_like(batch)]).ravel()
+    )
+    headers, header_bounds = pack_grouped(
+        header_patterns, header_lengths, np.repeat(batch, 2)
+    )
+    pad = np.zeros(3, dtype=np.uint8)
+    bodies = _pack_bases(
+        np.concatenate(
+            [np.empty(0, dtype=np.uint8)]
+            + [
+                piece
+                for slot in batch.tolist()
+                for piece in (sequences[slot], pad[: -len(sequences[slot]) % 4])
+            ]
+        )
+    )
+    body_bounds = np.zeros(batch.shape[0] + 1, dtype=np.int64)
+    np.cumsum((lengths[batch] + 3) // 4, out=body_bounds[1:])
+
+    headers, bodies = memoryview(headers), memoryview(bodies)
+    header_bounds, body_bounds = header_bounds.tolist(), body_bounds.tolist()
+    pieces: list[bytes | memoryview] = []
+    sizes: list[int] = []
+    cursor = 0
+    for slot, scalar in enumerate(alone.tolist()):
+        if scalar:
+            payload = encode_sequence(sequences[slot])
+            pieces.append(payload)
+            sizes.append(len(payload))
+            continue
+        head = headers[header_bounds[cursor] : header_bounds[cursor + 1]]
+        body = bodies[body_bounds[cursor] : body_bounds[cursor + 1]]
+        pieces += (head, body)
+        sizes.append(len(head) + len(body))
+        cursor += 1
+    return b"".join(pieces), sizes
 
 
 def decode_sequence(data: bytes) -> np.ndarray:

@@ -3,14 +3,15 @@
 Index construction encodes millions of small integers; doing that one
 ``write_bits`` call at a time dominates build time.  This module
 computes whole *arrays* of Elias-gamma and Golomb code patterns with
-numpy and packs them into a byte buffer with eight scatter-OR passes —
-bit-identical to the scalar :class:`~repro.compression.bitio.BitWriter`
-output, which the tests pin down.
+numpy and packs them into 64-bit big-endian words: the codes starting
+in a word are OR-reduced into it in one ``reduceat`` pass, and the one
+code that may cross into the next word spills its tail there with one
+more write.  The output is bit-identical to the scalar
+:class:`~repro.compression.bitio.BitWriter`, which the tests pin down.
 
-The vector path covers codes up to :data:`MAX_VECTOR_BITS` bits (a
-pattern must fit an aligned 64-bit window at any intra-byte offset);
-the rare longer code — a huge Golomb quotient — is spliced in with a
-scalar fallback.
+The vector path covers codes up to :data:`MAX_VECTOR_BITS` bits; the
+rare longer code — a huge Golomb quotient — is flagged so the caller
+can encode it with the scalar writer.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from repro.errors import CodecValueError
 
-#: Longest code the scatter windows can hold: 7 offset bits + the code
-#: must fit in 64.
+#: Longest code the vector coders emit; a longer one (a huge Golomb
+#: quotient) is flagged as overflow for the scalar writer.
 MAX_VECTOR_BITS = 57
 
 #: Largest value whose gamma code fits the vector window:
@@ -59,99 +60,11 @@ def gamma_code_array(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return patterns, lengths
 
 
-def golomb_code_array(
-    values: np.ndarray, parameter: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Golomb patterns, bit lengths, and an overflow mask.
-
-    Matches ``GolombCodec``: a unary quotient (ones then zero) followed
-    by a truncated-binary remainder.  Codes longer than
-    :data:`MAX_VECTOR_BITS` get a zero pattern and a set overflow flag;
-    the caller must encode those scalars itself.
-
-    Raises:
-        CodecValueError: if the parameter is invalid or a value is
-            negative.
-    """
-    if parameter < 1:
-        raise CodecValueError(f"Golomb parameter must be >= 1, got {parameter}")
-    values = np.asarray(values, dtype=np.int64)
-    if values.size and int(values.min(initial=0)) < 0:
-        raise CodecValueError("golomb vector path: negative value")
-    quotients = (values // parameter).astype(np.uint64)
-    remainders = (values % parameter).astype(np.uint64)
-
-    if parameter > 1:
-        ceil_bits = (parameter - 1).bit_length()
-        threshold = (1 << ceil_bits) - parameter
-        short = remainders < np.uint64(threshold)
-        remainder_bits = np.where(short, ceil_bits - 1, ceil_bits).astype(
-            np.uint64
-        )
-        remainder_values = np.where(
-            short, remainders, remainders + np.uint64(threshold)
-        ).astype(np.uint64)
-    else:
-        remainder_bits = np.zeros(values.shape[0], dtype=np.uint64)
-        remainder_values = np.zeros(values.shape[0], dtype=np.uint64)
-
-    lengths = quotients.astype(np.int64) + 1 + remainder_bits.astype(np.int64)
-    overflow = lengths > MAX_VECTOR_BITS
-    safe_quotients = np.where(overflow, np.uint64(0), quotients)
-    ones = (np.uint64(1) << safe_quotients) - np.uint64(1)
-    patterns = (
-        ones << (remainder_bits + np.uint64(1))
-    ) | remainder_values
-    patterns = np.where(overflow, np.uint64(0), patterns)
-    return patterns, lengths, overflow
-
-
-def pack_patterns(
-    patterns: np.ndarray,
-    lengths: np.ndarray,
-    long_values: list[tuple[int, int, int]] | None = None,
-) -> bytes:
-    """Concatenate MSB-first codes into a zero-padded byte string.
-
-    Args:
-        patterns: uint64 code patterns, right-aligned.
-        lengths: bit length of each code (0 allowed; emits nothing).
-        long_values: optional scalar splices for overflow codes, as
-            ``(slot, quotient, tail_pattern_bits)`` is *not* the
-            interface — see :func:`encode_golomb_stream` which handles
-            overflow before calling here.  This function requires every
-            length <= :data:`MAX_VECTOR_BITS`.
-
-    Raises:
-        CodecValueError: if a length exceeds the vector window.
-    """
-    patterns = np.asarray(patterns, dtype=np.uint64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.size and int(lengths.max(initial=0)) > MAX_VECTOR_BITS:
-        raise CodecValueError(
-            "pack_patterns handles codes up to "
-            f"{MAX_VECTOR_BITS} bits; splice longer codes separately"
-        )
-    del long_values
-    total_bits = int(lengths.sum())
-    if not total_bits:
-        return b""
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    byte_slots = (starts >> 3).astype(np.int64)
-    bit_offsets = (starts & 7).astype(np.uint64)
-
-    # Each code sits inside an 8-byte window anchored at its byte slot:
-    # shift it up so its first bit lands at the window's bit_offset.
-    window = patterns << (
-        np.uint64(64) - bit_offsets - lengths.astype(np.uint64)
-    )
-    out = np.zeros((total_bits + 7) // 8 + 8, dtype=np.uint8)
-    for byte_index in range(8):
-        shift = np.uint64(56 - 8 * byte_index)
-        chunk = ((window >> shift) & np.uint64(0xFF)).astype(np.uint8)
-        np.bitwise_or.at(out, byte_slots + byte_index, chunk)
-    return out[: (total_bits + 7) // 8].tobytes()
+def pack_patterns(patterns: np.ndarray, lengths: np.ndarray) -> bytes:
+    """Concatenate MSB-first codes into a zero-padded byte string:
+    :func:`pack_grouped` with one group."""
+    lengths = np.asarray(lengths)
+    return pack_grouped(patterns, lengths, np.zeros(lengths.shape, np.int8))[0]
 
 
 def interleave_codes(
@@ -175,13 +88,16 @@ def interleave_codes(
 
 
 def golomb_code_array_multi(
-    values: np.ndarray, parameters: np.ndarray
+    values: np.ndarray, parameters: np.ndarray | int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Golomb patterns with a *per-value* parameter.
+    """Golomb patterns, bit lengths, and an overflow mask.
 
-    The whole-index bulk encoder derives a different parameter for
-    every posting list; this computes all lists' codes in one pass.
-    Semantics otherwise identical to :func:`golomb_code_array`.
+    Matches ``GolombCodec``: a unary quotient (ones then zero) followed
+    by a truncated-binary remainder.  ``parameters`` is one parameter
+    per value (the whole-index bulk encoder derives one per posting
+    list) or a single parameter for every value.  Codes longer than
+    :data:`MAX_VECTOR_BITS` get a zero pattern and a set overflow flag;
+    the caller must encode those values itself.
 
     Raises:
         CodecValueError: if shapes disagree, a parameter is < 1, or a
@@ -189,15 +105,17 @@ def golomb_code_array_multi(
     """
     values = np.asarray(values, dtype=np.int64)
     parameters = np.asarray(parameters, dtype=np.int64)
-    if values.shape != parameters.shape:
+    if parameters.ndim and parameters.shape != values.shape:
         raise CodecValueError("values and parameters must be parallel")
+    parameters = np.broadcast_to(parameters, values.shape)
     if parameters.size and int(parameters.min(initial=1)) < 1:
         raise CodecValueError("Golomb parameters must be >= 1")
     if values.size and int(values.min(initial=0)) < 0:
         raise CodecValueError("golomb vector path: negative value")
 
-    quotients = (values // parameters).astype(np.uint64)
-    remainders = (values % parameters).astype(np.uint64)
+    quotients, remainders = np.divmod(values, parameters)
+    quotients = quotients.astype(np.uint64)
+    remainders = remainders.astype(np.uint64)
     # ceil(log2 b) via bit_length(b - 1); b == 1 gets zero remainder bits.
     multi = parameters > 1
     ceil_bits = np.zeros(values.shape[0], dtype=np.uint64)
@@ -226,13 +144,23 @@ def golomb_code_array_multi(
     return patterns, lengths, overflow
 
 
+def _run_firsts(values: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values."""
+    first = np.empty(values.shape[0], dtype=bool)
+    first[0] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
 def pack_grouped(
     patterns: np.ndarray, lengths: np.ndarray, group_ids: np.ndarray
 ) -> tuple[bytes, np.ndarray]:
     """Pack codes into one buffer with byte alignment between groups.
 
     Args:
-        patterns / lengths: as for :func:`pack_patterns`.
+        patterns: uint64 code patterns, right-aligned; a zero-length
+            code must have a zero pattern.
+        lengths: bit length of each code (0 allowed; emits nothing).
         group_ids: non-decreasing group index per code (0..G-1, every
             group non-empty).
 
@@ -242,43 +170,47 @@ def pack_grouped(
         what encoding each group separately would produce.
 
     Raises:
-        CodecValueError: if a code exceeds the vector window or the
-            group ids are not non-decreasing.
+        CodecValueError: if a code exceeds :data:`MAX_VECTOR_BITS` or
+            the group ids are not non-decreasing.
     """
     patterns = np.asarray(patterns, dtype=np.uint64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    group_ids = np.asarray(group_ids, dtype=np.int64)
+    group_ids = np.asarray(group_ids)
     if lengths.size and int(lengths.max(initial=0)) > MAX_VECTOR_BITS:
-        raise CodecValueError("pack_grouped: code exceeds the vector window")
-    if group_ids.size and int(np.diff(group_ids).min(initial=0)) < 0:
+        raise CodecValueError(
+            f"pack_grouped handles codes up to {MAX_VECTOR_BITS} bits; "
+            "encode longer codes with the scalar writer"
+        )
+    if bool(np.any(group_ids[1:] < group_ids[:-1])):
         raise CodecValueError("pack_grouped: group ids must be non-decreasing")
     if not lengths.size:
         return b"", np.zeros(1, dtype=np.int64)
 
-    num_groups = int(group_ids[-1]) + 1
-    group_bits = np.bincount(group_ids, weights=lengths,
-                             minlength=num_groups).astype(np.int64)
-    group_bytes = (group_bits + 7) // 8
-    bounds = np.zeros(num_groups + 1, dtype=np.int64)
-    np.cumsum(group_bytes, out=bounds[1:])
+    # Groups: where the id changes.  Each group starts on a byte, so a
+    # code's bit start is its unpadded start plus the padding before
+    # its group.
+    firsts = _run_firsts(group_ids)
+    group_bits = np.add.reduceat(lengths, firsts)
+    bounds = np.zeros(firsts.shape[0] + 1, dtype=np.int64)
+    np.cumsum((group_bits + 7) >> 3, out=bounds[1:])
+    starts = np.cumsum(lengths)
+    starts -= lengths
+    padding = bounds[:-1] * 8 - starts[firsts]
+    starts += np.repeat(padding, np.diff(np.append(firsts, lengths.shape[0])))
 
-    global_prefix = np.cumsum(lengths) - lengths
-    first_of_group = np.zeros(num_groups, dtype=np.int64)
-    unique_groups, first_indices = np.unique(group_ids, return_index=True)
-    first_of_group[unique_groups] = global_prefix[first_indices]
-    starts = (
-        bounds[group_ids] * 8 + (global_prefix - first_of_group[group_ids])
+    # Words: the codes starting in a word OR together into it; a code
+    # running past its word's end leaves its tail to the next word.
+    words_at = starts >> 6
+    ends = (starts & 63) + lengths
+    spills = ends > 64
+    heads = (patterns << np.maximum(64 - ends, 0).astype(np.uint64)) >> (
+        np.maximum(ends - 64, 0).astype(np.uint64)
     )
-
-    byte_slots = (starts >> 3).astype(np.int64)
-    bit_offsets = (starts & 7).astype(np.uint64)
-    window = patterns << (
-        np.uint64(64) - bit_offsets - lengths.astype(np.uint64)
-    )
-    out = np.zeros(int(bounds[-1]) + 8, dtype=np.uint8)
-    for byte_index in range(8):
-        shift = np.uint64(56 - 8 * byte_index)
-        chunk = ((window >> shift) & np.uint64(0xFF)).astype(np.uint8)
-        np.bitwise_or.at(out, byte_slots + byte_index, chunk)
-    return out[: int(bounds[-1])].tobytes(), bounds
-
+    word_firsts = _run_firsts(words_at)
+    total_bytes = int(bounds[-1])
+    words = np.zeros(total_bytes // 8 + 2, dtype=np.uint64)
+    words[words_at[word_firsts]] = np.bitwise_or.reduceat(heads, word_firsts)
+    words[words_at[spills] + 1] |= patterns[spills] << (
+        128 - ends[spills]
+    ).astype(np.uint64)
+    return words.astype(">u8").view(np.uint8)[:total_bytes].tobytes(), bounds

@@ -1,10 +1,11 @@
 """Inverted-index construction and the in-memory index.
 
-Building is a single vectorised pass: every (interval id, sequence
-ordinal) pair in the collection goes into two flat numpy arrays, one
-sort groups them, and each group is handed to the postings codec.
-This mirrors the sort-based inversion used for the paper's on-disk
-indexes, scaled to in-memory collections.
+Building is a few array passes: one interval pass over the whole
+collection puts every (interval id, sequence ordinal) pair into two
+flat numpy arrays, one radix sort groups them, and the groups are
+coded in passes of whole intervals whose size a module constant
+bounds.  This mirrors the sort-based inversion used for the paper's
+on-disk indexes, scaled to in-memory collections.
 """
 
 from __future__ import annotations
@@ -437,38 +438,57 @@ def _concatenate_lists(
 
 
 class InvertedIndex(IndexReader):
-    """In-memory interval index: vocabulary dict over compressed lists."""
+    """In-memory interval index: the vocabulary in ascending interval
+    order, its compressed lists back to back in one buffer."""
 
     def __init__(
         self,
         params: IndexParameters,
         collection: CollectionInfo,
-        vocabulary: dict[int, VocabEntry],
+        vocabulary: dict[int, VocabEntry] | ResolvedLists,
     ) -> None:
+        """``vocabulary`` is the rows by interval id, or the whole
+        vocabulary as :class:`ResolvedLists` in ascending id order with
+        list ``i`` at ``offsets[i]`` and nothing between lists."""
         self.params = params
         self.collection = collection
-        self._vocabulary = vocabulary
+        if not isinstance(vocabulary, ResolvedLists):
+            ordered = sorted(vocabulary)
+            vocabulary = ResolvedLists.from_entries(
+                ordered, [vocabulary[interval] for interval in ordered]
+            )
+        self.lists = vocabulary
 
     def lookup_entry(self, interval_id: int) -> VocabEntry | None:
-        return self._vocabulary.get(interval_id)
+        ids = self.lists.interval_ids
+        slot = int(np.searchsorted(ids, interval_id))
+        if slot < ids.shape[0] and int(ids[slot]) == interval_id:
+            return self.lists.entry(slot)
+        return None
 
     def interval_ids(self) -> Iterator[int]:
-        return iter(sorted(self._vocabulary))
+        return iter(self.lists.interval_ids.tolist())
 
     @property
     def vocabulary_size(self) -> int:
-        return len(self._vocabulary)
+        return int(self.lists.interval_ids.shape[0])
 
     def entries(self) -> Iterator[VocabEntry]:
         """Vocabulary rows in ascending interval-id order."""
-        for interval_id in sorted(self._vocabulary):
-            yield self._vocabulary[interval_id]
+        for slot in range(self.vocabulary_size):
+            yield self.lists.entry(slot)
 
     def replace_vocabulary(
         self, vocabulary: dict[int, VocabEntry]
     ) -> "InvertedIndex":
         """A new index sharing parameters/collection with new rows."""
         return InvertedIndex(self.params, self.collection, vocabulary)
+
+
+#: Occurrences the bulk encoder codes per pass.  A pass holds whole
+#: intervals, so one interval with more occurrences is a pass of its
+#: own; this bounds the encoder's temporaries, not the result.
+ENCODE_CHUNK = 1 << 18
 
 
 def build_index(
@@ -491,35 +511,34 @@ def build_index(
         raise IndexParameterError("cannot index an empty collection")
 
     collection = CollectionInfo.from_sequences(sequences)
-    extractor = params.make_extractor()
     codec = PostingsCodec()
     context = collection.context()
+    ids, docs = params.make_extractor().extract_collection(
+        [record.codes for record in sequences]
+    )
+    if not ids.shape[0]:
+        return InvertedIndex(params, collection, {})
+    # Ordinals already ascend, so a stable sort on the id alone groups
+    # occurrences by (interval, ordinal).
+    order = _stable_order(ids)
+    ids = ids[order]
+    docs = docs[order]
+    del order
+    lists = _bulk_encode_vocabulary(ids, docs, codec, context)
+    if lists is None:
+        lists = _loop_encode_vocabulary(ids, docs, codec, context)
+    return InvertedIndex(params, collection, lists)
 
-    id_chunks: list[np.ndarray] = []
-    doc_chunks: list[np.ndarray] = []
-    for ordinal, record in enumerate(sequences):
-        ids, _ = extractor.extract(record.codes)
-        if not ids.shape[0]:
-            continue
-        id_chunks.append(ids)
-        doc_chunks.append(np.full(ids.shape[0], ordinal, dtype=np.int64))
 
-    vocabulary: dict[int, VocabEntry] = {}
-    if id_chunks:
-        all_ids = np.concatenate(id_chunks)
-        # Ordinals already ascend, so a stable sort on the id alone
-        # groups occurrences by (interval, ordinal).
-        order = np.argsort(all_ids, kind="stable")
-        all_ids = all_ids[order]
-        all_docs = np.concatenate(doc_chunks)[order]
-        vocabulary = _bulk_encode_vocabulary(
-            all_ids, all_docs, codec, context
-        )
-        if vocabulary is None:
-            vocabulary = _loop_encode_vocabulary(
-                all_ids, all_docs, codec, context
-            )
-    return InvertedIndex(params, collection, vocabulary)
+def _stable_order(ids: np.ndarray) -> np.ndarray:
+    """The stable ascending order of unsigned ids, by 16-bit radix
+    passes: one for ``uint16`` ids, low half then high half for wider
+    ones (numpy sorts 16-bit keys stably by radix)."""
+    if ids.dtype == np.uint16:
+        return np.argsort(ids, kind="stable")
+    order = np.argsort(ids.astype(np.uint16), kind="stable")
+    high = (ids >> 16).astype(np.uint16)[order]
+    return order[np.argsort(high, kind="stable")]
 
 
 def _loop_encode_vocabulary(
@@ -551,15 +570,57 @@ def _bulk_encode_vocabulary(
     all_docs: np.ndarray,
     codec: PostingsCodec,
     context: PostingsContext,
-) -> dict[int, VocabEntry] | None:
-    """Whole-index vectorised encoding.
+) -> ResolvedLists | None:
+    """Whole-index vectorised encoding of occurrences sorted by
+    (interval, ordinal).
 
-    Computes every posting list's codes in flat array passes and packs
-    them into one buffer with per-interval byte alignment, so each
-    interval's slice is bit-identical to encoding it alone.  Returns
-    None when a code overflows the vector window (the loop then
-    encodes).
+    Codes the occurrences in passes of whole intervals of about
+    :data:`ENCODE_CHUNK` occurrences each; every interval's list is
+    byte-aligned, so each slice is bit-identical to encoding the
+    interval alone and the passes simply concatenate.  Returns None
+    when a code overflows the vector window (the loop then encodes).
     """
+    total = all_ids.shape[0]
+    passes = []
+    start = 0
+    while start < total:
+        stop = start + ENCODE_CHUNK
+        if stop < total:
+            # Back off to the start of the interval the cut falls in,
+            # or take that whole interval when it began the pass.
+            stop = int(np.searchsorted(all_ids, all_ids[stop]))
+            if stop <= start:
+                stop = int(
+                    np.searchsorted(all_ids, all_ids[start], side="right")
+                )
+        coded = _encode_pass(
+            all_ids[start:stop], all_docs[start:stop], codec, context
+        )
+        if coded is None:
+            return None
+        passes.append(coded)
+        start = stop
+    interval_ids, dfs, cfs, buffers, lengths = zip(*passes)
+    lengths = np.concatenate(lengths)
+    return ResolvedLists(
+        np.concatenate(interval_ids),
+        np.concatenate(dfs),
+        np.concatenate(cfs),
+        np.cumsum(lengths) - lengths,
+        lengths,
+        np.frombuffer(b"".join(buffers), dtype=np.uint8),
+    )
+
+
+def _encode_pass(
+    ids: np.ndarray,
+    docs: np.ndarray,
+    codec: PostingsCodec,
+    context: PostingsContext,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bytes, np.ndarray] | None:
+    """Code whole intervals' sorted occurrences: ``(interval_ids, dfs,
+    cfs, buffer, lengths)``, list ``i`` being the next ``lengths[i]``
+    bytes of ``buffer``; None when a code overflows the vector window."""
     from repro.compression.fastpack import (
         gamma_code_array,
         golomb_code_array_multi,
@@ -568,33 +629,31 @@ def _bulk_encode_vocabulary(
     )
 
     # --- entry level: one (interval, ordinal) pair per row -------------
-    is_entry_start = np.empty(all_ids.shape[0], dtype=bool)
+    is_entry_start = np.empty(ids.shape[0], dtype=bool)
     is_entry_start[0] = True
-    is_entry_start[1:] = (np.diff(all_ids) != 0) | (np.diff(all_docs) != 0)
+    np.not_equal(ids[1:], ids[:-1], out=is_entry_start[1:])
+    is_entry_start[1:] |= docs[1:] != docs[:-1]
     entry_starts = np.flatnonzero(is_entry_start)
-    entry_ids = all_ids[entry_starts]
-    entry_docs = all_docs[entry_starts]
-    entry_counts = np.diff(np.append(entry_starts, all_ids.shape[0]))
+    del is_entry_start
+    entry_ids = ids[entry_starts]
+    entry_docs = docs[entry_starts].astype(np.int64)
+    entry_counts = np.diff(entry_starts, append=ids.shape[0])
 
     # --- interval level -------------------------------------------------
     is_interval_start = np.empty(entry_ids.shape[0], dtype=bool)
     is_interval_start[0] = True
-    is_interval_start[1:] = np.diff(entry_ids) != 0
-    interval_of_entry = np.cumsum(is_interval_start) - 1
-    unique_ids = entry_ids[is_interval_start]
-    num_intervals = unique_ids.shape[0]
-    df = np.bincount(interval_of_entry, minlength=num_intervals)
-    cf = np.bincount(
-        interval_of_entry, weights=entry_counts, minlength=num_intervals
-    ).astype(np.int64)
+    np.not_equal(entry_ids[1:], entry_ids[:-1], out=is_interval_start[1:])
+    first_entries = np.flatnonzero(is_interval_start)
+    df = np.diff(first_entries, append=entry_ids.shape[0])
+    cf = np.add.reduceat(entry_counts, first_entries)
 
     # --- codes: per entry, the ordinal gap then the count ---------------
     doc_gaps = np.empty_like(entry_docs)
     doc_gaps[0] = entry_docs[0]
     doc_gaps[1:] = entry_docs[1:] - entry_docs[:-1] - 1
-    doc_gaps[is_interval_start] = entry_docs[is_interval_start]
+    doc_gaps[first_entries] = entry_docs[first_entries]
     doc_patterns, doc_lengths, doc_overflow = golomb_code_array_multi(
-        doc_gaps, codec._doc_parameters(df, context)[interval_of_entry]
+        doc_gaps, np.repeat(codec._doc_parameters(df, context), df)
     )
     if bool(doc_overflow.any()):
         return None
@@ -606,16 +665,12 @@ def _bulk_encode_vocabulary(
         (doc_patterns, doc_lengths), (count_patterns, count_lengths)
     )
     buffer, bounds = pack_grouped(
-        patterns, lengths, np.repeat(interval_of_entry, 2)
+        patterns, lengths, np.repeat(np.cumsum(is_interval_start), 2)
     )
-    vocabulary: dict[int, VocabEntry] = {}
-    for slot in range(num_intervals):
-        interval = int(unique_ids[slot])
-        vocabulary[interval] = VocabEntry(
-            interval,
-            int(df[slot]),
-            int(cf[slot]),
-            buffer[int(bounds[slot]) : int(bounds[slot + 1])],
-        )
-    return vocabulary
-
+    return (
+        entry_ids[first_entries].astype(np.int64),
+        df,
+        cf,
+        buffer,
+        np.diff(bounds),
+    )

@@ -166,7 +166,7 @@ class PostingsCodec:
         vector window (the caller then uses the scalar writer)."""
         from repro.compression.fastpack import (
             gamma_code_array,
-            golomb_code_array,
+            golomb_code_array_multi,
             interleave_codes,
             pack_patterns,
         )
@@ -188,7 +188,7 @@ class PostingsCodec:
         doc_gaps = np.empty_like(docs)
         doc_gaps[0] = docs[0]
         doc_gaps[1:] = np.diff(docs) - 1
-        doc_patterns, doc_lengths, doc_overflow = golomb_code_array(
+        doc_patterns, doc_lengths, doc_overflow = golomb_code_array_multi(
             doc_gaps, gaps.parameter
         )
         if bool(doc_overflow.any()):

@@ -108,25 +108,27 @@ def write_index_stream(
 
 def write_index(index: InvertedIndex, path: str | Path) -> int:
     """Serialise an in-memory index atomically; returns the bytes written."""
+    lists = index.lists
+    table = np.empty(index.vocabulary_size, dtype=_VOCAB_DTYPE)
+    table["interval_id"] = lists.interval_ids
+    table["df"] = lists.dfs
+    table["cf"] = lists.cfs
+    table["offset"] = lists.offsets
+    table["length"] = lists.lengths
+    blob = memoryview(lists.buffer)
+    table["crc"] = np.fromiter(
+        (
+            zlib.crc32(blob[offset : offset + length])
+            for offset, length in zip(
+                lists.offsets.tolist(), lists.lengths.tolist()
+            )
+        ),
+        dtype=np.uint32,
+        count=len(table),
+    )
     header = _index_header(index.params, index.collection)
-    entries = list(index.entries())
-    table = np.empty(len(entries), dtype=_VOCAB_DTYPE)
-    offset = 0
-    for slot, entry in enumerate(entries):
-        table[slot] = (
-            entry.interval_id,
-            entry.df,
-            entry.cf,
-            offset,
-            len(entry.data),
-            zlib.crc32(entry.data),
-        )
-        offset += len(entry.data)
-
     with atomic_write(path) as handle:
-        return write_index_stream(
-            handle, header, table, (entry.data for entry in entries)
-        )
+        return write_index_stream(handle, header, table, (blob,))
 
 
 class DiskIndex(IndexReader):

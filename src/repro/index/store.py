@@ -29,7 +29,7 @@ from typing import Sequence as TypingSequence
 
 import numpy as np
 
-from repro.compression.direct import decode_sequence, encode_sequence
+from repro.compression.direct import decode_sequence, encode_sequences
 from repro.errors import (
     CorruptionError,
     IndexFormatError,
@@ -127,12 +127,29 @@ def write_store(
         raise IndexFormatError(
             f"unknown coding {coding!r}; expected one of {CODINGS}"
         )
-    payloads: list[bytes] = []
-    for record in sequences:
-        if coding == "direct":
-            payloads.append(encode_sequence(record.codes))
-        else:
-            payloads.append(record.codes.tobytes())
+    if coding == "direct":
+        payload, bounds = encode_sequences(
+            [record.codes for record in sequences]
+        )
+    else:
+        payload = b"".join(record.codes.tobytes() for record in sequences)
+        bounds = np.zeros(len(sequences) + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(
+                (len(record) for record in sequences), dtype=np.int64,
+                count=len(sequences),
+            ),
+            out=bounds[1:],
+        )
+    view = memoryview(payload)
+    crcs = np.fromiter(
+        (
+            zlib.crc32(view[start:stop])
+            for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        ),
+        dtype="<u4",
+        count=len(sequences),
+    )
 
     header = json.dumps(
         {
@@ -141,25 +158,15 @@ def write_store(
             "descriptions": [record.description for record in sequences],
         }
     ).encode("utf-8")
-    offsets = np.zeros(len(payloads) + 1, dtype="<u8")
-    if payloads:
-        offsets[1:] = np.cumsum(
-            np.array([len(payload) for payload in payloads], dtype=np.int64)
-        )
-    crcs = np.array(
-        [zlib.crc32(payload) for payload in payloads], dtype="<u4"
-    )
-
     with atomic_write(path) as handle:
         written = handle.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
         written += handle.write(_CRC.pack(zlib.crc32(header)))
         written += handle.write(header)
-        written += handle.write(struct.pack("<Q", len(payloads)))
-        tables = offsets.tobytes() + crcs.tobytes()
+        written += handle.write(struct.pack("<Q", len(sequences)))
+        tables = bounds.astype("<u8").tobytes() + crcs.tobytes()
         written += handle.write(_CRC.pack(zlib.crc32(tables)))
         written += handle.write(tables)
-        for payload in payloads:
-            written += handle.write(payload)
+        written += handle.write(payload)
         return written
 
 

@@ -1,13 +1,17 @@
 """Unit and property tests for direct (cino-style) sequence coding."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression import direct
 from repro.compression.direct import (
     decode_sequence,
     encode_sequence,
+    encode_sequences,
     measure,
     raw_two_bit_size,
 )
@@ -101,3 +105,52 @@ class TestWildcardPlacement:
     def test_adjacent_wildcards(self):
         codes = alphabet.encode("ACNNNNGT")
         assert np.array_equal(decode_sequence(encode_sequence(codes)), codes)
+
+
+class TestBatchCoding:
+    """encode_sequences is encode_sequence per record, byte for byte."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(alphabet="ACGT", max_size=5),
+                st.text(alphabet="ACGT", max_size=120),
+                iupac_text,
+            ),
+            max_size=15,
+        ),
+        st.integers(min_value=1, max_value=200),
+    )
+    def test_equals_per_record_coding(self, texts, chunk):
+        """Small passes put pass edges between and inside records."""
+        sequences = [alphabet.encode(text) for text in texts]
+        with patch.object(direct, "CODE_CHUNK", chunk):
+            buffer, bounds = encode_sequences(sequences)
+        assert bounds.tolist()[0] == 0
+        assert len(buffer) == int(bounds[-1])
+        for slot, codes in enumerate(sequences):
+            piece = buffer[int(bounds[slot]) : int(bounds[slot + 1])]
+            assert piece == encode_sequence(codes)
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 4, 5])
+    def test_short_records_between_wildcard_records(self, length):
+        sequences = [
+            alphabet.encode("ACNGT"),
+            (np.arange(length) % 4).astype(np.uint8),
+            alphabet.encode("N"),
+        ]
+        buffer, bounds = encode_sequences(sequences)
+        assert buffer == b"".join(encode_sequence(codes) for codes in sequences)
+        assert np.diff(bounds).tolist() == [
+            len(encode_sequence(codes)) for codes in sequences
+        ]
+
+    def test_rejects_out_of_alphabet_codes(self):
+        with pytest.raises(CodecError):
+            encode_sequences([alphabet.encode("ACGT"), np.array([50], np.uint8)])
+
+    def test_empty_batch(self):
+        buffer, bounds = encode_sequences([])
+        assert buffer == b""
+        assert bounds.tolist() == [0]

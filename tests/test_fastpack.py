@@ -1,6 +1,8 @@
 """Property tests: vectorised code packing is bit-identical to the
 scalar writer, across codes, groups, and whole index builds."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from repro.compression.elias import EliasGammaCodec
 from repro.compression.fastpack import (
     MAX_VECTOR_BITS,
     gamma_code_array,
-    golomb_code_array,
     golomb_code_array_multi,
     interleave_codes,
     pack_grouped,
@@ -69,7 +70,7 @@ class TestGolombVector:
         parameter=st.integers(min_value=1, max_value=300),
     )
     def test_bit_identical_to_scalar(self, values, parameter):
-        patterns, lengths, overflow = golomb_code_array(
+        patterns, lengths, overflow = golomb_code_array_multi(
             np.array(values), parameter
         )
         if bool(overflow.any()):
@@ -79,7 +80,7 @@ class TestGolombVector:
         )
 
     def test_overflow_flagged_for_huge_quotients(self):
-        _, lengths, overflow = golomb_code_array(np.array([10**6]), 1)
+        _, lengths, overflow = golomb_code_array_multi(np.array([10**6]), 1)
         assert bool(overflow[0])
         assert int(lengths[0]) > MAX_VECTOR_BITS
 
@@ -117,7 +118,7 @@ class TestInterleaveAndGroups:
         second = np.array([0, 1, 2])
         gamma_patterns, gamma_lengths = gamma_code_array(first)
         golomb = GolombCodec(4)
-        g_patterns, g_lengths, _ = golomb_code_array(second, 4)
+        g_patterns, g_lengths, _ = golomb_code_array_multi(second, 4)
         patterns, lengths = interleave_codes(
             (gamma_patterns, gamma_lengths), (g_patterns, g_lengths)
         )
@@ -146,6 +147,37 @@ class TestInterleaveAndGroups:
         for slot, group in enumerate(groups):
             piece = buffer[int(bounds[slot]) : int(bounds[slot + 1])]
             assert piece == scalar_gamma(group)
+
+    @given(
+        codes=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=MAX_VECTOR_BITS),
+                st.integers(min_value=0, max_value=2**MAX_VECTOR_BITS - 1),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    def test_word_packing_of_any_widths_equals_scalar(self, codes):
+        """Codes up to the full window, so they start anywhere in a
+        word and spill into the next; a true flag starts a new group."""
+        lengths = np.array([length for length, _, _ in codes])
+        patterns = np.array(
+            [value & ((1 << length) - 1) for length, value, _ in codes],
+            dtype=np.uint64,
+        )
+        group_ids = np.cumsum([new for _, _, new in codes])
+        buffer, bounds = pack_grouped(patterns, lengths, group_ids)
+        expected, writer = [], BitWriter()
+        for slot, pattern in enumerate(patterns.tolist()):
+            if slot and group_ids[slot] != group_ids[slot - 1]:
+                expected.append(writer.getvalue())
+                writer = BitWriter()
+            writer.write_bits(pattern, int(lengths[slot]))
+        expected.append(writer.getvalue())
+        assert np.diff(bounds).tolist() == [len(piece) for piece in expected]
+        assert buffer == b"".join(expected)
 
     def test_group_ids_must_be_sorted(self):
         patterns, lengths = gamma_code_array(np.array([1, 2]))
@@ -191,3 +223,63 @@ class TestBulkBuildEquivalence:
             assert (ours.df, ours.cf, ours.data) == (
                 theirs.df, theirs.cf, theirs.data,
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(st.text(alphabet="ACGTN", max_size=60),
+                       min_size=1, max_size=10),
+        interval_length=st.sampled_from([1, 2, 3, 5, 12]),
+        chunk=st.integers(min_value=1, max_value=12),
+    )
+    def test_chunked_passes_equal_the_loop(self, texts, interval_length, chunk):
+        """Small passes put interval boundaries on, before and after
+        every pass edge, and intervals longer than a pass."""
+        import repro.index.builder as builder_module
+        from repro.index.builder import CollectionInfo
+        from repro.index.intervals import IntervalExtractor
+        from repro.index.postings import PostingsCodec
+        from repro.sequences.record import Sequence
+
+        records = [
+            Sequence.from_text(f"h{slot}", text)
+            for slot, text in enumerate(texts)
+        ]
+        ids, docs = IntervalExtractor(interval_length).extract_collection(
+            [record.codes for record in records]
+        )
+        if not ids.shape[0]:
+            return
+        order = builder_module._stable_order(ids)
+        ids, docs = ids[order], docs[order]
+        codec = PostingsCodec()
+        context = CollectionInfo.from_sequences(records).context()
+        with patch.object(builder_module, "ENCODE_CHUNK", chunk):
+            lists = builder_module._bulk_encode_vocabulary(
+                ids, docs, codec, context
+            )
+        expected = builder_module._loop_encode_vocabulary(
+            ids, docs, codec, context
+        )
+        assert lists.interval_ids.tolist() == sorted(expected)
+        assert lists.offsets.tolist() == (
+            np.cumsum(lists.lengths) - lists.lengths
+        ).tolist()
+        assert lists.buffer.shape[0] == int(lists.lengths.sum())
+        for slot, interval in enumerate(lists.interval_ids.tolist()):
+            ours, theirs = lists.entry(slot), expected[interval]
+            assert (ours.df, ours.cf, ours.data) == (
+                theirs.df, theirs.cf, theirs.data,
+            )
+
+
+class TestStableOrder:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=300),
+        st.sampled_from([np.uint16, np.uint32]),
+    )
+    def test_radix_passes_equal_a_stable_sort(self, values, dtype):
+        from repro.index.builder import _stable_order
+
+        ids = np.array(values, dtype=np.uint64).astype(dtype)
+        expected = np.argsort(ids.astype(np.int64), kind="stable")
+        assert _stable_order(ids).tolist() == expected.tolist()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import IndexParameterError
@@ -132,3 +132,53 @@ class TestExtraction:
         for packed, position in zip(sub_ids, sub_positions):
             assert position % stride == 0
             assert full[int(position)] == int(packed)
+
+
+class TestCollectionExtraction:
+    """One pass over the joined collection equals per-record extract."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(
+            st.text(alphabet="ACGTACGTACGTNRY", max_size=40), max_size=12
+        ),
+        length=st.sampled_from([4, 8, 12]),
+        stride_kind=st.sampled_from(["one", "two", "length"]),
+    )
+    def test_equals_concatenated_per_record_extract(
+        self, texts, length, stride_kind
+    ):
+        stride = {"one": 1, "two": 2, "length": length}[stride_kind]
+        extractor = IntervalExtractor(length, stride)
+        sequences = [alphabet.encode(text) for text in texts]
+        ids, ordinals = extractor.extract_collection(sequences)
+        expected_ids, expected_ordinals = [], []
+        for ordinal, codes in enumerate(sequences):
+            record_ids, _ = extractor.extract(codes)
+            expected_ids += record_ids.tolist()
+            expected_ordinals += [ordinal] * record_ids.shape[0]
+        assert ids.dtype == extractor.id_dtype
+        assert ids.tolist() == expected_ids
+        assert ordinals.tolist() == expected_ordinals
+
+    def test_id_dtype_is_the_narrowest_unsigned(self):
+        assert IntervalExtractor(8).id_dtype == np.uint16
+        assert IntervalExtractor(9).id_dtype == np.uint32
+        assert IntervalExtractor(MAX_INTERVAL_LENGTH).id_dtype == np.uint32
+
+    def test_widest_ids_fit(self):
+        codes = alphabet.encode("T" * MAX_INTERVAL_LENGTH)
+        ids, ordinals = IntervalExtractor(
+            MAX_INTERVAL_LENGTH
+        ).extract_collection([codes])
+        assert ids.tolist() == [4**MAX_INTERVAL_LENGTH - 1]
+        assert ordinals.tolist() == [0]
+
+    def test_empty_and_short_records(self):
+        extractor = IntervalExtractor(4)
+        sequences = [alphabet.encode(text) for text in ("", "ACG", "ACGT", "")]
+        ids, ordinals = extractor.extract_collection(sequences)
+        assert ids.tolist() == [interval_id("ACGT")]
+        assert ordinals.tolist() == [2]
+        ids, ordinals = extractor.extract_collection([])
+        assert ids.shape == ordinals.shape == (0,)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compression.direct import encode_sequence
 from repro.errors import IndexFormatError, IndexLookupError
 from repro.index.store import (
     MemorySequenceSource,
@@ -61,6 +62,20 @@ class TestDiskStore:
         with read_store(path) as store:
             for ordinal in (7, 0, 10, 3, 10):
                 assert np.array_equal(store.codes(ordinal), records[ordinal].codes)
+
+    def test_payloads_are_the_per_record_coding(
+        self, records, tmp_path, coding
+    ):
+        path = tmp_path / f"payload_{coding}.rpsq"
+        stored = records + [Sequence("empty", np.empty(0, dtype=np.uint8))]
+        write_store(stored, path, coding=coding)
+        with read_store(path) as store:
+            for ordinal, record in enumerate(stored):
+                expected = (
+                    encode_sequence(record.codes) if coding == "direct"
+                    else record.codes.tobytes()
+                )
+                assert store._payload(ordinal) == expected
 
     def test_out_of_range(self, records, tmp_path, coding):
         path = tmp_path / f"oob_{coding}.rpsq"
