@@ -44,7 +44,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence as TypingSequence
+from typing import Iterator, Sequence as TypingSequence
 
 import numpy as np
 
@@ -117,6 +117,33 @@ def slice_rows_for(n_max: int, hashes: int, false_positive_rate: float) -> int:
     return max(8, int(rows))
 
 
+#: Bases :func:`write_signature` extracts per pass (whole blocks, so a
+#: larger block is a pass of its own); bounds the build's temporaries.
+SIGN_CHUNK = 1 << 18
+
+
+def _block_passes(
+    lengths: np.ndarray, docs_per_block: int
+) -> Iterator[tuple[int, int]]:
+    """``(first, stop)`` record ranges of whole blocks holding about
+    :data:`SIGN_CHUNK` bases each, covering every record in order."""
+    count = lengths.shape[0]
+    block_stops = np.minimum(
+        np.arange(docs_per_block, count + docs_per_block, docs_per_block),
+        count,
+    )
+    ends = np.cumsum(lengths)[block_stops - 1]
+    block = 0
+    while block < block_stops.shape[0]:
+        before = int(ends[block - 1]) if block else 0
+        last = max(
+            int(np.searchsorted(ends, before + SIGN_CHUNK, side="right")),
+            block + 1,
+        )
+        yield block * docs_per_block, int(block_stops[last - 1])
+        block = last
+
+
 def write_signature(
     records: TypingSequence[Sequence],
     path: str | Path,
@@ -139,31 +166,45 @@ def write_signature(
     extractor = IntervalExtractor(params.interval_length, params.stride)
     collection = CollectionInfo.from_sequences(records)
 
-    distinct = [extractor.extract_distinct(record.codes) for record in records]
     blocks: list[dict] = []
     payloads: list[bytes] = []
     offset = 0
-    for start in range(0, len(records), docs_per_block):
-        chunk = distinct[start : start + docs_per_block]
-        n_max = max((ids.shape[0] for ids in chunk), default=0)
-        rows = slice_rows_for(n_max, hashes, fpr)
-        matrix = np.zeros((rows, len(chunk)), dtype=bool)
-        for column, ids in enumerate(chunk):
-            if ids.shape[0]:
-                matrix[signature_rows(ids, hashes, rows).ravel(), column] = True
-        payload = np.packbits(matrix, axis=1).tobytes()
-        blocks.append(
-            {
-                "base": start,
-                "docs": len(chunk),
-                "rows": rows,
-                "offset": offset,
-                "length": len(payload),
-                "crc": zlib.crc32(payload),
-            }
+    for first, stop in _block_passes(collection.lengths, docs_per_block):
+        ids, owners = extractor.extract_collection(
+            [record.codes for record in records[first:stop]]
         )
-        payloads.append(payload)
-        offset += len(payload)
+        # One sort gives every record's distinct ids, grouped by record.
+        keys = np.sort((owners.astype(np.uint64) << np.uint64(32)) | ids)
+        first_seen = np.ones(keys.shape[0], dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first_seen[1:])
+        keys = keys[first_seen]
+        ids = keys & np.uint64(0xFFFF_FFFF)
+        owners = (keys >> np.uint64(32)).astype(np.int64)
+        distinct = np.bincount(owners, minlength=stop - first)
+        for start in range(0, stop - first, docs_per_block):
+            end = min(start + docs_per_block, stop - first)
+            low, high = np.searchsorted(owners, (start, end))
+            rows = slice_rows_for(
+                int(distinct[start:end].max()), hashes, fpr
+            )
+            matrix = np.zeros((rows, end - start), dtype=bool)
+            matrix[
+                signature_rows(ids[low:high], hashes, rows).ravel(),
+                np.repeat(owners[low:high] - start, hashes),
+            ] = True
+            payload = np.packbits(matrix, axis=1).tobytes()
+            blocks.append(
+                {
+                    "base": first + start,
+                    "docs": end - start,
+                    "rows": rows,
+                    "offset": offset,
+                    "length": len(payload),
+                    "crc": zlib.crc32(payload),
+                }
+            )
+            payloads.append(payload)
+            offset += len(payload)
 
     header = json.dumps(
         {
@@ -214,16 +255,16 @@ class SignatureIndex:
 
     def __init__(self, path: str | Path) -> None:
         self._path = Path(path)
-        self._handle = open(self._path, "rb")
-        try:
-            self._map = mmap.mmap(
-                self._handle.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        except ValueError as exc:
-            self._handle.close()
-            raise IndexFormatError(
-                f"{self._path}: empty signature file"
-            ) from exc
+        # The map keeps its own descriptor; the file closes here.
+        with open(self._path, "rb") as handle:
+            try:
+                self._map = mmap.mmap(
+                    handle.fileno(), 0, access=mmap.ACCESS_READ
+                )
+            except ValueError as exc:
+                raise IndexFormatError(
+                    f"{self._path}: empty signature file"
+                ) from exc
         try:
             self._parse()
         except Exception:
@@ -390,9 +431,6 @@ class SignatureIndex:
         if getattr(self, "_map", None) is not None:
             self._map.close()
             self._map = None
-        if getattr(self, "_handle", None) is not None:
-            self._handle.close()
-            self._handle = None
 
     def __enter__(self) -> "SignatureIndex":
         return self

@@ -797,22 +797,20 @@ class Database:
     def _reload(self) -> None:
         """Adopt the directory's current generation in place.
 
-        Opens the new generation first, then releases the superseded
-        readers and cached engines, so a failed reopen leaves the
-        database usable on its old generation.
+        Opens the new generation first, so a failed reopen leaves the
+        database usable on its old generation, then swaps it in under
+        the engine lock.  The superseded shards and engines are not
+        closed: a query running on them keeps them until it finishes,
+        and they are released when the last holder drops them.
         """
-        instruments = self._instruments
-        with self._engine_lock:
-            engines = list(self._engines.values())
-            self._engines.clear()
-        old_shards = self._shards
         fresh = type(self).open(self.path, on_corruption=self.on_corruption)
-        self.__dict__.update(fresh.__dict__)
-        self._instruments = instruments
-        for engine in engines:
-            engine.close()
-        for shard in old_shards:
-            shard.close()
+        state = {
+            name: value
+            for name, value in fresh.__dict__.items()
+            if name not in ("_engine_lock", "_instruments")
+        }
+        with self._engine_lock:
+            self.__dict__.update(state)
         self._publish_lsm_gauges()
 
     def add_records(
@@ -928,10 +926,9 @@ class Database:
 
         New base shards land in fresh ``shard-g...`` directories and
         the generation is committed by one atomic manifest replace — a
-        compaction killed at any point is invisible on reopen.  With no
-        tombstones and a single-shard target the index is produced by
-        the streaming ``merge_index_files`` path (identical to a fresh
-        build); otherwise the survivors are re-planned and rebuilt,
+        compaction killed at any point is invisible on reopen.  The
+        survivors are re-planned into ``shards`` ranges and rebuilt as
+        :meth:`create` builds them (the same bytes as a fresh build),
         optionally on ``workers`` processes.  No-op (and no generation
         bump) when there is nothing to compact.
 

@@ -21,12 +21,6 @@ from repro.index.intervals import (
     interval_id,
     interval_text,
 )
-from repro.index.merge import (
-    append_sequences,
-    build_index_chunked,
-    merge_index_files,
-    merge_indexes,
-)
 from repro.index.postings import PostingEntry, PostingsCodec, PostingsContext
 from repro.index.statistics import IndexStatistics, collect_statistics
 from repro.index.stopping import (
@@ -64,14 +58,10 @@ __all__ = [
     "ShardedSequenceSource",
     "StoppingReport",
     "VocabEntry",
-    "append_sequences",
     "atomic_write",
     "build_index",
-    "build_index_chunked",
     "collect_statistics",
     "file_crc32",
-    "merge_index_files",
-    "merge_indexes",
     "interval_id",
     "interval_text",
     "read_index",

@@ -34,7 +34,7 @@ import mmap
 import struct
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Collection, Iterable, Iterator
+from typing import Collection, Iterator
 
 import numpy as np
 
@@ -80,32 +80,6 @@ def _index_header(params: IndexParameters, collection: CollectionInfo) -> bytes:
     ).encode("utf-8")
 
 
-def write_index_stream(
-    handle: BinaryIO,
-    header: bytes,
-    table: np.ndarray,
-    blobs: Iterable[bytes],
-) -> int:
-    """Write a complete index file to an open binary handle.
-
-    ``table`` must use :data:`_VOCAB_DTYPE`.  ``blobs`` supplies the
-    postings blob as byte chunks, concatenated verbatim.  Returns the
-    bytes written.  Shared by :func:`write_index` and the streaming
-    merge.
-    """
-    written = 0
-    written += handle.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
-    written += handle.write(_CRC.pack(zlib.crc32(header)))
-    written += handle.write(header)
-    written += handle.write(_COUNT.pack(len(table)))
-    table_bytes = np.ascontiguousarray(table, dtype=_VOCAB_DTYPE).tobytes()
-    written += handle.write(_CRC.pack(zlib.crc32(table_bytes)))
-    written += handle.write(table_bytes)
-    for chunk in blobs:
-        written += handle.write(chunk)
-    return written
-
-
 def write_index(index: InvertedIndex, path: str | Path) -> int:
     """Serialise an in-memory index atomically; returns the bytes written."""
     lists = index.lists
@@ -127,8 +101,16 @@ def write_index(index: InvertedIndex, path: str | Path) -> int:
         count=len(table),
     )
     header = _index_header(index.params, index.collection)
+    table_bytes = table.tobytes()
     with atomic_write(path) as handle:
-        return write_index_stream(handle, header, table, (blob,))
+        written = handle.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
+        written += handle.write(_CRC.pack(zlib.crc32(header)))
+        written += handle.write(header)
+        written += handle.write(_COUNT.pack(len(table)))
+        written += handle.write(_CRC.pack(zlib.crc32(table_bytes)))
+        written += handle.write(table_bytes)
+        written += handle.write(blob)
+        return written
 
 
 class DiskIndex(IndexReader):
@@ -144,14 +126,16 @@ class DiskIndex(IndexReader):
 
     def __init__(self, path: str | Path) -> None:
         self._path = Path(path)
-        self._handle = open(self._path, "rb")
-        try:
-            self._map = mmap.mmap(
-                self._handle.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        except ValueError as exc:
-            self._handle.close()
-            raise IndexFormatError(f"{self._path}: empty index file") from exc
+        # The map keeps its own descriptor; the file closes here.
+        with open(self._path, "rb") as handle:
+            try:
+                self._map = mmap.mmap(
+                    handle.fileno(), 0, access=mmap.ACCESS_READ
+                )
+            except ValueError as exc:
+                raise IndexFormatError(
+                    f"{self._path}: empty index file"
+                ) from exc
         try:
             self._parse()
         except Exception:
@@ -245,7 +229,7 @@ class DiskIndex(IndexReader):
         self._bytes = np.frombuffer(view, dtype=np.uint8)
 
     def close(self) -> None:
-        """Release the mapping and file handle.
+        """Release the mapping.
 
         A resolved list still alive (say, in a traceback) holds a view
         of the map; the mapping then goes when that view does.
@@ -257,9 +241,6 @@ class DiskIndex(IndexReader):
             except BufferError:
                 pass  # unmapped when the last view is released
             self._map = None  # type: ignore[assignment]
-        if getattr(self, "_handle", None) is not None:
-            self._handle.close()
-            self._handle = None  # type: ignore[assignment]
 
     def __enter__(self) -> "DiskIndex":
         return self

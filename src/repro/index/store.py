@@ -179,14 +179,16 @@ class SequenceStore(SequenceSource):
 
     def __init__(self, path: str | Path) -> None:
         self._path = Path(path)
-        self._handle = open(self._path, "rb")
-        try:
-            self._map = mmap.mmap(
-                self._handle.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        except ValueError as exc:
-            self._handle.close()
-            raise IndexFormatError(f"{self._path}: empty store file") from exc
+        # The map keeps its own descriptor; the file closes here.
+        with open(self._path, "rb") as handle:
+            try:
+                self._map = mmap.mmap(
+                    handle.fileno(), 0, access=mmap.ACCESS_READ
+                )
+            except ValueError as exc:
+                raise IndexFormatError(
+                    f"{self._path}: empty store file"
+                ) from exc
         try:
             self._parse()
         except Exception:
@@ -283,13 +285,10 @@ class SequenceStore(SequenceSource):
             )
 
     def close(self) -> None:
-        """Release the mapping and file handle."""
+        """Release the mapping."""
         if getattr(self, "_map", None) is not None:
             self._map.close()
             self._map = None  # type: ignore[assignment]
-        if getattr(self, "_handle", None) is not None:
-            self._handle.close()
-            self._handle = None  # type: ignore[assignment]
 
     def __enter__(self) -> "SequenceStore":
         return self

@@ -20,17 +20,14 @@ from typing import Iterable, Sequence as TypingSequence
 
 from repro.coarse_backends.base import ARTIFACT_NAMES
 from repro.errors import IndexParameterError
-from repro.index.merge import merge_index_files
-from repro.index.store import SequenceStore, write_store
+from repro.index.store import SequenceStore
 from repro.sequences.record import Sequence
 from repro.sharding.build import build_shard_directory, build_shards
 from repro.sharding.manifest import (
-    INDEX_NAME,
     STORE_NAME,
     LiveState,
     compacted_shard_name,
     delta_name,
-    directory_entry,
     entry_directory,
     load_manifest,
     orphan_directories,
@@ -136,25 +133,22 @@ def compact_database(
 ) -> LiveState:
     """Fold the deltas and tombstones back into base shards.
 
-    With no tombstones and a single-shard target the new base is
-    produced by the streaming external-memory index merge
-    (:func:`~repro.index.merge.merge_index_files`) over the part index
-    files — the same path a chunked build uses, so the result is
-    bit-identical to a fresh single build.  Otherwise (tombstones to
-    drop, or a multi-shard target whose boundaries cut across the
-    parts) the surviving records are re-planned and each new base shard
-    rebuilt, optionally on a process pool.
+    The surviving records are read back in logical order, re-planned
+    into ``shards`` contiguous ranges and each new base shard rebuilt
+    exactly as :meth:`~repro.database.Database.create` would build it
+    (optionally on a process pool), so a compacted tree holds the same
+    index and store bytes as a fresh build of the survivors.
 
-    Either way the new shards land in fresh ``shard-g...`` directories
-    and the generation bump is one atomic manifest replace; a crash
-    anywhere during compaction is invisible on reopen, and the
-    superseded directories are reclaimed best-effort afterwards.
+    The new shards land in fresh ``shard-g...`` directories and the
+    generation bump is one atomic manifest replace; a crash anywhere
+    during compaction is invisible on reopen, and the superseded
+    directories are reclaimed best-effort afterwards.
 
     Args:
         directory: the live database directory.
         shards: base shard count to compact into; ``None`` keeps the
             current count.
-        workers: rebuild processes for the multi-shard path.
+        workers: shard-build processes.
 
     Returns:
         The committed :class:`LiveState` (unchanged if there was
@@ -184,44 +178,17 @@ def compact_database(
     generation = state.generation + 1
     records = _live_records(directory, state)
 
-    # The streaming index merge only understands the inverted RPIX
-    # format; signature shards (whose block sizing depends on the
-    # merged collection) are always rebuilt from their records.
-    if (
-        not state.tombstones
-        and target == 1
-        and state.coarse["backend"] == "inverted"
-    ):
-        out = directory / compacted_shard_name(generation, 0)
-        out.mkdir(parents=True, exist_ok=True)
-        index_bytes = merge_index_files(
-            [
-                str(entry_directory(directory, entry) / INDEX_NAME)
-                for entry in state.entries
-            ],
-            str(out / INDEX_NAME),
-        )
-        store_bytes = write_store(records, out / STORE_NAME, state.coding)
-        entry = directory_entry(
-            out, records, index_bytes, store_bytes, state.coarse
-        )
-        write_layout(
-            out, LiveState(state.coding, state.params, state.coarse, (entry,))
-        )
-        entries = (replace(entry, name=out.name),)
-    else:
-        plan = plan_shards(len(records), target)
-        entries = build_shards(
-            directory,
-            [compacted_shard_name(generation, spec.shard_id) for spec in plan],
-            plan,
-            records,
-            state.params,
-            state.coding,
-            state.coarse,
-            workers,
-        )
-
+    plan = plan_shards(len(records), target)
+    entries = build_shards(
+        directory,
+        [compacted_shard_name(generation, spec.shard_id) for spec in plan],
+        plan,
+        records,
+        state.params,
+        state.coding,
+        state.coarse,
+        workers,
+    )
     committed = replace(
         state, base=entries, deltas=(), tombstones=(), generation=generation
     )

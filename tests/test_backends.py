@@ -10,13 +10,19 @@ exhaustive oracle on the corpora the backends bench uses.
 """
 
 import json
+import struct
+import tempfile
 import zlib
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import mean_oracle_recall
-from repro.coarse_backends import get_backend
+from repro.coarse_backends import get_backend, signature
 from repro.coarse_backends.base import (
     ARTIFACT_NAMES,
     DEFAULT_BACKEND,
@@ -164,6 +170,88 @@ class TestInvertedThroughBackend:
 
 
 # -- the signature file itself -------------------------------------------
+
+
+def _per_record_blocks(records, params, docs_per_block, hashes, fpr):
+    """Each block's packed matrix, signing one record at a time: the
+    oracle :func:`write_signature`'s batch passes are held to."""
+    extractor = IntervalExtractor(params.interval_length, params.stride)
+    distinct = [extractor.extract_distinct(record.codes) for record in records]
+    payloads = []
+    for start in range(0, len(records), docs_per_block):
+        chunk = distinct[start : start + docs_per_block]
+        rows = slice_rows_for(max(ids.shape[0] for ids in chunk), hashes, fpr)
+        matrix = np.zeros((rows, len(chunk)), dtype=bool)
+        for column, ids in enumerate(chunk):
+            matrix[signature_rows(ids, hashes, rows).ravel(), column] = True
+        payloads.append(np.packbits(matrix, axis=1).tobytes())
+    return payloads
+
+
+def _written_blocks(path):
+    data = Path(path).read_bytes()
+    _, _, header_length = struct.unpack_from("<4sHI", data, 0)
+    start = struct.calcsize("<4sHI") + 4
+    header = json.loads(data[start : start + header_length])
+    payload = data[start + header_length :]
+    return header["blocks"], [
+        payload[block["offset"] : block["offset"] + block["length"]]
+        for block in header["blocks"]
+    ]
+
+
+record_codes = st.lists(
+    st.one_of(
+        st.lists(st.integers(0, 3), max_size=6),
+        st.lists(st.integers(0, 3), max_size=90),
+        st.lists(st.integers(0, 14), max_size=60),
+    ),
+    max_size=20,
+)
+
+
+class TestBatchSignatureBuild:
+    """Extraction passes over whole blocks sign each record exactly as
+    signing it on its own does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        record_codes,
+        st.sampled_from([(4, 1), (8, 1), (8, 3), (12, 2)]),
+        st.integers(1, 9),
+        st.integers(1, 3),
+        st.integers(1, 400),
+    )
+    @example(
+        codes=[[0, 1, 2, 3, 0, 1, 2, 3, 0], [1] * 6, [], [0, 2],
+               [14, 0, 1, 2, 3, 3, 12, 2, 1, 0, 1]],
+        shape=(4, 1), docs_per_block=2, hashes=2, chunk=1,
+    )
+    def test_equals_per_record_signing(
+        self, codes, shape, docs_per_block, hashes, chunk
+    ):
+        """Small passes put pass edges between blocks; records shorter
+        than k and records with wildcards sign what they hold."""
+        records = [
+            Sequence(f"h{slot}", np.array(values, dtype=np.uint8))
+            for slot, values in enumerate(codes)
+        ]
+        params = IndexParameters(interval_length=shape[0], stride=shape[1])
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "signatures.rpsg"
+            with patch.object(signature, "SIGN_CHUNK", chunk):
+                write_signature(
+                    records, path, params,
+                    {"docs_per_block": docs_per_block, "hashes": hashes},
+                )
+            blocks, payloads = _written_blocks(path)
+        assert payloads == _per_record_blocks(
+            records, params, docs_per_block, hashes,
+            DEFAULT_SIGNATURE_PARAMS["false_positive_rate"],
+        )
+        assert [block["base"] for block in blocks] == list(
+            range(0, len(records), docs_per_block)
+        )
 
 
 class TestSignatureFormat:

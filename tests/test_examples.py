@@ -9,8 +9,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
@@ -36,8 +34,3 @@ class TestExampleScripts:
         assert "98 sequences" in output
         assert "E=" in output
         assert "identity=100.0%" in output
-
-    @pytest.mark.slow
-    def test_external_build(self):
-        output = run_example("external_build.py")
-        assert "answer-identical" in output

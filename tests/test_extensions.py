@@ -1,13 +1,11 @@
-"""Unit tests for the extension features: E-value annotation, idf
-scoring, and dynamic index append."""
+"""Unit tests for the extension features: E-value annotation and idf
+scoring."""
 
 import numpy as np
 import pytest
 
 from repro.align.statistics import calibrate_gapped
-from repro.errors import IndexParameterError
 from repro.index.builder import IndexParameters, build_index
-from repro.index.merge import append_sequences
 from repro.index.store import MemorySequenceSource
 from repro.search.coarse import CoarseRanker
 from repro.search.engine import PartitionedSearchEngine
@@ -92,32 +90,3 @@ class TestIdfScorer:
         )
         query = collection[11].slice(50, 220)
         assert engine.search(query).best().ordinal == 11
-
-
-class TestAppendSequences:
-    def test_append_equals_rebuild(self, collection):
-        params = IndexParameters(interval_length=8)
-        base = build_index(collection[:30], params)
-        grown = append_sequences(base, collection[30:])
-        rebuilt = build_index(collection, params)
-        assert grown.collection.identifiers == rebuilt.collection.identifiers
-        assert grown.vocabulary_size == rebuilt.vocabulary_size
-        for interval in list(grown.interval_ids())[:300]:
-            assert (
-                grown.lookup_entry(interval).data
-                == rebuilt.lookup_entry(interval).data
-            )
-
-    def test_append_nothing_rejected(self, index):
-        with pytest.raises(IndexParameterError):
-            append_sequences(index, [])
-
-    def test_search_after_append(self, collection):
-        params = IndexParameters(interval_length=8)
-        base = build_index(collection[:35], params)
-        grown = append_sequences(base, collection[35:])
-        engine = PartitionedSearchEngine(
-            grown, MemorySequenceSource(collection), coarse_cutoff=10
-        )
-        query = collection[38].slice(100, 260)
-        assert engine.search(query).best().ordinal == 38

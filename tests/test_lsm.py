@@ -13,7 +13,9 @@ Two invariants carry this file:
 """
 
 import json
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -265,18 +267,20 @@ class TestIngestDelete:
 
 
 class TestCompaction:
-    def test_merge_fast_path_single_shard(self, tmp_path):
+    def test_compact_to_one_shard_equals_fresh_create(self, tmp_path):
         records = _records(15)
         database = Database.create(
             records[:10], tmp_path / "db", params=PARAMS
         )
-        database.add_records(records[10:])
-        generation = database.compact()
-        assert generation == 2
+        database.add_records(records[10:13])
+        database.add_records(records[13:])
+        generation = database.compact(shards=1)
+        assert generation == 3
         assert database.num_shards == 1
         assert database.delta_shards == 0
         # Fresh shard directory; the superseded top-level pair is gone.
-        assert (tmp_path / "db" / "shard-g000002-0000").is_dir()
+        compacted = tmp_path / "db" / "shard-g000003-0000"
+        assert compacted.is_dir()
         assert not (tmp_path / "db" / "intervals.rpix").exists()
         assert not (tmp_path / "db" / "delta-g000001").exists()
         oracle = _oracle_engine(records)
@@ -286,6 +290,11 @@ class TestCompaction:
         ) == parity_report_key(oracle.search(query))
         database.close()
         assert Database.verify(tmp_path / "db").ok
+        Database.create(records, tmp_path / "fresh", params=PARAMS).close()
+        for name in ("intervals.rpix", "sequences.rpsq"):
+            assert (compacted / name).read_bytes() == (
+                tmp_path / "fresh" / name
+            ).read_bytes()
 
     def test_general_path_with_tombstones(self, tmp_path):
         records = _records(24)
@@ -580,6 +589,69 @@ class TestInterleavedProperty:
                     ) == parity_report_key(engine.search(probe, top_k=5))
             finally:
                 database.close()
+
+
+class TestConcurrentWrites:
+    """Searches racing ingest, delete and compaction on one database."""
+
+    def test_searches_survive_writes(self, tmp_path):
+        records = _records(200, length=150, seed=41)
+        fresh = _records(60, length=150, seed=43, prefix="add")
+        queries = [_query(records[slot], 20, 90) for slot in (3, 50, 120)]
+        queries.append(_query(fresh[7], 20, 90))
+        database = Database.create(
+            records, tmp_path / "db", params=PARAMS, shards=2
+        )
+        errors: list[Exception] = []
+        searches = [0, 0]
+        writing = threading.Event()
+        writing.set()
+
+        def reader(slot):
+            while writing.is_set():
+                try:
+                    database.search(
+                        queries[searches[slot] % len(queries)],
+                        top_k=5, coarse_cutoff=10,
+                    )
+                except Exception as exc:  # counted, asserted below
+                    errors.append(exc)
+                searches[slot] += 1
+
+        readers = [
+            threading.Thread(target=reader, args=(slot,)) for slot in (0, 1)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        for thread in readers:
+            thread.start()
+        oracle = list(records)
+        try:
+            for round_ in range(12):
+                added = fresh[5 * round_ : 5 * round_ + 5]
+                database.add_records(added)
+                oracle.extend(added)
+                database.delete([1])
+                oracle.pop(1)
+                if round_ % 3 == 2:
+                    database.compact()
+        finally:
+            writing.clear()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert errors == []
+        assert min(searches) > 0
+        rebuilt = Database.create(oracle, tmp_path / "fresh", params=PARAMS)
+        for query in queries:
+            assert parity_report_key(
+                database.search(query, top_k=5, coarse_cutoff=10)
+            ) == parity_report_key(
+                rebuilt.search(query, top_k=5, coarse_cutoff=10)
+            )
+        rebuilt.close()
+        database.close()
 
 
 class TestServingStats:

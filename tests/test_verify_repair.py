@@ -14,8 +14,8 @@ from repro.errors import (
     IndexFormatError,
     SearchError,
 )
-from repro.index.builder import IndexParameters, build_index
-from repro.index.storage import DiskIndex, write_index
+from repro.index.builder import IndexParameters
+from repro.index.storage import DiskIndex
 from repro.index.store import SequenceStore
 from repro.instrumentation import faults
 from repro.sequences.record import Sequence
@@ -338,37 +338,3 @@ class TestDegradedOpen:
             assert report.best().ordinal == 3
             with pytest.raises(SearchError):
                 engine.coarse_rank(records[3].codes)
-
-
-class TestMergeTempHygiene:
-    def test_failed_merge_leaves_no_temp_files(self, tmp_path, monkeypatch):
-        from repro.index.merge import merge_index_files
-        from repro.index.postings import PostingsCodec
-
-        parts = []
-        for part in range(2):
-            records = _records(4, 100, seed=part)
-            part_path = tmp_path / f"part{part}.rpix"
-            write_index(build_index(records, PARAMS), part_path)
-            parts.append(str(part_path))
-
-        calls = {"n": 0}
-        original = PostingsCodec.encode
-
-        def flaky_encode(self, *args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] > 3:
-                raise RuntimeError("simulated codec failure")
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(PostingsCodec, "encode", flaky_encode)
-        output = tmp_path / "merged.rpix"
-        with pytest.raises(RuntimeError):
-            merge_index_files(parts, str(output))
-        assert not output.exists()
-        leftovers = [
-            name
-            for name in os.listdir(tmp_path)
-            if name.endswith(".tmp") or name.startswith("tmp")
-        ]
-        assert leftovers == []
