@@ -7,8 +7,16 @@ per Bloom bit position, one column per document — packed with
 :func:`numpy.packbits` along the document axis.  A query looks up each
 of its distinct k-mers by AND-ing the k-mer's ``hashes`` rows into a
 membership bitmask and accumulating per-document containment counts,
-so coarse scoring is a handful of cache-friendly row fetches per
-k-mer instead of a posting-list decode.
+so coarse scoring is a handful of row fetches per k-mer instead of a
+posting-list decode.
+
+The scan is one gather per query, not a loop over blocks: the query's
+distinct ids are hashed once, one broadcast ``% rows`` places every
+probe in every block, the row words are gathered from a zero-copy view
+of the mapped payload, and their bits are counted in byte lanes
+(``docs/KERNELS.md``).  Blocks are scanned in steps of about
+:data:`SCAN_WORDS` row words, and a bounded deadline is checked between
+steps.
 
 Each block sizes its own matrix from the largest document it holds::
 
@@ -90,22 +98,30 @@ def _splitmix64(values: np.ndarray) -> np.ndarray:
     return values ^ (values >> np.uint64(31))
 
 
-def signature_rows(
-    interval_ids: np.ndarray, hashes: int, rows: int
-) -> np.ndarray:
-    """Bloom row indices for each interval id: shape ``(ids, hashes)``.
+def signature_probes(interval_ids: np.ndarray, hashes: int) -> np.ndarray:
+    """Bloom probes for each interval id, before the ``% rows`` that
+    places them in a block: shape ``(ids, hashes)``, uint64.
 
     Double hashing (Kirsch & Mitzenmacher): two splitmix64 mixes give
-    ``h1`` and an odd ``h2``, and hash ``i`` probes row
-    ``(h1 + i * h2) mod rows`` — ``hashes`` row indices per k-mer from
-    two mixes, identical at build and query time by construction.
+    ``h1`` and an odd ``h2``, and probe ``i`` is ``h1 + i * h2``
+    (wrapping) — ``hashes`` probes per k-mer from two mixes.  A query
+    hashes its ids once and takes each block's modulo from the probes.
     """
     ids = np.ascontiguousarray(interval_ids, dtype=np.uint64)
     h1 = _splitmix64(ids)
     h2 = _splitmix64(ids ^ np.uint64(0xA5A5_A5A5_A5A5_A5A5)) | np.uint64(1)
     steps = np.arange(hashes, dtype=np.uint64)
-    probes = h1[:, None] + steps[None, :] * h2[:, None]
-    return (probes % np.uint64(rows)).astype(np.int64)
+    return h1[:, None] + steps[None, :] * h2[:, None]
+
+
+def signature_rows(
+    interval_ids: np.ndarray, hashes: int, rows: int
+) -> np.ndarray:
+    """Bloom row indices for each interval id in a block of ``rows``
+    rows: :func:`signature_probes` ``% rows``, shape ``(ids, hashes)``."""
+    return (signature_probes(interval_ids, hashes) % np.uint64(rows)).astype(
+        np.int64
+    )
 
 
 def slice_rows_for(n_max: int, hashes: int, false_positive_rate: float) -> int:
@@ -122,6 +138,37 @@ def slice_rows_for(n_max: int, hashes: int, false_positive_rate: float) -> int:
 SIGN_CHUNK = 1 << 18
 
 
+#: Row words (64 documents each) one step of a query's scan gathers:
+#: whole blocks, so a wider block is a step of its own.  The deadline is
+#: checked between steps, and the step bounds the scan's temporaries.
+SCAN_WORDS = 64
+
+#: Query ids per byte-lane count: a lane sums one bit of each id's
+#: word into one byte, so it must not see more than 255 of them.
+LANE_IDS = 255
+
+# Lane ``t`` counts bit ``7 - t`` of every byte: packbits is MSB-first,
+# so that bit is document ``8 * byte + t`` of the word's 64.
+_LANE_SHIFTS = np.arange(7, -1, -1, dtype=np.uint64)
+_LANE_BITS = np.uint64(0x0101_0101_0101_0101)
+_LANES = np.arange(64)
+
+
+def _runs(ends: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """``(first, stop)`` runs of whole blocks covering every block in
+    order, given each block's cumulative size ``ends``: a run is one
+    block, or as many as fit in ``budget``."""
+    first = 0
+    while first < ends.shape[0]:
+        before = int(ends[first - 1]) if first else 0
+        stop = max(
+            int(np.searchsorted(ends, before + budget, side="right")),
+            first + 1,
+        )
+        yield first, stop
+        first = stop
+
+
 def _block_passes(
     lengths: np.ndarray, docs_per_block: int
 ) -> Iterator[tuple[int, int]]:
@@ -133,15 +180,8 @@ def _block_passes(
         count,
     )
     ends = np.cumsum(lengths)[block_stops - 1]
-    block = 0
-    while block < block_stops.shape[0]:
-        before = int(ends[block - 1]) if block else 0
-        last = max(
-            int(np.searchsorted(ends, before + SIGN_CHUNK, side="right")),
-            block + 1,
-        )
-        yield block * docs_per_block, int(block_stops[last - 1])
-        block = last
+    for first, stop in _runs(ends, SIGN_CHUNK):
+        yield first * docs_per_block, int(block_stops[stop - 1])
 
 
 def write_signature(
@@ -318,8 +358,6 @@ class SignatureIndex:
                 f"{self._path}: malformed signature header: {exc}"
             ) from exc
         self._payload_start = cursor + header_length
-        self._hashes = int(self.signature_params["hashes"])
-        self._checked = bytearray(len(self._blocks))
         expected_base = 0
         for slot, block in enumerate(self._blocks):
             if block.base != expected_base or block.docs < 1:
@@ -348,6 +386,47 @@ class SignatureIndex:
                     f"{self._path}: payload truncated ({len(view)} bytes, "
                     f"blocks need {end})"
                 )
+        self._verified = np.zeros(len(self._blocks), dtype=bool)
+        self._lay_out_scan()
+
+    def _lay_out_scan(self) -> None:
+        """Per-word gather tables and the scan's steps of whole blocks.
+
+        A block row of ``width`` bytes is ``ceil(width / 8)`` words of
+        up to 64 documents.  Word ``j`` holds ``n = min(8, width - 8j)``
+        bytes from ``p = row start + 8j``; it is read as the little-endian
+        ``<u8`` that *ends* at ``p + n`` and shifted right ``64 - 8n``
+        bits, which zero-pads it and never reads past the row's end.
+        (``p + n - 8`` cannot precede the file: the payload follows the
+        header.)
+        """
+        # Every 8-byte window of the file, one ``<u8`` per byte offset:
+        # a zero-copy, unaligned view the gather reads rows from.
+        self._words = np.ndarray(
+            (len(self._map) - 7,), dtype="<u8", buffer=self._map, strides=(1,)
+        )
+        docs = np.array([b.docs for b in self._blocks], dtype=np.int64)
+        widths = (docs + 7) // 8
+        counts = (widths + 7) // 8
+        owner = np.repeat(np.arange(len(self._blocks)), counts)
+        word_starts = np.concatenate(([0], np.cumsum(counts)))
+        word = np.arange(word_starts[-1]) - word_starts[owner]
+        filled = np.minimum(8, widths[owner] - 8 * word)
+        starts = np.array(
+            [self._payload_start + b.offset for b in self._blocks],
+            dtype=np.int64,
+        )
+        rows = np.array([b.rows for b in self._blocks], dtype=np.uint64)
+        self._word_rows = rows[owner]
+        self._word_stride = widths[owner]
+        self._word_base = starts[owner] + 8 * word + filled - 8
+        self._word_shift = (64 - 8 * filled).astype(np.uint64)
+        self._word_docs = np.minimum(64, docs[owner] - 64 * word)
+        self._word_starts = word_starts
+        #: ``(first, stop)`` block ranges of one scan step each, in order.
+        self.scan_steps: tuple[tuple[int, int], ...] = tuple(
+            _runs(word_starts[1:], SCAN_WORDS)
+        )
 
     # -- reader surface ---------------------------------------------------
 
@@ -375,61 +454,95 @@ class SignatureIndex:
     def block(self, slot: int) -> _Block:
         return self._blocks[slot]
 
-    def _packed(self, slot: int) -> np.ndarray:
-        """Block ``slot``'s packed bit matrix, checksum-verified once.
+    def unverified_blocks(self, first: int, stop: int) -> np.ndarray:
+        """Slots in ``first..stop-1`` whose checksum is not yet verified."""
+        return first + np.flatnonzero(~self._verified[first:stop])
+
+    def verify_block(self, slot: int) -> None:
+        """Check block ``slot``'s payload checksum (once; later calls
+        return at once).
 
         Raises:
             CorruptionError: if the payload fails its checksum.
         """
+        if self._verified[slot]:
+            return
         block = self._blocks[slot]
         start = self._payload_start + block.offset
-        payload = self._map[start : start + block.length]
-        if not self._checked[slot]:
-            if zlib.crc32(payload) != block.crc:
-                raise CorruptionError(
-                    f"{self._path}: signature block {slot} (documents "
-                    f"{block.base}..{block.base + block.docs - 1}) failed "
-                    "its checksum",
-                    section=f"block:{slot}",
-                )
-            self._checked[slot] = 1
-        width = (block.docs + 7) // 8
-        return np.frombuffer(payload, dtype=np.uint8).reshape(
-            block.rows, width
-        )
+        if zlib.crc32(self._map[start : start + block.length]) != block.crc:
+            raise CorruptionError(
+                f"{self._path}: signature block {slot} (documents "
+                f"{block.base}..{block.base + block.docs - 1}) failed "
+                "its checksum",
+                section=f"block:{slot}",
+            )
+        self._verified[slot] = True
 
-    def block_membership_counts(
-        self, slot: int, interval_ids: np.ndarray
+    def membership_counts(
+        self, probes: np.ndarray, first: int, stop: int
     ) -> np.ndarray:
-        """Per-document count of query k-mers the block's filters contain.
+        """Per-document count of query k-mers the filters of blocks
+        ``first..stop-1`` contain, for documents ``blocks[first].base``
+        onwards (shape ``(docs,)``, int64).
 
-        For each k-mer its ``hashes`` rows are AND-ed into one packed
-        membership mask; unpacking and summing the masks yields each
-        document's containment count (shape ``(docs,)``).
-
-        Raises:
-            CorruptionError: if the block fails its checksum.
+        ``probes`` is :func:`signature_probes` of the query's distinct
+        ids.  One broadcast ``% rows`` places every probe in every block,
+        one gather reads the row words from the map, the ``hashes`` words
+        of each id are AND-ed into its membership mask, and the masks'
+        bits are counted in byte lanes, at most :data:`LANE_IDS` ids at a
+        time.  Checksums are the caller's: see :meth:`verify_block`.
         """
-        block = self._blocks[slot]
-        packed = self._packed(slot)
-        rows = signature_rows(interval_ids, self._hashes, block.rows)
-        masks = np.bitwise_and.reduce(packed[rows], axis=1)
-        bits = np.unpackbits(masks, axis=1, count=block.docs)
-        return bits.sum(axis=0, dtype=np.int64)
+        low, high = self._word_starts[first], self._word_starts[stop]
+        width = high - low
+        # (hashes, words, ids): each word's ids contiguous for the sums.
+        rows = probes.T[:, None, :] % self._word_rows[low:high, None]
+        positions = rows.view(np.int64) * self._word_stride[low:high, None]
+        positions += self._word_base[low:high, None]
+        gathered = self._words[positions]
+        masks = gathered[0]
+        for more in gathered[1:]:
+            masks &= more
+        masks >>= self._word_shift[low:high, None]
+        # counts[t, w, i]: bit 7 - t of byte i of word w, summed over ids.
+        counts = np.zeros((8, width, 8), dtype=np.int64)
+        lanes = np.empty((8, width), dtype=np.uint64)
+        spread = np.empty((width, min(LANE_IDS, masks.shape[1])), np.uint64)
+        for start in range(0, masks.shape[1], LANE_IDS):
+            chunk = masks[:, start : start + LANE_IDS]
+            bits = spread[:, : chunk.shape[1]]
+            for lane, shift in enumerate(_LANE_SHIFTS):
+                np.right_shift(chunk, shift, out=bits)
+                bits &= _LANE_BITS
+                np.add.reduce(bits, axis=1, out=lanes[lane])
+            counts += lanes.astype("<u8", copy=False).view(np.uint8).reshape(
+                8, width, 8
+            )
+        # Document 8i + t of word w's 64.
+        counts = counts.transpose(1, 2, 0).reshape(width, 64)
+        return counts[_LANES < self._word_docs[low:high, None]]
 
     def verify(self) -> list[str]:
         """Check every block's checksum; returns the problems found."""
         issues: list[str] = []
         for slot in range(len(self._blocks)):
             try:
-                self._packed(slot)
+                self.verify_block(slot)
             except CorruptionError as exc:
                 issues.append(str(exc))
         return issues
 
     def close(self) -> None:
+        """Release the mapping.
+
+        The gather view goes first: an exported buffer keeps
+        :meth:`mmap.mmap.close` from unmapping.
+        """
+        self._words = None
         if getattr(self, "_map", None) is not None:
-            self._map.close()
+            try:
+                self._map.close()
+            except BufferError:
+                pass  # unmapped when the last view is released
             self._map = None
 
     def __enter__(self) -> "SignatureIndex":
@@ -447,12 +560,15 @@ class SignatureRanker:
     contract exactly, so the cut, the fine phase and the sharded merge
     are backend-agnostic.
 
-    A bounded deadline is checked between blocks: once expired the
-    remaining blocks contribute no evidence and the scores so far
-    are the (partial) answer.  Under ``on_corruption="skip"`` a
-    block that fails its checksum is quarantined (logged, counted,
-    scored zero) and scanning continues; any other policy propagates
-    the :class:`~repro.errors.CorruptionError` (the engine's
+    A query is hashed once and scanned in one gather per step of
+    whole blocks (:attr:`SignatureIndex.scan_steps`).  A bounded
+    deadline is checked between steps: once expired the remaining
+    blocks contribute no evidence and the scores so far are the
+    (partial) answer.  Each block's checksum is verified the first
+    time a step reaches it.  Under ``on_corruption="skip"`` a block
+    that fails it is quarantined (logged, counted, scored zero) and
+    scanning continues; any other policy propagates the
+    :class:`~repro.errors.CorruptionError` (the engine's
     ``"fallback"`` then answers the query in degraded mode).
 
     Raises:
@@ -496,33 +612,55 @@ class SignatureRanker:
                 ``"skip"``.
         """
         deadline = ensure_deadline(deadline)
-        scores = np.zeros(self.index.collection.num_sequences)
+        index = self.index
+        scores = np.zeros(index.collection.num_sequences)
         ids = self._extractor.extract_distinct(query_codes)
         if not ids.shape[0]:
             return scores
         self.instruments.count("coarse.query_intervals", int(ids.shape[0]))
+        probes = signature_probes(ids, index.signature_params["hashes"])
         scanned = 0
-        for slot in range(self.index.num_blocks):
+        for first, stop in index.scan_steps:
             if deadline.bounded and deadline.expired():
                 break
-            if slot in self.quarantined:
-                continue
-            block = self.index.block(slot)
-            try:
-                counts = self.index.block_membership_counts(slot, ids)
-            except CorruptionError as exc:
-                if self.on_corruption != "skip":
-                    raise
-                _LOG.warning(
-                    "quarantining corrupt signature block %d: %s", slot, exc
-                )
-                self.quarantined.add(slot)
-                self.instruments.count("signature.quarantined_blocks")
-                continue
-            scanned += 1
-            scores[block.base : block.base + block.docs] = counts
+            skipped = self._verify(first, stop)
+            low = index.block(first).base
+            last = index.block(stop - 1)
+            scores[low : last.base + last.docs] = index.membership_counts(
+                probes, first, stop
+            )
+            for slot in skipped:
+                block = index.block(slot)
+                scores[block.base : block.base + block.docs] = 0
+            scanned += stop - first - len(skipped)
         self.instruments.count("signature.blocks_scanned", scanned)
         return scores
+
+    def _verify(self, first: int, stop: int) -> list[int]:
+        """Verify the step's blocks not yet checked; returns the step's
+        quarantined slots (a corrupt block joins them under ``"skip"``).
+
+        Raises:
+            CorruptionError: on a damaged block, unless the policy is
+                ``"skip"``.
+        """
+        skipped = []
+        for slot in self.index.unverified_blocks(first, stop).tolist():
+            if slot not in self.quarantined:
+                try:
+                    self.index.verify_block(slot)
+                    continue
+                except CorruptionError as exc:
+                    if self.on_corruption != "skip":
+                        raise
+                    _LOG.warning(
+                        "quarantining corrupt signature block %d: %s",
+                        slot, exc,
+                    )
+                    self.quarantined.add(slot)
+                    self.instruments.count("signature.quarantined_blocks")
+            skipped.append(slot)
+        return skipped
 
     def rank(
         self,

@@ -328,15 +328,6 @@ class DiskIndex(IndexReader):
                 issues.append(str(exc))
         return issues
 
-    def to_memory(self) -> InvertedIndex:
-        """Materialise the whole index in memory."""
-        resolved = self.resolve(self._ids)
-        vocabulary = {
-            int(interval_id): resolved.entry(slot)
-            for slot, interval_id in enumerate(self._ids.tolist())
-        }
-        return InvertedIndex(self.params, self.collection, vocabulary)
-
 
 def read_index(path: str | Path) -> DiskIndex:
     """Open an on-disk index for reading."""

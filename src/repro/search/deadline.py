@@ -85,21 +85,6 @@ class Deadline:
         """True when this deadline can actually expire."""
         return self.expires_at is not None
 
-    def tightened(self, seconds: float | None) -> "Deadline":
-        """The tighter of this deadline and one ``seconds`` from now.
-
-        Used to compose a per-shard attempt timeout with the query's
-        overall budget.
-        """
-        if seconds is None:
-            return self
-        candidate = Deadline.after(seconds, self._clock)
-        if self.expires_at is None:
-            return candidate
-        if candidate.expires_at >= self.expires_at:
-            return self
-        return candidate
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.expires_at is None:
             return "Deadline(unbounded)"

@@ -144,14 +144,3 @@ def reverse_complement(codes: np.ndarray) -> np.ndarray:
     """Reverse-complement an array of codes."""
     return complement(codes)[::-1]
 
-
-def validate_bases(codes: np.ndarray) -> None:
-    """Check that an array holds only the four plain bases.
-
-    Raises:
-        AlphabetError: if a wildcard (or out-of-range) code is present.
-    """
-    codes = np.asarray(codes)
-    if codes.size and int(codes.max(initial=0)) >= WILDCARD_MIN_CODE:
-        position = int(np.argmax(codes >= WILDCARD_MIN_CODE))
-        raise AlphabetError(f"wildcard code at position {position}; bases required")

@@ -71,13 +71,6 @@ class TestPredicates:
         mask = alphabet.is_wildcard(alphabet.encode("ANCG"))
         assert mask.tolist() == [False, True, False, False]
 
-    def test_validate_bases_accepts_pure_bases(self):
-        alphabet.validate_bases(alphabet.encode("ACGTACGT"))
-
-    def test_validate_bases_rejects_wildcards(self):
-        with pytest.raises(AlphabetError, match="position 2"):
-            alphabet.validate_bases(alphabet.encode("ACNT"))
-
     def test_expansions_cover_every_character(self):
         assert set(alphabet.IUPAC_EXPANSIONS) == set(alphabet.IUPAC_ALPHABET)
 

@@ -13,6 +13,7 @@ import json
 import struct
 import tempfile
 import zlib
+from itertools import islice
 from pathlib import Path
 from unittest.mock import patch
 
@@ -33,6 +34,7 @@ from repro.coarse_backends.signature import (
     DEFAULT_SIGNATURE_PARAMS,
     SignatureIndex,
     SignatureRanker,
+    signature_probes,
     signature_rows,
     slice_rows_for,
     write_signature,
@@ -189,15 +191,43 @@ def _per_record_blocks(records, params, docs_per_block, hashes, fpr):
 
 
 def _written_blocks(path):
+    """A signature file's header and each block's payload bytes."""
     data = Path(path).read_bytes()
     _, _, header_length = struct.unpack_from("<4sHI", data, 0)
     start = struct.calcsize("<4sHI") + 4
     header = json.loads(data[start : start + header_length])
     payload = data[start + header_length :]
-    return header["blocks"], [
+    return header, [
         payload[block["offset"] : block["offset"] + block["length"]]
         for block in header["blocks"]
     ]
+
+
+def _oracle_scores(path, query_codes, quarantined=()):
+    """Containment counts one block at a time, read from the file's
+    bytes and unpacked bit by bit: the reference the one-gather scan is
+    held to.  Quarantined blocks score zero."""
+    header, payloads = _written_blocks(path)
+    hashes = header["signature"]["hashes"]
+    ids = IntervalExtractor(
+        header["params"]["interval_length"], stride=1
+    ).extract_distinct(query_codes)
+    scores = np.zeros(len(header["identifiers"]))
+    if not ids.shape[0]:
+        return scores
+    for slot, (block, payload) in enumerate(zip(header["blocks"], payloads)):
+        if slot in quarantined:
+            continue
+        packed = np.frombuffer(payload, dtype=np.uint8).reshape(
+            block["rows"], -1
+        )
+        rows = signature_rows(ids, hashes, block["rows"])
+        masks = np.bitwise_and.reduce(packed[rows], axis=1)
+        bits = np.unpackbits(masks, axis=1, count=block["docs"])
+        scores[block["base"] : block["base"] + block["docs"]] = bits.sum(
+            axis=0, dtype=np.int64
+        )
+    return scores
 
 
 record_codes = st.lists(
@@ -244,12 +274,12 @@ class TestBatchSignatureBuild:
                     records, path, params,
                     {"docs_per_block": docs_per_block, "hashes": hashes},
                 )
-            blocks, payloads = _written_blocks(path)
+            header, payloads = _written_blocks(path)
         assert payloads == _per_record_blocks(
             records, params, docs_per_block, hashes,
             DEFAULT_SIGNATURE_PARAMS["false_positive_rate"],
         )
-        assert [block["base"] for block in blocks] == list(
+        assert [block["base"] for block in header["blocks"]] == list(
             range(0, len(records), docs_per_block)
         )
 
@@ -271,11 +301,16 @@ class TestSignatureFormat:
         extractor = IntervalExtractor(8, stride=1)
         with SignatureIndex(signature_file) as index:
             ids = extractor.extract_distinct(records[9].codes)
-            counts = index.block_membership_counts(1, ids)  # docs 7..13
+            probes = signature_probes(ids, 2)
+            counts = index.membership_counts(probes, 1, 2)  # docs 7..13
             assert counts.shape == (7,)
             # Bloom filters never produce false negatives: document 9
             # must contain every one of its own k-mers.
             assert counts[2] == ids.shape[0]
+            assert np.array_equal(
+                index.membership_counts(probes, 0, 4),
+                _oracle_scores(signature_file, records[9].codes),
+            )
 
     def test_slice_rows_floor(self):
         assert slice_rows_for(0, 1, 0.3) == 8
@@ -308,15 +343,119 @@ class TestSignatureFormat:
     def test_block_corruption_caught_lazily(self, signature_file, tmp_path):
         target = tmp_path / "signatures.rpsg"
         target.write_bytes(_with_flipped_block(signature_file, 2))
-        with SignatureIndex(target) as index:
-            extractor = IntervalExtractor(8, stride=1)
-            ids = extractor.extract_distinct(
-                np.arange(40, dtype=np.uint8) % 4
-            )
-            index.block_membership_counts(0, ids)  # intact block fine
+        query = np.arange(40, dtype=np.uint8) % 4
+        with SignatureIndex(target) as index:  # opening reads no payload
+            index.verify_block(0)  # intact block fine
+            assert index.unverified_blocks(0, 4).tolist() == [1, 2, 3]
             with pytest.raises(CorruptionError, match="block 2"):
-                index.block_membership_counts(2, ids)
+                SignatureRanker(index).scores(query)
+            # The scan verified the blocks before the damaged one.
+            assert index.unverified_blocks(0, 4).tolist() == [2, 3]
+            with pytest.raises(CorruptionError, match="block 2"):
+                index.verify_block(2)
             assert any("block 2" in issue for issue in index.verify())
+
+
+def _de_bruijn(k):
+    """The order-``k`` de Bruijn sequence over the four bases, lazily:
+    every k-window of the cyclic sequence is a distinct k-mer."""
+    digits = [0] * (k + 1)
+
+    def extend(t, p):
+        if t > k:
+            if k % p == 0:
+                yield from digits[1 : p + 1]
+            return
+        digits[t] = digits[t - p]
+        yield from extend(t + 1, p)
+        for code in range(digits[t - p] + 1, 4):
+            digits[t] = code
+            yield from extend(t + 1, t)
+
+    return extend(1, 1)
+
+
+def _query_with_distinct_kmers(k, distinct, relabel):
+    """Codes holding exactly ``distinct`` distinct k-mers (clamped to
+    4^k): a window of the de Bruijn sequence, bases relabelled."""
+    distinct = min(distinct, 4**k)
+    if not distinct:
+        return np.zeros(0, dtype=np.uint8)
+    cycle = list(islice(_de_bruijn(k), min(4**k, distinct + k - 1)))
+    codes = (cycle + cycle)[: distinct + k - 1]
+    return np.array(relabel, dtype=np.uint8)[codes]
+
+
+class TestOneGatherScan:
+    """The scan gathers every block's rows at once and counts bits in
+    byte lanes; the per-block unpacking oracle must agree bit for bit
+    on every row width, lane-chunk edge and quarantine."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        docs=st.integers(1, 160),
+        docs_per_block=st.integers(1, 70),
+        hashes=st.integers(1, 3),
+        k=st.sampled_from([4, 8, 12]),
+        distinct=st.one_of(
+            st.sampled_from([0, 1, 255, 256]), st.integers(601, 700)
+        ),
+        relabel=st.permutations([0, 1, 2, 3]),
+        wildcards=st.lists(st.integers(0, 800), max_size=3),
+        scan_words=st.sampled_from([1, 2, 3, signature.SCAN_WORDS]),
+        quarantine=st.booleans(),
+    )
+    @example(
+        seed=0, docs=140, docs_per_block=70, hashes=2, k=4, distinct=256,
+        relabel=[0, 1, 2, 3], wildcards=[], scan_words=1, quarantine=True,
+    )
+    def test_scores_and_rank_equal_the_oracle(
+        self, seed, docs, docs_per_block, hashes, k, distinct, relabel,
+        wildcards, scan_words, quarantine,
+    ):
+        query = _query_with_distinct_kmers(k, distinct, relabel)
+        for position in wildcards:
+            if position < query.shape[0]:
+                query[position] = 14
+        rng = np.random.default_rng(seed)
+        records = []
+        for slot in range(docs):
+            length = int(rng.integers(0, 120))
+            codes = rng.integers(0, 4, length, dtype=np.uint8)
+            if slot % 3 == 0:
+                # Holds every query k-mer: its lanes count the most ids.
+                codes = np.concatenate([codes, query])
+            elif slot % 3 == 1 and query.shape[0]:
+                start = int(rng.integers(0, query.shape[0]))
+                codes = np.concatenate([codes, query[start : start + 90]])
+            records.append(Sequence(f"p{slot}", codes))
+        damaged = set()
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "signatures.rpsg"
+            write_signature(
+                records, path, IndexParameters(interval_length=k),
+                {"docs_per_block": docs_per_block, "hashes": hashes},
+            )
+            if quarantine:
+                damaged = {int(rng.integers(0, -(-docs // docs_per_block)))}
+                path.write_bytes(_with_flipped_block(path, *damaged))
+            expected = _oracle_scores(path, query, quarantined=damaged)
+            with patch.object(signature, "SCAN_WORDS", scan_words):
+                index = SignatureIndex(path)
+            with index:
+                ranker = SignatureRanker(index, on_corruption="skip")
+                scores = ranker.scores(query)
+                assert scores.dtype == np.float64
+                assert np.array_equal(scores, expected)
+                scanned = IntervalExtractor(k, stride=1).extract_distinct(query)
+                assert ranker.quarantined == (
+                    damaged if scanned.shape[0] else set()
+                )
+                for cutoff in (1, 5, docs + 3):
+                    assert ranker.rank(query, cutoff) == top_candidates(
+                        expected, cutoff
+                    )
 
 
 def _with_flipped_block(path, slot):
@@ -657,6 +796,53 @@ class TestLsmSignature:
                     assert got == expected
             finally:
                 fresh.close()
+        finally:
+            database.close()
+
+
+class TestSignatureLifecycle:
+    """The scan's gather view pins the mapping; closing drops it first."""
+
+    def test_close_after_searches(self, signature_file, records):
+        index = SignatureIndex(signature_file)
+        ranker = SignatureRanker(index)
+        for slot in (3, 9, 17):
+            ranker.rank(records[slot].codes, cutoff=5)
+        mapping = index._map
+        index.close()
+        assert mapping.closed
+        index.close()  # idempotent
+
+    def test_ingest_compact_search(self, records, tmp_path):
+        """``add_records`` and ``compact`` swap in fresh readers; the
+        superseded ones, which have scanned, still close cleanly, and
+        the database answers as a fresh build afterwards."""
+        database = Database.create(
+            records[:16], tmp_path / "cycle.db", params=PARAMS,
+            coarse_backend="signature",
+        )
+        query = records[18].slice(20, 200)
+        try:
+            database.search(records[3].slice(40, 180), top_k=3)
+            superseded = [shard.index for shard in database.shards]
+            database.add_records(records[16:])
+            database.search(query, top_k=3)
+            superseded += [shard.index for shard in database.shards]
+            database.compact()
+            got = database.search(query, top_k=5)
+            for index in superseded:
+                mapping = index._map
+                index.close()
+                assert mapping.closed
+            with Database.create(
+                records, tmp_path / "fresh.db", params=PARAMS,
+                coarse_backend="signature",
+            ) as fresh:
+                want = fresh.search(query, top_k=5)
+            assert got.best().ordinal == 18
+            assert [
+                (h.identifier, h.score, h.coarse_score) for h in got.hits
+            ] == [(h.identifier, h.score, h.coarse_score) for h in want.hits]
         finally:
             database.close()
 

@@ -9,9 +9,16 @@ changes nothing (score identity with the unbudgeted path).
 import numpy as np
 import pytest
 
+from repro.coarse_backends import signature
+from repro.coarse_backends.signature import (
+    SignatureIndex,
+    SignatureRanker,
+    write_signature,
+)
 from repro.errors import SearchError
 from repro.index.builder import READ_CHUNK, IndexParameters, build_index
 from repro.index.store import MemorySequenceSource
+from repro.instrumentation.instruments import Instruments
 from repro.search.deadline import (
     NO_DEADLINE,
     Deadline,
@@ -66,16 +73,6 @@ class TestDeadline:
     def test_zero_budget_expires_immediately(self):
         clock = FakeClock()
         assert Deadline.after(0.0, clock).expired()
-
-    def test_tightened_keeps_the_tighter(self):
-        clock = FakeClock()
-        wide = Deadline.after(10.0, clock)
-        assert wide.tightened(None) is wide
-        assert wide.tightened(20.0) is wide
-        tight = wide.tightened(1.0)
-        assert tight.remaining() == pytest.approx(1.0)
-        unbounded = Deadline(clock=clock)
-        assert unbounded.tightened(3.0).remaining() == pytest.approx(3.0)
 
     def test_ensure_deadline(self):
         assert ensure_deadline(None) is NO_DEADLINE
@@ -274,6 +271,53 @@ def test_expiry_between_merged_chunks_yields_ranked_partial(
         for record in part
     }
     assert len({slot_of[hit.identifier] for hit in report.hits}) > 1
+
+
+def test_signature_scan_expires_between_steps(tmp_path, monkeypatch):
+    """The signature scan checks the deadline between steps of whole
+    blocks: a deadline passing during the first step keeps that step's
+    blocks and scores nothing after them, and the engine reports the
+    expiry."""
+    generator = np.random.default_rng(9)
+    records = [
+        Sequence(f"s{slot}", generator.integers(0, 4, 120, dtype=np.uint8))
+        for slot in range(24)
+    ]
+    path = tmp_path / "signatures.rpsg"
+    write_signature(
+        records, path, IndexParameters(interval_length=8),
+        {"docs_per_block": 4},
+    )
+    monkeypatch.setattr(signature, "SCAN_WORDS", 2)
+    with SignatureIndex(path) as index:
+        assert index.scan_steps == ((0, 2), (2, 4), (4, 6))
+        query = records[1].codes[10:110]
+        full = SignatureRanker(index).scores(query)
+        clock = FakeClock()
+        scan = index.membership_counts
+
+        def ticking(*args):
+            clock.advance(1.0)
+            return scan(*args)
+
+        monkeypatch.setattr(index, "membership_counts", ticking)
+        instruments = Instruments()
+        ranker = SignatureRanker(index)
+        ranker.set_instruments(instruments)
+        partial = ranker.scores(query, deadline=Deadline.after(0.5, clock))
+        assert full[:8].any() and full[8:].any()
+        assert np.array_equal(partial[:8], full[:8])  # blocks 0 and 1
+        assert not partial[8:].any()
+        assert instruments.metrics.snapshot()["counters"][
+            "signature.blocks_scanned"
+        ] == 2
+
+        engine = PartitionedSearchEngine(index, MemorySequenceSource(records))
+        report = engine.search(
+            Sequence("q", query), top_k=5, deadline=Deadline.after(0.5, clock)
+        )
+        assert report.deadline_expired
+        assert report.partial
 
 
 def test_both_strands_skips_reverse_after_expiry(engine_pair):

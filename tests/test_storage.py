@@ -79,16 +79,6 @@ class TestRoundTrip:
         memory_stats = collect_statistics(sample_index)
         assert disk_stats == memory_stats
 
-    def test_to_memory(self, sample_index, index_path):
-        with read_index(index_path) as disk:
-            rebuilt = disk.to_memory()
-        assert rebuilt.vocabulary_size == sample_index.vocabulary_size
-        interval = next(iter(sample_index.interval_ids()))
-        assert (
-            rebuilt.lookup_entry(interval).data
-            == sample_index.lookup_entry(interval).data
-        )
-
 
 class TestCorruption:
     def test_empty_file(self, tmp_path):
