@@ -291,7 +291,7 @@ def experiment_e5() -> Table:
                 float(np.mean(overlaps_ten)),
             )
         )
-    for scorer in ("idf", "normalised"):
+    for scorer in ("idf",):
         engine = PartitionedSearchEngine(
             setup.base_index(),
             setup.base_source(),

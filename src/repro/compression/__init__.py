@@ -19,7 +19,6 @@ from repro.compression.integer import (
     IntegerCodec,
     UnaryCodec,
     codec_names,
-    make_codec,
     register_codec,
 )
 from repro.compression.vbyte import VByteCodec
@@ -39,7 +38,6 @@ __all__ = [
     "codec_names",
     "decode_sequence",
     "encode_sequence",
-    "make_codec",
     "measure",
     "optimal_golomb_parameter",
     "raw_two_bit_size",

@@ -130,20 +130,5 @@ def codec_names() -> Sequence[str]:
     return sorted(_REGISTRY)
 
 
-def make_codec(name: str, **kwargs) -> IntegerCodec:
-    """Instantiate a registered codec by name.
-
-    Raises:
-        CodecError: if the name is unknown.
-    """
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise CodecError(
-            f"unknown codec {name!r}; known: {', '.join(codec_names())}"
-        ) from None
-    return cls(**kwargs)
-
-
 register_codec(UnaryCodec)
 register_codec(FixedWidthCodec)

@@ -978,10 +978,6 @@ class Database:
         In degraded mode a shard whose index was unreadable is handed
         over with no index, and the engine answers every query from
         every live sequence (see :mod:`repro.search.engine`).
-
-        Raises:
-            SearchError: for a collection-statistics ``coarse_scorer``
-                on a database with more than one shard or tombstones.
         """
         policy = on_corruption or self.on_corruption
         scheme = scheme or ScoringScheme()

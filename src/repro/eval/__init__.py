@@ -9,7 +9,6 @@ from repro.eval.metrics import (
     average_precision,
     eleven_point_interpolated,
     mean_eleven_point,
-    precision_at,
     ranking_overlap,
     oracle_recall_at,
     recall_at,
@@ -26,7 +25,6 @@ __all__ = [
     "compute_ground_truth",
     "eleven_point_interpolated",
     "mean_eleven_point",
-    "precision_at",
     "ranking_overlap",
     "oracle_recall_at",
     "recall_at",

@@ -63,18 +63,6 @@ def oracle_recall_at(
     return found / cutoff
 
 
-def precision_at(
-    ranking: Sequence[int], relevant: Iterable[int], cutoff: int
-) -> float:
-    """Fraction of the first ``cutoff`` ranks that are relevant."""
-    _check_cutoff(cutoff)
-    relevant_set = set(relevant)
-    window = ranking[:cutoff]
-    if not window:
-        return 0.0
-    return sum(1 for item in window if item in relevant_set) / len(window)
-
-
 def average_precision(
     ranking: Sequence[int], relevant: Iterable[int]
 ) -> float:

@@ -19,7 +19,6 @@ from repro.index.intervals import (
     MAX_INTERVAL_LENGTH,
     IntervalExtractor,
     interval_id,
-    interval_text,
 )
 from repro.index.postings import PostingEntry, PostingsCodec, PostingsContext
 from repro.index.statistics import IndexStatistics, collect_statistics
@@ -63,7 +62,6 @@ __all__ = [
     "collect_statistics",
     "file_crc32",
     "interval_id",
-    "interval_text",
     "read_index",
     "read_store",
     "stop_above_frequency",

@@ -55,25 +55,6 @@ def interval_id(text: str) -> int:
     return packed
 
 
-def interval_text(packed: int, length: int) -> str:
-    """Unpack an integer id back into its interval string.
-
-    Raises:
-        IndexParameterError: if the id is out of range for ``length``.
-    """
-    if not 0 < length <= MAX_INTERVAL_LENGTH:
-        raise IndexParameterError(f"bad interval length {length}")
-    if not 0 <= packed < NUM_BASES**length:
-        raise IndexParameterError(
-            f"id {packed} out of range for length {length}"
-        )
-    chars = []
-    for _ in range(length):
-        packed, digit = divmod(packed, NUM_BASES)
-        chars.append(BASES[digit])
-    return "".join(reversed(chars))
-
-
 @dataclass(frozen=True)
 class IntervalExtractor:
     """Extracts (interval id, position) pairs from coded sequences.

@@ -15,9 +15,12 @@ accumulate (the A3 ablation):
 * ``count`` — per interval, each sequence gains ``min(query count,
   sequence count)`` — the number of *matching* interval occurrences;
 * ``idf`` — each interval's count weighted by its rarity,
-  ``log(1 + N / df)``;
-* ``normalised`` — the count score scaled by ``mean length / sequence
-  length``, removing the long-sequence advantage of chance hits.
+  ``log(1 + N / df)`` over the *live* collection (:class:`LiveCollection`):
+  ``N`` counts live records and ``df`` sums every shard's vocabulary
+  ``df`` less the tombstoned records holding the interval.  A lone
+  ranker's collection is its own index, where ``df`` is the decoded list
+  length; an engine over shards or tombstones installs the live one, so
+  every layout scores exactly as a rebuild over the survivors.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 from repro.errors import SearchError
 from repro.index.builder import IndexReader
 from repro.index.intervals import IntervalExtractor
+from repro.index.store import SequenceSource
 from repro.search.deadline import Deadline
 from repro.instrumentation.instruments import (
     NULL_INSTRUMENTS,
@@ -36,7 +40,56 @@ from repro.instrumentation.instruments import (
 from repro.search.results import CoarseCandidate, top_candidates
 
 #: Every coarse scorer name, in presentation order.
-SCORERS = ("count", "idf", "normalised")
+SCORERS = ("count", "idf")
+
+
+class LiveCollection:
+    """The live records of every shard: what ``idf`` weighs rarity over.
+
+    Built from ``(ranker, source, tombstoned local ordinals)`` per
+    shard: ``num_live`` records, and the sorted distinct interval ids of
+    the tombstoned records — taken with each index's own extractor, so a
+    stride matches what was indexed — with how many of them hold each.
+    """
+
+    def __init__(
+        self, shards: list[tuple[CoarseRanker, SequenceSource, list[int]]]
+    ) -> None:
+        self.rankers = [ranker for ranker, _, _ in shards]
+        self.num_live = sum(
+            ranker.index.collection.num_sequences - len(gone)
+            for ranker, _, gone in shards
+        )
+        dead = [np.empty(0, dtype=np.int64)] + [
+            ranker.index.params.make_extractor().extract_distinct(
+                source.codes(ordinal)
+            )
+            for ranker, source, gone in shards
+            for ordinal in gone
+        ]
+        self.dead_ids, self.dead_counts = np.unique(
+            np.concatenate(dead), return_counts=True
+        )
+
+    def rarity(
+        self, ranker: CoarseRanker, ids: np.ndarray, lens: np.ndarray
+    ) -> np.ndarray:
+        """``log(1 + N / df)`` per query interval, exact for the lists
+        ``ranker`` read (``lens > 0``, the only weights it uses): its own
+        list length — no second vocabulary access — plus every other
+        shard's resolved ``df``, less the tombstoned records holding
+        the interval.  Each other shard resolves under its own ranker's
+        policy: under ``"skip"`` a damaged list joins that ranker's
+        quarantine and counts as absent; otherwise the
+        :class:`~repro.errors.CorruptionError` propagates from here."""
+        df = lens.copy()
+        read = np.flatnonzero(lens)
+        for peer in self.rankers:
+            if peer is not ranker:
+                df[read] += peer.index.resolve(ids[read], skip=peer._skip).dfs
+        held = read[np.isin(ids[read], self.dead_ids, assume_unique=True)]
+        df[held] -= self.dead_counts[np.searchsorted(self.dead_ids, ids[held])]
+        return np.log1p(self.num_live / np.maximum(df, 1))
 
 
 class CoarseRanker:
@@ -70,6 +123,11 @@ class CoarseRanker:
         #: Interval ids quarantined as corrupt (under ``"skip"``).
         self.quarantined: set[int] = set()
         self._skip = self.quarantined if on_corruption == "skip" else None
+        #: What ``idf`` weighs rarity over: this index alone until an
+        #: engine over shards or tombstones installs the live collection.
+        self.collection = (
+            LiveCollection([(self, None, [])]) if scorer == "idf" else None
+        )
         # Query intervals are always extracted at stride 1: a sparsely
         # indexed collection (stride > 1) is still hit as long as *some*
         # query window aligns with an indexed window.
@@ -128,15 +186,9 @@ class CoarseRanker:
         # within each list: the float sums never depend on the decoder.
         weights = np.minimum(counts, np.repeat(query_counts, lens))
         if self.scorer == "idf":
-            # df == decoded list length: no second vocabulary access.
-            rarity = np.log1p(num_sequences / np.maximum(lens, 1))
+            rarity = self.collection.rarity(self, ids, lens)
             weights = np.repeat(rarity, lens) * weights
-        scores = np.bincount(docs, weights=weights, minlength=num_sequences)
-        if self.scorer == "normalised":
-            lengths = np.maximum(self.index.collection.lengths, 1)
-            mean = self.index.collection.context().mean_length
-            scores = scores * (mean / lengths.astype(np.float64))
-        return scores
+        return np.bincount(docs, weights=weights, minlength=num_sequences)
 
     def rank(
         self,

@@ -28,9 +28,11 @@ Two refinements beyond the basic pipeline:
 the one-shard spelling):
 
 1. **fan out** — every shard scores its own slice with its local index
-   (the ``count`` scorer accumulates per-sequence evidence only, so a
-   shard's coarse scores are exactly the scores a global index would
-   give its sequences);
+   (``count`` accumulates per-sequence evidence only, and ``idf`` takes
+   its rarity over the live collection of every shard — see
+   :class:`~repro.search.coarse.LiveCollection` — so a shard's coarse
+   scores are exactly the scores a global index would give its
+   sequences);
 2. **cut once** — the shards' scores fill one array indexed by stored
    ordinal, and :func:`~repro.search.results.top_candidates` cuts it at
    ``coarse_cutoff`` on the global ordering (coarse score desc, stored
@@ -44,10 +46,7 @@ the one-shard spelling):
    neighbours, so one image scores exactly what per-shard images would.
 
 The answer is hit-for-hit identical at every N — the invariant
-``tests/test_sharding.py`` pins down.  The ``idf`` and ``normalised``
-scorers weight evidence by collection-wide statistics that a
-shard-local index gets wrong, so they are accepted only when one shard
-*is* the collection.
+``tests/test_sharding.py`` pins down.
 
 **Tombstones** (the live/LSM layer): a sorted list of deleted *stored*
 ordinals.  Deleted sequences still sit in their shard's index, so
@@ -97,7 +96,7 @@ from repro.instrumentation.instruments import (
     Instruments,
     coalesce,
 )
-from repro.search.coarse import SCORERS
+from repro.search.coarse import SCORERS, LiveCollection
 from repro.search.deadline import Deadline, ensure_deadline
 from repro.search.fine import fetch_targets, scan_targets
 from repro.search.frames import FrameLocaliser
@@ -123,10 +122,6 @@ FINE_MODES = ("full", "frames")
 
 #: Supported corruption policies.
 CORRUPTION_POLICIES = ("raise", "skip", "fallback")
-
-#: Coarse scorers whose per-shard scores equal global scores (they
-#: accumulate per-sequence evidence only, no collection statistics).
-SHARDABLE_COARSE_SCORERS = ("count",)
 
 #: Exceptions a resilient engine treats as one shard failing (instead
 #: of the whole query): storage/index damage, OS-level I/O trouble,
@@ -179,8 +174,6 @@ class PartitionedSearchEngine:
         scheme: fine-phase scoring (defaults to match 1 / mismatch -1 /
             gap -2).
         coarse_scorer: a name in :data:`~repro.search.coarse.SCORERS`.
-            With more than one shard, or tombstones, it must be one of
-            :data:`SHARDABLE_COARSE_SCORERS`.
         coarse_cutoff: candidates the coarse phase hands to the fine
             phase; it bounds the merged candidate list, not each
             shard's.
@@ -224,8 +217,7 @@ class PartitionedSearchEngine:
     Raises:
         SearchError: if a shard's index and source disagree about the
             collection, shard parameters disagree, the coarse scorer is
-            unknown or not safe for the layout, or a parameter is out
-            of range.
+            unknown, or a parameter is out of range.
     """
 
     def __init__(
@@ -313,16 +305,6 @@ class PartitionedSearchEngine:
                 f"unknown coarse scorer {coarse_scorer!r}; known: "
                 f"{list(SCORERS)}"
             )
-        # Only a lone, whole shard's statistics are the collection's.
-        if (len(shards) > 1 or dead.size) and (
-            coarse_scorer not in SHARDABLE_COARSE_SCORERS
-        ):
-            raise SearchError(
-                f"coarse scorer {coarse_scorer!r} uses collection-wide "
-                "statistics that shard-local indexes would skew; "
-                "engines over shards or tombstones support "
-                f"{SHARDABLE_COARSE_SCORERS}"
-            )
         self.shards = shards
         self.scheme = scheme or ScoringScheme()
         self.coarse_cutoff = coarse_cutoff
@@ -336,6 +318,11 @@ class PartitionedSearchEngine:
         #: Stored ordinal of each shard's local ordinal 0, and the end.
         self._bases = np.asarray(bases, dtype=np.int64)
         cuts = np.searchsorted(dead, bases, side="left")
+        # Each shard's tombstones as local ordinals.
+        gone = [
+            dead[cuts[slot] : cuts[slot + 1]] - bases[slot]
+            for slot in range(len(shards))
+        ]
         self._shards: list[_Shard] = []
         live_bases = 0
         for slot, (index, source) in enumerate(shards):
@@ -347,8 +334,7 @@ class PartitionedSearchEngine:
                     dtype=np.int64,
                 )
             )
-            gone = dead[cuts[slot] : cuts[slot + 1]] - bases[slot]
-            live_bases += int(lengths.sum()) - int(lengths[gone].sum())
+            live_bases += int(lengths.sum()) - int(lengths[gone[slot]].sum())
             self._shards.append(
                 self._make_shard(
                     slot, bases[slot], index, source, coarse_scorer
@@ -357,6 +343,14 @@ class PartitionedSearchEngine:
         #: Live residues across every shard: the E-value search space
         #: (tombstoned sequences no longer count as searched).
         self.total_bases = live_bases
+        if coarse_scorer == "idf" and not self.degraded:
+            # idf's rarity is the live collection's, not one shard's.
+            collection = LiveCollection(
+                [(shard.ranker, shard.source, local.tolist())
+                 for shard, local in zip(self._shards, gone)]
+            )
+            for shard in self._shards:
+                shard.ranker.collection = collection
         # Each shard ranks with whatever backend its index declares; the
         # merge is backend-agnostic.  The engine-level label is the
         # single shared name, "mixed" when shards disagree, or None when

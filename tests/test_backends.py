@@ -568,7 +568,6 @@ class TestScoresAndCut:
         [
             ("inverted", "count"),
             ("inverted", "idf"),
-            ("inverted", "normalised"),
             ("signature", "count"),
         ],
     )
@@ -647,8 +646,9 @@ class TestDatabaseSignature:
             assert hit.score <= whole.get(hit.ordinal, hit.score)
 
     def test_non_count_scorer_rejected(self, single):
-        with pytest.raises(SearchError, match="'count'"):
-            single.engine(coarse_scorer="weighted")
+        for scorer in ("weighted", "idf"):
+            with pytest.raises(SearchError, match="'count'"):
+                single.engine(coarse_scorer=scorer)
 
     def test_verify_intact(self, single):
         report = Database.verify(single.path)

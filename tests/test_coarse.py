@@ -38,7 +38,7 @@ def index(collection):
 
 class TestMakeScorer:
     def test_known_names(self, index):
-        assert SCORERS == ("count", "idf", "normalised")
+        assert SCORERS == ("count", "idf")
         for name in SCORERS:
             assert CoarseRanker(index, name).scorer == name
 
@@ -93,22 +93,6 @@ class TestRanking:
         assert by_ordinal[1] == 1.0
 
 
-class TestNormalisedScorer:
-    def test_long_sequences_are_penalised(self):
-        # Same planted motif; the long sequence accumulates the same raw
-        # count but must score lower after normalisation.
-        motif = "ACGTACGTACGTACGT"
-        records = [
-            seq("short", motif + "T" * 10),
-            seq("long", motif + "T" * 600),
-        ]
-        index = build_index(records, IndexParameters(interval_length=8))
-        ranker = CoarseRanker(index, "normalised")
-        candidates = ranker.rank(seq("q", motif).codes, cutoff=5)
-        by_ordinal = {c.ordinal: c.coarse_score for c in candidates}
-        assert by_ordinal[0] > by_ordinal[1]
-
-
 class _ScalarReads:
     """An index whose ``read_lists`` decodes every list with the scalar
     per-list codec: the oracle rankings are compared against."""
@@ -126,11 +110,9 @@ class TestFlatDecodeParity:
     """The flat block decoder must be invisible to ranking: every scorer
     ranks exactly as it does over the scalar per-list decode."""
 
-    SCORERS = ("count", "idf", "normalised")
-
     def test_rankings_identical_to_scalar_decode(self, index, collection):
         _, query = collection
-        for name in self.SCORERS:
+        for name in SCORERS:
             results = [
                 [
                     (c.ordinal, c.coarse_score)
@@ -147,7 +129,7 @@ class TestFlatDecodeParity:
         # list, +df gaps per list — whichever scorer, whichever decoder.
         _, query = collection
         seen = set()
-        for name in ("count", "idf", "normalised"):
+        for name in SCORERS:
             for reader in (index, _ScalarReads(index)):
                 instruments = Instruments()
                 ranker = CoarseRanker(reader, name)

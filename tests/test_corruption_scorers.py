@@ -173,7 +173,6 @@ FIRST_CHUNK_BUDGET = READ_CHUNK - 0.5
 SCORER_MODES = [
     ("count", "full"),
     ("idf", "full"),
-    ("normalised", "full"),
     ("count", "frames"),
 ]
 

@@ -31,7 +31,6 @@ OLD = Path(__file__).parent / "data" / "v2_with_offsets.db"
 OPTIONS = [
     {},
     {"coarse_scorer": "idf"},
-    {"coarse_scorer": "normalised"},
     {"both_strands": True, "with_evalues": True},
     {"fine_mode": "frames"},
 ]

@@ -11,10 +11,9 @@ from repro.compression.integer import (
     FixedWidthCodec,
     UnaryCodec,
     codec_names,
-    make_codec,
 )
 from repro.compression.vbyte import VByteCodec
-from repro.errors import BitStreamError, CodecError, CodecValueError
+from repro.errors import BitStreamError, CodecValueError
 
 # Unary-quotient codecs (Golomb/Rice with small parameters) have code
 # lengths linear in value/parameter, so property tests must bound the
@@ -155,13 +154,6 @@ class TestRegistry:
         for expected in ("gamma", "delta", "golomb", "rice", "vbyte", "unary"):
             assert expected in names
 
-    def test_make_codec_with_kwargs(self):
-        codec = make_codec("golomb", parameter=9)
-        assert codec.parameter == 9
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(CodecError, match="unknown codec"):
-            make_codec("snappy")
 
 
 class TestInterleavedStreams:

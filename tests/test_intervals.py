@@ -10,7 +10,6 @@ from repro.index.intervals import (
     MAX_INTERVAL_LENGTH,
     IntervalExtractor,
     interval_id,
-    interval_text,
 )
 from repro.sequences import alphabet
 
@@ -38,21 +37,6 @@ class TestPacking:
             interval_id("")
         with pytest.raises(IndexParameterError):
             interval_id("A" * (MAX_INTERVAL_LENGTH + 1))
-
-    def test_unpack_known(self):
-        assert interval_text(0, 3) == "AAA"
-        assert interval_text(63, 3) == "TTT"
-        assert interval_text(interval_id("GATTACA"), 7) == "GATTACA"
-
-    def test_unpack_range_check(self):
-        with pytest.raises(IndexParameterError):
-            interval_text(64, 3)
-        with pytest.raises(IndexParameterError):
-            interval_text(-1, 3)
-
-    @given(st.text(alphabet="ACGT", min_size=1, max_size=MAX_INTERVAL_LENGTH))
-    def test_pack_unpack_roundtrip(self, text):
-        assert interval_text(interval_id(text), len(text)) == text
 
 
 class TestExtractorValidation:

@@ -35,10 +35,8 @@ from repro.index.builder import IndexParameters, build_index
 from repro.index.store import LiveSequenceView, MemorySequenceSource
 from repro.instrumentation import faults
 from repro.instrumentation.instruments import Instruments
-from repro.search.engine import (
-    SHARDABLE_COARSE_SCORERS,
-    PartitionedSearchEngine,
-)
+from repro.search.coarse import SCORERS
+from repro.search.engine import PartitionedSearchEngine
 from repro.sequences.record import Sequence
 from repro.sharding.manifest import orphan_directories, read_layout
 
@@ -82,12 +80,12 @@ def _oracle_engine(records, coarse_cutoff=10):
 
 
 class TestDifferentialParity:
-    """The shared three-layout fixture, across every shard-safe engine."""
+    """The shared three-layout fixture, across every coarse scorer."""
 
     def test_default_engine(self, parity_worlds):
         parity_worlds.check()
 
-    @pytest.mark.parametrize("scorer", SHARDABLE_COARSE_SCORERS)
+    @pytest.mark.parametrize("scorer", SCORERS)
     def test_coarse_scorers(self, parity_worlds, scorer):
         parity_worlds.check(coarse_scorer=scorer)
 

@@ -9,7 +9,6 @@ from repro.eval.metrics import (
     average_precision,
     eleven_point_interpolated,
     mean_eleven_point,
-    precision_at,
     ranking_overlap,
     recall_at,
     recall_precision_points,
@@ -23,13 +22,9 @@ relevant_sets = st.sets(st.integers(min_value=0, max_value=30), max_size=10)
 class TestRecallPrecision:
     def test_perfect_ranking(self):
         assert recall_at([1, 2, 3], {1, 2, 3}, 3) == 1.0
-        assert precision_at([1, 2, 3], {1, 2, 3}, 3) == 1.0
 
     def test_partial_recall(self):
         assert recall_at([1, 9, 2], {1, 2, 3, 4}, 3) == 0.5
-
-    def test_precision_with_irrelevant_noise(self):
-        assert precision_at([1, 9, 8, 7], {1}, 4) == 0.25
 
     def test_cutoff_shorter_than_ranking(self):
         assert recall_at([1, 2, 3], {3}, 2) == 0.0
@@ -39,20 +34,18 @@ class TestRecallPrecision:
         assert average_precision([1, 2], set()) == 0.0
 
     def test_empty_ranking(self):
-        assert precision_at([], {1}, 5) == 0.0
         assert recall_at([], {1}, 5) == 0.0
 
     def test_cutoff_validation(self):
         with pytest.raises(ReproError):
             recall_at([1], {1}, 0)
         with pytest.raises(ReproError):
-            precision_at([1], {1}, -3)
+            recall_at([1], {1}, -3)
 
     @given(ranking=rankings, relevant=relevant_sets,
            cutoff=st.integers(min_value=1, max_value=25))
     def test_bounds(self, ranking, relevant, cutoff):
         assert 0.0 <= recall_at(ranking, relevant, cutoff) <= 1.0
-        assert 0.0 <= precision_at(ranking, relevant, cutoff) <= 1.0
 
     @given(ranking=rankings, relevant=relevant_sets)
     def test_recall_monotone_in_cutoff(self, ranking, relevant):

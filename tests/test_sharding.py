@@ -32,10 +32,8 @@ from repro.index.store import (
 )
 from repro.instrumentation import faults
 from repro.instrumentation.instruments import Instruments
-from repro.search.engine import (
-    SHARDABLE_COARSE_SCORERS,
-    PartitionedSearchEngine,
-)
+from repro.search.coarse import SCORERS
+from repro.search.engine import PartitionedSearchEngine
 from repro.sequences.record import Sequence
 from repro.sharding import ShardSpec, plan_shards, shard_of
 from repro.sharding.build import build_sharded_database
@@ -78,13 +76,13 @@ def _report_key(report):
     )
 
 
-def _split_engines(records, shards, **kwargs):
+def _split_engines(records, shards, params=PARAMS, **kwargs):
     plan = plan_shards(len(records), shards)
     pairs = []
     for spec in plan:
         chunk = records[spec.base : spec.stop]
         pairs.append(
-            (build_index(chunk, PARAMS), MemorySequenceSource(chunk))
+            (build_index(chunk, params), MemorySequenceSource(chunk))
         )
     return PartitionedSearchEngine.over_shards(pairs, **kwargs)
 
@@ -255,7 +253,7 @@ class TestScoreIdentity:
     @given(
         shards=st.sampled_from([2, 3, 4]),
         dead=st.sets(st.integers(0, 35), max_size=12),
-        scorer=st.sampled_from(SHARDABLE_COARSE_SCORERS),
+        scorer=st.sampled_from(SCORERS),
         fine_mode=st.sampled_from(["full", "frames"]),
         both_strands=st.booleans(),
     )
@@ -393,27 +391,29 @@ class TestScoreIdentity:
         )
 
     def test_collection_scorers_need_one_whole_shard(self, workload):
-        """idf / normalised read collection statistics: fine when the
-        lone shard *is* the collection, refused otherwise.  A scorer is
-        a name; anything else is refused as unknown on every layout."""
+        """idf takes its statistics over the live collection, so it is
+        accepted on every layout and answers like a rebuild over the
+        survivors, a sparse stride included; ``normalised`` is gone, and
+        any other scorer is refused as unknown on every layout."""
         records, queries = workload
-        index, source = build_index(records, PARAMS), MemorySequenceSource(records)
-        for scorer in ("idf", "normalised"):
-            direct = PartitionedSearchEngine(
-                index, source, coarse_scorer=scorer, coarse_cutoff=10
-            )
-            listed = PartitionedSearchEngine.over_shards(
-                [(index, source)], coarse_scorer=scorer, coarse_cutoff=10
-            )
+        dead = [3, 17, 30]
+        survivors = [
+            record for ordinal, record in enumerate(records)
+            if ordinal not in dead
+        ]
+        for params in (PARAMS, IndexParameters(interval_length=6, stride=3)):
+            options = dict(coarse_scorer="idf", coarse_cutoff=10, params=params)
+            rebuilt = _split_engines(survivors, 1, **options)
+            layouts = [
+                _split_engines(survivors, 2, **options),
+                _split_engines(records, 1, tombstones=dead, **options),
+                _split_engines(records, 3, tombstones=dead, **options),
+            ]
             for query in queries:
-                assert _report_key(listed.search(query)) == _report_key(
-                    direct.search(query)
-                )
-                assert direct.search(query).hits
-            with pytest.raises(SearchError, match="collection-wide"):
-                _split_engines(records, 2, coarse_scorer=scorer)
-            with pytest.raises(SearchError, match="collection-wide"):
-                _split_engines(records, 1, coarse_scorer=scorer, tombstones=[3])
+                expected = _report_key(rebuilt.search(query))
+                assert expected[0]
+                for layout in layouts:
+                    assert _report_key(layout.search(query)) == expected
 
         class CountLike:
             name = "count"
@@ -423,18 +423,40 @@ class TestScoreIdentity:
             dict(shards=2),
             dict(shards=1, tombstones=[3]),
         ):
-            with pytest.raises(SearchError, match="unknown coarse scorer"):
-                _split_engines(records, coarse_scorer=CountLike(), **layout)
+            for scorer in ("normalised", CountLike()):
+                with pytest.raises(SearchError, match="unknown coarse scorer"):
+                    _split_engines(records, coarse_scorer=scorer, **layout)
+        index, source = build_index(records, PARAMS), MemorySequenceSource(records)
+        with pytest.raises(SearchError, match="unknown coarse scorer"):
+            PartitionedSearchEngine(index, source, coarse_scorer="normalised")
         with pytest.raises(SearchError, match="unknown coarse scorer"):
             PartitionedSearchEngine(None, source, coarse_scorer=CountLike())
 
     def test_collection_scorers_on_database(self, workload, tmp_path):
+        """A 3-shard database grown by a delta and tombstones answers idf
+        exactly as a classic database built over the survivors."""
         records, queries = workload
-        with Database.create(records, tmp_path / "one", params=PARAMS) as db:
-            assert db.search(queries[0], coarse_scorer="idf").hits
-            db.delete([3])
-            with pytest.raises(SearchError, match="collection-wide"):
-                db.search(queries[0], coarse_scorer="idf")
+        dead = [3, 20, 33]
+        survivors = [
+            record for ordinal, record in enumerate(records)
+            if ordinal not in dead
+        ]
+        Database.create(
+            survivors, tmp_path / "classic", params=PARAMS
+        ).close()
+        grown = Database.create(
+            records[:30], tmp_path / "grown", params=PARAMS, shards=3
+        )
+        grown.add_records(records[30:])
+        grown.delete(dead)
+        with grown, Database.open(tmp_path / "classic") as classic:
+            assert grown.num_shards == 4 and grown.tombstone_count == 3
+            for query in queries:
+                expected = classic.search(query, coarse_scorer="idf")
+                assert expected.hits
+                assert _report_key(
+                    grown.search(query, coarse_scorer="idf")
+                ) == _report_key(expected)
 
 
 class TestShardedSequenceSource:
@@ -646,7 +668,7 @@ class TestShardedInstrumentation:
 class TestDifferentialParity:
     """Sharded and incrementally-grown layouts vs the single index."""
 
-    @pytest.mark.parametrize("scorer", SHARDABLE_COARSE_SCORERS)
+    @pytest.mark.parametrize("scorer", SCORERS)
     def test_shard_safe_scorers_agree_across_layouts(
         self, parity_worlds, scorer
     ):

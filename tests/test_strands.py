@@ -65,16 +65,29 @@ class TestBothStrands:
         ordinals = report.ordinals()
         assert len(ordinals) == len(set(ordinals))
 
-    def test_both_strand_timing_accumulates(self, setup):
+    def test_both_strand_timing_accumulates(self, setup, monkeypatch):
+        """Under a clock that advances one step per read, a both-strand
+        search's phase times are those of a forward search plus a
+        reverse-complement search."""
+        clock = iter(range(1, 10**6))
+        monkeypatch.setattr(
+            "repro.search.engine.time.perf_counter", lambda: float(next(clock))
+        )
         records, index, source = setup
         single = PartitionedSearchEngine(index, source, coarse_cutoff=10)
         double = PartitionedSearchEngine(
             index, source, coarse_cutoff=10, both_strands=True
         )
         query = records[1].slice(0, 200)
-        single_report = single.search(query)
-        double_report = double.search(query)
-        assert double_report.total_seconds > single_report.total_seconds * 1.2
+        forward = single.search(query)
+        reverse = single.search(query.reverse_complement())
+        both = double.search(query)
+        assert forward.coarse_seconds > 0 and forward.fine_seconds > 0
+        assert both.coarse_seconds == (
+            forward.coarse_seconds + reverse.coarse_seconds
+        )
+        assert both.fine_seconds == forward.fine_seconds + reverse.fine_seconds
+        assert both.total_seconds > forward.total_seconds * 1.2
 
     def test_candidates_examined_sums_both_orientations(self, setup):
         """Both-strand reports must charge the fine work of BOTH
