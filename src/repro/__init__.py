@@ -43,7 +43,6 @@ from repro.index import (
     InvertedIndex,
     MemorySequenceSource,
     SequenceStore,
-    ShardedSequenceSource,
     build_index,
     collect_statistics,
     read_index,
@@ -101,7 +100,6 @@ __all__ = [
     "SequenceStore",
     "ServerConfig",
     "ShardResilience",
-    "ShardedSequenceSource",
     "WorkloadSpec",
     "best_local_score",
     "build_index",

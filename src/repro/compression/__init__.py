@@ -18,8 +18,6 @@ from repro.compression.integer import (
     FixedWidthCodec,
     IntegerCodec,
     UnaryCodec,
-    codec_names,
-    register_codec,
 )
 from repro.compression.vbyte import VByteCodec
 
@@ -35,11 +33,9 @@ __all__ = [
     "RiceCodec",
     "UnaryCodec",
     "VByteCodec",
-    "codec_names",
     "decode_sequence",
     "encode_sequence",
     "measure",
     "optimal_golomb_parameter",
     "raw_two_bit_size",
-    "register_codec",
 ]

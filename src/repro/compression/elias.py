@@ -11,10 +11,9 @@ one so the public domain is all non-negative integers, consistent with
 from __future__ import annotations
 
 from repro.compression.bitio import BitReader, BitWriter
-from repro.compression.integer import IntegerCodec, register_codec
+from repro.compression.integer import IntegerCodec
 
 
-@register_codec
 class EliasGammaCodec(IntegerCodec):
     """Elias gamma: unary length prefix, then the low bits of the value.
 
@@ -40,7 +39,6 @@ class EliasGammaCodec(IntegerCodec):
         return 2 * (value + 1).bit_length() - 1
 
 
-@register_codec
 class EliasDeltaCodec(IntegerCodec):
     """Elias delta: the length field itself is gamma-coded.
 

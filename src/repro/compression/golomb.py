@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from repro.compression.bitio import BitReader, BitWriter
-from repro.compression.integer import IntegerCodec, register_codec
+from repro.compression.integer import IntegerCodec
 from repro.errors import CodecValueError
 
 
@@ -46,7 +46,6 @@ def optimal_golomb_parameter(num_pointers: int, universe: int) -> int:
     return max(1, parameter)
 
 
-@register_codec
 class GolombCodec(IntegerCodec):
     """Golomb code with arbitrary parameter ``b``.
 
@@ -109,7 +108,6 @@ class GolombCodec(IntegerCodec):
         return quotient + 1 + remainder_bits
 
 
-@register_codec
 class RiceCodec(GolombCodec):
     """Rice code: Golomb restricted to power-of-two parameters.
 

@@ -11,16 +11,16 @@ can be stored directly.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.compression.bitio import BitReader, BitWriter
-from repro.errors import CodecError, CodecValueError
+from repro.errors import CodecValueError
 
 
 class IntegerCodec(ABC):
     """A self-delimiting binary code over non-negative integers."""
 
-    #: Registry key; subclasses set a class attribute.
+    #: The code's short name; subclasses set a class attribute.
     name: str = ""
 
     @abstractmethod
@@ -112,23 +112,3 @@ class FixedWidthCodec(IntegerCodec):
                 f"{value} does not fit in {self.width} bits"
             )
         return self.width
-
-
-_REGISTRY: dict[str, type[IntegerCodec]] = {}
-
-
-def register_codec(cls: type[IntegerCodec]) -> type[IntegerCodec]:
-    """Class decorator adding a codec to the by-name registry."""
-    if not cls.name:
-        raise CodecError(f"codec {cls.__name__} has no name")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def codec_names() -> Sequence[str]:
-    """Registered codec names, sorted."""
-    return sorted(_REGISTRY)
-
-
-register_codec(UnaryCodec)
-register_codec(FixedWidthCodec)

@@ -11,10 +11,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.compression.bitio import BitReader, BitWriter
-from repro.compression.integer import IntegerCodec, register_codec
+from repro.compression.integer import IntegerCodec
 
 
-@register_codec
 class VByteCodec(IntegerCodec):
     """Variable-byte code over non-negative integers."""
 

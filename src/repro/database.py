@@ -60,12 +60,7 @@ from repro.errors import (
 from repro.index.atomic import file_crc32
 from repro.index.builder import IndexParameters
 from repro.index.storage import DiskIndex
-from repro.index.store import (
-    LiveSequenceView,
-    SequenceSource,
-    SequenceStore,
-    live_source,
-)
+from repro.index.store import SequenceStore
 from repro.instrumentation.instruments import (
     NULL_INSTRUMENTS,
     Instruments,
@@ -197,6 +192,98 @@ class ShardHandle:
         self.store.close()
 
 
+@dataclass(frozen=True, eq=False)
+class Snapshot:
+    """One generation of a database: everything a reader of it reads.
+
+    A :class:`Database` holds exactly one snapshot and swaps the whole
+    reference when a mutation commits, so a reader that takes the
+    snapshot once — a search, a :meth:`Database.records` iteration —
+    sees one collection from start to end.  A superseded snapshot is
+    never closed: a reader still holding it keeps its shards' maps and
+    its engines, and the garbage collector releases them once the last
+    holder drops it.
+
+    The snapshot owns the one map between *logical* ordinals (the
+    ordinals a rebuild over the surviving records would assign) and
+    *stored* ones (shard order concatenated, tombstones included):
+    see :meth:`locate`.
+
+    Attributes:
+        manifest: the parsed top-level ``manifest.json``.
+        live: its layout.
+        shards: the opened shard handles, in ordinal order.
+        tombstones: stored ordinals of deleted records, ascending.
+        total_bases: live residues (tombstoned records' bases
+            excluded).
+        engines: this generation's engine LRU, guarded by the owning
+            database's engine lock.
+    """
+
+    manifest: dict
+    live: LiveState
+    shards: tuple[ShardHandle, ...]
+    tombstones: np.ndarray
+    total_bases: int
+    engines: "OrderedDict[tuple, PartitionedSearchEngine]" = field(
+        default_factory=OrderedDict
+    )
+
+    @classmethod
+    def of(
+        cls, manifest: dict, live: LiveState, shards: list[ShardHandle]
+    ) -> "Snapshot":
+        """The snapshot over opened ``shards``; reads the tombstoned
+        records' lengths to count the live bases."""
+        dead = np.asarray(live.tombstones, dtype=np.int64)
+        bases = [shard.base for shard in shards]
+        dead_bases = 0
+        for stored in dead.tolist():
+            shard = shards[shard_of(bases, stored)]
+            local = stored - shard.base
+            dead_bases += (
+                int(shard.index.collection.lengths[local])
+                if shard.index is not None
+                else int(shard.store.codes(local).shape[0])
+            )
+        return cls(
+            manifest, live, tuple(shards), dead,
+            live.total("bases") - dead_bases,
+        )
+
+    def __len__(self) -> int:
+        return self.live.live_sequences
+
+    def locate(self, ordinal: int) -> tuple[ShardHandle, int]:
+        """The shard holding logical ``ordinal``, and the record's
+        ordinal within that shard.
+
+        Raises:
+            SearchError: if ``ordinal`` is out of range.
+        """
+        if not 0 <= ordinal < len(self):
+            raise SearchError(f"no sequence with ordinal {ordinal}")
+        dead = self.tombstones
+        # The j-th tombstone precedes logical ordinal dead[j] - j, so a
+        # logical ordinal skips every tombstone with dead[j] - j <= it.
+        stored = ordinal + int(
+            np.searchsorted(dead - np.arange(dead.size), ordinal, "right")
+        )
+        shard = self.shards[
+            shard_of([shard.base for shard in self.shards], stored)
+        ]
+        return shard, stored - shard.base
+
+    def close(self) -> None:
+        """Release the cached engines' executors and every shard's
+        maps."""
+        for engine in self.engines.values():
+            engine.close()
+        self.engines.clear()
+        for shard in self.shards:
+            shard.close()
+
+
 class Database:
     """A directory-backed searchable nucleotide collection.
 
@@ -210,41 +297,27 @@ class Database:
     healthy query.
     """
 
-    #: Engines retained per database; the least recently used engine is
-    #: dropped when a new configuration would exceed this.
+    #: Engines retained per generation; the least recently used engine
+    #: is dropped when a new configuration would exceed this.
     ENGINE_CACHE_LIMIT = 8
 
     def __init__(
         self,
         path: Path,
-        shards: list[ShardHandle],
-        manifest: dict,
-        live: LiveState,
+        snapshot: Snapshot,
         on_corruption: str = "raise",
     ) -> None:
         self.path = path
-        self.manifest = manifest
         self.on_corruption = on_corruption
-        self.live = live
-        self.coarse = live.coarse
-        self._shards = shards
-        self._bases = [shard.base for shard in shards]
-        self._tombstones = np.asarray(live.tombstones, dtype=np.int64)
-        self._source: SequenceSource = live_source(
-            [shard.store for shard in shards], self._tombstones.tolist()
-        )
-        self._dead_bases = sum(
-            self._stored_length(int(ordinal))
-            for ordinal in self._tombstones
-        )
-        self._engines: "OrderedDict[tuple, PartitionedSearchEngine]" = (
-            OrderedDict()
-        )
+        self._snapshot = snapshot
         # Concurrent server requests share one database: the engine
-        # cache's get/build/evict must be atomic or two threads race to
-        # build (and evict) the same configuration.  Reentrant because
-        # significance calibration can re-enter via instrumented spans.
+        # cache's get/build/evict and the snapshot swap must be atomic
+        # or two threads race to build (and evict) the same
+        # configuration.  Reentrant because significance calibration
+        # can re-enter via instrumented spans.
         self._engine_lock = threading.RLock()
+        # Per database, not per generation: a mutation leaves the
+        # scoring scheme's calibration valid.
         self._significance: dict[ScoringScheme, GumbelParameters] = {}
         self._instruments = NULL_INSTRUMENTS
 
@@ -337,9 +410,8 @@ class Database:
             path: the database directory.
             verify: ``"lazy"`` checks headers and tables eagerly and
                 each posting list / record lazily on first access (the
-                default); ``"full"`` additionally recomputes every
-                entry's whole-file digests and every checksum before
-                returning.
+                default); ``"full"`` additionally runs :meth:`verify`'s
+                audit of the opened generation before returning.
             on_corruption: default policy for engines created by this
                 database (see :class:`PartitionedSearchEngine`).  With
                 ``"fallback"``, an unreadable shard *index* opens the
@@ -362,6 +434,20 @@ class Database:
                 f"{CORRUPTION_POLICIES}"
             )
         directory = Path(path)
+        snapshot = cls._load(directory, on_corruption)
+        if verify == "full":
+            report = cls._audit(directory, snapshot.live)
+            if not report.ok:
+                snapshot.close()
+                raise CorruptionError(
+                    f"{directory}: full verification failed: "
+                    + "; ".join(report.issues)
+                )
+        return cls(directory, snapshot, on_corruption)
+
+    @classmethod
+    def _load(cls, directory: Path, on_corruption: str) -> Snapshot:
+        """Open the directory's current generation."""
         manifest = load_manifest(directory)
         live = read_layout(manifest)
         shards: list[ShardHandle] = []
@@ -370,19 +456,7 @@ class Database:
                 shards.append(
                     cls._open_shard(directory, entry, on_corruption, live)
                 )
-            if verify == "full":
-                report = VerificationReport(directory)
-                for shard, entry in zip(shards, live.entries):
-                    cls._audit_files(
-                        shard.path, entry, live, shard.index, shard.store,
-                        report,
-                    )
-                if not report.ok:
-                    raise CorruptionError(
-                        f"{directory}: full verification failed: "
-                        + "; ".join(report.issues)
-                    )
-            return cls(directory, shards, manifest, live, on_corruption)
+            return Snapshot.of(manifest, live, shards)
         except Exception:
             # Never leak mmaps/handles when a later step fails.
             for shard in shards:
@@ -495,12 +569,16 @@ class Database:
         Directories no manifest references are reported as notes.
         """
         directory = Path(path)
-        report = VerificationReport(directory)
         try:
             live = read_layout(load_manifest(directory))
         except IndexFormatError as exc:
-            report.issues.append(str(exc))
-            return report
+            return VerificationReport(directory, [str(exc)])
+        return cls._audit(directory, live)
+
+    @classmethod
+    def _audit(cls, directory: Path, live: LiveState) -> VerificationReport:
+        """:meth:`verify`'s audit of one parsed layout."""
+        report = VerificationReport(directory)
         for entry in live.entries:
             shard_dir = entry_directory(directory, entry)
             if entry.name:
@@ -653,12 +731,7 @@ class Database:
     def close(self) -> None:
         """Release cached engines' executors and every shard's maps."""
         with self._engine_lock:
-            engines = list(self._engines.values())
-            self._engines.clear()
-        for engine in engines:
-            engine.close()
-        for shard in self._shards:
-            shard.close()
+            self._snapshot.close()
 
     def __enter__(self) -> "Database":
         return self
@@ -669,52 +742,60 @@ class Database:
     # -- collection access ----------------------------------------------
 
     @property
+    def manifest(self) -> dict:
+        """The current generation's parsed top-level manifest."""
+        return self._snapshot.manifest
+
+    @property
+    def live(self) -> LiveState:
+        """The current generation's layout."""
+        return self._snapshot.live
+
+    @property
     def num_shards(self) -> int:
         """Shards the collection is split into (1 for classic layout)."""
-        return len(self._shards)
+        return len(self._snapshot.shards)
 
     @property
     def shards(self) -> list[ShardHandle]:
         """The opened shard handles, in ordinal order."""
-        return list(self._shards)
+        return list(self._snapshot.shards)
 
     @property
     def index(self) -> DiskIndex | SignatureIndex | None:
         """The coarse reader of a single-shard database; ``None`` when
         the database is sharded (shard indexes live on :attr:`shards`)
         or degraded."""
-        if len(self._shards) == 1:
-            return self._shards[0].index
-        return None
+        shards = self._snapshot.shards
+        return shards[0].index if len(shards) == 1 else None
 
     @property
     def store(self) -> SequenceStore | None:
         """The store of a single-shard database; ``None`` when sharded
         (use :meth:`record` / :meth:`records`, which route globally)."""
-        if len(self._shards) == 1:
-            return self._shards[0].store
-        return None
+        shards = self._snapshot.shards
+        return shards[0].store if len(shards) == 1 else None
 
     @property
     def coarse_backend(self) -> str:
         """The coarse backend every shard of this database uses
         (``"inverted"`` unless the manifest declares otherwise)."""
-        return str(self.coarse["backend"])
+        return str(self.live.coarse["backend"])
 
     @property
     def degraded(self) -> bool:
         """True when any shard's index was unreadable and every query
         scans every live sequence."""
-        return any(shard.degraded for shard in self._shards)
+        return any(shard.degraded for shard in self._snapshot.shards)
 
     def __len__(self) -> int:
         """Live sequences (tombstoned records are not presented)."""
-        return self.stored_sequences - int(self._tombstones.size)
+        return len(self._snapshot)
 
     @property
     def stored_sequences(self) -> int:
         """Sequences on disk, tombstoned ones included."""
-        return sum(len(shard.store) for shard in self._shards)
+        return self.live.stored_sequences
 
     @property
     def generation(self) -> int:
@@ -730,26 +811,12 @@ class Database:
     @property
     def tombstone_count(self) -> int:
         """Records deleted but not yet compacted away."""
-        return int(self._tombstones.size)
-
-    def _stored_length(self, stored: int) -> int:
-        """Residues of the record at a *stored* ordinal."""
-        shard = self._shards[shard_of(self._bases, stored)]
-        local = stored - shard.base
-        if shard.index is not None:
-            return int(shard.index.collection.lengths[local])
-        return int(shard.store.codes(local).shape[0])
-
-    def _stored_of(self, ordinal: int) -> int:
-        """Stored ordinal behind a logical (live) ordinal."""
-        if isinstance(self._source, LiveSequenceView):
-            return self._source.stored_ordinal(ordinal)
-        return ordinal
+        return len(self.live.tombstones)
 
     @property
     def total_bases(self) -> int:
         """Live residues (tombstoned records' bases excluded)."""
-        return self.live.total("bases") - self._dead_bases
+        return self._snapshot.total_bases
 
     def shard_of(self, ordinal: int) -> ShardHandle:
         """The shard holding a (logical) global ordinal.
@@ -757,18 +824,25 @@ class Database:
         Raises:
             SearchError: if ``ordinal`` is out of range.
         """
-        if not 0 <= ordinal < len(self):
-            raise SearchError(f"no sequence with ordinal {ordinal}")
-        return self._shards[shard_of(self._bases, self._stored_of(ordinal))]
+        return self._snapshot.locate(ordinal)[0]
 
     def record(self, ordinal: int) -> Sequence:
-        """Fetch one sequence record by (logical) global ordinal."""
-        return self._source.record(ordinal)
+        """Fetch one sequence record by (logical) global ordinal.
+
+        Raises:
+            SearchError: if ``ordinal`` is out of range.
+        """
+        shard, local = self._snapshot.locate(ordinal)
+        return shard.store.record(local)
 
     def records(self) -> Iterator[Sequence]:
-        """Iterate every live record in logical ordinal order."""
-        for ordinal in range(len(self)):
-            yield self._source.record(ordinal)
+        """Iterate every live record in logical ordinal order, all from
+        the generation current at the call."""
+        snapshot = self._snapshot
+        return (
+            shard.store.record(local)
+            for shard, local in map(snapshot.locate, range(len(snapshot)))
+        )
 
     # -- observability ---------------------------------------------------
 
@@ -788,29 +862,20 @@ class Database:
         instruments = self._instruments
         if not instruments.enabled:
             return
-        instruments.set_gauge("lsm.generation", self.generation)
-        instruments.set_gauge("lsm.delta_shards", self.delta_shards)
-        instruments.set_gauge("lsm.tombstones", self.tombstone_count)
+        live = self.live
+        instruments.set_gauge("lsm.generation", live.generation)
+        instruments.set_gauge("lsm.delta_shards", len(live.deltas))
+        instruments.set_gauge("lsm.tombstones", len(live.tombstones))
 
     # -- mutation (the live/LSM layer) -----------------------------------
 
     def _reload(self) -> None:
-        """Adopt the directory's current generation in place.
-
-        Opens the new generation first, so a failed reopen leaves the
-        database usable on its old generation, then swaps it in under
-        the engine lock.  The superseded shards and engines are not
-        closed: a query running on them keeps them until it finishes,
-        and they are released when the last holder drops them.
-        """
-        fresh = type(self).open(self.path, on_corruption=self.on_corruption)
-        state = {
-            name: value
-            for name, value in fresh.__dict__.items()
-            if name not in ("_engine_lock", "_instruments")
-        }
+        """Adopt the directory's current generation: open its
+        :class:`Snapshot` first, so a failed reopen leaves the database
+        on its old generation, then swap the one reference."""
+        fresh = self._load(self.path, self.on_corruption)
         with self._engine_lock:
-            self.__dict__.update(state)
+            self._snapshot = fresh
         self._publish_lsm_gauges()
 
     def add_records(
@@ -870,14 +935,16 @@ class Database:
             SearchError: if a target matches nothing (unknown
                 identifier or out-of-range ordinal).
         """
-        live_count = len(self)
+        snapshot = self._snapshot
         stored: set[int] = set()
         for target in targets:
             if isinstance(target, str):
                 matches = [
-                    self._stored_of(ordinal)
-                    for ordinal in range(live_count)
-                    if self._source.identifier(ordinal) == target
+                    shard.base + local
+                    for shard, local in map(
+                        snapshot.locate, range(len(snapshot))
+                    )
+                    if shard.store.identifier(local) == target
                 ]
                 if not matches:
                     raise SearchError(
@@ -886,12 +953,8 @@ class Database:
                     )
                 stored.update(matches)
             else:
-                ordinal = int(target)
-                if not 0 <= ordinal < live_count:
-                    raise SearchError(
-                        f"no sequence with ordinal {ordinal}"
-                    )
-                stored.add(self._stored_of(ordinal))
+                shard, local = snapshot.locate(int(target))
+                stored.add(shard.base + local)
         with self._instruments.span("lsm.delete") as span:
             state = tombstone(self.path, sorted(stored))
             if span is not None:
@@ -911,10 +974,11 @@ class Database:
         wait on it.  A collection with no live records is left alone
         (compaction would have nothing to build).
         """
-        if policy is None or len(self) == 0:
+        live = self.live
+        if policy is None or live.live_sequences == 0:
             return
         if not policy.should_compact(
-            self.delta_shards, self.tombstone_count, self.stored_sequences
+            len(live.deltas), len(live.tombstones), live.stored_sequences
         ):
             return
         self._instruments.count("lsm.auto_compactions")
@@ -972,7 +1036,7 @@ class Database:
         fault tolerance (see
         :class:`~repro.search.resilience.ShardResilience`).  At most
         :data:`ENGINE_CACHE_LIMIT` distinct configurations are retained
-        (least recently used dropped).  Thread-safe: concurrent callers
+        per generation (least recently used dropped).  Thread-safe: concurrent callers
         get the same cached engine for the same configuration.
 
         In degraded mode a shard whose index was unreadable is handed
@@ -981,15 +1045,17 @@ class Database:
         """
         policy = on_corruption or self.on_corruption
         scheme = scheme or ScoringScheme()
+        key = (
+            coarse_cutoff, scheme, coarse_scorer, fine_mode,
+            both_strands, with_evalues, policy, resilience,
+        )
         with self._engine_lock:
-            key = (
-                coarse_cutoff, scheme, coarse_scorer, fine_mode,
-                both_strands, with_evalues, policy, resilience,
-            )
+            snapshot = self._snapshot
+            engines = snapshot.engines
             instruments = self._instruments
-            engine = self._engines.get(key)
+            engine = engines.get(key)
             if engine is not None:
-                self._engines.move_to_end(key)
+                engines.move_to_end(key)
                 instruments.count("database.engine_cache.hits")
                 return engine
             instruments.count("database.engine_cache.misses")
@@ -1000,7 +1066,7 @@ class Database:
                     significance = calibrate_gapped(scheme)
                     self._significance[scheme] = significance
             engine = PartitionedSearchEngine.over_shards(
-                [(shard.index, shard.store) for shard in self._shards],
+                [(shard.index, shard.store) for shard in snapshot.shards],
                 scheme=scheme,
                 coarse_scorer=coarse_scorer,
                 coarse_cutoff=coarse_cutoff,
@@ -1009,29 +1075,28 @@ class Database:
                 significance=significance,
                 on_corruption=policy,
                 resilience=resilience,
-                tombstones=self._tombstones,
+                tombstones=snapshot.tombstones,
             )
+            live = snapshot.live
             engine.lsm_info = {
-                "generation": self.generation,
-                "delta_shards": self.delta_shards,
-                "tombstones": self.tombstone_count,
+                "generation": live.generation,
+                "delta_shards": len(live.deltas),
+                "tombstones": len(live.tombstones),
             }
             if instruments.enabled:
                 engine.set_instruments(instruments)
-            self._engines[key] = engine
-            if len(self._engines) > self.ENGINE_CACHE_LIMIT:
-                self._engines.popitem(last=False)
+            engines[key] = engine
+            if len(engines) > self.ENGINE_CACHE_LIMIT:
+                engines.popitem(last=False)
                 instruments.count("database.engine_cache.evictions")
-            instruments.set_gauge(
-                "database.engine_cache.size", len(self._engines)
-            )
+            instruments.set_gauge("database.engine_cache.size", len(engines))
             return engine
 
     @property
     def cached_engines(self) -> int:
-        """Engines currently held by the per-database LRU cache."""
+        """Engines the current generation's LRU cache holds."""
         with self._engine_lock:
-            return len(self._engines)
+            return len(self._snapshot.engines)
 
     def search(
         self,
@@ -1078,41 +1143,42 @@ class Database:
         Raises:
             SearchError: if ``ordinal`` is out of range.
         """
-        if not 0 <= ordinal < len(self):
-            raise SearchError(f"no sequence with ordinal {ordinal}")
+        shard, local = self._snapshot.locate(ordinal)
         codes = query.codes if isinstance(query, Sequence) else (
             np.asarray(query, dtype=np.uint8)
         )
         return local_align(
-            codes, self._source.codes(ordinal), scheme or ScoringScheme()
+            codes, shard.store.codes(local), scheme or ScoringScheme()
         )
 
     def describe(self) -> str:
         """One-paragraph human-readable summary."""
+        snapshot = self._snapshot
+        layout, shards = snapshot.live, snapshot.shards
         live = ""
-        if self.generation:
+        if layout.generation:
             live = (
-                f" Live: generation {self.generation}, "
-                f"{self.delta_shards} delta shard(s), "
-                f"{self.tombstone_count} tombstone(s)."
+                f" Live: generation {layout.generation}, "
+                f"{len(layout.deltas)} delta shard(s), "
+                f"{len(layout.tombstones)} tombstone(s)."
             )
-        if self.degraded:
+        if any(shard.degraded for shard in shards):
             return (
-                f"Database at {self.path}: {len(self)} sequences "
+                f"Database at {self.path}: {len(snapshot)} sequences "
                 "(DEGRADED: index unreadable, every query scans every "
                 "live sequence; run repair to rebuild the index)." + live
             )
-        sharded = len(self._shards) > 1
-        vocabulary = sum(shard.index.vocabulary_size for shard in self._shards)
+        sharded = len(shards) > 1
+        vocabulary = sum(shard.index.vocabulary_size for shard in shards)
         return (
-            f"Database at {self.path}: {len(self)} sequences, "
-            f"{self.total_bases:,} bases"
-            + (f" across {len(self._shards)} shards" if sharded else "")
-            + f"; {self.coarse_backend} coarse backend, interval length "
-            f"{self._shards[0].index.params.interval_length}, "
+            f"Database at {self.path}: {len(snapshot)} sequences, "
+            f"{snapshot.total_bases:,} bases"
+            + (f" across {len(shards)} shards" if sharded else "")
+            + f"; {layout.coarse['backend']} coarse backend, interval "
+            f"length {shards[0].index.params.interval_length}, "
             f"{vocabulary:,} indexed intervals"
             + (" (summed)" if sharded else "")
-            + f", {self.live.total('index_bytes'):,} index bytes, "
-            f"{self.live.total('store_bytes'):,} store bytes "
-            f"({self.live.coding} coding)." + live
+            + f", {layout.total('index_bytes'):,} index bytes, "
+            f"{layout.total('store_bytes'):,} store bytes "
+            f"({layout.coding} coding)." + live
         )

@@ -1,4 +1,4 @@
-"""Effectiveness oracles, IR metrics, and timing helpers."""
+"""Effectiveness oracles and IR metrics."""
 
 from repro.eval.ground_truth import (
     GroundTruth,
@@ -14,13 +14,10 @@ from repro.eval.metrics import (
     recall_at,
     recall_precision_points,
 )
-from repro.eval.timing import Timer, TimingSummary
 
 __all__ = [
     "GroundTruth",
     "QueryTruth",
-    "Timer",
-    "TimingSummary",
     "average_precision",
     "compute_ground_truth",
     "eleven_point_interpolated",

@@ -22,17 +22,12 @@ from repro.index.intervals import (
 )
 from repro.index.postings import PostingEntry, PostingsCodec, PostingsContext
 from repro.index.statistics import IndexStatistics, collect_statistics
-from repro.index.stopping import (
-    StoppingReport,
-    stop_above_frequency,
-    stop_most_frequent,
-)
+from repro.index.stopping import StoppingReport, stop_most_frequent
 from repro.index.storage import DiskIndex, read_index, write_index
 from repro.index.store import (
     MemorySequenceSource,
     SequenceSource,
     SequenceStore,
-    ShardedSequenceSource,
     read_store,
     write_store,
 )
@@ -54,7 +49,6 @@ __all__ = [
     "PostingsContext",
     "SequenceSource",
     "SequenceStore",
-    "ShardedSequenceSource",
     "StoppingReport",
     "VocabEntry",
     "atomic_write",
@@ -64,7 +58,6 @@ __all__ = [
     "interval_id",
     "read_index",
     "read_store",
-    "stop_above_frequency",
     "stop_most_frequent",
     "write_bytes_atomic",
     "write_index",

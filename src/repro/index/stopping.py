@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import IndexParameterError
-from repro.index.builder import InvertedIndex, VocabEntry
+from repro.index.builder import InvertedIndex
 
 
 @dataclass(frozen=True)
@@ -73,33 +73,3 @@ def stop_most_frequent(
     vocabulary = {entry.interval_id: entry for entry in kept}
     return index.replace_vocabulary(vocabulary), report
 
-
-def stop_above_frequency(
-    index: InvertedIndex, max_cf: int
-) -> tuple[InvertedIndex, StoppingReport]:
-    """Drop vocabulary rows whose collection frequency exceeds ``max_cf``.
-
-    Raises:
-        IndexParameterError: if ``max_cf`` is negative.
-    """
-    if max_cf < 0:
-        raise IndexParameterError(f"max_cf must be >= 0, got {max_cf}")
-    kept: dict[int, VocabEntry] = {}
-    dropped_intervals = 0
-    dropped_pointers = 0
-    dropped_bytes = 0
-    threshold = 0
-    for entry in index.entries():
-        if entry.cf > max_cf:
-            dropped_intervals += 1
-            dropped_pointers += entry.df
-            dropped_bytes += len(entry.data)
-            threshold = (
-                entry.cf if not threshold else min(threshold, entry.cf)
-            )
-        else:
-            kept[entry.interval_id] = entry
-    report = StoppingReport(
-        dropped_intervals, dropped_pointers, dropped_bytes, threshold
-    )
-    return index.replace_vocabulary(kept), report

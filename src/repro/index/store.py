@@ -23,7 +23,6 @@ import mmap
 import struct
 import zlib
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from pathlib import Path
 from typing import Sequence as TypingSequence
 
@@ -34,7 +33,6 @@ from repro.errors import (
     CorruptionError,
     IndexFormatError,
     IndexLookupError,
-    SearchError,
 )
 from repro.index.atomic import atomic_write
 from repro.instrumentation.instruments import NULL_INSTRUMENTS, coalesce
@@ -355,153 +353,6 @@ class SequenceStore(SequenceSource):
     def payload_bytes(self) -> int:
         """Total coded payload size (excludes headers and offsets)."""
         return int(self._offsets[-1])
-
-
-class LiveSequenceView(SequenceSource):
-    """A source with tombstoned ordinals elided.
-
-    Presents the *logical* collection over a stored one: logical
-    ordinal ``i`` is the ``i``-th non-tombstoned stored record, in
-    stored order.  This is exactly the ordinal space a fresh rebuild
-    over the surviving records would assign, which is what makes
-    base+delta+tombstone search reports comparable hit-for-hit with a
-    rebuilt index.
-
-    Raises:
-        IndexLookupError: from the constructor if ``tombstones`` is not
-            sorted/unique or references ordinals outside the inner
-            source.
-    """
-
-    def __init__(
-        self, inner: SequenceSource, tombstones: TypingSequence[int]
-    ) -> None:
-        self._inner = inner
-        dead = np.asarray(tombstones, dtype=np.int64)
-        if dead.size:
-            if np.any(np.diff(dead) <= 0):
-                raise IndexLookupError(
-                    "tombstones must be sorted and unique"
-                )
-            if dead[0] < 0 or dead[-1] >= len(inner):
-                raise IndexLookupError(
-                    f"tombstone {int(dead[0] if dead[0] < 0 else dead[-1])} "
-                    f"outside stored range 0..{len(inner) - 1}"
-                )
-        self._dead = dead
-
-    @property
-    def inner(self) -> SequenceSource:
-        """The wrapped stored-ordinal source."""
-        return self._inner
-
-    def set_instruments(self, instruments) -> None:
-        super().set_instruments(instruments)
-        self._inner.set_instruments(instruments)
-
-    def __len__(self) -> int:
-        return len(self._inner) - int(self._dead.size)
-
-    def stored_ordinal(self, ordinal: int) -> int:
-        """The stored ordinal behind logical ``ordinal``."""
-        self._check(ordinal)
-        # stored = ordinal + |{t in tombstones : t <= stored}|; iterate
-        # to the fixpoint (each pass can only move forward, and moves
-        # at most len(tombstones) times in total).
-        skipped = 0
-        while True:
-            advanced = int(
-                np.searchsorted(self._dead, ordinal + skipped, side="right")
-            )
-            if advanced == skipped:
-                return ordinal + skipped
-            skipped = advanced
-
-    def logical_ordinal(self, stored: int) -> int:
-        """The logical ordinal of live stored record ``stored``.
-
-        Raises:
-            IndexLookupError: if ``stored`` is tombstoned or out of
-                range.
-        """
-        if not 0 <= stored < len(self._inner):
-            raise IndexLookupError(
-                f"stored ordinal {stored} out of range "
-                f"0..{len(self._inner) - 1}"
-            )
-        position = int(np.searchsorted(self._dead, stored, side="left"))
-        if position < self._dead.size and int(self._dead[position]) == stored:
-            raise IndexLookupError(
-                f"stored ordinal {stored} is tombstoned"
-            )
-        return stored - position
-
-    def identifier(self, ordinal: int) -> str:
-        return self._inner.identifier(self.stored_ordinal(ordinal))
-
-    def codes(self, ordinal: int) -> np.ndarray:
-        return self._inner.codes(self.stored_ordinal(ordinal))
-
-    def record(self, ordinal: int) -> Sequence:
-        return self._inner.record(self.stored_ordinal(ordinal))
-
-
-class ShardedSequenceSource(SequenceSource):
-    """Global-ordinal residue access over per-shard sources.
-
-    Presents N shard sources (in shard order) as one collection whose
-    ordinal ``base + local`` is the concatenation order — the view the
-    database facade reads through.
-    """
-
-    def __init__(self, sources: TypingSequence[SequenceSource]) -> None:
-        if not sources:
-            raise SearchError("no shard sources")
-        self._sources = list(sources)
-        self._bases: list[int] = []
-        total = 0
-        for source in self._sources:
-            self._bases.append(total)
-            total += len(source)
-        self._total = total
-
-    def set_instruments(self, instruments) -> None:
-        super().set_instruments(instruments)
-        for source in self._sources:
-            if hasattr(source, "set_instruments"):
-                source.set_instruments(instruments)
-
-    def _locate(self, ordinal: int) -> tuple[SequenceSource, int]:
-        self._check(ordinal)
-        slot = bisect_right(self._bases, ordinal) - 1
-        return self._sources[slot], ordinal - self._bases[slot]
-
-    def __len__(self) -> int:
-        return self._total
-
-    def identifier(self, ordinal: int) -> str:
-        source, local = self._locate(ordinal)
-        return source.identifier(local)
-
-    def codes(self, ordinal: int) -> np.ndarray:
-        source, local = self._locate(ordinal)
-        return source.codes(local)
-
-    def record(self, ordinal: int) -> Sequence:
-        source, local = self._locate(ordinal)
-        return source.record(local)
-
-
-def live_source(
-    sources: TypingSequence[SequenceSource], tombstones: TypingSequence[int]
-) -> SequenceSource:
-    """The logical collection over per-shard sources: shard order
-    concatenated, tombstoned stored ordinals elided.  A lone source
-    with no tombstones is returned as it is."""
-    stored = (
-        sources[0] if len(sources) == 1 else ShardedSequenceSource(sources)
-    )
-    return LiveSequenceView(stored, tombstones) if len(tombstones) else stored
 
 
 def read_store(path: str | Path) -> SequenceStore:

@@ -220,6 +220,12 @@ class PartitionedSearchEngine:
             unknown, or a parameter is out of range.
     """
 
+    #: The stamp :meth:`repro.database.Database.engine` puts on the
+    #: engines it builds — the generation searched, its delta shards
+    #: and tombstones — served as ``/stats``' ``lsm``; ``None`` for an
+    #: engine built directly.
+    lsm_info: dict | None = None
+
     def __init__(
         self, index: IndexReader, source: SequenceSource, **options
     ) -> None:
@@ -418,6 +424,12 @@ class PartitionedSearchEngine:
     @property
     def num_shards(self) -> int:
         return len(self._shards)
+
+    @property
+    def generation(self) -> int:
+        """The database generation this engine searches (0 for an
+        engine built directly)."""
+        return self.lsm_info["generation"] if self.lsm_info else 0
 
     @property
     def quarantined_intervals(self) -> int:
@@ -1028,6 +1040,7 @@ class PartitionedSearchEngine:
             degraded=exhaustive,
             deadline_expired=deadline_expired,
             shards_degraded=shards_degraded,
+            generation=self.generation,
         )
 
     def _evaluate(
@@ -1090,6 +1103,7 @@ class PartitionedSearchEngine:
             "total_seconds": coarse_seconds + fine_seconds,
             "quarantined_intervals": self.quarantined_intervals,
             "quarantined_sequences": self.quarantined_sequences,
+            "generation": self.generation,
         }
         event.update(extra)
         return event

@@ -144,6 +144,10 @@ class SearchReport:
     #: the shard failed and resilience dropped it (engines with a
     #: :class:`~repro.search.resilience.ShardResilience` only).
     shards_degraded: tuple[int, ...] = ()
+    #: The database generation that answered: every hit comes from
+    #: this one collection (0 for an engine built outside a
+    #: :class:`~repro.database.Database`, or a never-mutated one).
+    generation: int = 0
 
     @property
     def partial(self) -> bool:

@@ -362,7 +362,7 @@ class TestConcurrentEngineCache:
         live one mid-build)."""
         import threading
 
-        database._engines.clear()
+        database._snapshot.engines.clear()
         engines = []
         barrier = threading.Barrier(8)
 
@@ -383,7 +383,7 @@ class TestConcurrentEngineCache:
     def test_concurrent_distinct_options_respect_lru_bound(self, database):
         import threading
 
-        database._engines.clear()
+        database._snapshot.engines.clear()
         errors = []
 
         def worker(slot):

@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 from repro.compression.bitio import BitReader, BitWriter
 from repro.compression.elias import EliasDeltaCodec, EliasGammaCodec
 from repro.compression.golomb import GolombCodec, RiceCodec
-from repro.compression.integer import (
-    FixedWidthCodec,
-    UnaryCodec,
-    codec_names,
-)
+from repro.compression.integer import FixedWidthCodec, UnaryCodec
 from repro.compression.vbyte import VByteCodec
 from repro.errors import BitStreamError, CodecValueError
 
@@ -146,14 +142,6 @@ class TestFixedWidth:
     def test_boundary_value(self):
         codec = FixedWidthCodec(4)
         assert codec.decode_array(codec.encode_array([15]), 1) == [15]
-
-
-class TestRegistry:
-    def test_known_names(self):
-        names = codec_names()
-        for expected in ("gamma", "delta", "golomb", "rice", "vbyte", "unary"):
-            assert expected in names
-
 
 
 class TestInterleavedStreams:

@@ -24,6 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import parity_report_key
+from repro.align.pairwise import local_align
+from repro.align.scoring import ScoringScheme
+from repro.align.statistics import calibrate_gapped
 from repro.database import Database
 from repro.errors import (
     CorruptionError,
@@ -32,7 +35,7 @@ from repro.errors import (
     SearchError,
 )
 from repro.index.builder import IndexParameters, build_index
-from repro.index.store import LiveSequenceView, MemorySequenceSource
+from repro.index.store import MemorySequenceSource
 from repro.instrumentation import faults
 from repro.instrumentation.instruments import Instruments
 from repro.search.coarse import SCORERS
@@ -169,6 +172,16 @@ class TestLiveManifest:
                     "tombstones", [10_000]
                 ),
                 "tombstone",
+            ),
+            pytest.param(
+                lambda m: m["lsm"].__setitem__("tombstones", [2, 1]),
+                "sorted and unique",
+                id="unsorted-tombstones",
+            ),
+            pytest.param(
+                lambda m: m["lsm"].__setitem__("tombstones", [1, 1]),
+                "sorted and unique",
+                id="duplicate-tombstones",
             ),
             (lambda m: m["lsm"].__setitem__("base", {"count": 0, "layout": []}),
              "base"),
@@ -505,23 +518,70 @@ class TestVerifyRepair:
         assert Database.verify(tmp_path / "db").ok
 
 
-class TestLiveSequenceView:
-    def test_elides_tombstoned_ordinals(self):
-        records = _records(8)
-        view = LiveSequenceView(MemorySequenceSource(records), [1, 2, 6])
-        assert len(view) == 5
-        assert [view.stored_ordinal(i) for i in range(5)] == [0, 3, 4, 5, 7]
-        assert view.identifier(1) == records[3].identifier
-        assert view.logical_ordinal(5) == 3
-        with pytest.raises(Exception):
-            view.logical_ordinal(2)
+class TestSnapshot:
+    """Each reader answers from the one generation it took."""
 
-    def test_rejects_bad_tombstones(self):
-        records = _records(4)
-        source = MemorySequenceSource(records)
-        for bad in ([2, 1], [1, 1], [9]):
-            with pytest.raises(Exception):
-                LiveSequenceView(source, bad)
+    def test_logical_ordinals_skip_tombstones(self, tmp_path):
+        records = _records(8)
+        with Database.create(
+            records, tmp_path / "db", params=PARAMS, shards=3
+        ) as database:
+            database.delete([1, 2, 6])
+            stored = [0, 3, 4, 5, 7]
+            assert len(database) == 5
+            assert [database.record(o).identifier for o in range(5)] == [
+                records[s].identifier for s in stored
+            ]
+            assert [database.shard_of(o).name for o in range(5)] == [
+                "shard-0000", "shard-0001", "shard-0001", "shard-0001",
+                "shard-0002",
+            ]
+            with pytest.raises(SearchError):
+                database.record(5)
+
+    def test_records_iteration_outlives_a_delete(self, tmp_path):
+        records = _records(30)
+        query = _query(records[1])
+        with Database.create(
+            records, tmp_path / "db", params=PARAMS, shards=2
+        ) as database:
+            iteration = database.records()
+            first = next(iteration)
+            database.delete([0])
+            assert [first.identifier] + [r.identifier for r in iteration] == [
+                r.identifier for r in records
+            ]
+            # The database itself answers from the new generation.
+            assert database.alignment(query, 0).score == local_align(
+                query.codes, records[1].codes, ScoringScheme()
+            ).score
+            last = database.shard_of(28)
+            assert last.store.identifier(29 - last.base) == (
+                records[29].identifier
+            )
+            with pytest.raises(SearchError):
+                database.shard_of(29)
+
+    def test_calibration_outlives_a_mutation(self, tmp_path, monkeypatch):
+        import repro.database
+
+        calls = []
+
+        def counting(scheme):
+            calls.append(scheme)
+            return calibrate_gapped(scheme)
+
+        monkeypatch.setattr(repro.database, "calibrate_gapped", counting)
+        records = _records(16)
+        query = _query(records[3])
+        with Database.create(
+            records[:12], tmp_path / "db", params=PARAMS
+        ) as database:
+            database.search(query, with_evalues=True)
+            database.add_records(records[12:])
+            report = database.search(query, with_evalues=True)
+        assert len(calls) == 1
+        assert report.generation == 1
 
 
 def _make_record(counter, rng):
@@ -593,6 +653,8 @@ class TestConcurrentWrites:
     """Searches racing ingest, delete and compaction on one database."""
 
     def test_searches_survive_writes(self, tmp_path):
+        """Every report a reader gets equals, hit for hit, a rebuild of
+        the one generation its ``generation`` names."""
         records = _records(200, length=150, seed=41)
         fresh = _records(60, length=150, seed=43, prefix="add")
         queries = [_query(records[slot], 20, 90) for slot in (3, 50, 120)]
@@ -601,19 +663,24 @@ class TestConcurrentWrites:
             records, tmp_path / "db", params=PARAMS, shards=2
         )
         errors: list[Exception] = []
+        seen: list[tuple[int, int, tuple]] = []
         searches = [0, 0]
         writing = threading.Event()
         writing.set()
 
         def reader(slot):
             while writing.is_set():
+                number = searches[slot] % len(queries)
                 try:
-                    database.search(
-                        queries[searches[slot] % len(queries)],
-                        top_k=5, coarse_cutoff=10,
+                    report = database.search(
+                        queries[number], top_k=5, coarse_cutoff=10
                     )
                 except Exception as exc:  # counted, asserted below
                     errors.append(exc)
+                else:
+                    seen.append(
+                        (report.generation, number, parity_report_key(report))
+                    )
                 searches[slot] += 1
 
         readers = [
@@ -624,15 +691,16 @@ class TestConcurrentWrites:
         for thread in readers:
             thread.start()
         oracle = list(records)
+        generations = {0: list(oracle)}
         try:
             for round_ in range(12):
                 added = fresh[5 * round_ : 5 * round_ + 5]
-                database.add_records(added)
                 oracle.extend(added)
-                database.delete([1])
+                generations[database.add_records(added)] = list(oracle)
                 oracle.pop(1)
+                generations[database.delete([1])] = list(oracle)
                 if round_ % 3 == 2:
-                    database.compact()
+                    generations[database.compact()] = list(oracle)
         finally:
             writing.clear()
             for thread in readers:
@@ -641,6 +709,15 @@ class TestConcurrentWrites:
         assert not any(thread.is_alive() for thread in readers)
         assert errors == []
         assert min(searches) > 0
+        expected: dict[tuple[int, int], tuple] = {}
+        for generation, number, key in seen:
+            if (generation, number) not in expected:
+                expected[generation, number] = parity_report_key(
+                    _oracle_engine(generations[generation]).search(
+                        queries[number], top_k=5
+                    )
+                )
+            assert key == expected[generation, number], (generation, number)
         rebuilt = Database.create(oracle, tmp_path / "fresh", params=PARAMS)
         for query in queries:
             assert parity_report_key(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import IndexParameterError
 from repro.index.builder import IndexParameters, build_index
-from repro.index.stopping import stop_above_frequency, stop_most_frequent
+from repro.index.stopping import stop_most_frequent
 from repro.sequences.record import Sequence
 
 
@@ -78,24 +78,3 @@ class TestStopMostFrequent:
         stop_most_frequent(skewed_index, 0.5)
         assert skewed_index.vocabulary_size == before
 
-
-class TestStopAboveFrequency:
-    def test_threshold_semantics(self, skewed_index):
-        stopped, report = stop_above_frequency(skewed_index, 20)
-        assert all(entry.cf <= 20 for entry in stopped.entries())
-        assert report.dropped_intervals == (
-            skewed_index.vocabulary_size - stopped.vocabulary_size
-        )
-
-    def test_huge_threshold_drops_nothing(self, skewed_index):
-        stopped, report = stop_above_frequency(skewed_index, 10**9)
-        assert report.dropped_intervals == 0
-        assert stopped.vocabulary_size == skewed_index.vocabulary_size
-
-    def test_zero_threshold_drops_everything(self, skewed_index):
-        stopped, _ = stop_above_frequency(skewed_index, 0)
-        assert stopped.vocabulary_size == 0
-
-    def test_negative_threshold_rejected(self, skewed_index):
-        with pytest.raises(IndexParameterError):
-            stop_above_frequency(skewed_index, -1)
