@@ -18,7 +18,6 @@ from repro.align.scoring import (
 )
 from repro.align.statistics import (
     GumbelParameters,
-    annotate_evalues,
     calibrate_gapped,
     ungapped_lambda,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "ScoringScheme",
     "TargetImage",
     "UngappedExtension",
-    "annotate_evalues",
     "banded_local_score",
     "best_local_score",
     "calibrate_gapped",

@@ -160,23 +160,3 @@ def calibrate_gapped(
     mu = float(scores.mean()) - _EULER_GAMMA / lam
     k = math.exp(lam * mu) / (query_length * target_length)
     return GumbelParameters(lam=lam, k=k)
-
-
-def annotate_evalues(
-    hits,
-    parameters: GumbelParameters,
-    query_length: int,
-    collection_bases: int,
-) -> list[tuple[object, float]]:
-    """Pair each search hit with its collection-wide E-value.
-
-    The searched length is the whole collection: an exhaustive scan and
-    a partitioned scan answer the same statistical question.
-    """
-    return [
-        (
-            hit,
-            parameters.evalue(hit.score, query_length, collection_bases),
-        )
-        for hit in hits
-    ]

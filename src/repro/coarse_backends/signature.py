@@ -28,15 +28,17 @@ blocks stay small and a repetitive collection — many near-duplicate
 documents sharing their k-mer sets — costs little more than one
 document's filter per block.
 
-On-disk format (``signatures.rpsg``, v1)::
+On-disk format (``signatures.rpsg``, v2)::
 
     magic "RPSG" | version u16 | header-length u32 | header CRC32
     header JSON
     packed block matrices, concatenated
 
 The header JSON carries the index parameters, the backend parameters,
-the collection's identifiers/lengths, and a per-block table (document
-base, count, rows, payload offset/length, CRC32).  The header checksum
+the collection's sequence lengths, and a per-block table (document
+base, count, rows, payload offset/length, CRC32).  A v1 file is the
+same with the identifiers in the header too; it still opens, and the
+identifiers are not read (the store carries them).  The header checksum
 is verified eagerly at open; each block's payload checksum is verified
 lazily the first time the block is scanned.  All writes go through
 :func:`repro.index.atomic.atomic_write`.
@@ -74,7 +76,8 @@ from repro.sequences.record import Sequence
 _LOG = logging.getLogger(__name__)
 
 _MAGIC = b"RPSG"
-_VERSION = 1
+_VERSION = 2
+_SUPPORTED_VERSIONS = (1, 2)
 _PREFIX = struct.Struct("<4sHI")
 _CRC = struct.Struct("<I")
 
@@ -254,10 +257,10 @@ def write_signature(
                 "hashes": hashes,
                 "docs_per_block": docs_per_block,
             },
-            "identifiers": list(collection.identifiers),
             "lengths": collection.lengths.tolist(),
             "blocks": blocks,
-        }
+        },
+        separators=(",", ":"),
     ).encode("utf-8")
     with atomic_write(path) as handle:
         written = handle.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
@@ -320,7 +323,7 @@ class SignatureIndex:
             raise IndexFormatError(
                 f"{self._path}: not a signature file (magic {magic!r})"
             )
-        if version != _VERSION:
+        if version not in _SUPPORTED_VERSIONS:
             raise IndexFormatError(
                 f"{self._path}: unsupported signature version {version}"
             )
@@ -339,8 +342,7 @@ class SignatureIndex:
             self.params = IndexParameters.from_description(header["params"])
             self.signature_params = dict(header["signature"])
             self.collection = CollectionInfo(
-                tuple(header["identifiers"]),
-                np.array(header["lengths"], dtype=np.int64),
+                np.array(header["lengths"], dtype=np.int64)
             )
             self._blocks = tuple(
                 _Block(

@@ -10,7 +10,6 @@ from repro.eval.metrics import (
     eleven_point_interpolated,
     mean_eleven_point,
     ranking_overlap,
-    oracle_recall_at,
     recall_at,
     recall_precision_points,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "eleven_point_interpolated",
     "mean_eleven_point",
     "ranking_overlap",
-    "oracle_recall_at",
     "recall_at",
     "recall_precision_points",
 ]

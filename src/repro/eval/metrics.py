@@ -30,39 +30,6 @@ def recall_at(
     return found / len(relevant_set)
 
 
-def oracle_recall_at(
-    ranking_scores: Sequence[float],
-    oracle_scores: Sequence[float],
-    cutoff: int,
-) -> float:
-    """Recall against an exhaustive oracle, tolerant of boundary ties.
-
-    When the oracle's ``cutoff``-th answer sits inside a group of
-    equal-scoring documents, *which* group members make the top
-    ``cutoff`` is arbitrary — any of them is an equally good answer.
-    So instead of set membership, an answer counts as found when its
-    score reaches the oracle's ``cutoff``-th score: the fraction of the
-    first ``cutoff`` ranked answers scoring at least that threshold.
-    An engine returning fewer than ``cutoff`` answers is penalised for
-    the empty slots.
-
-    Raises:
-        ReproError: if ``cutoff`` < 1 or the oracle supplied fewer than
-            ``cutoff`` scores.
-    """
-    _check_cutoff(cutoff)
-    if len(oracle_scores) < cutoff:
-        raise ReproError(
-            f"oracle supplied {len(oracle_scores)} scores but the cutoff "
-            f"is {cutoff}"
-        )
-    threshold = sorted(oracle_scores, reverse=True)[cutoff - 1]
-    found = sum(
-        1 for score in ranking_scores[:cutoff] if score >= threshold
-    )
-    return found / cutoff
-
-
 def average_precision(
     ranking: Sequence[int], relevant: Iterable[int]
 ) -> float:

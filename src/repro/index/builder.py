@@ -84,36 +84,30 @@ class IndexParameters:
 
 @dataclass(frozen=True)
 class CollectionInfo:
-    """Identifiers and lengths of the indexed collection.
+    """The sequence lengths of the indexed collection.
 
     This is the only collection knowledge the index itself retains; the
-    residues live in a :class:`~repro.index.store.SequenceStore` (or in
-    memory) and are touched only by the fine search.
+    identifiers and residues live in a
+    :class:`~repro.index.store.SequenceStore` (or in memory) and are
+    touched only by the fine search.
     """
 
-    identifiers: tuple[str, ...]
     lengths: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         lengths = np.ascontiguousarray(self.lengths, dtype=np.int64)
         lengths.setflags(write=False)
         object.__setattr__(self, "lengths", lengths)
-        if len(self.identifiers) != int(lengths.shape[0]):
-            raise IndexParameterError(
-                "identifier and length counts disagree: "
-                f"{len(self.identifiers)} vs {lengths.shape[0]}"
-            )
 
     @classmethod
     def from_sequences(cls, sequences: TypingSequence[Sequence]) -> "CollectionInfo":
         return cls(
-            tuple(record.identifier for record in sequences),
-            np.array([len(record) for record in sequences], dtype=np.int64),
+            np.array([len(record) for record in sequences], dtype=np.int64)
         )
 
     @property
     def num_sequences(self) -> int:
-        return len(self.identifiers)
+        return int(self.lengths.shape[0])
 
     @property
     def total_length(self) -> int:

@@ -68,13 +68,6 @@ class PostingsContext:
     num_sequences: int
     total_length: int
 
-    @property
-    def mean_length(self) -> float:
-        """Mean sequence length (1.0 floor to keep derivations sane)."""
-        if self.num_sequences <= 0:
-            return 1.0
-        return max(1.0, self.total_length / self.num_sequences)
-
 
 @dataclass(frozen=True)
 class PostingEntry:

@@ -1,28 +1,36 @@
 """On-disk index format.
 
 The paper's system keeps its index on disk and reads posting lists on
-demand; this module reproduces that arrangement.  Format v2 layout
-(the only version read or written)::
+demand; this module reproduces that arrangement.  Format v3 layout
+(the one written)::
 
     magic "RPIX" | version u16 | header-length u32 | header CRC32
     header JSON
-    vocab-count u64 | vocab-table CRC32 | vocabulary table
+    vocab-count u64 | vocab-table CRC32 | vocabulary columns
     postings blob
 
-The header JSON carries the index parameters and the collection's
-identifiers/lengths.  The vocabulary table is a packed little-endian
-record array — interval id, df, cf, blob offset, blob length, blob
-CRC32 — sorted by interval id so lookups are a binary search over a
-numpy column.  :class:`DiskIndex` memory-maps the file and resolves a
-whole batch of interval ids in one array pass; the decoder then
-gathers the lists straight from the map, never materialising the
-whole index.
+The header JSON carries the index parameters, the collection's sequence
+lengths and each vocabulary column's dtype.  The vocabulary is stored
+column by column — interval id, df, cf, blob length, blob CRC32 — each
+a little-endian array in the narrowest unsigned dtype (u1/u2/u4/u8)
+that holds its largest value, sorted by interval id.  There is no
+offset column: the lists lie back to back in id order, so a list's
+offset is the sum of the lengths before it.  At k = 8 a row is 9 bytes
+(u2 id, u1 df/cf/length, u4 crc).  :class:`DiskIndex` memory-maps the
+file, copies the columns into memory once, and resolves a whole batch
+of interval ids in one array pass; the decoder then gathers the lists
+straight from the map, never materialising the whole index.
+
+Format v2 files (one packed 36-byte row per interval, with an explicit
+offset, and the identifiers in the header) are still read: their rows
+become the same in-memory columns at open.
 
 Integrity: the header and vocabulary-table checksums are verified
-eagerly when the file is opened; each posting blob's checksum is
-verified lazily the first time a resolve touches the list.  Any mismatch
-raises :class:`repro.errors.CorruptionError`.  Any other version is
-refused with :class:`repro.errors.IndexFormatError`.  All writes go through
+eagerly when the file is opened, as is that the lengths sum to the
+blob's size; each posting blob's checksum is verified lazily the first
+time a resolve touches the list.  Any mismatch raises
+:class:`repro.errors.CorruptionError`.  Any other version is refused
+with :class:`repro.errors.IndexFormatError`.  All writes go through
 :func:`repro.index.atomic.atomic_write`, so a crash mid-write never
 leaves a half-written index visible.
 """
@@ -50,15 +58,21 @@ from repro.index.builder import (
 )
 
 _MAGIC = b"RPIX"
-_VERSION = 2
-_SUPPORTED_VERSIONS = (2,)
+_VERSION = 3
+_SUPPORTED_VERSIONS = (2, 3)
 _PREFIX = struct.Struct("<4sHI")
 _CRC = struct.Struct("<I")
 _COUNT = struct.Struct("<Q")
 
-#: Row: interval id, df, cf, offset into blob, byte length of the list,
-#: and the posting blob's CRC32.
-_VOCAB_DTYPE = np.dtype(
+#: The v3 vocabulary columns, in file order.
+_COLUMNS = ("interval_id", "df", "cf", "length", "crc")
+
+#: The dtypes a v3 column may take, narrowest first, by header name.
+_WIDTHS = {name: np.dtype(f"<{name}") for name in ("u1", "u2", "u4", "u8")}
+
+#: A format-v2 row (read only): interval id, df, cf, offset into the
+#: blob, byte length of the list, and the posting blob's CRC32.
+_V2_ROW = np.dtype(
     [
         ("interval_id", "<u8"),
         ("df", "<u4"),
@@ -70,27 +84,20 @@ _VOCAB_DTYPE = np.dtype(
 )
 
 
-def _index_header(params: IndexParameters, collection: CollectionInfo) -> bytes:
-    return json.dumps(
-        {
-            "params": params.describe(),
-            "identifiers": list(collection.identifiers),
-            "lengths": collection.lengths.tolist(),
-        }
-    ).encode("utf-8")
+def _narrowest(values: np.ndarray) -> str:
+    """The header name of the narrowest dtype holding every value."""
+    top = int(values.max(initial=0))
+    return next(
+        name for name, dtype in _WIDTHS.items() if top <= np.iinfo(dtype).max
+    )
 
 
 def write_index(index: InvertedIndex, path: str | Path) -> int:
-    """Serialise an in-memory index atomically; returns the bytes written."""
+    """Serialise an in-memory index atomically as format v3; returns the
+    bytes written."""
     lists = index.lists
-    table = np.empty(index.vocabulary_size, dtype=_VOCAB_DTYPE)
-    table["interval_id"] = lists.interval_ids
-    table["df"] = lists.dfs
-    table["cf"] = lists.cfs
-    table["offset"] = lists.offsets
-    table["length"] = lists.lengths
     blob = memoryview(lists.buffer)
-    table["crc"] = np.fromiter(
+    crcs = np.fromiter(
         (
             zlib.crc32(blob[offset : offset + length])
             for offset, length in zip(
@@ -98,15 +105,32 @@ def write_index(index: InvertedIndex, path: str | Path) -> int:
             )
         ),
         dtype=np.uint32,
-        count=len(table),
+        count=index.vocabulary_size,
     )
-    header = _index_header(index.params, index.collection)
-    table_bytes = table.tobytes()
+    columns = dict(
+        zip(
+            _COLUMNS,
+            (lists.interval_ids, lists.dfs, lists.cfs, lists.lengths, crcs),
+        )
+    )
+    widths = {name: _narrowest(values) for name, values in columns.items()}
+    table_bytes = b"".join(
+        values.astype(_WIDTHS[widths[name]]).tobytes()
+        for name, values in columns.items()
+    )
+    header = json.dumps(
+        {
+            "params": index.params.describe(),
+            "lengths": index.collection.lengths.tolist(),
+            "columns": widths,
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
     with atomic_write(path) as handle:
         written = handle.write(_PREFIX.pack(_MAGIC, _VERSION, len(header)))
         written += handle.write(_CRC.pack(zlib.crc32(header)))
         written += handle.write(header)
-        written += handle.write(_COUNT.pack(len(table)))
+        written += handle.write(_COUNT.pack(index.vocabulary_size))
         written += handle.write(_CRC.pack(zlib.crc32(table_bytes)))
         written += handle.write(table_bytes)
         written += handle.write(blob)
@@ -174,14 +198,22 @@ class DiskIndex(IndexReader):
             )
         try:
             header = json.loads(header_bytes)
-        except ValueError as exc:
-            raise IndexFormatError(f"{self._path}: bad header JSON") from exc
+            self.params = IndexParameters.from_description(header["params"])
+            self.collection = CollectionInfo(
+                np.array(header["lengths"], dtype=np.int64)
+            )
+            # A v3 table is its columns one after another; a v2 table is
+            # one array of packed rows, split into the same columns below.
+            dtypes = (
+                {"row": _V2_ROW}
+                if version == 2
+                else {name: _WIDTHS[header["columns"][name]] for name in _COLUMNS}
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IndexFormatError(
+                f"{self._path}: malformed header: {exc!r}"
+            ) from exc
         cursor += header_length
-        self.params = IndexParameters.from_description(header["params"])
-        self.collection = CollectionInfo(
-            tuple(header["identifiers"]),
-            np.array(header["lengths"], dtype=np.int64),
-        )
         if cursor + _COUNT.size > len(view):
             raise CorruptionError(
                 f"{self._path}: truncated vocabulary count", section="count"
@@ -195,7 +227,7 @@ class DiskIndex(IndexReader):
             )
         (table_crc,) = _CRC.unpack_from(view, cursor)
         cursor += _CRC.size
-        table_bytes = count * _VOCAB_DTYPE.itemsize
+        table_bytes = count * sum(dtype.itemsize for dtype in dtypes.values())
         if cursor + table_bytes > len(view):
             raise CorruptionError(
                 f"{self._path}: truncated vocabulary", section="table"
@@ -205,24 +237,47 @@ class DiskIndex(IndexReader):
                 f"{self._path}: vocabulary table fails checksum",
                 section="table",
             )
-        # Copy the (small) table out of the map so closing it is safe.
-        self._table = np.frombuffer(
-            view, dtype=_VOCAB_DTYPE, count=count, offset=cursor
-        ).copy()
-        self._blob_start = cursor + table_bytes
+        # Copy the (small) columns out of the map so closing it is safe.
+        columns = {}
+        for name, dtype in dtypes.items():
+            columns[name] = np.frombuffer(
+                view, dtype=dtype, count=count, offset=cursor
+            ).copy()
+            cursor += count * dtype.itemsize
+        if version == 2:
+            rows = columns.pop("row")
+            columns = {
+                name: np.ascontiguousarray(rows[name])
+                for name in _COLUMNS + ("offset",)
+            }
+        self._blob_start = cursor
+        lengths = columns["length"]
+        listed = int(lengths.sum(dtype=np.int64))
         blob_length = len(view) - self._blob_start
-        ends = self._table["offset"].astype(np.int64) + self._table["length"]
-        if count and int(ends.max(initial=0)) > blob_length:
+        if listed != blob_length:
             raise CorruptionError(
-                f"{self._path}: truncated postings blob", section="blob"
+                f"{self._path}: postings blob is {blob_length} bytes, "
+                f"its lists {listed}",
+                section="blob",
             )
-        self._ids = self._table["interval_id"].astype(np.int64)
+        # The lists lie back to back: each starts where the one before
+        # it ends.
+        offsets = np.cumsum(lengths, dtype=np.int64) - lengths
+        if version == 2 and not np.array_equal(columns["offset"], offsets):
+            raise IndexFormatError(
+                f"{self._path}: posting lists not back to back in id order"
+            )
+        self._offsets = offsets + self._blob_start
+        self._ids = columns["interval_id"].astype(np.int64)
         if count and np.any(np.diff(self._ids) <= 0):
             raise CorruptionError(
                 f"{self._path}: vocabulary not strictly sorted",
                 section="table",
             )
-        self._crcs = self._table["crc"]
+        self._dfs = columns["df"]
+        self._cfs = columns["cf"]
+        self._lengths = lengths
+        self._crcs = columns["crc"]
         self._blob_verified = np.zeros(count, dtype=bool)
         # The whole file as one uint8 array: resolved lists point into
         # it, and the decoder gathers from it directly.
@@ -252,8 +307,8 @@ class DiskIndex(IndexReader):
         """Check a posting blob's CRC32 on its first touch."""
         if self._blob_verified[slot]:
             return
-        start = self._blob_start + int(self._table["offset"][slot])
-        data = self._bytes[start : start + int(self._table["length"][slot])]
+        start = int(self._offsets[slot])
+        data = self._bytes[start : start + int(self._lengths[slot])]
         if zlib.crc32(data) != int(self._crcs[slot]):
             interval = int(self._ids[slot])
             raise CorruptionError(
@@ -283,15 +338,14 @@ class DiskIndex(IndexReader):
             found &= ~np.isin(interval_ids, list(skip))
         for slot in slots[found & ~self._blob_verified[slots]].tolist():
             self._verify_blob(slot)
-        rows = self._table[slots]
         # Absent slots keep a neighbour's offset but read zero entries
         # from zero bytes.
         return ResolvedLists(
             interval_ids,
-            np.multiply(rows["df"], found, dtype=np.int64),
-            np.multiply(rows["cf"], found, dtype=np.int64),
-            np.add(rows["offset"], self._blob_start, dtype=np.int64),
-            np.multiply(rows["length"], found, dtype=np.int64),
+            np.multiply(self._dfs[slots], found, dtype=np.int64),
+            np.multiply(self._cfs[slots], found, dtype=np.int64),
+            self._offsets[slots],
+            np.multiply(self._lengths[slots], found, dtype=np.int64),
             self._bytes,
         )
 
@@ -309,11 +363,11 @@ class DiskIndex(IndexReader):
 
     @property
     def pointer_count(self) -> int:
-        return int(self._table["df"].sum())
+        return int(self._dfs.sum(dtype=np.int64))
 
     @property
     def compressed_bytes(self) -> int:
-        return int(self._table["length"].sum())
+        return int(self._lengths.sum(dtype=np.int64))
 
     def verify(self) -> list[str]:
         """Check every posting blob's checksum; returns the problems.

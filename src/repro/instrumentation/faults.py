@@ -11,8 +11,9 @@ Three families of injector:
 * **byte-level damage** — :func:`truncate_at`, :func:`flip_byte`,
   :func:`flip_bit`, :func:`zero_page` mutate a file in place;
 * **section maps** — :func:`index_sections` / :func:`store_sections`
-  name each structural region of a format-v2 file with its byte range,
-  so a test can target "the vocabulary table" rather than an offset;
+  name each structural region of an index or store file with its byte
+  range, so a test can target "the vocabulary table" rather than an
+  offset;
 * **crash simulation** — :func:`crash_during_replace` and
   :func:`crash_on_fsync` patch the indirection points in
   :mod:`repro.index.atomic` to raise :class:`SimulatedCrash` at the
@@ -23,6 +24,7 @@ Three families of injector:
 from __future__ import annotations
 
 import contextlib
+import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,15 +156,15 @@ def crash_on_fsync(after: int = 0) -> Iterator[None]:
         atomic._fsync = original
 
 
-# -- section maps for the v2 formats ------------------------------------
+# -- section maps ---------------------------------------------------------
 
 
-def _sections_v2(
-    path: Path,
-    magic: bytes,
-    row_size: int | None,
-) -> dict[str, tuple[int, int]]:
-    """Shared v2 layout walk; ``row_size`` of None marks a store."""
+def _walk_prefix(
+    path: Path, magic: bytes, versions: tuple[int, ...]
+) -> tuple[bytes, int, bytes, dict[str, tuple[int, int]], int]:
+    """The sections every format starts with — prefix, header CRC,
+    header, count — as ``(data, version, header bytes, sections,
+    count)``; the next section starts where ``count`` ends."""
     data = path.read_bytes()
     prefix = struct.Struct("<4sHI")
     if len(data) < prefix.size:
@@ -170,45 +172,53 @@ def _sections_v2(
     found, version, header_length = prefix.unpack_from(data, 0)
     if found != magic:
         raise IndexFormatError(f"{path}: bad magic {found!r}")
-    if version != 2:
+    if version not in versions:
         raise IndexFormatError(
-            f"{path}: section maps cover format v2 only, found v{version}"
+            f"{path}: section maps cover format versions {versions}, "
+            f"found v{version}"
         )
     sections: dict[str, tuple[int, int]] = {"prefix": (0, prefix.size)}
     cursor = prefix.size
     sections["header_crc"] = (cursor, cursor + 4)
     cursor += 4
     sections["header"] = (cursor, cursor + header_length)
+    header = data[cursor : cursor + header_length]
     cursor += header_length
     sections["count"] = (cursor, cursor + 8)
     (count,) = struct.unpack_from("<Q", data, cursor)
-    cursor += 8
-    if row_size is not None:
-        sections["table_crc"] = (cursor, cursor + 4)
-        cursor += 4
-        sections["table"] = (cursor, cursor + count * row_size)
-        cursor += count * row_size
-        sections["blob"] = (cursor, len(data))
-    else:
-        sections["tables_crc"] = (cursor, cursor + 4)
-        cursor += 4
-        sections["offsets"] = (cursor, cursor + 8 * (count + 1))
-        cursor += 8 * (count + 1)
-        sections["record_crcs"] = (cursor, cursor + 4 * count)
-        cursor += 4 * count
-        sections["payload"] = (cursor, len(data))
-    return sections
+    return data, version, header, sections, count
 
 
 def index_sections(path: str | Path) -> dict[str, tuple[int, int]]:
-    """Byte ranges of each structural section of a v2 ``.rpix`` file.
+    """Byte ranges of each structural section of a v2 or v3 ``.rpix``
+    file.
 
     Keys: ``prefix``, ``header_crc``, ``header``, ``count``,
-    ``table_crc``, ``table``, ``blob``.
+    ``table_crc``, ``table`` (the whole vocabulary: v2's packed rows,
+    v3's columns), ``blob``; a v3 file also maps each column inside
+    ``table`` as ``interval_id_column``, ``df_column``, ``cf_column``,
+    ``length_column`` and ``crc_column``.
     """
-    from repro.index.storage import _MAGIC, _VOCAB_DTYPE
+    from repro.index.storage import _COLUMNS, _MAGIC, _V2_ROW, _WIDTHS
 
-    return _sections_v2(Path(path), _MAGIC, _VOCAB_DTYPE.itemsize)
+    data, version, header, sections, count = _walk_prefix(
+        Path(path), _MAGIC, (2, 3)
+    )
+    cursor = sections["count"][1]
+    sections["table_crc"] = (cursor, cursor + 4)
+    cursor += 4
+    start = cursor
+    if version == 2:
+        cursor += count * _V2_ROW.itemsize
+    else:
+        widths = json.loads(header)["columns"]
+        for name in _COLUMNS:
+            end = cursor + count * _WIDTHS[widths[name]].itemsize
+            sections[f"{name}_column"] = (cursor, end)
+            cursor = end
+    sections["table"] = (start, cursor)
+    sections["blob"] = (cursor, len(data))
+    return sections
 
 
 def store_sections(path: str | Path) -> dict[str, tuple[int, int]]:
@@ -219,4 +229,13 @@ def store_sections(path: str | Path) -> dict[str, tuple[int, int]]:
     """
     from repro.index.store import _MAGIC
 
-    return _sections_v2(Path(path), _MAGIC, None)
+    data, _, _, sections, count = _walk_prefix(Path(path), _MAGIC, (2,))
+    cursor = sections["count"][1]
+    sections["tables_crc"] = (cursor, cursor + 4)
+    cursor += 4
+    sections["offsets"] = (cursor, cursor + 8 * (count + 1))
+    cursor += 8 * (count + 1)
+    sections["record_crcs"] = (cursor, cursor + 4 * count)
+    cursor += 4 * count
+    sections["payload"] = (cursor, len(data))
+    return sections

@@ -25,7 +25,8 @@ def top_candidates(scores: np.ndarray, cutoff: int) -> list[CoarseCandidate]:
     The order is total (score desc, ordinal asc), so tied candidates at
     the cutoff never depend on the backend or the partitioning.  Zero
     scores are never returned, so the list may be shorter than
-    ``cutoff``.
+    ``cutoff``.  Only the scores reaching the ``cutoff``-th best (a
+    linear-time partition finds it) are sorted, ties with it included.
 
     Raises:
         SearchError: if ``cutoff`` is not positive.
@@ -33,6 +34,10 @@ def top_candidates(scores: np.ndarray, cutoff: int) -> list[CoarseCandidate]:
     if cutoff < 1:
         raise SearchError(f"cutoff must be >= 1, got {cutoff}")
     positive = np.flatnonzero(scores > 0)
+    if positive.shape[0] > cutoff:
+        values = scores[positive]
+        kth = values.shape[0] - cutoff
+        positive = positive[values >= np.partition(values, kth)[kth]]
     order = np.lexsort((positive, -scores[positive]))[:cutoff]
     return [
         CoarseCandidate(int(ordinal), float(scores[ordinal]))

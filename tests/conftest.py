@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.errors import ReproError
 from repro.index.builder import IndexParameters, build_index
 
 # One profile for the whole suite: wall-clock deadlines are flaky on
@@ -102,6 +103,51 @@ def scalar_read_lists(index, interval_ids):
     )
 
 
+def write_v2_index(index, path, identifiers=None):
+    """Write ``index`` as a format-v2 ``.rpix`` file, the layout written
+    before the columnar vocabulary: one packed 36-byte row per interval
+    with an explicit blob offset, and the collection's identifiers in
+    the header (``seq<ordinal>`` unless given).  Such files are read,
+    never written, by the library."""
+    import json
+    import struct
+    import zlib
+
+    from repro.index.storage import _V2_ROW
+
+    lists = index.lists
+    blob = lists.buffer.tobytes()
+    table = np.empty(index.vocabulary_size, dtype=_V2_ROW)
+    table["interval_id"] = lists.interval_ids
+    table["df"] = lists.dfs
+    table["cf"] = lists.cfs
+    table["offset"] = lists.offsets
+    table["length"] = lists.lengths
+    table["crc"] = [
+        zlib.crc32(blob[offset : offset + length])
+        for offset, length in zip(lists.offsets.tolist(), lists.lengths.tolist())
+    ]
+    lengths = index.collection.lengths.tolist()
+    if identifiers is None:
+        identifiers = [f"seq{ordinal}" for ordinal in range(len(lengths))]
+    header = json.dumps(
+        {
+            "params": index.params.describe(),
+            "identifiers": list(identifiers),
+            "lengths": lengths,
+        }
+    ).encode("utf-8")
+    rows = table.tobytes()
+    path.write_bytes(
+        struct.pack("<4sHI", b"RPIX", 2, len(header))
+        + struct.pack("<I", zlib.crc32(header))
+        + header
+        + struct.pack("<QI", len(table), zlib.crc32(rows))
+        + rows
+        + blob
+    )
+
+
 def read_postings(index, interval):
     """One posting list through ``read_lists``: ``(sequence, count)``
     per entry, empty when the interval is absent."""
@@ -121,10 +167,10 @@ def encode_with_offsets(spec, context) -> bytes:
     df = len(spec)
     cf = sum(len(positions) for _, positions in spec)
     gaps = GolombCodec(optimal_golomb_parameter(df, context.num_sequences))
+    # The mean sequence length, floored at 1 as those writers did.
+    mean_length = max(1.0, context.total_length / max(1, context.num_sequences))
     offsets = GolombCodec(
-        optimal_golomb_parameter(
-            max(1, round(cf / df)), round(context.mean_length)
-        )
+        optimal_golomb_parameter(max(1, round(cf / df)), round(mean_length))
     )
     gamma = EliasGammaCodec()
     writer = BitWriter()
@@ -141,18 +187,48 @@ def encode_with_offsets(spec, context) -> bytes:
     return writer.getvalue()
 
 
+def oracle_recall_at(
+    ranking_scores: list[float], oracle_scores: list[float], cutoff: int
+) -> float:
+    """Recall against an exhaustive oracle, tolerant of boundary ties.
+
+    When the oracle's ``cutoff``-th answer sits inside a group of
+    equal-scoring documents, *which* group members make the top
+    ``cutoff`` is arbitrary — any of them is an equally good answer.
+    So instead of set membership, an answer counts as found when its
+    score reaches the oracle's ``cutoff``-th score: the fraction of the
+    first ``cutoff`` ranked answers scoring at least that threshold.
+    An engine returning fewer than ``cutoff`` answers is penalised for
+    the empty slots.
+
+    Raises:
+        ReproError: if ``cutoff`` < 1 or the oracle supplied fewer than
+            ``cutoff`` scores.
+    """
+    if cutoff < 1:
+        raise ReproError(f"cutoff must be >= 1, got {cutoff}")
+    if len(oracle_scores) < cutoff:
+        raise ReproError(
+            f"oracle supplied {len(oracle_scores)} scores but the cutoff "
+            f"is {cutoff}"
+        )
+    threshold = sorted(oracle_scores, reverse=True)[cutoff - 1]
+    found = sum(
+        1 for score in ranking_scores[:cutoff] if score >= threshold
+    )
+    return found / cutoff
+
+
 def mean_oracle_recall(searcher, oracle, queries, top_k=4, **search_kwargs):
     """Mean tie-aware recall of ``searcher`` against an exhaustive oracle.
 
     For each query the oracle's top-``top_k`` scores set the bar and
-    :func:`repro.eval.metrics.oracle_recall_at` measures how many of the
+    :func:`oracle_recall_at` measures how many of the
     searcher's top-``top_k`` answers reach it — tolerant of equal-score
     groups straddling the cutoff, which any coarse backend may order
     differently from the oracle without being wrong.  Extra keyword
     arguments (``coarse_cutoff`` etc.) go to ``searcher.search``.
     """
-    from repro.eval.metrics import oracle_recall_at
-
     recalls = []
     for query in queries:
         oracle_scores = [

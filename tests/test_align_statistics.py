@@ -7,13 +7,11 @@ import pytest
 
 from repro.align.statistics import (
     GumbelParameters,
-    annotate_evalues,
     calibrate_gapped,
     ungapped_lambda,
 )
 from repro.align.scoring import ScoringScheme
 from repro.errors import AlignmentError
-from repro.search.results import SearchHit
 
 
 class TestUngappedLambda:
@@ -112,14 +110,3 @@ class TestCalibration:
         ungapped Karlin-Altschul lambda."""
         assert params.lam <= ungapped_lambda(ScoringScheme()) * 1.1
 
-
-class TestAnnotate:
-    def test_hits_paired_with_evalues(self):
-        params = GumbelParameters(lam=0.7, k=0.1)
-        hits = [
-            SearchHit(0, "a", 50),
-            SearchHit(1, "b", 20),
-        ]
-        annotated = annotate_evalues(hits, params, 100, 10_000)
-        assert [hit for hit, _ in annotated] == hits
-        assert annotated[0][1] < annotated[1][1]

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import mean_oracle_recall
+from tests.conftest import mean_oracle_recall, oracle_recall_at
 from repro.coarse_backends import get_backend, signature
 from repro.coarse_backends.base import (
     ARTIFACT_NAMES,
@@ -212,7 +212,7 @@ def _oracle_scores(path, query_codes, quarantined=()):
     ids = IntervalExtractor(
         header["params"]["interval_length"], stride=1
     ).extract_distinct(query_codes)
-    scores = np.zeros(len(header["identifiers"]))
+    scores = np.zeros(len(header["lengths"]))
     if not ids.shape[0]:
         return scores
     for slot, (block, payload) in enumerate(zip(header["blocks"], payloads)):
@@ -288,14 +288,48 @@ class TestSignatureFormat:
     def test_round_trip(self, signature_file, records):
         with SignatureIndex(signature_file) as index:
             assert index.coarse_backend == "signature"
-            assert index.collection.identifiers == tuple(
-                record.identifier for record in records
-            )
+            assert index.collection.lengths.tolist() == [
+                len(record) for record in records
+            ]
             assert index.params.interval_length == 8
             assert index.signature_params["docs_per_block"] == 7
             assert index.num_blocks == 4  # 24 docs in blocks of 7
             assert index.signature_bytes > 0
             assert index.verify() == []
+
+    def test_version_1_file_opens_and_scores_identically(
+        self, signature_file, records, tmp_path
+    ):
+        """Version 2 drops the header's identifiers (the store carries
+        them); a version-1 file, identifiers and all, still opens and
+        scores bit for bit the same."""
+        header, _ = _written_blocks(signature_file)
+        assert "identifiers" not in header
+        raw = signature_file.read_bytes()
+        _, version, length = struct.unpack_from("<4sHI", raw, 0)
+        assert version == 2
+        start = struct.calcsize("<4sHI") + 4
+        header["identifiers"] = [record.identifier for record in records]
+        body = json.dumps(header).encode("utf-8")
+        old = tmp_path / "v1.rpsg"
+        old.write_bytes(
+            struct.pack("<4sHI", b"RPSG", 1, len(body))
+            + struct.pack("<I", zlib.crc32(body))
+            + body
+            + raw[start + length :]
+        )
+        probes = signature_probes(
+            IntervalExtractor(8, stride=1).extract_distinct(records[3].codes), 2
+        )
+        with SignatureIndex(old) as v1, SignatureIndex(signature_file) as v2:
+            assert np.array_equal(
+                v1.collection.lengths, v2.collection.lengths
+            )
+            assert v1.verify() == []
+            assert np.array_equal(
+                v1.membership_counts(probes, 0, 4),
+                v2.membership_counts(probes, 0, 4),
+            )
 
     def test_membership_counts_find_own_kmers(self, signature_file, records):
         extractor = IntervalExtractor(8, stride=1)
@@ -597,6 +631,58 @@ class TestScoresAndCut:
         )
         with pytest.raises(SearchError, match="cutoff"):
             top_candidates(ranker.scores(queries[0]), 0)
+
+
+def _lexsort_cut(scores, cutoff):
+    """The coarse cut as a full sort of every positive score by (score
+    desc, ordinal asc): the order :func:`top_candidates` must keep."""
+    positive = np.flatnonzero(scores > 0)
+    order = np.lexsort((positive, -scores[positive]))[:cutoff]
+    return [
+        (int(ordinal), float(scores[ordinal])) for ordinal in positive[order]
+    ]
+
+
+class TestTopCandidates:
+    """The partitioned cut sorts only the scores reaching the
+    cutoff-th best, and returns exactly what sorting them all does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scores=st.lists(
+            st.sampled_from([0.0, 0.0, 1.0, 2.0, 2.5, 3.0, 7.0]),
+            max_size=60,
+        ),
+        cutoff=st.integers(1, 70),
+    )
+    @example(scores=[3.0, 2.0, 2.0, 2.0, 2.0, 1.0], cutoff=3)  # tie straddles
+    @example(scores=[2.0, 0.0, 2.0, 0.0, 2.0, 2.0], cutoff=2)
+    @example(scores=[0.0] * 9, cutoff=4)  # nothing positive
+    @example(scores=[0.0, 1.0, 0.0, 2.0], cutoff=5)  # cutoff >= positives
+    @example(scores=[1.0, 2.0, 0.0, 2.0], cutoff=2)  # cutoff == positives
+    @example(scores=[5.0, 7.0, 7.0, 1.0], cutoff=1)
+    def test_equals_the_full_lexsort(self, scores, cutoff):
+        scores = np.array(scores, dtype=np.float64)
+        got = top_candidates(scores, cutoff)
+        assert [
+            (candidate.ordinal, candidate.coarse_score) for candidate in got
+        ] == _lexsort_cut(scores, cutoff)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        size=st.integers(0, 3000),
+        cutoff=st.integers(1, 40),
+    )
+    def test_equals_the_full_lexsort_on_dense_scores(self, seed, size, cutoff):
+        """Mostly-positive scores with many ties, as Bloom false
+        positives leave a signature ranking."""
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, 12, size).astype(np.float64)
+        got = top_candidates(scores, cutoff)
+        assert [
+            (candidate.ordinal, candidate.coarse_score) for candidate in got
+        ] == _lexsort_cut(scores, cutoff)
 
 
 class TestDatabaseSignature:
@@ -1011,8 +1097,6 @@ class TestRecall:
 class TestOracleRecallMetric:
     def test_perfect_and_partial(self):
         assert mean_oracle_recall is not None  # the conftest helper exists
-        from repro.eval.metrics import oracle_recall_at
-
         assert oracle_recall_at([9, 8, 7], [9, 8, 7, 1], 3) == 1.0
         assert oracle_recall_at([9, 1, 1], [9, 8, 7, 1], 3) == pytest.approx(
             1 / 3

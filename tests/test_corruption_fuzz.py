@@ -4,8 +4,9 @@ Two complementary layers:
 
 * a **deterministic fault matrix** driven by
   :mod:`repro.instrumentation.faults` — every structural section of
-  both v2 file formats gets truncation, bit-flip, and zero-page
-  faults, and each must surface as a typed
+  the index (format v3, each vocabulary column on its own, and the v2
+  layout still read) and the v2 store gets truncation, bit-flip, and
+  zero-page faults, and each must surface as a typed
   :class:`~repro.errors.CorruptionError` (or, for the pre-checksum
   prefix, an :class:`~repro.errors.IndexFormatError`), never an
   uncaught low-level exception, hang, or silent wrong answer;
@@ -31,6 +32,7 @@ from repro.index.storage import DiskIndex, write_index
 from repro.index.store import SequenceStore, write_store
 from repro.instrumentation import faults
 from repro.sequences.record import Sequence
+from tests.conftest import write_v2_index
 
 #: Exceptions a corrupted artefact is allowed to surface: the library's
 #: own taxonomy, plus the bounded set raised by the stdlib parsers the
@@ -41,8 +43,12 @@ ALLOWED = (ReproError, ValueError, KeyError, TypeError, EOFError,
 #: Fault kinds exercised against every file section.
 FAULT_KINDS = ("truncate", "flip", "zero")
 
-INDEX_SECTIONS = (
+V2_INDEX_SECTIONS = (
     "prefix", "header_crc", "header", "count", "table_crc", "table", "blob",
+)
+INDEX_SECTIONS = V2_INDEX_SECTIONS + (
+    "interval_id_column", "df_column", "cf_column", "length_column",
+    "crc_column",
 )
 STORE_SECTIONS = (
     "prefix", "header_crc", "header", "count", "tables_crc", "offsets",
@@ -68,6 +74,16 @@ def artefacts(tmp_path_factory):
                 index_path)
     write_store(records, store_path)
     return index_path.read_bytes(), store_path.read_bytes(), workdir
+
+
+@pytest.fixture(scope="module")
+def v2_index_bytes(tmp_path_factory):
+    """The fuzz artefact's index in the v2 layout, which is still read."""
+    path = tmp_path_factory.mktemp("fuzz_v2") / "x.rpix"
+    write_v2_index(
+        build_index(_records(), IndexParameters(interval_length=6)), path
+    )
+    return path.read_bytes()
 
 
 def _inject(path, span, kind):
@@ -116,6 +132,32 @@ class TestIndexFaultMatrix:
         index_bytes, _, _ = artefacts
         path = tmp_path / "fine.rpix"
         path.write_bytes(index_bytes)
+        _exercise_index(path)
+        with DiskIndex(path) as index:
+            assert index.verify() == []
+
+
+class TestV2IndexFaultMatrix:
+    """The v2 read branch is a corruption surface of its own: every v2
+    section × every fault kind raises a typed error too."""
+
+    @pytest.mark.parametrize("section", V2_INDEX_SECTIONS)
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_fault_is_caught_as_typed_error(
+        self, v2_index_bytes, tmp_path, section, kind
+    ):
+        path = tmp_path / "hurt.rpix"
+        path.write_bytes(v2_index_bytes)
+        span = faults.index_sections(path)[section]
+        _inject(path, span, kind)
+        expected = IndexFormatError if section == "prefix" else CorruptionError
+        with pytest.raises(expected):
+            _exercise_index(path)
+
+    def test_pristine_control_passes(self, v2_index_bytes, tmp_path):
+        path = tmp_path / "fine.rpix"
+        path.write_bytes(v2_index_bytes)
+        assert "df_column" not in faults.index_sections(path)
         _exercise_index(path)
         with DiskIndex(path) as index:
             assert index.verify() == []
@@ -275,6 +317,44 @@ class TestIndexCorruption:
                     index.read_lists([interval])
         except ALLOWED:
             pass
+
+    @given(
+        position=st.integers(min_value=0, max_value=10**6),
+        flip=st.integers(min_value=1, max_value=255),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_single_byte_flip_never_answers_wrong(
+        self, artefacts, position, flip
+    ):
+        """Every byte of a v3 file is under a checksum or refused by a
+        check, so a flipped byte either raises a typed error — at open
+        or on reading the lists — or changes no answer."""
+        index_bytes, _, workdir = artefacts
+        with DiskIndex(workdir / "x.rpix") as pristine:
+            ids = list(pristine.interval_ids())
+            want = pristine.read_lists(ids)
+        data = bytearray(index_bytes)
+        data[position % len(data)] ^= flip
+        path = workdir / "flip_v3.rpix"
+        path.write_bytes(bytes(data))
+        try:
+            with DiskIndex(path) as index:
+                got = index.read_lists(ids)
+        except (CorruptionError, IndexFormatError):
+            return
+        for got_field, want_field in zip(got, want):
+            assert np.array_equal(got_field, want_field)
+
+    @given(cut=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_every_truncation_is_refused_at_open(self, artefacts, cut):
+        """The lengths must fill the blob exactly, so a v3 file cut
+        anywhere does not open."""
+        index_bytes, _, workdir = artefacts
+        path = workdir / "cut_v3.rpix"
+        path.write_bytes(index_bytes[: cut % len(index_bytes)])
+        with pytest.raises(IndexFormatError):
+            DiskIndex(path)
 
     @given(cut=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)

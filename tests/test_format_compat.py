@@ -1,4 +1,4 @@
-"""Index files written with occurrence offsets still open and answer.
+"""Older index files still open and answer.
 
 ``tests/data/v2_with_offsets.db`` is a classic format-v2 database whose
 posting lists carry the offset section (section B) after their entries,
@@ -6,7 +6,9 @@ as every index did before the offsets were dropped: 16 records (three
 families of three, seven background records) at interval length 8.
 The reader ignores the offsets, so it must answer hit for hit like a
 fresh build of the same records, and a compaction rewrites it without
-them.
+them.  ``tests/data/build_golden/classic.db`` is a format-v2 database
+written just before the columnar (v3) vocabulary; it must answer
+like a fresh v3 build too.
 """
 
 import json
@@ -25,6 +27,7 @@ from repro.index.storage import DiskIndex
 from repro.sequences.record import Sequence
 
 OLD = Path(__file__).parent / "data" / "v2_with_offsets.db"
+V2_GOLDEN = Path(__file__).parent / "data" / "build_golden" / "classic.db"
 
 #: Engine options the comparison runs under: every scorer, both
 #: strands and E-values.
@@ -56,6 +59,24 @@ def queries_of(records):
     return [record.slice(10, 130) for record in picks] + [
         records[5].slice(20, 140).reverse_complement()
     ]
+
+
+def assert_answers_alike(old, fresh, queries):
+    """Every engine option ranks hit for hit, and the coarse ranking
+    score for score, alike on both databases."""
+    for options in OPTIONS:
+        for query in queries:
+            assert hits_key(
+                old.search(query, top_k=16, **options)
+            ) == hits_key(fresh.search(query, top_k=16, **options)), options
+        for query in queries:
+            assert [
+                (c.ordinal, c.coarse_score)
+                for c in old.engine().coarse_rank(query.codes)
+            ] == [
+                (c.ordinal, c.coarse_score)
+                for c in fresh.engine().coarse_rank(query.codes)
+            ]
 
 
 def entry_section(index, interval):
@@ -96,23 +117,23 @@ class TestOldFiles:
                 assert old.index.compressed_bytes > (
                     fresh.index.compressed_bytes
                 )
-                for options in OPTIONS:
-                    for query in queries_of(records):
-                        assert hits_key(
-                            old.search(query, top_k=16, **options)
-                        ) == hits_key(
-                            fresh.search(query, top_k=16, **options)
-                        ), options
-                    coarse = [
-                        [
-                            (c.ordinal, c.coarse_score)
-                            for c in db.engine().coarse_rank(query.codes)
-                        ]
-                        for db in (old, fresh)
-                        for query in queries_of(records)
-                    ]
-                    half = len(coarse) // 2
-                    assert coarse[:half] == coarse[half:]
+                assert_answers_alike(old, fresh, queries_of(records))
+            finally:
+                fresh.close()
+
+    def test_v2_build_golden_answers_like_a_fresh_build(self, tmp_path):
+        path = tmp_path / "v2.db"
+        shutil.copytree(V2_GOLDEN, path)
+        assert Database.verify(path).ok
+        with Database.open(path) as old:
+            records = list(old.records())
+            fresh = Database.create(records, tmp_path / "fresh.db")
+            try:
+                assert old.index.compressed_bytes == (
+                    fresh.index.compressed_bytes
+                )
+                long_enough = [record for record in records if len(record) > 140]
+                assert_answers_alike(old, fresh, queries_of(long_enough))
             finally:
                 fresh.close()
 

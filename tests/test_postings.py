@@ -174,11 +174,3 @@ class TestDescription:
         assert docs.tolist() == [doc for doc, _ in spec]
         assert counts.tolist() == [2] * len(spec)
 
-
-class TestContext:
-    def test_mean_length(self):
-        assert PostingsContext(10, 1000).mean_length == 100.0
-
-    def test_mean_length_floor(self):
-        assert PostingsContext(0, 0).mean_length == 1.0
-        assert PostingsContext(10, 1).mean_length == 1.0

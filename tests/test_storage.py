@@ -1,6 +1,9 @@
 """Unit tests for the on-disk index format."""
 
+import json
+import struct
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,13 +13,21 @@ from hypothesis import strategies as st
 
 from repro.errors import CorruptionError, IndexFormatError
 from repro.index import storage
-from repro.index.builder import IndexParameters, build_index
+from repro.index.builder import (
+    IndexParameters,
+    InvertedIndex,
+    ResolvedLists,
+    build_index,
+)
 from repro.index.statistics import collect_statistics
 from repro.index.storage import DiskIndex, read_index, write_index
 from repro.instrumentation import faults
 from repro.instrumentation.instruments import Instruments
+from repro.sequences.fasta import read_fasta
 from repro.sequences.record import Sequence
-from tests.conftest import read_postings, scalar_read_lists
+from tests.conftest import read_postings, scalar_read_lists, write_v2_index
+
+GOLDEN = Path(__file__).parent / "data" / "build_golden"
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +56,6 @@ class TestRoundTrip:
     def test_metadata_preserved(self, sample_index, index_path):
         with read_index(index_path) as disk:
             assert disk.params == sample_index.params
-            assert disk.collection.identifiers == sample_index.collection.identifiers
             assert np.array_equal(
                 disk.collection.lengths, sample_index.collection.lengths
             )
@@ -120,6 +130,144 @@ class TestCorruption:
             DiskIndex(index_path)
 
 
+def _columns(path):
+    """A v3 file's column dtype names, from its header."""
+    start, end = faults.index_sections(path)["header"]
+    return json.loads(path.read_bytes()[start:end])["columns"]
+
+
+def _rewrite_header(path, edit):
+    """Re-write ``path`` with ``edit`` applied to its header JSON (the
+    header checksum recomputed, everything else kept)."""
+    raw = path.read_bytes()
+    start, end = faults.index_sections(path)["header"]
+    header = json.loads(raw[start:end])
+    edit(header)
+    body = json.dumps(header).encode("utf-8")
+    path.write_bytes(
+        raw[:6]
+        + struct.pack("<II", len(body), zlib.crc32(body))
+        + body
+        + raw[end:]
+    )
+
+
+class TestColumnWidths:
+    """Each v3 vocabulary column takes the narrowest unsigned dtype that
+    holds its values, and nothing else is stored per row."""
+
+    def test_golden_corpus_rows_are_nine_bytes(self, tmp_path):
+        records = list(read_fasta(GOLDEN / "records.fasta"))
+        index = build_index(records)
+        path = tmp_path / "golden.rpix"
+        write_index(index, path)
+        start, end = faults.index_sections(path)["table"]
+        assert end - start == 9 * index.vocabulary_size
+        assert _columns(path) == {
+            "interval_id": "u2", "df": "u1", "cf": "u1", "length": "u1",
+            "crc": "u4",
+        }
+
+    def test_empty_vocabulary_opens(self, tmp_path):
+        empty = build_index(
+            [Sequence("short", np.zeros(3, dtype=np.uint8))],
+            IndexParameters(interval_length=5),
+        )
+        path = tmp_path / "empty.rpix"
+        write_index(empty, path)
+        sections = faults.index_sections(path)
+        assert sections["table"][0] == sections["table"][1]
+        assert sections["blob"][0] == sections["blob"][1]
+        with DiskIndex(path) as disk:
+            assert disk.vocabulary_size == 0
+            assert disk.collection.lengths.tolist() == [3]
+            assert disk.read_lists([0, 7])[0].tolist() == [0, 0]
+            assert disk.verify() == []
+
+    def test_k12_writes_u4_ids(self, tmp_path):
+        rng = np.random.default_rng(12)
+        records = [
+            Sequence(f"r{slot}", rng.integers(0, 4, 300, dtype=np.uint8))
+            for slot in range(6)
+        ]
+        index = build_index(records, IndexParameters(interval_length=12))
+        path = tmp_path / "k12.rpix"
+        write_index(index, path)
+        assert _columns(path)["interval_id"] == "u4"
+        with DiskIndex(path) as disk:
+            ids = list(index.interval_ids())
+            assert list(disk.interval_ids()) == ids
+            for got, want in zip(
+                disk.read_lists(ids), scalar_read_lists(index, ids)
+            ):
+                assert np.array_equal(got, want)
+
+    def test_large_values_widen_their_column(self, tmp_path):
+        """A 2 000-base run makes one list of ~2 000 occurrences, longer
+        than 255 bytes: cf and length widen to u2 and still round-trip."""
+        records = [
+            Sequence("run", np.zeros(2000, dtype=np.uint8)),
+            Sequence("mixed", np.tile(np.arange(4, dtype=np.uint8), 50)),
+        ]
+        index = build_index(records, IndexParameters(interval_length=5))
+        path = tmp_path / "wide.rpix"
+        write_index(index, path)
+        widths = _columns(path)
+        assert widths["cf"] == "u2" and widths["df"] == "u1"
+        with DiskIndex(path) as disk:
+            for interval in index.interval_ids():
+                assert disk.lookup_entry(interval) == index.lookup_entry(
+                    interval
+                )
+
+    @pytest.mark.parametrize(
+        "columns",
+        [None, {"df": "u1"}, {"interval_id": "f8", "df": "u1", "cf": "u1",
+                              "length": "u1", "crc": "u4"}],
+        ids=["missing", "partial", "float"],
+    )
+    def test_bad_column_dtypes_refused(self, index_path, columns):
+        def edit(header):
+            header["columns"] = columns
+
+        _rewrite_header(index_path, edit)
+        with pytest.raises(IndexFormatError, match="malformed header"):
+            DiskIndex(index_path)
+
+    def test_trailing_blob_bytes_refused(self, index_path):
+        index_path.write_bytes(index_path.read_bytes() + b"\x00")
+        with pytest.raises(CorruptionError, match="postings blob"):
+            DiskIndex(index_path)
+
+    def test_v2_lists_out_of_id_order_refused(self, sample_index, tmp_path):
+        """A v2 row's offset is only read to check that the lists lie
+        back to back in id order; a file laid out otherwise is
+        refused, not read at rebuilt offsets."""
+        lists = sample_index.lists
+        reordered = ResolvedLists(
+            lists.interval_ids,
+            lists.dfs,
+            lists.cfs,
+            lists.buffer.shape[0] - lists.offsets - lists.lengths,
+            lists.lengths,
+            np.concatenate(
+                [
+                    lists.buffer[start : start + length]
+                    for start, length in zip(
+                        lists.offsets.tolist()[::-1], lists.lengths.tolist()[::-1]
+                    )
+                ]
+            ),
+        )
+        path = tmp_path / "reversed.rpix"
+        write_v2_index(
+            InvertedIndex(sample_index.params, sample_index.collection, reordered),
+            path,
+        )
+        with pytest.raises(IndexFormatError, match="back to back"):
+            DiskIndex(path)
+
+
 class TestLifecycle:
     def test_close_is_idempotent(self, index_path):
         disk = read_index(index_path)
@@ -136,17 +284,19 @@ class TestLifecycle:
 
 @pytest.fixture(scope="module")
 def disk_layouts(sample_index, tmp_path_factory):
-    """The sample index on disk, plus an index with an empty vocabulary,
-    each opened once."""
+    """The sample index on disk in both formats read, plus an index with
+    an empty vocabulary, each opened once."""
     root = tmp_path_factory.mktemp("resolve")
-    write_index(sample_index, root / "v2.rpix")
+    write_v2_index(sample_index, root / "v2.rpix")
+    write_index(sample_index, root / "v3.rpix")
     empty = build_index(
         [Sequence("short", np.zeros(3, dtype=np.uint8))],
         IndexParameters(interval_length=5),
     )
     write_index(empty, root / "empty.rpix")
     indexes = {
-        name: DiskIndex(root / f"{name}.rpix") for name in ("v2", "empty")
+        name: DiskIndex(root / f"{name}.rpix")
+        for name in ("v2", "v3", "empty")
     }
     yield indexes
     for index in indexes.values():
@@ -158,7 +308,7 @@ class TestResolveMatchesScalarLookup:
     it; whatever the batch holds, it must equal looking each id up on
     its own and decoding it with the scalar per-list codec."""
 
-    @pytest.mark.parametrize("layout", ["v2", "empty"])
+    @pytest.mark.parametrize("layout", ["v2", "v3", "empty"])
     @settings(max_examples=30)
     @given(data=st.data())
     def test_read_lists_equals_per_id_lookup(
@@ -186,7 +336,7 @@ class TestResolveMatchesScalarLookup:
 
 @pytest.fixture
 def damaged_index(sample_index, tmp_path):
-    """A v2 index with one posting blob damaged: ``(path, bad id,
+    """An index with one posting blob damaged: ``(path, bad id,
     request)`` where the request holds the bad id between healthy
     neighbours."""
     path = tmp_path / "damaged.rpix"
