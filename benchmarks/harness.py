@@ -491,39 +491,44 @@ def experiment_profile() -> Table:
     """Instrumented profile of the base workload -> BENCH_profile.json.
 
     Runs the base partitioned engine with the observability layer
-    attached (two passes over the queries) and writes the resulting
-    :class:`ProfileSnapshot` next to the other BENCH artifacts, so the perf trajectory and CI both pick it up.
+    attached (two passes over the queries), tabulates each phase's
+    latency percentiles from the metrics registry, and writes the
+    registry as a ``repro.metrics/v1`` JSON snapshot (the same file
+    ``repro search --metrics-out FILE.json`` writes).
     """
-    from repro.instrumentation.profiling import (
-        DEFAULT_PROFILE_NAME,
-        profile_search,
-    )
+    from repro.instrumentation.export import write_metrics
+    from repro.instrumentation.instruments import Instruments
 
+    target = "BENCH_profile.json"
     cases = setup.base_queries()
+    instruments = Instruments()
     engine = PartitionedSearchEngine(
-        setup.base_index(), setup.base_source(), coarse_cutoff=50
+        setup.base_index(), setup.base_source(), coarse_cutoff=50,
+        instruments=instruments,
     )
-    snapshot = profile_search(
-        engine,
-        [case.query for case in cases],
-        top_k=10,
-        repeat=2,
-        meta={"workload": "base", "cutoff": 50},
+    started = time.perf_counter()
+    for _ in range(2):
+        for case in cases:
+            engine.search(case.query, top_k=10)
+    wall = time.perf_counter() - started
+    queries = 2 * len(cases)
+    write_metrics(
+        instruments.metrics,
+        target,
+        meta={"workload": "base", "cutoff": 50, "queries": queries},
     )
-    snapshot.write(DEFAULT_PROFILE_NAME)
-    rows = [
-        ("queries", snapshot.queries),
-        ("throughput q/s", snapshot.throughput_qps),
-    ]
-    for name, phase in sorted(snapshot.phases.items()):
-        rows.append((f"{name} p50 ms", phase["p50_ms"]))
-        rows.append((f"{name} p99 ms", phase["p99_ms"]))
+    rows = [("queries", queries), ("throughput q/s", queries / wall)]
+    histograms = instruments.metrics.snapshot()["histograms"]
+    for name, summary in histograms.items():
+        if name.endswith("_seconds"):
+            rows.append((f"{name} p50 ms", summary["p50"] * 1000))
+            rows.append((f"{name} p99 ms", summary["p99"] * 1000))
     return Table(
         "PROFILE",
         "instrumented base workload",
         ("metric", "value"),
         tuple(rows),
-        note=f"full snapshot written to {DEFAULT_PROFILE_NAME}",
+        note=f"metrics snapshot written to {target}",
     )
 
 

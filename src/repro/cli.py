@@ -1,19 +1,21 @@
 """Command-line front end.
 
+Every command that reads or writes a collection takes a database
+directory (classic, sharded or live: see :mod:`repro.database`).
 Subcommands mirror the life cycle of the paper's system::
 
     repro generate  — synthesise a FASTA collection with planted families
     repro build     — build a (possibly sharded) database directory
-    repro index     — build the interval index (+ sequence store) on disk
-    repro stats     — print index size statistics
-    repro search    — evaluate FASTA queries against an on-disk index
-    repro profile   — profile a query workload, write BENCH_profile.json
-    repro align     — pretty-print the local alignment of two sequences
+    repro db-info   — describe a database and its index size statistics
+    repro search    — evaluate FASTA queries against a database
+    repro oracle    — compare a database's answers with exhaustive search
+    repro serve     — serve a database over HTTP
     repro verify    — audit a database directory's integrity
     repro repair    — rebuild a database's index from its store
     repro ingest    — append FASTA records as a delta shard (live layer)
     repro delete    — tombstone records by identifier
     repro compact   — fold deltas and tombstones back into base shards
+    repro align     — pretty-print the local alignment of two sequences
 """
 
 from __future__ import annotations
@@ -25,13 +27,12 @@ from pathlib import Path
 
 from repro.align.pairwise import local_align
 from repro.align.scoring import ScoringScheme
+from repro.database import Database
 from repro.errors import ReproError
-from repro.index.builder import IndexParameters, build_index
+from repro.index.builder import IndexParameters
 from repro.index.statistics import collect_statistics
-from repro.index.storage import read_index, write_index
-from repro.index.store import read_store, write_store
 from repro.search.coarse import SCORERS
-from repro.search.engine import FINE_MODES, PartitionedSearchEngine
+from repro.search.engine import FINE_MODES
 from repro.sequences.fasta import read_fasta, write_fasta
 from repro.sequences.mutate import MutationModel
 from repro.workloads.queries import make_family_queries
@@ -62,56 +63,28 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_index(args: argparse.Namespace) -> int:
-    sequences = list(read_fasta(args.collection))
-    params = IndexParameters(
-        interval_length=args.interval_length, stride=args.stride
-    )
-    started = time.perf_counter()
-    index = build_index(sequences, params)
-    elapsed = time.perf_counter() - started
-    index_bytes = write_index(index, args.output)
-    print(
-        f"indexed {len(sequences)} sequences in {elapsed:.2f}s: "
-        f"{index.vocabulary_size} intervals, {index_bytes} bytes -> {args.output}"
-    )
-    if args.store:
-        store_bytes = write_store(sequences, args.store, coding=args.coding)
-        print(f"wrote {args.coding} sequence store ({store_bytes} bytes) -> {args.store}")
-    return 0
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    with read_index(args.index) as index:
-        stats = collect_statistics(index)
-    print(f"interval length     : {stats.interval_length}")
-    print(f"stride              : {stats.stride}")
-    print(f"vocabulary size     : {stats.vocabulary_size}")
-    print(f"sequence pointers   : {stats.pointer_count}")
-    print(f"interval occurrences: {stats.occurrence_count}")
-    print(f"compressed bytes    : {stats.compressed_bytes}")
-    print(f"bits per pointer    : {stats.bits_per_pointer:.2f}")
-    print(f"compression ratio   : {stats.compression_ratio:.2f}x")
-    print(f"index/collection    : {stats.index_to_collection_ratio:.3f} bytes/base")
-    print(f"df quantiles 50/90/99: {stats.df_quantiles}")
-    return 0
-
-
 def _print_instrumentation(
-    instruments, queries: int, wall: float, coarse_backend: str | None = None
+    instruments, queries: int, wall: float, coarse_backend: str
 ) -> None:
-    """The ``--stats`` tail: phases, quarantine, counters, spans."""
+    """The ``--stats`` tail: throughput, phase percentiles, counters,
+    spans."""
     from repro.instrumentation.export import format_span_tree
-    from repro.instrumentation.profiling import snapshot_from_instruments
 
-    snapshot = snapshot_from_instruments(
-        instruments, queries=queries, wall_seconds=wall
-    )
+    snapshot = instruments.metrics.snapshot()
     print("--- instrumentation ---")
-    if coarse_backend is not None:
-        print(f"coarse backend: {coarse_backend}")
-    print(snapshot.describe())
-    for name, value in sorted(snapshot.counters.items()):
+    print(f"coarse backend: {coarse_backend}")
+    print(
+        f"throughput: {queries} queries in {wall:.3f} s "
+        f"({queries / wall if wall > 0 else 0.0:.1f} q/s)"
+    )
+    for name, summary in snapshot["histograms"].items():
+        if name.endswith("_seconds"):
+            print(
+                f"{name:<38} p50={summary['p50'] * 1000:.2f}ms "
+                f"p90={summary['p90'] * 1000:.2f}ms "
+                f"p99={summary['p99'] * 1000:.2f}ms (n={summary['count']})"
+            )
+    for name, value in snapshot["counters"].items():
         print(f"counter {name:<38} {value}")
     tree = format_span_tree(instruments.tracer)
     if tree:
@@ -120,55 +93,49 @@ def _print_instrumentation(
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    significance = None
-    if args.evalues:
-        from repro.align.statistics import calibrate_gapped
+    # The database opens first, so a path that holds none leaves no
+    # event-log file behind.
+    with Database.open(args.database) as database:
+        instruments = None
+        eventlog = None
+        wants_instruments = (
+            args.stats
+            or args.trace_out is not None
+            or args.metrics_out is not None
+            or args.eventlog is not None
+        )
+        if wants_instruments:
+            from repro.instrumentation.instruments import Instruments
 
-        significance = calibrate_gapped(ScoringScheme())
-    instruments = None
-    eventlog = None
-    wants_instruments = (
-        args.stats
-        or args.trace_out is not None
-        or args.metrics_out is not None
-        or args.eventlog is not None
-    )
-    if wants_instruments:
-        from repro.instrumentation.instruments import Instruments
+            if args.eventlog is not None:
+                from repro.instrumentation.eventlog import QueryEventLog
 
-        if args.eventlog is not None:
-            from repro.instrumentation.eventlog import QueryEventLog
-
-            eventlog = QueryEventLog(
-                args.eventlog,
-                sample_every=args.eventlog_sample,
-                slow_seconds=(
-                    args.slow_ms / 1000.0 if args.slow_ms is not None else None
-                ),
-            )
-        instruments = Instruments(eventlog=eventlog)
-    try:
-        with read_index(args.index) as index, read_store(args.store) as store:
-            engine = PartitionedSearchEngine(
-                index,
-                store,
-                coarse_scorer=args.scorer,
-                coarse_cutoff=args.cutoff,
-                fine_mode=args.fine_mode,
-                both_strands=args.both_strands,
-                significance=significance,
-                instruments=instruments,
-            )
+                slow_ms = args.slow_ms
+                eventlog = QueryEventLog(
+                    args.eventlog,
+                    sample_every=args.eventlog_sample,
+                    slow_seconds=None if slow_ms is None else slow_ms / 1000.0,
+                )
+            instruments = Instruments(eventlog=eventlog)
+            database.set_instruments(instruments)
+        try:
             evaluated = 0
             started = time.perf_counter()
             for query in read_fasta(args.queries):
-                report = engine.search(query, top_k=args.top)
+                report = database.search(
+                    query,
+                    top_k=args.top,
+                    coarse_cutoff=args.cutoff,
+                    coarse_scorer=args.scorer,
+                    fine_mode=args.fine_mode,
+                    both_strands=args.both_strands,
+                    with_evalues=args.evalues,
+                )
                 evaluated += 1
                 print(
                     f"query {report.query_identifier}: "
                     f"{len(report.hits)} answers, "
-                    f"{report.candidates_examined} candidates, "
-                    f"{report.total_seconds * 1000:.1f} ms"
+                    f"{report.candidates_examined} candidates"
                 )
                 for rank, hit in enumerate(report.hits, start=1):
                     line = (
@@ -180,12 +147,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
                     if hit.evalue is not None:
                         line += f" evalue={hit.evalue:.2e}"
                     print(line)
-            if args.stats and instruments is not None:
+            if args.stats:
                 _print_instrumentation(
                     instruments,
                     evaluated,
                     time.perf_counter() - started,
-                    coarse_backend=engine.coarse_backend,
+                    database.coarse_backend,
                 )
             if args.metrics_out is not None:
                 from repro.instrumentation.export import write_metrics
@@ -210,14 +177,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
                     f"event log: {eventlog.written}/{eventlog.seen} "
                     f"queries logged -> {args.eventlog}"
                 )
-    finally:
-        if eventlog is not None:
-            eventlog.close()
+        finally:
+            if eventlog is not None:
+                eventlog.close()
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.database import Database
     from repro.instrumentation.instruments import Instruments
     from repro.search.resilience import RetryPolicy, ShardResilience
     from repro.serving.server import SearchServer, ServerConfig
@@ -261,85 +227,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.instrumentation.profiling import profile_search
-
-    given = [args.index, args.store, args.queries]
-    if any(given) and not all(given):
-        print(
-            "error: profile needs --index, --store and --queries together "
-            "(or none of them, for a synthetic workload)",
-            file=sys.stderr,
-        )
-        return 1
-
-    def run(engine, queries, meta):
-        snapshot = profile_search(
-            engine,
-            queries,
-            top_k=args.top,
-            repeat=args.repeat,
-            meta=meta,
-        )
-        target = snapshot.write(args.output)
-        print(snapshot.describe())
-        print(f"wrote profile -> {target}")
-        return 0
-
-    if args.index:
-        with read_index(args.index) as index, read_store(args.store) as store:
-            engine = PartitionedSearchEngine(
-                index,
-                store,
-                coarse_scorer=args.scorer,
-                coarse_cutoff=args.cutoff,
-            )
-            queries = list(read_fasta(args.queries))
-            return run(
-                engine,
-                queries,
-                {"workload": str(args.queries), "cutoff": args.cutoff},
-            )
-
-    # Synthetic in-memory workload: self-contained, reproducible, small
-    # enough for CI.
-    from repro.index.store import MemorySequenceSource
-
-    spec = WorkloadSpec(
-        num_families=args.families,
-        family_size=args.family_size,
-        num_background=args.background,
-        mean_length=args.mean_length,
-        mutation=MutationModel(0.1, 0.02, 0.02),
-        seed=args.seed,
-    )
-    collection = generate_collection(spec)
-    cases = make_family_queries(
-        collection, args.num_queries, args.query_length, seed=args.seed + 1
-    )
-    index = build_index(collection.sequences, IndexParameters())
-    engine = PartitionedSearchEngine(
-        index,
-        MemorySequenceSource(collection.sequences),
-        coarse_scorer=args.scorer,
-        coarse_cutoff=args.cutoff,
-    )
-    return run(
-        engine,
-        [case.query for case in cases],
-        {
-            "workload": "synthetic",
-            "sequences": len(collection.sequences),
-            "total_bases": collection.total_bases,
-            "cutoff": args.cutoff,
-            "seed": args.seed,
-        },
-    )
-
-
-def _cmd_db_create(args: argparse.Namespace) -> int:
-    from repro.database import Database
-
+def _cmd_build(args: argparse.Namespace) -> int:
     params = IndexParameters(
         interval_length=args.interval_length, stride=args.stride
     )
@@ -374,41 +262,32 @@ def _cmd_db_create(args: argparse.Namespace) -> int:
 
 
 def _cmd_db_info(args: argparse.Namespace) -> int:
-    from repro.database import Database
-
     with Database.open(args.database) as database:
         print(database.describe())
-    return 0
-
-
-def _cmd_db_search(args: argparse.Namespace) -> int:
-    from repro.database import Database
-
-    with Database.open(args.database) as database:
-        for query in read_fasta(args.queries):
-            report = database.search(
-                query,
-                top_k=args.top,
-                coarse_cutoff=args.cutoff,
-                both_strands=args.both_strands,
-                with_evalues=args.evalues,
-            )
+        if database.coarse_backend != "inverted":
+            return 0
+        for number, shard in enumerate(database.shards):
+            if shard.index is None:
+                continue
+            stats = collect_statistics(shard.index)
+            print(f"--- shard {number} ({shard.name or 'base'}) ---")
+            print(f"interval length     : {stats.interval_length}")
+            print(f"stride              : {stats.stride}")
+            print(f"vocabulary size     : {stats.vocabulary_size}")
+            print(f"sequence pointers   : {stats.pointer_count}")
+            print(f"interval occurrences: {stats.occurrence_count}")
+            print(f"compressed bytes    : {stats.compressed_bytes}")
+            print(f"bits per pointer    : {stats.bits_per_pointer:.2f}")
+            print(f"compression ratio   : {stats.compression_ratio:.2f}x")
             print(
-                f"query {report.query_identifier}: {len(report.hits)} answers"
+                f"index/collection    : "
+                f"{stats.index_to_collection_ratio:.3f} bytes/base"
             )
-            for rank, hit in enumerate(report.hits, start=1):
-                line = f"  {rank:2d}. {hit.identifier:<20} score={hit.score}"
-                if args.both_strands:
-                    line += f" strand={hit.strand}"
-                if hit.evalue is not None:
-                    line += f" evalue={hit.evalue:.2e}"
-                print(line)
+            print(f"df quantiles 50/90/99: {stats.df_quantiles}")
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.database import Database
-
     report = Database.verify(args.database)
     for note in report.notes:
         print(f"note: {note}")
@@ -419,8 +298,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_repair(args: argparse.Namespace) -> int:
-    from repro.database import Database
-
     before = Database.verify(args.database)
     if before.ok and not args.force:
         print(f"{args.database}: already intact, nothing to repair "
@@ -436,8 +313,6 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    from repro.database import Database
-
     records = list(read_fasta(args.collection))
     with Database.open(args.database) as database:
         generation = database.add_records(records)
@@ -450,8 +325,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_delete(args: argparse.Namespace) -> int:
-    from repro.database import Database
-
     with Database.open(args.database) as database:
         before = len(database)
         generation = database.delete(args.identifiers)
@@ -464,8 +337,6 @@ def _cmd_delete(args: argparse.Namespace) -> int:
 
 
 def _cmd_compact(args: argparse.Namespace) -> int:
-    from repro.database import Database
-
     started = time.perf_counter()
     with Database.open(args.database) as database:
         before = database.generation
@@ -491,17 +362,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if not queries:
         print("error: no queries", file=sys.stderr)
         return 1
-    with read_index(args.index) as index, read_store(args.store) as store:
-        engine = PartitionedSearchEngine(
-            index, store, coarse_cutoff=args.cutoff
-        )
-        exhaustive = ExhaustiveSearcher(store)
+    with Database.open(args.database) as database:
+        exhaustive = ExhaustiveSearcher(list(database.records()))
         overlaps = []
         speedups = []
         print(f"{'query':<24} {'part ms':>8} {'exh ms':>8} "
               f"{'overlap@' + str(args.top):>10}")
         for query in queries:
-            partitioned = engine.search(query, top_k=args.top)
+            partitioned = database.search(
+                query, top_k=args.top, coarse_cutoff=args.cutoff
+            )
             oracle = exhaustive.search(query, top_k=args.top)
             overlap = ranking_overlap(
                 partitioned.ordinals(), oracle.ordinals(), args.top
@@ -534,6 +404,14 @@ def _cmd_align(args: argparse.Namespace) -> int:
     return 0
 
 
+def _non_negative(text: str) -> int:
+    """An argparse type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The repro CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -557,22 +435,60 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("-o", "--output", type=Path, required=True)
     generate.set_defaults(handler=_cmd_generate)
 
-    index = commands.add_parser("index", help="build an on-disk index")
-    index.add_argument("collection", type=Path)
-    index.add_argument("-o", "--output", type=Path, required=True)
-    index.add_argument("-k", "--interval-length", type=int, default=8)
-    index.add_argument("--stride", type=int, default=1)
-    index.add_argument("--store", type=Path, default=None)
-    index.add_argument("--coding", choices=("direct", "raw"), default="direct")
-    index.set_defaults(handler=_cmd_index)
+    build = commands.add_parser(
+        "build", help="build a persistent (optionally sharded) database"
+    )
+    build.add_argument("collection", type=Path)
+    build.add_argument("-o", "--output", type=Path, required=True)
+    build.add_argument("-k", "--interval-length", type=int, default=8)
+    build.add_argument("--stride", type=int, default=1)
+    build.add_argument(
+        "--coding", choices=("direct", "raw"), default="direct"
+    )
+    build.add_argument(
+        "--shards", type=int, default=1, metavar="N",
+        help="split the collection into N contiguous shards "
+        "(1 = classic single-index layout)",
+    )
+    build.add_argument(
+        "--workers", type=int, default=1, metavar="M",
+        help="build up to M shards in parallel worker processes",
+    )
+    build.add_argument(
+        "--coarse-backend", choices=("inverted", "signature"),
+        default="inverted",
+        help="coarse artifact each shard builds: the posting-list "
+        "inverted index (default) or the bit-sliced signature index",
+    )
+    build.add_argument(
+        "--signature-fpr", type=float, default=None, metavar="RATE",
+        help="signature backend: per-k-mer Bloom false-positive "
+        "rate in (0, 1) (default 0.3; lower = bigger, more exact)",
+    )
+    build.add_argument(
+        "--signature-hashes", type=int, default=None, metavar="H",
+        help="signature backend: Bloom hash functions per k-mer "
+        "(default 1)",
+    )
+    build.add_argument(
+        "--docs-per-block", type=int, default=None, metavar="D",
+        help="signature backend: documents packed per bit-sliced "
+        "block (default 64)",
+    )
+    build.set_defaults(handler=_cmd_build)
 
-    stats = commands.add_parser("stats", help="print index statistics")
-    stats.add_argument("index", type=Path)
-    stats.set_defaults(handler=_cmd_stats)
+    db_info = commands.add_parser(
+        "db-info",
+        help="describe a database and print each inverted shard's index "
+        "size statistics",
+    )
+    db_info.add_argument("database", type=Path)
+    db_info.set_defaults(handler=_cmd_db_info)
 
-    search = commands.add_parser("search", help="evaluate FASTA queries")
-    search.add_argument("index", type=Path)
-    search.add_argument("store", type=Path)
+    search = commands.add_parser(
+        "search", help="evaluate FASTA queries against a database"
+    )
+    search.add_argument("database", type=Path, help="database directory")
     search.add_argument("queries", type=Path)
     search.add_argument("--cutoff", type=int, default=100)
     search.add_argument("--top", type=int, default=10)
@@ -609,8 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="append one JSONL record per evaluated query to FILE",
     )
     search.add_argument(
-        "--eventlog-sample", type=int, default=1, metavar="N",
-        help="log every Nth query (slow queries are always logged)",
+        "--eventlog-sample", type=_non_negative, default=1, metavar="N",
+        help="log every Nth query; 0 logs slow queries only (slow "
+        "queries are always logged)",
     )
     search.add_argument(
         "--slow-ms", type=float, default=None, metavar="MS",
@@ -618,38 +535,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.set_defaults(handler=_cmd_search)
 
-    profile = commands.add_parser(
-        "profile",
-        help="profile a query workload and write a BENCH_profile.json",
+    oracle = commands.add_parser(
+        "oracle",
+        help="compare partitioned answers against exhaustive search",
     )
-    profile.add_argument(
-        "--index", type=Path, default=None,
-        help="on-disk index (omit for a synthetic in-memory workload)",
-    )
-    profile.add_argument("--store", type=Path, default=None)
-    profile.add_argument("--queries", type=Path, default=None)
-    profile.add_argument("--cutoff", type=int, default=100)
-    profile.add_argument("--top", type=int, default=10)
-    profile.add_argument(
-        "--repeat", type=int, default=1,
-        help="whole-workload repetitions",
-    )
-    profile.add_argument(
-        "--scorer",
-        choices=tuple(SCORERS),
-        default="count",
-    )
-    profile.add_argument("--families", type=int, default=8)
-    profile.add_argument("--family-size", type=int, default=4)
-    profile.add_argument("--background", type=int, default=60)
-    profile.add_argument("--mean-length", type=int, default=400)
-    profile.add_argument("--num-queries", type=int, default=8)
-    profile.add_argument("--query-length", type=int, default=120)
-    profile.add_argument("--seed", type=int, default=1)
-    profile.add_argument(
-        "-o", "--output", type=Path, default=Path("BENCH_profile.json")
-    )
-    profile.set_defaults(handler=_cmd_profile)
+    oracle.add_argument("database", type=Path, help="database directory")
+    oracle.add_argument("queries", type=Path)
+    oracle.add_argument("--cutoff", type=int, default=100)
+    oracle.add_argument("--top", type=int, default=10)
+    oracle.set_defaults(handler=_cmd_oracle)
 
     serve = commands.add_parser(
         "serve",
@@ -678,67 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--both-strands", action="store_true")
     serve.set_defaults(handler=_cmd_serve)
-
-    for name, help_text in (
-        ("build", "build a persistent (optionally sharded) database"),
-        ("db-create", "build a persistent database directory"),
-    ):
-        db_create = commands.add_parser(name, help=help_text)
-        db_create.add_argument("collection", type=Path)
-        db_create.add_argument("-o", "--output", type=Path, required=True)
-        db_create.add_argument("-k", "--interval-length", type=int, default=8)
-        db_create.add_argument("--stride", type=int, default=1)
-        db_create.add_argument(
-            "--coding", choices=("direct", "raw"), default="direct"
-        )
-        db_create.add_argument(
-            "--shards", type=int, default=1, metavar="N",
-            help="split the collection into N contiguous shards "
-            "(1 = classic single-index layout)",
-        )
-        db_create.add_argument(
-            "--workers", type=int, default=1, metavar="M",
-            help="build up to M shards in parallel worker processes",
-        )
-        db_create.add_argument(
-            "--coarse-backend", choices=("inverted", "signature"),
-            default="inverted",
-            help="coarse artifact each shard builds: the posting-list "
-            "inverted index (default) or the bit-sliced signature index",
-        )
-        db_create.add_argument(
-            "--signature-fpr", type=float, default=None, metavar="RATE",
-            help="signature backend: per-k-mer Bloom false-positive "
-            "rate in (0, 1) (default 0.3; lower = bigger, more exact)",
-        )
-        db_create.add_argument(
-            "--signature-hashes", type=int, default=None, metavar="H",
-            help="signature backend: Bloom hash functions per k-mer "
-            "(default 1)",
-        )
-        db_create.add_argument(
-            "--docs-per-block", type=int, default=None, metavar="D",
-            help="signature backend: documents packed per bit-sliced "
-            "block (default 64)",
-        )
-        db_create.set_defaults(handler=_cmd_db_create)
-
-    db_info = commands.add_parser(
-        "db-info", help="describe a database directory"
-    )
-    db_info.add_argument("database", type=Path)
-    db_info.set_defaults(handler=_cmd_db_info)
-
-    db_search = commands.add_parser(
-        "db-search", help="search a database directory"
-    )
-    db_search.add_argument("database", type=Path)
-    db_search.add_argument("queries", type=Path)
-    db_search.add_argument("--cutoff", type=int, default=100)
-    db_search.add_argument("--top", type=int, default=10)
-    db_search.add_argument("--both-strands", action="store_true")
-    db_search.add_argument("--evalues", action="store_true")
-    db_search.set_defaults(handler=_cmd_db_search)
 
     verify = commands.add_parser(
         "verify", help="audit a database directory's integrity"
@@ -789,17 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compact.set_defaults(handler=_cmd_compact)
 
-    oracle = commands.add_parser(
-        "oracle",
-        help="compare partitioned answers against exhaustive search",
-    )
-    oracle.add_argument("index", type=Path)
-    oracle.add_argument("store", type=Path)
-    oracle.add_argument("queries", type=Path)
-    oracle.add_argument("--cutoff", type=int, default=100)
-    oracle.add_argument("--top", type=int, default=10)
-    oracle.set_defaults(handler=_cmd_oracle)
-
     align = commands.add_parser("align", help="align two FASTA sequences")
     align.add_argument("first", type=Path)
     align.add_argument("second", type=Path)
@@ -816,10 +638,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ReproError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,8 +5,9 @@ Two halves live here:
 * **observability** — the metrics registry
   (:mod:`repro.instrumentation.metrics`), the span tracer
   (:mod:`repro.instrumentation.tracing`), the :class:`Instruments`
-  facade the engines hold, and workload profiling
-  (:mod:`repro.instrumentation.profiling`);
+  facade the engines hold, the query event log
+  (:mod:`repro.instrumentation.eventlog`) and the exporters
+  (:mod:`repro.instrumentation.export`);
 * **fault injection** — deterministic corruption and crash simulation
   for durability tests (:mod:`repro.instrumentation.faults`).
 """
@@ -51,11 +52,6 @@ from repro.instrumentation.metrics import (
     MetricsRegistry,
     NullMetricsRegistry,
 )
-from repro.instrumentation.profiling import (
-    ProfileSnapshot,
-    profile_search,
-    snapshot_from_instruments,
-)
 from repro.instrumentation.tracing import NullTracer, Span, Tracer
 
 __all__ = [
@@ -69,7 +65,6 @@ __all__ = [
     "NullInstruments",
     "NullMetricsRegistry",
     "NullTracer",
-    "ProfileSnapshot",
     "QueryEventLog",
     "SimulatedCrash",
     "Span",
@@ -84,10 +79,8 @@ __all__ = [
     "metrics_json",
     "options_digest",
     "parse_prometheus_text",
-    "profile_search",
     "prometheus_text",
     "read_events",
-    "snapshot_from_instruments",
     "store_sections",
     "trace_event_json",
     "trace_events",

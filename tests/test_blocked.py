@@ -153,11 +153,10 @@ class TestCandidateDecoding:
         )
         assert codec.decode_candidates(data, 2, CONTEXT, [5, 15, 25]) == {}
 
-    def test_skipping_is_cheaper_than_decoding(self):
-        """Fetching one ordinal from a long list must beat a full
-        decode — the reason the directory exists."""
-        import time
-
+    def test_skipping_is_cheaper_than_decoding(self, monkeypatch):
+        """Fetching one ordinal from a long list decodes only the block
+        that holds it, where a full decode touches every block — the
+        reason the directory exists."""
         rng = np.random.default_rng(11)
         big_context = PostingsContext(num_sequences=200_000,
                                       total_length=10**8)
@@ -168,16 +167,23 @@ class TestCandidateDecoding:
         codec = BlockedPostings(block_size=64)
         data = codec.encode(docs, counts, big_context)
 
-        wanted = [int(docs[17])]
-        started = time.perf_counter()
-        for _ in range(5):
-            found = codec.decode_candidates(
-                data, docs.shape[0], big_context, wanted
-            )
-        candidate_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        for _ in range(5):
-            codec.decode_all(data, docs.shape[0], big_context)
-        full_seconds = time.perf_counter() - started
-        assert found == {int(docs[17]): int(counts[17])}
-        assert candidate_seconds * 3 < full_seconds
+        decoded_blocks = []
+        decode_block = BlockedPostings._decode_block
+
+        def counting_decode_block(self, reader, first_doc, entries, gaps):
+            decoded_blocks.append(first_doc)
+            return decode_block(self, reader, first_doc, entries, gaps)
+
+        monkeypatch.setattr(
+            BlockedPostings, "_decode_block", counting_decode_block
+        )
+        wanted = 64 * 150 + 17
+        found = codec.decode_candidates(
+            data, docs.shape[0], big_context, [int(docs[wanted])]
+        )
+        assert found == {int(docs[wanted]): int(counts[wanted])}
+        assert decoded_blocks == [int(docs[64 * 150])]
+
+        decoded_blocks.clear()
+        codec.decode_all(data, docs.shape[0], big_context)
+        assert decoded_blocks == docs[::64].tolist()

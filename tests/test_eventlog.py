@@ -211,24 +211,25 @@ class TestEngineEventWiring:
 
 
 class TestCliEventLog:
-    def test_search_eventlog_flag(self, tmp_path):
-        from repro.cli import main
+    @staticmethod
+    def _database(tmp_path):
         from repro.sequences.fasta import write_fasta
-        from repro.index.storage import write_index
-        from repro.index.store import write_store
 
         records = _records()
-        index = build_index(records, PARAMS)
-        write_index(index, tmp_path / "idx.rpix")
-        write_store(records, tmp_path / "store.rpsq")
+        Database.create(records, tmp_path / "db", params=PARAMS).close()
         write_fasta([_query(records)], tmp_path / "q.fa")
+        return tmp_path / "db", tmp_path / "q.fa"
+
+    def test_search_eventlog_flag(self, tmp_path):
+        from repro.cli import main
+
+        database, queries = self._database(tmp_path)
         target = tmp_path / "events.jsonl"
         status = main(
             [
                 "search",
-                str(tmp_path / "idx.rpix"),
-                str(tmp_path / "store.rpsq"),
-                str(tmp_path / "q.fa"),
+                str(database),
+                str(queries),
                 "--eventlog",
                 str(target),
             ]
@@ -237,6 +238,44 @@ class TestCliEventLog:
         events = read_events(target)
         assert len(events) == 1
         assert events[0]["outcome"] == "ok"
+
+    def test_negative_sample_is_a_usage_error(self, tmp_path, capsys):
+        """``--eventlog-sample -1`` exits 2 with an argparse message and
+        writes no log (it used to escape ``main`` as a ``ValueError``
+        traceback from ``QueryEventLog``)."""
+        from repro.cli import main
+
+        database, queries = self._database(tmp_path)
+        target = tmp_path / "events.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "search", str(database), str(queries),
+                    "--eventlog", str(target), "--eventlog-sample", "-1",
+                ]
+            )
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --eventlog-sample: must be >= 0, got -1" in err
+        assert "Traceback" not in err
+        assert not target.exists()
+
+    def test_missing_database_leaves_no_log(self, tmp_path, capsys):
+        """A path that holds no database fails with exit 1 before the
+        event log is opened, so no empty log file is left behind."""
+        from repro.cli import main
+
+        _, queries = self._database(tmp_path)
+        target = tmp_path / "events.jsonl"
+        status = main(
+            [
+                "search", str(tmp_path / "nope.db"), str(queries),
+                "--eventlog", str(target),
+            ]
+        )
+        assert status == 1
+        assert "no database manifest" in capsys.readouterr().err
+        assert not target.exists()
 
 
 class TestSinkFailureDrops:

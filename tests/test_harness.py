@@ -2,7 +2,8 @@
 
 The experiment functions themselves run minutes and are exercised by
 ``python -m benchmarks.harness``; here we pin the cheap, logic-bearing
-parts: rendering, cell formatting, and the experiment registry.
+parts: rendering, cell formatting, the experiment registry, and the
+one experiment that runs in about a second (PROFILE).
 """
 
 import sys
@@ -65,3 +66,31 @@ class TestRegistry:
     def test_unknown_experiment_fails_cleanly(self, capsys):
         assert main(["E99"]) == 1
         assert "unknown experiment" in capsys.readouterr().out
+
+
+class TestProfile:
+    def test_profile_writes_metrics_snapshot(self, tmp_path, monkeypatch):
+        """PROFILE tabulates the base workload's phase percentiles and
+        writes the registry as the ``repro.metrics/v1`` JSON snapshot
+        ``repro search --metrics-out`` writes."""
+        import json
+
+        from benchmarks import workload_setup
+
+        monkeypatch.chdir(tmp_path)
+        table = EXPERIMENTS["PROFILE"]()
+        queries = 2 * len(workload_setup.base_queries())
+        rows = dict(table.rows)
+        assert rows["queries"] == queries
+        assert (
+            rows["partitioned.coarse_seconds p50 ms"]
+            <= rows["partitioned.coarse_seconds p99 ms"]
+        )
+        document = json.loads((tmp_path / "BENCH_profile.json").read_text())
+        assert document["schema"] == "repro.metrics/v1"
+        assert document["meta"]["queries"] == queries
+        assert document["counters"]["partitioned.queries"] == queries
+        assert (
+            document["histograms"]["partitioned.coarse_seconds"]["count"]
+            == queries
+        )

@@ -16,10 +16,9 @@ from repro.instrumentation import (
     Instruments,
     MetricsRegistry,
     NullInstruments,
-    ProfileSnapshot,
     Tracer,
     coalesce,
-    profile_search,
+    write_metrics,
 )
 from repro.instrumentation.metrics import NULL_METRICS, Histogram
 from repro.instrumentation.tracing import _NULL_SPAN_CONTEXT
@@ -104,7 +103,7 @@ class TestMetricsRegistry:
             assert exact / ratio <= estimate <= exact * ratio
 
     def test_histogram_percentiles_spread_inside_one_bucket(self):
-        """The case `repro profile` printed p50 = p90 = p99 for."""
+        """The case the phase summaries printed p50 = p90 = p99 for."""
         histogram = Histogram("h")
         for value in np.linspace(0.0101, 0.0170, 200):
             histogram.observe(float(value))
@@ -306,99 +305,85 @@ class TestEngineInstrumentation:
         assert instruments.metrics.snapshot()["counters"] == {}
 
 
+def _cli_database(tmp_path, query_slots):
+    """A classic database of 12 random records and a FASTA of 120-base
+    queries cut from the records at ``query_slots``: the two paths
+    ``repro search`` takes."""
+    from repro.database import Database
+    from repro.sequences.fasta import write_fasta
+
+    rng = np.random.default_rng(77)
+    records = [
+        Sequence(f"s{slot}", rng.integers(0, 4, 300, dtype=np.uint8))
+        for slot in range(12)
+    ]
+    Database.create(
+        records, tmp_path / "db", params=IndexParameters(interval_length=8)
+    ).close()
+    write_fasta(
+        [records[slot].slice(0, 120) for slot in query_slots],
+        tmp_path / "q.fasta",
+    )
+    return str(tmp_path / "db"), str(tmp_path / "q.fasta")
+
+
+def _profiled(engine, queries, repeat=1):
+    """Run ``queries`` ``repeat`` times on an instrumented ``engine``;
+    returns the instruments."""
+    instruments = Instruments()
+    engine.set_instruments(instruments)
+    for _ in range(repeat):
+        for query in queries:
+            engine.search(query, top_k=5)
+    return instruments
+
+
 class TestProfiling:
+    """A workload's profile is the metrics registry's snapshot."""
+
     def test_profile_search_snapshot(self, workload):
         records, source = workload
         index = build_index(records, IndexParameters(interval_length=8))
         engine = PartitionedSearchEngine(index, source)
         queries = [records[slot].slice(0, 160) for slot in (1, 5)]
-        snapshot = profile_search(engine, queries, top_k=5, repeat=2)
-        assert snapshot.queries == 4
-        assert snapshot.throughput_qps > 0
-        assert snapshot.meta["engine"] == "PartitionedSearchEngine"
-        assert "partitioned.total_seconds" in snapshot.phases
-        phase = snapshot.phases["partitioned.total_seconds"]
+        snapshot = _profiled(engine, queries, repeat=2).metrics.snapshot()
+        assert snapshot["counters"]["partitioned.queries"] == 4
+        assert "partitioned.total_seconds" in snapshot["histograms"]
+        phase = snapshot["histograms"]["partitioned.total_seconds"]
         assert phase["count"] == 4
-        assert phase["p50_ms"] <= phase["p99_ms"]
+        assert phase["p50"] <= phase["p99"]
 
     def test_snapshot_json_round_trip(self, tmp_path, workload):
         records, source = workload
         _, engine = fresh_engine(records, source)
-        snapshot = profile_search(
-            engine, [records[1].slice(0, 160)], meta={"workload": "t"}
+        instruments = _profiled(engine, [records[1].slice(0, 160)])
+        path = write_metrics(
+            instruments.metrics, tmp_path / "BENCH_profile.json",
+            meta={"workload": "t"},
         )
-        assert ProfileSnapshot.from_json(snapshot.to_json()) == snapshot
-        path = snapshot.write(tmp_path / "BENCH_profile.json")
-        assert ProfileSnapshot.load(path) == snapshot
         data = json.loads(path.read_text())
-        assert data["schema"] == "repro.profile/v1"
+        assert data["schema"] == "repro.metrics/v1"
         assert data["meta"]["workload"] == "t"
+        assert {
+            key: data[key] for key in ("counters", "gauges", "histograms")
+        } == instruments.metrics.snapshot()
 
-    def test_describe_is_printable(self, workload):
-        records, source = workload
-        _, engine = fresh_engine(records, source)
-        snapshot = profile_search(engine, [records[1].slice(0, 160)])
-        text = snapshot.describe()
-        assert "throughput" in text
-        assert "quarantine" in text
+    def test_describe_is_printable(self, tmp_path, capsys):
+        """``repro search --stats`` prints throughput and each phase's
+        percentiles from the registry snapshot."""
+        assert main(["search", *_cli_database(tmp_path, (3, 4)), "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "throughput: 2 queries in" in out
+        (total,) = [
+            line for line in out.splitlines()
+            if line.startswith("partitioned.total_seconds")
+        ]
+        assert "p50=" in total and "p99=" in total and "(n=2)" in total
 
 
 class TestCliProfile:
-    def test_synthetic_profile_writes_snapshot(self, tmp_path, capsys):
-        target = tmp_path / "BENCH_profile.json"
-        status = main(
-            [
-                "profile",
-                "--families", "2",
-                "--family-size", "2",
-                "--background", "10",
-                "--mean-length", "200",
-                "--num-queries", "2",
-                "--query-length", "80",
-                "--repeat", "2",
-                "-o", str(target),
-            ]
-        )
-        assert status == 0
-        snapshot = ProfileSnapshot.load(target)
-        assert snapshot.queries == 4
-        assert snapshot.meta["workload"] == "synthetic"
-        assert "partitioned.coarse_seconds" in snapshot.phases
-        out = capsys.readouterr().out
-        assert "throughput" in out
-
-    def test_partial_paths_rejected(self, tmp_path, capsys):
-        status = main(
-            ["profile", "--index", str(tmp_path / "missing.idx")]
-        )
-        assert status == 1
-        assert "together" in capsys.readouterr().err
-
     def test_search_stats_flag(self, tmp_path, capsys):
-        from repro.index.storage import write_index
-        from repro.index.store import write_store
-        from repro.sequences.fasta import write_fasta
-
-        rng = np.random.default_rng(77)
-        records = [
-            Sequence(f"s{slot}", rng.integers(0, 4, 300, dtype=np.uint8))
-            for slot in range(12)
-        ]
-        index = build_index(records, IndexParameters(interval_length=8))
-        write_index(index, tmp_path / "c.idx")
-        write_store(records, tmp_path / "c.rpsq")
-        write_fasta(
-            [records[3].slice(0, 120)], tmp_path / "q.fasta"
-        )
-        status = main(
-            [
-                "search",
-                str(tmp_path / "c.idx"),
-                str(tmp_path / "c.rpsq"),
-                str(tmp_path / "q.fasta"),
-                "--stats",
-            ]
-        )
+        status = main(["search", *_cli_database(tmp_path, (3,)), "--stats"])
         assert status == 0
         out = capsys.readouterr().out
         assert "--- instrumentation ---" in out

@@ -14,22 +14,28 @@ from repro.compression.golomb import GolombCodec, optimal_golomb_parameter
 from repro.instrumentation.instruments import Instruments
 
 
-def _per_search(database, queries, counter):
+def _per_search(database, queries, counter, **engine_kwargs):
     """``(increment, report)`` of ``counter`` for each search of
-    ``queries`` on the database's default engine (one strand, no
-    deadline)."""
-    engine = database.engine()
+    ``queries`` on the database's engine for ``engine_kwargs`` (one
+    strand and no deadline by default).  ``counter`` names a metrics
+    counter, or is a function of the :class:`Instruments` read before
+    and after each search."""
+    if not callable(counter):
+        name = counter
+
+        def counter(instruments):
+            return instruments.metrics.counter_value(name)
+
+    engine = database.engine(**engine_kwargs)
     previous = engine.instruments
     instruments = Instruments()
     engine.set_instruments(instruments)
     searches = []
     try:
         for query in queries:
-            before = instruments.metrics.counter_value(counter)
+            before = counter(instruments)
             report = engine.search(query, top_k=10)
-            searches.append(
-                (instruments.metrics.counter_value(counter) - before, report)
-            )
+            searches.append((counter(instruments) - before, report))
     finally:
         engine.set_instruments(previous)
     return searches
@@ -129,3 +135,27 @@ def test_every_list_ends_where_its_entries_end(parity_worlds):
                     gaps.decode_value(reader)
                     gamma.decode_value(reader)
                 assert 0 <= reader.bits_remaining < 8, interval
+
+
+def test_one_scan_per_strand_per_search(parity_worlds):
+    """``scan`` spans per search == strands searched, on every layout:
+    the fine phase aligns every shard's candidates against one image
+    per strand.
+
+    Mutation check: scanning each shard's candidates separately — one
+    ``scan_targets`` call per contributing shard in
+    ``PartitionedSearchEngine._fine`` — makes the sharded and live
+    layouts count one scan per contributing shard, and this test fails.
+    """
+    def scans(instruments):
+        return len(instruments.tracer.durations("scan"))
+
+    for database in _worlds(parity_worlds):
+        for both_strands, strands in ((False, 1), (True, 2)):
+            searches = _per_search(
+                database, parity_worlds.queries, scans,
+                both_strands=both_strands,
+            )
+            assert [count for count, _ in searches] == [strands] * len(
+                parity_worlds.queries
+            ), (database.path, both_strands)
