@@ -31,6 +31,10 @@ column count alone:
   cells stay within ``[-max_score, max_score]``, which fits int16 for
   the usual query lengths: half the bytes per pass.
 
+Both closures clamp at zero against a preallocated zero row, never the
+scalar 0: numpy's integer ``maximum`` with a scalar operand skips its
+SIMD loop and runs ~10x slower over the same row (docs/KERNELS.md).
+
 Both closures are bit-identical to ``align.reference.smith_waterman_score``
 (property-tested in ``tests/test_kernel.py`` with the crossover forced
 to either side); ``docs/KERNELS.md`` has the crossover sweep.  Each
@@ -45,12 +49,41 @@ score so negatively that no alignment can touch one, and the runs are
 long enough (see ``ScoringScheme.sentinel_run_length``) that no gap
 chain can bridge two sequences.  Per-sequence best scores then fall
 out of a segmented maximum over the column-best array.
+
+**Two passes over an image** (:func:`scan_segments`).  An image that
+takes bounded doubling is scanned first with only
+``s = FIRST_PASS_STEPS`` doubling steps (gap chains under ``2^s``
+columns), in int8 cells where that is safe, and then only the segments
+whose first-pass best exceeds ``theta = |g| * 2^s`` are rescanned, as
+one sub-image, by the full-reach kernel.  Every other segment's
+first-pass best is already exact (ALGORITHMS.md §1 has the proof):
+
+* *Short reach.*  A chain of ``d >= 2^s`` columns from ``T[k]`` leaves
+  ``T[k] - d*|g| <= T[k] - theta``, so it beats the zero clamp only
+  from a cell above ``theta``.  By induction over rows, a segment whose
+  first-pass cells all stay at or below ``theta`` has the exact cells:
+  its previous row is exact, so its ``T`` is, and no ``T`` of it can
+  start a chain the first pass leaves out.  Segments stay independent
+  behind their sentinel runs, so the induction runs per segment.
+* *int8 cells* (sentinel score -128).  Cells lie in ``[0, 127]`` after
+  the clamp.  With ``match <= 127 - theta`` a sum can wrap only on a
+  diagonal step from a cell above ``theta``, so only inside a segment
+  that is flagged anyway; mismatch (and transition) ``>= -128``, and
+  doubling costs ``|g| * 2^(s-1) <= 128``, keep every other sum in
+  range.  A wrapped value is clamped back into ``[0, 127]``.  The
+  diagonal into a sentinel adds -128 and dies, so only horizontal and
+  vertical moves cross a sentinel run, each costing ``|g|``: a value
+  dies inside a run longer than ``127 // |g|`` columns, and the next
+  segment never sees it.
+* A scheme or image that breaks an int8 condition scans its first pass
+  on the full-reach profile's cells (int16 or int32), where nothing
+  wraps.  It never gets a wrong score.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence as TypingSequence
+from typing import NamedTuple, Sequence as TypingSequence
 
 import numpy as np
 
@@ -65,6 +98,15 @@ from repro.sequences.alphabet import NUM_BASES
 #: (more doubling steps per row); from 4 096 columns doubling won in
 #: every configuration swept (docs/KERNELS.md).
 BOUNDED_CLOSURE_MIN_COLUMNS = 4096
+
+#: Doubling steps of the first pass over a bounded-doubling image (gap
+#: chains under ``2**FIRST_PASS_STEPS`` columns); segments whose
+#: first-pass best exceeds ``|gap| * 2**FIRST_PASS_STEPS`` are rescanned
+#: at full reach.  2 flags most random records under the default scheme;
+#: 4 pays one more step per row for a few fewer rescans (docs/KERNELS.md).
+FIRST_PASS_STEPS = 3
+
+_INT8_MAX = 127
 
 # The prefix maximum's gap ramp reaches |gap| * columns in int32 cells.
 _RAMP_LIMIT = 2**31 - 2**20
@@ -118,6 +160,38 @@ def scan_profile(
     )
 
 
+def _int8_first_pass(scheme: ScoringScheme, max_query_length: int) -> bool:
+    """Whether a first pass over an image built for ``max_query_length``
+    may use int8 cells: every condition of the proof in the module
+    docstring holds."""
+    gap = abs(scheme.gap)
+    theta = gap << FIRST_PASS_STEPS
+    return (
+        scheme.match <= _INT8_MAX - theta
+        and scheme.mismatch >= -_INT8_MAX - 1  # transition >= mismatch
+        and gap << (FIRST_PASS_STEPS - 1) <= _INT8_MAX + 1
+        and scheme.sentinel_run_length(max_query_length) > _INT8_MAX // gap
+    )
+
+
+def first_pass_profile(
+    target: np.ndarray, scheme: ScoringScheme, max_query_length: int
+) -> np.ndarray:
+    """The profile :func:`scan_segments` scans ``target`` with first.
+
+    int8 with sentinel score -128 when the target takes bounded doubling
+    and :func:`_int8_first_pass` holds; otherwise :func:`scan_profile`.
+    """
+    target = np.asarray(target)
+    if _bounded_closure(target.shape[0], scheme) and _int8_first_pass(
+        scheme, max_query_length
+    ):
+        return scheme.target_profile(
+            target, sentinel_score=-_INT8_MAX - 1, dtype=np.int8
+        )
+    return scan_profile(target, scheme, max_query_length)
+
+
 def _prefix_max_scores(
     rows: np.ndarray, profile: np.ndarray, gap: int
 ) -> np.ndarray:
@@ -129,11 +203,12 @@ def _prefix_max_scores(
     previous = np.zeros(target_length + 1, dtype=np.int32)
     candidate = np.empty(target_length, dtype=np.int32)
     chain = np.empty(target_length, dtype=np.int32)
+    zero = np.zeros(target_length, dtype=np.int32)
     for row in rows:
         scores = profile[row]
         np.add(previous[:-1], scores, out=candidate)
         np.maximum(candidate, previous[1:] + gap, out=candidate)
-        np.maximum(candidate, 0, out=candidate)
+        np.maximum(candidate, zero, out=candidate)
         # Horizontal-gap closure via prefix maximum (see module docs).
         np.subtract(candidate, gap_ramp, out=chain)
         np.maximum.accumulate(chain, out=chain)
@@ -145,17 +220,22 @@ def _prefix_max_scores(
     return col_best
 
 
+def _doubling_steps(query_length: int, scheme: ScoringScheme) -> int:
+    """Doubling steps that close a row exactly: ``reach.bit_length()``."""
+    reach = scheme.max_alignment_score(query_length) // abs(scheme.gap)
+    return reach.bit_length()
+
+
 def _bounded_doubling_scores(
-    rows: np.ndarray, profile: np.ndarray, gap: int, reach: int
+    rows: np.ndarray, profile: np.ndarray, gap: int, steps: int
 ) -> np.ndarray:
-    """Column-best scores, each row closed by ``reach.bit_length()``
-    max-plus doubling steps, in the profile's cell type."""
+    """Column-best scores, each row closed by ``steps`` max-plus doubling
+    steps (chains under ``2**steps`` columns), in the profile's cell
+    type."""
     target_length = profile.shape[1]
     cell = profile.dtype.type
     shifts = [
-        1 << step
-        for step in range(reach.bit_length())
-        if 1 << step < target_length
+        1 << step for step in range(steps) if 1 << step < target_length
     ]
     # Two row buffers, swapped per row; column 0 is H[i][-1] = 0.  All
     # slices are taken once here: per-call view creation would cost as
@@ -167,23 +247,23 @@ def _bounded_doubling_scores(
         np.zeros(target_length + 1, dtype=cell),
     ):
         cells = buffer[1:]
-        steps = [
+        moves = [
             (cells[:-shift], cell(shift * gap), scratch[:-shift], cells[shift:])
             for shift in shifts
         ]
-        plans.append((buffer[:-1], cells, steps))
+        plans.append((buffer[:-1], cells, moves))
     gap = cell(gap)
-    zero = cell(0)
+    zero = np.zeros(target_length, dtype=cell)
     col_best = np.zeros(target_length, dtype=cell)
     previous, current = plans
     for row in rows:
         diagonal_in, vertical_in, _ = previous
-        _, cells, steps = current
+        _, cells, moves = current
         np.add(diagonal_in, profile[row], out=cells)
         np.add(vertical_in, gap, out=scratch)
         np.maximum(cells, scratch, out=cells)
         np.maximum(cells, zero, out=cells)
-        for head, cost, shifted, tail in steps:
+        for head, cost, shifted, tail in moves:
             # Read every head before any tail is raised: ``shifted`` is
             # a copy, so each step extends chains by exactly ``shift``.
             np.add(head, cost, out=shifted)
@@ -214,8 +294,8 @@ def column_best_scores(
         return np.zeros(target_length, dtype=np.int32)
     if not _bounded_closure(target_length, scheme):
         return _prefix_max_scores(rows, profile, scheme.gap)
-    reach = scheme.max_alignment_score(rows.shape[0]) // abs(scheme.gap)
-    col_best = _bounded_doubling_scores(rows, profile, scheme.gap, reach)
+    steps = _doubling_steps(rows.shape[0], scheme)
+    col_best = _bounded_doubling_scores(rows, profile, scheme.gap, steps)
     return col_best.astype(np.int32, copy=False)
 
 
@@ -283,22 +363,59 @@ class TargetImage:
 
     def profile_for(self, scheme: ScoringScheme) -> np.ndarray:
         """The (cached) score profile of the concatenated target: the
-        :func:`scan_profile` for queries up to ``max_query_length``."""
+        :func:`first_pass_profile` for queries up to
+        ``max_query_length``."""
         profile = self._profiles.get(scheme)
         if profile is None:
-            profile = scan_profile(self.codes, scheme, self.max_query_length)
+            profile = first_pass_profile(
+                self.codes, scheme, self.max_query_length
+            )
             self._profiles[scheme] = profile
         return profile
 
-    @property
-    def num_sequences(self) -> int:
-        return int(self.starts.shape[0])
+
+class SegmentScan(NamedTuple):
+    """What :func:`scan_segments` found and what it cost.
+
+    Attributes:
+        scores: best local score per sequence (int64).
+        columns: columns scanned, first pass plus rescan.
+        rescanned: segments rescanned at full reach.
+    """
+
+    scores: np.ndarray
+    columns: int
+    rescanned: int
 
 
-def segment_best_scores(
-    query: np.ndarray, image: TargetImage, scheme: ScoringScheme
+def _segment_max(
+    col_best: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
-    """Best local score of ``query`` against every sequence in an image.
+    """Max of ``col_best`` over ``[start, start + length)`` per segment
+    (int64; 0 for an empty segment)."""
+    results = np.zeros(starts.shape[0], dtype=np.int64)
+    empty = lengths == 0
+    if bool(empty.all()):
+        return results
+    # The flattened bound list alternates segment/gap; keep the even
+    # slots.  reduceat cannot handle zero-width segments; give them
+    # width 1 and zero the result afterwards.
+    bounds = np.empty(2 * starts.shape[0], dtype=np.int64)
+    bounds[0::2] = starts
+    bounds[1::2] = np.maximum(starts + lengths, starts + 1)
+    results[:] = np.maximum.reduceat(col_best, bounds[:-1])[0::2]
+    results[empty] = 0
+    return results
+
+
+def scan_segments(
+    query: np.ndarray, image: TargetImage, scheme: ScoringScheme
+) -> SegmentScan:
+    """Best local score of ``query`` against every sequence in an image,
+    with the work it took.
+
+    An image that takes bounded doubling gets the certified first pass
+    and the exact rescan of its high scorers (module docstring).
 
     Raises:
         AlignmentError: if the query exceeds the image's query bound
@@ -310,21 +427,45 @@ def segment_best_scores(
             f"query length {query.shape[0]} exceeds the image bound "
             f"{image.max_query_length}; rebuild the image"
         )
-    col_best = column_best_scores(query, image.profile_for(scheme), scheme)
-    # Segmented max over [start, start + length) for each sequence.  The
-    # flattened bound list alternates segment/gap; keep the even slots.
-    bounds = np.empty(2 * image.num_sequences, dtype=np.int64)
-    bounds[0::2] = image.starts
-    bounds[1::2] = image.starts + image.lengths
-    empty = image.lengths == 0
-    results = np.zeros(image.num_sequences, dtype=np.int64)
-    if bool(empty.all()):
-        return results
-    # reduceat cannot handle zero-width segments; give them width 1 and
-    # zero the result afterwards (sentinel columns never score > 0).
-    safe_bounds = bounds.copy()
-    safe_bounds[1::2] = np.maximum(safe_bounds[1::2], safe_bounds[0::2] + 1)
-    segment_max = np.maximum.reduceat(col_best, safe_bounds[:-1])[0::2]
-    results[:] = segment_max
-    results[empty] = 0
-    return results
+    profile = image.profile_for(scheme)
+    columns = int(image.codes.shape[0])
+    rows = _query_rows(query)
+    if not rows.shape[0] or not _bounded_closure(columns, scheme):
+        col_best = column_best_scores(query, profile, scheme)
+        return SegmentScan(
+            _segment_max(col_best, image.starts, image.lengths), columns, 0
+        )
+    steps = min(FIRST_PASS_STEPS, _doubling_steps(rows.shape[0], scheme))
+    col_best = _bounded_doubling_scores(rows, profile, scheme.gap, steps)
+    scores = _segment_max(col_best, image.starts, image.lengths)
+    flagged = np.flatnonzero(scores > abs(scheme.gap) << FIRST_PASS_STEPS)
+    if not flagged.shape[0]:
+        return SegmentScan(scores, columns, 0)
+    starts = image.starts[flagged].tolist()
+    ends = (image.starts + image.lengths)[flagged].tolist()
+    rescan = TargetImage.build(
+        [image.codes[start:end] for start, end in zip(starts, ends)],
+        scheme,
+        image.max_query_length,
+    )
+    exact = column_best_scores(
+        query,
+        scan_profile(rescan.codes, scheme, rescan.max_query_length),
+        scheme,
+    )
+    scores[flagged] = _segment_max(exact, rescan.starts, rescan.lengths)
+    return SegmentScan(
+        scores, columns + int(rescan.codes.shape[0]), int(flagged.shape[0])
+    )
+
+
+def segment_best_scores(
+    query: np.ndarray, image: TargetImage, scheme: ScoringScheme
+) -> np.ndarray:
+    """Best local score of ``query`` against every sequence in an image.
+
+    Raises:
+        AlignmentError: if the query exceeds the image's query bound
+            (the sentinel runs would no longer be safe).
+    """
+    return scan_segments(query, image, scheme).scores

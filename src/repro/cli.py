@@ -16,11 +16,18 @@ Subcommands mirror the life cycle of the paper's system::
     repro delete    — tombstone records by identifier
     repro compact   — fold deltas and tombstones back into base shards
     repro align     — pretty-print the local alignment of two sequences
+
+Exit status: 0 on success, 1 on a database or input error, 2 on a usage
+error (argparse), and :data:`EXIT_BROKEN_PIPE` (141, what a shell
+reports for a process killed by SIGPIPE) when the reader of standard
+output closes it early, as ``repro search DB Q | head -1`` does; the
+output then ends quietly, with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -404,11 +411,23 @@ def _cmd_align(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Exit status when standard output is closed under the command.
+EXIT_BROKEN_PIPE = 141
+
+
 def _non_negative(text: str) -> int:
     """An argparse type: an integer >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_ms(text: str) -> float:
+    """An argparse type: a latency in milliseconds > 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return value
 
 
@@ -530,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
         "queries are always logged)",
     )
     search.add_argument(
-        "--slow-ms", type=float, default=None, metavar="MS",
+        "--slow-ms", type=_positive_ms, default=None, metavar="MS",
         help="queries at or above this latency bypass event-log sampling",
     )
     search.set_defaults(handler=_cmd_search)
@@ -637,7 +656,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader is gone: point stdout at /dev/null so the flush at
+        # interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ReproError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

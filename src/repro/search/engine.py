@@ -821,11 +821,11 @@ class PartitionedSearchEngine:
             if localise is not None:
                 targets = localise(targets)
             with self.instruments.span("scan") as span:
-                scores, columns = scan_targets(codes, targets, self.scheme)
+                scan = scan_targets(codes, targets, self.scheme)
                 stored = np.array([row[0] for row in kept], dtype=np.int64)
                 candidates = [row[2] for row in kept]
                 found = hits_from_scores(
-                    candidates, scores.tolist(), self.min_fine_score,
+                    candidates, scan.scores.tolist(), self.min_fine_score,
                     lambda i: self._shards[kept[i][1]].source.identifier(
                         candidates[i].ordinal
                     ),
@@ -833,10 +833,14 @@ class PartitionedSearchEngine:
                 )
                 if span is not None:
                     span.annotate("candidates", len(kept))
-                    span.annotate("columns", columns)
+                    span.annotate("columns", scan.columns)
+                    span.annotate("rescanned", scan.rescanned)
                     contributing = {slot for _, slot, _ in kept}
                     span.annotate("shards_contributing", len(contributing))
                     span.annotate("hits", len(found))
+            self.instruments.count(
+                "align.kernel.rescanned_segments", scan.rescanned
+            )
             hits += found
             scanned += len(kept)
         if step < len(selected):  # each chunk is ranked; merge them

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.align.kernel import TargetImage, segment_best_scores
+from repro.align.kernel import SegmentScan, TargetImage, scan_segments
 from repro.align.scoring import ScoringScheme
 from repro.errors import CorruptionError
 from repro.index.store import SequenceSource
@@ -54,9 +54,10 @@ def scan_targets(
     query_codes: np.ndarray,
     targets: Sequence[np.ndarray],
     scheme: ScoringScheme,
-) -> tuple[np.ndarray, int]:
+) -> SegmentScan:
     """Best local score of the query against each target, from one
-    image and one kernel call; also the image's column count.
+    image and one kernel call, with the columns scanned (first pass plus
+    rescan) and the segments rescanned.
 
     Sentinel runs make every segment's best score independent of its
     neighbours, so any grouping of the targets into images scores the
@@ -65,8 +66,7 @@ def scan_targets(
     image = TargetImage.build(
         targets, scheme, max_query_length=int(query_codes.shape[0])
     )
-    scores = segment_best_scores(query_codes, image, scheme)
-    return scores, int(image.codes.shape[0])
+    return scan_segments(query_codes, image, scheme)
 
 
 class FineSearcher:
@@ -97,10 +97,10 @@ class FineSearcher:
         if not candidates or not query_codes.shape[0]:
             return []
         targets = fetch_targets(self.source, candidates)
-        scores, _ = scan_targets(query_codes, targets, self.scheme)
+        scan = scan_targets(query_codes, targets, self.scheme)
         return hits_from_scores(
             candidates,
-            scores,
+            scan.scores,
             min_score,
             lambda i: self.source.identifier(candidates[i].ordinal),
         )

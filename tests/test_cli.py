@@ -1,10 +1,15 @@
 """Unit tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+import repro
+from repro.cli import EXIT_BROKEN_PIPE, build_parser, main
 from repro.database import Database
 from repro.eval.metrics import ranking_overlap
 from repro.instrumentation.eventlog import read_events
@@ -206,6 +211,50 @@ class TestSearch:
         # The top answer of a family query is a family member.
         first_answer = output.splitlines()[1]
         assert "fam" in first_answer
+
+    def test_closed_stdout_ends_quietly(self, layouts):
+        """A reader that closes after one line of a two-query search
+        (``repro search DB Q | head -1``) ends the command with
+        ``EXIT_BROKEN_PIPE`` and nothing on stderr.
+
+        The queries arrive on the child's stdin, and the second one is
+        sent only after the reader has closed, so the child's next print
+        meets the closed pipe every time.
+        """
+        database, queries, _ = layouts["classic"]
+        text = queries.read_text()
+        second = text.index(">", 1)
+        header_end = text.index("\n", second) + 1
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(repro.__file__).parents[1]),
+            PYTHONUNBUFFERED="1",
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "search", str(database),
+             "/dev/stdin"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            # The first record is parsed once the second header arrives.
+            child.stdin.write(text[:header_end].encode())
+            child.stdin.flush()
+            first = child.stdout.readline()
+            child.stdout.close()
+            try:
+                child.stdin.write(text[header_end:].encode())
+                child.stdin.close()
+            except BrokenPipeError:  # the child already stopped
+                pass
+            status = child.wait(timeout=120)
+            err = child.stderr.read().decode()
+        finally:
+            child.kill()
+            child.wait()
+            child.stderr.close()
+        assert first.startswith(b"query ")
+        assert (status, err) == (EXIT_BROKEN_PIPE, "")
 
     def test_search_rejects_corrupt_index(self, workspace, capsys):
         tmp_path, collection, queries = workspace

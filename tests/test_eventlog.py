@@ -260,6 +260,49 @@ class TestCliEventLog:
         assert "Traceback" not in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-5", "nan"])
+    def test_non_positive_slow_ms_is_a_usage_error(
+        self, tmp_path, capsys, value
+    ):
+        """``--slow-ms`` of 0 or less exits 2 with an argparse message
+        and writes no log (it used to mark every query slow, so
+        ``--eventlog-sample 0 --slow-ms -5`` logged every query)."""
+        from repro.cli import main
+
+        database, queries = self._database(tmp_path)
+        target = tmp_path / "events.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "search", str(database), str(queries),
+                    "--eventlog", str(target), "--eventlog-sample", "0",
+                    f"--slow-ms={value}",
+                ]
+            )
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --slow-ms: must be > 0, got {value}" in err
+        assert "Traceback" not in err
+        assert not target.exists()
+
+    def test_positive_slow_ms_gates_the_log(self, tmp_path):
+        """With sampling off, a tiny ``--slow-ms`` logs the query and a
+        huge one does not."""
+        from repro.cli import main
+
+        database, queries = self._database(tmp_path)
+        for slow_ms, logged in (("0.000001", 1), ("100000", 0)):
+            target = tmp_path / f"events-{logged}.jsonl"
+            status = main(
+                [
+                    "search", str(database), str(queries),
+                    "--eventlog", str(target), "--eventlog-sample", "0",
+                    "--slow-ms", slow_ms,
+                ]
+            )
+            assert status == 0
+            assert len(read_events(target)) == logged
+
     def test_missing_database_leaves_no_log(self, tmp_path, capsys):
         """A path that holds no database fails with exit 1 before the
         event log is opened, so no empty log file is left behind."""

@@ -108,10 +108,10 @@ class TestFrameFineSearcher:
         candidates = frames_engine(index, source).coarse_rank(query, 1)
         (frame,) = FrameLocaliser(query, 8)(fetch_targets(source, candidates))
         assert frame.shape[0] < records[13].codes.shape[0]
-        scores, _ = scan_targets(query, [frame], ScoringScheme())
+        scores = scan_targets(query, [frame], ScoringScheme()).scores
         assert scores.tolist() == [180]
         beside = records[13].codes[0:180]
-        scores, _ = scan_targets(query, [beside], ScoringScheme())
+        scores = scan_targets(query, [beside], ScoringScheme()).scores
         assert scores[0] < 180
 
     def test_empty_inputs(self, setup):

@@ -18,6 +18,7 @@ from repro.align.kernel import (
     best_local_score,
     column_best_scores,
     scan_profile,
+    scan_segments,
     segment_best_scores,
 )
 from repro.align.reference import (
@@ -338,7 +339,13 @@ class TestBothClosures(TestAgainstReference):
         query[2000:2085] = targets[0][5:]
         image = TargetImage.build(targets, scheme, len(query))
         if forced_closure == "bounded":
-            assert image.profile_for(scheme).dtype == np.int32
+            # The first pass runs on int8 cells; both segments score far
+            # above theta, so both are rescanned on int32 cells.
+            assert image.profile_for(scheme).dtype == np.int8
+            assert scan_profile(image.codes, scheme, len(query)).dtype == (
+                np.int32
+            )
+            assert scan_segments(query, image, scheme).rescanned == 2
         expected = [smith_waterman_score(query, t, scheme) for t in targets]
         assert segment_best_scores(query, image, scheme).tolist() == expected
 
@@ -367,3 +374,133 @@ class TestBothClosures(TestAgainstReference):
             for target in (first, second)
         ]
         assert segment_best_scores(query, image, scheme).tolist() == expected
+
+
+TWO_PASS_SCHEMES = {
+    "default": ScoringScheme(),
+    "transition": ScoringScheme(match=2, mismatch=-3, gap=-4, transition=-1),
+    "5,-4,-1": ScoringScheme(match=5, mismatch=-4, gap=-1),
+    # mismatch < -128 has no int8 cell: the first pass runs on int16.
+    "wide": ScoringScheme(match=1, mismatch=-200, gap=-2),
+}
+
+
+def _mutated(rng, codes, rate):
+    """``codes`` with about ``rate`` of its bases substituted and as many
+    single-base indels."""
+    codes = codes.copy()
+    hits = rng.random(codes.shape[0]) < rate
+    codes[hits] = rng.integers(0, 4, int(hits.sum()), dtype=np.uint8)
+    for _ in range(int(rng.binomial(codes.shape[0], rate / 4))):
+        at = int(rng.integers(0, codes.shape[0]))
+        if rng.random() < 0.5:
+            codes = np.delete(codes, at)
+        else:
+            codes = np.insert(codes, at, rng.integers(0, 4, dtype=np.uint8))
+    return codes
+
+
+def _image_above_crossover(targets, scheme, query_length):
+    """An image of ``targets`` with at least
+    ``BOUNDED_CLOSURE_MIN_COLUMNS`` columns: the query bound (and with it
+    every sentinel run) doubles until the image reaches the crossover."""
+    bound = query_length
+    while True:
+        image = TargetImage.build(targets, scheme, bound)
+        if image.codes.shape[0] >= BOUNDED_CLOSURE_MIN_COLUMNS:
+            return image
+        bound *= 2
+
+
+class TestTwoPass:
+    """The certified first pass plus the exact rescan of its high
+    scorers equals the reference on every segment."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        name=st.sampled_from(sorted(TWO_PASS_SCHEMES)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_two_pass_equals_reference(self, seed, name):
+        scheme = TWO_PASS_SCHEMES[name]
+        rng = np.random.default_rng(seed)
+        # The first copy is exact and keeps at least 131 bases, so it
+        # scores above 127: int8 cells wrap inside its segment.
+        query = rng.integers(0, 4, int(rng.integers(150, 200)), dtype=np.uint8)
+        targets = [np.empty(0, np.uint8), np.zeros(1, np.uint8)]
+        for copies in range(int(rng.integers(1, 4))):
+            rate = float(rng.uniform(0, 0.3)) if copies else 0.0
+            start = int(rng.integers(0, 20))
+            copy = _mutated(rng, query[start:], rate)
+            flank = rng.integers(0, 4, int(rng.integers(0, 30)), np.uint8)
+            targets.append(np.concatenate([flank, copy]))
+        for _ in range(int(rng.integers(1, 4))):
+            length = int(rng.integers(0, 150))
+            targets.append(rng.integers(0, 5, length, dtype=np.uint8))
+        targets = [targets[i] for i in rng.permutation(len(targets))]
+        image = _image_above_crossover(targets, scheme, query.shape[0])
+        expected_width = np.int16 if name == "wide" else np.int8
+        assert image.profile_for(scheme).dtype == expected_width
+        scan = scan_segments(query, image, scheme)
+        expected = [
+            smith_waterman_score(query, target, scheme) for target in targets
+        ]
+        assert scan.scores.tolist() == expected
+        theta = abs(scheme.gap) << kernel.FIRST_PASS_STEPS
+        assert scan.rescanned == sum(score > theta for score in expected)
+        assert max(expected) > 127
+
+    def test_rescans_exactly_the_planted_homologs(self):
+        """An all-background image rescans nothing; with homologs planted
+        the rescan image holds each homolog once and nothing else.
+
+        Mutation checks: returning the first-pass scores without the
+        rescan, or flagging every segment (or none) in place of the
+        ``theta`` test, fails this test.
+        """
+        scheme = ScoringScheme()
+        rng = np.random.default_rng(53)
+        query = rng.integers(0, 4, 200, dtype=np.uint8)
+        targets = [rng.integers(0, 4, 800, dtype=np.uint8) for _ in range(12)]
+        rescans = []
+
+        def spy(codes, *args):
+            rescans.append(np.asarray(codes).copy())
+            return scan_profile(codes, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "scan_profile", spy)
+            image = TargetImage.build(targets, scheme, query.shape[0])
+            assert image.codes.shape[0] >= BOUNDED_CLOSURE_MIN_COLUMNS
+            assert image.profile_for(scheme).dtype == np.int8
+            background = scan_segments(query, image, scheme)
+            assert background.rescanned == 0
+            assert background.columns == image.codes.shape[0]
+            assert rescans == []
+
+            planted = (2, 7, 9)
+            for slot in planted:
+                targets[slot] = np.concatenate(
+                    [
+                        targets[slot][:300],
+                        _mutated(rng, query, 0.05),
+                        targets[slot][500:],
+                    ]
+                )
+            image = TargetImage.build(targets, scheme, query.shape[0])
+            scan = scan_segments(query, image, scheme)
+        expected = [
+            smith_waterman_column_best(query, target, scheme)
+            for target in targets
+        ]
+        assert scan.scores.tolist() == [max(best) for best in expected]
+        assert scan.rescanned == len(planted)
+        (rescan,) = rescans
+        assert scan.columns == image.codes.shape[0] + rescan.shape[0]
+        assert np.array_equal(
+            rescan[rescan != SENTINEL_CODE],
+            np.concatenate([targets[slot] for slot in planted]),
+        )
+        # The homologs score above 127, so their first-pass cells wrapped:
+        # only the rescan makes their scores right.
+        assert min(scan.scores[list(planted)]) > 127

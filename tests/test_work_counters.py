@@ -159,3 +159,49 @@ def test_one_scan_per_strand_per_search(parity_worlds):
             assert [count for count, _ in searches] == [strands] * len(
                 parity_worlds.queries
             ), (database.path, both_strands)
+
+
+def test_rescans_at_most_the_candidates_scanned(parity_worlds):
+    """``align.kernel.rescanned_segments`` <= candidates scanned, per
+    strand, on every layout: the exact rescan revisits only segments of
+    the strand's one image, each at most once.
+
+    Each ``scan`` span (one per strand) annotates ``rescanned`` <= its
+    ``candidates``, and the counter's increment per search is the spans'
+    sum.  The parity images take bounded doubling, and the planted
+    fragments score above the first pass's threshold, so some search
+    rescans: the formula is not met by rescanning nothing.
+    """
+    name = "align.kernel.rescanned_segments"
+    total = 0
+    for database in _worlds(parity_worlds):
+        for both_strands, strands in ((False, 1), (True, 2)):
+            engine = database.engine(both_strands=both_strands)
+            previous = engine.instruments
+            instruments = Instruments()
+            engine.set_instruments(instruments)
+            try:
+                for query in parity_worlds.queries:
+                    instruments.tracer.reset()
+                    before = instruments.metrics.counter_value(name)
+                    report = engine.search(query, top_k=10)
+                    after = instruments.metrics.counter_value(name)
+                    rescanned = after - before
+                    scans = [
+                        row["annotations"]
+                        for row in instruments.tracer.flat()
+                        if row["name"] == "scan"
+                    ]
+                    assert len(scans) == strands
+                    assert all(
+                        scan["rescanned"] <= scan["candidates"]
+                        for scan in scans
+                    )
+                    assert rescanned == sum(
+                        scan["rescanned"] for scan in scans
+                    )
+                    assert rescanned <= report.candidates_examined
+                    total += rescanned
+            finally:
+                engine.set_instruments(previous)
+    assert total > 0
